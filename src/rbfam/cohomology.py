@@ -41,6 +41,7 @@ from .homalg import (
     hochschild_differential,
 )
 from .linalg import (
+    ZERO,
     Matrix,
     Tensor,
     kernel_basis,
@@ -143,8 +144,12 @@ class ComplexHandle:
     def tensor_shape(self, degree):
         return (self.target_dim,) + (self.source_dim,) * degree
 
+    def block_dim(self, degree):
+        """Entries of one index tuple's coefficient tensor."""
+        return self.target_dim * self.source_dim**degree
+
     def raw_dim(self, degree):
-        return len(self.index_keys(degree)) * self.target_dim * self.source_dim**degree
+        return len(self.index_keys(degree)) * self.block_dim(degree)
 
     def flatten(self, cochain):
         out = []
@@ -155,7 +160,7 @@ class ComplexHandle:
     def unflatten(self, degree, vec):
         keys = self.index_keys(degree)
         shape = self.tensor_shape(degree)
-        block = self.target_dim * self.source_dim**degree
+        block = self.block_dim(degree)
         if len(vec) != block * len(keys):
             raise InputError("coefficient vector has the wrong length")
         table = {}
@@ -250,6 +255,15 @@ class ComplexHandle:
                 f"beyond the budget {self.max_entries}",
                 estimated_entries=est,
             )
+        if not self._constraint_trivial():
+            # The constraint basis eliminates one block x block matrix.
+            block = self.block_dim(degree)
+            if block * block > self.max_entries:
+                raise DegreeCapError(
+                    f"degree {degree} needs a {block}x{block} constraint block "
+                    f"({block * block} entries), beyond the budget {self.max_entries}",
+                    estimated_entries=block * block,
+                )
         if degree == 0 and self.tag in (OMEGA, RBF) and self.omega.unit is None:
             raise MissingUnitError(
                 "degree-0 cohomology needs a unit in the semigroup"
@@ -269,7 +283,17 @@ class ComplexHandle:
         elif self._constraint_trivial():
             vecs = [unit_vector(raw, j) for j in range(raw)]
         else:
-            vecs = kernel_basis(self._constraint_matrix(degree))
+            # The constraint never mixes index tuples: its raw matrix is
+            # block-diagonal with one identical block per key, so the raw
+            # kernel basis (unit on its free columns, hence unique) is the
+            # block's basis placed at each key's offset, in key order.
+            block = self.block_dim(degree)
+            block_vecs = kernel_basis(self._constraint_matrix(degree))
+            vecs = [
+                (ZERO,) * offset + v + (ZERO,) * (raw - block - offset)
+                for offset in range(0, raw, block)
+                for v in block_vecs
+            ]
         self._basis[degree] = vecs
         return vecs
 
@@ -277,32 +301,38 @@ class ComplexHandle:
         return [self.unflatten(degree, v) for v in self.basis_vectors(degree)]
 
     def _constraint_matrix(self, degree):
+        """One key's block of the membership constraint q o f = f o p^(x n).
+
+        Rows (k, i_vec), cols (k', j_vec):
+            q[k][k'] [j=i] - [k'=k] prod_l p[j_l][i_l]
+        """
         src, tgt = self.source_map, self.target_map
-        n, d = self.source_dim, self.target_dim
-        keys = self.index_keys(degree)
-        in_idx = list(iproduct(range(n), repeat=degree))
-        block = d * len(in_idx)
-        raw = block * len(keys)
-        entries = [[0] * raw for _ in range(raw)]
-        # Per key block: rows (k, i_vec), cols (k', j_vec):
-        #   q[k][k'] [j=i] - [k'=k] prod_l p[j_l][i_l]
-        for kpos in range(len(keys)):
-            base = kpos * block
-            for krow in range(d):
-                for ipos, ivec in enumerate(in_idx):
-                    r = base + krow * len(in_idx) + ipos
-                    for kcol in range(d):
-                        e = tgt.at(krow, kcol)
-                        if e:
-                            entries[r][base + kcol * len(in_idx) + ipos] += e
-                    for jpos, jvec in enumerate(in_idx):
-                        w = 1
-                        for jl, il in zip(jvec, ivec):
-                            w = w * src.at(jl, il)
-                            if not w:
-                                break
-                        if w:
-                            entries[r][base + krow * len(in_idx) + jpos] -= w
+        d = self.target_dim
+        in_idx = list(iproduct(range(self.source_dim), repeat=degree))
+        m = len(in_idx)
+        # prod_l p[j_l][i_l] does not depend on k: one row per i_vec.
+        weights = []
+        for ivec in in_idx:
+            row = []
+            for jpos, jvec in enumerate(in_idx):
+                w = 1
+                for jl, il in zip(jvec, ivec):
+                    w = w * src.at(jl, il)
+                    if not w:
+                        break
+                if w:
+                    row.append((jpos, w))
+            weights.append(row)
+        entries = [[0] * (d * m) for _ in range(d * m)]
+        for krow in range(d):
+            for ipos in range(m):
+                r = entries[krow * m + ipos]
+                for kcol in range(d):
+                    e = tgt.at(krow, kcol)
+                    if e:
+                        r[kcol * m + ipos] += e
+                for jpos, w in weights[ipos]:
+                    r[krow * m + jpos] -= w
         return Matrix.from_rows(entries)
 
     # -- differentials ----------------------------------------------------------
@@ -328,28 +358,30 @@ class ComplexHandle:
             return self._matrix[degree]
         basis_in = self.basis(degree)
         vec_out = self.basis_vectors(degree + 1)
-        columns = []
-        trivial_out = self._constraint_trivial() or degree + 1 == 0
-        raw_out = self.raw_dim(degree + 1)
-        if not trivial_out:
-            bmat = Matrix.from_columns(vec_out, rows=raw_out) if vec_out else Matrix(raw_out, 0, ())
-        for b in basis_in:
-            image = self.flatten(self.differential(b))
-            if trivial_out:
-                columns.append(image)
-            else:
-                sol = solve(bmat, image)
-                if sol is None:
+        if self._constraint_trivial():
+            columns = [self.flatten(self.differential(b)) for b in basis_in]
+        else:
+            # Each basis vector is 1 on its own free column (its last
+            # nonzero entry) and 0 on the others' free columns, so the
+            # coordinates of a member are its free-column entries.  Rebuild
+            # the image from them to check that it is a member.
+            support = [[(i, e) for i, e in enumerate(v) if e] for v in vec_out]
+            free = [s[-1][0] for s in support]
+            columns = []
+            for b in basis_in:
+                image = self.flatten(self.differential(b))
+                coords = tuple(image[f] for f in free)
+                rebuilt = [ZERO] * len(image)
+                for c, s in zip(coords, support):
+                    if c:
+                        for i, e in s:
+                            rebuilt[i] += c * e
+                if rebuilt != list(image):
                     raise RouteMismatchError(
                         "differential image escaped the constrained cochain space"
                     )
-                columns.append(sol[0])
-        ncols = len(columns)
-        nrows = len(vec_out)
-        if ncols == 0:
-            mat = Matrix(nrows, 0, ())
-        else:
-            mat = Matrix.from_columns(columns, rows=nrows)
+                columns.append(coords)
+        mat = Matrix.from_columns(columns, rows=len(vec_out))
         self._matrix[degree] = mat
         return mat
 

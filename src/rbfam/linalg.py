@@ -430,7 +430,13 @@ def _kernel_from_echelon(rows, pivots, ncols):
 
 
 def kernel_basis(m):
-    """Deterministic basis of the right null space (free columns ascending)."""
+    """Deterministic basis of the right null space (free columns ascending).
+
+    Each basis vector is 1 on its own free column and 0 on every other free
+    column (and on every column after its own), so a vector of the null
+    space has its free-column entries as its coordinates in this basis.
+    ``ComplexHandle.differential_matrix`` reads coordinates that way.
+    """
     _require_rational_matrix(m)
     rows = _integer_rows(m)
     pivots = _bareiss(rows, m.cols)

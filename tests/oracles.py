@@ -3,8 +3,9 @@
 Everything here is deliberately coded apart from the package: naive
 Fraction Gaussian elimination with a different pivot rule, a recursive
 multilinear evaluator, a twist-free family-law checker, the dendriform
-subsystem checker, and a from-scratch differential-matrix builder for the
-twisted-family complex (identity structure maps).  Package objects are
+subsystem checker, a from-scratch differential-matrix builder for the
+twisted-family complex (identity structure maps), and the dense raw x raw
+membership-constraint matrix of a cochain space.  Package objects are
 accepted as data carriers only (their raw entries are extracted up front).
 """
 from fractions import Fraction
@@ -151,6 +152,35 @@ def dendriform_family_law_holds(family):
             ):
                 return False
     return True
+
+
+def oracle_full_constraint(source_map, target_map, nkeys, degree):
+    """Dense rows of the membership constraint q o f = f o p^(x n) on the
+    whole raw coefficient space (all index tuples at once).
+
+    Coefficient order: index tuple, then the output coordinate, then the
+    input multi-index.  Row (key, k, i_vec), column (key', k', j_vec):
+    q[k][k'] [key'=key][j=i] - [key'=key][k'=k] prod_l p[j_l][i_l].
+    """
+    p, q = rows_of(source_map), rows_of(target_map)
+    d = len(q)
+    in_idx = list(product(range(len(p)), repeat=degree))
+    block = d * len(in_idx)
+    raw = block * nkeys
+    rows = [[Fraction(0)] * raw for _ in range(raw)]
+    for kpos in range(nkeys):
+        base = kpos * block
+        for krow in range(d):
+            for ipos, ivec in enumerate(in_idx):
+                r = base + krow * len(in_idx) + ipos
+                for kcol in range(d):
+                    rows[r][base + kcol * len(in_idx) + ipos] += q[krow][kcol]
+                for jpos, jvec in enumerate(in_idx):
+                    w = Fraction(1)
+                    for jl, il in zip(jvec, ivec):
+                        w *= p[jl][il]
+                    rows[r][base + krow * len(in_idx) + jpos] -= w
+    return rows
 
 
 class NaiveFamilyComplex:

@@ -13,7 +13,7 @@ from rbfam.cohomology import (
     rbf_complex,
     transport_cochain,
 )
-from rbfam.errors import DegreeCapError, InputError, MissingUnitError
+from rbfam.errors import DegreeCapError, InputError, MissingUnitError, RouteMismatchError
 from rbfam.family import OmegaAssocAlgebra, OmegaBimodule
 from rbfam.homalg import (
     HomBimodule,
@@ -21,7 +21,7 @@ from rbfam.homalg import (
     tensor_semigroup_algebra,
     zero_cocycle,
 )
-from rbfam.linalg import Matrix, Tensor, block_diag
+from rbfam.linalg import Matrix, Tensor, block_diag, kernel_basis, unit_vector
 from rbfam.operators import OperatorMorphism, TwistedRBFamily, identity_packing_family
 from rbfam.semigroups import builtin
 
@@ -353,3 +353,87 @@ def test_invert_matrix():
     assert m.mul(inv).is_identity()
     with pytest.raises(InputError):
         invert_matrix(Matrix.from_rows([[1, 1], [1, 1]]))
+
+
+# -- constrained bases and matrices against the dense reference -------------
+
+
+@pytest.fixture(scope="module", params=["cyclic", "boolean_monoid"])
+def twisted_family_handle(request, twisted_triangular_algebra):
+    """RBF handle of the identity packing family of the twisted triangular
+    algebra: non-identity structure maps, so the constraint basis is used."""
+    omega = builtin("cyclic", 2) if request.param == "cyclic" else builtin(request.param)
+    _, _, cocycle = tensor_semigroup_algebra(twisted_triangular_algebra, omega)
+    operator = identity_packing_family(twisted_triangular_algebra, omega, cocycle)
+    return rbf_complex(operator, degree_cap=1)
+
+
+def _reference_basis(handle, degree):
+    from oracles import oracle_full_constraint
+
+    rows = oracle_full_constraint(
+        handle.source_map, handle.target_map, len(handle.index_keys(degree)), degree
+    )
+    return kernel_basis(Matrix.from_rows(rows))
+
+
+def _assert_matrix_reproduces_images(handle, degree):
+    """B_{n+1} M_n equals the flattened image of every degree-n basis vector."""
+    mat = differential_matrix(handle, degree)
+    out = handle.basis_vectors(degree + 1)
+    raw = handle.raw_dim(degree + 1)
+    for j, b in enumerate(cochain_basis(handle, degree)):
+        combo = [Fraction(0)] * raw
+        for i, v in enumerate(out):
+            c = mat.at(i, j)
+            if c:
+                combo = [x + c * y for x, y in zip(combo, v)]
+        assert combo == list(handle.flatten(handle.differential(b)))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_twisted_family_basis_matches_dense_constraint(twisted_family_handle, degree):
+    assert twisted_family_handle.basis_vectors(degree) == _reference_basis(
+        twisted_family_handle, degree
+    )
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_twisted_family_matrix_reproduces_images(twisted_family_handle, degree):
+    _assert_matrix_reproduces_images(twisted_family_handle, degree)
+
+
+def test_twisted_ha_bases_and_matrices_match_reference(twisted_triangular_algebra):
+    handle = ha_complex(
+        twisted_triangular_algebra, regular_bimodule(twisted_triangular_algebra), degree_cap=3
+    )
+    for degree in (1, 2, 3):
+        assert handle.basis_vectors(degree) == _reference_basis(handle, degree)
+        _assert_matrix_reproduces_images(handle, degree)
+
+
+def test_differential_matrix_rejects_escaped_image(twisted_family_handle, monkeypatch):
+    handle = rbf_complex(twisted_family_handle.operator, degree_cap=1)
+    out = handle.basis_vectors(1)
+    # A unit vector on a non-free column has zero free-column coordinates,
+    # so it is not a member.
+    free = {max(i for i, e in enumerate(v) if e) for v in out}
+    col = min(set(range(handle.raw_dim(1))) - free)
+    escaped = handle.unflatten(1, unit_vector(handle.raw_dim(1), col))
+    assert not handle.membership_ok(escaped)
+    monkeypatch.setattr(handle, "differential", lambda cochain: escaped)
+    with pytest.raises(RouteMismatchError):
+        differential_matrix(handle, 0)
+
+
+def test_constraint_block_counts_against_the_entry_budget(twisted_triangular_algebra):
+    handle = ha_complex(
+        twisted_triangular_algebra,
+        regular_bimodule(twisted_triangular_algebra),
+        degree_cap=4,
+        max_entries=1000,
+    )
+    assert handle.raw_dim(4) == 243 <= 1000
+    with pytest.raises(DegreeCapError) as info:
+        handle.basis_vectors(4)
+    assert info.value.estimated_entries == 243**2
