@@ -8,18 +8,26 @@ Three complexes share one chassis:
 * OMEGA - the complex of a semigroup-pair-indexed associative algebra with
           coefficients in a pair-indexed bimodule,
 * RBF   - the complex of a twisted Rota-Baxter family, whose differential
-          is computed twice on every call: once by the direct formula and
-          once through the generic OMEGA differential on the induced
-          total-product algebra and bimodule; the two must agree exactly.
+          is computed twice: once by the direct formula and once through
+          the generic OMEGA differential on the induced total-product
+          algebra and bimodule; the two must agree exactly.
 
 Cochain spaces carry the equivariance membership constraint, enforced at
 construction.  Bases, differential matrices and dimensions are exact and
 deterministic.
+
+``differential`` evaluates one cochain at a time.  A differential matrix
+of degree n >= 1 is instead assembled once, in raw coordinates, by one
+stencil walker shared by the three complexes (each supplies a small
+stencil of probed linear maps and merged arguments); for RBF the direct
+and the generic stencils are both assembled and compared on the image of
+every basis vector.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product as iproduct
 
 from .errors import (
@@ -255,15 +263,15 @@ class ComplexHandle:
                 f"beyond the budget {self.max_entries}",
                 estimated_entries=est,
             )
-        if not self._constraint_trivial():
-            # The constraint basis eliminates one block x block matrix.
-            block = self.block_dim(degree)
-            if block * block > self.max_entries:
-                raise DegreeCapError(
-                    f"degree {degree} needs a {block}x{block} constraint block "
-                    f"({block * block} entries), beyond the budget {self.max_entries}",
-                    estimated_entries=block * block,
-                )
+        # The dense basis holds up to raw vectors of raw entries; this also
+        # bounds the block x block constraint (block <= raw) and the
+        # stencil's raw(n+1) x raw(n) nonzeros, guarded at degree n + 1.
+        if est * est > self.max_entries:
+            raise DegreeCapError(
+                f"degree {degree} needs a basis of up to {est}x{est} "
+                f"({est * est} entries), beyond the budget {self.max_entries}",
+                estimated_entries=est * est,
+            )
         if degree == 0 and self.tag in (OMEGA, RBF) and self.omega.unit is None:
             raise MissingUnitError(
                 "degree-0 cohomology needs a unit in the semigroup"
@@ -356,10 +364,16 @@ class ComplexHandle:
     def differential_matrix(self, degree):
         if degree in self._matrix:
             return self._matrix[degree]
-        basis_in = self.basis(degree)
-        vec_out = self.basis_vectors(degree + 1)
+        if degree == 0:
+            basis_in = self.basis(0)
+            vec_out = self.basis_vectors(1)
+            images = [self.flatten(self.differential(b)) for b in basis_in]
+        else:
+            basis_in = self.basis_vectors(degree)
+            vec_out = self.basis_vectors(degree + 1)
+            images = self._stencil_images(degree, basis_in)
         if self._constraint_trivial():
-            columns = [self.flatten(self.differential(b)) for b in basis_in]
+            columns = images
         else:
             # Each basis vector is 1 on its own free column (its last
             # nonzero entry) and 0 on the others' free columns, so the
@@ -368,8 +382,7 @@ class ComplexHandle:
             support = [[(i, e) for i, e in enumerate(v) if e] for v in vec_out]
             free = [s[-1][0] for s in support]
             columns = []
-            for b in basis_in:
-                image = self.flatten(self.differential(b))
+            for image in images:
                 coords = tuple(image[f] for f in free)
                 rebuilt = [ZERO] * len(image)
                 for c, s in zip(coords, support):
@@ -384,6 +397,44 @@ class ComplexHandle:
         mat = Matrix.from_columns(columns, rows=len(vec_out))
         self._matrix[degree] = mat
         return mat
+
+    def _stencil_images(self, degree, basis_in):
+        """Raw images D . b of the degree-n basis vectors (n >= 1).
+
+        RBF assembles the direct and the generic stencil independently and
+        requires both images of every basis vector to agree.
+        """
+        if self.tag == HA:
+            stencils = [_ha_stencil(self.ha_module, degree)]
+        else:
+            stencils = [_omega_stencil(self.omega_algebra, self.omega_module, degree)]
+            if self.tag == RBF:
+                stencils.insert(0, _rbf_stencil(self.operator, degree))
+        maps = [_assemble_stencil(self, degree, s) for s in stencils]
+        raw_out = self.raw_dim(degree + 1)
+        images = []
+        for j, b in enumerate(basis_in):
+            image, *others = [_apply_columns(cols, b, raw_out) for cols in maps]
+            for other in others:
+                if other != image:
+                    row = next(r for r, (x, y) in enumerate(zip(image, other)) if x != y)
+                    key, entry = self._locate(degree + 1, row)
+                    raise RouteMismatchError(
+                        f"twisted-family differential routes disagree at index tuple {key}, "
+                        f"entry {entry}, on basis vector {j}"
+                    )
+            images.append(image)
+        return images
+
+    def _locate(self, degree, row):
+        """(index tuple, tensor entry) of a raw coordinate position."""
+        block = self.block_dim(degree)
+        key = self.index_keys(degree)[row // block]
+        flat, entry = row % block, []
+        for extent in reversed(self.tensor_shape(degree)):
+            flat, i = divmod(flat, extent)
+            entry.append(i)
+        return key, tuple(reversed(entry))
 
 
 def _check_degree0_unit(handle):
@@ -690,6 +741,197 @@ def rbf_differential(handle, cochain):
     )
     if not handle.membership_ok(out):
         raise RouteMismatchError("differential output violates the membership constraint")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# differential matrices from a raw-coordinate stencil
+#
+# A stencil holds the data-only parts of a degree-n differential (n >= 1):
+#   first(key)[a]   nonzero entries (k, k', c) of the map v -> first term,
+#                   acting on f[key[1:]][:, idx[1:]] when idx[0] = a;
+#   last(key)[a]    the same for the last term on f[key[:-1]][:, idx[:-1]]
+#                   when idx[-1] = a;
+#   merged(key, i)  [a][b] -> sparse merged argument of slot i when
+#                   (idx[i-1], idx[i]) = (a, b);
+#   smap[a]         sparse column a of the structure map on the source.
+# Each linear map is probed once on unit vectors and cached per the data
+# it depends on, never per key or per cochain.
+
+_Stencil = namedtuple("_Stencil", ["first", "last", "merged", "smap"])
+
+
+def _sparse(v):
+    return [(j, c) for j, c in enumerate(v) if c]
+
+
+def _probe(fn, dim):
+    """Nonzero entries (k, k', c) of a linear map on a dim-space."""
+    return [(k, kp, c) for kp in range(dim) for k, c in enumerate(fn(unit_vector(dim, kp))) if c]
+
+
+def _omega_stencil(algebra, module, degree):
+    """Generic pair-indexed stencil (the terms of ``_omega_tables_delta``)."""
+    omega, g, d = algebra.omega, algebra.dim, module.dim
+    ppow = algebra.p.power(degree - 1)
+    ppow_cols = [ppow.column(j) for j in range(g)]
+
+    @cache
+    def first(alpha, rest):
+        return [_probe(lambda v: module.act_l(alpha, rest, x, v), d) for x in ppow_cols]
+
+    @cache
+    def last(head, beta):
+        return [_probe(lambda v: module.act_r(head, beta, v, x), d) for x in ppow_cols]
+
+    @cache
+    def merged(alpha, beta):
+        t = algebra.prod[alpha][beta]
+        return [[_sparse(tensor_column(t, (a, b))) for b in range(g)] for a in range(g)]
+
+    return _Stencil(
+        first=lambda key: first(key[0], omega.product(key[1:])),
+        last=lambda key: last(omega.product(key[:-1]), key[-1]),
+        merged=lambda key, i: merged(key[i - 1], key[i]),
+        smap=[_sparse(algebra.p.column(j)) for j in range(g)],
+    )
+
+
+def _rbf_stencil(operator, degree):
+    """Direct twisted-family stencil (the terms of ``_rbf_delta_n_tables``)."""
+    A, module, phi, omega = (
+        operator.algebra,
+        operator.bimodule,
+        operator.cocycle,
+        operator.omega,
+    )
+    n, d = A.dim, module.dim
+    qpow = module.q.power(degree - 1)
+    qpow_cols = [qpow.column(a) for a in range(d)]
+    vbasis = module.basis()
+
+    @cache
+    def first(alpha, pi):
+        r_pi = operator.maps[pi]
+
+        def term(u1):
+            r1u1 = operator.maps[alpha].apply(u1)
+            return _probe(
+                lambda x: vsub(
+                    vsub(A.product(r1u1, x), r_pi.apply(module.act_r(u1, x))),
+                    r_pi.apply(phi.apply(r1u1, x)),
+                ),
+                n,
+            )
+
+        return [term(u1) for u1 in qpow_cols]
+
+    @cache
+    def last(beta, pi):
+        r_pi = operator.maps[pi]
+
+        def term(un1):
+            rn1un1 = operator.maps[beta].apply(un1)
+            return _probe(
+                lambda x: vsub(
+                    vsub(A.product(x, rn1un1), r_pi.apply(module.act_l(x, un1))),
+                    r_pi.apply(phi.apply(x, rn1un1)),
+                ),
+                n,
+            )
+
+        return [term(un1) for un1 in qpow_cols]
+
+    @cache
+    def merged(alpha, beta):
+        return [
+            [_sparse(twisted_inner_sum(operator, alpha, beta, vbasis[a], vbasis[b])) for b in range(d)]
+            for a in range(d)
+        ]
+
+    return _Stencil(
+        first=lambda key: first(key[0], omega.product(key)),
+        last=lambda key: last(key[-1], omega.product(key)),
+        merged=lambda key, i: merged(key[i - 1], key[i]),
+        smap=[_sparse(module.q.column(a)) for a in range(d)],
+    )
+
+
+def _ha_stencil(module, degree):
+    """Hochschild-type stencil (the terms of ``hochschild_differential``)."""
+    A, d = module.parent, module.dim
+    ppow = A.p.power(degree - 1)
+    ppow_cols = [ppow.column(j) for j in range(A.dim)]
+    first = [_probe(lambda v: module.act_l(x, v), d) for x in ppow_cols]
+    last = [_probe(lambda v: module.act_r(v, x), d) for x in ppow_cols]
+    merged = [[_sparse(A.basis_product(a, b)) for b in range(A.dim)] for a in range(A.dim)]
+    return _Stencil(
+        first=lambda key: first,
+        last=lambda key: last,
+        merged=lambda key, i: merged,
+        smap=[_sparse(A.p.column(j)) for j in range(A.dim)],
+    )
+
+
+def _assemble_stencil(handle, degree, stencil):
+    """Raw differential C^n -> C^(n+1), n >= 1, as sparse columns {row: value}.
+
+    Output entry (key, k, idx) is the first term on f[key[1:]][:, idx[1:]],
+    plus sign_last times the last term on f[key[:-1]][:, idx[:-1]], plus,
+    for each merged slot i, sgn_i * sum_j f[mkey_i][k, j] prod_l args_l[j_l].
+    """
+    g, d, n = handle.source_dim, handle.target_dim, degree
+    in_pos = {key: pos for pos, key in enumerate(handle.index_keys(n))}
+    inner_in, inner_out = g**n, g ** (n + 1)
+    block_in, block_out = d * inner_in, d * inner_out
+    cols = [{} for _ in range(len(in_pos) * block_in)]
+    sign_last = 1 if (n + 1) % 2 == 0 else -1
+    smap = stencil.smap
+
+    def add(col, row, c):
+        entries = cols[col]
+        entries[row] = entries.get(row, ZERO) + c
+
+    for opos, key in enumerate(handle.index_keys(n + 1)):
+        if handle.tag == HA:
+            # Hochschild type: every cochain lives under the empty key.
+            tail = head = ()
+            mkeys = [()] * n
+        else:
+            mul = handle.omega.mul
+            tail, head = key[1:], key[:-1]
+            mkeys = [key[: i - 1] + (mul(key[i - 1], key[i]),) + key[i + 1 :] for i in range(1, n + 1)]
+        tail0, head0 = in_pos[tail] * block_in, in_pos[head] * block_in
+        first, last = stencil.first(key), stencil.last(key)
+        merged = [(i, in_pos[mk] * block_in, stencil.merged(key, i)) for i, mk in enumerate(mkeys, 1)]
+        for flat, idx in enumerate(iproduct(range(g), repeat=n + 1)):
+            row = opos * block_out + flat
+            col = tail0 + flat % inner_in
+            for k, kp, c in first[idx[0]]:
+                add(col + kp * inner_in, row + k * inner_out, c)
+            col = head0 + flat // g
+            for k, kp, c in last[idx[-1]]:
+                add(col + kp * inner_in, row + k * inner_out, sign_last * c)
+            for i, m0, table in merged:
+                args = [smap[a] for a in idx[: i - 1]]
+                args.append(table[idx[i - 1]][idx[i]])
+                args.extend(smap[a] for a in idx[i + 1 :])
+                for combo in iproduct(*args):
+                    j, w = 0, (-1 if i % 2 else 1)
+                    for jl, c in combo:
+                        j, w = j * g + jl, w * c
+                    for k in range(d):
+                        add(m0 + k * inner_in + j, row + k * inner_out, w)
+    return cols
+
+
+def _apply_columns(cols, vec, rows):
+    """Dense product of sparse columns {row: value} with a coefficient vector."""
+    out = [ZERO] * rows
+    for c, e in enumerate(vec):
+        if e:
+            for r, v in cols[c].items():
+                out[r] += e * v
     return out
 
 

@@ -437,3 +437,48 @@ def test_constraint_block_counts_against_the_entry_budget(twisted_triangular_alg
     with pytest.raises(DegreeCapError) as info:
         handle.basis_vectors(4)
     assert info.value.estimated_entries == 243**2
+
+
+# -- stencil-assembled matrices ----------------------------------------------
+
+
+def test_dense_basis_counts_against_the_entry_budget(d1):
+    # p = q = id: the basis is raw unit vectors of raw entries each.
+    handle = rbf_complex(d1["operator"], max_entries=1000)
+    assert handle.raw_dim(2) == 64 <= 1000
+    with pytest.raises(DegreeCapError) as info:
+        handle.basis_vectors(2)
+    assert info.value.estimated_entries == 64**2
+
+
+def test_differential_matrix_raises_when_routes_disagree(d1, monkeypatch):
+    import rbfam.cohomology as cohomology_module
+
+    original = cohomology_module.twisted_inner_sum
+    first = unit_vector(d1["operator"].bimodule.dim, 0)
+
+    def perturbed(operator, alpha, beta, u, v):
+        out = original(operator, alpha, beta, u, v)
+        if (alpha, beta) == (0, 0) and u == v == first:
+            out = (out[0] + 1,) + out[1:]
+        return out
+
+    # Only the direct route reads twisted_inner_sum.
+    monkeypatch.setattr(cohomology_module, "twisted_inner_sum", perturbed)
+    handle = rbf_complex(d1["operator"])
+    with pytest.raises(RouteMismatchError, match=r"disagree at index tuple \(\d+, \d+\)"):
+        differential_matrix(handle, 1)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("which", ["rbf", "omega", "ha"])
+def test_stencil_matrix_reproduces_images(d1_handle, d1_omega_handle, d1_ha_handle, which, degree):
+    handle = {"rbf": d1_handle, "omega": d1_omega_handle, "ha": d1_ha_handle}[which]
+    _assert_matrix_reproduces_images(handle, degree)
+
+
+def test_d1_rbf_degree_three_golden(d1):
+    # Frozen from tests/oracles.py NaiveFamilyComplex(D1).dims(3), which is
+    # too slow to recompute here.
+    handle = rbf_complex(d1["operator"], degree_cap=3)
+    assert tuple(cohomology_dims(handle, 3)) == (256, 48, 48, 0)
