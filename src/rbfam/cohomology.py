@@ -16,12 +16,13 @@ Cochain spaces carry the equivariance membership constraint, enforced at
 construction.  Bases, differential matrices and dimensions are exact and
 deterministic.
 
-``differential`` evaluates one cochain at a time.  A differential matrix
-of degree n >= 1 is instead assembled once, in raw coordinates, by one
-stencil walker shared by the three complexes (each supplies a small
-stencil of probed linear maps and merged arguments); for RBF the direct
-and the generic stencils are both assembled and compared on the image of
-every basis vector.
+In degree n >= 1 the differential of each complex is one linear map,
+assembled once per degree in raw coordinates by one stencil walker shared
+by the three complexes (each supplies a small stencil of probed linear
+maps and merged arguments).  ``differential`` applies it to one cochain
+and ``differential_matrix`` to every basis vector; for RBF the direct and
+the generic stencils are both assembled and every image is compared.
+Degree 0 is evaluated per cochain, by both routes for RBF.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .homalg import (
     check_bimodule,
     check_hom_algebra,
     hochschild_differential,
+    is_equivariant,
 )
 from .linalg import (
     ZERO,
@@ -124,7 +126,7 @@ class Cochain:
 
 @dataclass
 class ComplexHandle:
-    """Bundle of the data a complex needs, plus basis/matrix caches."""
+    """Bundle of the data a complex needs, plus basis/map/matrix caches."""
 
     tag: str
     source_dim: int
@@ -141,6 +143,7 @@ class ComplexHandle:
     notes: tuple = ()
     _basis: dict = field(default_factory=dict, repr=False)
     _matrix: dict = field(default_factory=dict, repr=False)
+    _maps: dict = field(default_factory=dict, repr=False)
 
     # -- layout ------------------------------------------------------------
 
@@ -188,19 +191,10 @@ class ComplexHandle:
         return self.source_map.is_identity() and self.target_map.is_identity()
 
     def membership_ok(self, cochain):
-        if cochain.degree == 0:
-            u = cochain.as_vector()
-            return self.target_map.apply(u) == tuple(u)
-        if self._constraint_trivial():
-            return True
-        for key in cochain.keys():
-            t = cochain.table[key]
-            for idx in iproduct(range(self.source_dim), repeat=cochain.degree):
-                lhs = self.target_map.apply(tensor_column(t, idx))
-                rhs = multilinear_apply(t, [self.source_map.column(j) for j in idx])
-                if lhs != rhs:
-                    return False
-        return True
+        return all(
+            is_equivariant(self.target_map, self.source_map, cochain.degree, cochain.table[key])
+            for key in cochain.keys()
+        )
 
     def make_cochain(self, degree, table):
         """Wrap and validate a user-supplied cochain (membership enforced here)."""
@@ -348,18 +342,33 @@ class ComplexHandle:
     def differential(self, cochain):
         if cochain.complex != self.tag:
             raise InputError("cochain belongs to a different complex")
-        if self.tag == HA:
-            out_t = hochschild_differential(self.ha_module, cochain.degree, cochain)
+        if self.tag == OMEGA:
+            return omega_differential(self, cochain)
+        if self.tag == RBF:
+            return rbf_differential(self, cochain)
+        if cochain.degree == 0:
+            out_t = hochschild_differential(self.ha_module, 0, cochain)
             return Cochain(
                 complex=HA,
-                degree=cochain.degree + 1,
+                degree=1,
                 source_dim=self.source_dim,
                 target_dim=self.target_dim,
                 table={(): out_t},
             )
-        if self.tag == OMEGA:
-            return omega_differential(self, cochain)
-        return rbf_differential(self, cochain)
+        if not self.membership_ok(cochain):
+            raise InputError("cochain violates the membership constraint q o f = f o p^n")
+        return self._image(cochain)
+
+    def _image(self, cochain):
+        """D . f through the assembled map of degree n >= 1, output checked."""
+        degree = cochain.degree
+        vec = self.flatten(cochain)
+        if len(vec) != self.raw_dim(degree):
+            raise InputError("cochain has the wrong shape for its complex")
+        out = self.unflatten(degree + 1, self._apply_maps(degree, vec))
+        if not self.membership_ok(out):
+            raise RouteMismatchError("differential output violates the membership constraint")
+        return out
 
     def differential_matrix(self, degree):
         if degree in self._matrix:
@@ -371,7 +380,9 @@ class ComplexHandle:
         else:
             basis_in = self.basis_vectors(degree)
             vec_out = self.basis_vectors(degree + 1)
-            images = self._stencil_images(degree, basis_in)
+            images = [
+                self._apply_maps(degree, b, f", on basis vector {j}") for j, b in enumerate(basis_in)
+            ]
         if self._constraint_trivial():
             columns = images
         else:
@@ -398,33 +409,35 @@ class ComplexHandle:
         self._matrix[degree] = mat
         return mat
 
-    def _stencil_images(self, degree, basis_in):
-        """Raw images D . b of the degree-n basis vectors (n >= 1).
+    def _stencil_maps(self, degree):
+        """Raw differentials C^n -> C^(n+1), n >= 1, assembled once per degree.
 
-        RBF assembles the direct and the generic stencil independently and
-        requires both images of every basis vector to agree.
+        RBF holds two, the direct and the generic one, assembled
+        independently; the others hold one.
         """
-        if self.tag == HA:
-            stencils = [_ha_stencil(self.ha_module, degree)]
-        else:
-            stencils = [_omega_stencil(self.omega_algebra, self.omega_module, degree)]
-            if self.tag == RBF:
-                stencils.insert(0, _rbf_stencil(self.operator, degree))
-        maps = [_assemble_stencil(self, degree, s) for s in stencils]
+        if degree not in self._maps:
+            if self.tag == HA:
+                stencils = [_ha_stencil(self.ha_module, degree)]
+            else:
+                stencils = [_omega_stencil(self.omega_algebra, self.omega_module, degree)]
+                if self.tag == RBF:
+                    stencils.insert(0, _rbf_stencil(self.operator, degree))
+            self._maps[degree] = [_assemble_stencil(self, degree, s) for s in stencils]
+        return self._maps[degree]
+
+    def _apply_maps(self, degree, vec, where=""):
+        """Raw image D . vec; for RBF both routes' images must agree."""
         raw_out = self.raw_dim(degree + 1)
-        images = []
-        for j, b in enumerate(basis_in):
-            image, *others = [_apply_columns(cols, b, raw_out) for cols in maps]
-            for other in others:
-                if other != image:
-                    row = next(r for r, (x, y) in enumerate(zip(image, other)) if x != y)
-                    key, entry = self._locate(degree + 1, row)
-                    raise RouteMismatchError(
-                        f"twisted-family differential routes disagree at index tuple {key}, "
-                        f"entry {entry}, on basis vector {j}"
-                    )
-            images.append(image)
-        return images
+        image, *others = [_apply_columns(cols, vec, raw_out) for cols in self._stencil_maps(degree)]
+        for other in others:
+            if other != image:
+                row = next(r for r, (x, y) in enumerate(zip(image, other)) if x != y)
+                key, entry = self._locate(degree + 1, row)
+                raise RouteMismatchError(
+                    f"twisted-family differential routes disagree at index tuple {key}, "
+                    f"entry {entry}{where}"
+                )
+        return image
 
     def _locate(self, degree, row):
         """(index tuple, tensor entry) of a raw coordinate position."""
@@ -519,52 +532,6 @@ def rbf_complex(operator, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX
 # differentials
 
 
-def _omega_tables_delta(algebra, module, degree, get_tensor, handle_omega):
-    """Generic pair-indexed differential on raw tables.
-
-    ``get_tensor(key)`` returns the coefficient tensor for an index tuple;
-    returns a dict key -> output tensor at degree + 1.
-    """
-    omega = handle_omega
-    g, d = algebra.dim, module.dim
-    p = algebra.p
-    p_cols = [p.column(j) for j in range(g)]
-    p_pow = p.power(degree - 1)
-    ppow_cols = [p_pow.column(j) for j in range(g)]
-    sign_last = 1 if (degree + 1) % 2 == 0 else -1
-    out = {}
-    inner = g ** (degree + 1)
-    for key in iproduct(range(omega.size), repeat=degree + 1):
-        rest = omega.product(key[1:])
-        head = omega.product(key[:-1])
-        f_tail = get_tensor(key[1:])
-        f_head = get_tensor(key[:-1])
-        merged = []
-        for i in range(1, degree + 1):
-            mkey = key[: i - 1] + (omega.mul(key[i - 1], key[i]),) + key[i + 1 :]
-            merged.append((i, get_tensor(mkey), key[i - 1], key[i]))
-        entries = [None] * (d * inner)
-        for flat, idx in enumerate(iproduct(range(g), repeat=degree + 1)):
-            acc = list(
-                module.act_l(key[0], rest, ppow_cols[idx[0]], tensor_column(f_tail, idx[1:]))
-            )
-            tail = module.act_r(head, key[-1], tensor_column(f_head, idx[:-1]), ppow_cols[idx[-1]])
-            for k in range(d):
-                acc[k] = acc[k] + sign_last * tail[k]
-            for i, f_merged, a_i, a_next in merged:
-                args = [p_cols[j] for j in idx[: i - 1]]
-                args.append(tensor_column(algebra.prod[a_i][a_next], (idx[i - 1], idx[i])))
-                args.extend(p_cols[j] for j in idx[i + 1 :])
-                term = multilinear_apply(f_merged, args)
-                sgn = -1 if i % 2 else 1
-                for k in range(d):
-                    acc[k] = acc[k] + sgn * term[k]
-            for k in range(d):
-                entries[k * inner + flat] = acc[k]
-        out[key] = Tensor((d,) + (g,) * (degree + 1), tuple(entries))
-    return out
-
-
 def _omega_delta0_tables(algebra, module, u):
     omega = algebra.omega
     unit = omega.unit
@@ -588,17 +555,13 @@ def omega_differential(handle, cochain):
         raise InputError("omega_differential needs an OMEGA handle")
     if cochain.complex != OMEGA:
         raise InputError("cochain belongs to a different complex")
-    algebra, module = handle.omega_algebra, handle.omega_module
-    if cochain.degree == 0:
-        _check_degree0_unit(handle)
-        table = _omega_delta0_tables(algebra, module, cochain.as_vector())
-    else:
-        table = _omega_tables_delta(
-            algebra, module, cochain.degree, lambda key: cochain.table[key], handle.omega
-        )
+    if cochain.degree > 0:
+        return handle._image(cochain)
+    _check_degree0_unit(handle)
+    table = _omega_delta0_tables(handle.omega_algebra, handle.omega_module, cochain.as_vector())
     out = Cochain(
         complex=OMEGA,
-        degree=cochain.degree + 1,
+        degree=1,
         source_dim=handle.source_dim,
         target_dim=handle.target_dim,
         table=table,
@@ -634,99 +597,22 @@ def _rbf_delta0_tables(handle, x):
     return out
 
 
-def _rbf_delta_n_tables(handle, degree, cochain):
-    operator = handle.operator
-    A, module, phi, omega = (
-        operator.algebra,
-        operator.bimodule,
-        operator.cocycle,
-        operator.omega,
-    )
-    n, d = A.dim, module.dim
-    q = module.q
-    q_pow = q.power(degree - 1)
-    qpow_cols = [q_pow.column(a) for a in range(d)]
-    q_cols = [q.column(a) for a in range(d)]
-    vbasis = module.basis()
-    sign_last = 1 if (degree + 1) % 2 == 0 else -1
-    inner = d ** (degree + 1)
-    out = {}
-    for key in iproduct(range(omega.size), repeat=degree + 1):
-        pi = omega.product(key)
-        r_pi = operator.maps[pi]
-        r_first = operator.maps[key[0]]
-        r_last = operator.maps[key[-1]]
-        f_tail = cochain.table[key[1:]]
-        f_head = cochain.table[key[:-1]]
-        merged = []
-        for i in range(1, degree + 1):
-            mkey = key[: i - 1] + (omega.mul(key[i - 1], key[i]),) + key[i + 1 :]
-            merged.append((i, cochain.table[mkey], key[i - 1], key[i]))
-        entries = [None] * (n * inner)
-        for flat, idx in enumerate(iproduct(range(d), repeat=degree + 1)):
-            u1 = qpow_cols[idx[0]]
-            un1 = qpow_cols[idx[-1]]
-            ftail_col = tensor_column(f_tail, idx[1:])
-            fhead_col = tensor_column(f_head, idx[:-1])
-            r1u1 = r_first.apply(u1)
-            rn1un1 = r_last.apply(un1)
-            acc = list(A.product(r1u1, ftail_col))
-            t = r_pi.apply(module.act_r(u1, ftail_col))
-            for k in range(n):
-                acc[k] = acc[k] - t[k]
-            t = r_pi.apply(phi.apply(r1u1, ftail_col))
-            for k in range(n):
-                acc[k] = acc[k] - t[k]
-            last = list(A.product(fhead_col, rn1un1))
-            t = r_pi.apply(module.act_l(fhead_col, un1))
-            for k in range(n):
-                last[k] = last[k] - t[k]
-            t = r_pi.apply(phi.apply(fhead_col, rn1un1))
-            for k in range(n):
-                last[k] = last[k] - t[k]
-            for k in range(n):
-                acc[k] = acc[k] + sign_last * last[k]
-            for i, f_merged, a_i, a_next in merged:
-                args = [q_cols[a] for a in idx[: i - 1]]
-                args.append(
-                    twisted_inner_sum(operator, a_i, a_next, vbasis[idx[i - 1]], vbasis[idx[i]])
-                )
-                args.extend(q_cols[a] for a in idx[i + 1 :])
-                term = multilinear_apply(f_merged, args)
-                sgn = -1 if i % 2 else 1
-                for k in range(n):
-                    acc[k] = acc[k] + sgn * term[k]
-            for k in range(n):
-                entries[k * inner + flat] = acc[k]
-        out[key] = Tensor((n,) + (d,) * (degree + 1), tuple(entries))
-    return out
-
-
 def rbf_differential(handle, cochain):
     """Differential of the twisted-family complex, computed by both routes.
 
     The direct formula and the generic pair-indexed differential on the
-    induced data are evaluated independently and must agree entrywise.
+    induced data are evaluated independently and must agree entrywise; in
+    degree n >= 1 both are the handle's assembled maps.
     """
     if handle.tag != RBF:
         raise InputError("rbf_differential needs an RBF handle")
     if cochain.complex != RBF:
         raise InputError("cochain belongs to a different complex")
-    if cochain.degree == 0:
-        _check_degree0_unit(handle)
-        direct = _rbf_delta0_tables(handle, cochain.as_vector())
-        generic = _omega_delta0_tables(
-            handle.omega_algebra, handle.omega_module, cochain.as_vector()
-        )
-    else:
-        direct = _rbf_delta_n_tables(handle, cochain.degree, cochain)
-        generic = _omega_tables_delta(
-            handle.omega_algebra,
-            handle.omega_module,
-            cochain.degree,
-            lambda key: cochain.table[key],
-            handle.omega,
-        )
+    if cochain.degree > 0:
+        return handle._image(cochain)
+    _check_degree0_unit(handle)
+    direct = _rbf_delta0_tables(handle, cochain.as_vector())
+    generic = _omega_delta0_tables(handle.omega_algebra, handle.omega_module, cochain.as_vector())
     for key in direct:
         if direct[key].entries != generic[key].entries:
             raise RouteMismatchError(
@@ -734,7 +620,7 @@ def rbf_differential(handle, cochain):
             )
     out = Cochain(
         complex=RBF,
-        degree=cochain.degree + 1,
+        degree=1,
         source_dim=handle.source_dim,
         target_dim=handle.target_dim,
         table=direct,
@@ -745,7 +631,7 @@ def rbf_differential(handle, cochain):
 
 
 # ---------------------------------------------------------------------------
-# differential matrices from a raw-coordinate stencil
+# differentials of degree n >= 1 from a raw-coordinate stencil
 #
 # A stencil holds the data-only parts of a degree-n differential (n >= 1):
 #   first(key)[a]   nonzero entries (k, k', c) of the map v -> first term,
@@ -771,7 +657,11 @@ def _probe(fn, dim):
 
 
 def _omega_stencil(algebra, module, degree):
-    """Generic pair-indexed stencil (the terms of ``_omega_tables_delta``)."""
+    """Generic pair-indexed stencil: with x = p^(n-1) e_idx[0] and
+    y = p^(n-1) e_idx[-1], the first term is x .l f[key[1:]] under the left
+    action indexed by (key[0], product of key[1:]), the last term is
+    f[key[:-1]] .r y indexed by (product of key[:-1], key[-1]), and the
+    merged argument is the pair-indexed product of slots i-1 and i."""
     omega, g, d = algebra.omega, algebra.dim, module.dim
     ppow = algebra.p.power(degree - 1)
     ppow_cols = [ppow.column(j) for j in range(g)]
@@ -798,7 +688,11 @@ def _omega_stencil(algebra, module, degree):
 
 
 def _rbf_stencil(operator, degree):
-    """Direct twisted-family stencil (the terms of ``_rbf_delta_n_tables``)."""
+    """Direct twisted-family stencil: with u = q^(n-1) e_idx[0], pi the
+    product of key and x = f[key[1:]], the first term is
+    R_key[0] u . x - R_pi(u .r x) - R_pi phi(R_key[0] u, x); the last term
+    mirrors it on f[key[:-1]] and q^(n-1) e_idx[-1]; the merged argument
+    is ``twisted_inner_sum`` of slots i-1 and i."""
     A, module, phi, omega = (
         operator.algebra,
         operator.bimodule,

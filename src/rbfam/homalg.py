@@ -27,11 +27,6 @@ from .reports import DEFAULT_MAX_VIOLATIONS, CheckReport, require_pass, run_law
 from .semigroups import FiniteSemigroup
 
 
-def packed_index(alpha, i, dim):
-    """Position of basis pair (i, alpha) in a semigroup-tensored space."""
-    return alpha * dim + i
-
-
 @dataclass(frozen=True)
 class HomAlgebra:
     """(L, mu, p): mu[k][i][j] is the e_k coefficient of e_i * e_j."""
@@ -52,9 +47,6 @@ class HomAlgebra:
 
     def basis_product(self, i, j):
         return tensor_column(self.mu, (i, j))
-
-    def p_apply(self, x):
-        return self.p.apply(x)
 
     def basis(self):
         return [unit_vector(self.dim, i) for i in range(self.dim)]
@@ -84,9 +76,6 @@ class HomBimodule:
 
     def act_r(self, u, x):
         return multilinear_apply(self.right, [u, x])
-
-    def q_apply(self, u):
-        return self.q.apply(u)
 
     def basis(self):
         return [unit_vector(self.dim, a) for a in range(self.dim)]
@@ -227,21 +216,19 @@ def check_algebra_morphism(m, max_violations=DEFAULT_MAX_VIOLATIONS):
 # Hochschild-type complex
 
 
-def _membership_ok(module, degree, f):
-    """q o f = f o p^(x n) on all basis tuples (degree 0: q(u) = u)."""
-    A = module.parent
+def is_equivariant(q, p, degree, f):
+    """Cochain membership q o f = f o p^(x n) on all basis tuples.
+
+    ``f`` is a coefficient tensor with ``degree`` input axes; in degree 0
+    it is a vector (tuple or tensor) and the condition is q(u) = u.
+    """
     if degree == 0:
         u = f if isinstance(f, tuple) else tuple(f.entries)
-        return module.q.apply(u) == tuple(u)
-    q, p = module.q, A.p
+        return q.apply(u) == u
     if q.is_identity() and p.is_identity():
         return True
-    n = A.dim
-    for idx in iproduct(range(n), repeat=degree):
-        col = tensor_column(f, idx)
-        lhs = q.apply(col)
-        rhs = multilinear_apply(f, [p.column(j) for j in idx])
-        if lhs != rhs:
+    for idx in iproduct(range(p.rows), repeat=degree):
+        if q.apply(tensor_column(f, idx)) != multilinear_apply(f, [p.column(j) for j in idx]):
             return False
     return True
 
@@ -267,11 +254,11 @@ def hochschild_differential(module, degree, f):
         u = tuple(f) if isinstance(f, (tuple, list)) else tuple(f.entries)
         if len(u) != d:
             raise InputError("degree-0 cochain has wrong length")
-        if not _membership_ok(module, 0, u):
+        if not is_equivariant(module.q, A.p, 0, u):
             raise InputError("degree-0 cochain violates q(u) = u")
         cols = [vsub(module.act_l(x, u), module.act_r(u, x)) for x in A.basis()]
         out = Tensor.from_function((d, n), lambda k, j: cols[j][k])
-        if not _membership_ok(module, 1, out):
+        if not is_equivariant(module.q, A.p, 1, out):
             raise RouteMismatchError(
                 "differential output violates the membership constraint; "
                 "the underlying bimodule most likely fails its axioms"
@@ -279,7 +266,7 @@ def hochschild_differential(module, degree, f):
         return out
     if f.shape != (d,) + (n,) * degree:
         raise InputError(f"cochain tensor must have shape {(d,) + (n,) * degree}")
-    if not _membership_ok(module, degree, f):
+    if not is_equivariant(module.q, A.p, degree, f):
         raise InputError("cochain violates the membership constraint q o f = f o p^n")
 
     p_pow = A.p.power(degree - 1)
@@ -305,7 +292,7 @@ def hochschild_differential(module, degree, f):
         for k in range(d):
             out[k * inner + flat] = acc[k]
     result = Tensor((d,) + (n,) * (degree + 1), tuple(out))
-    if not _membership_ok(module, degree + 1, result):
+    if not is_equivariant(module.q, A.p, degree + 1, result):
         raise RouteMismatchError(
             "differential output violates the membership constraint; "
             "the underlying bimodule most likely fails its axioms"

@@ -43,18 +43,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vneg(u):
-    return tuple(-a for a in u)
-
-
-def vscale(c, u):
-    return tuple(c * a for a in u)
-
-
-def is_zero_vector(u):
-    return not any(u)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -163,9 +151,6 @@ class Matrix:
         for _ in range(k):
             out = out.mul(self)
         return out
-
-    def transpose(self):
-        return Matrix(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def is_zero(self):
         return not any(self.entries)
@@ -281,18 +266,6 @@ class Tensor:
     def is_zero(self):
         return not any(self.entries)
 
-    def to_nested(self):
-        def build(level, base):
-            d = self.shape[level]
-            stride = prod(self.shape[level + 1 :])
-            if level == len(self.shape) - 1:
-                return [self.entries[base + i] for i in range(d)]
-            return [build(level + 1, base + i * stride) for i in range(d)]
-
-        if not self.shape:
-            return self.entries[0]
-        return build(0, 0)
-
 
 def multilinear_apply(tensor, args):
     """Contract a tensor of shape (d_out, d_1..d_n) with n argument vectors.
@@ -328,10 +301,6 @@ def multilinear_apply(tensor, args):
             if c:
                 out[k] = out[k] + c * w
     return tuple(out)
-
-
-def bilinear_apply(tensor, u, v):
-    return multilinear_apply(tensor, [u, v])
 
 
 def tensor_column(tensor, idx):

@@ -48,10 +48,6 @@ def ensure_scalar(value):
     return ensure_rational(value)
 
 
-def is_zero_scalar(value):
-    return not value
-
-
 def format_scalar(value):
     if isinstance(value, TruncatedPoly):
         return str(value)

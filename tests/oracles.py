@@ -3,10 +3,11 @@
 Everything here is deliberately coded apart from the package: naive
 Fraction Gaussian elimination with a different pivot rule, a recursive
 multilinear evaluator, a twist-free family-law checker, the dendriform
-subsystem checker, a from-scratch differential-matrix builder for the
-twisted-family complex (identity structure maps), and the dense raw x raw
-membership-constraint matrix of a cochain space.  Package objects are
-accepted as data carriers only (their raw entries are extracted up front).
+subsystem checker, a from-scratch twisted-family differential (any
+structure maps; its matrix builder needs identity maps), and the dense
+raw x raw membership-constraint matrix of a cochain space.  Package
+objects are accepted as data carriers only (their raw entries are
+extracted up front).
 """
 from fractions import Fraction
 from itertools import product
@@ -184,23 +185,21 @@ def oracle_full_constraint(source_map, target_map, nkeys, degree):
 
 
 class NaiveFamilyComplex:
-    """From-scratch twisted-family differential matrices for identity maps.
+    """From-scratch twisted-family differential.
 
-    Requires p = q = id (true for every desk instance), where the cochain
-    membership constraint is vacuous and the coefficient space is the full
-    table space.  Coefficient order: index tuples lexicographically, then
-    the output coordinate, then the input multi-index.
+    ``delta`` takes any structure maps.  ``dim_c``, ``differential_matrix``
+    and ``dims`` require p = q = id (true for every desk instance), where
+    the cochain membership constraint is vacuous and the coefficient space
+    is the full table space.  Coefficient order: index tuples
+    lexicographically, then the output coordinate, then the input
+    multi-index.
     """
 
     def __init__(self, operator):
         A = operator.algebra
         module = operator.bimodule
-        assert rows_of(A.p) == [
-            [Fraction(int(i == j)) for j in range(A.dim)] for i in range(A.dim)
-        ], "oracle needs p = id"
-        assert rows_of(module.q) == [
-            [Fraction(int(i == j)) for j in range(module.dim)] for i in range(module.dim)
-        ], "oracle needs q = id"
+        self.p = rows_of(A.p)
+        self.q = rows_of(module.q)
         self.omega = operator.omega
         self.n = A.dim
         self.d = module.dim
@@ -219,7 +218,14 @@ class NaiveFamilyComplex:
             return [()]
         return list(product(range(self.omega.size), repeat=degree))
 
+    def _require_identity_maps(self):
+        for name, mat in (("p", self.p), ("q", self.q)):
+            assert mat == [
+                [Fraction(int(i == j)) for j in range(len(mat))] for i in range(len(mat))
+            ], f"oracle needs {name} = id"
+
     def dim_c(self, degree):
+        self._require_identity_maps()
         if degree == 0:
             return self.n
         return len(self.keys(degree)) * self.n * self.d**degree
@@ -273,6 +279,13 @@ class NaiveFamilyComplex:
 
     def unit_v(self, a):
         return [Fraction(int(i == a)) for i in range(self.d)]
+
+    def q_v(self, a, times=1):
+        """q^times e_a."""
+        v = self.unit_v(a)
+        for _ in range(times):
+            v = [sum(self.q[i][j] * v[j] for j in range(self.d)) for i in range(self.d)]
+        return v
 
     def star(self, a, b, u, v):
         ru = self.apply_map(a, u)
@@ -328,8 +341,8 @@ class NaiveFamilyComplex:
                 pi = omega.mul(pi, a)
             values = {}
             for idx in product(range(self.d), repeat=degree + 1):
-                u1 = self.unit_v(idx[0])
-                un1 = self.unit_v(idx[-1])
+                u1 = self.q_v(idx[0], degree - 1)
+                un1 = self.q_v(idx[-1], degree - 1)
                 ftail = self.eval_cochain(
                     degree, table, key[1:], [self.unit_v(a) for a in idx[1:]]
                 )
@@ -368,9 +381,9 @@ class NaiveFamilyComplex:
                 acc = [p + sign_last * q for p, q in zip(acc, last)]
                 for i in range(1, degree + 1):
                     mkey = key[: i - 1] + (self.omega.mul(key[i - 1], key[i]),) + key[i + 1 :]
-                    args = [self.unit_v(a) for a in idx[: i - 1]]
+                    args = [self.q_v(a) for a in idx[: i - 1]]
                     args.append(self.star(key[i - 1], key[i], self.unit_v(idx[i - 1]), self.unit_v(idx[i])))
-                    args.extend(self.unit_v(a) for a in idx[i + 1 :])
+                    args.extend(self.q_v(a) for a in idx[i + 1 :])
                     term = self.eval_cochain(degree, table, mkey, args)
                     sgn = Fraction((-1) ** i)
                     acc = [p + sgn * q for p, q in zip(acc, term)]
@@ -380,6 +393,7 @@ class NaiveFamilyComplex:
 
     def differential_matrix(self, degree):
         """Rows = coefficients at degree + 1, columns = basis at degree."""
+        self._require_identity_maps()
         rows_count = self.dim_c(degree + 1)
         cols_count = self.dim_c(degree)
         matrix = [[Fraction(0)] * cols_count for _ in range(rows_count)]
@@ -403,6 +417,7 @@ class NaiveFamilyComplex:
         return matrix
 
     def dims(self, degree):
+        self._require_identity_maps()
         m_n = self.differential_matrix(degree)
         dim_c = self.dim_c(degree)
         dim_z = dim_c - naive_rank(m_n)

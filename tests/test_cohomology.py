@@ -468,6 +468,17 @@ def test_differential_matrix_raises_when_routes_disagree(d1, monkeypatch):
     handle = rbf_complex(d1["operator"])
     with pytest.raises(RouteMismatchError, match=r"disagree at index tuple \(\d+, \d+\)"):
         differential_matrix(handle, 1)
+    # One cochain through a fresh handle: the message names the index tuple
+    # and the entry, and no basis vector.
+    handle = rbf_complex(d1["operator"])
+    basis = cochain_basis(handle, 1)
+    total = basis[0]
+    for b in basis[1:]:
+        total = total.add(b)
+    with pytest.raises(
+        RouteMismatchError, match=r"disagree at index tuple \(\d+, \d+\), entry \(\d+, \d+, \d+\)$"
+    ):
+        handle.differential(total)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -482,3 +493,82 @@ def test_d1_rbf_degree_three_golden(d1):
     # too slow to recompute here.
     handle = rbf_complex(d1["operator"], degree_cap=3)
     assert tuple(cohomology_dims(handle, 3)) == (256, 48, 48, 0)
+
+
+# -- differential() against independent references ----------------------------
+
+
+def _oracle_reference(operator, degree):
+    """Flattened image of a cochain under the from-scratch oracle differential."""
+    from itertools import product as iproduct
+
+    from oracles import NaiveFamilyComplex, nested_of
+
+    oracle = NaiveFamilyComplex(operator)
+
+    def image(cochain):
+        out = oracle.delta(degree, {key: nested_of(t) for key, t in cochain.table.items()})
+        return [
+            out[key][idx][k]
+            for key in sorted(out)
+            for k in range(oracle.n)
+            for idx in iproduct(range(oracle.d), repeat=degree + 1)
+        ]
+
+    return image
+
+
+def _hochschild_reference(handle, degree):
+    from rbfam.homalg import hochschild_differential
+
+    return lambda cochain: list(
+        hochschild_differential(handle.ha_module, degree, cochain.table[()]).entries
+    )
+
+
+def _basis_and_sum(handle, degree):
+    vectors = handle.basis_vectors(degree)
+    return vectors + [tuple(sum(column) for column in zip(*vectors))]
+
+
+def _assert_differential_matches(handles, degree, reference, vectors):
+    """differential() of each coefficient vector equals the reference image;
+    the handles share one coefficient space."""
+    for vec in vectors:
+        expected = reference(handles[0].unflatten(degree, vec))
+        for handle in handles:
+            image = handle.differential(handle.unflatten(degree, vec))
+            assert list(handle.flatten(image)) == expected
+
+
+def test_twisted_family_differential_matches_oracle(twisted_family_handle):
+    handle = twisted_family_handle
+    operator = handle.operator
+    _assert_differential_matches(
+        [handle], 1, _oracle_reference(operator, 1), _basis_and_sum(handle, 1)
+    )
+    # Degree 1 never applies q to an argument; one random member of degree 2
+    # does (the whole basis would take the oracle about a minute).
+    rng = random.Random(5)
+    vectors = handle.basis_vectors(2)
+    coeffs = [rng.randint(-9, 9) for _ in vectors]
+    combo = tuple(sum(c * x for c, x in zip(coeffs, column)) for column in zip(*vectors))
+    _assert_differential_matches([handle], 2, _oracle_reference(operator, 2), [combo])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_d1_differential_matches_oracle(d1_handle, d1_omega_handle, degree):
+    # The generic route on the induced data has the same coefficient space.
+    reference = _oracle_reference(d1_handle.operator, degree)
+    vectors = _basis_and_sum(d1_handle, degree)
+    _assert_differential_matches([d1_handle, d1_omega_handle], degree, reference, vectors)
+
+
+def test_ha_differential_matches_hochschild(twisted_triangular_algebra, d1_ha_handle):
+    twisted = ha_complex(
+        twisted_triangular_algebra, regular_bimodule(twisted_triangular_algebra), degree_cap=3
+    )
+    for handle, degrees in ((twisted, (1, 2, 3)), (d1_ha_handle, (1, 2))):
+        for degree in degrees:
+            reference = _hochschild_reference(handle, degree)
+            _assert_differential_matches([handle], degree, reference, _basis_and_sum(handle, degree))

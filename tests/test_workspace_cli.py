@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +37,7 @@ def test_desk_round_trip(name):
 
 
 def test_deformation_and_candidate_round_trip(d1_file):
-    data = json.loads(open(d1_file).read())
+    data = json.loads(Path(d1_file).read_text())
     zeros = [["0", "0"]] * 4
     data["objects"]["D"] = {
         "kind": "deformation",
@@ -85,7 +86,7 @@ def test_induced_objects_round_trip(d1):
 
 
 def test_cochain_round_trip(d1_file):
-    data = json.loads(open(d1_file).read())
+    data = json.loads(Path(d1_file).read_text())
     zeros = [["0", "0"]] * 4
     data["objects"]["f"] = {
         "kind": "cochain",
@@ -104,21 +105,21 @@ def test_cochain_round_trip(d1_file):
 
 
 def test_unknown_field_rejected(d1_file):
-    data = json.loads(open(d1_file).read())
+    data = json.loads(Path(d1_file).read_text())
     data["objects"]["omega"]["extra"] = 1
     with pytest.raises(InputError):
         load_workspace(data)
 
 
 def test_undefined_reference_rejected(d1_file):
-    data = json.loads(open(d1_file).read())
+    data = json.loads(Path(d1_file).read_text())
     data["objects"]["bimodule"]["algebra"] = "missing"
     with pytest.raises(InputError):
         load_workspace(data)
 
 
 def test_reference_cycle_rejected(d1_file):
-    data = json.loads(open(d1_file).read())
+    data = json.loads(Path(d1_file).read_text())
     zeros = [["0", "0"]] * 4
     for a, b in (("D", "E"), ("E", "D")):
         data["objects"][a] = {
@@ -133,7 +134,7 @@ def test_reference_cycle_rejected(d1_file):
 
 
 def test_scalars_must_be_strings(d1_file):
-    data = json.loads(open(d1_file).read())
+    data = json.loads(Path(d1_file).read_text())
     data["objects"]["algebra"]["p"][0][0] = 1
     with pytest.raises(InputError):
         load_workspace(data)
@@ -315,7 +316,7 @@ def test_cli_max_entries_overrides_degree_cap(d0_file, capsys):
 
 
 def test_cli_deform_modes(d1_file, tmp_path, capsys):
-    data = json.loads(open(d1_file).read())
+    data = json.loads(Path(d1_file).read_text())
     zeros = [["0", "0"]] * 4
     data["objects"]["D"] = {
         "kind": "deformation",
