@@ -17,12 +17,12 @@ construction.  Bases, differential matrices and dimensions are exact and
 deterministic.
 
 In degree n >= 1 the differential of each complex is one linear map,
-assembled once per degree in raw coordinates by one stencil walker shared
-by the three complexes (each supplies a small stencil of probed linear
-maps and merged arguments).  ``differential`` applies it to one cochain
-and ``differential_matrix`` to every basis vector; for RBF the direct and
-the generic stencils are both assembled and every image is compared.
-Degree 0 is evaluated per cochain, by both routes for RBF.
+assembled in raw coordinates by one stencil walker shared by the three
+complexes (each supplies a small stencil of probed linear maps and merged
+arguments).  ``differential_matrix`` assembles it once and applies it to
+every basis vector, ``differential`` to one member cochain; for RBF the
+direct and the generic stencils are both assembled and every image is
+compared.  Degree 0 is evaluated per cochain, by both routes for RBF.
 """
 from __future__ import annotations
 
@@ -126,7 +126,7 @@ class Cochain:
 
 @dataclass
 class ComplexHandle:
-    """Bundle of the data a complex needs, plus basis/map/matrix caches."""
+    """Bundle of the data a complex needs, plus basis and matrix caches."""
 
     tag: str
     source_dim: int
@@ -143,7 +143,6 @@ class ComplexHandle:
     notes: tuple = ()
     _basis: dict = field(default_factory=dict, repr=False)
     _matrix: dict = field(default_factory=dict, repr=False)
-    _maps: dict = field(default_factory=dict, repr=False)
 
     # -- layout ------------------------------------------------------------
 
@@ -191,9 +190,8 @@ class ComplexHandle:
         return self.source_map.is_identity() and self.target_map.is_identity()
 
     def membership_ok(self, cochain):
-        return all(
-            is_equivariant(self.target_map, self.source_map, cochain.degree, cochain.table[key])
-            for key in cochain.keys()
+        return is_equivariant(
+            self.target_map, self.source_map, cochain.degree, cochain.table.values()
         )
 
     def make_cochain(self, degree, table):
@@ -346,26 +344,22 @@ class ComplexHandle:
             return omega_differential(self, cochain)
         if self.tag == RBF:
             return rbf_differential(self, cochain)
-        if cochain.degree == 0:
-            out_t = hochschild_differential(self.ha_module, 0, cochain)
-            return Cochain(
-                complex=HA,
-                degree=1,
-                source_dim=self.source_dim,
-                target_dim=self.target_dim,
-                table={(): out_t},
-            )
-        if not self.membership_ok(cochain):
-            raise InputError("cochain violates the membership constraint q o f = f o p^n")
-        return self._image(cochain)
+        if cochain.degree > 0:
+            return self._image(cochain)
+        return self.unflatten(1, hochschild_differential(self.ha_module, 0, cochain).entries)
 
     def _image(self, cochain):
-        """D . f through the assembled map of degree n >= 1, output checked."""
+        """D . f through the assembled maps of degree n >= 1, input and output checked."""
         degree = cochain.degree
-        vec = self.flatten(cochain)
-        if len(vec) != self.raw_dim(degree):
-            raise InputError("cochain has the wrong shape for its complex")
-        out = self.unflatten(degree + 1, self._apply_maps(degree, vec))
+        shape = self.tensor_shape(degree)
+        if cochain.keys() != self.index_keys(degree) or any(
+            t.shape != shape for t in cochain.table.values()
+        ):
+            raise InputError(f"cochain needs one tensor of shape {shape} per index tuple")
+        if not self.membership_ok(cochain):
+            raise InputError("cochain violates the membership constraint q o f = f o p^n")
+        maps = self._stencil_maps(degree)
+        out = self.unflatten(degree + 1, self._apply_maps(maps, degree, self.flatten(cochain)))
         if not self.membership_ok(out):
             raise RouteMismatchError("differential output violates the membership constraint")
         return out
@@ -380,8 +374,10 @@ class ComplexHandle:
         else:
             basis_in = self.basis_vectors(degree)
             vec_out = self.basis_vectors(degree + 1)
+            maps = self._stencil_maps(degree)
             images = [
-                self._apply_maps(degree, b, f", on basis vector {j}") for j, b in enumerate(basis_in)
+                self._apply_maps(maps, degree, b, f", on basis vector {j}")
+                for j, b in enumerate(basis_in)
             ]
         if self._constraint_trivial():
             columns = images
@@ -410,25 +406,24 @@ class ComplexHandle:
         return mat
 
     def _stencil_maps(self, degree):
-        """Raw differentials C^n -> C^(n+1), n >= 1, assembled once per degree.
+        """Raw differentials C^n -> C^(n+1), n >= 1, freshly assembled.
 
-        RBF holds two, the direct and the generic one, assembled
-        independently; the others hold one.
+        RBF gets two, the direct and the generic one, assembled
+        independently; the others get one.  They are not kept on the
+        handle; the matrix built from them is.
         """
-        if degree not in self._maps:
-            if self.tag == HA:
-                stencils = [_ha_stencil(self.ha_module, degree)]
-            else:
-                stencils = [_omega_stencil(self.omega_algebra, self.omega_module, degree)]
-                if self.tag == RBF:
-                    stencils.insert(0, _rbf_stencil(self.operator, degree))
-            self._maps[degree] = [_assemble_stencil(self, degree, s) for s in stencils]
-        return self._maps[degree]
+        if self.tag == HA:
+            stencils = [_ha_stencil(self.ha_module, degree)]
+        else:
+            stencils = [_omega_stencil(self.omega_algebra, self.omega_module, degree)]
+            if self.tag == RBF:
+                stencils.insert(0, _rbf_stencil(self.operator, degree))
+        return [_assemble_stencil(self, degree, s) for s in stencils]
 
-    def _apply_maps(self, degree, vec, where=""):
-        """Raw image D . vec; for RBF both routes' images must agree."""
+    def _apply_maps(self, maps, degree, vec, where=""):
+        """Raw image D . vec of each map; for RBF both routes' images must agree."""
         raw_out = self.raw_dim(degree + 1)
-        image, *others = [_apply_columns(cols, vec, raw_out) for cols in self._stencil_maps(degree)]
+        image, *others = [_apply_columns(cols, vec, raw_out) for cols in maps]
         for other in others:
             if other != image:
                 row = next(r for r, (x, y) in enumerate(zip(image, other)) if x != y)

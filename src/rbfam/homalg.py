@@ -216,21 +216,24 @@ def check_algebra_morphism(m, max_violations=DEFAULT_MAX_VIOLATIONS):
 # Hochschild-type complex
 
 
-def is_equivariant(q, p, degree, f):
-    """Cochain membership q o f = f o p^(x n) on all basis tuples.
+def is_equivariant(q, p, degree, tensors):
+    """Cochain membership q o f = f o p^(x n) on all basis tuples, for every f.
 
-    ``f`` is a coefficient tensor with ``degree`` input axes; in degree 0
-    it is a vector (tuple or tensor) and the condition is q(u) = u.
+    Each f in ``tensors`` is a coefficient tensor with ``degree`` input
+    axes; in degree 0 it is a vector (tuple or tensor) and the condition is
+    q(u) = u.
     """
     if degree == 0:
-        u = f if isinstance(f, tuple) else tuple(f.entries)
-        return q.apply(u) == u
+        vectors = (f if isinstance(f, tuple) else tuple(f.entries) for f in tensors)
+        return all(q.apply(u) == u for u in vectors)
     if q.is_identity() and p.is_identity():
         return True
-    for idx in iproduct(range(p.rows), repeat=degree):
-        if q.apply(tensor_column(f, idx)) != multilinear_apply(f, [p.column(j) for j in idx]):
-            return False
-    return True
+    p_cols = [p.column(j) for j in range(p.rows)]
+    return all(
+        q.apply(tensor_column(f, idx)) == multilinear_apply(f, [p_cols[j] for j in idx])
+        for f in tensors
+        for idx in iproduct(range(p.rows), repeat=degree)
+    )
 
 
 def hochschild_differential(module, degree, f):
@@ -254,11 +257,11 @@ def hochschild_differential(module, degree, f):
         u = tuple(f) if isinstance(f, (tuple, list)) else tuple(f.entries)
         if len(u) != d:
             raise InputError("degree-0 cochain has wrong length")
-        if not is_equivariant(module.q, A.p, 0, u):
+        if not is_equivariant(module.q, A.p, 0, [u]):
             raise InputError("degree-0 cochain violates q(u) = u")
         cols = [vsub(module.act_l(x, u), module.act_r(u, x)) for x in A.basis()]
         out = Tensor.from_function((d, n), lambda k, j: cols[j][k])
-        if not is_equivariant(module.q, A.p, 1, out):
+        if not is_equivariant(module.q, A.p, 1, [out]):
             raise RouteMismatchError(
                 "differential output violates the membership constraint; "
                 "the underlying bimodule most likely fails its axioms"
@@ -266,7 +269,7 @@ def hochschild_differential(module, degree, f):
         return out
     if f.shape != (d,) + (n,) * degree:
         raise InputError(f"cochain tensor must have shape {(d,) + (n,) * degree}")
-    if not is_equivariant(module.q, A.p, degree, f):
+    if not is_equivariant(module.q, A.p, degree, [f]):
         raise InputError("cochain violates the membership constraint q o f = f o p^n")
 
     p_pow = A.p.power(degree - 1)
@@ -292,7 +295,7 @@ def hochschild_differential(module, degree, f):
         for k in range(d):
             out[k * inner + flat] = acc[k]
     result = Tensor((d,) + (n,) * (degree + 1), tuple(out))
-    if not is_equivariant(module.q, A.p, degree + 1, result):
+    if not is_equivariant(module.q, A.p, degree + 1, [result]):
         raise RouteMismatchError(
             "differential output violates the membership constraint; "
             "the underlying bimodule most likely fails its axioms"

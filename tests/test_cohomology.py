@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
 from rbfam.cohomology import (
+    Cochain,
     cochain_basis,
     cohomology_dims,
     differential_matrix,
@@ -17,6 +19,7 @@ from rbfam.errors import DegreeCapError, InputError, MissingUnitError, RouteMism
 from rbfam.family import OmegaAssocAlgebra, OmegaBimodule
 from rbfam.homalg import (
     HomBimodule,
+    hochschild_differential,
     regular_bimodule,
     tensor_semigroup_algebra,
     zero_cocycle,
@@ -377,8 +380,44 @@ def _reference_basis(handle, degree):
     return kernel_basis(Matrix.from_rows(rows))
 
 
-def _assert_matrix_reproduces_images(handle, degree):
-    """B_{n+1} M_n equals the flattened image of every degree-n basis vector."""
+def _oracle_reference(operator, degree):
+    """Flattened image of a cochain under the from-scratch oracle differential,
+    remembered per cochain."""
+    from oracles import NaiveFamilyComplex, nested_of
+
+    oracle = NaiveFamilyComplex(operator)
+    outputs = list(iproduct(range(oracle.d), repeat=degree + 1))
+    images = {}
+
+    def image(cochain):
+        memo = tuple(cochain.table[key].entries for key in cochain.keys())
+        if memo not in images:
+            if degree == 0:
+                # Degree 0 tables are [a][k]; key them by (a,) like the others.
+                out = oracle.delta(0, list(cochain.as_vector()))
+                out = {key: {(a,): col for a, col in enumerate(cols)} for key, cols in out.items()}
+            else:
+                out = oracle.delta(degree, {key: nested_of(t) for key, t in cochain.table.items()})
+            images[memo] = [
+                out[key][idx][k]
+                for key in sorted(out)
+                for k in range(oracle.n)
+                for idx in outputs
+            ]
+        return images[memo]
+
+    return image
+
+
+def _hochschild_reference(handle, degree):
+    return lambda cochain: list(
+        hochschild_differential(handle.ha_module, degree, cochain.table[()]).entries
+    )
+
+
+def _assert_matrix_reproduces_images(handle, degree, reference):
+    """B_{n+1} M_n and differential() both equal the reference image of
+    every degree-n basis vector."""
     mat = differential_matrix(handle, degree)
     out = handle.basis_vectors(degree + 1)
     raw = handle.raw_dim(degree + 1)
@@ -388,7 +427,9 @@ def _assert_matrix_reproduces_images(handle, degree):
             c = mat.at(i, j)
             if c:
                 combo = [x + c * y for x, y in zip(combo, v)]
-        assert combo == list(handle.flatten(handle.differential(b)))
+        expected = reference(b)
+        assert combo == expected
+        assert list(handle.flatten(handle.differential(b))) == expected
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
@@ -400,7 +441,8 @@ def test_twisted_family_basis_matches_dense_constraint(twisted_family_handle, de
 
 @pytest.mark.parametrize("degree", [0, 1])
 def test_twisted_family_matrix_reproduces_images(twisted_family_handle, degree):
-    _assert_matrix_reproduces_images(twisted_family_handle, degree)
+    reference = _oracle_reference(twisted_family_handle.operator, degree)
+    _assert_matrix_reproduces_images(twisted_family_handle, degree, reference)
 
 
 def test_twisted_ha_bases_and_matrices_match_reference(twisted_triangular_algebra):
@@ -409,7 +451,7 @@ def test_twisted_ha_bases_and_matrices_match_reference(twisted_triangular_algebr
     )
     for degree in (1, 2, 3):
         assert handle.basis_vectors(degree) == _reference_basis(handle, degree)
-        _assert_matrix_reproduces_images(handle, degree)
+        _assert_matrix_reproduces_images(handle, degree, _hochschild_reference(handle, degree))
 
 
 def test_differential_matrix_rejects_escaped_image(twisted_family_handle, monkeypatch):
@@ -481,11 +523,24 @@ def test_differential_matrix_raises_when_routes_disagree(d1, monkeypatch):
         handle.differential(total)
 
 
+@pytest.fixture(scope="module")
+def d1_oracle(d1_handle):
+    """Oracle references of D1 by degree, shared by RBF and OMEGA on the
+    induced data (one coefficient space)."""
+    return {degree: _oracle_reference(d1_handle.operator, degree) for degree in (1, 2)}
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("which", ["rbf", "omega", "ha"])
-def test_stencil_matrix_reproduces_images(d1_handle, d1_omega_handle, d1_ha_handle, which, degree):
+def test_stencil_matrix_reproduces_images(
+    d1_handle, d1_omega_handle, d1_ha_handle, d1_oracle, which, degree
+):
     handle = {"rbf": d1_handle, "omega": d1_omega_handle, "ha": d1_ha_handle}[which]
-    _assert_matrix_reproduces_images(handle, degree)
+    if which == "ha":
+        reference = _hochschild_reference(handle, degree)
+    else:
+        reference = d1_oracle[degree]
+    _assert_matrix_reproduces_images(handle, degree, reference)
 
 
 def test_d1_rbf_degree_three_golden(d1):
@@ -495,80 +550,43 @@ def test_d1_rbf_degree_three_golden(d1):
     assert tuple(cohomology_dims(handle, 3)) == (256, 48, 48, 0)
 
 
-# -- differential() against independent references ----------------------------
-
-
-def _oracle_reference(operator, degree):
-    """Flattened image of a cochain under the from-scratch oracle differential."""
-    from itertools import product as iproduct
-
-    from oracles import NaiveFamilyComplex, nested_of
-
-    oracle = NaiveFamilyComplex(operator)
-
-    def image(cochain):
-        out = oracle.delta(degree, {key: nested_of(t) for key, t in cochain.table.items()})
-        return [
-            out[key][idx][k]
-            for key in sorted(out)
-            for k in range(oracle.n)
-            for idx in iproduct(range(oracle.d), repeat=degree + 1)
-        ]
-
-    return image
-
-
-def _hochschild_reference(handle, degree):
-    from rbfam.homalg import hochschild_differential
-
-    return lambda cochain: list(
-        hochschild_differential(handle.ha_module, degree, cochain.table[()]).entries
-    )
-
-
-def _basis_and_sum(handle, degree):
-    vectors = handle.basis_vectors(degree)
-    return vectors + [tuple(sum(column) for column in zip(*vectors))]
-
-
-def _assert_differential_matches(handles, degree, reference, vectors):
-    """differential() of each coefficient vector equals the reference image;
-    the handles share one coefficient space."""
-    for vec in vectors:
-        expected = reference(handles[0].unflatten(degree, vec))
-        for handle in handles:
-            image = handle.differential(handle.unflatten(degree, vec))
-            assert list(handle.flatten(image)) == expected
+# -- differential() on inputs the matrix tests do not reach ---------------------
 
 
 def test_twisted_family_differential_matches_oracle(twisted_family_handle):
+    # The matrix tests stop at degree 1, which never applies q to an
+    # argument; one seeded random member of degree 2 does (the whole basis
+    # would take the oracle about a minute).
     handle = twisted_family_handle
-    operator = handle.operator
-    _assert_differential_matches(
-        [handle], 1, _oracle_reference(operator, 1), _basis_and_sum(handle, 1)
-    )
-    # Degree 1 never applies q to an argument; one random member of degree 2
-    # does (the whole basis would take the oracle about a minute).
     rng = random.Random(5)
     vectors = handle.basis_vectors(2)
     coeffs = [rng.randint(-9, 9) for _ in vectors]
-    combo = tuple(sum(c * x for c, x in zip(coeffs, column)) for column in zip(*vectors))
-    _assert_differential_matches([handle], 2, _oracle_reference(operator, 2), [combo])
-
-
-@pytest.mark.parametrize("degree", [1, 2])
-def test_d1_differential_matches_oracle(d1_handle, d1_omega_handle, degree):
-    # The generic route on the induced data has the same coefficient space.
-    reference = _oracle_reference(d1_handle.operator, degree)
-    vectors = _basis_and_sum(d1_handle, degree)
-    _assert_differential_matches([d1_handle, d1_omega_handle], degree, reference, vectors)
-
-
-def test_ha_differential_matches_hochschild(twisted_triangular_algebra, d1_ha_handle):
-    twisted = ha_complex(
-        twisted_triangular_algebra, regular_bimodule(twisted_triangular_algebra), degree_cap=3
+    member = handle.unflatten(
+        2, tuple(sum(c * x for c, x in zip(coeffs, column)) for column in zip(*vectors))
     )
-    for handle, degrees in ((twisted, (1, 2, 3)), (d1_ha_handle, (1, 2))):
-        for degree in degrees:
-            reference = _hochschild_reference(handle, degree)
-            _assert_differential_matches([handle], degree, reference, _basis_and_sum(handle, degree))
+    image = handle.differential(member)
+    assert list(handle.flatten(image)) == _oracle_reference(handle.operator, 2)(member)
+
+
+def test_differential_rejects_a_non_member(twisted_family_handle):
+    handle = twisted_family_handle
+    out = handle.basis_vectors(1)
+    free = {max(i for i, e in enumerate(v) if e) for v in out}
+    col = min(set(range(handle.raw_dim(1))) - free)
+    vec = unit_vector(handle.raw_dim(1), col)
+    generic = omega_complex(handle.omega_algebra, handle.omega_module)
+    for h in (handle, generic):
+        with pytest.raises(InputError, match="membership"):
+            h.differential(h.unflatten(1, vec))
+
+
+def test_differential_rejects_a_misshapen_cochain(d1_ha_handle, twisted_triangular_algebra):
+    twisted = ha_complex(twisted_triangular_algebra, regular_bimodule(twisted_triangular_algebra))
+    for handle in (d1_ha_handle, twisted):
+        raw = handle.raw_dim(1)
+        zeros = (Fraction(0),) * raw
+        # Same number of entries as a degree-1 cochain, wrong layout.
+        for table in ({(): Tensor((raw,), zeros)}, {(0,): Tensor(handle.tensor_shape(1), zeros)}):
+            cochain = Cochain("HA", 1, handle.source_dim, handle.target_dim, table)
+            with pytest.raises(InputError, match="shape"):
+                handle.differential(cochain)
