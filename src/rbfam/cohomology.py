@@ -16,13 +16,13 @@ Cochain spaces carry the equivariance membership constraint, enforced at
 construction.  Bases, differential matrices and dimensions are exact and
 deterministic.
 
-In degree n >= 1 the differential of each complex is one linear map,
-assembled in raw coordinates by one stencil walker shared by the three
-complexes (each supplies a small stencil of probed linear maps and merged
-arguments).  ``differential_matrix`` assembles it once and applies it to
-every basis vector, ``differential`` to one member cochain; for RBF the
-direct and the generic stencils are both assembled and every image is
-compared.  Degree 0 is evaluated per cochain, by both routes for RBF.
+In every degree n >= 0 the differential of each complex is one linear
+map, assembled in raw coordinates by one stencil walker shared by the
+three complexes (each supplies a small stencil of probed linear maps and
+merged arguments) and kept on the handle.  ``differential_matrix`` applies
+it to every basis vector, ``differential`` to one member cochain and
+``raw_differential`` to any raw coefficient vector; for RBF the direct and
+the generic stencils are both assembled and every image is compared.
 """
 from __future__ import annotations
 
@@ -44,12 +44,7 @@ from .family import (
     omega_assoc_from_ns_family,
     operator_bimodule,
 )
-from .homalg import (
-    check_bimodule,
-    check_hom_algebra,
-    hochschild_differential,
-    is_equivariant,
-)
+from .homalg import check_bimodule, check_hom_algebra, is_equivariant
 from .linalg import (
     ZERO,
     Matrix,
@@ -60,7 +55,6 @@ from .linalg import (
     solve,
     tensor_column,
     unit_vector,
-    vadd,
     vsub,
 )
 from .operators import check_twisted_rbf, twisted_inner_sum
@@ -143,6 +137,7 @@ class ComplexHandle:
     notes: tuple = ()
     _basis: dict = field(default_factory=dict, repr=False)
     _matrix: dict = field(default_factory=dict, repr=False)
+    _maps: dict = field(default_factory=dict, repr=False)
 
     # -- layout ------------------------------------------------------------
 
@@ -344,12 +339,10 @@ class ComplexHandle:
             return omega_differential(self, cochain)
         if self.tag == RBF:
             return rbf_differential(self, cochain)
-        if cochain.degree > 0:
-            return self._image(cochain)
-        return self.unflatten(1, hochschild_differential(self.ha_module, 0, cochain).entries)
+        return self._image(cochain)
 
     def _image(self, cochain):
-        """D . f through the assembled maps of degree n >= 1, input and output checked."""
+        """D . f through the assembled maps, input and output checked."""
         degree = cochain.degree
         shape = self.tensor_shape(degree)
         if cochain.keys() != self.index_keys(degree) or any(
@@ -358,11 +351,17 @@ class ComplexHandle:
             raise InputError(f"cochain needs one tensor of shape {shape} per index tuple")
         if not self.membership_ok(cochain):
             raise InputError("cochain violates the membership constraint q o f = f o p^n")
-        maps = self._stencil_maps(degree)
-        out = self.unflatten(degree + 1, self._apply_maps(maps, degree, self.flatten(cochain)))
+        out = self.unflatten(degree + 1, self.raw_differential(degree, self.flatten(cochain)))
         if not self.membership_ok(out):
             raise RouteMismatchError("differential output violates the membership constraint")
         return out
+
+    def raw_differential(self, degree, vec):
+        """D . vec in raw coordinates for any raw vector of the right length
+        (membership is not required); for RBF both routes must agree."""
+        if len(vec) != self.raw_dim(degree):
+            raise InputError("coefficient vector has the wrong length")
+        return self._apply_maps(self._stencil_maps(degree), degree, vec)
 
     def differential_matrix(self, degree):
         if degree in self._matrix:
@@ -406,19 +405,24 @@ class ComplexHandle:
         return mat
 
     def _stencil_maps(self, degree):
-        """Raw differentials C^n -> C^(n+1), n >= 1, freshly assembled.
+        """Raw differentials C^n -> C^(n+1), assembled once per degree.
 
         RBF gets two, the direct and the generic one, assembled
-        independently; the others get one.  They are not kept on the
-        handle; the matrix built from them is.
+        independently; the others get one.  Degree 0 is the n = 0 case of
+        the same stencils; over a semigroup without a unit the generic
+        stencil raises ``MissingUnitError`` there (its empty product).
         """
+        if degree in self._maps:
+            return self._maps[degree]
         if self.tag == HA:
             stencils = [_ha_stencil(self.ha_module, degree)]
         else:
             stencils = [_omega_stencil(self.omega_algebra, self.omega_module, degree)]
             if self.tag == RBF:
                 stencils.insert(0, _rbf_stencil(self.operator, degree))
-        return [_assemble_stencil(self, degree, s) for s in stencils]
+        maps = [_assemble_stencil(self, degree, s) for s in stencils]
+        self._maps[degree] = maps
+        return maps
 
     def _apply_maps(self, maps, degree, vec, where=""):
         """Raw image D . vec of each map; for RBF both routes' images must agree."""
@@ -443,11 +447,6 @@ class ComplexHandle:
             flat, i = divmod(flat, extent)
             entry.append(i)
         return key, tuple(reversed(entry))
-
-
-def _check_degree0_unit(handle):
-    if handle.tag in (OMEGA, RBF) and handle.omega.unit is None:
-        raise MissingUnitError("degree-0 differential needs a unit in the semigroup")
 
 
 def ha_complex(algebra, module, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX_ENTRIES):
@@ -527,108 +526,33 @@ def rbf_complex(operator, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX
 # differentials
 
 
-def _omega_delta0_tables(algebra, module, u):
-    omega = algebra.omega
-    unit = omega.unit
-    g, d = algebra.dim, module.dim
-    out = {}
-    for alpha in omega.elements():
-        cols = [
-            vsub(
-                module.act_l(alpha, unit, unit_vector(g, j), u),
-                module.act_r(unit, alpha, u, unit_vector(g, j)),
-            )
-            for j in range(g)
-        ]
-        out[(alpha,)] = Tensor.from_function((d, g), lambda k, j: cols[j][k])
-    return out
-
-
 def omega_differential(handle, cochain):
     """Differential of the pair-indexed complex (Ω-graded Hochschild shape)."""
     if handle.tag != OMEGA:
         raise InputError("omega_differential needs an OMEGA handle")
     if cochain.complex != OMEGA:
         raise InputError("cochain belongs to a different complex")
-    if cochain.degree > 0:
-        return handle._image(cochain)
-    _check_degree0_unit(handle)
-    table = _omega_delta0_tables(handle.omega_algebra, handle.omega_module, cochain.as_vector())
-    out = Cochain(
-        complex=OMEGA,
-        degree=1,
-        source_dim=handle.source_dim,
-        target_dim=handle.target_dim,
-        table=table,
-    )
-    if not handle.membership_ok(out):
-        raise RouteMismatchError("differential output violates the membership constraint")
-    return out
-
-
-def _rbf_delta0_tables(handle, x):
-    operator = handle.operator
-    A, module, phi, omega = (
-        operator.algebra,
-        operator.bimodule,
-        operator.cocycle,
-        operator.omega,
-    )
-    d = module.dim
-    out = {}
-    for alpha in omega.elements():
-        r_a = operator.maps[alpha]
-        cols = []
-        for a in range(d):
-            u = module.basis()[a]
-            ru = r_a.column(a)
-            val = vsub(A.product(ru, x), r_a.apply(module.act_r(u, x)))
-            val = vsub(val, r_a.apply(phi.apply(ru, x)))
-            val = vsub(val, A.product(x, ru))
-            val = vadd(val, r_a.apply(module.act_l(x, u)))
-            val = vadd(val, r_a.apply(phi.apply(x, ru)))
-            cols.append(val)
-        out[(alpha,)] = Tensor.from_function((A.dim, d), lambda k, a: cols[a][k])
-    return out
+    return handle._image(cochain)
 
 
 def rbf_differential(handle, cochain):
     """Differential of the twisted-family complex, computed by both routes.
 
     The direct formula and the generic pair-indexed differential on the
-    induced data are evaluated independently and must agree entrywise; in
-    degree n >= 1 both are the handle's assembled maps.
+    induced data are the handle's two independently assembled maps; their
+    images must agree entrywise.
     """
     if handle.tag != RBF:
         raise InputError("rbf_differential needs an RBF handle")
     if cochain.complex != RBF:
         raise InputError("cochain belongs to a different complex")
-    if cochain.degree > 0:
-        return handle._image(cochain)
-    _check_degree0_unit(handle)
-    direct = _rbf_delta0_tables(handle, cochain.as_vector())
-    generic = _omega_delta0_tables(handle.omega_algebra, handle.omega_module, cochain.as_vector())
-    for key in direct:
-        if direct[key].entries != generic[key].entries:
-            raise RouteMismatchError(
-                f"twisted-family differential routes disagree at index tuple {key}"
-            )
-    out = Cochain(
-        complex=RBF,
-        degree=1,
-        source_dim=handle.source_dim,
-        target_dim=handle.target_dim,
-        table=direct,
-    )
-    if not handle.membership_ok(out):
-        raise RouteMismatchError("differential output violates the membership constraint")
-    return out
+    return handle._image(cochain)
 
 
 # ---------------------------------------------------------------------------
-# differentials of degree n >= 1 from a raw-coordinate stencil
+# differentials from a raw-coordinate stencil
 #
-# A stencil holds the data-only parts of a degree-n differential (n >= 1):
+# A stencil holds the data-only parts of a degree-n differential:
 #   first(key)[a]   nonzero entries (k, k', c) of the map v -> first term,
 #                   acting on f[key[1:]][:, idx[1:]] when idx[0] = a;
 #   last(key)[a]    the same for the last term on f[key[:-1]][:, idx[:-1]]
@@ -636,6 +560,8 @@ def rbf_differential(handle, cochain):
 #   merged(key, i)  [a][b] -> sparse merged argument of slot i when
 #                   (idx[i-1], idx[i]) = (a, b);
 #   smap[a]         sparse column a of the structure map on the source.
+# In degree 0 key[1:] and key[:-1] are the empty key, whose semigroup
+# product is the unit, and there is no merged slot.
 # Each linear map is probed once on unit vectors and cached per the data
 # it depends on, never per key or per cochain.
 
@@ -652,13 +578,13 @@ def _probe(fn, dim):
 
 
 def _omega_stencil(algebra, module, degree):
-    """Generic pair-indexed stencil: with x = p^(n-1) e_idx[0] and
-    y = p^(n-1) e_idx[-1], the first term is x .l f[key[1:]] under the left
-    action indexed by (key[0], product of key[1:]), the last term is
-    f[key[:-1]] .r y indexed by (product of key[:-1], key[-1]), and the
+    """Generic pair-indexed stencil: with x = p^max(n-1, 0) e_idx[0] and
+    y = p^max(n-1, 0) e_idx[-1], the first term is x .l f[key[1:]] under
+    the left action indexed by (key[0], product of key[1:]), the last term
+    is f[key[:-1]] .r y indexed by (product of key[:-1], key[-1]), and the
     merged argument is the pair-indexed product of slots i-1 and i."""
     omega, g, d = algebra.omega, algebra.dim, module.dim
-    ppow = algebra.p.power(degree - 1)
+    ppow = algebra.p.power(max(degree - 1, 0))
     ppow_cols = [ppow.column(j) for j in range(g)]
 
     @cache
@@ -683,11 +609,11 @@ def _omega_stencil(algebra, module, degree):
 
 
 def _rbf_stencil(operator, degree):
-    """Direct twisted-family stencil: with u = q^(n-1) e_idx[0], pi the
-    product of key and x = f[key[1:]], the first term is
+    """Direct twisted-family stencil: with u = q^max(n-1, 0) e_idx[0], pi
+    the product of key and x = f[key[1:]], the first term is
     R_key[0] u . x - R_pi(u .r x) - R_pi phi(R_key[0] u, x); the last term
-    mirrors it on f[key[:-1]] and q^(n-1) e_idx[-1]; the merged argument
-    is ``twisted_inner_sum`` of slots i-1 and i."""
+    mirrors it on f[key[:-1]] and q^max(n-1, 0) e_idx[-1]; the merged
+    argument is ``twisted_inner_sum`` of slots i-1 and i."""
     A, module, phi, omega = (
         operator.algebra,
         operator.bimodule,
@@ -695,7 +621,7 @@ def _rbf_stencil(operator, degree):
         operator.omega,
     )
     n, d = A.dim, module.dim
-    qpow = module.q.power(degree - 1)
+    qpow = module.q.power(max(degree - 1, 0))
     qpow_cols = [qpow.column(a) for a in range(d)]
     vbasis = module.basis()
 
@@ -749,7 +675,7 @@ def _rbf_stencil(operator, degree):
 def _ha_stencil(module, degree):
     """Hochschild-type stencil (the terms of ``hochschild_differential``)."""
     A, d = module.parent, module.dim
-    ppow = A.p.power(degree - 1)
+    ppow = A.p.power(max(degree - 1, 0))
     ppow_cols = [ppow.column(j) for j in range(A.dim)]
     first = [_probe(lambda v: module.act_l(x, v), d) for x in ppow_cols]
     last = [_probe(lambda v: module.act_r(v, x), d) for x in ppow_cols]
@@ -763,7 +689,7 @@ def _ha_stencil(module, degree):
 
 
 def _assemble_stencil(handle, degree, stencil):
-    """Raw differential C^n -> C^(n+1), n >= 1, as sparse columns {row: value}.
+    """Raw differential C^n -> C^(n+1) as sparse columns {row: value}.
 
     Output entry (key, k, idx) is the first term on f[key[1:]][:, idx[1:]],
     plus sign_last times the last term on f[key[:-1]][:, idx[:-1]], plus,

@@ -649,14 +649,12 @@ def check_equivalence(deformation, other, x, handle=None, max_violations=DEFAULT
 
 def rbf_delta0_matrices(handle, x):
     """delta0(x) as one matrix per semigroup element (x need not be p-fixed)."""
-    from .cohomology import _rbf_delta0_tables
-
-    tables = _rbf_delta0_tables(handle, vector(x))
-    out = []
-    for alpha in handle.omega.elements():
-        t = tables[(alpha,)]
-        out.append(Matrix(t.shape[0], t.shape[1], t.entries))
-    return out
+    image = handle.raw_differential(0, vector(x))
+    block = handle.block_dim(1)
+    return [
+        Matrix(handle.target_dim, handle.source_dim, tuple(image[pos : pos + block]))
+        for pos in range(0, len(image), block)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,8 @@ class Matrix:
     def power(self, k):
         if self.rows != self.cols:
             raise InputError("matrix power needs a square matrix")
+        if k < 0:
+            raise InputError("matrix power needs a nonnegative exponent")
         out = Matrix.identity(self.rows)
         for _ in range(k):
             out = out.mul(self)
@@ -324,15 +326,15 @@ def _require_rational_matrix(m):
         raise InputError("elimination is defined for rational matrices only")
 
 
-def _integer_rows(m):
+def _integer_rows(rows):
     # Scaling each row by the lcm of its denominators changes neither the
-    # rank nor the null space.
-    rows = []
-    for i in range(m.rows):
-        row = [Fraction(e) for e in m.row(i)]
-        scale = lcm(*(e.denominator for e in row)) if row else 1
-        rows.append([int(e * scale) for e in row])
-    return rows
+    # rank nor the null space (nor, on an augmented row, the solutions).
+    out = []
+    for row in rows:
+        row = [Fraction(e) for e in row]
+        scale = lcm(*(e.denominator for e in row))
+        out.append([int(e * scale) for e in row])
+    return out
 
 
 def _bareiss(rows, ncols):
@@ -375,7 +377,7 @@ def _bareiss(rows, ncols):
 def rank(m):
     """Rank over the rationals via Bareiss fraction-free elimination."""
     _require_rational_matrix(m)
-    rows = _integer_rows(m)
+    rows = _integer_rows(m.row(i) for i in range(m.rows))
     return len(_bareiss(rows, m.cols))
 
 
@@ -407,7 +409,7 @@ def kernel_basis(m):
     ``ComplexHandle.differential_matrix`` reads coordinates that way.
     """
     _require_rational_matrix(m)
-    rows = _integer_rows(m)
+    rows = _integer_rows(m.row(i) for i in range(m.rows))
     pivots = _bareiss(rows, m.cols)
     return _kernel_from_echelon(rows, pivots, m.cols)
 
@@ -424,11 +426,7 @@ def solve(m, b):
     for e in b:
         if isinstance(e, TruncatedPoly):
             raise InputError("elimination is defined for rational inputs only")
-    rows = []
-    for i in range(m.rows):
-        row = [Fraction(e) for e in m.row(i)] + [Fraction(b[i])]
-        scale = lcm(*(e.denominator for e in row))
-        rows.append([int(e * scale) for e in row])
+    rows = _integer_rows(m.row(i) + (b[i],) for i in range(m.rows))
     # Pivots restricted to matrix columns; the augmented column rides along.
     pivots = _bareiss(rows, m.cols)
     nr = len(pivots)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .errors import InputError
+from .errors import InputError, MissingUnitError
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,12 @@ class FiniteSemigroup:
         return self.table[a][b]
 
     def product(self, indices):
-        """Left fold of a nonempty index sequence (associative, so any fold)."""
+        """Left fold of an index sequence (associative, so any fold); the
+        empty product is the unit."""
         it = iter(indices)
-        out = next(it)
+        out = next(it, self.unit)
+        if out is None:
+            raise MissingUnitError("the empty product needs a unit in the semigroup")
         for a in it:
             out = self.table[out][a]
         return out

@@ -145,6 +145,11 @@ def test_missing_unit_behavior(d1):
         cochain_basis(handle, 0)
     with pytest.raises(MissingUnitError):
         cohomology_dims(handle, 0)
+    zeros = (Fraction(0),) * handle.raw_dim(0)
+    generic = omega_complex(handle.omega_algebra, handle.omega_module)
+    for h in (handle, generic):
+        with pytest.raises(MissingUnitError):
+            h.differential(h.unflatten(0, zeros))
     # degrees >= 1 are served; nothing bounds at degree 1
     dims = cohomology_dims(handle, 1)
     assert dims.dim_b == 0
@@ -449,7 +454,7 @@ def test_twisted_ha_bases_and_matrices_match_reference(twisted_triangular_algebr
     handle = ha_complex(
         twisted_triangular_algebra, regular_bimodule(twisted_triangular_algebra), degree_cap=3
     )
-    for degree in (1, 2, 3):
+    for degree in (0, 1, 2, 3):
         assert handle.basis_vectors(degree) == _reference_basis(handle, degree)
         _assert_matrix_reproduces_images(handle, degree, _hochschild_reference(handle, degree))
 
@@ -523,14 +528,28 @@ def test_differential_matrix_raises_when_routes_disagree(d1, monkeypatch):
         handle.differential(total)
 
 
+def test_degree_zero_matrix_raises_when_routes_disagree(d1, monkeypatch):
+    original = OmegaBimodule.act_l
+
+    def perturbed(self, alpha, beta, x, u):
+        out = original(self, alpha, beta, x, u)
+        return (out[0] + 1,) + out[1:]
+
+    # Only the generic route reads the pair-indexed left action.
+    monkeypatch.setattr(OmegaBimodule, "act_l", perturbed)
+    handle = rbf_complex(d1["operator"])
+    with pytest.raises(RouteMismatchError, match=r"disagree at index tuple \(\d+,\)"):
+        differential_matrix(handle, 0)
+
+
 @pytest.fixture(scope="module")
 def d1_oracle(d1_handle):
     """Oracle references of D1 by degree, shared by RBF and OMEGA on the
     induced data (one coefficient space)."""
-    return {degree: _oracle_reference(d1_handle.operator, degree) for degree in (1, 2)}
+    return {degree: _oracle_reference(d1_handle.operator, degree) for degree in (0, 1, 2)}
 
 
-@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1, 2])
 @pytest.mark.parametrize("which", ["rbf", "omega", "ha"])
 def test_stencil_matrix_reproduces_images(
     d1_handle, d1_omega_handle, d1_ha_handle, d1_oracle, which, degree

@@ -172,9 +172,11 @@ def test_matrix_units_break_the_square_law(matrix_algebra_operator):
     assert not law.ok
 
 
-def test_wrong_length_rejected(d1):
+def test_wrong_length_rejected(d1, d1_handle):
     with pytest.raises(InputError):
         check_nijenhuis_element((Fraction(1),), d1["operator"])
+    with pytest.raises(InputError):
+        rbf_delta0_matrices(d1_handle, (1,))
 
 
 # -- equivalence ----------------------------------------------------------------

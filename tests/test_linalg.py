@@ -175,3 +175,5 @@ def test_matrix_block_and_power():
     p = Matrix.from_rows([[0, 1], [1, 0]])
     assert p.power(2).is_identity()
     assert p.power(0).is_identity()
+    with pytest.raises(InputError):
+        p.power(-1)
