@@ -12,13 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from itertools import product as iproduct
 
 from .cohomology import Tensor, cohomology_dims, differential_matrix, rbf_complex
 from .errors import InputError, PreconditionError, RouteMismatchError
+from .homalg import is_equivariant
 from .linalg import Matrix, kernel_basis, solve, unit_vector, vadd, vector, vsub
 from .operators import check_twisted_rbf
-from .reports import DEFAULT_MAX_VIOLATIONS, CheckReport, ensure_valid, run_law
+from .reports import (
+    DEFAULT_MAX_VIOLATIONS,
+    CheckReport,
+    ensure_valid,
+    intertwining_cases,
+    run_law,
+)
 from .scalars import TruncatedPoly, poly_coefficient
 
 READING_NOTE = (
@@ -52,7 +60,7 @@ class LinearDeformation:
             raise InputError("truncation order must be an integer >= 2")
         p, q = base.algebra.p, base.bimodule.q
         for alpha, mat in enumerate(self.direction):
-            if mat.mul(q).entries != p.mul(mat).entries:
+            if not is_equivariant(p, q, 1, [mat]):
                 raise InputError(
                     f"direction {alpha} violates equivariance (degree-1 membership)"
                 )
@@ -314,9 +322,6 @@ def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     vbasis = module.basis()
     report = CheckReport(subject="Nijenhuis element")
 
-    def p_fixed():
-        yield {}, vsub(A.p.apply(x), x)
-
     def lhd(u_idx, alpha, beta):
         u = vbasis[u_idx]
         ru = operator.maps[alpha].column(u_idx)
@@ -425,7 +430,8 @@ def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
                     first_order_transform(alpha, vbasis[a]), _commutator(A, x, ebasis[i])
                 )
 
-    run_law(report, "p(x) = x", p_fixed(), max_violations)
+    x_t = Tensor((n,), x)
+    run_law(report, "p(x) = x", intertwining_cases(A.p, x_t, x_t, [], ()), max_violations)
     run_law(
         report,
         "x.(u |>- x - x -<| u) - (u |>- x - x -<| u).x = 0",
@@ -549,60 +555,22 @@ def check_equivalence(deformation, other, x, handle=None, max_violations=DEFAULT
                 raise RouteMismatchError(f"condition {name} broke at order 0")
         buckets.append((name, stored))
 
-    def cond_psi_mult():
-        for i, j in iproduct(range(n), repeat=2):
-            lhs = psi.apply(A.basis_product(i, j))
-            rhs = A.product(psi.column(i), psi.column(j))
-            yield {"a": i, "b": j}, vsub(lhs, rhs)
-
-    def cond_psi_p():
-        lhs = psi.mul(A.p)
-        rhs = A.p.mul(psi)
-        for i in range(n):
-            yield {"a": i}, vsub(lhs.column(i), rhs.column(i))
-
-    def cond_intertwine():
-        for alpha in omega.elements():
-            lhs = psi.mul(maps_t[alpha])
-            rhs = maps_bar[alpha].mul(phi_ts[alpha])
-            for a in range(d):
-                yield {"alpha": alpha, "u": a}, vsub(lhs.column(a), rhs.column(a))
-
-    def cond_q():
-        for alpha in omega.elements():
-            lhs = phi_ts[alpha].mul(module.q)
-            rhs = module.q.mul(phi_ts[alpha])
-            for a in range(d):
-                yield {"alpha": alpha, "u": a}, vsub(lhs.column(a), rhs.column(a))
-
-    def cond_cocycle():
-        for alpha in omega.elements():
-            for i, j in iproduct(range(n), repeat=2):
-                lhs = phi_ts[alpha].apply(phi.apply(ebasis[i], ebasis[j]))
-                rhs = phi.apply(psi.column(i), psi.column(j))
-                yield {"alpha": alpha, "a": i, "b": j}, vsub(lhs, rhs)
-
-    def cond_left():
-        for alpha in omega.elements():
-            for i, a in iproduct(range(n), range(d)):
-                lhs = phi_ts[alpha].apply(module.act_l(ebasis[i], vbasis[a]))
-                rhs = module.act_l(psi.column(i), phi_ts[alpha].column(a))
-                yield {"alpha": alpha, "a": i, "u": a}, vsub(lhs, rhs)
-
-    def cond_right():
-        for alpha in omega.elements():
-            for a, i in iproduct(range(d), range(n)):
-                lhs = phi_ts[alpha].apply(module.act_r(vbasis[a], ebasis[i]))
-                rhs = module.act_r(phi_ts[alpha].column(a), psi.column(i))
-                yield {"alpha": alpha, "u": a, "a": i}, vsub(lhs, rhs)
-
-    collect("(i) psi^t multiplicative", cond_psi_mult())
-    collect("(i) psi^t commutes with p", cond_psi_p())
-    collect("(ii) psi^t o R^t = Rbar^t o phi^t", cond_intertwine())
-    collect("(iii) phi^t o q = q o phi^t", cond_q())
-    collect("(iv) phi^t o Phi = Phi o (psi^t x psi^t)", cond_cocycle())
-    collect("(v) phi^t(a .l u) = psi^t(a) .l phi^t(u)", cond_left())
-    collect("(vi) phi^t(u .r a) = phi^t(u) .r psi^t(a)", cond_right())
+    # Per-index laws: (name, (alpha, phi^t_alpha) -> intertwining_cases arguments).
+    q, left, right = module.q, module.left, module.right
+    per_alpha = (
+        ("(ii) psi^t o R^t = Rbar^t o phi^t", lambda al, ph: (psi, maps_t[al], maps_bar[al], [ph], ("u",))),
+        ("(iii) phi^t o q = q o phi^t", lambda al, ph: (ph, q, q, [ph], ("u",))),
+        ("(iv) phi^t o Phi = Phi o (psi^t x psi^t)", lambda al, ph: (ph, phi.phi, phi.phi, [psi, psi], ("a", "b"))),
+        ("(v) phi^t(a .l u) = psi^t(a) .l phi^t(u)", lambda al, ph: (ph, left, left, [psi, ph], ("a", "u"))),
+        ("(vi) phi^t(u .r a) = phi^t(u) .r psi^t(a)", lambda al, ph: (ph, right, right, [ph, psi], ("u", "a"))),
+    )
+    collect("(i) psi^t multiplicative", intertwining_cases(psi, A.mu, A.mu, [psi, psi], ("a", "b")))
+    collect("(i) psi^t commutes with p", intertwining_cases(psi, A.p, A.p, [psi], ("a",)))
+    for name, law in per_alpha:
+        cases = (
+            intertwining_cases(*law(al, phi_ts[al]), {"alpha": al}) for al in omega.elements()
+        )
+        collect(name, chain.from_iterable(cases))
 
     for name, stored in buckets:
         run_law(

@@ -8,6 +8,7 @@ Hom-dendriform (family) algebras are not a separate type here: they are NS
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from itertools import product as iproduct
 
 from .errors import InputError
@@ -18,6 +19,7 @@ from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
     ensure_valid,
+    intertwining_cases,
     require_pass,
     run_law,
 )
@@ -150,14 +152,9 @@ class OmegaBimodule:
 # checkers
 
 
-def _p_multiplicativity_cases(p, tensors, basis, label):
-    for where_extra, t in tensors:
-        for i, j in iproduct(range(len(basis)), repeat=2):
-            lhs = p.apply(multilinear_apply(t, [basis[i], basis[j]]))
-            rhs = multilinear_apply(t, [p.column(i), p.column(j)])
-            where = dict(where_extra)
-            where.update({"x": i, "y": j})
-            yield where, vsub(lhs, rhs)
+def _product_cases(f, s_t, t_t, where=None):
+    """Cases of f(x ? y) = f(x) ?' f(y) for the products s_t (source), t_t (target)."""
+    return intertwining_cases(f, s_t, t_t, [f, f], ("x", "y"), where)
 
 
 def check_hom_ns(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
@@ -178,17 +175,11 @@ def check_hom_ns(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     def total(x, y):
         return vadd(vadd(prec(x, y), succ(x, y)), vee(x, y))
 
-    run_law(
-        report,
-        "p(x ? y) = p(x) ? p(y) for ? in {<, >, v}",
-        _p_multiplicativity_cases(
-            p,
-            [({"op": "<"}, cand.prec), ({"op": ">"}, cand.succ), ({"op": "v"}, cand.vee)],
-            basis,
-            "op",
-        ),
-        max_violations,
+    multiplicativity = chain.from_iterable(
+        _product_cases(p, t, t, {"op": op})
+        for op, t in (("<", cand.prec), (">", cand.succ), ("v", cand.vee))
     )
+    run_law(report, "p(x ? y) = p(x) ? p(y) for ? in {<, >, v}", multiplicativity, max_violations)
 
     def law_prec():
         for i, j, k in iproduct(range(n), repeat=3):
@@ -252,10 +243,11 @@ def check_hom_ns_family(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 
     def mult_cases():
         for a in omega.elements():
-            yield from _p_multiplicativity_cases(p, [({"op": "<", "alpha": a}, cand.prec[a])], basis, "op")
-            yield from _p_multiplicativity_cases(p, [({"op": ">", "alpha": a}, cand.succ[a])], basis, "op")
+            yield from _product_cases(p, cand.prec[a], cand.prec[a], {"op": "<", "alpha": a})
+            yield from _product_cases(p, cand.succ[a], cand.succ[a], {"op": ">", "alpha": a})
         for a, b in iproduct(omega.elements(), repeat=2):
-            yield from _p_multiplicativity_cases(p, [({"op": "v", "alpha": a, "beta": b}, cand.vee[a][b])], basis, "op")
+            vee = cand.vee[a][b]
+            yield from _product_cases(p, vee, vee, {"op": "v", "alpha": a, "beta": b})
 
     run_law(report, "p(x ?_idx y) = p(x) ?_idx p(y)", mult_cases(), max_violations)
 
@@ -351,9 +343,9 @@ def check_tridend_family(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 
     def mult_cases():
         for a in omega.elements():
-            yield from _p_multiplicativity_cases(p, [({"op": "<", "alpha": a}, cand.prec[a])], basis, "op")
-            yield from _p_multiplicativity_cases(p, [({"op": ">", "alpha": a}, cand.succ[a])], basis, "op")
-        yield from _p_multiplicativity_cases(p, [({"op": "."}, cand.dot)], basis, "op")
+            yield from _product_cases(p, cand.prec[a], cand.prec[a], {"op": "<", "alpha": a})
+            yield from _product_cases(p, cand.succ[a], cand.succ[a], {"op": ">", "alpha": a})
+        yield from _product_cases(p, cand.dot, cand.dot, {"op": "."})
 
     run_law(report, "p(x ? y) = p(x) ? p(y) for every product", mult_cases(), max_violations)
 
@@ -432,10 +424,8 @@ def check_omega_assoc(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 
     def multiplicativity():
         for a, b in iproduct(omega.elements(), repeat=2):
-            for i, j in iproduct(range(n), repeat=2):
-                lhs = p.apply(cand.product(a, b, basis[i], basis[j]))
-                rhs = cand.product(a, b, p.column(i), p.column(j))
-                yield {"alpha": a, "beta": b, "x": i, "y": j}, vsub(lhs, rhs)
+            t = cand.prod[a][b]
+            yield from _product_cases(p, t, t, {"alpha": a, "beta": b})
 
     def twisted_assoc():
         for a, b, g in iproduct(omega.elements(), repeat=3):
@@ -467,17 +457,13 @@ def check_omega_bimodule(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 
     def q_left():
         for a, b in iproduct(omega.elements(), repeat=2):
-            for i, u in iproduct(range(g), range(d)):
-                lhs = q.apply(cand.act_l(a, b, gbasis[i], vbasis[u]))
-                rhs = cand.act_l(a, b, p.column(i), q.column(u))
-                yield {"alpha": a, "beta": b, "x": i, "u": u}, vsub(lhs, rhs)
+            t = cand.left[a][b]
+            yield from intertwining_cases(q, t, t, [p, q], ("x", "u"), {"alpha": a, "beta": b})
 
     def q_right():
         for a, b in iproduct(omega.elements(), repeat=2):
-            for u, i in iproduct(range(d), range(g)):
-                lhs = q.apply(cand.act_r(a, b, vbasis[u], gbasis[i]))
-                rhs = cand.act_r(a, b, q.column(u), p.column(i))
-                yield {"alpha": a, "beta": b, "u": u, "x": i}, vsub(lhs, rhs)
+            t = cand.right[a][b]
+            yield from intertwining_cases(q, t, t, [q, p], ("u", "x"), {"alpha": a, "beta": b})
 
     def right_right():
         for a, b, c in iproduct(omega.elements(), repeat=3):
@@ -516,64 +502,50 @@ def check_omega_bimodule(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 
 def check_ns_family_morphism(f, source, target, max_violations=DEFAULT_MAX_VIOLATIONS):
     """Linear map commuting with all indexed products and the structure maps."""
+    if source.omega.table != target.omega.table:
+        raise InputError("morphisms need families indexed by the same semigroup")
+    _check_morphism_shape(f, source, target)
     report = CheckReport(subject="Hom-NS family algebra morphism")
     omega = source.omega
-    n = source.dim
-    basis = [unit_vector(n, i) for i in range(n)]
 
     def product_cases():
+        # Per (alpha, x, y) the < case comes before the > case.
         for a in omega.elements():
-            for i, j in iproduct(range(n), repeat=2):
-                for op, s_t, t_t in (
-                    ("<", source.prec[a], target.prec[a]),
-                    (">", source.succ[a], target.succ[a]),
-                ):
-                    lhs = f.apply(multilinear_apply(s_t, [basis[i], basis[j]]))
-                    rhs = multilinear_apply(t_t, [f.column(i), f.column(j)])
-                    yield {"op": op, "alpha": a, "x": i, "y": j}, vsub(lhs, rhs)
+            prec = _product_cases(f, source.prec[a], target.prec[a], {"op": "<", "alpha": a})
+            succ = _product_cases(f, source.succ[a], target.succ[a], {"op": ">", "alpha": a})
+            for pair in zip(prec, succ):
+                yield from pair
         for a, b in iproduct(omega.elements(), repeat=2):
-            for i, j in iproduct(range(n), repeat=2):
-                lhs = f.apply(multilinear_apply(source.vee[a][b], [basis[i], basis[j]]))
-                rhs = multilinear_apply(target.vee[a][b], [f.column(i), f.column(j)])
-                yield {"op": "v", "alpha": a, "beta": b, "x": i, "y": j}, vsub(lhs, rhs)
+            where = {"op": "v", "alpha": a, "beta": b}
+            yield from _product_cases(f, source.vee[a][b], target.vee[a][b], where)
 
-    def structure_map():
-        lhs = f.mul(source.p)
-        rhs = target.p.mul(f)
-        for i in range(n):
-            yield {"x": i}, vsub(lhs.column(i), rhs.column(i))
-
+    structure_map = intertwining_cases(f, source.p, target.p, [f], ("x",))
     run_law(report, "f(x ? y) = f(x) ? f(y) for every product", product_cases(), max_violations)
-    run_law(report, "f o p = p' o f", structure_map(), max_violations)
+    run_law(report, "f o p = p' o f", structure_map, max_violations)
     return report
 
 
 def check_ns_morphism(f, source, target, max_violations=DEFAULT_MAX_VIOLATIONS):
     """NS-algebra morphism check (unindexed products)."""
+    _check_morphism_shape(f, source, target)
     report = CheckReport(subject="Hom-NS algebra morphism")
-    n = source.dim
-    basis = [unit_vector(n, i) for i in range(n)]
-
-    def product_cases():
+    product_cases = chain.from_iterable(
+        _product_cases(f, s_t, t_t, {"op": op})
         for op, s_t, t_t in (
             ("<", source.prec, target.prec),
             (">", source.succ, target.succ),
             ("v", source.vee, target.vee),
-        ):
-            for i, j in iproduct(range(n), repeat=2):
-                lhs = f.apply(multilinear_apply(s_t, [basis[i], basis[j]]))
-                rhs = multilinear_apply(t_t, [f.column(i), f.column(j)])
-                yield {"op": op, "x": i, "y": j}, vsub(lhs, rhs)
-
-    def structure_map():
-        lhs = f.mul(source.p)
-        rhs = target.p.mul(f)
-        for i in range(n):
-            yield {"x": i}, vsub(lhs.column(i), rhs.column(i))
-
-    run_law(report, "f(x ? y) = f(x) ? f(y) for every product", product_cases(), max_violations)
-    run_law(report, "f o p = p' o f", structure_map(), max_violations)
+        )
+    )
+    structure_map = intertwining_cases(f, source.p, target.p, [f], ("x",))
+    run_law(report, "f(x ? y) = f(x) ? f(y) for every product", product_cases, max_violations)
+    run_law(report, "f o p = p' o f", structure_map, max_violations)
     return report
+
+
+def _check_morphism_shape(f, source, target):
+    if (f.rows, f.cols) != (target.dim, source.dim):
+        raise InputError(f"f must be {target.dim}x{source.dim}, got {f.rows}x{f.cols}")
 
 
 # ---------------------------------------------------------------------------

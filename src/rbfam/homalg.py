@@ -23,7 +23,13 @@ from .linalg import (
     vadd,
     vsub,
 )
-from .reports import DEFAULT_MAX_VIOLATIONS, CheckReport, require_pass, run_law
+from .reports import (
+    DEFAULT_MAX_VIOLATIONS,
+    CheckReport,
+    intertwining_cases,
+    require_pass,
+    run_law,
+)
 from .semigroups import FiniteSemigroup
 
 
@@ -124,14 +130,7 @@ def zero_cocycle(module):
 def check_hom_algebra(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject=f"hom-algebra (dim {cand.dim})")
     n = cand.dim
-    basis = cand.basis()
     p = cand.p
-
-    def multiplicativity():
-        for i, j in iproduct(range(n), repeat=2):
-            lhs = p.apply(cand.basis_product(i, j))
-            rhs = cand.product(p.column(i), p.column(j))
-            yield {"x": i, "y": j}, vsub(lhs, rhs)
 
     def hom_associativity():
         for i, j, k in iproduct(range(n), repeat=3):
@@ -139,7 +138,8 @@ def check_hom_algebra(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
             rhs = cand.product(cand.basis_product(i, j), p.column(k))
             yield {"x": i, "y": j, "z": k}, vsub(lhs, rhs)
 
-    run_law(report, "p(x.y) = p(x).p(y)", multiplicativity(), max_violations)
+    multiplicativity = intertwining_cases(p, cand.mu, cand.mu, [p, p], ("x", "y"))
+    run_law(report, "p(x.y) = p(x).p(y)", multiplicativity, max_violations)
     run_law(report, "p(x).(y.z) = (x.y).p(z)", hom_associativity(), max_violations)
     return report
 
@@ -151,18 +151,6 @@ def check_bimodule(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     p, q = A.p, cand.q
     ebasis = A.basis()
     vbasis = cand.basis()
-
-    def q_left():
-        for i, a in iproduct(range(n), range(d)):
-            lhs = q.apply(cand.act_l(ebasis[i], vbasis[a]))
-            rhs = cand.act_l(p.column(i), q.column(a))
-            yield {"x": i, "u": a}, vsub(lhs, rhs)
-
-    def q_right():
-        for a, i in iproduct(range(d), range(n)):
-            lhs = q.apply(cand.act_r(vbasis[a], ebasis[i]))
-            rhs = cand.act_r(q.column(a), p.column(i))
-            yield {"u": a, "x": i}, vsub(lhs, rhs)
 
     def right_right():
         for a, i, j in iproduct(range(d), range(n), range(n)):
@@ -182,8 +170,10 @@ def check_bimodule(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
             rhs = cand.act_l(A.basis_product(i, j), q.column(a))
             yield {"x": i, "y": j, "u": a}, vsub(lhs, rhs)
 
-    run_law(report, "q(x.l u) = p(x).l q(u)", q_left(), max_violations)
-    run_law(report, "q(u.r x) = q(u).r p(x)", q_right(), max_violations)
+    q_left = intertwining_cases(q, cand.left, cand.left, [p, q], ("x", "u"))
+    q_right = intertwining_cases(q, cand.right, cand.right, [q, p], ("u", "x"))
+    run_law(report, "q(x.l u) = p(x).l q(u)", q_left, max_violations)
+    run_law(report, "q(u.r x) = q(u).r p(x)", q_right, max_violations)
     run_law(report, "q(u).r (x.y) = (u.r x).r p(y)", right_right(), max_violations)
     run_law(report, "p(x).l (u.r y) = (x.l u).r p(y)", left_right(), max_violations)
     run_law(report, "p(x).l (y.l u) = (x.y).l q(u)", left_left(), max_violations)
@@ -193,22 +183,10 @@ def check_bimodule(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 def check_algebra_morphism(m, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject="algebra morphism")
     src, tgt, psi = m.source, m.target, m.psi
-    n = src.dim
-
-    def multiplicative():
-        for i, j in iproduct(range(n), repeat=2):
-            lhs = psi.apply(src.basis_product(i, j))
-            rhs = tgt.product(psi.column(i), psi.column(j))
-            yield {"x": i, "y": j}, vsub(lhs, rhs)
-
-    def intertwines():
-        lhs = psi.mul(src.p)
-        rhs = tgt.p.mul(psi)
-        for i in range(n):
-            yield {"x": i}, vsub(lhs.column(i), rhs.column(i))
-
-    run_law(report, "psi(x.y) = psi(x).psi(y)", multiplicative(), max_violations)
-    run_law(report, "psi(p(x)) = p'(psi(x))", intertwines(), max_violations)
+    multiplicative = intertwining_cases(psi, src.mu, tgt.mu, [psi, psi], ("x", "y"))
+    intertwines = intertwining_cases(psi, src.p, tgt.p, [psi], ("x",))
+    run_law(report, "psi(x.y) = psi(x).psi(y)", multiplicative, max_violations)
+    run_law(report, "psi(p(x)) = p'(psi(x))", intertwines, max_violations)
     return report
 
 
@@ -220,19 +198,17 @@ def is_equivariant(q, p, degree, tensors):
     """Cochain membership q o f = f o p^(x n) on all basis tuples, for every f.
 
     Each f in ``tensors`` is a coefficient tensor with ``degree`` input
-    axes; in degree 0 it is a vector (tuple or tensor) and the condition is
-    q(u) = u.
+    axes (or, in degree 1, a matrix); in degree 0 it is a vector (tuple or
+    tensor) and the condition is q(u) = u.  The law is the intertwining law
+    of ``reports.intertwining_cases`` with out = q, T = T' = f, in = p.
     """
-    if degree == 0:
-        vectors = (f if isinstance(f, tuple) else tuple(f.entries) for f in tensors)
-        return all(q.apply(u) == u for u in vectors)
-    if q.is_identity() and p.is_identity():
+    if degree and q.is_identity() and p.is_identity():
         return True
-    p_cols = [p.column(j) for j in range(p.rows)]
-    return all(
-        q.apply(tensor_column(f, idx)) == multilinear_apply(f, [p_cols[j] for j in idx])
+    tensors = (Tensor((len(f),), f) if isinstance(f, tuple) else f for f in tensors)
+    return not any(
+        any(residual)
         for f in tensors
-        for idx in iproduct(range(p.rows), repeat=degree)
+        for _, residual in intertwining_cases(q, f, f, [p] * degree, ())
     )
 
 
@@ -317,12 +293,6 @@ def check_two_cocycle(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     p, q = A.p, module.q
     report = CheckReport(subject="two-cocycle")
 
-    def equivariance():
-        for i, j in iproduct(range(n), repeat=2):
-            lhs = q.apply(tensor_column(cand.phi, (i, j)))
-            rhs = cand.apply(p.column(i), p.column(j))
-            yield {"x": i, "y": j}, vsub(lhs, rhs)
-
     def direct_cocycle():
         for i, j, k in iproduct(range(n), repeat=3):
             t1 = module.act_l(p.column(i), tensor_column(cand.phi, (j, k)))
@@ -331,7 +301,8 @@ def check_two_cocycle(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
             t4 = cand.apply(p.column(i), A.basis_product(j, k))
             yield {"x1": i, "x2": j, "x3": k}, vadd(vsub(vsub(t1, t2), t3), t4)
 
-    ok_eq = run_law(report, "q phi(x,y) = phi(p x, p y)", equivariance(), max_violations)
+    equivariance = intertwining_cases(q, cand.phi, cand.phi, [p, p], ("x", "y"))
+    ok_eq = run_law(report, "q phi(x,y) = phi(p x, p y)", equivariance, max_violations)
     direct = list(direct_cocycle())
     run_law(
         report,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from itertools import product as iproduct
 
 from .errors import InputError
@@ -19,11 +20,18 @@ from .homalg import (
     check_bimodule,
     check_hom_algebra,
     check_two_cocycle,
+    is_equivariant,
     semidirect_product,
     tensor_bimodule,
 )
 from .linalg import Matrix, Tensor, solve, unit_vector, vadd, vsub, zero_vector
-from .reports import DEFAULT_MAX_VIOLATIONS, CheckReport, ensure_valid, run_law
+from .reports import (
+    DEFAULT_MAX_VIOLATIONS,
+    CheckReport,
+    ensure_valid,
+    intertwining_cases,
+    run_law,
+)
 from .scalars import ensure_rational
 from .semigroups import FiniteSemigroup, builtin
 
@@ -126,10 +134,8 @@ def check_twisted_rbf(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
 
     def equivariance():
         for alpha in omega.elements():
-            lhs = operator.maps[alpha].mul(module.q)
-            rhs = A.p.mul(operator.maps[alpha])
-            for a in range(d):
-                yield {"alpha": alpha, "u": a}, vsub(lhs.column(a), rhs.column(a))
+            r_a = operator.maps[alpha]
+            yield from intertwining_cases(r_a, module.q, A.p, [r_a], ("u",), {"alpha": alpha})
 
     def family_identity():
         vbasis = module.basis()
@@ -151,18 +157,19 @@ def check_twisted_rbf(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     return report
 
 
+def _commutes_with_p(family):
+    """Cases of p o M_a = M_a o p for the maps M_a of an operator family on L."""
+    p = family.algebra.p
+    for alpha in family.omega.elements():
+        m_a = family.maps[alpha]
+        yield from intertwining_cases(p, m_a, m_a, [p], ("x",), {"alpha": alpha})
+
+
 def check_nijenhuis_family(family, max_violations=DEFAULT_MAX_VIOLATIONS):
     ensure_valid(family.algebra, check_hom_algebra, "host hom-algebra")
     A, omega = family.algebra, family.omega
     n = A.dim
     report = CheckReport(subject=f"Nijenhuis family over omega of size {omega.size}")
-
-    def commutes_with_p():
-        for alpha in omega.elements():
-            lhs = A.p.mul(family.maps[alpha])
-            rhs = family.maps[alpha].mul(A.p)
-            for i in range(n):
-                yield {"alpha": alpha, "x": i}, vsub(lhs.column(i), rhs.column(i))
 
     def family_identity():
         for alpha, beta in iproduct(omega.elements(), repeat=2):
@@ -179,7 +186,7 @@ def check_nijenhuis_family(family, max_violations=DEFAULT_MAX_VIOLATIONS):
                 )
                 yield {"alpha": alpha, "beta": beta, "x": i, "y": j}, vsub(lhs, n_ab.apply(inner))
 
-    run_law(report, "p o N_a = N_a o p", commutes_with_p(), max_violations)
+    run_law(report, "p o N_a = N_a o p", _commutes_with_p(family), max_violations)
     run_law(
         report,
         "N_a x . N_b y = N_ab(N_a x . y + x . N_b y - N_ab(x.y))",
@@ -194,13 +201,6 @@ def check_weighted_rbf(family, max_violations=DEFAULT_MAX_VIOLATIONS):
     A, omega, lam = family.algebra, family.omega, family.weight
     n = A.dim
     report = CheckReport(subject=f"weighted Rota-Baxter family (weight {lam})")
-
-    def commutes_with_p():
-        for alpha in omega.elements():
-            lhs = A.p.mul(family.maps[alpha])
-            rhs = family.maps[alpha].mul(A.p)
-            for i in range(n):
-                yield {"alpha": alpha, "x": i}, vsub(lhs.column(i), rhs.column(i))
 
     def family_identity():
         for alpha, beta in iproduct(omega.elements(), repeat=2):
@@ -217,7 +217,7 @@ def check_weighted_rbf(family, max_violations=DEFAULT_MAX_VIOLATIONS):
                 )
                 yield {"alpha": alpha, "beta": beta, "x": i, "y": j}, vsub(lhs, t_ab.apply(inner))
 
-    run_law(report, "p(T_a x) = T_a p(x)", commutes_with_p(), max_violations)
+    run_law(report, "p(T_a x) = T_a p(x)", _commutes_with_p(family), max_violations)
     run_law(
         report,
         "T_a x . T_b y = T_ab(T_a x . y + x . T_b y + w x.y)",
@@ -232,60 +232,24 @@ def check_operator_morphism(morphism, max_violations=DEFAULT_MAX_VIOLATIONS):
     _validate_hosts(src)
     _validate_hosts(tgt)
     psi, phi = morphism.psi, morphism.phi
-    omega = src.omega
-    n, d = src.algebra.dim, src.bimodule.dim
+    s_mod, t_mod = src.bimodule, tgt.bimodule
+    s_alg, t_alg = src.algebra, tgt.algebra
     report = CheckReport(subject="twisted Rota-Baxter family morphism")
-
-    def intertwines_r():
-        for alpha in omega.elements():
-            lhs = psi.mul(src.maps[alpha])
-            rhs = tgt.maps[alpha].mul(phi)
-            for a in range(d):
-                yield {"alpha": alpha, "u": a}, vsub(lhs.column(a), rhs.column(a))
-
-    def intertwines_phi():
-        for i, j in iproduct(range(n), repeat=2):
-            lhs = phi.apply(src.cocycle.apply(unit_vector(n, i), unit_vector(n, j)))
-            rhs = tgt.cocycle.apply(psi.column(i), psi.column(j))
-            yield {"x": i, "y": j}, vsub(lhs, rhs)
-
-    def intertwines_q():
-        lhs = phi.mul(src.bimodule.q)
-        rhs = tgt.bimodule.q.mul(phi)
-        for a in range(d):
-            yield {"u": a}, vsub(lhs.column(a), rhs.column(a))
-
-    def intertwines_left():
-        for i, a in iproduct(range(n), range(d)):
-            lhs = phi.apply(src.bimodule.act_l(unit_vector(n, i), unit_vector(d, a)))
-            rhs = tgt.bimodule.act_l(psi.column(i), phi.column(a))
-            yield {"x": i, "u": a}, vsub(lhs, rhs)
-
-    def intertwines_right():
-        for a, i in iproduct(range(d), range(n)):
-            lhs = phi.apply(src.bimodule.act_r(unit_vector(d, a), unit_vector(n, i)))
-            rhs = tgt.bimodule.act_r(phi.column(a), psi.column(i))
-            yield {"u": a, "x": i}, vsub(lhs, rhs)
-
-    def psi_multiplicative():
-        for i, j in iproduct(range(n), repeat=2):
-            lhs = psi.apply(src.algebra.basis_product(i, j))
-            rhs = tgt.algebra.product(psi.column(i), psi.column(j))
-            yield {"x": i, "y": j}, vsub(lhs, rhs)
-
-    def psi_intertwines_p():
-        lhs = psi.mul(src.algebra.p)
-        rhs = tgt.algebra.p.mul(psi)
-        for i in range(n):
-            yield {"x": i}, vsub(lhs.column(i), rhs.column(i))
-
-    run_law(report, "psi o R_a = R'_a o phi", intertwines_r(), max_violations)
-    run_law(report, "phi o Phi = Phi' o (psi x psi)", intertwines_phi(), max_violations)
-    run_law(report, "phi o q = q' o phi", intertwines_q(), max_violations)
-    run_law(report, "phi(x .l u) = psi(x) .l' phi(u)", intertwines_left(), max_violations)
-    run_law(report, "phi(u .r x) = phi(u) .r' psi(x)", intertwines_right(), max_violations)
-    run_law(report, "psi(x.y) = psi(x).psi(y)", psi_multiplicative(), max_violations)
-    run_law(report, "psi o p = p' o psi", psi_intertwines_p(), max_violations)
+    intertwines_r = chain.from_iterable(
+        intertwining_cases(psi, src.maps[alpha], tgt.maps[alpha], [phi], ("u",), {"alpha": alpha})
+        for alpha in src.omega.elements()
+    )
+    run_law(report, "psi o R_a = R'_a o phi", intertwines_r, max_violations)
+    # (name, out, source tensor, target tensor, input maps, where-keys)
+    for name, *law in (
+        ("phi o Phi = Phi' o (psi x psi)", phi, src.cocycle.phi, tgt.cocycle.phi, [psi, psi], ("x", "y")),
+        ("phi o q = q' o phi", phi, s_mod.q, t_mod.q, [phi], ("u",)),
+        ("phi(x .l u) = psi(x) .l' phi(u)", phi, s_mod.left, t_mod.left, [psi, phi], ("x", "u")),
+        ("phi(u .r x) = phi(u) .r' psi(x)", phi, s_mod.right, t_mod.right, [phi, psi], ("u", "x")),
+        ("psi(x.y) = psi(x).psi(y)", psi, s_alg.mu, t_alg.mu, [psi, psi], ("x", "y")),
+        ("psi o p = p' o psi", psi, s_alg.p, t_alg.p, [psi], ("x",)),
+    ):
+        run_law(report, name, intertwining_cases(*law), max_violations)
     return report
 
 
@@ -503,10 +467,7 @@ def search_nijenhuis_families(algebra, omega, grid=DEFAULT_SEARCH_GRID, cap=SEAR
         )
         ok = True
         if not p_is_id:
-            for mat in maps:
-                if p.mul(mat).entries != mat.mul(p).entries:
-                    ok = False
-                    break
+            ok = is_equivariant(p, p, 1, maps)
         if ok:
             for alpha, beta in iproduct(range(m), repeat=2):
                 n_ab = maps[omega.mul(alpha, beta)]

@@ -4,11 +4,23 @@ A checker evaluates each law on all basis tuples (in lexicographic order)
 and records the first ``max_violations`` offending tuples together with the
 residual vector, plus the total violation count.  Axiom failure is a report
 outcome, never an exception.
+
+Ordering contract: a case's where-dict lists its prefix keys first (the
+semigroup indices and operation labels of the law), then one key per input
+axis; cases come in lexicographic order of the input basis tuple, the
+order of ``itertools.product``.  The first violations of a report, and so
+its JSON, depend on that order.
+
+An intertwining law ``out o T = T' o (in_1 x ... x in_n)`` (multiplicativity
+of a structure map, a morphism condition, cochain membership) is checked
+through ``intertwining_cases`` and nowhere else.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 
+from .linalg import Matrix, Tensor, multilinear_apply, tensor_column, vsub
 from .scalars import format_scalar
 
 DEFAULT_MAX_VIOLATIONS = 16
@@ -108,6 +120,34 @@ def ensure_valid(obj, checker, what):
     if len(_VALIDATION_CACHE) >= _VALIDATION_CACHE_LIMIT:
         _VALIDATION_CACHE.clear()
     _VALIDATION_CACHE[key] = (obj,)
+
+
+def intertwining_cases(out, src, tgt, ins, names, where=None):
+    """Cases of the law out o src = tgt o (ins[0] x ... x ins[n-1]) for ``run_law``.
+
+    ``src`` and ``tgt`` are coefficient tensors with n input axes (a
+    ``Matrix`` is the n = 1 case, read as its row-major (rows, cols)
+    tensor); ``out`` and each of ``ins`` are matrices.  For every basis
+    tuple idx of ``src``'s input axes, in lexicographic order, yields one
+    (case, residual) pair: case is a new dict of the ``where`` keys
+    followed by zip(names, idx), and the residual is
+    out(src[:, idx]) - tgt(ins[0] e_idx[0], ..., ins[n-1] e_idx[n-1]).
+    With n = 0 the one residual is out(u) - v for the vectors u of ``src``
+    and v of ``tgt``.  Entries may be any exact scalars.
+    """
+    src, tgt = _as_tensor(src), _as_tensor(tgt)
+    cols = [[m.column(j) for j in range(m.cols)] for m in ins]
+    prefix = where or {}
+    for idx in iproduct(*(range(d) for d in src.shape[1:])):
+        case = dict(prefix)
+        case.update(zip(names, idx))
+        lhs = out.apply(tensor_column(src, idx))
+        rhs = multilinear_apply(tgt, [c[j] for c, j in zip(cols, idx)])
+        yield case, vsub(lhs, rhs)
+
+
+def _as_tensor(t):
+    return Tensor((t.rows, t.cols), t.entries) if isinstance(t, Matrix) else t
 
 
 def run_law(report, name, cases, max_violations=DEFAULT_MAX_VIOLATIONS):

@@ -23,7 +23,15 @@ from .family import (
     OmegaAssocAlgebra,
     OmegaBimodule,
 )
-from .homalg import HomAlgebra, HomBimodule, TwoCocycle, regular_bimodule, tensor_semigroup_algebra, zero_cocycle
+from .homalg import (
+    HomAlgebra,
+    HomBimodule,
+    TwoCocycle,
+    is_equivariant,
+    regular_bimodule,
+    tensor_semigroup_algebra,
+    zero_cocycle,
+)
 from .linalg import Matrix, Tensor
 from .operators import (
     NijenhuisFamily,
@@ -74,6 +82,8 @@ class Workspace:
         self.kinds[name] = kind
 
     def get(self, name, kinds=None):
+        if not isinstance(name, str):
+            raise InputError(f"object references must be names (strings), got {name!r}")
         if name not in self.objects:
             raise InputError(f"unknown object name {name!r}")
         if kinds is not None and self.kinds[name] not in kinds:
@@ -429,20 +439,10 @@ def _load_cochain(doc, ws, where):
     if len(node) != len(keys):
         raise InputError(f"{where}.table: unexpected extra keys")
     # Membership (equivariance) is part of shape validation for cochains.
-    if degree == 0:
-        u = tuple(table[()].entries)
-        if tgt_map.apply(u) != u:
+    if not is_equivariant(tgt_map, src_map, degree, table.values()):
+        if degree == 0:
             raise InputError(f"{where}: degree-0 cochain is not fixed by the structure map")
-    else:
-        from .linalg import multilinear_apply, tensor_column
-
-        for key in keys:
-            t = table[key]
-            for idx in iproduct(range(src), repeat=degree):
-                lhs = tgt_map.apply(tensor_column(t, idx))
-                rhs = multilinear_apply(t, [src_map.column(j) for j in idx])
-                if lhs != rhs:
-                    raise InputError(f"{where}: cochain violates the membership constraint")
+        raise InputError(f"{where}: cochain violates the membership constraint")
     return WorkspaceCochain(complex=tag, host=host, degree=degree, table=table)
 
 
@@ -502,6 +502,8 @@ def load_workspace(source):
             raise InputError(f"cannot read workspace: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"workspace is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InputError("workspace is not valid JSON: nesting too deep") from exc
     if not isinstance(data, dict):
         raise InputError("workspace document must be a JSON object")
     extra = set(data) - {"objects"}

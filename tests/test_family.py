@@ -430,3 +430,22 @@ def test_as_ns_algebra_needs_trivial_omega(d1):
     family = ns_family_from_operator(d1["operator"])
     with pytest.raises(InputError):
         as_ns_algebra(family)
+
+
+def test_ns_family_morphism_rejects_a_different_semigroup(d1, d2):
+    # Same dimension, C2 against the boolean monoid: no verdict, an input error.
+    source = ns_family_from_operator(d1["operator"])
+    target = ns_family_from_operator(d2["operator"])
+    with pytest.raises(InputError, match="same semigroup"):
+        check_ns_family_morphism(Matrix.identity(2), source, target)
+    smaller = constant_ns_family(zero_ns(2), builtin("trivial"))
+    with pytest.raises(InputError, match="same semigroup"):
+        check_ns_family_morphism(Matrix.identity(2), source, smaller)
+
+
+def test_ns_morphism_checkers_reject_a_misshapen_map(d1):
+    family = ns_family_from_operator(d1["operator"])
+    with pytest.raises(InputError, match="f must be 2x2, got 3x3"):
+        check_ns_family_morphism(Matrix.identity(3), family, family)
+    with pytest.raises(InputError, match="f must be 2x2, got 2x3"):
+        check_ns_morphism(Matrix.zero(2, 3), zero_ns(2), zero_ns(2))
