@@ -1,7 +1,7 @@
-"""Golden reports of failing instances for every checker with an
+"""Golden reports of instances with violations, for every checker with an
 intertwining law ``out o T = T' o (in x ... x in)``.
 
-Each case pins the full ``to_dict()`` JSON of one failing instance, with a
+Each case pins the full ``to_dict()`` JSON of one such instance, with a
 small ``max_violations`` so that the order of the first violations, their
 where-keys and their residuals are pinned as well as the counts.  The
 goldens in ``goldens/intertwining_reports.json`` were frozen from the
@@ -45,7 +45,7 @@ from rbfam.homalg import (
     tensor_semigroup_algebra,
     zero_cocycle,
 )
-from rbfam.linalg import Matrix, Tensor, unit_vector
+from rbfam.linalg import Matrix, Tensor, block_diag, unit_vector
 from rbfam.operators import (
     NijenhuisFamily,
     OperatorMorphism,
@@ -69,8 +69,6 @@ DENSE = Matrix.from_rows([[1, 2, 0], [0, 1, Fraction(1, 2)], [1, 0, -1]])
 
 
 def _block_map(mat, copies):
-    from rbfam.linalg import block_diag
-
     return block_diag([mat] * copies)
 
 
@@ -188,8 +186,7 @@ def _zero_deformation(op):
 def _equivalence_non_nijenhuis(ctx):
     op = ctx["matrix_op"]
     deformation = _zero_deformation(op)
-    report = check_equivalence(deformation, deformation, unit_vector(4, 1), max_violations=MAX)
-    return report
+    return check_equivalence(deformation, deformation, unit_vector(4, 1), max_violations=MAX)
 
 
 def _equivalence_directions_differ(ctx):
@@ -259,7 +256,7 @@ def test_goldens_cover_every_case(goldens):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_failing_report_matches_golden(name, ctx, goldens):
+def test_report_matches_golden(name, ctx, goldens):
     golden = goldens[name]
     laws = golden["conditions"]["laws"] if "conditions" in golden else golden["laws"]
     assert any(law["violation_count"] for law in laws)

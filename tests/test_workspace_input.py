@@ -1,7 +1,7 @@
 """Hostile workspace input and the loader's cochain membership check.
 
-Every case goes through the CLI and must end in exit code 2 with a message
-on stderr, never in a traceback.
+Every case goes through the CLI.  Bad input must end in exit code 2 with a
+message on stderr, never in a traceback.
 """
 import json
 
