@@ -62,6 +62,9 @@ from .reports import ensure_valid
 
 DEFAULT_DEGREE_CAP = 2
 DEFAULT_MAX_ENTRIES = 10**7
+# Size estimates are counted exactly up to this bound and reported as
+# "more than" it beyond, so no degree builds or prints a huge number.
+EXACT_SIZE_LIMIT = 10**18
 
 HA, OMEGA, RBF = "HA", "OMEGA", "RBF"
 
@@ -153,8 +156,11 @@ class ComplexHandle:
         """Entries of one index tuple's coefficient tensor."""
         return self.target_dim * self.source_dim**degree
 
-    def raw_dim(self, degree):
-        return len(self.index_keys(degree)) * self.block_dim(degree)
+    def raw_dim(self, degree, limit=None):
+        """Raw coordinates in degree n, one block per index tuple, counted
+        without listing the tuples; None when it exceeds ``limit``."""
+        slots = self.source_dim * (1 if self.tag == HA else self.omega.size)
+        return cochain_size(self.target_dim, slots, degree, limit)
 
     def flatten(self, cochain):
         out = []
@@ -238,15 +244,13 @@ class ComplexHandle:
             raise InputError("degree must be nonnegative")
         cap = self.degree_cap + (1 if allow_plus_one else 0)
         if degree > cap:
+            raise _cap_error(self, degree, degree)
+        limit = max(self.max_entries, EXACT_SIZE_LIMIT)
+        est = self.raw_dim(degree, limit)
+        if est is None or est > self.max_entries:
+            about = f"about {est}" if est is not None else f"more than {limit}"
             raise DegreeCapError(
-                f"degree {degree} exceeds the cap {self.degree_cap} "
-                f"(estimated {self.raw_dim(degree)} raw entries)",
-                estimated_entries=self.raw_dim(degree),
-            )
-        est = self.raw_dim(degree)
-        if est > self.max_entries:
-            raise DegreeCapError(
-                f"degree {degree} needs about {est} tensor entries, "
+                f"degree {degree} needs {about} tensor entries, "
                 f"beyond the budget {self.max_entries}",
                 estimated_entries=est,
             )
@@ -359,7 +363,7 @@ class ComplexHandle:
     def raw_differential(self, degree, vec):
         """D . vec in raw coordinates for any raw vector of the right length
         (membership is not required); for RBF both routes must agree."""
-        if len(vec) != self.raw_dim(degree):
+        if len(vec) != self.raw_dim(degree, len(vec)):
             raise InputError("coefficient vector has the wrong length")
         return self._apply_maps(self._stencil_maps(degree), degree, vec)
 
@@ -759,6 +763,29 @@ def cochain_basis(handle, degree):
     return handle.basis(degree)
 
 
+def cochain_size(target_dim, slots, degree, limit=None):
+    """target_dim * slots**degree, or None when it exceeds ``limit``.
+
+    ``slots`` counts the raw coordinates of one input slot (source
+    dimension times semigroup size).  With a limit, slots**degree is only
+    built when it has at most about twice the bits of the limit.
+    """
+    if limit is not None and degree * (slots.bit_length() - 1) > limit.bit_length():
+        return None if target_dim else 0
+    size = target_dim * slots**degree
+    return size if limit is None or size <= limit else None
+
+
+def _cap_error(handle, degree, at, where=""):
+    """The error for a degree over the cap, with the raw size of degree ``at``."""
+    est = handle.raw_dim(at, EXACT_SIZE_LIMIT)
+    estimate = f"estimated {est}" if est is not None else f"more than {EXACT_SIZE_LIMIT}"
+    return DegreeCapError(
+        f"degree {degree} exceeds the cap {handle.degree_cap} ({estimate} raw entries{where})",
+        estimated_entries=est,
+    )
+
+
 def differential_matrix(handle, degree):
     """Matrix of the differential from the degree-n basis to the next one."""
     return handle.differential_matrix(degree)
@@ -769,11 +796,7 @@ def cohomology_dims(handle, degree):
     if degree < 0:
         raise InputError("degree must be nonnegative")
     if degree > handle.degree_cap:
-        raise DegreeCapError(
-            f"degree {degree} exceeds the cap {handle.degree_cap} "
-            f"(estimated {handle.raw_dim(degree + 1)} raw entries at the next degree)",
-            estimated_entries=handle.raw_dim(degree + 1),
-        )
+        raise _cap_error(handle, degree, degree + 1, " at the next degree")
     dim_c = len(handle.basis_vectors(degree))
     m_n = handle.differential_matrix(degree)
     dim_z = dim_c - rank(m_n)

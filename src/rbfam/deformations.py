@@ -10,7 +10,7 @@ coefficient is computed and reported as a separate flag, never folded in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from itertools import product as iproduct
@@ -18,8 +18,8 @@ from itertools import product as iproduct
 from .cohomology import Tensor, cohomology_dims, differential_matrix, rbf_complex
 from .errors import InputError, PreconditionError, RouteMismatchError
 from .homalg import is_equivariant
-from .linalg import Matrix, kernel_basis, solve, unit_vector, vadd, vector, vsub
-from .operators import check_twisted_rbf
+from .linalg import Matrix, bilinear_tensor, kernel_basis, solve, unit_vector, vadd, vector, vsub
+from .operators import check_twisted_rbf, family_identity_cases
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
@@ -131,26 +131,13 @@ def check_infinitesimal(deformation, handle=None, max_violations=DEFAULT_MAX_VIO
     """
     base = deformation.base
     ensure_valid(base, check_twisted_rbf, "base twisted Rota-Baxter family")
-    A, module, phi, omega = base.algebra, base.bimodule, base.cocycle, base.omega
-    d = module.dim
-    vbasis = module.basis()
-    maps_t = deformation.deformed_maps()
-
     order1_cases = []
     order2_cases = []
-    for alpha, beta in iproduct(omega.elements(), repeat=2):
-        r_ab = maps_t[omega.mul(alpha, beta)]
-        for a, b in iproduct(range(d), repeat=2):
-            u, v = vbasis[a], vbasis[b]
-            ru = maps_t[alpha].apply(u)
-            rv = maps_t[beta].apply(v)
-            inner = vadd(vadd(module.act_l(ru, v), module.act_r(u, rv)), phi.apply(ru, rv))
-            residual = vsub(A.product(ru, rv), r_ab.apply(inner))
-            where = {"alpha": alpha, "beta": beta, "u": a, "v": b}
-            if any(_coeff_vector(residual, 0)):
-                raise RouteMismatchError("base identity broke at order 0")
-            order1_cases.append((where, _coeff_vector(residual, 1)))
-            order2_cases.append((where, _coeff_vector(residual, 2)))
+    for where, residual in family_identity_cases(base, deformation.deformed_maps()):
+        if any(_coeff_vector(residual, 0)):
+            raise RouteMismatchError("base identity broke at order 0")
+        order1_cases.append((where, _coeff_vector(residual, 1)))
+        order2_cases.append((where, _coeff_vector(residual, 2)))
 
     order1 = CheckReport(subject="infinitesimal deformation, order-1 identity")
     run_law(
@@ -234,57 +221,45 @@ def deform_ns_family(deformation, handle=None, strict=True, max_violations=DEFAU
     strict=False the failing order-1 verdict is included and the axioms
     are evaluated anyway, exposing the order-t residuals.
     """
-    from .family import HomNSFamilyAlgebra, OmegaAssocAlgebra, check_hom_ns_family, check_omega_assoc
+    from .family import (
+        check_hom_ns_family,
+        check_omega_assoc,
+        ns_family_from_operator,
+        omega_assoc_from_ns_family,
+    )
 
     inf = check_infinitesimal(deformation, handle=handle, max_violations=max_violations)
     if strict and not inf.passed:
         raise PreconditionError(
             "direction fails the order-1 infinitesimal check", report=inf.order1
         )
-    base = deformation.base
-    module, phi, omega = base.bimodule, base.cocycle, base.omega
-    d = module.dim
-    vbasis = module.basis()
+    base, direction = deformation.base, deformation.direction
+    phi, omega = base.cocycle, base.omega
+    # < and > are linear in the maps, so the t^0 and t^1 parts of the
+    # splitting of R + t R1 are the splittings of R and of R1; v is bilinear.
+    split0 = ns_family_from_operator(base, validate=False)
+    split1 = ns_family_from_operator(replace(base, maps=direction), validate=False)
 
-    def bilinear(col):
-        cols = {(a, b): col(a, b) for a, b in iproduct(range(d), repeat=2)}
-        return Tensor.from_function((d, d, d), lambda k, a, b: cols[(a, b)][k])
+    def vee(alpha, beta):
+        r_a, r_b = base.maps[alpha], base.maps[beta]
+        r1_a, r1_b = direction[alpha], direction[beta]
+        vee1 = bilinear_tensor(
+            base.bimodule.dim,
+            lambda a, b: vadd(
+                phi.apply(r1_a.column(a), r_b.column(b)),
+                phi.apply(r_a.column(a), r1_b.column(b)),
+            ),
+        )
+        return _poly_tensor(split0.vee[alpha][beta], vee1, 2)
 
-    prec, succ = [], []
-    for alpha in omega.elements():
-        r_a = base.maps[alpha]
-        r1_a = deformation.direction[alpha]
-        prec0 = bilinear(lambda a, b: module.act_r(vbasis[a], r_a.column(b)))
-        prec1 = bilinear(lambda a, b: module.act_r(vbasis[a], r1_a.column(b)))
-        succ0 = bilinear(lambda a, b: module.act_l(r_a.column(a), vbasis[b]))
-        succ1 = bilinear(lambda a, b: module.act_l(r1_a.column(a), vbasis[b]))
-        prec.append(_poly_tensor(prec0, prec1, 2))
-        succ.append(_poly_tensor(succ0, succ1, 2))
-    vee = []
-    for alpha in omega.elements():
-        row = []
-        for beta in omega.elements():
-            r_a, r_b = base.maps[alpha], base.maps[beta]
-            r1_a, r1_b = deformation.direction[alpha], deformation.direction[beta]
-            vee0 = bilinear(lambda a, b: phi.apply(r_a.column(a), r_b.column(b)))
-            vee1 = bilinear(
-                lambda a, b: vadd(
-                    phi.apply(r1_a.column(a), r_b.column(b)),
-                    phi.apply(r_a.column(a), r1_b.column(b)),
-                )
-            )
-            row.append(_poly_tensor(vee0, vee1, 2))
-        vee.append(tuple(row))
-
-    deformed = HomNSFamilyAlgebra(
-        dim=d, omega=omega, prec=tuple(prec), succ=tuple(succ), vee=tuple(vee), p=module.q
+    deformed = replace(
+        split0,
+        prec=tuple(_poly_tensor(t0, t1, 2) for t0, t1 in zip(split0.prec, split1.prec)),
+        succ=tuple(_poly_tensor(t0, t1, 2) for t0, t1 in zip(split0.succ, split1.succ)),
+        vee=tuple(tuple(vee(a, b) for b in omega.elements()) for a in omega.elements()),
     )
     ns_report = check_hom_ns_family(deformed, max_violations)
-    prod = tuple(
-        tuple(prec[b].add(succ[a]).add(vee[a][b]) for b in omega.elements())
-        for a in omega.elements()
-    )
-    total = OmegaAssocAlgebra(dim=d, omega=omega, prod=prod, p=module.q)
+    total = omega_assoc_from_ns_family(deformed, validate=False)
     total_report = check_omega_assoc(total, max_violations)
     report = NSDeformationReport(
         subject="induced splitting-product deformation (mod t^2)",
@@ -369,11 +344,7 @@ def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
         for alpha in omega.elements():
             for i, j in iproduct(range(n), repeat=2):
                 w = phi.apply(ebasis[i], ebasis[j])
-                rw = operator.maps[alpha].apply(w)
-                lhs = vadd(
-                    vsub(module.act_l(x, w), module.act_r(w, x)),
-                    vsub(phi.apply(x, rw), phi.apply(rw, x)),
-                )
+                lhs = first_order_transform(alpha, w)
                 rhs = vadd(
                     phi.apply(_commutator(A, x, ebasis[i]), ebasis[j]),
                     phi.apply(ebasis[i], _commutator(A, x, ebasis[j])),
@@ -390,11 +361,7 @@ def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
         for alpha in omega.elements():
             for i, a in iproduct(range(n), range(d)):
                 w = module.act_l(ebasis[i], vbasis[a])
-                rw = operator.maps[alpha].apply(w)
-                lhs = vadd(
-                    vsub(module.act_l(x, w), module.act_r(w, x)),
-                    vsub(phi.apply(x, rw), phi.apply(rw, x)),
-                )
+                lhs = first_order_transform(alpha, w)
                 rhs = vadd(
                     module.act_l(_commutator(A, x, ebasis[i]), vbasis[a]),
                     module.act_l(ebasis[i], first_order_transform(alpha, vbasis[a])),
@@ -412,11 +379,7 @@ def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
         for alpha in omega.elements():
             for a, i in iproduct(range(d), range(n)):
                 w = module.act_r(vbasis[a], ebasis[i])
-                rw = operator.maps[alpha].apply(w)
-                lhs = vadd(
-                    vsub(module.act_l(x, w), module.act_r(w, x)),
-                    vsub(phi.apply(x, rw), phi.apply(rw, x)),
-                )
+                lhs = first_order_transform(alpha, w)
                 rhs = vadd(
                     module.act_r(vbasis[a], _commutator(A, x, ebasis[i])),
                     module.act_r(first_order_transform(alpha, vbasis[a]), ebasis[i]),

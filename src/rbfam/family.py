@@ -12,14 +12,15 @@ from itertools import chain
 from itertools import product as iproduct
 
 from .errors import InputError
-from .homalg import HomAlgebra
-from .linalg import Matrix, Tensor, multilinear_apply, rank, unit_vector, vadd, vsub
+from .homalg import HomAlgebra, graded_tensor
+from .linalg import Matrix, Tensor, bilinear_tensor, multilinear_apply, rank, vsub
 from .operators import check_twisted_rbf, check_weighted_rbf
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
     ensure_valid,
     intertwining_cases,
+    nested_cases,
     require_pass,
     run_law,
 )
@@ -111,9 +112,6 @@ class OmegaAssocAlgebra:
         if (self.p.rows, self.p.cols) != (self.dim, self.dim):
             raise InputError("p must be square of the algebra dimension")
 
-    def product(self, alpha, beta, x, y):
-        return multilinear_apply(self.prod[alpha][beta], [x, y])
-
 
 @dataclass(frozen=True)
 class OmegaBimodule:
@@ -152,164 +150,131 @@ class OmegaBimodule:
 # checkers
 
 
+XYZ = ("x", "y", "z")
+
+
 def _product_cases(f, s_t, t_t, where=None):
     """Cases of f(x ? y) = f(x) ?' f(y) for the products s_t (source), t_t (target)."""
     return intertwining_cases(f, s_t, t_t, [f, f], ("x", "y"), where)
 
 
+def _indexed(omega, arity, cases):
+    """cases(*idx, where=...) chained over idx in omega^arity, in product
+    order, with the where-dict naming the indices alpha, beta, gamma."""
+    return chain.from_iterable(
+        cases(*idx, where=dict(zip(("alpha", "beta", "gamma"), idx)))
+        for idx in iproduct(omega.elements(), repeat=arity)
+    )
+
+
+def _indexed_nested(omega, arity, first, last, names, terms):
+    """Cases of a nested-product law whose terms(*idx) vary with idx in omega^arity."""
+    return _indexed(
+        omega, arity, lambda *idx, where: nested_cases(first, last, terms(*idx), names, where)
+    )
+
+
+def _totals(omega, prec, succ, third):
+    """total[a][b] = prec[b] + succ[a] + third(a, b), one summed tensor per pair."""
+    return tuple(
+        tuple(prec[b].add(succ[a]).add(third(a, b)) for b in omega.elements())
+        for a in omega.elements()
+    )
+
+
 def check_hom_ns(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject=f"Hom-NS algebra (dim {cand.dim})")
-    n = cand.dim
-    basis = [unit_vector(n, i) for i in range(n)]
-    p = cand.p
+    p, prec, succ, vee = cand.p, cand.prec, cand.succ, cand.vee
+    total = prec.add(succ).add(vee)
 
-    def prec(x, y):
-        return multilinear_apply(cand.prec, [x, y])
-
-    def succ(x, y):
-        return multilinear_apply(cand.succ, [x, y])
-
-    def vee(x, y):
-        return multilinear_apply(cand.vee, [x, y])
-
-    def total(x, y):
-        return vadd(vadd(prec(x, y), succ(x, y)), vee(x, y))
+    def law(terms):
+        return nested_cases(p, p, terms, XYZ)
 
     multiplicativity = chain.from_iterable(
         _product_cases(p, t, t, {"op": op})
-        for op, t in (("<", cand.prec), (">", cand.succ), ("v", cand.vee))
+        for op, t in (("<", prec), (">", succ), ("v", vee))
     )
     run_law(report, "p(x ? y) = p(x) ? p(y) for ? in {<, >, v}", multiplicativity, max_violations)
-
-    def law_prec():
-        for i, j, k in iproduct(range(n), repeat=3):
-            x, y, z = basis[i], basis[j], basis[k]
-            lhs = prec(prec(x, y), p.column(k))
-            rhs = prec(p.column(i), total(y, z))
-            yield {"x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_mixed():
-        for i, j, k in iproduct(range(n), repeat=3):
-            x, y, z = basis[i], basis[j], basis[k]
-            lhs = prec(succ(x, y), p.column(k))
-            rhs = succ(p.column(i), prec(y, z))
-            yield {"x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_succ():
-        for i, j, k in iproduct(range(n), repeat=3):
-            x, y, z = basis[i], basis[j], basis[k]
-            lhs = succ(total(x, y), p.column(k))
-            rhs = succ(p.column(i), succ(y, z))
-            yield {"x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_vee():
-        for i, j, k in iproduct(range(n), repeat=3):
-            x, y, z = basis[i], basis[j], basis[k]
-            lhs = vadd(vee(total(x, y), p.column(k)), prec(vee(x, y), p.column(k)))
-            rhs = vadd(succ(p.column(i), vee(y, z)), vee(p.column(i), total(y, z)))
-            yield {"x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    run_law(report, "(x < y) < p(z) = p(x) < (y*z)", law_prec(), max_violations)
-    run_law(report, "(x > y) < p(z) = p(x) > (y < z)", law_mixed(), max_violations)
-    run_law(report, "(x*y) > p(z) = p(x) > (y > z)", law_succ(), max_violations)
+    law_prec = law([(1, prec, prec, True), (-1, prec, total, False)])
+    law_mixed = law([(1, prec, succ, True), (-1, succ, prec, False)])
+    law_succ = law([(1, succ, total, True), (-1, succ, succ, False)])
+    law_vee = law(
+        [(1, vee, total, True), (1, prec, vee, True), (-1, succ, vee, False), (-1, vee, total, False)]
+    )
+    run_law(report, "(x < y) < p(z) = p(x) < (y*z)", law_prec, max_violations)
+    run_law(report, "(x > y) < p(z) = p(x) > (y < z)", law_mixed, max_violations)
+    run_law(report, "(x*y) > p(z) = p(x) > (y > z)", law_succ, max_violations)
     run_law(
         report,
         "(x*y) v p(z) + (x v y) < p(z) = p(x) > (y v z) + p(x) v (y*z)",
-        law_vee(),
+        law_vee,
         max_violations,
     )
     _annotate_vee(report, [cand.vee], cand.p, cand.dim)
     return report
 
 
+def _split_laws(omega, p, prec, succ, total):
+    """Cases of the three laws that NS and tridendriform families share.
+
+    ``total[a][b]`` is the summed product x <_b y + x >_a y + (the third
+    product) that two of the laws nest.
+    """
+    mul = omega.mul
+
+    def law(terms):
+        return _indexed_nested(omega, 2, p, p, XYZ, terms)
+
+    return (
+        law(lambda a, b: [(1, prec[mul(a, b)], total[a][b], False), (-1, prec[b], prec[a], True)]),
+        law(lambda a, b: [(1, prec[b], succ[a], True), (-1, succ[a], prec[b], False)]),
+        law(lambda a, b: [(1, succ[mul(a, b)], total[a][b], True), (-1, succ[a], succ[b], False)]),
+    )
+
+
 def check_hom_ns_family(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject=f"Hom-NS family algebra (dim {cand.dim})")
-    n, omega = cand.dim, cand.omega
-    basis = [unit_vector(n, i) for i in range(n)]
-    p = cand.p
-
-    def prec(a, x, y):
-        return multilinear_apply(cand.prec[a], [x, y])
-
-    def succ(a, x, y):
-        return multilinear_apply(cand.succ[a], [x, y])
-
-    def vee(a, b, x, y):
-        return multilinear_apply(cand.vee[a][b], [x, y])
-
-    def total(a, b, x, y):
-        # x <_b y + x >_a y + x v_{a,b} y
-        return vadd(vadd(prec(b, x, y), succ(a, x, y)), vee(a, b, x, y))
+    omega, p = cand.omega, cand.p
+    prec, succ, vee = cand.prec, cand.succ, cand.vee
+    mul = omega.mul
 
     def mult_cases():
         for a in omega.elements():
-            yield from _product_cases(p, cand.prec[a], cand.prec[a], {"op": "<", "alpha": a})
-            yield from _product_cases(p, cand.succ[a], cand.succ[a], {"op": ">", "alpha": a})
+            yield from _product_cases(p, prec[a], prec[a], {"op": "<", "alpha": a})
+            yield from _product_cases(p, succ[a], succ[a], {"op": ">", "alpha": a})
         for a, b in iproduct(omega.elements(), repeat=2):
-            vee = cand.vee[a][b]
-            yield from _product_cases(p, vee, vee, {"op": "v", "alpha": a, "beta": b})
+            yield from _product_cases(p, vee[a][b], vee[a][b], {"op": "v", "alpha": a, "beta": b})
 
     run_law(report, "p(x ?_idx y) = p(x) ?_idx p(y)", mult_cases(), max_violations)
 
-    def law_prec():
-        for a, b in iproduct(omega.elements(), repeat=2):
-            ab = omega.mul(a, b)
-            for i, j, k in iproduct(range(n), repeat=3):
-                y, z = basis[j], basis[k]
-                lhs = prec(ab, p.column(i), total(a, b, y, z))
-                rhs = prec(b, prec(a, basis[i], y), p.column(k))
-                yield {"alpha": a, "beta": b, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
+    total = _totals(omega, prec, succ, lambda a, b: vee[a][b])
+    law_prec, law_mixed, law_succ = _split_laws(omega, p, prec, succ, total)
 
-    def law_mixed():
-        for a, b in iproduct(omega.elements(), repeat=2):
-            for i, j, k in iproduct(range(n), repeat=3):
-                y, z = basis[j], basis[k]
-                lhs = prec(b, succ(a, basis[i], y), p.column(k))
-                rhs = succ(a, p.column(i), prec(b, y, z))
-                yield {"alpha": a, "beta": b, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_succ():
-        for a, b in iproduct(omega.elements(), repeat=2):
-            ab = omega.mul(a, b)
-            for i, j, k in iproduct(range(n), repeat=3):
-                y, z = basis[j], basis[k]
-                lhs = succ(ab, total(a, b, basis[i], y), p.column(k))
-                rhs = succ(a, p.column(i), succ(b, y, z))
-                yield {"alpha": a, "beta": b, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_vee():
-        for a, b, g in iproduct(omega.elements(), repeat=3):
-            ab = omega.mul(a, b)
-            bg = omega.mul(b, g)
-            for i, j, k in iproduct(range(n), repeat=3):
-                y, z = basis[j], basis[k]
-                lhs = vadd(
-                    succ(a, p.column(i), vee(b, g, y, z)),
-                    multilinear_apply(cand.vee[a][bg], [p.column(i), total(b, g, y, z)]),
-                )
-                rhs = vadd(
-                    prec(g, vee(a, b, basis[i], y), p.column(k)),
-                    multilinear_apply(cand.vee[ab][g], [total(a, b, basis[i], y), p.column(k)]),
-                )
-                yield {"alpha": a, "beta": b, "gamma": g, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
+    def law_vee(a, b, g):
+        return [
+            (1, succ[a], vee[b][g], False),
+            (1, vee[a][mul(b, g)], total[b][g], False),
+            (-1, prec[g], vee[a][b], True),
+            (-1, vee[mul(a, b)][g], total[a][b], True),
+        ]
 
     run_law(
         report,
         "p(x) <_ab (y <_b z + y >_a z + y v_ab z) = (x <_a y) <_b p(z)",
-        law_prec(),
+        law_prec,
         max_violations,
     )
-    run_law(report, "(x >_a y) <_b p(z) = p(x) >_a (y <_b z)", law_mixed(), max_violations)
+    run_law(report, "(x >_a y) <_b p(z) = p(x) >_a (y <_b z)", law_mixed, max_violations)
     run_law(
         report,
         "(x <_b y + x >_a y + x v_ab y) >_ab p(z) = p(x) >_a (y >_b z)",
-        law_succ(),
+        law_succ,
         max_violations,
     )
     run_law(
         report,
         "p(x) >_a (y v_bg z) + p(x) v_a,bg (y*z) = (x v_ab y) <_g p(z) + (x*y) v_ab,g p(z)",
-        law_vee(),
+        _indexed_nested(omega, 3, p, p, XYZ, law_vee),
         max_violations,
     )
     _annotate_vee(report, [t for row in cand.vee for t in row], cand.p, cand.dim)
@@ -325,92 +290,35 @@ def _annotate_vee(report, vee_tensors, p, dim):
 
 def check_tridend_family(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject=f"Hom-tridendriform family algebra (dim {cand.dim})")
-    n, omega = cand.dim, cand.omega
-    basis = [unit_vector(n, i) for i in range(n)]
-    p = cand.p
-
-    def prec(a, x, y):
-        return multilinear_apply(cand.prec[a], [x, y])
-
-    def succ(a, x, y):
-        return multilinear_apply(cand.succ[a], [x, y])
-
-    def dot(x, y):
-        return multilinear_apply(cand.dot, [x, y])
-
-    def total(a, b, x, y):
-        return vadd(vadd(prec(b, x, y), succ(a, x, y)), dot(x, y))
+    omega, p = cand.omega, cand.p
+    prec, succ, dot = cand.prec, cand.succ, cand.dot
 
     def mult_cases():
         for a in omega.elements():
-            yield from _product_cases(p, cand.prec[a], cand.prec[a], {"op": "<", "alpha": a})
-            yield from _product_cases(p, cand.succ[a], cand.succ[a], {"op": ">", "alpha": a})
-        yield from _product_cases(p, cand.dot, cand.dot, {"op": "."})
+            yield from _product_cases(p, prec[a], prec[a], {"op": "<", "alpha": a})
+            yield from _product_cases(p, succ[a], succ[a], {"op": ">", "alpha": a})
+        yield from _product_cases(p, dot, dot, {"op": "."})
 
     run_law(report, "p(x ? y) = p(x) ? p(y) for every product", mult_cases(), max_violations)
 
-    def pair_law(build):
-        for a, b in iproduct(omega.elements(), repeat=2):
-            for i, j, k in iproduct(range(n), repeat=3):
-                yield from build(a, b, i, j, k)
+    total = _totals(omega, prec, succ, lambda a, b: dot)
+    law_prec, law_mixed, law_succ = _split_laws(omega, p, prec, succ, total)
 
-    def single_law(build):
-        for a in omega.elements():
-            for i, j, k in iproduct(range(n), repeat=3):
-                yield from build(a, i, j, k)
+    def single_law(terms):
+        return _indexed_nested(omega, 1, p, p, XYZ, terms)
 
-    def law_prec(a, b, i, j, k):
-        y, z = basis[j], basis[k]
-        ab = omega.mul(a, b)
-        lhs = prec(ab, p.column(i), vadd(vadd(prec(b, y, z), succ(a, y, z)), dot(y, z)))
-        rhs = prec(b, prec(a, basis[i], y), p.column(k))
-        yield {"alpha": a, "beta": b, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
+    succ_dot = single_law(lambda a: [(1, dot, succ[a], True), (-1, succ[a], dot, False)])
+    prec_dot = single_law(lambda a: [(1, dot, prec[a], True), (-1, dot, succ[a], False)])
+    dot_prec = single_law(lambda a: [(1, prec[a], dot, True), (-1, dot, prec[a], False)])
+    dot_dot = nested_cases(p, p, [(1, dot, dot, True), (-1, dot, dot, False)], XYZ)
 
-    def law_mixed(a, b, i, j, k):
-        y, z = basis[j], basis[k]
-        lhs = prec(b, succ(a, basis[i], y), p.column(k))
-        rhs = succ(a, p.column(i), prec(b, y, z))
-        yield {"alpha": a, "beta": b, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_succ(a, b, i, j, k):
-        y, z = basis[j], basis[k]
-        ab = omega.mul(a, b)
-        lhs = succ(ab, total(a, b, basis[i], y), p.column(k))
-        rhs = succ(a, p.column(i), succ(b, y, z))
-        yield {"alpha": a, "beta": b, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_succ_dot(a, i, j, k):
-        y, z = basis[j], basis[k]
-        lhs = dot(succ(a, basis[i], y), p.column(k))
-        rhs = succ(a, p.column(i), dot(y, z))
-        yield {"alpha": a, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_prec_dot(a, i, j, k):
-        y, z = basis[j], basis[k]
-        lhs = dot(prec(a, basis[i], y), p.column(k))
-        rhs = dot(p.column(i), succ(a, y, z))
-        yield {"alpha": a, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_dot_prec(a, i, j, k):
-        y, z = basis[j], basis[k]
-        lhs = prec(a, dot(basis[i], y), p.column(k))
-        rhs = dot(p.column(i), prec(a, y, z))
-        yield {"alpha": a, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    def law_dot_dot():
-        for i, j, k in iproduct(range(n), repeat=3):
-            y, z = basis[j], basis[k]
-            lhs = dot(dot(basis[i], y), p.column(k))
-            rhs = dot(p.column(i), dot(y, z))
-            yield {"x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    run_law(report, "p(x) <_ab (y <_b z + y >_a z + y.z) = (x <_a y) <_b p(z)", pair_law(law_prec), max_violations)
-    run_law(report, "(x >_a y) <_b p(z) = p(x) >_a (y <_b z)", pair_law(law_mixed), max_violations)
-    run_law(report, "(x <_b y + x >_a y + x.y) >_ab p(z) = p(x) >_a (y >_b z)", pair_law(law_succ), max_violations)
-    run_law(report, "(x >_a y).p(z) = p(x) >_a (y.z)", single_law(law_succ_dot), max_violations)
-    run_law(report, "(x <_a y).p(z) = p(x).(y >_a z)", single_law(law_prec_dot), max_violations)
-    run_law(report, "(x.y) <_a p(z) = p(x).(y <_a z)", single_law(law_dot_prec), max_violations)
-    run_law(report, "(x.y).p(z) = p(x).(y.z)", law_dot_dot(), max_violations)
+    run_law(report, "p(x) <_ab (y <_b z + y >_a z + y.z) = (x <_a y) <_b p(z)", law_prec, max_violations)
+    run_law(report, "(x >_a y) <_b p(z) = p(x) >_a (y <_b z)", law_mixed, max_violations)
+    run_law(report, "(x <_b y + x >_a y + x.y) >_ab p(z) = p(x) >_a (y >_b z)", law_succ, max_violations)
+    run_law(report, "(x >_a y).p(z) = p(x) >_a (y.z)", succ_dot, max_violations)
+    run_law(report, "(x <_a y).p(z) = p(x).(y >_a z)", prec_dot, max_violations)
+    run_law(report, "(x.y) <_a p(z) = p(x).(y <_a z)", dot_prec, max_violations)
+    run_law(report, "(x.y).p(z) = p(x).(y.z)", dot_dot, max_violations)
     if cand.dot.is_zero():
         report.notes.append("the unindexed product vanishes (Hom-dendriform family instance)")
     return report
@@ -418,29 +326,20 @@ def check_tridend_family(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 
 def check_omega_assoc(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject=f"Hom-associative algebra relative to a semigroup (dim {cand.dim})")
-    n, omega = cand.dim, cand.omega
-    basis = [unit_vector(n, i) for i in range(n)]
-    p = cand.p
+    omega, p, prod = cand.omega, cand.p, cand.prod
+    mul = omega.mul
 
-    def multiplicativity():
-        for a, b in iproduct(omega.elements(), repeat=2):
-            t = cand.prod[a][b]
-            yield from _product_cases(p, t, t, {"alpha": a, "beta": b})
+    def multiplicativity(a, b, where):
+        return _product_cases(p, prod[a][b], prod[a][b], where)
 
-    def twisted_assoc():
-        for a, b, g in iproduct(omega.elements(), repeat=3):
-            bg = omega.mul(b, g)
-            ab = omega.mul(a, b)
-            for i, j, k in iproduct(range(n), repeat=3):
-                lhs = cand.product(a, bg, p.column(i), cand.product(b, g, basis[j], basis[k]))
-                rhs = cand.product(ab, g, cand.product(a, b, basis[i], basis[j]), p.column(k))
-                yield {"alpha": a, "beta": b, "gamma": g, "x": i, "y": j, "z": k}, vsub(lhs, rhs)
+    def twisted_assoc(a, b, g):
+        return [(1, prod[a][mul(b, g)], prod[b][g], False), (-1, prod[mul(a, b)][g], prod[a][b], True)]
 
-    run_law(report, "p(x *_ab y) = p(x) *_ab p(y)", multiplicativity(), max_violations)
+    run_law(report, "p(x *_ab y) = p(x) *_ab p(y)", _indexed(omega, 2, multiplicativity), max_violations)
     run_law(
         report,
         "p(x) *_a,bg (y *_b,g z) = (x *_ab y) *_ab,g p(z)",
-        twisted_assoc(),
+        _indexed_nested(omega, 3, p, p, XYZ, twisted_assoc),
         max_violations,
     )
     return report
@@ -449,54 +348,45 @@ def check_omega_assoc(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 def check_omega_bimodule(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject=f"bimodule over a semigroup-pair-indexed algebra (dim {cand.dim})")
     G = cand.parent
-    omega = G.omega
-    g, d = G.dim, cand.dim
-    gbasis = [unit_vector(g, i) for i in range(g)]
-    vbasis = [unit_vector(d, a) for a in range(d)]
+    omega, mul = G.omega, G.omega.mul
     p, q = G.p, cand.q
+    prod, left, right = G.prod, cand.left, cand.right
 
-    def q_left():
-        for a, b in iproduct(omega.elements(), repeat=2):
-            t = cand.left[a][b]
-            yield from intertwining_cases(q, t, t, [p, q], ("x", "u"), {"alpha": a, "beta": b})
+    def q_law(table, ins, names):
+        def cases(a, b, where):
+            return intertwining_cases(q, table[a][b], table[a][b], ins, names, where)
 
-    def q_right():
-        for a, b in iproduct(omega.elements(), repeat=2):
-            t = cand.right[a][b]
-            yield from intertwining_cases(q, t, t, [q, p], ("u", "x"), {"alpha": a, "beta": b})
+        return _indexed(omega, 2, cases)
 
-    def right_right():
-        for a, b, c in iproduct(omega.elements(), repeat=3):
-            bg = omega.mul(b, c)
-            ab = omega.mul(a, b)
-            for u, i, j in iproduct(range(d), range(g), range(g)):
-                lhs = cand.act_r(a, bg, q.column(u), G.product(b, c, gbasis[i], gbasis[j]))
-                rhs = cand.act_r(ab, c, cand.act_r(a, b, vbasis[u], gbasis[i]), p.column(j))
-                yield {"alpha": a, "beta": b, "gamma": c, "u": u, "x": i, "y": j}, vsub(lhs, rhs)
+    def right_right(a, b, c):
+        return [(1, right[a][mul(b, c)], prod[b][c], False), (-1, right[mul(a, b)][c], right[a][b], True)]
 
-    def left_right():
-        for a, b, c in iproduct(omega.elements(), repeat=3):
-            bg = omega.mul(b, c)
-            ab = omega.mul(a, b)
-            for i, u, j in iproduct(range(g), range(d), range(g)):
-                lhs = cand.act_l(a, bg, p.column(i), cand.act_r(b, c, vbasis[u], gbasis[j]))
-                rhs = cand.act_r(ab, c, cand.act_l(a, b, gbasis[i], vbasis[u]), p.column(j))
-                yield {"alpha": a, "beta": b, "gamma": c, "x": i, "u": u, "y": j}, vsub(lhs, rhs)
+    def left_right(a, b, c):
+        return [(1, left[a][mul(b, c)], right[b][c], False), (-1, right[mul(a, b)][c], left[a][b], True)]
 
-    def left_left():
-        for a, b, c in iproduct(omega.elements(), repeat=3):
-            bg = omega.mul(b, c)
-            ab = omega.mul(a, b)
-            for i, j, u in iproduct(range(g), range(g), range(d)):
-                lhs = cand.act_l(a, bg, p.column(i), cand.act_l(b, c, gbasis[j], vbasis[u]))
-                rhs = cand.act_l(ab, c, G.product(a, b, gbasis[i], gbasis[j]), q.column(u))
-                yield {"alpha": a, "beta": b, "gamma": c, "x": i, "y": j, "u": u}, vsub(lhs, rhs)
+    def left_left(a, b, c):
+        return [(1, left[a][mul(b, c)], left[b][c], False), (-1, left[mul(a, b)][c], prod[a][b], True)]
 
-    run_law(report, "q(x .l_ab u) = p(x) .l_ab q(u)", q_left(), max_violations)
-    run_law(report, "q(u .r_ab x) = q(u) .r_ab p(x)", q_right(), max_violations)
-    run_law(report, "q(u) .r_a,bg (x *_b,g y) = (u .r_ab x) .r_ab,g p(y)", right_right(), max_violations)
-    run_law(report, "p(x) .l_a,bg (u .r_b,g y) = (x .l_ab u) .r_ab,g p(y)", left_right(), max_violations)
-    run_law(report, "p(x) .l_a,bg (y .l_b,g u) = (x *_ab y) .l_ab,g q(u)", left_left(), max_violations)
+    run_law(report, "q(x .l_ab u) = p(x) .l_ab q(u)", q_law(left, [p, q], ("x", "u")), max_violations)
+    run_law(report, "q(u .r_ab x) = q(u) .r_ab p(x)", q_law(right, [q, p], ("u", "x")), max_violations)
+    run_law(
+        report,
+        "q(u) .r_a,bg (x *_b,g y) = (u .r_ab x) .r_ab,g p(y)",
+        _indexed_nested(omega, 3, q, p, ("u", "x", "y"), right_right),
+        max_violations,
+    )
+    run_law(
+        report,
+        "p(x) .l_a,bg (u .r_b,g y) = (x .l_ab u) .r_ab,g p(y)",
+        _indexed_nested(omega, 3, p, p, ("x", "u", "y"), left_right),
+        max_violations,
+    )
+    run_law(
+        report,
+        "p(x) .l_a,bg (y .l_b,g u) = (x *_ab y) .l_ab,g q(u)",
+        _indexed_nested(omega, 3, p, q, ("x", "y", "u"), left_left),
+        max_violations,
+    )
     return report
 
 
@@ -562,16 +452,16 @@ def ns_family_from_operator(operator, validate=True):
     vbasis = module.basis()
 
     prec = tuple(
-        _bilinear_tensor(d, lambda a, b, al=al: module.act_r(vbasis[a], operator.maps[al].column(b)))
+        bilinear_tensor(d, lambda a, b, al=al: module.act_r(vbasis[a], operator.maps[al].column(b)))
         for al in omega.elements()
     )
     succ = tuple(
-        _bilinear_tensor(d, lambda a, b, al=al: module.act_l(operator.maps[al].column(a), vbasis[b]))
+        bilinear_tensor(d, lambda a, b, al=al: module.act_l(operator.maps[al].column(a), vbasis[b]))
         for al in omega.elements()
     )
     vee = tuple(
         tuple(
-            _bilinear_tensor(
+            bilinear_tensor(
                 d,
                 lambda a, b, al=al, be=be: phi.apply(
                     operator.maps[al].column(a), operator.maps[be].column(b)
@@ -584,39 +474,21 @@ def ns_family_from_operator(operator, validate=True):
     return HomNSFamilyAlgebra(dim=d, omega=omega, prec=prec, succ=succ, vee=vee, p=module.q)
 
 
-def _bilinear_tensor(dim, col):
-    cols = {}
-    for a, b in iproduct(range(dim), repeat=2):
-        cols[(a, b)] = col(a, b)
-    return Tensor.from_function((dim, dim, dim), lambda k, a, b: cols[(a, b)][k])
-
-
 def ns_family_pack(family, validate=True):
     """Pack an NS-family algebra onto G(x)K[omega] into a single NS algebra."""
     if validate:
         ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
     omega, n = family.omega, family.dim
     m = omega.size
-    nm = n * m
-
-    def packed(product_for):
-        def entry(kk, ii, jj):
-            gamma, k = divmod(kk, n)
-            alpha, i = divmod(ii, n)
-            beta, j = divmod(jj, n)
-            if gamma != omega.mul(alpha, beta):
-                return 0
-            return product_for(alpha, beta).at(k, i, j)
-
-        return Tensor.from_function((nm, nm, nm), entry)
+    dims = (n, n, n)
 
     from .homalg import _block_repeat
 
     return HomNSAlgebra(
-        dim=nm,
-        prec=packed(lambda a, b: family.prec[b]),
-        succ=packed(lambda a, b: family.succ[a]),
-        vee=packed(lambda a, b: family.vee[a][b]),
+        dim=n * m,
+        prec=graded_tensor(omega, dims, lambda a, b: family.prec[b]),
+        succ=graded_tensor(omega, dims, lambda a, b: family.succ[a]),
+        vee=graded_tensor(omega, dims, lambda a, b: family.vee[a][b]),
         p=_block_repeat(family.p, m),
     )
 
@@ -636,11 +508,11 @@ def tridend_from_weighted_rbf(family, validate=True):
     n = A.dim
     basis = A.basis()
     prec = tuple(
-        _bilinear_tensor(n, lambda i, j, al=al: A.product(basis[i], family.maps[al].column(j)))
+        bilinear_tensor(n, lambda i, j, al=al: A.product(basis[i], family.maps[al].column(j)))
         for al in omega.elements()
     )
     succ = tuple(
-        _bilinear_tensor(n, lambda i, j, al=al: A.product(family.maps[al].column(i), basis[j]))
+        bilinear_tensor(n, lambda i, j, al=al: A.product(family.maps[al].column(i), basis[j]))
         for al in omega.elements()
     )
     return HomTridendFamily(
@@ -669,13 +541,7 @@ def omega_assoc_from_ns_family(family, validate=True):
     if validate:
         ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
     omega = family.omega
-    prod = tuple(
-        tuple(
-            family.prec[b].add(family.succ[a]).add(family.vee[a][b])
-            for b in omega.elements()
-        )
-        for a in omega.elements()
-    )
+    prod = _totals(omega, family.prec, family.succ, lambda a, b: family.vee[a][b])
     return OmegaAssocAlgebra(dim=family.dim, omega=omega, prod=prod, p=family.p)
 
 
@@ -709,8 +575,7 @@ def operator_bimodule(operator, validate=True):
                 r_ab.apply(phi.apply(ru, x)),
             )
 
-        cols = {(u, i): col(u, i) for u, i in iproduct(range(d), range(n))}
-        return Tensor.from_function((n, d, n), lambda k, u, i: cols[(u, i)][k])
+        return bilinear_tensor((n, d, n), col)
 
     def right_tensor(a, b):
         r_ab = operator.maps[omega.mul(a, b)]
@@ -723,8 +588,7 @@ def operator_bimodule(operator, validate=True):
                 r_ab.apply(phi.apply(x, rv)),
             )
 
-        cols = {(i, u): col(i, u) for i, u in iproduct(range(n), range(d))}
-        return Tensor.from_function((n, n, d), lambda k, i, u: cols[(i, u)][k])
+        return bilinear_tensor((n, n, d), col)
 
     left = tuple(tuple(left_tensor(a, b) for b in omega.elements()) for a in omega.elements())
     right = tuple(tuple(right_tensor(a, b) for b in omega.elements()) for a in omega.elements())
@@ -745,10 +609,7 @@ def yau_twist_ns_family(family, endo, validate=True):
     omega, n = family.omega, family.dim
 
     def twist(tensor):
-        cols = {}
-        for i, j in iproduct(range(n), repeat=2):
-            cols[(i, j)] = multilinear_apply(tensor, [endo.column(i), endo.column(j)])
-        return Tensor.from_function((n, n, n), lambda k, i, j: cols[(i, j)][k])
+        return bilinear_tensor(n, lambda i, j: multilinear_apply(tensor, [endo.column(i), endo.column(j)]))
 
     return HomNSFamilyAlgebra(
         dim=n,

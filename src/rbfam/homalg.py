@@ -20,13 +20,14 @@ from .linalg import (
     multilinear_apply,
     tensor_column,
     unit_vector,
-    vadd,
     vsub,
 )
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
     intertwining_cases,
+    intertwining_sides,
+    nested_cases,
     require_pass,
     run_law,
 )
@@ -129,54 +130,28 @@ def zero_cocycle(module):
 
 def check_hom_algebra(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject=f"hom-algebra (dim {cand.dim})")
-    n = cand.dim
-    p = cand.p
-
-    def hom_associativity():
-        for i, j, k in iproduct(range(n), repeat=3):
-            lhs = cand.product(p.column(i), cand.basis_product(j, k))
-            rhs = cand.product(cand.basis_product(i, j), p.column(k))
-            yield {"x": i, "y": j, "z": k}, vsub(lhs, rhs)
-
-    multiplicativity = intertwining_cases(p, cand.mu, cand.mu, [p, p], ("x", "y"))
+    p, mu = cand.p, cand.mu
+    multiplicativity = intertwining_cases(p, mu, mu, [p, p], ("x", "y"))
+    hom_associativity = nested_cases(p, p, [(1, mu, mu, False), (-1, mu, mu, True)], ("x", "y", "z"))
     run_law(report, "p(x.y) = p(x).p(y)", multiplicativity, max_violations)
-    run_law(report, "p(x).(y.z) = (x.y).p(z)", hom_associativity(), max_violations)
+    run_law(report, "p(x).(y.z) = (x.y).p(z)", hom_associativity, max_violations)
     return report
 
 
 def check_bimodule(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject=f"hom-bimodule (dim {cand.dim})")
-    A = cand.parent
-    n, d = A.dim, cand.dim
-    p, q = A.p, cand.q
-    ebasis = A.basis()
-    vbasis = cand.basis()
-
-    def right_right():
-        for a, i, j in iproduct(range(d), range(n), range(n)):
-            lhs = cand.act_r(q.column(a), A.basis_product(i, j))
-            rhs = cand.act_r(cand.act_r(vbasis[a], ebasis[i]), p.column(j))
-            yield {"u": a, "x": i, "y": j}, vsub(lhs, rhs)
-
-    def left_right():
-        for i, a, j in iproduct(range(n), range(d), range(n)):
-            lhs = cand.act_l(p.column(i), cand.act_r(vbasis[a], ebasis[j]))
-            rhs = cand.act_r(cand.act_l(ebasis[i], vbasis[a]), p.column(j))
-            yield {"x": i, "u": a, "y": j}, vsub(lhs, rhs)
-
-    def left_left():
-        for i, j, a in iproduct(range(n), range(n), range(d)):
-            lhs = cand.act_l(p.column(i), cand.act_l(ebasis[j], vbasis[a]))
-            rhs = cand.act_l(A.basis_product(i, j), q.column(a))
-            yield {"x": i, "y": j, "u": a}, vsub(lhs, rhs)
-
-    q_left = intertwining_cases(q, cand.left, cand.left, [p, q], ("x", "u"))
-    q_right = intertwining_cases(q, cand.right, cand.right, [q, p], ("u", "x"))
+    p, q = cand.parent.p, cand.q
+    mu, left, right = cand.parent.mu, cand.left, cand.right
+    q_left = intertwining_cases(q, left, left, [p, q], ("x", "u"))
+    q_right = intertwining_cases(q, right, right, [q, p], ("u", "x"))
+    right_right = nested_cases(q, p, [(1, right, mu, False), (-1, right, right, True)], ("u", "x", "y"))
+    left_right = nested_cases(p, p, [(1, left, right, False), (-1, right, left, True)], ("x", "u", "y"))
+    left_left = nested_cases(p, q, [(1, left, left, False), (-1, left, mu, True)], ("x", "y", "u"))
     run_law(report, "q(x.l u) = p(x).l q(u)", q_left, max_violations)
     run_law(report, "q(u.r x) = q(u).r p(x)", q_right, max_violations)
-    run_law(report, "q(u).r (x.y) = (u.r x).r p(y)", right_right(), max_violations)
-    run_law(report, "p(x).l (u.r y) = (x.l u).r p(y)", left_right(), max_violations)
-    run_law(report, "p(x).l (y.l u) = (x.y).l q(u)", left_left(), max_violations)
+    run_law(report, "q(u).r (x.y) = (u.r x).r p(y)", right_right, max_violations)
+    run_law(report, "p(x).l (u.r y) = (x.l u).r p(y)", left_right, max_violations)
+    run_law(report, "p(x).l (y.l u) = (x.y).l q(u)", left_left, max_violations)
     return report
 
 
@@ -200,15 +175,14 @@ def is_equivariant(q, p, degree, tensors):
     Each f in ``tensors`` is a coefficient tensor with ``degree`` input
     axes (or, in degree 1, a matrix); in degree 0 it is a vector (tuple or
     tensor) and the condition is q(u) = u.  The law is the intertwining law
-    of ``reports.intertwining_cases`` with out = q, T = T' = f, in = p.
+    of ``reports.intertwining_cases`` with out = q, T = T' = f, in = p,
+    read through ``intertwining_sides``: no where-dict and no residual.
     """
     if degree and q.is_identity() and p.is_identity():
         return True
     tensors = (Tensor((len(f),), f) if isinstance(f, tuple) else f for f in tensors)
     return not any(
-        any(residual)
-        for f in tensors
-        for _, residual in intertwining_cases(q, f, f, [p] * degree, ())
+        lhs != rhs for f in tensors for _, lhs, rhs in intertwining_sides(q, f, f, [p] * degree)
     )
 
 
@@ -293,17 +267,16 @@ def check_two_cocycle(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     p, q = A.p, module.q
     report = CheckReport(subject="two-cocycle")
 
-    def direct_cocycle():
-        for i, j, k in iproduct(range(n), repeat=3):
-            t1 = module.act_l(p.column(i), tensor_column(cand.phi, (j, k)))
-            t2 = module.act_r(tensor_column(cand.phi, (i, j)), p.column(k))
-            t3 = cand.apply(A.basis_product(i, j), p.column(k))
-            t4 = cand.apply(p.column(i), A.basis_product(j, k))
-            yield {"x1": i, "x2": j, "x3": k}, vadd(vsub(vsub(t1, t2), t3), t4)
-
     equivariance = intertwining_cases(q, cand.phi, cand.phi, [p, p], ("x", "y"))
     ok_eq = run_law(report, "q phi(x,y) = phi(p x, p y)", equivariance, max_violations)
-    direct = list(direct_cocycle())
+    phi, mu = cand.phi, A.mu
+    terms = [
+        (1, module.left, phi, False),
+        (-1, module.right, phi, True),
+        (-1, phi, mu, True),
+        (1, phi, mu, False),
+    ]
+    direct = list(nested_cases(p, p, terms, ("x1", "x2", "x3")))
     run_law(
         report,
         "p(x1).l phi(x2,x3) - phi(x1,x2).r p(x3) - phi(x1.x2, p x3) + phi(p x1, x2.x3) = 0",
@@ -386,18 +359,9 @@ def tensor_semigroup_algebra(algebra, omega):
         raise InputError("omega must be a validated finite semigroup")
     n, m = algebra.dim, omega.size
     nm = n * m
-
-    def mu_entry(kk, ii, jj):
-        gamma, k = divmod(kk, n)
-        alpha, i = divmod(ii, n)
-        beta, j = divmod(jj, n)
-        if gamma != omega.mul(alpha, beta):
-            return 0
-        return algebra.mu.at(k, i, j)
-
     packed = HomAlgebra(
         dim=nm,
-        mu=Tensor.from_function((nm, nm, nm), mu_entry),
+        mu=graded_tensor(omega, (n, n, n), lambda a, b: algebra.mu),
         p=_block_repeat(algebra.p, m),
     )
 
@@ -437,46 +401,39 @@ def tensor_bimodule(cocycle, omega):
     require_pass(check_bimodule(module), "hom-bimodule")
     require_pass(check_two_cocycle(cocycle), "two-cocycle")
     packed, _, _ = tensor_semigroup_algebra(algebra, omega)
-    n, d, m = algebra.dim, module.dim, omega.size
-    nm, dm = n * m, d * m
-
-    def left_entry(cc, ii, bb):
-        gamma, c = divmod(cc, d)
-        alpha, i = divmod(ii, n)
-        beta, b = divmod(bb, d)
-        if gamma != omega.mul(alpha, beta):
-            return 0
-        return module.left.at(c, i, b)
-
-    def right_entry(cc, bb, ii):
-        gamma, c = divmod(cc, d)
-        beta, b = divmod(bb, d)
-        alpha, i = divmod(ii, n)
-        # (u (x) b) .r (x (x) a) lands in the b*a block.
-        if gamma != omega.mul(beta, alpha):
-            return 0
-        return module.right.at(c, b, i)
-
+    n, d = algebra.dim, module.dim
+    # (u (x) b) .r (x (x) a) lands in the b*a block: the grades multiply
+    # in the order of the arguments.
     packed_module = HomBimodule(
         parent=packed,
-        dim=dm,
-        left=Tensor.from_function((dm, nm, dm), left_entry),
-        right=Tensor.from_function((dm, dm, nm), right_entry),
-        q=_block_repeat(module.q, m),
+        dim=d * omega.size,
+        left=graded_tensor(omega, (d, n, d), lambda a, b: module.left),
+        right=graded_tensor(omega, (d, d, n), lambda a, b: module.right),
+        q=_block_repeat(module.q, omega.size),
     )
+    phi = graded_tensor(omega, (d, n, n), lambda a, b: cocycle.phi)
+    return packed_module, TwoCocycle(host=packed_module, phi=phi)
 
-    def phi_entry(cc, ii, jj):
-        gamma, c = divmod(cc, d)
-        alpha, i = divmod(ii, n)
-        beta, j = divmod(jj, n)
+
+def graded_tensor(omega, dims, block):
+    """A bilinear map on K[omega]-graded spaces, semigroup index major.
+
+    ``dims`` are the (output, left, right) dimensions of one grade.  The
+    entry at ((g, k), (a, i), (b, j)) is block(a, b).at(k, i, j) when
+    g = ab in omega, and 0 otherwise.
+    """
+    d0, d1, d2 = dims
+    m = omega.size
+
+    def entry(kk, ii, jj):
+        gamma, k = divmod(kk, d0)
+        alpha, i = divmod(ii, d1)
+        beta, j = divmod(jj, d2)
         if gamma != omega.mul(alpha, beta):
             return 0
-        return cocycle.phi.at(c, i, j)
+        return block(alpha, beta).at(k, i, j)
 
-    packed_cocycle = TwoCocycle(
-        host=packed_module, phi=Tensor.from_function((dm, nm, nm), phi_entry)
-    )
-    return packed_module, packed_cocycle
+    return Tensor.from_function((d0 * m, d1 * m, d2 * m), entry)
 
 
 def _block_repeat(mat, copies):

@@ -20,11 +20,12 @@ from .homalg import (
     check_bimodule,
     check_hom_algebra,
     check_two_cocycle,
+    graded_tensor,
     is_equivariant,
     semidirect_product,
     tensor_bimodule,
 )
-from .linalg import Matrix, Tensor, solve, unit_vector, vadd, vsub, zero_vector
+from .linalg import Matrix, Tensor, bilinear_tensor, unit_vector, vadd, vsub
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
@@ -119,17 +120,35 @@ def _validate_hosts(operator):
 
 def twisted_inner_sum(operator, alpha, beta, u, v):
     """R_a u .l v + u .r R_b v + phi(R_a u, R_b v)."""
+    return _inner_sum(operator, u, v, operator.maps[alpha].apply(u), operator.maps[beta].apply(v))
+
+
+def _inner_sum(operator, u, v, ru, rv):
     module, phi = operator.bimodule, operator.cocycle
-    ru = operator.maps[alpha].apply(u)
-    rv = operator.maps[beta].apply(v)
     return vadd(vadd(module.act_l(ru, v), module.act_r(u, rv)), phi.apply(ru, rv))
+
+
+def family_identity_cases(operator, maps):
+    """Cases of R_a u . R_b v = R_ab(R_a u .l v + u .r R_b v + phi(R_a u, R_b v)).
+
+    The hosts are the operator's; ``maps`` are the R_a: the operator's own,
+    or deformed ones whose entries are truncated polynomials.
+    """
+    A, omega = operator.algebra, operator.omega
+    vbasis = operator.bimodule.basis()
+    for alpha, beta in iproduct(omega.elements(), repeat=2):
+        r_ab = maps[omega.mul(alpha, beta)]
+        for a, b in iproduct(range(len(vbasis)), repeat=2):
+            u, v = vbasis[a], vbasis[b]
+            ru, rv = maps[alpha].apply(u), maps[beta].apply(v)
+            rhs = r_ab.apply(_inner_sum(operator, u, v, ru, rv))
+            yield {"alpha": alpha, "beta": beta, "u": a, "v": b}, vsub(A.product(ru, rv), rhs)
 
 
 def check_twisted_rbf(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     _validate_hosts(operator)
     A, module = operator.algebra, operator.bimodule
     omega = operator.omega
-    d = module.dim
     report = CheckReport(subject=f"twisted Rota-Baxter family over omega of size {omega.size}")
 
     def equivariance():
@@ -137,21 +156,11 @@ def check_twisted_rbf(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
             r_a = operator.maps[alpha]
             yield from intertwining_cases(r_a, module.q, A.p, [r_a], ("u",), {"alpha": alpha})
 
-    def family_identity():
-        vbasis = module.basis()
-        for alpha, beta in iproduct(omega.elements(), repeat=2):
-            r_ab = operator.maps[omega.mul(alpha, beta)]
-            for a, b in iproduct(range(d), repeat=2):
-                u, v = vbasis[a], vbasis[b]
-                lhs = A.product(operator.maps[alpha].apply(u), operator.maps[beta].apply(v))
-                rhs = r_ab.apply(twisted_inner_sum(operator, alpha, beta, u, v))
-                yield {"alpha": alpha, "beta": beta, "u": a, "v": b}, vsub(lhs, rhs)
-
     run_law(report, "R_a o q = p o R_a", equivariance(), max_violations)
     run_law(
         report,
         "R_a u . R_b v = R_ab(R_a u .l v + u .r R_b v + phi(R_a u, R_b v))",
-        family_identity(),
+        family_identity_cases(operator, operator.maps),
         max_violations,
     )
     return report
@@ -262,7 +271,7 @@ def graph_check(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
 
     Builds Gr(R_a) = span{(R_a v, v)} inside the twisted semidirect product
     and tests (p+q)-stability of each graph plus the product containment
-    Gr(R_a) . Gr(R_b) within Gr(R_ab), both by exact membership solves.
+    Gr(R_a) . Gr(R_b) within Gr(R_ab), both by exact membership.
     The verdict agrees with check_twisted_rbf on every input.
     """
     _validate_hosts(operator)
@@ -278,12 +287,10 @@ def graph_check(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     report = CheckReport(subject="graph characterization in the twisted semidirect product")
 
     def residual_against(graph, w):
-        # The bottom block of every graph matrix is the identity, so the
-        # only possible coefficient vector is the bottom part of w.
-        if solve(graph, w) is not None:
-            return zero_vector(n + d)
-        coeffs = w[n:]
-        return vsub(w, graph.apply(coeffs))
+        # The bottom block of every graph matrix is the identity, so w lies
+        # in the graph exactly when it equals the graph applied to its
+        # bottom part.
+        return vsub(w, graph.apply(w[n:]))
 
     def stability():
         for alpha in omega.elements():
@@ -351,32 +358,24 @@ def nijenhuis_induced_data(family):
     n, m = A.dim, omega.size
     nm = n * m
 
-    cols = {}
-    for alpha, beta in iproduct(omega.elements(), repeat=2):
+    def deformed_block(alpha, beta):
+        n_a, n_b = family.maps[alpha], family.maps[beta]
         n_ab = family.maps[omega.mul(alpha, beta)]
-        for i, j in iproduct(range(n), repeat=2):
+
+        def col(i, j):
             x, y = unit_vector(n, i), unit_vector(n, j)
-            val = vsub(
-                vadd(
-                    A.product(family.maps[alpha].apply(x), y),
-                    A.product(x, family.maps[beta].apply(y)),
-                ),
-                n_ab.apply(A.basis_product(i, j)),
-            )
-            cols[(alpha, i, beta, j)] = val
+            inner = vadd(A.product(n_a.apply(x), y), A.product(x, n_b.apply(y)))
+            return vsub(inner, n_ab.apply(A.basis_product(i, j)))
 
-    def mu_entry(kk, ii, jj):
-        gamma, k = divmod(kk, n)
-        alpha, i = divmod(ii, n)
-        beta, j = divmod(jj, n)
-        if gamma != omega.mul(alpha, beta):
-            return 0
-        return cols[(alpha, i, beta, j)][k]
+        return bilinear_tensor(n, col)
 
+    blocks = {ab: deformed_block(*ab) for ab in iproduct(omega.elements(), repeat=2)}
     from .homalg import _block_repeat
 
     deformed = HomAlgebra(
-        dim=nm, mu=Tensor.from_function((nm, nm, nm), mu_entry), p=_block_repeat(A.p, m)
+        dim=nm,
+        mu=graded_tensor(omega, (n, n, n), lambda a, b: blocks[(a, b)]),
+        p=_block_repeat(A.p, m),
     )
 
     def left_entry(k, ii, j):
@@ -403,15 +402,11 @@ def nijenhuis_induced_data(family):
 
     cocycle = TwoCocycle(host=module, phi=Tensor.from_function((n, nm, nm), phi_entry))
 
-    id_maps = []
-    for alpha in omega.elements():
-        entries = [[Fraction(0)] * n for _ in range(nm)]
-        for i in range(n):
-            entries[alpha * n + i][i] = Fraction(1)
-        id_maps.append(Matrix.from_rows(entries))
-    identity_family = TwistedRBFamily(cocycle=cocycle, omega=omega, maps=tuple(id_maps))
     return NijenhuisInducedData(
-        algebra=deformed, module=module, cocycle=cocycle, operator=identity_family
+        algebra=deformed,
+        module=module,
+        cocycle=cocycle,
+        operator=identity_packing_family(A, omega, cocycle),
     )
 
 

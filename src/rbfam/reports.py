@@ -14,13 +14,23 @@ its JSON, depend on that order.
 An intertwining law ``out o T = T' o (in_1 x ... x in_n)`` (multiplicativity
 of a structure map, a morphism condition, cochain membership) is checked
 through ``intertwining_cases`` and nowhere else.
+
+A nested-product law is a signed sum of terms outer(first x, inner(y, z))
+and outer(inner(x, y), last z), with a structure map on the outer slot
+(Hom-associativity, the bimodule laws, the 2-cocycle identity and their
+split NS, tridendriform and pair-indexed forms).  It is checked through
+``nested_cases`` and nowhere else: its cases come in ``itertools.product``
+order of the basis triple (i, j, k), the where-dict lists the prefix keys
+and then one key per slot of the triple, and the residual is the signed
+sum of the terms, so it is lhs - rhs when the terms of the law's left side
+carry +1 and those of its right side -1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .linalg import Matrix, Tensor, multilinear_apply, tensor_column, vsub
+from .linalg import ZERO, Matrix, Tensor, multilinear_apply, tensor_column, vadd, vsub
 from .scalars import format_scalar
 
 DEFAULT_MAX_VIOLATIONS = 16
@@ -135,15 +145,58 @@ def intertwining_cases(out, src, tgt, ins, names, where=None):
     With n = 0 the one residual is out(u) - v for the vectors u of ``src``
     and v of ``tgt``.  Entries may be any exact scalars.
     """
-    src, tgt = _as_tensor(src), _as_tensor(tgt)
-    cols = [[m.column(j) for j in range(m.cols)] for m in ins]
     prefix = where or {}
-    for idx in iproduct(*(range(d) for d in src.shape[1:])):
+    for idx, lhs, rhs in intertwining_sides(out, src, tgt, ins):
         case = dict(prefix)
         case.update(zip(names, idx))
-        lhs = out.apply(tensor_column(src, idx))
-        rhs = multilinear_apply(tgt, [c[j] for c, j in zip(cols, idx)])
         yield case, vsub(lhs, rhs)
+
+
+def intertwining_sides(out, src, tgt, ins):
+    """(idx, lhs, rhs) of ``intertwining_cases``, in the same order.
+
+    For a yes/no (cochain membership) that needs neither a where-dict nor
+    a residual: the law holds when lhs == rhs on every idx.
+    """
+    src, tgt = _as_tensor(src), _as_tensor(tgt)
+    cols = [[m.column(j) for j in range(m.cols)] for m in ins]
+    for idx in iproduct(*(range(d) for d in src.shape[1:])):
+        lhs = out.apply(tensor_column(src, idx))
+        yield idx, lhs, multilinear_apply(tgt, [c[j] for c, j in zip(cols, idx)])
+
+
+def nested_cases(first, last, terms, names, where=None):
+    """Cases of the nested-product law sum of sign * term = 0 for ``run_law``.
+
+    ``first`` and ``last`` are matrices; each term is (sign, outer, inner,
+    left) with sign +1 or -1 and outer, inner coefficient tensors with two
+    input axes.  On the basis triple (i, j, k) the term is
+    outer(inner(e_i, e_j), last e_k) when ``left`` is true and
+    outer(first e_i, inner(e_j, e_k)) otherwise; i runs over the columns of
+    ``first``, k over those of ``last`` and j over the shared middle axis.
+    Triples come in ``itertools.product`` order; each yields one
+    (case, residual) pair, case a new dict of the ``where`` keys followed by
+    zip(names, (i, j, k)) and residual the signed sum of the terms.  Entries
+    may be any exact scalars.
+    """
+    _, outer0, inner0, left0 = terms[0]
+    middle = inner0.shape[2] if left0 else inner0.shape[1]
+    first_cols = [first.column(i) for i in range(first.cols)]
+    last_cols = [last.column(k) for k in range(last.cols)]
+    zero = (ZERO,) * outer0.shape[0]
+    prefix = where or {}
+    for idx in iproduct(range(first.cols), range(middle), range(last.cols)):
+        i, j, k = idx
+        case = dict(prefix)
+        case.update(zip(names, idx))
+        residual = zero
+        for sign, outer, inner, left in terms:
+            if left:
+                term = multilinear_apply(outer, [tensor_column(inner, (i, j)), last_cols[k]])
+            else:
+                term = multilinear_apply(outer, [first_cols[i], tensor_column(inner, (j, k))])
+            residual = vadd(residual, term) if sign > 0 else vsub(residual, term)
+        yield case, residual
 
 
 def _as_tensor(t):

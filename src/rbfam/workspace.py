@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
+from .cohomology import DEFAULT_MAX_ENTRIES, cochain_size
 from .deformations import LinearDeformation
 from .errors import InputError
 from .family import (
@@ -393,7 +394,7 @@ def _load_cochain(doc, ws, where):
         operator = ws.get(doc["operator"], kinds={"twisted_rbf"})
         host = (operator,)
         src, tgt = operator.bimodule.dim, operator.algebra.dim
-        keys = [()] if degree == 0 else list(iproduct(range(operator.omega.size), repeat=degree))
+        indices = operator.omega.size
         src_map, tgt_map = operator.bimodule.q, operator.algebra.p
     elif tag == "ha":
         if "algebra" not in doc or "bimodule" not in doc:
@@ -404,7 +405,7 @@ def _load_cochain(doc, ws, where):
             raise InputError(f"{where}: bimodule is not over the referenced algebra")
         host = (algebra, module)
         src, tgt = algebra.dim, module.dim
-        keys = [()]
+        indices = 1
         src_map, tgt_map = algebra.p, module.q
     elif tag == "omega":
         if "algebra" not in doc or "bimodule" not in doc:
@@ -415,10 +416,17 @@ def _load_cochain(doc, ws, where):
             raise InputError(f"{where}: bimodule is not over the referenced algebra")
         host = (algebra, module)
         src, tgt = algebra.dim, module.dim
-        keys = [()] if degree == 0 else list(iproduct(range(algebra.omega.size), repeat=degree))
+        indices = algebra.omega.size
         src_map, tgt_map = algebra.p, module.q
     else:
         raise InputError(f"{where}.complex: expected 'rbf', 'ha' or 'omega'")
+    # Count before listing index tuples or row widths: both grow
+    # exponentially with the degree.
+    if cochain_size(tgt, src * indices, degree, DEFAULT_MAX_ENTRIES) is None:
+        raise InputError(
+            f"{where}.degree: a cochain of this degree has more than {DEFAULT_MAX_ENTRIES} entries"
+        )
+    keys = [()] if tag == "ha" else list(iproduct(range(indices), repeat=degree))
 
     node = doc["table"]
     if not isinstance(node, dict):
@@ -504,6 +512,11 @@ def load_workspace(source):
             raise InputError(f"workspace is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise InputError("workspace is not valid JSON: nesting too deep") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read workspace: {exc}") from exc
+        except ValueError as exc:
+            # Python refuses to convert integer literals of over 4300 digits.
+            raise InputError("workspace is not valid JSON: an integer literal is too long") from exc
     if not isinstance(data, dict):
         raise InputError("workspace document must be a JSON object")
     extra = set(data) - {"objects"}
