@@ -28,7 +28,6 @@ from .family import (
     check_hom_ns_family,
     check_omega_assoc,
     check_omega_bimodule,
-    check_tridend_family,
     ns_family_from_operator,
     ns_family_pack,
     omega_assoc_from_ns_family,
@@ -36,26 +35,11 @@ from .family import (
     tridend_from_weighted_rbf,
     yau_twist_ns_family,
 )
-from .homalg import (
-    check_bimodule,
-    check_hom_algebra,
-    check_two_cocycle,
-    semidirect_product,
-    tensor_semigroup_algebra,
-)
+from .homalg import semidirect_product, tensor_semigroup_algebra
 from .linalg import Matrix, kernel_basis
-from .operators import (
-    check_nijenhuis_family,
-    check_operator_morphism,
-    check_twisted_rbf,
-    check_weighted_rbf,
-    graph_check,
-    nijenhuis_induced_data,
-    pack_operator,
-)
+from .operators import check_twisted_rbf, graph_check, nijenhuis_induced_data, pack_operator
 from .reports import CheckReport
-from .semigroups import validate_semigroup
-from .workspace import DESK_NAMES, desk_instance, dump_workspace, load_workspace
+from .workspace import DESK_NAMES, KINDS, desk_instance, dump_workspace, load_workspace
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
@@ -69,42 +53,12 @@ def _vacuous_report(subject, note):
 
 
 def _check_object(ws, name):
-    kind = ws.kinds.get(name)
     obj = ws.get(name)
-    if kind == "semigroup":
-        validate_semigroup([list(r) for r in obj.table])
-        return _vacuous_report(f"semigroup {name}", "associativity and unit detection validated")
-    if kind == "hom_algebra":
-        return check_hom_algebra(obj)
-    if kind == "hom_bimodule":
-        return check_bimodule(obj)
-    if kind == "two_cocycle":
-        return check_two_cocycle(obj)
-    if kind == "twisted_rbf":
-        return check_twisted_rbf(obj)
-    if kind == "nijenhuis_family":
-        return check_nijenhuis_family(obj)
-    if kind == "weighted_rbf":
-        return check_weighted_rbf(obj)
-    if kind == "operator_morphism":
-        return check_operator_morphism(obj)
-    if kind == "ns_algebra":
-        return check_hom_ns(obj)
-    if kind == "ns_family":
-        return check_hom_ns_family(obj)
-    if kind == "tridend_family":
-        return check_tridend_family(obj)
-    if kind == "omega_assoc":
-        return check_omega_assoc(obj)
-    if kind == "omega_bimodule":
-        return check_omega_bimodule(obj)
-    if kind == "deformation":
-        return check_infinitesimal(obj.deformation)
-    if kind == "nijenhuis_candidate":
-        return check_nijenhuis_element(obj.vector, obj.operator)
-    if kind in ("cochain", "linear_map"):
-        return _vacuous_report(f"{kind} {name}", "shape and membership validated at load")
-    raise InputError(f"no checker for kind {kind!r}")
+    kind = ws.kinds[name]
+    check = KINDS[kind].check
+    if isinstance(check, str):
+        return _vacuous_report(f"{kind} {name}", check)
+    return check(obj)
 
 
 def _emit_report(report, as_json):

@@ -29,6 +29,10 @@ from .reports import (
 )
 from .scalars import TruncatedPoly, poly_coefficient
 
+# R + t R1 enters the family identity and the equivalence conditions at
+# most quadratically, so K[t]/(t^3) holds every coefficient they have.
+TRUNCATION = 3
+
 READING_NOTE = (
     "module-action reading: the second lines of the morphism obstructions "
     "use u .r x (a module element cannot act from the left on an algebra element)"
@@ -41,7 +45,9 @@ class LinearDeformation:
 
     The direction must satisfy the equivariance law R1_a o q = p o R1_a
     (degree-1 cochain membership); violating it is an input error, not an
-    axiom verdict.
+    axiom verdict.  ``order`` is the truncation a workspace document
+    records; it is validated and written back, but every check expands
+    over K[t]/(t^TRUNCATION), so it changes no result.
     """
 
     base: object
@@ -65,13 +71,12 @@ class LinearDeformation:
                     f"direction {alpha} violates equivariance (degree-1 membership)"
                 )
 
-    def deformed_maps(self, order=None):
+    def deformed_maps(self, order):
         """Base maps with the direction attached to t, over K[t]/(t^order)."""
-        k = order or self.order
         out = []
         for base_m, dir_m in zip(self.base.maps, self.direction):
             entries = tuple(
-                TruncatedPoly([b, c], k) for b, c in zip(base_m.entries, dir_m.entries)
+                TruncatedPoly([b, c], order) for b, c in zip(base_m.entries, dir_m.entries)
             )
             out.append(Matrix(base_m.rows, base_m.cols, entries))
         return tuple(out)
@@ -133,7 +138,7 @@ def check_infinitesimal(deformation, handle=None, max_violations=DEFAULT_MAX_VIO
     ensure_valid(base, check_twisted_rbf, "base twisted Rota-Baxter family")
     order1_cases = []
     order2_cases = []
-    for where, residual in family_identity_cases(base, deformation.deformed_maps()):
+    for where, residual in family_identity_cases(base, deformation.deformed_maps(TRUNCATION)):
         if any(_coeff_vector(residual, 0)):
             raise RouteMismatchError("base identity broke at order 0")
         order1_cases.append((where, _coeff_vector(residual, 1)))
@@ -478,7 +483,7 @@ def check_equivalence(deformation, other, x, handle=None, max_violations=DEFAULT
     if A.p.apply(x) != tuple(x):
         raise PreconditionError("element is not fixed by the structure map")
 
-    k = 3
+    k = TRUNCATION
     t = TruncatedPoly.t(k)
     ebasis = A.basis()
     vbasis = module.basis()

@@ -5,7 +5,8 @@ are by name inside the same document; the reference graph must be acyclic
 and every referenced name defined.  Scalars are rational literals stored
 as strings ("-3/4", "7"); semigroup elements and dimensions are plain
 integers.  Unknown fields are rejected so that emitted documents stay
-bit-exact under round-trips.
+bit-exact under round-trips.  Each kind's layout is one row of ``KINDS``,
+read by loading, dumping, the reference check and ``rbfam check``.
 """
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .cohomology import DEFAULT_MAX_ENTRIES, cochain_size
-from .deformations import LinearDeformation
+from .deformations import LinearDeformation, check_infinitesimal, check_nijenhuis_element
 from .errors import InputError
 from .family import (
     HomNSAlgebra,
@@ -23,11 +26,19 @@ from .family import (
     HomTridendFamily,
     OmegaAssocAlgebra,
     OmegaBimodule,
+    check_hom_ns,
+    check_hom_ns_family,
+    check_omega_assoc,
+    check_omega_bimodule,
+    check_tridend_family,
 )
 from .homalg import (
     HomAlgebra,
     HomBimodule,
     TwoCocycle,
+    check_bimodule,
+    check_hom_algebra,
+    check_two_cocycle,
     is_equivariant,
     regular_bimodule,
     tensor_semigroup_algebra,
@@ -39,6 +50,10 @@ from .operators import (
     OperatorMorphism,
     TwistedRBFamily,
     WeightedRBFamily,
+    check_nijenhuis_family,
+    check_operator_morphism,
+    check_twisted_rbf,
+    check_weighted_rbf,
     identity_packing_family,
 )
 from .scalars import format_rational, parse_rational
@@ -98,7 +113,7 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# scalar / array parsing
+# scalar / array parsing and writing
 
 
 def _parse_scalar(node, where):
@@ -199,8 +214,148 @@ def _pair_tensors(node, count, shape, where):
     return tuple(out)
 
 
+def _matrix_doc(mat):
+    return [[format_rational(mat.at(i, j)) for j in range(mat.cols)] for i in range(mat.rows)]
+
+
+def _tensor3_doc(t):
+    d0, d1, d2 = t.shape
+    return [
+        [[format_rational(t.at(k, i, j)) for j in range(d2)] for i in range(d1)]
+        for k in range(d0)
+    ]
+
+
+def _ref(named, obj, what):
+    for name, candidate in named.items():
+        if candidate is obj or candidate == obj:
+            return name
+    raise InputError(f"emitting requires the {what} to be present in the same document")
+
+
 # ---------------------------------------------------------------------------
-# per-kind loaders
+# field codecs
+#
+# A codec loads one document field and dumps it back.  ``load(node, f, ws,
+# where)`` may size the field from ``f``, the namespace of the fields loaded
+# before it (keyed by attribute); ``dump(value, named)`` gets the names of
+# the whole document to write references.
+
+
+class Codec(NamedTuple):
+    load: Callable
+    dump: Callable
+    refers: bool = False
+
+
+def reference(kind, what):
+    """A name of an object of ``kind``; ``what`` names it in dump errors."""
+    return Codec(
+        lambda node, f, ws, where: ws.get(node, kinds={kind}),
+        lambda obj, named: _ref(named, obj, what),
+        refers=True,
+    )
+
+
+INT = Codec(lambda node, f, ws, where: _parse_int(node, where), lambda value, named: value)
+SCALAR = Codec(
+    lambda node, f, ws, where: _parse_scalar(node, where),
+    lambda value, named: format_rational(value),
+)
+
+
+def matrix(shape):
+    return Codec(
+        lambda node, f, ws, where: _parse_matrix(node, *shape(f), where),
+        lambda mat, named: _matrix_doc(mat),
+    )
+
+
+def tensor3(shape):
+    return Codec(
+        lambda node, f, ws, where: _parse_tensor3(node, *shape(f), where),
+        lambda t, named: _tensor3_doc(t),
+    )
+
+
+def indexed(shape):
+    """One matrix or 3-tensor per semigroup element, keyed "a";
+    ``shape(f)`` is (number of elements, *array shape)."""
+
+    def load(node, f, ws, where):
+        count, *dims = shape(f)
+        if len(dims) == 2:
+            return _indexed_matrices(node, count, *dims, where)
+        return _indexed_tensors(node, count, dims, where)
+
+    def dump(arrays, named):
+        doc = _matrix_doc if isinstance(arrays[0], Matrix) else _tensor3_doc
+        return {str(a): doc(x) for a, x in enumerate(arrays)}
+
+    return Codec(load, dump)
+
+
+def pair_indexed(shape):
+    """One 3-tensor per pair of semigroup elements, keyed "a,b";
+    ``shape(f)`` is (number of elements, *tensor shape)."""
+
+    def load(node, f, ws, where):
+        count, *dims = shape(f)
+        return _pair_tensors(node, count, dims, where)
+
+    def dump(rows, named):
+        return {
+            f"{a},{b}": _tensor3_doc(t) for a, row in enumerate(rows) for b, t in enumerate(row)
+        }
+
+    return Codec(load, dump)
+
+
+def vector(length):
+    return Codec(
+        lambda node, f, ws, where: _parse_vector(node, length(f), where),
+        lambda vec, named: [format_rational(c) for c in vec],
+    )
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One workspace kind: its class, its checker and its document layout.
+
+    ``fields`` lists (document key, attribute, codec) in load order.  A kind
+    the codecs cannot express gives hand-written ``load(doc, ws, where)`` and
+    ``dump(obj, named)`` instead, and names its reference keys in ``refs``.
+    ``check(obj)`` returns the kind's report; for a kind validated in full
+    at load it is instead the note of a vacuous report.
+    """
+
+    cls: type
+    check: object
+    fields: tuple = ()
+    load: Callable | None = None
+    dump: Callable | None = None
+    refs: tuple = ()
+
+    def reference_keys(self):
+        return self.refs or tuple(key for key, _, codec in self.fields if codec.refers)
+
+    def load_document(self, doc, ws, where):
+        if self.load is not None:
+            return self.load(doc, ws, where)
+        _require_fields(doc, [key for key, _, _ in self.fields], where=where)
+        f = SimpleNamespace()
+        for key, attr, codec in self.fields:
+            setattr(f, attr, codec.load(doc[key], f, ws, f"{where}.{key}"))
+        return self.cls(**vars(f))
+
+    def dump_document(self, obj, named):
+        if self.dump is not None:
+            return self.dump(obj, named)
+        return {key: codec.dump(getattr(obj, attr), named) for key, attr, codec in self.fields}
 
 
 def _load_semigroup(doc, ws, where):
@@ -209,141 +364,10 @@ def _load_semigroup(doc, ws, where):
     table = doc["table"]
     if not isinstance(table, list) or len(table) != size:
         raise InputError(f"{where}.table: expected {size} rows")
+    for i, row in enumerate(table):
+        if not isinstance(row, list):
+            raise InputError(f"{where}.table[{i}]: expected a row of {size} entries")
     return validate_semigroup(table)
-
-
-def _load_hom_algebra(doc, ws, where):
-    _require_fields(doc, ["dim", "mu", "p"], where=where)
-    n = _parse_int(doc["dim"], f"{where}.dim")
-    return HomAlgebra(
-        dim=n,
-        mu=_parse_tensor3(doc["mu"], n, n, n, f"{where}.mu"),
-        p=_parse_matrix(doc["p"], n, n, f"{where}.p"),
-    )
-
-
-def _load_hom_bimodule(doc, ws, where):
-    _require_fields(doc, ["algebra", "dim", "left", "right", "q"], where=where)
-    algebra = ws.get(doc["algebra"], kinds={"hom_algebra"})
-    d = _parse_int(doc["dim"], f"{where}.dim")
-    n = algebra.dim
-    return HomBimodule(
-        parent=algebra,
-        dim=d,
-        left=_parse_tensor3(doc["left"], d, n, d, f"{where}.left"),
-        right=_parse_tensor3(doc["right"], d, d, n, f"{where}.right"),
-        q=_parse_matrix(doc["q"], d, d, f"{where}.q"),
-    )
-
-
-def _load_two_cocycle(doc, ws, where):
-    _require_fields(doc, ["bimodule", "phi"], where=where)
-    module = ws.get(doc["bimodule"], kinds={"hom_bimodule"})
-    n, d = module.parent.dim, module.dim
-    return TwoCocycle(host=module, phi=_parse_tensor3(doc["phi"], d, n, n, f"{where}.phi"))
-
-
-def _load_twisted_rbf(doc, ws, where):
-    _require_fields(doc, ["omega", "phi_ref", "maps"], where=where)
-    omega = ws.get(doc["omega"], kinds={"semigroup"})
-    cocycle = ws.get(doc["phi_ref"], kinds={"two_cocycle"})
-    n, d = cocycle.host.parent.dim, cocycle.host.dim
-    maps = _indexed_matrices(doc["maps"], omega.size, n, d, f"{where}.maps")
-    return TwistedRBFamily(cocycle=cocycle, omega=omega, maps=maps)
-
-
-def _load_nijenhuis_family(doc, ws, where):
-    _require_fields(doc, ["algebra", "omega", "maps"], where=where)
-    algebra = ws.get(doc["algebra"], kinds={"hom_algebra"})
-    omega = ws.get(doc["omega"], kinds={"semigroup"})
-    maps = _indexed_matrices(doc["maps"], omega.size, algebra.dim, algebra.dim, f"{where}.maps")
-    return NijenhuisFamily(algebra=algebra, omega=omega, maps=maps)
-
-
-def _load_weighted_rbf(doc, ws, where):
-    _require_fields(doc, ["algebra", "omega", "weight", "maps"], where=where)
-    algebra = ws.get(doc["algebra"], kinds={"hom_algebra"})
-    omega = ws.get(doc["omega"], kinds={"semigroup"})
-    weight = _parse_scalar(doc["weight"], f"{where}.weight")
-    maps = _indexed_matrices(doc["maps"], omega.size, algebra.dim, algebra.dim, f"{where}.maps")
-    return WeightedRBFamily(algebra=algebra, omega=omega, weight=weight, maps=maps)
-
-
-def _load_operator_morphism(doc, ws, where):
-    _require_fields(doc, ["source", "target", "psi", "phi"], where=where)
-    source = ws.get(doc["source"], kinds={"twisted_rbf"})
-    target = ws.get(doc["target"], kinds={"twisted_rbf"})
-    psi = _parse_matrix(doc["psi"], target.algebra.dim, source.algebra.dim, f"{where}.psi")
-    phi = _parse_matrix(doc["phi"], target.bimodule.dim, source.bimodule.dim, f"{where}.phi")
-    return OperatorMorphism(source=source, target=target, psi=psi, phi=phi)
-
-
-def _load_ns_algebra(doc, ws, where):
-    _require_fields(doc, ["dim", "prec", "succ", "vee", "p"], where=where)
-    n = _parse_int(doc["dim"], f"{where}.dim")
-    return HomNSAlgebra(
-        dim=n,
-        prec=_parse_tensor3(doc["prec"], n, n, n, f"{where}.prec"),
-        succ=_parse_tensor3(doc["succ"], n, n, n, f"{where}.succ"),
-        vee=_parse_tensor3(doc["vee"], n, n, n, f"{where}.vee"),
-        p=_parse_matrix(doc["p"], n, n, f"{where}.p"),
-    )
-
-
-def _load_ns_family(doc, ws, where):
-    _require_fields(doc, ["omega", "dim", "prec", "succ", "vee", "p"], where=where)
-    omega = ws.get(doc["omega"], kinds={"semigroup"})
-    n = _parse_int(doc["dim"], f"{where}.dim")
-    shape = (n, n, n)
-    return HomNSFamilyAlgebra(
-        dim=n,
-        omega=omega,
-        prec=_indexed_tensors(doc["prec"], omega.size, shape, f"{where}.prec"),
-        succ=_indexed_tensors(doc["succ"], omega.size, shape, f"{where}.succ"),
-        vee=_pair_tensors(doc["vee"], omega.size, shape, f"{where}.vee"),
-        p=_parse_matrix(doc["p"], n, n, f"{where}.p"),
-    )
-
-
-def _load_tridend_family(doc, ws, where):
-    _require_fields(doc, ["omega", "dim", "prec", "succ", "dot", "p"], where=where)
-    omega = ws.get(doc["omega"], kinds={"semigroup"})
-    n = _parse_int(doc["dim"], f"{where}.dim")
-    shape = (n, n, n)
-    return HomTridendFamily(
-        dim=n,
-        omega=omega,
-        prec=_indexed_tensors(doc["prec"], omega.size, shape, f"{where}.prec"),
-        succ=_indexed_tensors(doc["succ"], omega.size, shape, f"{where}.succ"),
-        dot=_parse_tensor3(doc["dot"], n, n, n, f"{where}.dot"),
-        p=_parse_matrix(doc["p"], n, n, f"{where}.p"),
-    )
-
-
-def _load_omega_assoc(doc, ws, where):
-    _require_fields(doc, ["omega", "dim", "prod", "p"], where=where)
-    omega = ws.get(doc["omega"], kinds={"semigroup"})
-    n = _parse_int(doc["dim"], f"{where}.dim")
-    return OmegaAssocAlgebra(
-        dim=n,
-        omega=omega,
-        prod=_pair_tensors(doc["prod"], omega.size, (n, n, n), f"{where}.prod"),
-        p=_parse_matrix(doc["p"], n, n, f"{where}.p"),
-    )
-
-
-def _load_omega_bimodule(doc, ws, where):
-    _require_fields(doc, ["algebra", "dim", "left", "right", "q"], where=where)
-    parent = ws.get(doc["algebra"], kinds={"omega_assoc"})
-    d = _parse_int(doc["dim"], f"{where}.dim")
-    g, m = parent.dim, parent.omega.size
-    return OmegaBimodule(
-        parent=parent,
-        dim=d,
-        left=_pair_tensors(doc["left"], m, (d, g, d), f"{where}.left"),
-        right=_pair_tensors(doc["right"], m, (d, d, g), f"{where}.right"),
-        q=_parse_matrix(doc["q"], d, d, f"{where}.q"),
-    )
 
 
 def _load_deformation(doc, ws, where):
@@ -362,11 +386,18 @@ def _load_deformation(doc, ws, where):
     return DeformationDoc(deformation=deformation, other=other, element=element)
 
 
-def _load_nijenhuis_candidate(doc, ws, where):
-    _require_fields(doc, ["operator", "vector"], where=where)
-    operator = ws.get(doc["operator"], kinds={"twisted_rbf"})
-    vec = _parse_vector(doc["vector"], operator.algebra.dim, f"{where}.vector")
-    return NijenhuisCandidate(operator=operator, vector=vec)
+def _doc_deformation(obj, named):
+    deformation = obj.deformation
+    doc = {
+        "base": _ref(named, deformation.base, "base operator"),
+        "direction": {str(a): _matrix_doc(m) for a, m in enumerate(deformation.direction)},
+        "order": deformation.order,
+    }
+    if obj.other is not None:
+        doc["other"] = obj.other
+    if obj.element is not None:
+        doc["element"] = [format_rational(c) for c in obj.element]
+    return doc
 
 
 def _load_linear_map(doc, ws, where):
@@ -454,41 +485,196 @@ def _load_cochain(doc, ws, where):
     return WorkspaceCochain(complex=tag, host=host, degree=degree, table=table)
 
 
-_LOADERS = {
-    "semigroup": _load_semigroup,
-    "hom_algebra": _load_hom_algebra,
-    "hom_bimodule": _load_hom_bimodule,
-    "two_cocycle": _load_two_cocycle,
-    "twisted_rbf": _load_twisted_rbf,
-    "nijenhuis_family": _load_nijenhuis_family,
-    "weighted_rbf": _load_weighted_rbf,
-    "operator_morphism": _load_operator_morphism,
-    "ns_algebra": _load_ns_algebra,
-    "ns_family": _load_ns_family,
-    "tridend_family": _load_tridend_family,
-    "omega_assoc": _load_omega_assoc,
-    "omega_bimodule": _load_omega_bimodule,
-    "deformation": _load_deformation,
-    "nijenhuis_candidate": _load_nijenhuis_candidate,
-    "linear_map": _load_linear_map,
-    "cochain": _load_cochain,
-}
+def _doc_cochain(obj, named):
+    doc = {"complex": obj.complex, "degree": obj.degree, "table": {}}
+    if obj.complex == "rbf":
+        doc["operator"] = _ref(named, obj.host[0], "operator")
+        src = obj.host[0].bimodule.dim
+    else:
+        doc["algebra"] = _ref(named, obj.host[0], "algebra")
+        doc["bimodule"] = _ref(named, obj.host[1], "bimodule")
+        src = obj.host[0].dim
+    for key, tensor in sorted(obj.table.items()):
+        skey = ",".join(str(a) for a in key)
+        if obj.degree == 0:
+            doc["table"][skey] = [format_rational(c) for c in tensor.entries]
+        else:
+            width = src**obj.degree
+            tgt = tensor.shape[0]
+            mat = Matrix(tgt, width, tensor.entries)
+            doc["table"][skey] = _matrix_doc(mat)
+    return doc
 
-_REFERENCE_FIELDS = {
-    "hom_bimodule": ["algebra"],
-    "two_cocycle": ["bimodule"],
-    "twisted_rbf": ["omega", "phi_ref"],
-    "nijenhuis_family": ["algebra", "omega"],
-    "weighted_rbf": ["algebra", "omega"],
-    "operator_morphism": ["source", "target"],
-    "ns_family": ["omega"],
-    "tridend_family": ["omega"],
-    "omega_assoc": ["omega"],
-    "omega_bimodule": ["algebra"],
-    "deformation": ["base", "other"],
-    "nijenhuis_candidate": ["operator"],
-    "cochain": ["operator", "algebra", "bimodule"],
+
+def _cube(f):
+    return (f.dim,) * 3
+
+
+def _square(f):
+    return (f.dim, f.dim)
+
+
+def _indexed_cubes(f):
+    return (f.omega.size, f.dim, f.dim, f.dim)
+
+
+def _maps(f):
+    """One square map of the host algebra per semigroup element."""
+    return (f.omega.size, f.algebra.dim, f.algebra.dim)
+
+
+DIM = ("dim", "dim", INT)
+P = ("p", "p", matrix(_square))
+OMEGA = ("omega", "omega", reference("semigroup", "semigroup"))
+HOST_ALGEBRA = ("algebra", "algebra", reference("hom_algebra", "host algebra"))
+
+
+# The checkers are called through lambdas, so each call looks its name up in
+# this module: a wrapper installed on that name (a tracer's span, say) then
+# sees the calls made through the table.
+KINDS = {
+    "semigroup": Kind(
+        FiniteSemigroup,
+        "associativity and unit detection validated",
+        load=_load_semigroup,
+        dump=lambda obj, named: obj.to_dict(),
+    ),
+    "hom_algebra": Kind(
+        HomAlgebra, lambda obj: check_hom_algebra(obj), (DIM, ("mu", "mu", tensor3(_cube)), P)
+    ),
+    "hom_bimodule": Kind(
+        HomBimodule,
+        lambda obj: check_bimodule(obj),
+        (
+            ("algebra", "parent", reference("hom_algebra", "parent algebra")),
+            DIM,
+            ("left", "left", tensor3(lambda f: (f.dim, f.parent.dim, f.dim))),
+            ("right", "right", tensor3(lambda f: (f.dim, f.dim, f.parent.dim))),
+            ("q", "q", matrix(_square)),
+        ),
+    ),
+    "two_cocycle": Kind(
+        TwoCocycle,
+        lambda obj: check_two_cocycle(obj),
+        (
+            ("bimodule", "host", reference("hom_bimodule", "host bimodule")),
+            ("phi", "phi", tensor3(lambda f: (f.host.dim, f.host.parent.dim, f.host.parent.dim))),
+        ),
+    ),
+    "twisted_rbf": Kind(
+        TwistedRBFamily,
+        lambda obj: check_twisted_rbf(obj),
+        (
+            OMEGA,
+            ("phi_ref", "cocycle", reference("two_cocycle", "cocycle")),
+            (
+                "maps",
+                "maps",
+                indexed(lambda f: (f.omega.size, f.cocycle.host.parent.dim, f.cocycle.host.dim)),
+            ),
+        ),
+    ),
+    "nijenhuis_family": Kind(
+        NijenhuisFamily,
+        lambda obj: check_nijenhuis_family(obj),
+        (HOST_ALGEBRA, OMEGA, ("maps", "maps", indexed(_maps))),
+    ),
+    "weighted_rbf": Kind(
+        WeightedRBFamily,
+        lambda obj: check_weighted_rbf(obj),
+        (HOST_ALGEBRA, OMEGA, ("weight", "weight", SCALAR), ("maps", "maps", indexed(_maps))),
+    ),
+    "operator_morphism": Kind(
+        OperatorMorphism,
+        lambda obj: check_operator_morphism(obj),
+        (
+            ("source", "source", reference("twisted_rbf", "source operator")),
+            ("target", "target", reference("twisted_rbf", "target operator")),
+            ("psi", "psi", matrix(lambda f: (f.target.algebra.dim, f.source.algebra.dim))),
+            ("phi", "phi", matrix(lambda f: (f.target.bimodule.dim, f.source.bimodule.dim))),
+        ),
+    ),
+    "ns_algebra": Kind(
+        HomNSAlgebra,
+        lambda obj: check_hom_ns(obj),
+        (
+            DIM,
+            ("prec", "prec", tensor3(_cube)),
+            ("succ", "succ", tensor3(_cube)),
+            ("vee", "vee", tensor3(_cube)),
+            P,
+        ),
+    ),
+    "ns_family": Kind(
+        HomNSFamilyAlgebra,
+        lambda obj: check_hom_ns_family(obj),
+        (
+            OMEGA,
+            DIM,
+            ("prec", "prec", indexed(_indexed_cubes)),
+            ("succ", "succ", indexed(_indexed_cubes)),
+            ("vee", "vee", pair_indexed(_indexed_cubes)),
+            P,
+        ),
+    ),
+    "tridend_family": Kind(
+        HomTridendFamily,
+        lambda obj: check_tridend_family(obj),
+        (
+            OMEGA,
+            DIM,
+            ("prec", "prec", indexed(_indexed_cubes)),
+            ("succ", "succ", indexed(_indexed_cubes)),
+            ("dot", "dot", tensor3(_cube)),
+            P,
+        ),
+    ),
+    "omega_assoc": Kind(
+        OmegaAssocAlgebra,
+        lambda obj: check_omega_assoc(obj),
+        (OMEGA, DIM, ("prod", "prod", pair_indexed(_indexed_cubes)), P),
+    ),
+    "omega_bimodule": Kind(
+        OmegaBimodule,
+        lambda obj: check_omega_bimodule(obj),
+        (
+            ("algebra", "parent", reference("omega_assoc", "parent algebra")),
+            DIM,
+            ("left", "left", pair_indexed(lambda f: (f.parent.omega.size, f.dim, f.parent.dim, f.dim))),
+            ("right", "right", pair_indexed(lambda f: (f.parent.omega.size, f.dim, f.dim, f.parent.dim))),
+            ("q", "q", matrix(_square)),
+        ),
+    ),
+    "deformation": Kind(
+        DeformationDoc,
+        lambda doc: check_infinitesimal(doc.deformation),
+        load=_load_deformation,
+        dump=_doc_deformation,
+        refs=("base", "other"),
+    ),
+    "nijenhuis_candidate": Kind(
+        NijenhuisCandidate,
+        lambda candidate: check_nijenhuis_element(candidate.vector, candidate.operator),
+        (
+            ("operator", "operator", reference("twisted_rbf", "operator")),
+            ("vector", "vector", vector(lambda f: f.operator.algebra.dim)),
+        ),
+    ),
+    "linear_map": Kind(
+        LinearMapDoc,
+        "shape and membership validated at load",
+        load=_load_linear_map,
+        dump=lambda obj, named: {"entries": _matrix_doc(obj.matrix)},
+    ),
+    "cochain": Kind(
+        WorkspaceCochain,
+        "shape and membership validated at load",
+        load=_load_cochain,
+        dump=_doc_cochain,
+        refs=("operator", "algebra", "bimodule"),
+    ),
 }
+_KIND_OF_CLASS = {kind.cls: name for name, kind in KINDS.items()}
 
 
 def load_workspace(source):
@@ -528,14 +714,14 @@ def load_workspace(source):
     for name, doc in docs.items():
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InputError(f"object {name!r} must be a document with a 'kind'")
-        if doc["kind"] not in _LOADERS:
+        if not isinstance(doc["kind"], str) or doc["kind"] not in KINDS:
             raise InputError(f"object {name!r} has unknown kind {doc['kind']!r}")
 
     # Reference-graph check: every referenced name defined, no cycles.
     edges = {}
     for name, doc in docs.items():
         refs = []
-        for fieldname in _REFERENCE_FIELDS.get(doc["kind"], []):
+        for fieldname in KINDS[doc["kind"]].reference_keys():
             target = doc.get(fieldname)
             if isinstance(target, str):
                 if target not in docs:
@@ -544,266 +730,41 @@ def load_workspace(source):
                     )
                 refs.append(target)
         edges[name] = refs
-    state = {}
-    order = []
-
-    def postorder(node):
-        mark = state.get(node)
-        if mark == "done":
-            return
-        if mark == "doing":
-            raise InputError(f"reference cycle through object {node!r}")
-        state[node] = "doing"
-        for nxt in edges[node]:
-            postorder(nxt)
-        state[node] = "done"
-        order.append(node)
-
-    for name in docs:
-        postorder(name)
+    # Depth-first postorder with an explicit stack: a long chain of
+    # references must not exhaust the interpreter's recursion limit.
+    state, order = {}, []
+    for root in docs:
+        stack = [] if root in state else [(root, iter(edges[root]))]
+        state.setdefault(root, "doing")
+        while stack:
+            node, children = stack[-1]
+            nxt = next(children, None)
+            if nxt is None:
+                stack.pop()
+                state[node] = "done"
+                order.append(node)
+            elif state.get(nxt) == "doing":
+                raise InputError(f"reference cycle through object {nxt!r}")
+            elif nxt not in state:
+                state[nxt] = "doing"
+                stack.append((nxt, iter(edges[nxt])))
 
     ws = Workspace()
     for name in order:
         doc = docs[name]
-        obj = _LOADERS[doc["kind"]](doc, ws, where=f"objects[{name!r}]")
+        obj = KINDS[doc["kind"]].load_document(doc, ws, f"objects[{name!r}]")
         ws.add(name, doc["kind"], obj)
     return ws
-
-
-# ---------------------------------------------------------------------------
-# writers
-
-
-def _scalar_doc(value):
-    return format_rational(value)
-
-
-def _matrix_doc(mat):
-    return [[_scalar_doc(mat.at(i, j)) for j in range(mat.cols)] for i in range(mat.rows)]
-
-
-def _tensor3_doc(t):
-    d0, d1, d2 = t.shape
-    return [
-        [[_scalar_doc(t.at(k, i, j)) for j in range(d2)] for i in range(d1)]
-        for k in range(d0)
-    ]
-
-
-def _ref(named, obj, what):
-    for name, candidate in named.items():
-        if candidate is obj or candidate == obj:
-            return name
-    raise InputError(f"emitting requires the {what} to be present in the same document")
-
-
-def _doc_semigroup(obj, named):
-    return {"kind": "semigroup", "size": obj.size, "table": [list(r) for r in obj.table]}
-
-
-def _doc_hom_algebra(obj, named):
-    return {
-        "kind": "hom_algebra",
-        "dim": obj.dim,
-        "mu": _tensor3_doc(obj.mu),
-        "p": _matrix_doc(obj.p),
-    }
-
-
-def _doc_hom_bimodule(obj, named):
-    return {
-        "kind": "hom_bimodule",
-        "algebra": _ref(named, obj.parent, "parent algebra"),
-        "dim": obj.dim,
-        "left": _tensor3_doc(obj.left),
-        "right": _tensor3_doc(obj.right),
-        "q": _matrix_doc(obj.q),
-    }
-
-
-def _doc_two_cocycle(obj, named):
-    return {
-        "kind": "two_cocycle",
-        "bimodule": _ref(named, obj.host, "host bimodule"),
-        "phi": _tensor3_doc(obj.phi),
-    }
-
-
-def _doc_twisted_rbf(obj, named):
-    return {
-        "kind": "twisted_rbf",
-        "omega": _ref(named, obj.omega, "semigroup"),
-        "phi_ref": _ref(named, obj.cocycle, "cocycle"),
-        "maps": {str(a): _matrix_doc(m) for a, m in enumerate(obj.maps)},
-    }
-
-
-def _doc_nijenhuis_family(obj, named):
-    return {
-        "kind": "nijenhuis_family",
-        "algebra": _ref(named, obj.algebra, "host algebra"),
-        "omega": _ref(named, obj.omega, "semigroup"),
-        "maps": {str(a): _matrix_doc(m) for a, m in enumerate(obj.maps)},
-    }
-
-
-def _doc_weighted_rbf(obj, named):
-    return {
-        "kind": "weighted_rbf",
-        "algebra": _ref(named, obj.algebra, "host algebra"),
-        "omega": _ref(named, obj.omega, "semigroup"),
-        "weight": _scalar_doc(obj.weight),
-        "maps": {str(a): _matrix_doc(m) for a, m in enumerate(obj.maps)},
-    }
-
-
-def _doc_operator_morphism(obj, named):
-    return {
-        "kind": "operator_morphism",
-        "source": _ref(named, obj.source, "source operator"),
-        "target": _ref(named, obj.target, "target operator"),
-        "psi": _matrix_doc(obj.psi),
-        "phi": _matrix_doc(obj.phi),
-    }
-
-
-def _doc_ns_algebra(obj, named):
-    return {
-        "kind": "ns_algebra",
-        "dim": obj.dim,
-        "prec": _tensor3_doc(obj.prec),
-        "succ": _tensor3_doc(obj.succ),
-        "vee": _tensor3_doc(obj.vee),
-        "p": _matrix_doc(obj.p),
-    }
-
-
-def _doc_ns_family(obj, named):
-    m = obj.omega.size
-    return {
-        "kind": "ns_family",
-        "omega": _ref(named, obj.omega, "semigroup"),
-        "dim": obj.dim,
-        "prec": {str(a): _tensor3_doc(obj.prec[a]) for a in range(m)},
-        "succ": {str(a): _tensor3_doc(obj.succ[a]) for a in range(m)},
-        "vee": {f"{a},{b}": _tensor3_doc(obj.vee[a][b]) for a in range(m) for b in range(m)},
-        "p": _matrix_doc(obj.p),
-    }
-
-
-def _doc_tridend_family(obj, named):
-    m = obj.omega.size
-    return {
-        "kind": "tridend_family",
-        "omega": _ref(named, obj.omega, "semigroup"),
-        "dim": obj.dim,
-        "prec": {str(a): _tensor3_doc(obj.prec[a]) for a in range(m)},
-        "succ": {str(a): _tensor3_doc(obj.succ[a]) for a in range(m)},
-        "dot": _tensor3_doc(obj.dot),
-        "p": _matrix_doc(obj.p),
-    }
-
-
-def _doc_omega_assoc(obj, named):
-    m = obj.omega.size
-    return {
-        "kind": "omega_assoc",
-        "omega": _ref(named, obj.omega, "semigroup"),
-        "dim": obj.dim,
-        "prod": {f"{a},{b}": _tensor3_doc(obj.prod[a][b]) for a in range(m) for b in range(m)},
-        "p": _matrix_doc(obj.p),
-    }
-
-
-def _doc_omega_bimodule(obj, named):
-    m = obj.parent.omega.size
-    return {
-        "kind": "omega_bimodule",
-        "algebra": _ref(named, obj.parent, "parent algebra"),
-        "dim": obj.dim,
-        "left": {f"{a},{b}": _tensor3_doc(obj.left[a][b]) for a in range(m) for b in range(m)},
-        "right": {f"{a},{b}": _tensor3_doc(obj.right[a][b]) for a in range(m) for b in range(m)},
-        "q": _matrix_doc(obj.q),
-    }
-
-
-def _doc_deformation(obj, named):
-    deformation = obj.deformation
-    doc = {
-        "kind": "deformation",
-        "base": _ref(named, deformation.base, "base operator"),
-        "direction": {str(a): _matrix_doc(m) for a, m in enumerate(deformation.direction)},
-        "order": deformation.order,
-    }
-    if obj.other is not None:
-        doc["other"] = obj.other
-    if obj.element is not None:
-        doc["element"] = [_scalar_doc(c) for c in obj.element]
-    return doc
-
-
-def _doc_nijenhuis_candidate(obj, named):
-    return {
-        "kind": "nijenhuis_candidate",
-        "operator": _ref(named, obj.operator, "operator"),
-        "vector": [_scalar_doc(c) for c in obj.vector],
-    }
-
-
-def _doc_linear_map(obj, named):
-    return {"kind": "linear_map", "entries": _matrix_doc(obj.matrix)}
-
-
-def _doc_cochain(obj, named):
-    doc = {"kind": "cochain", "complex": obj.complex, "degree": obj.degree, "table": {}}
-    if obj.complex == "rbf":
-        doc["operator"] = _ref(named, obj.host[0], "operator")
-        src = obj.host[0].bimodule.dim
-    else:
-        doc["algebra"] = _ref(named, obj.host[0], "algebra")
-        doc["bimodule"] = _ref(named, obj.host[1], "bimodule")
-        src = obj.host[0].dim
-    for key, tensor in sorted(obj.table.items()):
-        skey = ",".join(str(a) for a in key)
-        if obj.degree == 0:
-            doc["table"][skey] = [_scalar_doc(c) for c in tensor.entries]
-        else:
-            width = src**obj.degree
-            tgt = tensor.shape[0]
-            mat = Matrix(tgt, width, tensor.entries)
-            doc["table"][skey] = _matrix_doc(mat)
-    return doc
-
-
-_WRITERS = {
-    FiniteSemigroup: ("semigroup", _doc_semigroup),
-    HomAlgebra: ("hom_algebra", _doc_hom_algebra),
-    HomBimodule: ("hom_bimodule", _doc_hom_bimodule),
-    TwoCocycle: ("two_cocycle", _doc_two_cocycle),
-    TwistedRBFamily: ("twisted_rbf", _doc_twisted_rbf),
-    NijenhuisFamily: ("nijenhuis_family", _doc_nijenhuis_family),
-    WeightedRBFamily: ("weighted_rbf", _doc_weighted_rbf),
-    OperatorMorphism: ("operator_morphism", _doc_operator_morphism),
-    HomNSAlgebra: ("ns_algebra", _doc_ns_algebra),
-    HomNSFamilyAlgebra: ("ns_family", _doc_ns_family),
-    HomTridendFamily: ("tridend_family", _doc_tridend_family),
-    OmegaAssocAlgebra: ("omega_assoc", _doc_omega_assoc),
-    OmegaBimodule: ("omega_bimodule", _doc_omega_bimodule),
-    DeformationDoc: ("deformation", _doc_deformation),
-    NijenhuisCandidate: ("nijenhuis_candidate", _doc_nijenhuis_candidate),
-    LinearMapDoc: ("linear_map", _doc_linear_map),
-    WorkspaceCochain: ("cochain", _doc_cochain),
-}
 
 
 def workspace_document(named):
     """Serialize a dict name -> object into a workspace document."""
     docs = {}
     for name, obj in named.items():
-        writer = _WRITERS.get(type(obj))
-        if writer is None:
+        kind = _KIND_OF_CLASS.get(type(obj))
+        if kind is None:
             raise InputError(f"cannot serialize object of type {type(obj).__name__}")
-        docs[name] = writer[1](obj, named)
+        docs[name] = {"kind": kind, **KINDS[kind].dump_document(obj, named)}
     return {"objects": docs}
 
 

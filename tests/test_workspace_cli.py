@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -395,3 +396,43 @@ def test_cli_verify_suite_corrupted_exits_one(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
     assert doc["first_failing"]
+
+
+# -- the deformation order field ----------------------------------------------------
+
+
+def _deformation_file(tmp_path, desk, direction, order):
+    data = json.loads(dump_workspace(desk_instance(desk)))
+    data["objects"]["D"] = {
+        "kind": "deformation",
+        "base": "operator",
+        "direction": {str(a): m for a, m in enumerate(direction)},
+        "order": order,
+    }
+    path = tmp_path / f"{desk}-order-{order}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_order_two_still_computes_the_t2_coefficient(tmp_path, capsys):
+    # R = 0 on D0 and R1 = 1: the t^2 coefficient R1 u . R1 v - R1(R1 u v + u R1 v)
+    # is -1, whatever order the document records.
+    flags = []
+    for order in (2, 3):
+        path = _deformation_file(tmp_path, "D0", [[["1"]]], order)
+        assert run_cli("deform", path, "--object", "D", "--mode", "infinitesimal", "--json") == 0
+        flags.append(json.loads(capsys.readouterr().out)["order2_flag"]["passed"])
+    assert flags == [False, False]
+
+
+def test_huge_order_changes_nothing_and_stays_fast(tmp_path, capsys):
+    zeros = [["0", "0"]] * 4
+    outputs = []
+    for order in (3, 10**7):
+        path = _deformation_file(tmp_path, "D1", [zeros, zeros], order)
+        start = time.perf_counter()
+        assert run_cli("deform", path, "--object", "D", "--mode", "infinitesimal", "--json") == 0
+        elapsed = time.perf_counter() - start
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert elapsed < 1.0

@@ -105,3 +105,84 @@ def test_degree_one_non_member_exits_two(tmp_path, capsys, twisted_c2_doc):
     path = _write(tmp_path, _with_cochain(twisted_c2_doc, 1, {"0": bad, "1": zero}))
     err = _check_exits_two(capsys, path, "f", "cochain violates the membership constraint")
     assert err.strip() == "error: objects['f']: cochain violates the membership constraint"
+
+
+# -- malformed kinds, indices and scalars -------------------------------------------
+
+
+def _d1_with(tmp_path, edit):
+    data = json.loads(dump_workspace(desk_instance("D1")))
+    edit(data["objects"])
+    return _write(tmp_path, data)
+
+
+@pytest.mark.parametrize("kind", [["hom_algebra"], {"hom_algebra": 1}])
+def test_unhashable_kind_exits_two(tmp_path, capsys, kind):
+    path = _d1_with(tmp_path, lambda objects: objects["base_algebra"].update(kind=kind))
+    err = _check_exits_two(capsys, path, "algebra", "has unknown kind")
+    assert err.strip() == f"error: object 'base_algebra' has unknown kind {kind!r}"
+
+
+def test_semigroup_row_that_is_not_a_list_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, {"objects": {"omega": {"kind": "semigroup", "size": 1, "table": [5]}}})
+    err = _check_exits_two(capsys, path, "omega", "expected a row")
+    assert err.strip() == "error: objects['omega'].table[0]: expected a row of 1 entries"
+
+
+@pytest.mark.parametrize("entry", [0.5, "0"])
+def test_non_integer_semigroup_entry_exits_two(tmp_path, capsys, entry):
+    table = {"kind": "semigroup", "size": 1, "table": [[entry]]}
+    path = _write(tmp_path, {"objects": {"omega": table}})
+    err = _check_exits_two(capsys, path, "omega", "out of range")
+    assert err.strip() == f"error: table[0][0] = {entry!r} out of range 0..0"
+
+
+def test_float_dimension_exits_two(tmp_path, capsys):
+    path = _d1_with(tmp_path, lambda objects: objects["base_algebra"].update(dim=1.0))
+    err = _check_exits_two(capsys, path, "base_algebra", "expected an integer")
+    assert err.strip() == "error: objects['base_algebra'].dim: expected an integer >= 0"
+
+
+def test_string_degree_exits_two(tmp_path, capsys, twisted_c2_doc):
+    data = _with_cochain(twisted_c2_doc, 1, {})
+    data["objects"]["f"]["degree"] = "1"
+    err = _check_exits_two(capsys, _write(tmp_path, data), "f", "expected an integer")
+    assert err.strip() == "error: objects['f'].degree: expected an integer >= 0"
+
+
+@pytest.mark.parametrize("scalar", [1, 0.5, ["1"], None])
+def test_non_string_scalar_exits_two(tmp_path, capsys, scalar):
+    def edit(objects):
+        objects["base_algebra"]["p"][0][0] = scalar
+
+    path = _d1_with(tmp_path, edit)
+    err = _check_exits_two(capsys, path, "base_algebra", "scalars must be rational literals")
+    assert err.strip() == (
+        "error: objects['base_algebra'].p[0]: scalars must be rational literals as strings, "
+        f"got {scalar!r}"
+    )
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_long_reference_chain_loads_or_exits_two(tmp_path, capsys, closed):
+    # 5000 deformations, each naming the next as 'other': deeper than the
+    # interpreter's recursion limit.  Closing the chain makes it a cycle.
+    data = json.loads(dump_workspace(desk_instance("D0")))
+    count = 5000
+    for i in range(count):
+        data["objects"][f"D{i}"] = {
+            "kind": "deformation",
+            "base": "operator",
+            "direction": {"0": [["0"]]},
+            "order": 3,
+            "other": f"D{(i + 1) % count}",
+        }
+    if not closed:
+        del data["objects"][f"D{count - 1}"]["other"]
+    path = _write(tmp_path, data)
+    if closed:
+        err = _check_exits_two(capsys, path, "D0", "reference cycle")
+        assert err.strip() == "error: reference cycle through object 'D0'"
+    else:
+        assert main(["check", path, "--object", "D0"]) == 0
+        capsys.readouterr()
