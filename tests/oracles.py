@@ -2,7 +2,8 @@
 
 Everything here is deliberately coded apart from the package: naive
 Fraction Gaussian elimination with a different pivot rule, a recursive
-multilinear evaluator, a twist-free family-law checker, the dendriform
+multilinear evaluator, the package's former dense multilinear kernel
+(frozen as the reference of the sparse one), a twist-free family-law checker, the dendriform
 subsystem checker, a from-scratch twisted-family differential (any
 structure maps; its matrix builder needs identity maps), and the dense
 raw x raw membership-constraint matrix of a cochain space.  Package
@@ -11,6 +12,7 @@ extracted up front).
 """
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 
 def rows_of(matrix):
@@ -77,6 +79,37 @@ def naive_multilinear(nested, args):
         return total
 
     return [contract(nested[k], list(args)) for k in range(len(nested))]
+
+
+def dense_multilinear(tensor, args):
+    """The dense body ``linalg.multilinear_apply`` had before it went sparse.
+
+    Walks the whole input index product and, at each index with a nonzero
+    weight ``1 * x_1 * ... * x_n``, reads every output row of the row-major
+    entries.  Shapes are assumed valid.  Kept verbatim so the sparse kernel
+    can be held to ``repr``-identical output, entry types included.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    d_out, in_dims = tensor.shape[0], tensor.shape[1:]
+    out = [zero] * d_out
+    if d_out == 0:
+        return ()
+    inner = prod(in_dims)
+    for flat_in, idx in enumerate(product(*(range(d) for d in in_dims))):
+        w = one
+        for v, i in zip(args, idx):
+            x = v[i]
+            if not x:
+                w = None
+                break
+            w = w * x
+        if w is None:
+            continue
+        for k in range(d_out):
+            c = tensor.entries[k * inner + flat_in]
+            if c:
+                out[k] = out[k] + c * w
+    return tuple(out)
 
 
 def _add(a, b):

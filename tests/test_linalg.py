@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_multilinear, naive_rank, nested_of, rows_of
+from oracles import dense_multilinear, naive_multilinear, naive_rank, nested_of, rows_of
 from rbfam.errors import InputError
 from rbfam.linalg import (
     Matrix,
@@ -147,6 +148,79 @@ def test_multilinear_against_naive_oracle():
         ]
         expected = naive_multilinear(nested_of(t), [list(a) for a in args])
         assert list(multilinear_apply(t, args)) == expected
+
+
+def kernel_scalars(order):
+    """Scalars biased toward 0 and 1; TruncatedPoly of ``order`` when set."""
+    rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    options = [st.just(Fraction(0)), st.just(Fraction(1)), rationals]
+    if order is not None:
+        options += [
+            st.just(TruncatedPoly.constant(1, order)),
+            st.lists(rationals, min_size=order, max_size=order).map(
+                lambda cs: TruncatedPoly(cs, order)
+            ),
+        ]
+    return st.one_of(options)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A tensor with 0-3 input axes (extents 0-3) and arguments that are
+    unit, zero or dense vectors, over rationals or one truncation order."""
+    order = draw(st.sampled_from([None, 1, 2, 3]))
+    scalars = kernel_scalars(order)
+    ones = [Fraction(1)] + ([] if order is None else [TruncatedPoly.constant(1, order)])
+    shape = (draw(st.integers(0, 3)),) + tuple(
+        draw(st.lists(st.integers(0, 3), min_size=0, max_size=3))
+    )
+    entries = tuple(draw(st.lists(scalars, min_size=prod(shape), max_size=prod(shape))))
+    args = []
+    for d in shape[1:]:
+        kinds = ["zero", "dense"] + (["unit"] if d else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "unit":
+            one, i = draw(st.sampled_from(ones)), draw(st.integers(0, d - 1))
+            args.append(tuple(one if j == i else Fraction(0) for j in range(d)))
+        elif kind == "zero":
+            args.append(zero_vector(d))
+        else:
+            args.append(tuple(draw(st.lists(scalars, min_size=d, max_size=d))))
+    return Tensor(shape, entries), args
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_multilinear_matches_dense_kernel(case):
+    # repr compares every entry's value and type (Fraction vs TruncatedPoly).
+    tensor, args = case
+    assert repr(multilinear_apply(tensor, args)) == repr(dense_multilinear(tensor, args))
+
+
+def test_multilinear_keeps_polynomial_type_of_unit_factors():
+    # A constant-1 polynomial equals Fraction(1) but must still make the
+    # output polynomial, in the tensor and in an argument alike.
+    one = TruncatedPoly.constant(1, 2)
+    t = Tensor((1, 2), (one, Fraction(0)))
+    assert repr(multilinear_apply(t, [unit_vector(2, 0)])) == repr((one,))
+    t = Tensor((1, 2), (Fraction(3), Fraction(0)))
+    out = multilinear_apply(t, [(one, Fraction(0))])
+    assert isinstance(out[0], TruncatedPoly)
+    assert repr(out) == repr(dense_multilinear(t, [(one, Fraction(0))]))
+    # no input axes, and a zero-extent axis
+    t = Tensor((2,), (Fraction(5), Fraction(0)))
+    assert multilinear_apply(t, []) == (Fraction(5), Fraction(0))
+    assert multilinear_apply(Tensor((2, 0, 3), ()), [(), zero_vector(3)]) == zero_vector(2)
+
+
+def test_tensor_identity_survives_the_kernel():
+    rng = random.Random(9)
+    t = random_tensor(rng, (3, 2, 2))
+    multilinear_apply(t, [unit_vector(2, 1), (Fraction(1), Fraction(-2))])
+    fresh = Tensor(t.shape, t.entries)
+    assert t == fresh and fresh == t
+    assert hash(t) == hash(fresh)
+    assert repr(t) == repr(fresh)
 
 
 def test_multilinear_shape_errors():
