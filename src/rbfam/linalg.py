@@ -1,7 +1,11 @@
-"""Dense exact linear algebra: vectors, matrices, tensors, fraction-free elimination.
+"""Exact linear algebra: dense vectors, matrices and tensors, sparse
+contraction, fraction-free elimination.
 
 Everything is immutable and every operation is a pure function of its
-inputs, so values are safe to share across threads.  Elimination follows
+inputs, so values are safe to share across threads.  Matrix-vector products
+and multilinear contraction run over the arguments' supports (their nonzero
+coordinates), reading a tensor through a sparse column view built once per
+tensor.  Elimination follows
 the Bareiss fraction-free scheme with the pivot fixed as the first nonzero
 entry in the current column (lowest row index), which makes rank, kernel
 and solve fully deterministic.
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 from math import lcm, prod
 
@@ -101,13 +106,14 @@ class Matrix:
     def apply(self, v):
         if len(v) != self.cols:
             raise InputError(f"matrix-vector mismatch: {self.cols} cols vs {len(v)}")
+        support = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for i in range(self.rows):
             acc = ZERO
             base = i * self.cols
-            for j, x in enumerate(v):
+            for j, x in support:
                 e = self.entries[base + j]
-                if e and x:
+                if e:
                     acc = acc + e * x
             out.append(acc)
         return tuple(out)
@@ -268,12 +274,28 @@ class Tensor:
     def is_zero(self):
         return not any(self.entries)
 
+    @cached_property
+    def sparse_columns(self):
+        """For each flat input index, the tuple of (k, c) with c = T[k][index] != 0.
+
+        Built on first use and kept on the instance; not a field, so ``==``,
+        ``hash`` and ``repr`` ignore it.  Needs an output axis.
+        """
+        d_out, inner = self.shape[0], prod(self.shape[1:])
+        entries = self.entries
+        return tuple(
+            tuple((k, c) for k in range(d_out) if (c := entries[k * inner + j]))
+            for j in range(inner)
+        )
+
 
 def multilinear_apply(tensor, args):
     """Contract a tensor of shape (d_out, d_1..d_n) with n argument vectors.
 
     Returns the vector with coordinates sum T[k][i_1..i_n] args_1[i_1]...args_n[i_n];
-    the result is linear in each argument.
+    the result is linear in each argument.  The sum runs over the product of
+    the arguments' supports only, in lexicographic order, against the
+    tensor's ``sparse_columns``; each term is ``T[k][i] * (x_1 * ... * x_n)``.
     """
     shape = tensor.shape
     if len(shape) < 1:
@@ -284,24 +306,24 @@ def multilinear_apply(tensor, args):
     for v, d in zip(args, in_dims):
         if len(v) != d:
             raise InputError(f"argument length {len(v)} != extent {d}")
-    out = [ZERO] * d_out
     if d_out == 0:
         return ()
-    inner = prod(in_dims)
-    for flat_in, idx in enumerate(iproduct(*(range(d) for d in in_dims))):
-        w = ONE
-        for v, i in zip(args, idx):
-            x = v[i]
-            if not x:
-                w = None
-                break
+    out = [ZERO] * d_out
+    columns = tensor.sparse_columns
+    # Each support entry carries its row-major offset i * stride in place of i.
+    supports = []
+    stride = 1
+    for v in reversed(args):
+        supports.append([(i * stride, x) for i, x in enumerate(v) if x])
+        stride *= len(v)
+    supports.reverse()
+    for terms in iproduct(*supports):
+        flat, w = terms[0] if terms else (0, ONE)
+        for offset, x in terms[1:]:
+            flat += offset
             w = w * x
-        if w is None:
-            continue
-        for k in range(d_out):
-            c = tensor.entries[k * inner + flat_in]
-            if c:
-                out[k] = out[k] + c * w
+        for k, c in columns[flat]:
+            out[k] = out[k] + c * w
     return tuple(out)
 
 

@@ -226,11 +226,39 @@ def _tensor3_doc(t):
     ]
 
 
-def _ref(named, obj, what):
-    for name, candidate in named.items():
-        if candidate is obj or candidate == obj:
-            return name
-    raise InputError(f"emitting requires the {what} to be present in the same document")
+class _Names:
+    """The references of one dump: a name -> object dict, indexed once.
+
+    ``ref(obj, what)`` is the first name in dict order whose object is or
+    ``==`` obj.  Equal hashable objects share one key of ``first``, which
+    keeps the earliest position; objects that cannot be hashed are scanned,
+    and so is everything when the lookup misses.
+    """
+
+    def __init__(self, named):
+        self.items = list(named.items())
+        self.first = {}
+        self.unhashable = []
+        for pos, (_, obj) in enumerate(self.items):
+            try:
+                self.first.setdefault(obj, pos)
+            except TypeError:
+                self.unhashable.append(pos)
+
+    def ref(self, obj, what):
+        try:
+            hit = self.first.get(obj)
+        except TypeError:
+            hit = None
+        if hit is None:
+            positions = range(len(self.items))
+        else:
+            positions = [pos for pos in self.unhashable if pos < hit] + [hit]
+        for pos in positions:
+            name, candidate = self.items[pos]
+            if candidate is obj or candidate == obj:
+                return name
+        raise InputError(f"emitting requires the {what} to be present in the same document")
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +266,8 @@ def _ref(named, obj, what):
 #
 # A codec loads one document field and dumps it back.  ``load(node, f, ws,
 # where)`` may size the field from ``f``, the namespace of the fields loaded
-# before it (keyed by attribute); ``dump(value, named)`` gets the names of
-# the whole document to write references.
+# before it (keyed by attribute); ``dump(value, named)`` gets the ``_Names``
+# of the whole document to write references.
 
 
 class Codec(NamedTuple):
@@ -252,7 +280,7 @@ def reference(kind, what):
     """A name of an object of ``kind``; ``what`` names it in dump errors."""
     return Codec(
         lambda node, f, ws, where: ws.get(node, kinds={kind}),
-        lambda obj, named: _ref(named, obj, what),
+        lambda obj, named: named.ref(obj, what),
         refers=True,
     )
 
@@ -389,7 +417,7 @@ def _load_deformation(doc, ws, where):
 def _doc_deformation(obj, named):
     deformation = obj.deformation
     doc = {
-        "base": _ref(named, deformation.base, "base operator"),
+        "base": named.ref(deformation.base, "base operator"),
         "direction": {str(a): _matrix_doc(m) for a, m in enumerate(deformation.direction)},
         "order": deformation.order,
     }
@@ -488,11 +516,11 @@ def _load_cochain(doc, ws, where):
 def _doc_cochain(obj, named):
     doc = {"complex": obj.complex, "degree": obj.degree, "table": {}}
     if obj.complex == "rbf":
-        doc["operator"] = _ref(named, obj.host[0], "operator")
+        doc["operator"] = named.ref(obj.host[0], "operator")
         src = obj.host[0].bimodule.dim
     else:
-        doc["algebra"] = _ref(named, obj.host[0], "algebra")
-        doc["bimodule"] = _ref(named, obj.host[1], "bimodule")
+        doc["algebra"] = named.ref(obj.host[0], "algebra")
+        doc["bimodule"] = named.ref(obj.host[1], "bimodule")
         src = obj.host[0].dim
     for key, tensor in sorted(obj.table.items()):
         skey = ",".join(str(a) for a in key)
@@ -760,11 +788,12 @@ def load_workspace(source):
 def workspace_document(named):
     """Serialize a dict name -> object into a workspace document."""
     docs = {}
+    names = _Names(named)
     for name, obj in named.items():
         kind = _KIND_OF_CLASS.get(type(obj))
         if kind is None:
             raise InputError(f"cannot serialize object of type {type(obj).__name__}")
-        docs[name] = {"kind": kind, **KINDS[kind].dump_document(obj, named)}
+        docs[name] = {"kind": kind, **KINDS[kind].dump_document(obj, names)}
     return {"objects": docs}
 
 

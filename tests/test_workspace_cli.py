@@ -7,7 +7,9 @@ import pytest
 
 from rbfam.cli import main
 from rbfam.errors import InputError
-from rbfam.workspace import DESK_NAMES, desk_instance, dump_workspace, load_workspace
+from rbfam.homalg import HomAlgebra, regular_bimodule
+from rbfam.linalg import Matrix, Tensor
+from rbfam.workspace import DESK_NAMES, _Names, desk_instance, dump_workspace, load_workspace
 
 
 @pytest.fixture()
@@ -100,6 +102,51 @@ def test_cochain_round_trip(d1_file):
     named = {n: ws.get(n) for n in data["objects"]}
     again = load_workspace(json.loads(dump_workspace(named)))
     assert again.get("f") == ws.get("f")
+
+
+def _algebra(c):
+    mu = Tensor.from_nested([[[c, 0], [0, c]], [[0, c], [c, 0]]], 3)
+    return HomAlgebra(dim=2, mu=mu, p=Matrix.identity(2))
+
+
+def test_dump_reference_is_first_equal_name():
+    algebra = _algebra(1)
+    copy = _algebra(1)
+    assert copy == algebra and copy is not algebra
+    # An equal copy under an earlier name wins over the object itself.
+    named = {"copy": copy, "algebra": algebra, "module": regular_bimodule(algebra)}
+    assert json.loads(dump_workspace(named))["objects"]["module"]["algebra"] == "copy"
+    named = {"algebra": algebra, "copy": copy, "module": regular_bimodule(copy)}
+    assert json.loads(dump_workspace(named))["objects"]["module"]["algebra"] == "algebra"
+
+
+def test_dump_reference_scans_unhashable_objects():
+    class Unhashable:
+        __hash__ = None
+
+        def __eq__(self, other):
+            return other == 3
+
+    # An earlier object that cannot be hashed but equals the target still wins.
+    names = _Names({"u": Unhashable(), "three": 3, "list": [3]})
+    assert names.ref(3, "x") == "u"
+    assert names.ref([3], "x") == "list"
+    assert _Names({"list": [3], "three": 3}).ref([3], "x") == "list"
+    with pytest.raises(InputError, match="the x to be present"):
+        names.ref(4, "x")
+
+
+def test_dump_is_linear_in_the_number_of_references():
+    named = {}
+    for i in range(800):
+        algebra = _algebra(i + 1)
+        named[f"a{i}"] = algebra
+        named[f"m{i}"] = regular_bimodule(algebra)
+    start = time.perf_counter()
+    doc = json.loads(dump_workspace(named))
+    elapsed = time.perf_counter() - start
+    assert doc["objects"]["m799"]["algebra"] == "a799"
+    assert elapsed < 1.0
 
 
 # -- strictness ---------------------------------------------------------------------
