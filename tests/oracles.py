@@ -3,12 +3,12 @@
 Everything here is deliberately coded apart from the package: naive
 Fraction Gaussian elimination with a different pivot rule, a recursive
 multilinear evaluator, the package's former dense multilinear kernel
-(frozen as the reference of the sparse one), a twist-free family-law checker, the dendriform
-subsystem checker, a from-scratch twisted-family differential (any
-structure maps; its matrix builder needs identity maps), and the dense
-raw x raw membership-constraint matrix of a cochain space.  Package
-objects are accepted as data carriers only (their raw entries are
-extracted up front).
+(frozen as the reference of the sparse one), a twist-free family-law
+checker, the dendriform subsystem checker, a from-scratch twisted-family
+differential (any structure maps; its matrix builder needs identity
+maps), and the dense raw x raw membership-constraint matrix of a cochain
+space.  Package objects are accepted as data carriers only (their raw
+entries are extracted up front).
 """
 from fractions import Fraction
 from itertools import product
