@@ -13,8 +13,9 @@ Three complexes share one chassis:
           algebra and bimodule; the two must agree exactly.
 
 Cochain spaces carry the equivariance membership constraint, enforced at
-construction.  Bases, differential matrices and dimensions are exact and
-deterministic.
+construction.  In every degree and for any structure maps the basis is the
+kernel of one index tuple's constraint block, kept as sparse supports.
+Bases, differential matrices and dimensions are exact and deterministic.
 
 In every degree n >= 0 the differential of each complex is one linear
 map, assembled in raw coordinates by one stencil walker shared by the
@@ -46,10 +47,12 @@ from .family import (
 )
 from .homalg import check_bimodule, check_hom_algebra, is_equivariant
 from .linalg import (
+    ONE,
     ZERO,
     Matrix,
     Tensor,
-    kernel_basis,
+    densify,
+    kernel_supports,
     multilinear_apply,
     rank,
     solve,
@@ -187,9 +190,6 @@ class ComplexHandle:
 
     # -- membership ---------------------------------------------------------
 
-    def _constraint_trivial(self):
-        return self.source_map.is_identity() and self.target_map.is_identity()
-
     def membership_ok(self, cochain):
         return is_equivariant(
             self.target_map, self.source_map, cochain.degree, cochain.table.values()
@@ -248,20 +248,30 @@ class ComplexHandle:
         limit = max(self.max_entries, EXACT_SIZE_LIMIT)
         est = self.raw_dim(degree, limit)
         if est is None or est > self.max_entries:
-            about = f"about {est}" if est is not None else f"more than {limit}"
             raise DegreeCapError(
-                f"degree {degree} needs {about} tensor entries, "
+                f"degree {degree} needs {_about(est, limit)} tensor entries, "
                 f"beyond the budget {self.max_entries}",
                 estimated_entries=est,
             )
-        # The dense basis holds up to raw vectors of raw entries; this also
-        # bounds the block x block constraint (block <= raw) and the
-        # stencil's raw(n+1) x raw(n) nonzeros, guarded at degree n + 1.
+        # The basis is stored as supports, but ``basis_vectors`` can still
+        # materialize raw vectors of raw entries; raw^2 also bounds the
+        # block x block constraint (block <= raw) and the stencil's
+        # raw(n+1) x raw(n) nonzeros, guarded at degree n + 1.
         if est * est > self.max_entries:
             raise DegreeCapError(
                 f"degree {degree} needs a basis of up to {est}x{est} "
                 f"({est * est} entries), beyond the budget {self.max_entries}",
                 estimated_entries=est * est,
+            )
+        # The stencil walks raw(n+1) output rows with n merged slots of
+        # n-long argument lists each, however small the spaces above are.
+        walk = self.raw_dim(degree + 1, limit)
+        walk = None if walk is None or walk * degree**2 > limit else walk * degree**2
+        if walk is None or walk > self.max_entries:
+            raise DegreeCapError(
+                f"degree {degree} needs a stencil walk of {_about(walk, limit)} steps, "
+                f"beyond the budget {self.max_entries}",
+                estimated_entries=walk,
             )
         if degree == 0 and self.tag in (OMEGA, RBF) and self.omega.unit is None:
             raise MissingUnitError(
@@ -270,69 +280,73 @@ class ComplexHandle:
 
     # -- bases ----------------------------------------------------------------
 
-    def basis_vectors(self, degree):
-        """Coefficient vectors of the constraint-kernel basis, lexicographic."""
-        if degree in self._basis:
-            return self._basis[degree]
-        self._guard_degree(degree, allow_plus_one=True)
-        raw = self.raw_dim(degree)
-        if degree == 0:
-            mat = self.target_map.sub(Matrix.identity(self.target_dim))
-            vecs = kernel_basis(mat)
-        elif self._constraint_trivial():
-            vecs = [unit_vector(raw, j) for j in range(raw)]
-        else:
-            # The constraint never mixes index tuples: its raw matrix is
-            # block-diagonal with one identical block per key, so the raw
-            # kernel basis (unit on its free columns, hence unique) is the
-            # block's basis placed at each key's offset, in key order.
+    def supports(self, degree):
+        """The constraint-kernel basis as sparse ((position, value), ...),
+        lexicographic.  The raw constraint is block-diagonal with one
+        identical block per index tuple, so the basis (unit on its free
+        columns, hence unique) is the block's, placed at each key's offset."""
+        if degree not in self._basis:
+            self._guard_degree(degree, allow_plus_one=True)
             block = self.block_dim(degree)
-            block_vecs = kernel_basis(self._constraint_matrix(degree))
-            vecs = [
-                (ZERO,) * offset + v + (ZERO,) * (raw - block - offset)
-                for offset in range(0, raw, block)
+            block_vecs = kernel_supports(self._constraint_matrix(degree))
+            self._basis[degree] = [
+                tuple((offset + j, c) for j, c in v)
+                for offset in range(0, self.raw_dim(degree), block or 1)
                 for v in block_vecs
             ]
-        self._basis[degree] = vecs
-        return vecs
+        return self._basis[degree]
+
+    def basis_vectors(self, degree):
+        """Coefficient vectors of the constraint-kernel basis, lexicographic."""
+        return [densify(v, self.raw_dim(degree)) for v in self.supports(degree)]
 
     def basis(self, degree):
         return [self.unflatten(degree, v) for v in self.basis_vectors(degree)]
 
+    def combine(self, degree, coeffs):
+        """Raw coordinates of sum_i coeffs[i] * (basis vector i)."""
+        out = [ZERO] * self.raw_dim(degree)
+        for c, support in zip(coeffs, self.supports(degree)):
+            if c:
+                for i, e in support:
+                    out[i] += c * e
+        return out
+
     def _constraint_matrix(self, degree):
         """One key's block of the membership constraint q o f = f o p^(x n).
 
-        Rows (k, i_vec), cols (k', j_vec):
-            q[k][k'] [j=i] - [k'=k] prod_l p[j_l][i_l]
+        Row (k, i_vec), column (k', j_vec):
+            q[k][k'] [j=i] - [k'=k] prod_l p[j_l][i_l],
+        the products taken over the supports of p's columns i_l.  Rows that
+        vanish (all of them when p = q = id) do not change the kernel and
+        are left out.
         """
-        src, tgt = self.source_map, self.target_map
-        d = self.target_dim
-        in_idx = list(iproduct(range(self.source_dim), repeat=degree))
-        m = len(in_idx)
-        # prod_l p[j_l][i_l] does not depend on k: one row per i_vec.
+        g, d = self.source_dim, self.target_dim
+        m = g**degree
+        p_cols = [_sparse(self.source_map.column(i)) for i in range(g)]
+        q_rows = [_sparse(self.target_map.row(k)) for k in range(d)]
+        # prod_l p[j_l][i_l] does not depend on k: one list per i_vec.
         weights = []
-        for ivec in in_idx:
+        for ivec in iproduct(range(g), repeat=degree):
             row = []
-            for jpos, jvec in enumerate(in_idx):
-                w = 1
-                for jl, il in zip(jvec, ivec):
-                    w = w * src.at(jl, il)
-                    if not w:
-                        break
-                if w:
-                    row.append((jpos, w))
+            for combo in iproduct(*(p_cols[i] for i in ivec)):
+                jpos, w = 0, ONE
+                for jl, c in combo:
+                    jpos, w = jpos * g + jl, w * c
+                row.append((jpos, w))
             weights.append(row)
-        entries = [[0] * (d * m) for _ in range(d * m)]
+        rows = []
         for krow in range(d):
             for ipos in range(m):
-                r = entries[krow * m + ipos]
-                for kcol in range(d):
-                    e = tgt.at(krow, kcol)
-                    if e:
-                        r[kcol * m + ipos] += e
+                r = {}
+                for kcol, e in q_rows[krow]:
+                    r[kcol * m + ipos] = e
                 for jpos, w in weights[ipos]:
-                    r[krow * m + jpos] -= w
-        return Matrix.from_rows(entries)
+                    col = krow * m + jpos
+                    r[col] = r.get(col, ZERO) - w
+                if any(r.values()):
+                    rows.append(densify(r.items(), d * m))
+        return Matrix(len(rows), d * m, tuple(e for row in rows for e in row))
 
     # -- differentials ----------------------------------------------------------
 
@@ -365,45 +379,34 @@ class ComplexHandle:
         (membership is not required); for RBF both routes must agree."""
         if len(vec) != self.raw_dim(degree, len(vec)):
             raise InputError("coefficient vector has the wrong length")
-        return self._apply_maps(self._stencil_maps(degree), degree, vec)
+        return self._apply_maps(self._stencil_maps(degree), degree, _sparse(vec))
 
     def differential_matrix(self, degree):
         if degree in self._matrix:
             return self._matrix[degree]
+        basis_in = self.basis(0) if degree == 0 else self.supports(degree)
+        vec_out = self.supports(degree + 1)
         if degree == 0:
-            basis_in = self.basis(0)
-            vec_out = self.basis_vectors(1)
             images = [self.flatten(self.differential(b)) for b in basis_in]
         else:
-            basis_in = self.basis_vectors(degree)
-            vec_out = self.basis_vectors(degree + 1)
             maps = self._stencil_maps(degree)
             images = [
                 self._apply_maps(maps, degree, b, f", on basis vector {j}")
                 for j, b in enumerate(basis_in)
             ]
-        if self._constraint_trivial():
-            columns = images
-        else:
-            # Each basis vector is 1 on its own free column (its last
-            # nonzero entry) and 0 on the others' free columns, so the
-            # coordinates of a member are its free-column entries.  Rebuild
-            # the image from them to check that it is a member.
-            support = [[(i, e) for i, e in enumerate(v) if e] for v in vec_out]
-            free = [s[-1][0] for s in support]
-            columns = []
-            for image in images:
-                coords = tuple(image[f] for f in free)
-                rebuilt = [ZERO] * len(image)
-                for c, s in zip(coords, support):
-                    if c:
-                        for i, e in s:
-                            rebuilt[i] += c * e
-                if rebuilt != list(image):
-                    raise RouteMismatchError(
-                        "differential image escaped the constrained cochain space"
-                    )
-                columns.append(coords)
+        # Each basis vector is 1 on its own free column (its last nonzero
+        # entry) and 0 on the others' free columns, so the coordinates of a
+        # member are its free-column entries.  Rebuild the image from them
+        # to check that it is a member.
+        free = [s[-1][0] for s in vec_out]
+        columns = []
+        for image in images:
+            coords = tuple(image[f] for f in free)
+            if self.combine(degree + 1, coords) != list(image):
+                raise RouteMismatchError(
+                    "differential image escaped the constrained cochain space"
+                )
+            columns.append(coords)
         mat = Matrix.from_columns(columns, rows=len(vec_out))
         self._matrix[degree] = mat
         return mat
@@ -428,10 +431,11 @@ class ComplexHandle:
         self._maps[degree] = maps
         return maps
 
-    def _apply_maps(self, maps, degree, vec, where=""):
-        """Raw image D . vec of each map; for RBF both routes' images must agree."""
+    def _apply_maps(self, maps, degree, support, where=""):
+        """Raw image D . vec of each map, for vec given by its nonzero
+        ((position, value), ...); for RBF both routes' images must agree."""
         raw_out = self.raw_dim(degree + 1)
-        image, *others = [_apply_columns(cols, vec, raw_out) for cols in maps]
+        image, *others = [_apply_columns(cols, support, raw_out) for cols in maps]
         for other in others:
             if other != image:
                 row = next(r for r, (x, y) in enumerate(zip(image, other)) if x != y)
@@ -744,13 +748,13 @@ def _assemble_stencil(handle, degree, stencil):
     return cols
 
 
-def _apply_columns(cols, vec, rows):
-    """Dense product of sparse columns {row: value} with a coefficient vector."""
+def _apply_columns(cols, support, rows):
+    """Dense product of sparse columns {row: value} with a sparse vector
+    ((column, value), ...)."""
     out = [ZERO] * rows
-    for c, e in enumerate(vec):
-        if e:
-            for r, v in cols[c].items():
-                out[r] += e * v
+    for c, e in support:
+        for r, v in cols[c].items():
+            out[r] += e * v
     return out
 
 
@@ -776,6 +780,10 @@ def cochain_size(target_dim, slots, degree, limit=None):
     return size if limit is None or size <= limit else None
 
 
+def _about(est, limit):
+    return f"about {est}" if est is not None else f"more than {limit}"
+
+
 def _cap_error(handle, degree, at, where=""):
     """The error for a degree over the cap, with the raw size of degree ``at``."""
     est = handle.raw_dim(at, EXACT_SIZE_LIMIT)
@@ -797,7 +805,7 @@ def cohomology_dims(handle, degree):
         raise InputError("degree must be nonnegative")
     if degree > handle.degree_cap:
         raise _cap_error(handle, degree, degree + 1, " at the next degree")
-    dim_c = len(handle.basis_vectors(degree))
+    dim_c = len(handle.supports(degree))
     m_n = handle.differential_matrix(degree)
     dim_z = dim_c - rank(m_n)
     if degree == 0:

@@ -645,22 +645,11 @@ def trivialize_cocycle(operator, cocycle_maps, handle=None):
     if not handle.differential(cochain).is_zero():
         raise InputError("the supplied cochain is not a cocycle")
 
-    columns = []
-    for i in range(n):
-        delta = rbf_delta0_matrices(handle, unit_vector(n, i))
-        col = []
-        for alpha in omega.elements():
-            col.extend(delta[alpha].entries)
-        columns.append(tuple(col))
-    rhs = []
-    for alpha in omega.elements():
-        rhs.extend(mats[alpha].entries)
+    rhs = handle.flatten(cochain)
     p_rows = operator.algebra.p.sub(Matrix.identity(n))
-    system_rows = len(rhs) + n
-    system = Matrix.from_columns(
-        [tuple(columns[i]) + p_rows.column(i) for i in range(n)], rows=system_rows
-    )
-    outcome = solve(system, tuple(rhs) + (Fraction(0),) * n)
+    delta0 = [tuple(handle.raw_differential(0, unit_vector(n, i))) for i in range(n)]
+    system = Matrix.from_columns([delta0[i] + p_rows.column(i) for i in range(n)], rows=len(rhs) + n)
+    outcome = solve(system, rhs + (Fraction(0),) * n)
     if outcome is None:
         return TrivializationResult(
             found=False,
@@ -743,18 +732,10 @@ def rigidity_probe(operator, handle=None):
     dims = cohomology_dims(handle, 1)
     m1 = differential_matrix(handle, 1)
     z_basis = kernel_basis(m1)
-    basis = handle.basis(1)
     outcomes = []
     all_good = True
     for coeffs in z_basis:
-        cochain = None
-        for c, b in zip(coeffs, basis):
-            if not c:
-                continue
-            piece = b.scale(c)
-            cochain = piece if cochain is None else cochain.add(piece)
-        if cochain is None:
-            cochain = handle.unflatten(1, (Fraction(0),) * handle.raw_dim(1))
+        cochain = handle.unflatten(1, handle.combine(1, coeffs))
         result = trivialize_cocycle(operator, cochain, handle=handle)
         nij = result.found and result.witness is not None
         outcomes.append(

@@ -12,6 +12,7 @@ and solve fully deterministic.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -364,9 +365,8 @@ def _integer_rows(rows):
     # rank nor the null space (nor, on an augmented row, the solutions).
     out = []
     for row in rows:
-        row = [Fraction(e) for e in row]
         scale = lcm(*(e.denominator for e in row))
-        out.append([int(e * scale) for e in row])
+        out.append([e.numerator * (scale // e.denominator) for e in row])
     return out
 
 
@@ -415,22 +415,38 @@ def rank(m):
 
 
 def _kernel_from_echelon(rows, pivots, ncols):
+    """Null space of an echelon form as sparse ((column, value), ...), one
+    per free column f: 1 at f, 0 at the other free columns, so only the
+    pivot columns before f can be nonzero."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        x = {f: ONE}
+        for r in range(bisect_left(pivots, f) - 1, -1, -1):
+            row = rows[r]
             acc = ZERO
-            for j in range(c + 1, ncols):
-                e = rows[r][j]
-                if e and x[j]:
-                    acc += e * x[j]
-            x[c] = -acc / rows[r][c]
-        basis.append(tuple(x))
+            for j, v in x.items():
+                if row[j]:
+                    acc += row[j] * v
+            if acc:
+                x[pivots[r]] = -acc / row[pivots[r]]
+        basis.append(tuple(sorted(x.items())))
     return basis
+
+
+def densify(support, n):
+    """The length-n vector with the entries of a sparse ((index, value), ...)."""
+    out = [ZERO] * n
+    for i, c in support:
+        out[i] = c
+    return tuple(out)
+
+
+def kernel_supports(m):
+    """``kernel_basis`` with each vector as its nonzero ((column, value), ...)."""
+    _require_rational_matrix(m)
+    rows = _integer_rows(m.row(i) for i in range(m.rows))
+    return _kernel_from_echelon(rows, _bareiss(rows, m.cols), m.cols)
 
 
 def kernel_basis(m):
@@ -441,38 +457,31 @@ def kernel_basis(m):
     space has its free-column entries as its coordinates in this basis.
     ``ComplexHandle.differential_matrix`` reads coordinates that way.
     """
-    _require_rational_matrix(m)
-    rows = _integer_rows(m.row(i) for i in range(m.rows))
-    pivots = _bareiss(rows, m.cols)
-    return _kernel_from_echelon(rows, pivots, m.cols)
+    return [densify(v, m.cols) for v in kernel_supports(m)]
 
 
 def solve(m, b):
     """Solve M x = b exactly.
 
     Returns (particular solution, kernel basis) when consistent, or None
-    when the system has no solution.
+    when the system has no solution.  Both are read off the null space of
+    [M | b]: the system is consistent exactly when its last column is
+    free, minus that column's vector is the particular solution (0 on
+    every free column of M), and the other vectors, which are 0 there,
+    truncated, are the kernel.
     """
     _require_rational_matrix(m)
     if len(b) != m.rows:
         raise InputError(f"right-hand side length {len(b)} != {m.rows} rows")
-    for e in b:
-        if isinstance(e, TruncatedPoly):
-            raise InputError("elimination is defined for rational inputs only")
+    b = [ensure_scalar(e) for e in b]
+    if any(isinstance(e, TruncatedPoly) for e in b):
+        raise InputError("elimination is defined for rational inputs only")
     rows = _integer_rows(m.row(i) + (b[i],) for i in range(m.rows))
-    # Pivots restricted to matrix columns; the augmented column rides along.
-    pivots = _bareiss(rows, m.cols)
-    nr = len(pivots)
-    for i in range(nr, m.rows):
-        if rows[i][m.cols]:
-            return None
+    pivots = _bareiss(rows, m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    *kernel, last = _kernel_from_echelon(rows, pivots, m.cols + 1)
     x = [ZERO] * m.cols
-    for r in range(nr - 1, -1, -1):
-        c = pivots[r]
-        acc = Fraction(rows[r][m.cols])
-        for j in range(c + 1, m.cols):
-            e = rows[r][j]
-            if e and x[j]:
-                acc -= e * x[j]
-        x[c] = acc / rows[r][c]
-    return tuple(x), _kernel_from_echelon(rows, pivots, m.cols)
+    for j, c in last[:-1]:
+        x[j] = -c
+    return tuple(x), [densify(v, m.cols) for v in kernel]

@@ -3,7 +3,9 @@
 Everything here is deliberately coded apart from the package: naive
 Fraction Gaussian elimination with a different pivot rule, a recursive
 multilinear evaluator, the package's former dense multilinear kernel
-(frozen as the reference of the sparse one), a twist-free family-law
+(frozen as the reference of the sparse one), the package's former
+``solve`` (frozen as the reference of the one that reads its answer off
+the augmented null space), a twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
 maps), and the dense raw x raw membership-constraint matrix of a cochain
@@ -12,7 +14,7 @@ entries are extracted up front).
 """
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 
 def rows_of(matrix):
@@ -110,6 +112,78 @@ def dense_multilinear(tensor, args):
             if c:
                 out[k] = out[k] + c * w
     return tuple(out)
+
+
+def bareiss_solve(m, b):
+    """The body ``linalg.solve`` had before it read its answer off the null
+    space of [M | b]: Bareiss on the augmented integer rows with pivots
+    restricted to M's columns, then back-substitution.
+
+    Kept verbatim, so the new ``solve`` can be held to ``repr``-identical
+    output, except that rejections raise ``ValueError`` (the package raises
+    ``InputError``) and cover any entry that is not an int or ``Fraction``.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    entries = list(m.entries)
+    if any(not isinstance(e, (int, Fraction)) for e in entries):
+        raise ValueError("elimination is defined for rational matrices only")
+    if len(b) != m.rows:
+        raise ValueError(f"right-hand side length {len(b)} != {m.rows} rows")
+    for e in b:
+        if not isinstance(e, (int, Fraction)):
+            raise ValueError("elimination is defined for rational inputs only")
+    rows = []
+    for i in range(m.rows):
+        row = [Fraction(e) for e in entries[i * m.cols : (i + 1) * m.cols] + [b[i]]]
+        scale = lcm(*(e.denominator for e in row))
+        rows.append([int(e * scale) for e in row])
+    nrows, ncols = len(rows), m.cols
+    prev, r, pivots = 1, 0, []
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+        pc = rows[r][c]
+        for i in range(r + 1, nrows):
+            ri, rr = rows[i], rows[r]
+            ic = ri[c]
+            for j in range(c, ncols + 1):
+                ri[j] = (pc * ri[j] - ic * rr[j]) // prev
+        prev = pc
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    nr = len(pivots)
+    for i in range(nr, m.rows):
+        if rows[i][m.cols]:
+            return None
+    x = [zero] * m.cols
+    for r in range(nr - 1, -1, -1):
+        c = pivots[r]
+        acc = Fraction(rows[r][m.cols])
+        for j in range(c + 1, m.cols):
+            e = rows[r][j]
+            if e and x[j]:
+                acc -= e * x[j]
+        x[c] = acc / rows[r][c]
+    pivot_set = set(pivots)
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        y = [zero] * ncols
+        y[f] = one
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            acc = zero
+            for j in range(c + 1, ncols):
+                e = rows[r][j]
+                if e and y[j]:
+                    acc += e * y[j]
+            y[c] = -acc / rows[r][c]
+        kernel.append(tuple(y))
+    return tuple(x), kernel
 
 
 def _add(a, b):

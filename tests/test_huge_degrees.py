@@ -88,6 +88,18 @@ def test_small_degree_budget_messages_are_kept(d1_path, capsys, budget, message)
     assert _exits_two_quickly(capsys, argv) == message
 
 
+def test_stencil_walk_counts_against_the_budget(tmp_path, capsys):
+    # Every D0 cochain space has one raw coordinate, so the sizes stay under
+    # any budget; the stencil walk (raw(n+1) rows x n merged slots x n-long
+    # argument lists) grows quadratically and is what the budget refuses.
+    path = tmp_path / "D0.json"
+    path.write_text(dump_workspace(desk_instance("D0")))
+    argv = ["cohomology", str(path), "--object", "operator", "--degree", "5000", "--max-entries", "10"]
+    assert _exits_two_quickly(capsys, argv) == (
+        "error: degree 5000 needs a stencil walk of about 25000000 steps, beyond the budget 10"
+    )
+
+
 # References of each complex's cochains, and the target dimension: a table
 # with that many empty rows reaches the row-width check.
 COCHAIN_HOSTS = {
@@ -127,3 +139,4 @@ def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     path.write_bytes(b'{"objects": {"\xff": 1}}')
     err = _exits_two_quickly(capsys, ["check", str(path), "--object", "f"])
     assert err.startswith("error: cannot read workspace: 'utf-8' codec can't decode byte 0xff")
+

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_multilinear, naive_multilinear, naive_rank, nested_of, rows_of
+from oracles import bareiss_solve, dense_multilinear, naive_multilinear, naive_rank, nested_of, rows_of
 from rbfam.errors import InputError
 from rbfam.linalg import (
     Matrix,
@@ -107,6 +107,49 @@ def test_solve_agrees_with_construction(m, xs):
     assert outcome is not None
     sol, _ = outcome
     assert m.apply(sol) == b
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@st.composite
+def linear_systems(draw):
+    """(M, b, where): consistent (b = M x) or arbitrary right-hand sides,
+    some with a truncated polynomial planted in M or b (``where``)."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    entries = draw(st.lists(rationals, min_size=rows * cols, max_size=rows * cols))
+    m = Matrix(rows, cols, tuple(entries))
+    if draw(st.booleans()):
+        b = m.apply(tuple(draw(st.lists(rationals, min_size=cols, max_size=cols))))
+    else:
+        b = tuple(draw(st.lists(rationals, min_size=rows, max_size=rows)))
+    where = draw(st.sampled_from([None, None, None, "matrix", "rhs"])) if rows else None
+    poly = TruncatedPoly.t(2)
+    if where == "matrix":
+        i = draw(st.integers(0, rows * cols - 1))
+        m = Matrix(rows, cols, m.entries[:i] + (poly,) + m.entries[i + 1 :])
+    elif where == "rhs":
+        i = draw(st.integers(0, rows - 1))
+        b = b[:i] + (poly,) + b[i + 1 :]
+    return m, b, where
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_matches_the_frozen_solver(system):
+    m, b, where = system
+    if where is not None:
+        with pytest.raises(InputError):
+            solve(m, b)
+        with pytest.raises(ValueError):
+            bareiss_solve(m, b)
+        return
+    assert repr(solve(m, b)) == repr(bareiss_solve(m, b))
+
+
+def test_solve_rejects_a_float_right_hand_side():
+    with pytest.raises(InputError, match="not an exact rational"):
+        solve(Matrix.identity(2), (Fraction(1), 0.5))
 
 
 def random_tensor(rng, shape):
