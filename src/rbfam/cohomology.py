@@ -38,13 +38,7 @@ from .errors import (
     MissingUnitError,
     RouteMismatchError,
 )
-from .family import (
-    check_omega_assoc,
-    check_omega_bimodule,
-    ns_family_from_operator,
-    omega_assoc_from_ns_family,
-    operator_bimodule,
-)
+from .family import check_omega_assoc, check_omega_bimodule, operator_bimodule
 from .homalg import check_bimodule, check_hom_algebra, is_equivariant
 from .linalg import (
     ONE,
@@ -60,7 +54,7 @@ from .linalg import (
     unit_vector,
     vsub,
 )
-from .operators import check_twisted_rbf, twisted_inner_sum
+from .operators import twisted_inner_sum
 from .reports import ensure_valid
 
 DEFAULT_DEGREE_CAP = 2
@@ -504,11 +498,7 @@ def rbf_complex(operator, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX
     bimodule structure on L are derived once and reused by the generic
     route of the differential.
     """
-    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
-    derived_algebra = omega_assoc_from_ns_family(
-        ns_family_from_operator(operator, validate=False), validate=False
-    )
-    derived_module = operator_bimodule(operator, validate=False)
+    derived_module = operator_bimodule(operator)
     return ComplexHandle(
         tag=RBF,
         source_dim=operator.bimodule.dim,
@@ -518,7 +508,7 @@ def rbf_complex(operator, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX
         omega=operator.omega,
         degree_cap=degree_cap,
         max_entries=max_entries,
-        omega_algebra=derived_algebra,
+        omega_algebra=derived_module.parent,
         omega_module=derived_module,
         operator=operator,
         notes=(
@@ -843,9 +833,8 @@ def transport_cochain(morphism, cochain, source_handle=None, target_handle=None)
     differentiate then transport) is asserted exactly at the input degree.
     """
     from .operators import check_operator_morphism
-    from .reports import require_pass
 
-    require_pass(check_operator_morphism(morphism), "operator morphism")
+    ensure_valid(morphism, check_operator_morphism, "operator morphism")
     src, tgt = morphism.source, morphism.target
     if src.bimodule != tgt.bimodule or src.algebra != tgt.algebra:
         raise InputError("cochain transport needs both families on one bimodule")

@@ -226,12 +226,7 @@ def deform_ns_family(deformation, handle=None, strict=True, max_violations=DEFAU
     strict=False the failing order-1 verdict is included and the axioms
     are evaluated anyway, exposing the order-t residuals.
     """
-    from .family import (
-        check_hom_ns_family,
-        check_omega_assoc,
-        ns_family_from_operator,
-        omega_assoc_from_ns_family,
-    )
+    from .family import _split_operator, _total_product, check_hom_ns_family, check_omega_assoc
 
     inf = check_infinitesimal(deformation, handle=handle, max_violations=max_violations)
     if strict and not inf.passed:
@@ -242,8 +237,8 @@ def deform_ns_family(deformation, handle=None, strict=True, max_violations=DEFAU
     phi, omega = base.cocycle, base.omega
     # < and > are linear in the maps, so the t^0 and t^1 parts of the
     # splitting of R + t R1 are the splittings of R and of R1; v is bilinear.
-    split0 = ns_family_from_operator(base, validate=False)
-    split1 = ns_family_from_operator(replace(base, maps=direction), validate=False)
+    split0 = _split_operator(base)
+    split1 = _split_operator(replace(base, maps=direction))
 
     def vee(alpha, beta):
         r_a, r_b = base.maps[alpha], base.maps[beta]
@@ -264,7 +259,7 @@ def deform_ns_family(deformation, handle=None, strict=True, max_violations=DEFAU
         vee=tuple(tuple(vee(a, b) for b in omega.elements()) for a in omega.elements()),
     )
     ns_report = check_hom_ns_family(deformed, max_violations)
-    total = omega_assoc_from_ns_family(deformed, validate=False)
+    total = _total_product(deformed)
     total_report = check_omega_assoc(total, max_violations)
     report = NSDeformationReport(
         subject="induced splitting-product deformation (mod t^2)",

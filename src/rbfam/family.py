@@ -442,11 +442,17 @@ def _check_morphism_shape(f, source, target):
 # constructions
 
 
-def ns_family_from_operator(operator, validate=True):
+def ns_family_from_operator(operator):
     """Splitting of a twisted family on its module: u <_a v = u .r R_a v,
     u >_a v = R_a u .l v, u v_{a,b} v = phi(R_a u, R_b v)."""
-    if validate:
-        ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
+    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
+    return _split_operator(operator)
+
+
+def _split_operator(operator):
+    """The splitting of ``ns_family_from_operator``, unchecked: for an
+    operator already checked, or maps that are not a family (a deformation
+    direction)."""
     module, phi, omega = operator.bimodule, operator.cocycle, operator.omega
     d = module.dim
     vbasis = module.basis()
@@ -474,10 +480,9 @@ def ns_family_from_operator(operator, validate=True):
     return HomNSFamilyAlgebra(dim=d, omega=omega, prec=prec, succ=succ, vee=vee, p=module.q)
 
 
-def ns_family_pack(family, validate=True):
+def ns_family_pack(family):
     """Pack an NS-family algebra onto G(x)K[omega] into a single NS algebra."""
-    if validate:
-        ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
+    ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
     omega, n = family.omega, family.dim
     m = omega.size
     dims = (n, n, n)
@@ -500,10 +505,9 @@ def pack_ns_family_morphism(f, omega):
     return _block_repeat(f, omega.size)
 
 
-def tridend_from_weighted_rbf(family, validate=True):
+def tridend_from_weighted_rbf(family):
     """x <_a y = x . T_a y, x >_a y = T_a x . y, x.y scaled by the weight."""
-    if validate:
-        ensure_valid(family, check_weighted_rbf, "weighted Rota-Baxter family")
+    ensure_valid(family, check_weighted_rbf, "weighted Rota-Baxter family")
     A, omega = family.algebra, family.omega
     n = A.dim
     basis = A.basis()
@@ -520,10 +524,9 @@ def tridend_from_weighted_rbf(family, validate=True):
     )
 
 
-def ns_family_from_tridend(family, validate=True):
+def ns_family_from_tridend(family):
     """An NS-family with the constant pair-indexed product v_{a,b} = (.)."""
-    if validate:
-        ensure_valid(family, check_tridend_family, "Hom-tridendriform family algebra")
+    ensure_valid(family, check_tridend_family, "Hom-tridendriform family algebra")
     m = family.omega.size
     vee = tuple(tuple(family.dot for _ in range(m)) for _ in range(m))
     return HomNSFamilyAlgebra(
@@ -536,23 +539,28 @@ def ns_family_from_tridend(family, validate=True):
     )
 
 
-def omega_assoc_from_ns_family(family, validate=True):
+def omega_assoc_from_ns_family(family):
     """Total product x *_{a,b} y = x <_b y + x >_a y + x v_{a,b} y."""
-    if validate:
-        ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
+    ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
+    return _total_product(family)
+
+
+def _total_product(family):
+    """The total product of ``omega_assoc_from_ns_family``, unchecked: for
+    the splitting of a checked operator, or a deformed splitting whose
+    axioms are reported rather than required."""
     omega = family.omega
     prod = _totals(omega, family.prec, family.succ, lambda a, b: family.vee[a][b])
     return OmegaAssocAlgebra(dim=family.dim, omega=omega, prod=prod, p=family.p)
 
 
-def operator_bimodule(operator, validate=True):
+def operator_bimodule(operator):
     """L as a pair-indexed bimodule over the total-product algebra on V.
 
     Left action u |>- x = R_a u . x - R_ab(u .r x) - R_ab phi(R_a u, x);
     right action x -<| u = x . R_b u - R_ab(x .l u) - R_ab phi(x, R_b u).
     """
-    if validate:
-        ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
+    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
     A, module, phi, omega = (
         operator.algebra,
         operator.bimodule,
@@ -562,7 +570,7 @@ def operator_bimodule(operator, validate=True):
     n, d = A.dim, module.dim
     vbasis = module.basis()
     ebasis = A.basis()
-    parent = omega_assoc_from_ns_family(ns_family_from_operator(operator, validate=False), validate=False)
+    parent = _total_product(_split_operator(operator))
 
     def left_tensor(a, b):
         r_ab = operator.maps[omega.mul(a, b)]
@@ -595,15 +603,14 @@ def operator_bimodule(operator, validate=True):
     return OmegaBimodule(parent=parent, dim=n, left=left, right=right, q=A.p)
 
 
-def yau_twist_ns_family(family, endo, validate=True):
+def yau_twist_ns_family(family, endo):
     """Compose all products of an NS-family algebra with an endomorphism.
 
     ``endo`` must commute with every product and with the structure map;
     the twist x ?'_idx y = endo(x) ?_idx endo(y) carries structure map
     endo o p (which is p o endo).
     """
-    if validate:
-        ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
+    ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
     report = check_ns_family_morphism(endo, family, family)
     require_pass(report, "structure-preserving endomorphism")
     omega, n = family.omega, family.dim
@@ -647,8 +654,7 @@ def as_ns_algebra(family):
     )
 
 
-def total_product_algebra(ns, validate=True):
+def total_product_algebra(ns):
     """The Hom-associative algebra with product < + > + v and the same map."""
-    if validate:
-        ensure_valid(ns, check_hom_ns, "Hom-NS algebra")
+    ensure_valid(ns, check_hom_ns, "Hom-NS algebra")
     return HomAlgebra(dim=ns.dim, mu=ns.prec.add(ns.succ).add(ns.vee), p=ns.p)

@@ -25,10 +25,10 @@ from .linalg import (
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
+    ensure_valid,
     intertwining_cases,
     intertwining_sides,
     nested_cases,
-    require_pass,
     run_law,
 )
 from .semigroups import FiniteSemigroup
@@ -313,7 +313,7 @@ def check_two_cocycle(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 
 def regular_bimodule(algebra):
     """V = L with both actions the product and q = p."""
-    require_pass(check_hom_algebra(algebra), "hom-algebra")
+    ensure_valid(algebra, check_hom_algebra, "hom-algebra")
     return HomBimodule(
         parent=algebra, dim=algebra.dim, left=algebra.mu, right=algebra.mu, q=algebra.p
     )
@@ -323,7 +323,8 @@ def semidirect_product(module, cocycle):
     """Twisted semidirect product on L + V with (x,u)(y,v) = (xy, x.l v + u.r y + phi(x,y))."""
     if cocycle.host is not module and cocycle.host != module:
         raise InputError("cocycle is not hosted on the given bimodule")
-    require_pass(check_two_cocycle(cocycle), "two-cocycle")
+    ensure_valid(module, check_bimodule, "hom-bimodule")
+    ensure_valid(cocycle, check_two_cocycle, "two-cocycle")
     A = module.parent
     n, d = A.dim, module.dim
     total = n + d
@@ -354,7 +355,7 @@ def tensor_semigroup_algebra(algebra, omega):
     L over it (actions through the product, forgetting the index), and the
     2-cocycle (x(x)a, y(x)b) -> -x.y with coefficients in L.
     """
-    require_pass(check_hom_algebra(algebra), "hom-algebra")
+    ensure_valid(algebra, check_hom_algebra, "hom-algebra")
     if not isinstance(omega, FiniteSemigroup):
         raise InputError("omega must be a validated finite semigroup")
     n, m = algebra.dim, omega.size
@@ -398,8 +399,8 @@ def tensor_bimodule(cocycle, omega):
     """
     module = cocycle.host
     algebra = module.parent
-    require_pass(check_bimodule(module), "hom-bimodule")
-    require_pass(check_two_cocycle(cocycle), "two-cocycle")
+    ensure_valid(module, check_bimodule, "hom-bimodule")
+    ensure_valid(cocycle, check_two_cocycle, "two-cocycle")
     packed, _, _ = tensor_semigroup_algebra(algebra, omega)
     n, d = algebra.dim, module.dim
     # (u (x) b) .r (x (x) a) lands in the b*a block: the grades multiply

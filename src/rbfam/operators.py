@@ -174,32 +174,31 @@ def _commutes_with_p(family):
         yield from intertwining_cases(p, m_a, m_a, [p], ("x",), {"alpha": alpha})
 
 
+def _endo_family_identity_cases(family, third):
+    """Cases of M_a x . M_b y = M_ab(M_a x . y + x . M_b y + third(M_ab, x.y))
+    on basis pairs (x, y), for the maps M_a of an operator family on L."""
+    A, omega, maps = family.algebra, family.omega, family.maps
+    n = A.dim
+    for alpha, beta in iproduct(omega.elements(), repeat=2):
+        m_ab = maps[omega.mul(alpha, beta)]
+        for i, j in iproduct(range(n), repeat=2):
+            x, y = unit_vector(n, i), unit_vector(n, j)
+            lhs = A.product(maps[alpha].apply(x), maps[beta].apply(y))
+            inner = vadd(
+                vadd(A.product(maps[alpha].apply(x), y), A.product(x, maps[beta].apply(y))),
+                third(m_ab, A.basis_product(i, j)),
+            )
+            yield {"alpha": alpha, "beta": beta, "x": i, "y": j}, vsub(lhs, m_ab.apply(inner))
+
+
 def check_nijenhuis_family(family, max_violations=DEFAULT_MAX_VIOLATIONS):
     ensure_valid(family.algebra, check_hom_algebra, "host hom-algebra")
-    A, omega = family.algebra, family.omega
-    n = A.dim
-    report = CheckReport(subject=f"Nijenhuis family over omega of size {omega.size}")
-
-    def family_identity():
-        for alpha, beta in iproduct(omega.elements(), repeat=2):
-            n_ab = family.maps[omega.mul(alpha, beta)]
-            for i, j in iproduct(range(n), repeat=2):
-                x, y = unit_vector(n, i), unit_vector(n, j)
-                lhs = A.product(family.maps[alpha].apply(x), family.maps[beta].apply(y))
-                inner = vsub(
-                    vadd(
-                        A.product(family.maps[alpha].apply(x), y),
-                        A.product(x, family.maps[beta].apply(y)),
-                    ),
-                    n_ab.apply(A.basis_product(i, j)),
-                )
-                yield {"alpha": alpha, "beta": beta, "x": i, "y": j}, vsub(lhs, n_ab.apply(inner))
-
+    report = CheckReport(subject=f"Nijenhuis family over omega of size {family.omega.size}")
     run_law(report, "p o N_a = N_a o p", _commutes_with_p(family), max_violations)
     run_law(
         report,
         "N_a x . N_b y = N_ab(N_a x . y + x . N_b y - N_ab(x.y))",
-        family_identity(),
+        _endo_family_identity_cases(family, lambda n_ab, xy: tuple(-c for c in n_ab.apply(xy))),
         max_violations,
     )
     return report
@@ -207,30 +206,13 @@ def check_nijenhuis_family(family, max_violations=DEFAULT_MAX_VIOLATIONS):
 
 def check_weighted_rbf(family, max_violations=DEFAULT_MAX_VIOLATIONS):
     ensure_valid(family.algebra, check_hom_algebra, "host hom-algebra")
-    A, omega, lam = family.algebra, family.omega, family.weight
-    n = A.dim
+    lam = family.weight
     report = CheckReport(subject=f"weighted Rota-Baxter family (weight {lam})")
-
-    def family_identity():
-        for alpha, beta in iproduct(omega.elements(), repeat=2):
-            t_ab = family.maps[omega.mul(alpha, beta)]
-            for i, j in iproduct(range(n), repeat=2):
-                x, y = unit_vector(n, i), unit_vector(n, j)
-                lhs = A.product(family.maps[alpha].apply(x), family.maps[beta].apply(y))
-                inner = vadd(
-                    vadd(
-                        A.product(family.maps[alpha].apply(x), y),
-                        A.product(x, family.maps[beta].apply(y)),
-                    ),
-                    tuple(lam * c for c in A.basis_product(i, j)),
-                )
-                yield {"alpha": alpha, "beta": beta, "x": i, "y": j}, vsub(lhs, t_ab.apply(inner))
-
     run_law(report, "p(T_a x) = T_a p(x)", _commutes_with_p(family), max_violations)
     run_law(
         report,
         "T_a x . T_b y = T_ab(T_a x . y + x . T_b y + w x.y)",
-        family_identity(),
+        _endo_family_identity_cases(family, lambda t_ab, xy: tuple(lam * c for c in xy)),
         max_violations,
     )
     return report
@@ -320,9 +302,7 @@ def pack_operator(operator):
     The packed map sends u(x)a to (R_a u)(x)a; viewed as a family over the
     trivial semigroup with the packed cocycle it passes the family check.
     """
-    from .reports import require_pass
-
-    require_pass(check_twisted_rbf(operator), "twisted Rota-Baxter family")
+    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
     omega = operator.omega
     n, d, m = operator.algebra.dim, operator.bimodule.dim, omega.size
     packed_module, packed_cocycle = tensor_bimodule(operator.cocycle, omega)
@@ -351,9 +331,7 @@ def nijenhuis_induced_data(family):
     L acts through N, the cocycle is (x(x)a, y(x)b) -> -N_ab(x.y), and the
     maps x -> x(x)a form a twisted Rota-Baxter family for that cocycle.
     """
-    from .reports import require_pass
-
-    require_pass(check_nijenhuis_family(family), "Nijenhuis family")
+    ensure_valid(family, check_nijenhuis_family, "Nijenhuis family")
     A, omega = family.algebra, family.omega
     n, m = A.dim, omega.size
     nm = n * m

@@ -5,6 +5,13 @@ and records the first ``max_violations`` offending tuples together with the
 residual vector, plus the total violation count.  Axiom failure is a report
 outcome, never an exception.
 
+A construction that needs its input to satisfy an axiom system checks it
+through ``ensure_valid`` and nowhere else: a failing check raises
+``PreconditionError`` carrying the report, and a pass is cached per object.
+The one exception is a relation between two objects (an endomorphism that
+must preserve a given family), which no single-object cache key can hold;
+it goes through ``require_pass`` directly.
+
 Ordering contract: a case's where-dict lists its prefix keys first (the
 semigroup indices and operation labels of the law), then one key per input
 axis; cases come in lexicographic order of the input basis tuple, the
@@ -114,9 +121,11 @@ def require_pass(report, what):
     return report
 
 
-# Precondition results are cached per object so that hot loops (randomized
-# candidate sweeps, per-degree differentials) do not re-verify the same host
-# structures.  Keys pin the object itself, so ids stay valid.
+# Every structure precondition goes through ensure_valid, so each object is
+# checked once however many constructions, checkers and per-degree
+# differentials take it as input.  Only passes are cached; a failing object
+# is checked again on every call.  Keys pin the object itself, so ids stay
+# valid.
 _VALIDATION_CACHE = {}
 _VALIDATION_CACHE_LIMIT = 1024
 

@@ -169,7 +169,9 @@ def _require_fields(doc, required, optional=(), where=""):
         raise InputError(f"{where}: unknown fields {sorted(extra)}")
 
 
-def _indexed_matrices(node, count, rows, cols, where):
+def _indexed_arrays(node, count, parse, dims, where):
+    """One array per semigroup index, keyed "0", "1", ..., each read by
+    ``parse(entry, *dims, where)`` (``_parse_matrix`` or ``_parse_tensor3``)."""
     if not isinstance(node, dict):
         raise InputError(f"{where}: expected an object keyed by semigroup indices")
     out = []
@@ -177,21 +179,7 @@ def _indexed_matrices(node, count, rows, cols, where):
         key = str(alpha)
         if key not in node:
             raise InputError(f"{where}: missing key {key!r}")
-        out.append(_parse_matrix(node[key], rows, cols, f"{where}[{key}]"))
-    if len(node) != count:
-        raise InputError(f"{where}: unexpected extra keys")
-    return tuple(out)
-
-
-def _indexed_tensors(node, count, shape, where):
-    if not isinstance(node, dict):
-        raise InputError(f"{where}: expected an object keyed by semigroup indices")
-    out = []
-    for alpha in range(count):
-        key = str(alpha)
-        if key not in node:
-            raise InputError(f"{where}: missing key {key!r}")
-        out.append(_parse_tensor3(node[key], *shape, f"{where}[{key}]"))
+        out.append(parse(node[key], *dims, f"{where}[{key}]"))
     if len(node) != count:
         raise InputError(f"{where}: unexpected extra keys")
     return tuple(out)
@@ -312,9 +300,8 @@ def indexed(shape):
 
     def load(node, f, ws, where):
         count, *dims = shape(f)
-        if len(dims) == 2:
-            return _indexed_matrices(node, count, *dims, where)
-        return _indexed_tensors(node, count, dims, where)
+        parse = _parse_matrix if len(dims) == 2 else _parse_tensor3
+        return _indexed_arrays(node, count, parse, dims, where)
 
     def dump(arrays, named):
         doc = _matrix_doc if isinstance(arrays[0], Matrix) else _tensor3_doc
@@ -402,7 +389,9 @@ def _load_deformation(doc, ws, where):
     _require_fields(doc, ["base", "direction", "order"], optional=["other", "element"], where=where)
     base = ws.get(doc["base"], kinds={"twisted_rbf"})
     n, d = base.algebra.dim, base.bimodule.dim
-    direction = _indexed_matrices(doc["direction"], base.omega.size, n, d, f"{where}.direction")
+    direction = _indexed_arrays(
+        doc["direction"], base.omega.size, _parse_matrix, (n, d), f"{where}.direction"
+    )
     order = _parse_int(doc["order"], f"{where}.order", minimum=2)
     deformation = LinearDeformation(base=base, direction=direction, order=order)
     other = doc.get("other")
