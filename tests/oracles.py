@@ -5,16 +5,29 @@ Fraction Gaussian elimination with a different pivot rule, a recursive
 multilinear evaluator, the package's former dense multilinear kernel
 (frozen as the reference of the sparse one), the package's former
 ``solve`` (frozen as the reference of the one that reads its answer off
-the augmented null space), a twist-free family-law
+the augmented null space), the package's former
+``check_nijenhuis_element`` (frozen as the reference of the one built on
+the trivial pair's morphism laws), a twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
 maps), and the dense raw x raw membership-constraint matrix of a cochain
 space.  Package objects are accepted as data carriers only (their raw
-entries are extracted up front).
+entries are extracted up front), except by the frozen Nijenhuis-element
+body, which keeps the package primitives it was written on.
 """
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+
+from rbfam.errors import InputError
+from rbfam.linalg import Tensor, vadd, vector, vsub
+from rbfam.operators import check_twisted_rbf
+from rbfam.reports import DEFAULT_MAX_VIOLATIONS, CheckReport, ensure_valid, intertwining_cases, run_law
+
+READING_NOTE = (
+    "module-action reading: the second lines of the morphism obstructions "
+    "use u .r x (a module element cannot act from the left on an algebra element)"
+)
 
 
 def rows_of(matrix):
@@ -184,6 +197,152 @@ def bareiss_solve(m, b):
             y[c] = -acc / rows[r][c]
         kernel.append(tuple(y))
     return tuple(x), kernel
+
+
+def _commutator(algebra, x, y):
+    return vsub(algebra.product(x, y), algebra.product(y, x))
+
+
+def nijenhuis_element_report(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """The body ``deformations.check_nijenhuis_element`` had while it checked
+    seven of its nine laws with hand-written loops.
+
+    Kept verbatim, so the checker built on the trivial pair's morphism laws
+    can be held to an identical ``to_dict()``.
+    """
+    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
+    A, module, phi, omega = (
+        operator.algebra,
+        operator.bimodule,
+        operator.cocycle,
+        operator.omega,
+    )
+    n, d = A.dim, module.dim
+    x = vector(x)
+    if len(x) != n:
+        raise InputError(f"element must live in the {n}-dimensional algebra")
+    ebasis = A.basis()
+    vbasis = module.basis()
+    report = CheckReport(subject="Nijenhuis element")
+
+    def lhd(u_idx, alpha, beta):
+        u = vbasis[u_idx]
+        ru = operator.maps[alpha].column(u_idx)
+        r_ab = operator.maps[omega.mul(alpha, beta)]
+        return vsub(
+            vsub(A.product(ru, x), r_ab.apply(module.act_r(u, x))),
+            r_ab.apply(phi.apply(ru, x)),
+        )
+
+    def rhd(u_idx, alpha, beta):
+        u = vbasis[u_idx]
+        rv = operator.maps[beta].column(u_idx)
+        r_ab = operator.maps[omega.mul(alpha, beta)]
+        return vsub(
+            vsub(A.product(x, rv), r_ab.apply(module.act_l(x, u))),
+            r_ab.apply(phi.apply(x, rv)),
+        )
+
+    def commutator_law():
+        for alpha, beta in product(omega.elements(), repeat=2):
+            for a in range(d):
+                c = vsub(lhd(a, alpha, beta), rhd(a, alpha, beta))
+                yield {"alpha": alpha, "beta": beta, "u": a}, _commutator(A, x, c)
+
+    def square_law():
+        for i, j in product(range(n), repeat=2):
+            xa = A.product(x, ebasis[i])
+            ax = A.product(ebasis[i], x)
+            xb = A.product(x, ebasis[j])
+            bx = A.product(ebasis[j], x)
+            residual = vsub(
+                vsub(A.product(xa, xb), A.product(xa, bx)),
+                vsub(A.product(ax, xb), A.product(ax, bx)),
+            )
+            yield {"a": i, "b": j}, residual
+
+    def first_order_transform(alpha, u):
+        ru = operator.maps[alpha].apply(u)
+        return vadd(
+            vsub(module.act_l(x, u), module.act_r(u, x)),
+            vsub(phi.apply(x, ru), phi.apply(ru, x)),
+        )
+
+    def cocycle_compat_t():
+        for alpha in omega.elements():
+            for i, j in product(range(n), repeat=2):
+                w = phi.apply(ebasis[i], ebasis[j])
+                lhs = first_order_transform(alpha, w)
+                rhs = vadd(
+                    phi.apply(_commutator(A, x, ebasis[i]), ebasis[j]),
+                    phi.apply(ebasis[i], _commutator(A, x, ebasis[j])),
+                )
+                yield {"alpha": alpha, "a": i, "b": j}, vsub(lhs, rhs)
+
+    def cocycle_compat_t2():
+        for i, j in product(range(n), repeat=2):
+            yield {"a": i, "b": j}, phi.apply(
+                _commutator(A, x, ebasis[i]), _commutator(A, x, ebasis[j])
+            )
+
+    def left_compat_t():
+        for alpha in omega.elements():
+            for i, a in product(range(n), range(d)):
+                w = module.act_l(ebasis[i], vbasis[a])
+                lhs = first_order_transform(alpha, w)
+                rhs = vadd(
+                    module.act_l(_commutator(A, x, ebasis[i]), vbasis[a]),
+                    module.act_l(ebasis[i], first_order_transform(alpha, vbasis[a])),
+                )
+                yield {"alpha": alpha, "a": i, "u": a}, vsub(lhs, rhs)
+
+    def left_compat_t2():
+        for alpha in omega.elements():
+            for i, a in product(range(n), range(d)):
+                yield {"alpha": alpha, "a": i, "u": a}, module.act_l(
+                    _commutator(A, x, ebasis[i]), first_order_transform(alpha, vbasis[a])
+                )
+
+    def right_compat_t():
+        for alpha in omega.elements():
+            for a, i in product(range(d), range(n)):
+                w = module.act_r(vbasis[a], ebasis[i])
+                lhs = first_order_transform(alpha, w)
+                rhs = vadd(
+                    module.act_r(vbasis[a], _commutator(A, x, ebasis[i])),
+                    module.act_r(first_order_transform(alpha, vbasis[a]), ebasis[i]),
+                )
+                yield {"alpha": alpha, "u": a, "a": i}, vsub(lhs, rhs)
+
+    def right_compat_t2():
+        for alpha in omega.elements():
+            for a, i in product(range(d), range(n)):
+                yield {"alpha": alpha, "u": a, "a": i}, module.act_r(
+                    first_order_transform(alpha, vbasis[a]), _commutator(A, x, ebasis[i])
+                )
+
+    x_t = Tensor((n,), x)
+    run_law(report, "p(x) = x", intertwining_cases(A.p, x_t, x_t, [], ()), max_violations)
+    run_law(
+        report,
+        "x.(u |>- x - x -<| u) - (u |>- x - x -<| u).x = 0",
+        commutator_law(),
+        max_violations,
+    )
+    run_law(
+        report,
+        "(x.a).(x.b) - (x.a).(b.x) - (a.x).(x.b) + (a.x).(b.x) = 0",
+        square_law(),
+        max_violations,
+    )
+    run_law(report, "cocycle compatibility @ t", cocycle_compat_t(), max_violations)
+    run_law(report, "cocycle compatibility @ t^2", cocycle_compat_t2(), max_violations)
+    run_law(report, "left-action compatibility @ t", left_compat_t(), max_violations)
+    run_law(report, "left-action compatibility @ t^2", left_compat_t2(), max_violations)
+    run_law(report, "right-action compatibility @ t", right_compat_t(), max_violations)
+    run_law(report, "right-action compatibility @ t^2", right_compat_t2(), max_violations)
+    report.notes.append(READING_NOTE)
+    return report
 
 
 def _add(a, b):
