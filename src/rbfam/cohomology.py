@@ -46,15 +46,15 @@ from .linalg import (
     Matrix,
     Tensor,
     densify,
+    invert_matrix,
     kernel_supports,
     multilinear_apply,
     rank,
-    solve,
     tensor_column,
     unit_vector,
     vsub,
 )
-from .operators import twisted_inner_sum
+from .operators import check_operator_morphism, twisted_inner_sum
 from .reports import ensure_valid
 
 DEFAULT_DEGREE_CAP = 2
@@ -813,18 +813,6 @@ def cohomology_dims(handle, degree):
     return CohomologyDims(dim_c=dim_c, dim_z=dim_z, dim_b=dim_b, dim_h=dim_z - dim_b)
 
 
-def invert_matrix(mat):
-    if mat.rows != mat.cols:
-        raise InputError("only square matrices invert")
-    cols = []
-    for i in range(mat.rows):
-        sol = solve(mat, unit_vector(mat.rows, i))
-        if sol is None or sol[1]:
-            raise InputError("matrix is not invertible")
-        cols.append(sol[0])
-    return Matrix.from_columns(cols, rows=mat.rows)
-
-
 def transport_cochain(morphism, cochain, source_handle=None, target_handle=None):
     """Move a cochain along an invertible morphism of twisted families.
 
@@ -832,8 +820,6 @@ def transport_cochain(morphism, cochain, source_handle=None, target_handle=None)
     to psi(x).  The chain-map law (transport then differentiate equals
     differentiate then transport) is asserted exactly at the input degree.
     """
-    from .operators import check_operator_morphism
-
     ensure_valid(morphism, check_operator_morphism, "operator morphism")
     src, tgt = morphism.source, morphism.target
     if src.bimodule != tgt.bimodule or src.algebra != tgt.algebra:

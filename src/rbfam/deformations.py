@@ -5,6 +5,13 @@ to the degree-1 cocycle condition (both routes computed, exact agreement
 required), equivalences through the (phi^t, psi^t) pairs, Nijenhuis
 elements, cocycle trivialization, and the rigidity probe built on them.
 
+An element x generates one trivial pair (phi^t, psi^t), built in
+``_trivial_pair``.  The equivalence check verifies that pair's morphism
+laws; apart from p(x) = x and the commutator law, every Nijenhuis-element
+law is a t or t^2 coefficient of the same laws.  Each checker reads its
+coefficients through ``_order_coefficients``, which also requires the
+laws to hold at t = 0.
+
 The infinitesimal verdict is the order-1 condition; the order-2
 coefficient is computed and reported as a separate flag, never folded in.
 """
@@ -17,6 +24,13 @@ from itertools import product as iproduct
 
 from .cohomology import Tensor, cohomology_dims, differential_matrix, rbf_complex
 from .errors import InputError, PreconditionError, RouteMismatchError
+from .family import (
+    _split_operator,
+    _total_product,
+    check_hom_ns_family,
+    check_omega_assoc,
+    operator_bimodule,
+)
 from .homalg import is_equivariant
 from .linalg import Matrix, bilinear_tensor, kernel_basis, solve, unit_vector, vadd, vector, vsub
 from .operators import check_twisted_rbf, family_identity_cases
@@ -27,11 +41,13 @@ from .reports import (
     intertwining_cases,
     run_law,
 )
-from .scalars import TruncatedPoly, poly_coefficient
+from .scalars import TruncatedPoly, format_scalar, poly_coefficient
 
 # R + t R1 enters the family identity and the equivalence conditions at
 # most quadratically, so K[t]/(t^3) holds every coefficient they have.
 TRUNCATION = 3
+
+PSI_MULTIPLICATIVE = "(i) psi^t multiplicative"
 
 READING_NOTE = (
     "module-action reading: the second lines of the morphism obstructions "
@@ -86,6 +102,19 @@ def _coeff_vector(vec, i):
     return tuple(poly_coefficient(c, i) for c in vec)
 
 
+def _order_coefficients(cases, what, orders):
+    """One list of (where, t^i coefficient of the residual) per i in ``orders``.
+
+    The cases are materialized first.  At t = 0 every law here is a law of
+    the base structure, so a residual with a nonzero constant term raises
+    ``RouteMismatchError("<what> broke at order 0")``.
+    """
+    stored = list(cases)
+    if any(any(_coeff_vector(residual, 0)) for _, residual in stored):
+        raise RouteMismatchError(f"{what} broke at order 0")
+    return [[(where, _coeff_vector(residual, i)) for where, residual in stored] for i in orders]
+
+
 @dataclass
 class InfinitesimalReport:
     subject: str
@@ -136,23 +165,19 @@ def check_infinitesimal(deformation, handle=None, max_violations=DEFAULT_MAX_VIO
     """
     base = deformation.base
     ensure_valid(base, check_twisted_rbf, "base twisted Rota-Baxter family")
-    order1_cases = []
-    order2_cases = []
-    for where, residual in family_identity_cases(base, deformation.deformed_maps(TRUNCATION)):
-        if any(_coeff_vector(residual, 0)):
-            raise RouteMismatchError("base identity broke at order 0")
-        order1_cases.append((where, _coeff_vector(residual, 1)))
-        order2_cases.append((where, _coeff_vector(residual, 2)))
+    order1_cases, order2_cases = _order_coefficients(
+        family_identity_cases(base, deformation.deformed_maps(TRUNCATION)), "base identity", (1, 2)
+    )
 
     order1 = CheckReport(subject="infinitesimal deformation, order-1 identity")
     run_law(
         order1,
         "t-coefficient of R^t_a u . R^t_b v = R^t_ab(R^t_a u .l v + u .r R^t_b v + phi(..))",
-        iter(order1_cases),
+        order1_cases,
         max_violations,
     )
     order2 = CheckReport(subject="order-2 coefficient (separate flag)")
-    run_law(order2, "t^2-coefficient of the family identity", iter(order2_cases), max_violations)
+    run_law(order2, "t^2-coefficient of the family identity", order2_cases, max_violations)
 
     if handle is None:
         handle = rbf_complex(base)
@@ -226,8 +251,6 @@ def deform_ns_family(deformation, handle=None, strict=True, max_violations=DEFAU
     strict=False the failing order-1 verdict is included and the axioms
     are evaluated anyway, exposing the order-t residuals.
     """
-    from .family import _split_operator, _total_product, check_hom_ns_family, check_omega_assoc
-
     inf = check_infinitesimal(deformation, handle=handle, max_violations=max_violations)
     if strict and not inf.passed:
         raise PreconditionError(
@@ -280,120 +303,93 @@ def _commutator(algebra, x, y):
     return vsub(algebra.product(x, y), algebra.product(y, x))
 
 
-def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
-    """Verify the Nijenhuis-element laws for a vector x in the algebra."""
-    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
-    A, module, phi, omega = (
-        operator.algebra,
-        operator.bimodule,
-        operator.cocycle,
-        operator.omega,
-    )
-    n, d = A.dim, module.dim
+def _trivial_pair(operator, x):
+    """(x, psi^t, [phi^t_a]) for the trivial deformation that x generates.
+
+    psi^t = id + t(x.(-) - (-).x) on the algebra; phi^t_a = id + t T_a on
+    the module, with T_a(u) = x .l u - u .r x + phi(x, R_a u) - phi(R_a u, x).
+    Both are over K[t]/(t^TRUNCATION); x comes back parsed as a vector.
+    """
+    A, module, phi = operator.algebra, operator.bimodule, operator.cocycle
     x = vector(x)
-    if len(x) != n:
-        raise InputError(f"element must live in the {n}-dimensional algebra")
-    ebasis = A.basis()
-    vbasis = module.basis()
+    if len(x) != A.dim:
+        raise InputError(f"element must live in the {A.dim}-dimensional algebra")
+
+    def id_plus_t(basis, first_order):
+        cols = [
+            tuple(TruncatedPoly([b, c], TRUNCATION) for b, c in zip(e, first_order(e)))
+            for e in basis
+        ]
+        return Matrix.from_columns(cols, rows=len(basis))
+
+    def transform(r):
+        def first_order(u):
+            ru = r.apply(u)
+            return vadd(
+                vsub(module.act_l(x, u), module.act_r(u, x)),
+                vsub(phi.apply(x, ru), phi.apply(ru, x)),
+            )
+
+        return first_order
+
+    psi = id_plus_t(A.basis(), lambda a: _commutator(A, x, a))
+    return x, psi, [id_plus_t(module.basis(), transform(r)) for r in operator.maps]
+
+
+def _module_laws(operator, psi):
+    """The pair's laws (iv)-(vi) on one index, as (name, (alpha, phi^t_alpha)
+    -> ``intertwining_cases`` arguments)."""
+    module, phi = operator.bimodule, operator.cocycle
+    left, right = module.left, module.right
+    return (
+        ("(iv) phi^t o Phi = Phi o (psi^t x psi^t)", lambda al, ph: (ph, phi.phi, phi.phi, [psi, psi], ("a", "b"))),
+        ("(v) phi^t(a .l u) = psi^t(a) .l phi^t(u)", lambda al, ph: (ph, left, left, [psi, ph], ("a", "u"))),
+        ("(vi) phi^t(u .r a) = phi^t(u) .r psi^t(a)", lambda al, ph: (ph, right, right, [ph, psi], ("u", "a"))),
+    )
+
+
+def _per_alpha(law, phi_ts):
+    return chain.from_iterable(
+        intertwining_cases(*law(al, ph), {"alpha": al}) for al, ph in enumerate(phi_ts)
+    )
+
+
+def _psi_multiplicative(algebra, psi):
+    return intertwining_cases(psi, algebra.mu, algebra.mu, [psi, psi], ("a", "b"))
+
+
+def _negated(cases):
+    return [(where, tuple(-c for c in residual)) for where, residual in cases]
+
+
+def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """Verify the Nijenhuis-element laws for a vector x in the algebra.
+
+    Besides p(x) = x and the commutator law, every law is a coefficient of
+    a morphism law of the trivial pair (phi^t, psi^t) that x generates: the
+    square law is minus the t^2 coefficient of (i) psi^t multiplicative, and
+    the cocycle, left- and right-action compatibilities are the t
+    coefficients and minus the t^2 coefficients of (iv), (v) and (vi).  As
+    phi^t is linear in t, the t^2 coefficient of (iv) is the same on every
+    index; it is read off the first one and reported without an index.
+    """
+    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
+    A, omega = operator.algebra, operator.omega
+    x, psi, phi_ts = _trivial_pair(operator, x)
+    actions = operator_bimodule(operator)
     report = CheckReport(subject="Nijenhuis element")
 
-    def lhd(u_idx, alpha, beta):
-        u = vbasis[u_idx]
-        ru = operator.maps[alpha].column(u_idx)
-        r_ab = operator.maps[omega.mul(alpha, beta)]
-        return vsub(
-            vsub(A.product(ru, x), r_ab.apply(module.act_r(u, x))),
-            r_ab.apply(phi.apply(ru, x)),
-        )
-
-    def rhd(u_idx, alpha, beta):
-        u = vbasis[u_idx]
-        rv = operator.maps[beta].column(u_idx)
-        r_ab = operator.maps[omega.mul(alpha, beta)]
-        return vsub(
-            vsub(A.product(x, rv), r_ab.apply(module.act_l(x, u))),
-            r_ab.apply(phi.apply(x, rv)),
-        )
-
     def commutator_law():
+        # u |>- x and x -<| u are the actions of V on L in the operator bimodule.
         for alpha, beta in iproduct(omega.elements(), repeat=2):
-            for a in range(d):
-                c = vsub(lhd(a, alpha, beta), rhd(a, alpha, beta))
+            for a, u in enumerate(operator.bimodule.basis()):
+                c = vsub(actions.act_l(alpha, beta, u, x), actions.act_r(alpha, beta, x, u))
                 yield {"alpha": alpha, "beta": beta, "u": a}, _commutator(A, x, c)
 
-    def square_law():
-        for i, j in iproduct(range(n), repeat=2):
-            xa = A.product(x, ebasis[i])
-            ax = A.product(ebasis[i], x)
-            xb = A.product(x, ebasis[j])
-            bx = A.product(ebasis[j], x)
-            residual = vsub(
-                vsub(A.product(xa, xb), A.product(xa, bx)),
-                vsub(A.product(ax, xb), A.product(ax, bx)),
-            )
-            yield {"a": i, "b": j}, residual
+    def coefficients(name, cases):
+        return _order_coefficients(cases, f"condition {name}", (1, 2))
 
-    def first_order_transform(alpha, u):
-        ru = operator.maps[alpha].apply(u)
-        return vadd(
-            vsub(module.act_l(x, u), module.act_r(u, x)),
-            vsub(phi.apply(x, ru), phi.apply(ru, x)),
-        )
-
-    def cocycle_compat_t():
-        for alpha in omega.elements():
-            for i, j in iproduct(range(n), repeat=2):
-                w = phi.apply(ebasis[i], ebasis[j])
-                lhs = first_order_transform(alpha, w)
-                rhs = vadd(
-                    phi.apply(_commutator(A, x, ebasis[i]), ebasis[j]),
-                    phi.apply(ebasis[i], _commutator(A, x, ebasis[j])),
-                )
-                yield {"alpha": alpha, "a": i, "b": j}, vsub(lhs, rhs)
-
-    def cocycle_compat_t2():
-        for i, j in iproduct(range(n), repeat=2):
-            yield {"a": i, "b": j}, phi.apply(
-                _commutator(A, x, ebasis[i]), _commutator(A, x, ebasis[j])
-            )
-
-    def left_compat_t():
-        for alpha in omega.elements():
-            for i, a in iproduct(range(n), range(d)):
-                w = module.act_l(ebasis[i], vbasis[a])
-                lhs = first_order_transform(alpha, w)
-                rhs = vadd(
-                    module.act_l(_commutator(A, x, ebasis[i]), vbasis[a]),
-                    module.act_l(ebasis[i], first_order_transform(alpha, vbasis[a])),
-                )
-                yield {"alpha": alpha, "a": i, "u": a}, vsub(lhs, rhs)
-
-    def left_compat_t2():
-        for alpha in omega.elements():
-            for i, a in iproduct(range(n), range(d)):
-                yield {"alpha": alpha, "a": i, "u": a}, module.act_l(
-                    _commutator(A, x, ebasis[i]), first_order_transform(alpha, vbasis[a])
-                )
-
-    def right_compat_t():
-        for alpha in omega.elements():
-            for a, i in iproduct(range(d), range(n)):
-                w = module.act_r(vbasis[a], ebasis[i])
-                lhs = first_order_transform(alpha, w)
-                rhs = vadd(
-                    module.act_r(vbasis[a], _commutator(A, x, ebasis[i])),
-                    module.act_r(first_order_transform(alpha, vbasis[a]), ebasis[i]),
-                )
-                yield {"alpha": alpha, "u": a, "a": i}, vsub(lhs, rhs)
-
-    def right_compat_t2():
-        for alpha in omega.elements():
-            for a, i in iproduct(range(d), range(n)):
-                yield {"alpha": alpha, "u": a, "a": i}, module.act_r(
-                    first_order_transform(alpha, vbasis[a]), _commutator(A, x, ebasis[i])
-                )
-
-    x_t = Tensor((n,), x)
+    x_t = Tensor((A.dim,), x)
     run_law(report, "p(x) = x", intertwining_cases(A.p, x_t, x_t, [], ()), max_violations)
     run_law(
         report,
@@ -401,18 +397,21 @@ def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
         commutator_law(),
         max_violations,
     )
+    _, square = coefficients(PSI_MULTIPLICATIVE, _psi_multiplicative(A, psi))
     run_law(
         report,
         "(x.a).(x.b) - (x.a).(b.x) - (a.x).(x.b) + (a.x).(b.x) = 0",
-        square_law(),
+        _negated(square),
         max_violations,
     )
-    run_law(report, "cocycle compatibility @ t", cocycle_compat_t(), max_violations)
-    run_law(report, "cocycle compatibility @ t^2", cocycle_compat_t2(), max_violations)
-    run_law(report, "left-action compatibility @ t", left_compat_t(), max_violations)
-    run_law(report, "left-action compatibility @ t^2", left_compat_t2(), max_violations)
-    run_law(report, "right-action compatibility @ t", right_compat_t(), max_violations)
-    run_law(report, "right-action compatibility @ t^2", right_compat_t2(), max_violations)
+    for what, (name, law) in zip(
+        ("cocycle", "left-action", "right-action"), _module_laws(operator, psi)
+    ):
+        at_t, at_t2 = coefficients(name, _per_alpha(law, phi_ts))
+        if what == "cocycle":
+            _, at_t2 = coefficients(name, intertwining_cases(*law(0, phi_ts[0])))
+        run_law(report, f"{what} compatibility @ t", at_t, max_violations)
+        run_law(report, f"{what} compatibility @ t^2", _negated(at_t2), max_violations)
     report.notes.append(READING_NOTE)
     return report
 
@@ -470,86 +469,32 @@ def check_equivalence(deformation, other, x, handle=None, max_violations=DEFAULT
         raise PreconditionError("first deformation fails its order-1 check", report=inf1.order1)
     if not inf2.passed:
         raise PreconditionError("second deformation fails its order-1 check", report=inf2.order1)
-    A, module, phi, omega = base.algebra, base.bimodule, base.cocycle, base.omega
-    n, d = A.dim, module.dim
-    x = vector(x)
-    if len(x) != n:
-        raise InputError(f"element must live in the {n}-dimensional algebra")
+    A, module, omega = base.algebra, base.bimodule, base.omega
+    x, psi, phi_ts = _trivial_pair(base, x)
     if A.p.apply(x) != tuple(x):
         raise PreconditionError("element is not fixed by the structure map")
+    maps_t = deformation.deformed_maps(order=TRUNCATION)
+    maps_bar = other.deformed_maps(order=TRUNCATION)
 
-    k = TRUNCATION
-    t = TruncatedPoly.t(k)
-    ebasis = A.basis()
-    vbasis = module.basis()
-
-    def lift(vec):
-        return tuple(TruncatedPoly.constant(c, k) for c in vec)
-
-    psi_cols = [
-        vadd(lift(ebasis[i]), tuple(t * c for c in _commutator(A, x, ebasis[i])))
-        for i in range(n)
-    ]
-    psi = Matrix.from_columns(psi_cols, rows=n)
-
-    def phi_t(alpha):
-        cols = []
-        for a in range(d):
-            u = vbasis[a]
-            ru = base.maps[alpha].column(a)
-            first_order = vadd(
-                vsub(module.act_l(x, u), module.act_r(u, x)),
-                vsub(phi.apply(x, ru), phi.apply(ru, x)),
-            )
-            cols.append(vadd(lift(u), tuple(t * c for c in first_order)))
-        return Matrix.from_columns(cols, rows=d)
-
-    phi_ts = [phi_t(alpha) for alpha in omega.elements()]
-    maps_t = deformation.deformed_maps(order=k)
-    maps_bar = other.deformed_maps(order=k)
-
-    conditions = CheckReport(subject="equivalence morphism conditions")
-    buckets = []
-
-    def collect(name, cases):
-        stored = [(where, residual) for where, residual in cases]
-        for c in stored:
-            if any(poly_coefficient(e, 0) for e in c[1]):
-                raise RouteMismatchError(f"condition {name} broke at order 0")
-        buckets.append((name, stored))
-
-    # Per-index laws: (name, (alpha, phi^t_alpha) -> intertwining_cases arguments).
-    q, left, right = module.q, module.left, module.right
+    q = module.q
     per_alpha = (
         ("(ii) psi^t o R^t = Rbar^t o phi^t", lambda al, ph: (psi, maps_t[al], maps_bar[al], [ph], ("u",))),
         ("(iii) phi^t o q = q o phi^t", lambda al, ph: (ph, q, q, [ph], ("u",))),
-        ("(iv) phi^t o Phi = Phi o (psi^t x psi^t)", lambda al, ph: (ph, phi.phi, phi.phi, [psi, psi], ("a", "b"))),
-        ("(v) phi^t(a .l u) = psi^t(a) .l phi^t(u)", lambda al, ph: (ph, left, left, [psi, ph], ("a", "u"))),
-        ("(vi) phi^t(u .r a) = phi^t(u) .r psi^t(a)", lambda al, ph: (ph, right, right, [ph, psi], ("u", "a"))),
-    )
-    collect("(i) psi^t multiplicative", intertwining_cases(psi, A.mu, A.mu, [psi, psi], ("a", "b")))
-    collect("(i) psi^t commutes with p", intertwining_cases(psi, A.p, A.p, [psi], ("a",)))
-    for name, law in per_alpha:
-        cases = (
-            intertwining_cases(*law(al, phi_ts[al]), {"alpha": al}) for al in omega.elements()
-        )
-        collect(name, chain.from_iterable(cases))
+    ) + _module_laws(base, psi)
+    laws = [
+        (PSI_MULTIPLICATIVE, _psi_multiplicative(A, psi)),
+        ("(i) psi^t commutes with p", intertwining_cases(psi, A.p, A.p, [psi], ("a",))),
+    ] + [(name, _per_alpha(law, phi_ts)) for name, law in per_alpha]
+    buckets = [
+        (name, _order_coefficients(cases, f"condition {name}", (1, 2))) for name, cases in laws
+    ]
 
-    for name, stored in buckets:
-        run_law(
-            conditions,
-            f"{name} @ t^1",
-            ((w, _coeff_vector(r, 1)) for w, r in stored),
-            max_violations,
-        )
+    conditions = CheckReport(subject="equivalence morphism conditions")
+    for name, (at_t, _) in buckets:
+        run_law(conditions, f"{name} @ t^1", at_t, max_violations)
     mod_t2 = conditions.passed
-    for name, stored in buckets:
-        run_law(
-            conditions,
-            f"{name} @ t^2",
-            ((w, _coeff_vector(r, 2)) for w, r in stored),
-            max_violations,
-        )
+    for name, (_, at_t2) in buckets:
+        run_law(conditions, f"{name} @ t^2", at_t2, max_violations)
     all_orders = conditions.passed
 
     if handle is None:
@@ -559,7 +504,7 @@ def check_equivalence(deformation, other, x, handle=None, max_violations=DEFAULT
     for alpha in omega.elements():
         diff = deformation.direction[alpha].sub(other.direction[alpha])
         res = diff.sub(delta0[alpha])
-        for a in range(d):
+        for a in range(module.dim):
             coboundary_cases.append(({"alpha": alpha, "u": a}, res.column(a)))
     run_law(conditions, "R1 - R1bar = delta0(x) entrywise", iter(coboundary_cases), max_violations)
     coboundary_ok = conditions.laws[-1].ok
@@ -602,8 +547,6 @@ class TrivializationResult:
     witness: tuple | None
 
     def to_dict(self):
-        from .scalars import format_scalar
-
         return {
             "found": self.found,
             "solution": [format_scalar(c) for c in self.solution] if self.found else None,

@@ -12,7 +12,7 @@ from itertools import chain
 from itertools import product as iproduct
 
 from .errors import InputError
-from .homalg import HomAlgebra, graded_tensor
+from .homalg import HomAlgebra, _block_repeat, graded_tensor
 from .linalg import Matrix, Tensor, bilinear_tensor, multilinear_apply, rank, vsub
 from .operators import check_twisted_rbf, check_weighted_rbf
 from .reports import (
@@ -487,8 +487,6 @@ def ns_family_pack(family):
     m = omega.size
     dims = (n, n, n)
 
-    from .homalg import _block_repeat
-
     return HomNSAlgebra(
         dim=n * m,
         prec=graded_tensor(omega, dims, lambda a, b: family.prec[b]),
@@ -500,8 +498,6 @@ def ns_family_pack(family):
 
 def pack_ns_family_morphism(f, omega):
     """f(x)id on G(x)K[omega] for an NS-family morphism f."""
-    from .homalg import _block_repeat
-
     return _block_repeat(f, omega.size)
 
 

@@ -17,6 +17,7 @@ from .errors import InputError, RouteMismatchError
 from .linalg import (
     Matrix,
     Tensor,
+    block_diag,
     multilinear_apply,
     tensor_column,
     unit_vector,
@@ -323,6 +324,7 @@ def semidirect_product(module, cocycle):
     """Twisted semidirect product on L + V with (x,u)(y,v) = (xy, x.l v + u.r y + phi(x,y))."""
     if cocycle.host is not module and cocycle.host != module:
         raise InputError("cocycle is not hosted on the given bimodule")
+    ensure_valid(module.parent, check_hom_algebra, "hom-algebra")
     ensure_valid(module, check_bimodule, "hom-bimodule")
     ensure_valid(cocycle, check_two_cocycle, "two-cocycle")
     A = module.parent
@@ -343,8 +345,6 @@ def semidirect_product(module, cocycle):
         return 0
 
     mu_s = Tensor.from_function((total, total, total), entry)
-    from .linalg import block_diag
-
     return HomAlgebra(dim=total, mu=mu_s, p=block_diag([A.p, module.q]))
 
 
@@ -438,6 +438,4 @@ def graded_tensor(omega, dims, block):
 
 
 def _block_repeat(mat, copies):
-    from .linalg import block_diag
-
     return block_diag([mat] * copies)

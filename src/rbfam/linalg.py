@@ -485,3 +485,22 @@ def solve(m, b):
     for j, c in last[:-1]:
         x[j] = -c
     return tuple(x), [densify(v, m.cols) for v in kernel]
+
+
+def invert_matrix(m):
+    """M^-1, read off the null space of [M | I] as ``solve`` reads [M | b].
+
+    M is invertible exactly when each of its own columns is a pivot.  Then
+    the free columns are those of I, and the null-space vector of free
+    column n + i is (-M^-1 e_i, e_i).
+    """
+    if m.rows != m.cols:
+        raise InputError("only square matrices invert")
+    _require_rational_matrix(m)
+    n = m.rows
+    rows = _integer_rows(m.row(i) + unit_vector(n, i) for i in range(n))
+    pivots = _bareiss(rows, 2 * n)
+    if pivots != list(range(n)):
+        raise InputError("matrix is not invertible")
+    cols = [tuple(-c for c in densify(v, 2 * n)[:n]) for v in _kernel_from_echelon(rows, pivots, 2 * n)]
+    return Matrix.from_columns(cols, rows=n)

@@ -17,6 +17,7 @@ from .homalg import (
     HomAlgebra,
     HomBimodule,
     TwoCocycle,
+    _block_repeat,
     check_bimodule,
     check_hom_algebra,
     check_two_cocycle,
@@ -348,8 +349,6 @@ def nijenhuis_induced_data(family):
         return bilinear_tensor(n, col)
 
     blocks = {ab: deformed_block(*ab) for ab in iproduct(omega.elements(), repeat=2)}
-    from .homalg import _block_repeat
-
     deformed = HomAlgebra(
         dim=nm,
         mu=graded_tensor(omega, (n, n, n), lambda a, b: blocks[(a, b)]),

@@ -20,7 +20,10 @@ its JSON, depend on that order.
 
 An intertwining law ``out o T = T' o (in_1 x ... x in_n)`` (multiplicativity
 of a structure map, a morphism condition, cochain membership) is checked
-through ``intertwining_cases`` and nowhere else.
+through ``intertwining_cases`` and nowhere else.  That includes a law read
+off one coefficient of such a law over K[t]/(t^k): the Nijenhuis-element
+laws are coefficients of the morphism laws of the trivial pair
+(phi^t, psi^t).
 
 A nested-product law is a signed sum of terms outer(first x, inner(y, z))
 and outer(inner(x, y), last z), with a structure map on the outer slot
@@ -37,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
+from .errors import PreconditionError
 from .linalg import ZERO, Matrix, Tensor, multilinear_apply, tensor_column, vadd, vsub
 from .scalars import format_scalar
 
@@ -114,8 +118,6 @@ class CheckReport:
 
 def require_pass(report, what):
     """Raise PreconditionError when an upstream structure fails its check."""
-    from .errors import PreconditionError
-
     if not report.passed:
         raise PreconditionError(f"{what} fails its axiom check", report=report)
     return report

@@ -11,6 +11,7 @@ read by loading, dumping, the reference check and ``rbfam check``.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -699,8 +700,6 @@ def load_workspace(source):
     if isinstance(source, dict):
         data = source
     else:
-        import os
-
         text = source
         try:
             if hasattr(source, "read"):

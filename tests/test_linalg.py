@@ -11,6 +11,7 @@ from rbfam.errors import InputError
 from rbfam.linalg import (
     Matrix,
     Tensor,
+    invert_matrix,
     kernel_basis,
     multilinear_apply,
     rank,
@@ -150,6 +151,39 @@ def test_solve_matches_the_frozen_solver(system):
 def test_solve_rejects_a_float_right_hand_side():
     with pytest.raises(InputError, match="not an exact rational"):
         solve(Matrix.identity(2), (Fraction(1), 0.5))
+
+
+@st.composite
+def square_matrices(draw):
+    """Square rational matrices up to 4x4; about half are made singular by
+    replacing the last row with a combination of the others."""
+    n = draw(st.integers(0, 4))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        coeffs = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
+    return Matrix(n, n, tuple(e for row in rows for e in row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_invert_matrix_matches_per_column_solves(m):
+    # The inverse is one elimination of [M | I]; the frozen solver finds it
+    # column by column, and M is singular when a column has no unique solution.
+    solutions = [bareiss_solve(m, unit_vector(m.rows, i)) for i in range(m.rows)]
+    if any(sol is None or sol[1] for sol in solutions):
+        with pytest.raises(InputError, match="^matrix is not invertible$"):
+            invert_matrix(m)
+        return
+    inverse = invert_matrix(m)
+    assert (inverse.rows, inverse.cols) == (m.rows, m.rows)
+    assert repr([inverse.column(i) for i in range(m.rows)]) == repr([sol[0] for sol in solutions])
+
+
+def test_invert_matrix_shapes():
+    assert invert_matrix(Matrix(0, 0, ())) == Matrix(0, 0, ())
+    with pytest.raises(InputError, match="^only square matrices invert$"):
+        invert_matrix(Matrix.zero(2, 3))
 
 
 def random_tensor(rng, shape):

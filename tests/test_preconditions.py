@@ -30,6 +30,7 @@ from rbfam.family import (
 )
 from rbfam.homalg import (
     HomAlgebra,
+    HomBimodule,
     TwoCocycle,
     check_bimodule,
     check_hom_algebra,
@@ -144,6 +145,19 @@ def _bad_bimodule():
     return replace(regular_bimodule(algebra), left=Tensor((1, 1, 1), (Fraction(2),)))
 
 
+def _semidirect_over_bad_algebra():
+    """The 0-dimensional bimodule, whose laws hold over any algebra, with its zero cocycle."""
+    algebra = _bad_algebra()
+    module = HomBimodule(
+        parent=algebra,
+        dim=0,
+        left=Tensor.zero((0, algebra.dim, 0)),
+        right=Tensor.zero((0, 0, algebra.dim)),
+        q=Matrix.zero(0, 0),
+    )
+    return semidirect_product(module, zero_cocycle(module))
+
+
 def _bad_cocycle(d1):
     module = d1["bimodule"]
     shape = (module.dim, module.parent.dim, module.parent.dim)
@@ -188,6 +202,7 @@ def _bad_operator_module(d1):
 # (construction call on D1's objects, pinned subject of the failing check)
 CASES = {
     "regular_bimodule": (lambda d1: regular_bimodule(_bad_algebra()), "hom-algebra"),
+    "semidirect_product-algebra": (lambda d1: _semidirect_over_bad_algebra(), "hom-algebra"),
     "semidirect_product-bimodule": (
         lambda d1: semidirect_product(_bad_bimodule(), zero_cocycle(_bad_bimodule())),
         "hom-bimodule",
