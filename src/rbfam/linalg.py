@@ -502,5 +502,5 @@ def invert_matrix(m):
     pivots = _bareiss(rows, 2 * n)
     if pivots != list(range(n)):
         raise InputError("matrix is not invertible")
-    cols = [tuple(-c for c in densify(v, 2 * n)[:n]) for v in _kernel_from_echelon(rows, pivots, 2 * n)]
-    return Matrix.from_columns(cols, rows=n)
+    kernel = _kernel_from_echelon(rows, pivots, 2 * n)
+    return Matrix.from_columns([tuple(-c for c in densify(v, 2 * n)[:n]) for v in kernel], rows=n)

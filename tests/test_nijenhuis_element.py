@@ -26,10 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import nijenhuis_element_report
-from rbfam.deformations import check_nijenhuis_element
+from rbfam.deformations import LinearDeformation, check_equivalence, check_nijenhuis_element
 from rbfam.errors import InputError
 from rbfam.homalg import tensor_semigroup_algebra
-from rbfam.linalg import unit_vector, zero_vector
+from rbfam.linalg import Matrix, unit_vector, zero_vector
 from rbfam.operators import identity_packing_family
 from rbfam.scalars import format_rational
 from rbfam.semigroups import builtin
@@ -120,5 +120,11 @@ def test_checker_matches_frozen_body(operators, data):
 
 
 def test_element_of_the_wrong_length_is_an_input_error(operators):
-    with pytest.raises(InputError, match="^element must live in the 4-dimensional algebra$"):
-        check_nijenhuis_element((Fraction(1),) * 3, operators["D1"])
+    # Both checkers parse x through the one trivial-pair builder.
+    operator = operators["D1"]
+    zero = LinearDeformation(base=operator, direction=(Matrix.zero(4, 2),) * 2)
+    x = (Fraction(1),) * 3
+    checks = (lambda: check_nijenhuis_element(x, operator), lambda: check_equivalence(zero, zero, x))
+    for check in checks:
+        with pytest.raises(InputError, match="^element must live in the 4-dimensional algebra$"):
+            check()
