@@ -7,22 +7,45 @@ multilinear evaluator, the package's former dense multilinear kernel
 ``solve`` (frozen as the reference of the one that reads its answer off
 the augmented null space), the package's former
 ``check_nijenhuis_element`` (frozen as the reference of the one built on
-the trivial pair's morphism laws), a twist-free family-law
+the trivial pair's morphism laws), the package's former packed-family
+constructions and hand-split deformed splitting (frozen as the references
+of the ones built through one packing body and one splitting over
+K[t]/(t^2)), a twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
 maps), and the dense raw x raw membership-constraint matrix of a cochain
 space.  Package objects are accepted as data carriers only (their raw
-entries are extracted up front), except by the frozen Nijenhuis-element
-body, which keeps the package primitives it was written on.
+entries are extracted up front), except by the frozen package bodies,
+which keep the package primitives they were written on.
 """
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
-from rbfam.errors import InputError
-from rbfam.linalg import Tensor, vadd, vector, vsub
-from rbfam.operators import check_twisted_rbf
+from rbfam.deformations import NSDeformationReport, check_infinitesimal
+from rbfam.errors import InputError, PreconditionError
+from rbfam.family import _split_operator, _total_product, check_hom_ns_family, check_omega_assoc
+from rbfam.homalg import (
+    HomAlgebra,
+    HomBimodule,
+    TwoCocycle,
+    _block_repeat,
+    check_hom_algebra,
+    graded_tensor,
+    tensor_bimodule,
+)
+from rbfam.linalg import Matrix, Tensor, bilinear_tensor, unit_vector, vadd, vector, vsub
+from rbfam.operators import (
+    NijenhuisInducedData,
+    TwistedRBFamily,
+    check_nijenhuis_family,
+    check_twisted_rbf,
+    identity_packing_family,
+)
 from rbfam.reports import DEFAULT_MAX_VIOLATIONS, CheckReport, ensure_valid, intertwining_cases, run_law
+from rbfam.scalars import TruncatedPoly
+from rbfam.semigroups import FiniteSemigroup, builtin
 
 READING_NOTE = (
     "module-action reading: the second lines of the morphism obstructions "
@@ -342,6 +365,195 @@ def nijenhuis_element_report(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS)
     run_law(report, "right-action compatibility @ t", right_compat_t(), max_violations)
     run_law(report, "right-action compatibility @ t^2", right_compat_t2(), max_violations)
     report.notes.append(READING_NOTE)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# family constructions, frozen while each decoded its own packed layout
+
+
+def packed_tensor_algebra(algebra, omega):
+    """The body ``homalg.tensor_semigroup_algebra`` had while it decoded the
+    packed layout of L (x) K[omega] by hand.
+
+    Kept verbatim, so the construction through the one packing body can be
+    held to ``repr``-identical output.
+    """
+    ensure_valid(algebra, check_hom_algebra, "hom-algebra")
+    if not isinstance(omega, FiniteSemigroup):
+        raise InputError("omega must be a validated finite semigroup")
+    n, m = algebra.dim, omega.size
+    nm = n * m
+    packed = HomAlgebra(
+        dim=nm,
+        mu=graded_tensor(omega, (n, n, n), lambda a, b: algebra.mu),
+        p=_block_repeat(algebra.p, m),
+    )
+
+    def left_entry(k, ii, j):
+        _, i = divmod(ii, n)
+        return algebra.mu.at(k, i, j)
+
+    def right_entry(k, j, ii):
+        _, i = divmod(ii, n)
+        return algebra.mu.at(k, j, i)
+
+    module = HomBimodule(
+        parent=packed,
+        dim=n,
+        left=Tensor.from_function((n, nm, n), left_entry),
+        right=Tensor.from_function((n, n, nm), right_entry),
+        q=algebra.p,
+    )
+
+    def phi_entry(k, ii, jj):
+        _, i = divmod(ii, n)
+        _, j = divmod(jj, n)
+        return -algebra.mu.at(k, i, j)
+
+    cocycle = TwoCocycle(host=module, phi=Tensor.from_function((n, nm, nm), phi_entry))
+    return packed, module, cocycle
+
+
+def nijenhuis_data(family):
+    """The body ``operators.nijenhuis_induced_data`` had while it decoded the
+    packed layout of L (x) K[omega] by hand, one entry at a time.
+
+    Kept verbatim, so the construction through the one packing body can be
+    held to ``repr``-identical output.
+    """
+    ensure_valid(family, check_nijenhuis_family, "Nijenhuis family")
+    A, omega = family.algebra, family.omega
+    n, m = A.dim, omega.size
+    nm = n * m
+
+    def deformed_block(alpha, beta):
+        n_a, n_b = family.maps[alpha], family.maps[beta]
+        n_ab = family.maps[omega.mul(alpha, beta)]
+
+        def col(i, j):
+            x, y = unit_vector(n, i), unit_vector(n, j)
+            inner = vadd(A.product(n_a.apply(x), y), A.product(x, n_b.apply(y)))
+            return vsub(inner, n_ab.apply(A.basis_product(i, j)))
+
+        return bilinear_tensor(n, col)
+
+    blocks = {ab: deformed_block(*ab) for ab in product(omega.elements(), repeat=2)}
+    deformed = HomAlgebra(
+        dim=nm,
+        mu=graded_tensor(omega, (n, n, n), lambda a, b: blocks[(a, b)]),
+        p=_block_repeat(A.p, m),
+    )
+
+    def left_entry(k, ii, j):
+        alpha, i = divmod(ii, n)
+        return A.product(family.maps[alpha].column(i), unit_vector(n, j))[k]
+
+    def right_entry(k, j, ii):
+        beta, i = divmod(ii, n)
+        return A.product(unit_vector(n, j), family.maps[beta].column(i))[k]
+
+    module = HomBimodule(
+        parent=deformed,
+        dim=n,
+        left=Tensor.from_function((n, nm, n), left_entry),
+        right=Tensor.from_function((n, n, nm), right_entry),
+        q=A.p,
+    )
+
+    def phi_entry(k, ii, jj):
+        alpha, i = divmod(ii, n)
+        beta, j = divmod(jj, n)
+        n_ab = family.maps[omega.mul(alpha, beta)]
+        return -n_ab.apply(A.basis_product(i, j))[k]
+
+    cocycle = TwoCocycle(host=module, phi=Tensor.from_function((n, nm, nm), phi_entry))
+
+    return NijenhuisInducedData(
+        algebra=deformed,
+        module=module,
+        cocycle=cocycle,
+        operator=identity_packing_family(A, omega, cocycle),
+    )
+
+
+def packed_operator(operator):
+    """The body ``operators.pack_operator`` had while it filled the
+    block-diagonal packed map with a hand loop.
+
+    Kept verbatim, so the packing through ``block_diag`` can be held to
+    ``repr``-identical output.
+    """
+    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
+    omega = operator.omega
+    n, d, m = operator.algebra.dim, operator.bimodule.dim, omega.size
+    packed_module, packed_cocycle = tensor_bimodule(operator.cocycle, omega)
+    entries = [[Fraction(0)] * (d * m) for _ in range(n * m)]
+    for alpha in omega.elements():
+        mat = operator.maps[alpha]
+        for i in range(n):
+            for a in range(d):
+                entries[alpha * n + i][alpha * d + a] = mat.at(i, a)
+    packed_map = Matrix.from_rows(entries)
+    return TwistedRBFamily(cocycle=packed_cocycle, omega=builtin("trivial"), maps=(packed_map,))
+
+
+def _poly_tensor(t0, t1, order):
+    return Tensor(
+        t0.shape,
+        tuple(TruncatedPoly([a, b], order) for a, b in zip(t0.entries, t1.entries)),
+    )
+
+
+def ns_deformation_report(deformation, handle=None, strict=True, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """The body ``deformations.deform_ns_family`` had while it split R + t R1
+    into its t^0 and t^1 parts by hand (two splittings, a hand-written
+    t-part of v and one truncated polynomial per entry).
+
+    Kept verbatim, so the splitting of R + t R1 over K[t]/(t^2) can be held
+    to an identical ``to_dict()`` and ``render()``.
+    """
+    inf = check_infinitesimal(deformation, handle=handle, max_violations=max_violations)
+    if strict and not inf.passed:
+        raise PreconditionError(
+            "direction fails the order-1 infinitesimal check", report=inf.order1
+        )
+    base, direction = deformation.base, deformation.direction
+    phi, omega = base.cocycle, base.omega
+    # < and > are linear in the maps, so the t^0 and t^1 parts of the
+    # splitting of R + t R1 are the splittings of R and of R1; v is bilinear.
+    split0 = _split_operator(base)
+    split1 = _split_operator(replace(base, maps=direction))
+
+    def vee(alpha, beta):
+        r_a, r_b = base.maps[alpha], base.maps[beta]
+        r1_a, r1_b = direction[alpha], direction[beta]
+        vee1 = bilinear_tensor(
+            base.bimodule.dim,
+            lambda a, b: vadd(
+                phi.apply(r1_a.column(a), r_b.column(b)),
+                phi.apply(r_a.column(a), r1_b.column(b)),
+            ),
+        )
+        return _poly_tensor(split0.vee[alpha][beta], vee1, 2)
+
+    deformed = replace(
+        split0,
+        prec=tuple(_poly_tensor(t0, t1, 2) for t0, t1 in zip(split0.prec, split1.prec)),
+        succ=tuple(_poly_tensor(t0, t1, 2) for t0, t1 in zip(split0.succ, split1.succ)),
+        vee=tuple(tuple(vee(a, b) for b in omega.elements()) for a in omega.elements()),
+    )
+    ns_report = check_hom_ns_family(deformed, max_violations)
+    total = _total_product(deformed)
+    total_report = check_omega_assoc(total, max_violations)
+    report = NSDeformationReport(
+        subject="induced splitting-product deformation (mod t^2)",
+        order1=inf,
+        ns_axioms=ns_report,
+        total_product=total_report,
+    )
+    if not inf.passed:
+        report.notes.append("order-1 precondition failed; axiom residuals shown at order t")
     return report
 
 
