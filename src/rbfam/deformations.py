@@ -32,7 +32,7 @@ from .family import (
     operator_bimodule,
 )
 from .homalg import is_equivariant
-from .linalg import Matrix, bilinear_tensor, kernel_basis, solve, unit_vector, vadd, vector, vsub
+from .linalg import Matrix, kernel_basis, solve, unit_vector, vadd, vector, vsub
 from .operators import check_twisted_rbf, family_identity_cases
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
@@ -234,18 +234,14 @@ class NSDeformationReport:
         return "\n".join(lines)
 
 
-def _poly_tensor(t0, t1, order):
-    return Tensor(
-        t0.shape,
-        tuple(TruncatedPoly([a, b], order) for a, b in zip(t0.entries, t1.entries)),
-    )
-
-
 def deform_ns_family(deformation, handle=None, strict=True, max_violations=DEFAULT_MAX_VIOLATIONS):
     """Deform the induced splitting products and re-verify the axioms mod t^2.
 
-    With a cocycle direction the deformed products satisfy the NS-family
-    axioms modulo t^2, and their total product stays pair-indexed
+    The deformed products are the splitting of R + t R1 taken over
+    K[t]/(t^2).  Its t^0 part is the splitting of R; its t^1 part is the
+    splitting of R1 in < and >, and phi(R1_a u, R_b v) + phi(R_a u, R1_b v)
+    in v.  With a cocycle direction the deformed products satisfy the
+    NS-family axioms modulo t^2, and their total product stays pair-indexed
     associative modulo t^2 (both verified over the truncated ring).
     ``strict`` raises when the order-1 precondition fails; with
     strict=False the failing order-1 verdict is included and the axioms
@@ -256,31 +252,7 @@ def deform_ns_family(deformation, handle=None, strict=True, max_violations=DEFAU
         raise PreconditionError(
             "direction fails the order-1 infinitesimal check", report=inf.order1
         )
-    base, direction = deformation.base, deformation.direction
-    phi, omega = base.cocycle, base.omega
-    # < and > are linear in the maps, so the t^0 and t^1 parts of the
-    # splitting of R + t R1 are the splittings of R and of R1; v is bilinear.
-    split0 = _split_operator(base)
-    split1 = _split_operator(replace(base, maps=direction))
-
-    def vee(alpha, beta):
-        r_a, r_b = base.maps[alpha], base.maps[beta]
-        r1_a, r1_b = direction[alpha], direction[beta]
-        vee1 = bilinear_tensor(
-            base.bimodule.dim,
-            lambda a, b: vadd(
-                phi.apply(r1_a.column(a), r_b.column(b)),
-                phi.apply(r_a.column(a), r1_b.column(b)),
-            ),
-        )
-        return _poly_tensor(split0.vee[alpha][beta], vee1, 2)
-
-    deformed = replace(
-        split0,
-        prec=tuple(_poly_tensor(t0, t1, 2) for t0, t1 in zip(split0.prec, split1.prec)),
-        succ=tuple(_poly_tensor(t0, t1, 2) for t0, t1 in zip(split0.succ, split1.succ)),
-        vee=tuple(tuple(vee(a, b) for b in omega.elements()) for a in omega.elements()),
-    )
+    deformed = _split_operator(replace(deformation.base, maps=deformation.deformed_maps(2)))
     ns_report = check_hom_ns_family(deformed, max_violations)
     total = _total_product(deformed)
     total_report = check_omega_assoc(total, max_violations)
@@ -463,6 +435,9 @@ def check_equivalence(deformation, other, x, handle=None, max_violations=DEFAULT
     if deformation.base is not other.base and deformation.base != other.base:
         raise InputError("equivalence needs two deformations of the same base family")
     base = deformation.base
+    ensure_valid(base, check_twisted_rbf, "base twisted Rota-Baxter family")
+    if handle is None:
+        handle = rbf_complex(base)
     inf1 = check_infinitesimal(deformation, handle=handle)
     inf2 = check_infinitesimal(other, handle=handle)
     if not inf1.passed:
@@ -497,8 +472,6 @@ def check_equivalence(deformation, other, x, handle=None, max_violations=DEFAULT
         run_law(conditions, f"{name} @ t^2", at_t2, max_violations)
     all_orders = conditions.passed
 
-    if handle is None:
-        handle = rbf_complex(base)
     delta0 = rbf_delta0_matrices(handle, x)
     coboundary_cases = []
     for alpha in omega.elements():

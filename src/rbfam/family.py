@@ -451,8 +451,8 @@ def ns_family_from_operator(operator):
 
 def _split_operator(operator):
     """The splitting of ``ns_family_from_operator``, unchecked: for an
-    operator already checked, or maps that are not a family (a deformation
-    direction)."""
+    operator already checked, or maps that are not a family (R + t R1 over
+    K[t]/(t^2), whose splitting ``deform_ns_family`` checks)."""
     module, phi, omega = operator.bimodule, operator.cocycle, operator.omega
     d = module.dim
     vbasis = module.basis()

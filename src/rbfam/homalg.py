@@ -6,7 +6,10 @@ failures are report outcomes, never exceptions; only shape problems raise.
 
 Packed bases for a space tensored with the semigroup algebra are ordered
 with the semigroup index major: the pair (i, a) sits at position a*dim + i,
-keeping each semigroup block contiguous.
+keeping each semigroup block contiguous.  Two bodies own that layout:
+``graded_tensor`` for a graded bilinear map, and ``_packed_data`` for a
+packed algebra with L as a bimodule over it and a cocycle in L.  Every
+packed construction goes through them; nothing else decodes a packed index.
 """
 from __future__ import annotations
 
@@ -353,42 +356,57 @@ def tensor_semigroup_algebra(algebra, omega):
 
     Returns the packed algebra on L (x) K[omega], the bimodule structure of
     L over it (actions through the product, forgetting the index), and the
-    2-cocycle (x(x)a, y(x)b) -> -x.y with coefficients in L.
+    2-cocycle (x(x)a, y(x)b) -> -x.y with coefficients in L.  This is the
+    data ``operators.nijenhuis_induced_data`` induces from the identity
+    family, built from constant blocks.
     """
     ensure_valid(algebra, check_hom_algebra, "hom-algebra")
     if not isinstance(omega, FiniteSemigroup):
         raise InputError("omega must be a validated finite semigroup")
-    n, m = algebra.dim, omega.size
+    mu, minus_mu = algebra.mu, algebra.mu.neg()
+    return _packed_data(
+        omega, algebra.p, lambda a, b: mu, lambda a: mu, lambda b: mu, lambda a, b: minus_mu
+    )
+
+
+def _packed_data(omega, p, product, left, right, cocycle):
+    """The packed algebra on L (x) K[omega], L as a bimodule over it and a
+    2-cocycle with values in L, unchecked: the body of
+    ``tensor_semigroup_algebra`` and ``operators.nijenhuis_induced_data``.
+
+    Every block is an n x n x n tensor on L, with p the structure map of L
+    and of the bimodule.  product(a, b) multiplies grade a by grade b into
+    grade ab; left(a) is the action of grade a on L, left(a).at(k, i, j)
+    the e_k coefficient of (e_i (x) a) .l e_j; right(b).at(k, j, i) that of
+    e_j .r (e_i (x) b); cocycle(a, b) takes grades a and b into L.
+    """
+    n, m = p.rows, omega.size
     nm = n * m
     packed = HomAlgebra(
-        dim=nm,
-        mu=graded_tensor(omega, (n, n, n), lambda a, b: algebra.mu),
-        p=_block_repeat(algebra.p, m),
+        dim=nm, mu=graded_tensor(omega, (n, n, n), product), p=_block_repeat(p, m)
     )
 
     def left_entry(k, ii, j):
-        _, i = divmod(ii, n)
-        return algebra.mu.at(k, i, j)
+        alpha, i = divmod(ii, n)
+        return left(alpha).at(k, i, j)
 
     def right_entry(k, j, ii):
-        _, i = divmod(ii, n)
-        return algebra.mu.at(k, j, i)
+        beta, i = divmod(ii, n)
+        return right(beta).at(k, j, i)
+
+    def phi_entry(k, ii, jj):
+        alpha, i = divmod(ii, n)
+        beta, j = divmod(jj, n)
+        return cocycle(alpha, beta).at(k, i, j)
 
     module = HomBimodule(
         parent=packed,
         dim=n,
         left=Tensor.from_function((n, nm, n), left_entry),
         right=Tensor.from_function((n, n, nm), right_entry),
-        q=algebra.p,
+        q=p,
     )
-
-    def phi_entry(k, ii, jj):
-        _, i = divmod(ii, n)
-        _, j = divmod(jj, n)
-        return -algebra.mu.at(k, i, j)
-
-    cocycle = TwoCocycle(host=module, phi=Tensor.from_function((n, nm, nm), phi_entry))
-    return packed, module, cocycle
+    return packed, module, TwoCocycle(host=module, phi=Tensor.from_function((n, nm, nm), phi_entry))
 
 
 def tensor_bimodule(cocycle, omega):

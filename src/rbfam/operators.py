@@ -17,16 +17,15 @@ from .homalg import (
     HomAlgebra,
     HomBimodule,
     TwoCocycle,
-    _block_repeat,
+    _packed_data,
     check_bimodule,
     check_hom_algebra,
     check_two_cocycle,
-    graded_tensor,
     is_equivariant,
     semidirect_product,
     tensor_bimodule,
 )
-from .linalg import Matrix, Tensor, bilinear_tensor, unit_vector, vadd, vsub
+from .linalg import Matrix, bilinear_tensor, block_diag, unit_vector, vadd, vsub
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
@@ -304,17 +303,10 @@ def pack_operator(operator):
     trivial semigroup with the packed cocycle it passes the family check.
     """
     ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
-    omega = operator.omega
-    n, d, m = operator.algebra.dim, operator.bimodule.dim, omega.size
-    packed_module, packed_cocycle = tensor_bimodule(operator.cocycle, omega)
-    entries = [[Fraction(0)] * (d * m) for _ in range(n * m)]
-    for alpha in omega.elements():
-        mat = operator.maps[alpha]
-        for i in range(n):
-            for a in range(d):
-                entries[alpha * n + i][alpha * d + a] = mat.at(i, a)
-    packed_map = Matrix.from_rows(entries)
-    return TwistedRBFamily(cocycle=packed_cocycle, omega=builtin("trivial"), maps=(packed_map,))
+    _, packed_cocycle = tensor_bimodule(operator.cocycle, operator.omega)
+    return TwistedRBFamily(
+        cocycle=packed_cocycle, omega=builtin("trivial"), maps=(block_diag(operator.maps),)
+    )
 
 
 @dataclass(frozen=True)
@@ -334,53 +326,30 @@ def nijenhuis_induced_data(family):
     """
     ensure_valid(family, check_nijenhuis_family, "Nijenhuis family")
     A, omega = family.algebra, family.omega
-    n, m = A.dim, omega.size
-    nm = n * m
+    n, basis = A.dim, A.basis()
 
-    def deformed_block(alpha, beta):
-        n_a, n_b = family.maps[alpha], family.maps[beta]
-        n_ab = family.maps[omega.mul(alpha, beta)]
+    def per_grade(col):
+        return [bilinear_tensor(n, lambda i, j, N=N: col(N, i, j)) for N in family.maps]
 
-        def col(i, j):
-            x, y = unit_vector(n, i), unit_vector(n, j)
-            inner = vadd(A.product(n_a.apply(x), y), A.product(x, n_b.apply(y)))
-            return vsub(inner, n_ab.apply(A.basis_product(i, j)))
-
-        return bilinear_tensor(n, col)
-
-    blocks = {ab: deformed_block(*ab) for ab in iproduct(omega.elements(), repeat=2)}
-    deformed = HomAlgebra(
-        dim=nm,
-        mu=graded_tensor(omega, (n, n, n), lambda a, b: blocks[(a, b)]),
-        p=_block_repeat(A.p, m),
+    # N_a x . y, x . N_b y and -N_g(x.y) per grade; the deformed product of
+    # grades a and b is their sum with g = ab.
+    lefts = per_grade(lambda N, i, j: A.product(N.column(i), basis[j]))
+    rights = per_grade(lambda N, i, j: A.product(basis[i], N.column(j)))
+    minus_n_mu = [t.neg() for t in per_grade(lambda N, i, j: N.apply(A.basis_product(i, j)))]
+    products = {
+        (a, b): lefts[a].add(rights[b]).add(minus_n_mu[omega.mul(a, b)])
+        for a, b in iproduct(omega.elements(), repeat=2)
+    }
+    algebra, module, cocycle = _packed_data(
+        omega,
+        A.p,
+        lambda a, b: products[(a, b)],
+        lefts.__getitem__,
+        rights.__getitem__,
+        lambda a, b: minus_n_mu[omega.mul(a, b)],
     )
-
-    def left_entry(k, ii, j):
-        alpha, i = divmod(ii, n)
-        return A.product(family.maps[alpha].column(i), unit_vector(n, j))[k]
-
-    def right_entry(k, j, ii):
-        beta, i = divmod(ii, n)
-        return A.product(unit_vector(n, j), family.maps[beta].column(i))[k]
-
-    module = HomBimodule(
-        parent=deformed,
-        dim=n,
-        left=Tensor.from_function((n, nm, n), left_entry),
-        right=Tensor.from_function((n, n, nm), right_entry),
-        q=A.p,
-    )
-
-    def phi_entry(k, ii, jj):
-        alpha, i = divmod(ii, n)
-        beta, j = divmod(jj, n)
-        n_ab = family.maps[omega.mul(alpha, beta)]
-        return -n_ab.apply(A.basis_product(i, j))[k]
-
-    cocycle = TwoCocycle(host=module, phi=Tensor.from_function((n, nm, nm), phi_entry))
-
     return NijenhuisInducedData(
-        algebra=deformed,
+        algebra=algebra,
         module=module,
         cocycle=cocycle,
         operator=identity_packing_family(A, omega, cocycle),

@@ -41,7 +41,14 @@ from rbfam.homalg import (
     tensor_semigroup_algebra,
     zero_cocycle,
 )
-from rbfam.linalg import Matrix, bilinear_tensor, invert_matrix, kernel_basis, multilinear_apply
+from rbfam.linalg import (
+    Matrix,
+    Tensor,
+    bilinear_tensor,
+    invert_matrix,
+    kernel_basis,
+    multilinear_apply,
+)
 from rbfam.operators import (
     NijenhuisFamily,
     TwistedRBFamily,
@@ -324,3 +331,20 @@ def test_identity_family_induces_the_tensor_algebra(name, semigroup):
     )
     data = nijenhuis_induced_data(identity)
     assert tensor_semigroup_algebra(algebra, omega) == (data.algebra, data.module, data.cocycle)
+
+
+def test_pack_operator_of_a_zero_dimensional_algebra():
+    # The packed map is 0 x (d m): block_diag keeps the column count of
+    # blocks without rows.
+    algebra = HomAlgebra(dim=0, mu=Tensor((0, 0, 0), ()), p=Matrix(0, 0, ()))
+    module = HomBimodule(
+        parent=algebra,
+        dim=1,
+        left=Tensor((1, 0, 1), ()),
+        right=Tensor((1, 1, 0), ()),
+        q=Matrix.identity(1),
+    )
+    cocycle = TwoCocycle(host=module, phi=Tensor((1, 0, 0), ()))
+    omega = builtin("cyclic", 2)
+    operator = TwistedRBFamily(cocycle=cocycle, omega=omega, maps=(Matrix(0, 1, ()),) * 2)
+    assert pack_operator(operator).maps == (Matrix(0, 2, ()),)

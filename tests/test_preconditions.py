@@ -16,6 +16,7 @@ import pytest
 from rbfam import reports
 from rbfam.cli import main
 from rbfam.cohomology import ha_complex, omega_complex, rbf_complex, transport_cochain
+from rbfam.deformations import LinearDeformation, check_equivalence, check_infinitesimal
 from rbfam.errors import PreconditionError
 from rbfam.family import (
     HomNSAlgebra,
@@ -123,6 +124,20 @@ def test_failures_are_never_cached(fresh_cache, monkeypatch):
             regular_bimodule(bad)
     assert counts["check_hom_algebra"] == 2
     assert id(bad) not in fresh_cache
+
+
+def _zero_deformation(operator):
+    n, d = operator.algebra.dim, operator.bimodule.dim
+    return LinearDeformation(base=operator, direction=(Matrix.zero(n, d),) * operator.omega.size)
+
+
+def test_check_equivalence_builds_one_complex_handle(monkeypatch):
+    # Both order-1 checks and the coboundary law share one handle, and so
+    # one operator bimodule.
+    deformation = _zero_deformation(desk_instance("D1")["operator"])
+    counts = count_runs(monkeypatch, rbf_complex, operator_bimodule)
+    assert check_equivalence(deformation, deformation, (0, 0, 1, 0)).passes_mod_t2
+    assert counts == {"rbf_complex": 1, "operator_bimodule": 1}
 
 
 def test_rbf_complex_reuses_the_bimodule_parent(d1):
@@ -243,6 +258,16 @@ CASES = {
         "twisted Rota-Baxter family",
     ),
     "rbf_complex": (lambda d1: rbf_complex(_bad_operator(d1)), "twisted Rota-Baxter family"),
+    "check_infinitesimal": (
+        lambda d1: check_infinitesimal(_zero_deformation(_bad_operator(d1))),
+        "base twisted Rota-Baxter family",
+    ),
+    "check_equivalence": (
+        lambda d1: check_equivalence(
+            _zero_deformation(_bad_operator(d1)), _zero_deformation(_bad_operator(d1)), (0,) * 4
+        ),
+        "base twisted Rota-Baxter family",
+    ),
     "ns_family_pack": (lambda d1: ns_family_pack(_bad_ns_family(d1)), "Hom-NS family algebra"),
     "omega_assoc_from_ns_family": (
         lambda d1: omega_assoc_from_ns_family(_bad_ns_family(d1)),
