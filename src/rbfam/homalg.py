@@ -364,9 +364,8 @@ def tensor_semigroup_algebra(algebra, omega):
     if not isinstance(omega, FiniteSemigroup):
         raise InputError("omega must be a validated finite semigroup")
     mu, minus_mu = algebra.mu, algebra.mu.neg()
-    return _packed_data(
-        omega, algebra.p, lambda a, b: mu, lambda a: mu, lambda b: mu, lambda a, b: minus_mu
-    )
+    actions = (mu,) * omega.size
+    return _packed_data(omega, algebra.p, lambda a, b: mu, actions, actions, lambda a, b: minus_mu)
 
 
 def _packed_data(omega, p, product, left, right, cocycle):
@@ -376,9 +375,9 @@ def _packed_data(omega, p, product, left, right, cocycle):
 
     Every block is an n x n x n tensor on L, with p the structure map of L
     and of the bimodule.  product(a, b) multiplies grade a by grade b into
-    grade ab; left(a) is the action of grade a on L, left(a).at(k, i, j)
-    the e_k coefficient of (e_i (x) a) .l e_j; right(b).at(k, j, i) that of
-    e_j .r (e_i (x) b); cocycle(a, b) takes grades a and b into L.
+    grade ab; left[a] is the action of grade a on L, left[a].at(k, i, j)
+    the e_k coefficient of (e_i (x) a) .l e_j; right[b].at(k, j, i) is that
+    of e_j .r (e_i (x) b); cocycle(a, b) takes grades a and b into L.
     """
     n, m = p.rows, omega.size
     nm = n * m
@@ -388,11 +387,11 @@ def _packed_data(omega, p, product, left, right, cocycle):
 
     def left_entry(k, ii, j):
         alpha, i = divmod(ii, n)
-        return left(alpha).at(k, i, j)
+        return left[alpha].at(k, i, j)
 
     def right_entry(k, j, ii):
         beta, i = divmod(ii, n)
-        return right(beta).at(k, j, i)
+        return right[beta].at(k, j, i)
 
     def phi_entry(k, ii, jj):
         alpha, i = divmod(ii, n)

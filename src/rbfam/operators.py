@@ -344,8 +344,8 @@ def nijenhuis_induced_data(family):
         omega,
         A.p,
         lambda a, b: products[(a, b)],
-        lefts.__getitem__,
-        rights.__getitem__,
+        lefts,
+        rights,
         lambda a, b: minus_n_mu[omega.mul(a, b)],
     )
     return NijenhuisInducedData(
