@@ -6,6 +6,9 @@ multilinear evaluator, the package's former dense multilinear kernel
 (frozen as the reference of the sparse one), the package's former
 ``solve`` (frozen as the reference of the one that reads its answer off
 the augmented null space), the package's former
+law primitives ``reports.intertwining_sides`` and ``nested_cases`` and
+``homalg.is_equivariant`` (frozen as the references of the ones that
+compose each law's sides as whole tensors), the package's former
 ``check_nijenhuis_element`` (frozen as the reference of the one built on
 the trivial pair's morphism laws), the package's former packed-family
 constructions and hand-split deformed splitting (frozen as the references
@@ -35,7 +38,18 @@ from rbfam.homalg import (
     graded_tensor,
     tensor_bimodule,
 )
-from rbfam.linalg import Matrix, Tensor, bilinear_tensor, unit_vector, vadd, vector, vsub
+from rbfam.linalg import (
+    ZERO,
+    Matrix,
+    Tensor,
+    bilinear_tensor,
+    multilinear_apply,
+    tensor_column,
+    unit_vector,
+    vadd,
+    vector,
+    vsub,
+)
 from rbfam.operators import (
     NijenhuisInducedData,
     TwistedRBFamily,
@@ -904,3 +918,72 @@ class NaiveFamilyComplex:
         else:
             dim_b = naive_rank(self.differential_matrix(degree - 1))
         return (dim_c, dim_z, dim_b, dim_z - dim_b)
+
+
+# ---------------------------------------------------------------------------
+# law primitives, frozen while they contracted once per basis tuple
+
+
+def _as_tensor(t):
+    return Tensor((t.rows, t.cols), t.entries) if isinstance(t, Matrix) else t
+
+
+def tuple_intertwining_sides(out, src, tgt, ins):
+    """The body ``reports.intertwining_sides`` had while it applied ``out``
+    and contracted ``tgt`` once per basis tuple.
+
+    Kept verbatim, so the one that composes out o src and
+    tgt o (ins[0] x ... x ins[n-1]) as whole tensors can be held to
+    ``repr``-identical sides, entry types included.
+    """
+    src, tgt = _as_tensor(src), _as_tensor(tgt)
+    cols = [[m.column(j) for j in range(m.cols)] for m in ins]
+    for idx in product(*(range(d) for d in src.shape[1:])):
+        lhs = out.apply(tensor_column(src, idx))
+        yield idx, lhs, multilinear_apply(tgt, [c[j] for c, j in zip(cols, idx)])
+
+
+def tuple_intertwining_cases(out, src, tgt, ins, names, where=None):
+    """``reports.intertwining_cases`` read through the frozen sides."""
+    prefix = where or {}
+    for idx, lhs, rhs in tuple_intertwining_sides(out, src, tgt, ins):
+        case = dict(prefix)
+        case.update(zip(names, idx))
+        yield case, vsub(lhs, rhs)
+
+
+def tuple_nested_cases(first, last, terms, names, where=None):
+    """The body ``reports.nested_cases`` had while it contracted each term
+    once per basis triple.
+
+    Kept verbatim, so the one that composes each term as a whole tensor per
+    leading index can be held to ``repr``-identical cases.
+    """
+    _, outer0, inner0, left0 = terms[0]
+    middle = inner0.shape[2] if left0 else inner0.shape[1]
+    first_cols = [first.column(i) for i in range(first.cols)]
+    last_cols = [last.column(k) for k in range(last.cols)]
+    zero = (ZERO,) * outer0.shape[0]
+    prefix = where or {}
+    for idx in product(range(first.cols), range(middle), range(last.cols)):
+        i, j, k = idx
+        case = dict(prefix)
+        case.update(zip(names, idx))
+        residual = zero
+        for sign, outer, inner, left in terms:
+            if left:
+                term = multilinear_apply(outer, [tensor_column(inner, (i, j)), last_cols[k]])
+            else:
+                term = multilinear_apply(outer, [first_cols[i], tensor_column(inner, (j, k))])
+            residual = vadd(residual, term) if sign > 0 else vsub(residual, term)
+        yield case, residual
+
+
+def tuple_is_equivariant(q, p, degree, tensors):
+    """``homalg.is_equivariant`` read through the frozen sides."""
+    if degree and q.is_identity() and p.is_identity():
+        return True
+    tensors = (Tensor((len(f),), f) if isinstance(f, tuple) else f for f in tensors)
+    return not any(
+        lhs != rhs for f in tensors for _, lhs, rhs in tuple_intertwining_sides(q, f, f, [p] * degree)
+    )
