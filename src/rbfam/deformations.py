@@ -346,9 +346,14 @@ def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     index; it is read off the first one and reported without an index.
     """
     ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
+    return _nijenhuis_element_report(x, operator, operator_bimodule(operator), max_violations)
+
+
+def _nijenhuis_element_report(x, operator, actions, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """``check_nijenhuis_element`` on a validated operator, whose operator
+    bimodule ``actions`` the caller already holds."""
     A, omega = operator.algebra, operator.omega
     x, psi, phi_ts = _trivial_pair(operator, x)
-    actions = operator_bimodule(operator)
     report = CheckReport(subject="Nijenhuis element")
 
     def commutator_law():
@@ -571,12 +576,16 @@ def trivialize_cocycle(operator, cocycle_maps, handle=None):
             witness=None,
         )
     x0, kernel = outcome
-    x0_ok = check_nijenhuis_element(x0, operator).passed
+
+    def nijenhuis(x):
+        return _nijenhuis_element_report(x, operator, handle.omega_module).passed
+
+    x0_ok = nijenhuis(x0)
     shifts = []
     witness = tuple(x0) if x0_ok else None
     for v in kernel:
-        plus = check_nijenhuis_element(vadd(x0, v), operator).passed
-        minus = check_nijenhuis_element(vsub(x0, v), operator).passed
+        plus = nijenhuis(vadd(x0, v))
+        minus = nijenhuis(vsub(x0, v))
         shifts.append((plus, minus))
         if witness is None and plus:
             witness = vadd(x0, v)

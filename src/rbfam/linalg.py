@@ -5,7 +5,8 @@ Everything is immutable and every operation is a pure function of its
 inputs, so values are safe to share across threads.  Matrix-vector products
 and multilinear contraction run over the arguments' supports (their nonzero
 coordinates), reading a tensor through a sparse column view built once per
-tensor.  Elimination follows
+tensor; a law's sides are composed as whole tensors (``_compose``), one
+slot at a time over nonzero entries.  Elimination follows
 the Bareiss fraction-free scheme with the pivot fixed as the first nonzero
 entry in the current column (lowest row index), which makes rank, kernel
 and solve fully deterministic.
@@ -326,6 +327,61 @@ def multilinear_apply(tensor, args):
         for k, c in columns[flat]:
             out[k] = out[k] + c * w
     return tuple(out)
+
+
+def _compose(outer, parts):
+    """The tensor outer o (parts[0] x ... x parts[m-1]), contracted sparsely.
+
+    ``outer`` has shape (d, a_0, ..., a_{m-1}) and parts[s] has shape
+    (a_s, *in_s); the result has shape (d, *in_0, ..., *in_{m-1}) and the
+    entry sum over a of outer[k][a] * parts[0][a_0][i_0] * ... *
+    parts[m-1][a_{m-1}][i_{m-1}].  Slots are contracted one at a time over
+    nonzero supports, so outer o (first x inner) costs O(n^5) where one
+    contraction per basis triple costs O(n^6).
+
+    An entry fed by at least one product of nonzero factors is that sum,
+    even when it cancels to 0; every other entry is ``ZERO``.  That keeps
+    the entry types ``multilinear_apply`` gives: a ``TruncatedPoly`` stays
+    one (t * t^2 = 0 mod t^3 included) and a rational is a ``Fraction``.
+    When every entry of every input is an int or a ``Fraction``, the
+    contraction runs on integer numerators (each tensor scaled by the lcm
+    of its denominators) and divides once at the end.
+    """
+    shape = outer.shape
+    if len(shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, shape[1:])):
+        raise InputError(f"cannot compose shape {shape} with {[t.shape for t in parts]}")
+    tensors = (outer, *parts)
+    if all(isinstance(e, (int, Fraction)) for t in tensors for e in t.entries):
+        scales = [lcm(*(e.denominator for e in t.entries)) for t in tensors]
+        values = [[e.numerator * (s // e.denominator) for e in t.entries] for t, s in zip(tensors, scales)]
+        den = prod(scales)
+    else:
+        values = [[ensure_scalar(e) for e in t.entries] for t in tensors]
+        den = None
+    state = {f: e for f, e in enumerate(values[0]) if e}
+    remaining = prod(shape[1:])
+    for s, (part, entries) in enumerate(zip(parts, values[1:])):
+        size, rest = prod(part.shape[1:]), prod(shape[s + 2 :])
+        rows = [
+            [(j, x) for j, x in enumerate(entries[a * size : (a + 1) * size]) if x]
+            for a in range(part.shape[0])
+        ]
+        acc = {}
+        get = acc.get
+        for key, c in state.items():
+            head, tail = divmod(key, remaining)
+            a, tail = divmod(tail, rest)
+            base = head * size
+            for j, x in rows[a]:
+                k = (base + j) * rest + tail
+                v = get(k)
+                acc[k] = c * x if v is None else v + c * x
+        state, remaining = acc, rest
+    out_shape = shape[:1] + sum((t.shape[1:] for t in parts), ())
+    out = [ZERO] * prod(out_shape)
+    for k, v in state.items():
+        out[k] = v if den is None else Fraction(v, den)
+    return Tensor(out_shape, tuple(out))
 
 
 def bilinear_tensor(shape, col):

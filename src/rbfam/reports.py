@@ -34,14 +34,28 @@ order of the basis triple (i, j, k), the where-dict lists the prefix keys
 and then one key per slot of the triple, and the residual is the signed
 sum of the terms, so it is lhs - rhs when the terms of the law's left side
 carry +1 and those of its right side -1.
+
+Both primitives compute a law's sides as whole composed tensors, through
+``linalg._compose``: out o T and T' o (in_1 x ... x in_n), and per first
+index i each nested term outer o (first e_i x inner) or
+outer o (inner(e_i, -) x last).  A residual is the difference or signed
+sum of entries of those tensors, read off in the order above.  An entry
+fed by a product of nonzero factors keeps that sum's type even when it
+cancels to 0, every other entry is ``ZERO``, so each residual entry is a
+``TruncatedPoly`` or a ``Fraction`` exactly as when each tuple was
+contracted on its own.  ``homalg.hochschild_differential`` stays on
+one contraction per tuple: in degree 2 its terms are the compositions of
+the direct 2-cocycle identity, and as that identity's independent second
+route it must not share their computation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from math import prod
 
-from .errors import PreconditionError
-from .linalg import ZERO, Matrix, Tensor, multilinear_apply, tensor_column, vadd, vsub
+from .errors import InputError, PreconditionError
+from .linalg import ZERO, Matrix, Tensor, _compose, vadd, vsub
 from .scalars import format_scalar
 
 DEFAULT_MAX_VIOLATIONS = 16
@@ -166,14 +180,18 @@ def intertwining_cases(out, src, tgt, ins, names, where=None):
 def intertwining_sides(out, src, tgt, ins):
     """(idx, lhs, rhs) of ``intertwining_cases``, in the same order.
 
-    For a yes/no (cochain membership) that needs neither a where-dict nor
-    a residual: the law holds when lhs == rhs on every idx.
+    lhs and rhs are the columns at idx of the composed tensors out o src
+    and tgt o (ins[0] x ... x ins[n-1]).  For a yes/no (cochain
+    membership) that needs neither a where-dict nor a residual: the law
+    holds when lhs == rhs on every idx.
     """
-    src, tgt = _as_tensor(src), _as_tensor(tgt)
-    cols = [[m.column(j) for j in range(m.cols)] for m in ins]
-    for idx in iproduct(*(range(d) for d in src.shape[1:])):
-        lhs = out.apply(tensor_column(src, idx))
-        yield idx, lhs, multilinear_apply(tgt, [c[j] for c, j in zip(cols, idx)])
+    lhs = _compose(_as_tensor(out), [_as_tensor(src)])
+    rhs = _compose(_as_tensor(tgt), [_as_tensor(m) for m in ins])
+    if lhs.shape != rhs.shape:
+        raise InputError(f"law sides of shapes {lhs.shape} and {rhs.shape}")
+    inner = prod(lhs.shape[1:])
+    for flat, idx in enumerate(iproduct(*(range(d) for d in lhs.shape[1:]))):
+        yield idx, lhs.entries[flat::inner], rhs.entries[flat::inner]
 
 
 def nested_cases(first, last, terms, names, where=None):
@@ -189,25 +207,42 @@ def nested_cases(first, last, terms, names, where=None):
     (case, residual) pair, case a new dict of the ``where`` keys followed by
     zip(names, (i, j, k)) and residual the signed sum of the terms.  Entries
     may be any exact scalars.
+
+    For each i, every term is composed as one tensor over (j, k):
+    outer o (inner[:, i, :] x last) or outer o (first e_i x inner).
     """
     _, outer0, inner0, left0 = terms[0]
     middle = inner0.shape[2] if left0 else inner0.shape[1]
-    first_cols = [first.column(i) for i in range(first.cols)]
-    last_cols = [last.column(k) for k in range(last.cols)]
-    zero = (ZERO,) * outer0.shape[0]
+    shape = (outer0.shape[0], middle, last.cols)
+    first, last = _as_tensor(first), _as_tensor(last)
+    inner_size = prod(shape[1:])
     prefix = where or {}
-    for idx in iproduct(range(first.cols), range(middle), range(last.cols)):
-        i, j, k = idx
-        case = dict(prefix)
-        case.update(zip(names, idx))
-        residual = zero
+    for i in range(first.shape[1]):
+        residual = (ZERO,) * prod(shape)
         for sign, outer, inner, left in terms:
             if left:
-                term = multilinear_apply(outer, [tensor_column(inner, (i, j)), last_cols[k]])
+                if inner.shape[1] != first.shape[1]:
+                    raise InputError(f"inner tensor of shape {inner.shape} for {first.shape[1]} first indices")
+                term = _compose(outer, [_at_first_input(inner, i), last])
             else:
-                term = multilinear_apply(outer, [first_cols[i], tensor_column(inner, (j, k))])
-            residual = vadd(residual, term) if sign > 0 else vsub(residual, term)
-        yield case, residual
+                term = _compose(outer, [_at_first_input(first, i), inner])
+            if term.shape != shape:
+                raise InputError(f"nested term of shape {term.shape}, expected {shape}")
+            residual = vadd(residual, term.entries) if sign > 0 else vsub(residual, term.entries)
+        for flat, (j, k) in enumerate(iproduct(range(middle), range(last.shape[1]))):
+            case = dict(prefix)
+            case.update(zip(names, (i, j, k)))
+            yield case, residual[flat::inner_size]
+
+
+def _at_first_input(t, i):
+    """t[:, i, ...]: the tensor ``t`` with its first input index fixed at i."""
+    d, n, rest = t.shape[0], t.shape[1], prod(t.shape[2:])
+    entries = t.entries
+    return Tensor(
+        t.shape[:1] + t.shape[2:],
+        tuple(e for k in range(d) for e in entries[(k * n + i) * rest : (k * n + i + 1) * rest]),
+    )
 
 
 def _as_tensor(t):

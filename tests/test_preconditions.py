@@ -16,7 +16,7 @@ import pytest
 from rbfam import reports
 from rbfam.cli import main
 from rbfam.cohomology import ha_complex, omega_complex, rbf_complex, transport_cochain
-from rbfam.deformations import LinearDeformation, check_equivalence, check_infinitesimal
+from rbfam.deformations import LinearDeformation, check_equivalence, check_infinitesimal, trivialize_cocycle
 from rbfam.errors import PreconditionError
 from rbfam.family import (
     HomNSAlgebra,
@@ -137,6 +137,17 @@ def test_check_equivalence_builds_one_complex_handle(monkeypatch):
     deformation = _zero_deformation(desk_instance("D1")["operator"])
     counts = count_runs(monkeypatch, rbf_complex, operator_bimodule)
     assert check_equivalence(deformation, deformation, (0, 0, 1, 0)).passes_mod_t2
+    assert counts == {"rbf_complex": 1, "operator_bimodule": 1}
+
+
+def test_trivialize_cocycle_builds_one_operator_bimodule(monkeypatch):
+    # The Nijenhuis-element checks of the solution and of both shifts along
+    # each of the four kernel vectors read the actions off the one handle.
+    operator = desk_instance("D1")["operator"]
+    zero_maps = [Matrix.zero(4, 2)] * 2
+    counts = count_runs(monkeypatch, rbf_complex, operator_bimodule)
+    result = trivialize_cocycle(operator, zero_maps)
+    assert result.found and len(result.kernel) == 4
     assert counts == {"rbf_complex": 1, "operator_bimodule": 1}
 
 
