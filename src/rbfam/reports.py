@@ -229,7 +229,7 @@ def nested_cases(first, last, terms, names, where=None):
             if term.shape != shape:
                 raise InputError(f"nested term of shape {term.shape}, expected {shape}")
             residual = vadd(residual, term.entries) if sign > 0 else vsub(residual, term.entries)
-        for flat, (j, k) in enumerate(iproduct(range(middle), range(last.shape[1]))):
+        for flat, (j, k) in enumerate(iproduct(range(middle), range(shape[2]))):
             case = dict(prefix)
             case.update(zip(names, (i, j, k)))
             yield case, residual[flat::inner_size]
