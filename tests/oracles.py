@@ -13,7 +13,9 @@ compose each law's sides as whole tensors), the package's former
 the trivial pair's morphism laws), the package's former packed-family
 constructions and hand-split deformed splitting (frozen as the references
 of the ones built through one packing body and one splitting over
-K[t]/(t^2)), a twist-free family-law
+K[t]/(t^2)), the package's former family identities and induced
+products (frozen as the references of the ones read off products composed
+as whole tensors), a twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
 maps), and the dense raw x raw membership-constraint matrix of a cochain
@@ -28,13 +30,24 @@ from math import lcm, prod
 
 from rbfam.deformations import NSDeformationReport, check_infinitesimal
 from rbfam.errors import InputError, PreconditionError
-from rbfam.family import _split_operator, _total_product, check_hom_ns_family, check_omega_assoc
+from rbfam.family import (
+    HomNSFamilyAlgebra,
+    HomTridendFamily,
+    OmegaBimodule,
+    _split_operator,
+    _total_product,
+    check_hom_ns_family,
+    check_ns_family_morphism,
+    check_omega_assoc,
+)
 from rbfam.homalg import (
     HomAlgebra,
     HomBimodule,
     TwoCocycle,
     _block_repeat,
+    check_bimodule,
     check_hom_algebra,
+    check_two_cocycle,
     graded_tensor,
     tensor_bimodule,
 )
@@ -55,9 +68,17 @@ from rbfam.operators import (
     TwistedRBFamily,
     check_nijenhuis_family,
     check_twisted_rbf,
+    check_weighted_rbf,
     identity_packing_family,
 )
-from rbfam.reports import DEFAULT_MAX_VIOLATIONS, CheckReport, ensure_valid, intertwining_cases, run_law
+from rbfam.reports import (
+    DEFAULT_MAX_VIOLATIONS,
+    CheckReport,
+    ensure_valid,
+    intertwining_cases,
+    require_pass,
+    run_law,
+)
 from rbfam.scalars import TruncatedPoly
 from rbfam.semigroups import FiniteSemigroup, builtin
 
@@ -569,6 +590,227 @@ def ns_deformation_report(deformation, handle=None, strict=True, max_violations=
     if not inf.passed:
         report.notes.append("order-1 precondition failed; axiom residuals shown at order t")
     return report
+
+
+# ---------------------------------------------------------------------------
+# family identities and induced products, frozen while they were evaluated
+# one basis tuple, or one column, at a time
+
+
+def _inner_sum(operator, u, v, ru, rv):
+    module, phi = operator.bimodule, operator.cocycle
+    return vadd(vadd(module.act_l(ru, v), module.act_r(u, rv)), phi.apply(ru, rv))
+
+
+def tuple_family_identity_cases(operator, maps):
+    """The body ``operators.family_identity_cases`` had while it evaluated
+    the twisted Rota-Baxter family identity once per basis pair (u, v).
+
+    Kept verbatim, so the identity read off the composed induced total
+    product can be held to ``repr``-identical cases.
+    """
+    A, omega = operator.algebra, operator.omega
+    vbasis = operator.bimodule.basis()
+    for alpha, beta in product(omega.elements(), repeat=2):
+        r_ab = maps[omega.mul(alpha, beta)]
+        for a, b in product(range(len(vbasis)), repeat=2):
+            u, v = vbasis[a], vbasis[b]
+            ru, rv = maps[alpha].apply(u), maps[beta].apply(v)
+            rhs = r_ab.apply(_inner_sum(operator, u, v, ru, rv))
+            yield {"alpha": alpha, "beta": beta, "u": a, "v": b}, vsub(A.product(ru, rv), rhs)
+
+
+def twisted_rbf_report(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """The body ``operators.check_twisted_rbf`` had, on the frozen cases."""
+    A, module, omega = operator.algebra, operator.bimodule, operator.omega
+    ensure_valid(A, check_hom_algebra, "host hom-algebra")
+    ensure_valid(module, check_bimodule, "host hom-bimodule")
+    ensure_valid(operator.cocycle, check_two_cocycle, "host two-cocycle")
+    report = CheckReport(subject=f"twisted Rota-Baxter family over omega of size {omega.size}")
+
+    def equivariance():
+        for alpha in omega.elements():
+            r_a = operator.maps[alpha]
+            yield from intertwining_cases(r_a, module.q, A.p, [r_a], ("u",), {"alpha": alpha})
+
+    run_law(report, "R_a o q = p o R_a", equivariance(), max_violations)
+    run_law(
+        report,
+        "R_a u . R_b v = R_ab(R_a u .l v + u .r R_b v + phi(R_a u, R_b v))",
+        tuple_family_identity_cases(operator, operator.maps),
+        max_violations,
+    )
+    return report
+
+
+def _commutes_with_p(family):
+    p = family.algebra.p
+    for alpha in family.omega.elements():
+        m_a = family.maps[alpha]
+        yield from intertwining_cases(p, m_a, m_a, [p], ("x",), {"alpha": alpha})
+
+
+def _tuple_endo_family_identity_cases(family, third):
+    """The body ``operators._endo_family_identity_cases`` had: the family
+    identity of maps M_a : L -> L, once per basis pair (x, y)."""
+    A, omega, maps = family.algebra, family.omega, family.maps
+    n = A.dim
+    for alpha, beta in product(omega.elements(), repeat=2):
+        m_ab = maps[omega.mul(alpha, beta)]
+        for i, j in product(range(n), repeat=2):
+            x, y = unit_vector(n, i), unit_vector(n, j)
+            lhs = A.product(maps[alpha].apply(x), maps[beta].apply(y))
+            inner = vadd(
+                vadd(A.product(maps[alpha].apply(x), y), A.product(x, maps[beta].apply(y))),
+                third(m_ab, A.basis_product(i, j)),
+            )
+            yield {"alpha": alpha, "beta": beta, "x": i, "y": j}, vsub(lhs, m_ab.apply(inner))
+
+
+def nijenhuis_family_report(family, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """The body ``operators.check_nijenhuis_family`` had, on the frozen cases."""
+    ensure_valid(family.algebra, check_hom_algebra, "host hom-algebra")
+    report = CheckReport(subject=f"Nijenhuis family over omega of size {family.omega.size}")
+    run_law(report, "p o N_a = N_a o p", _commutes_with_p(family), max_violations)
+    run_law(
+        report,
+        "N_a x . N_b y = N_ab(N_a x . y + x . N_b y - N_ab(x.y))",
+        _tuple_endo_family_identity_cases(family, lambda n_ab, xy: tuple(-c for c in n_ab.apply(xy))),
+        max_violations,
+    )
+    return report
+
+
+def weighted_rbf_report(family, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """The body ``operators.check_weighted_rbf`` had, on the frozen cases."""
+    ensure_valid(family.algebra, check_hom_algebra, "host hom-algebra")
+    lam = family.weight
+    report = CheckReport(subject=f"weighted Rota-Baxter family (weight {lam})")
+    run_law(report, "p(T_a x) = T_a p(x)", _commutes_with_p(family), max_violations)
+    run_law(
+        report,
+        "T_a x . T_b y = T_ab(T_a x . y + x . T_b y + w x.y)",
+        _tuple_endo_family_identity_cases(family, lambda t_ab, xy: tuple(lam * c for c in xy)),
+        max_violations,
+    )
+    return report
+
+
+def split_operator(operator):
+    """The body ``family._split_operator`` had while it built each splitting
+    product column by column."""
+    module, phi, omega = operator.bimodule, operator.cocycle, operator.omega
+    d = module.dim
+    vbasis = module.basis()
+
+    prec = tuple(
+        bilinear_tensor(d, lambda a, b, al=al: module.act_r(vbasis[a], operator.maps[al].column(b)))
+        for al in omega.elements()
+    )
+    succ = tuple(
+        bilinear_tensor(d, lambda a, b, al=al: module.act_l(operator.maps[al].column(a), vbasis[b]))
+        for al in omega.elements()
+    )
+    vee = tuple(
+        tuple(
+            bilinear_tensor(
+                d,
+                lambda a, b, al=al, be=be: phi.apply(
+                    operator.maps[al].column(a), operator.maps[be].column(b)
+                ),
+            )
+            for be in omega.elements()
+        )
+        for al in omega.elements()
+    )
+    return HomNSFamilyAlgebra(dim=d, omega=omega, prec=prec, succ=succ, vee=vee, p=module.q)
+
+
+def tridend_from_weighted(family):
+    """The body ``family.tridend_from_weighted_rbf`` had while it built each
+    product column by column."""
+    ensure_valid(family, check_weighted_rbf, "weighted Rota-Baxter family")
+    A, omega = family.algebra, family.omega
+    n = A.dim
+    basis = A.basis()
+    prec = tuple(
+        bilinear_tensor(n, lambda i, j, al=al: A.product(basis[i], family.maps[al].column(j)))
+        for al in omega.elements()
+    )
+    succ = tuple(
+        bilinear_tensor(n, lambda i, j, al=al: A.product(family.maps[al].column(i), basis[j]))
+        for al in omega.elements()
+    )
+    return HomTridendFamily(
+        dim=n, omega=omega, prec=prec, succ=succ, dot=A.mu.scale(family.weight), p=A.p
+    )
+
+
+def derived_bimodule(operator):
+    """The body ``family.operator_bimodule`` had while it built each action
+    column by column, over the frozen splitting."""
+    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
+    A, module, phi, omega = (
+        operator.algebra,
+        operator.bimodule,
+        operator.cocycle,
+        operator.omega,
+    )
+    n, d = A.dim, module.dim
+    vbasis = module.basis()
+    ebasis = A.basis()
+    parent = _total_product(split_operator(operator))
+
+    def left_tensor(a, b):
+        r_ab = operator.maps[omega.mul(a, b)]
+
+        def col(u, i):
+            ru = operator.maps[a].column(u)
+            x = ebasis[i]
+            return vsub(
+                vsub(A.product(ru, x), r_ab.apply(module.act_r(vbasis[u], x))),
+                r_ab.apply(phi.apply(ru, x)),
+            )
+
+        return bilinear_tensor((n, d, n), col)
+
+    def right_tensor(a, b):
+        r_ab = operator.maps[omega.mul(a, b)]
+
+        def col(i, u):
+            rv = operator.maps[b].column(u)
+            x = ebasis[i]
+            return vsub(
+                vsub(A.product(x, rv), r_ab.apply(module.act_l(x, vbasis[u]))),
+                r_ab.apply(phi.apply(x, rv)),
+            )
+
+        return bilinear_tensor((n, n, d), col)
+
+    left = tuple(tuple(left_tensor(a, b) for b in omega.elements()) for a in omega.elements())
+    right = tuple(tuple(right_tensor(a, b) for b in omega.elements()) for a in omega.elements())
+    return OmegaBimodule(parent=parent, dim=n, left=left, right=right, q=A.p)
+
+
+def yau_twist(family, endo):
+    """The body ``family.yau_twist_ns_family`` had while it twisted each
+    product column by column."""
+    ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
+    report = check_ns_family_morphism(endo, family, family)
+    require_pass(report, "structure-preserving endomorphism")
+    omega, n = family.omega, family.dim
+
+    def twist(tensor):
+        return bilinear_tensor(n, lambda i, j: multilinear_apply(tensor, [endo.column(i), endo.column(j)]))
+
+    return HomNSFamilyAlgebra(
+        dim=n,
+        omega=omega,
+        prec=tuple(twist(t) for t in family.prec),
+        succ=tuple(twist(t) for t in family.succ),
+        vee=tuple(tuple(twist(t) for t in row) for row in family.vee),
+        p=endo.mul(family.p),
+    )
 
 
 def _add(a, b):
