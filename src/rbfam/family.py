@@ -13,8 +13,8 @@ from itertools import product as iproduct
 
 from .errors import InputError
 from .homalg import HomAlgebra, _block_repeat, graded_tensor
-from .linalg import Matrix, Tensor, bilinear_tensor, multilinear_apply, rank, vsub
-from .operators import check_twisted_rbf, check_weighted_rbf
+from .linalg import Matrix, Tensor, _compose, multilinear_apply, rank
+from .operators import _split_products, _totals, _twisted_products, check_twisted_rbf, check_weighted_rbf
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
@@ -171,14 +171,6 @@ def _indexed_nested(omega, arity, first, last, names, terms):
     """Cases of a nested-product law whose terms(*idx) vary with idx in omega^arity."""
     return _indexed(
         omega, arity, lambda *idx, where: nested_cases(first, last, terms(*idx), names, where)
-    )
-
-
-def _totals(omega, prec, succ, third):
-    """total[a][b] = prec[b] + succ[a] + third(a, b), one summed tensor per pair."""
-    return tuple(
-        tuple(prec[b].add(succ[a]).add(third(a, b)) for b in omega.elements())
-        for a in omega.elements()
     )
 
 
@@ -453,31 +445,9 @@ def _split_operator(operator):
     """The splitting of ``ns_family_from_operator``, unchecked: for an
     operator already checked, or maps that are not a family (R + t R1 over
     K[t]/(t^2), whose splitting ``deform_ns_family`` checks)."""
-    module, phi, omega = operator.bimodule, operator.cocycle, operator.omega
-    d = module.dim
-    vbasis = module.basis()
-
-    prec = tuple(
-        bilinear_tensor(d, lambda a, b, al=al: module.act_r(vbasis[a], operator.maps[al].column(b)))
-        for al in omega.elements()
-    )
-    succ = tuple(
-        bilinear_tensor(d, lambda a, b, al=al: module.act_l(operator.maps[al].column(a), vbasis[b]))
-        for al in omega.elements()
-    )
-    vee = tuple(
-        tuple(
-            bilinear_tensor(
-                d,
-                lambda a, b, al=al, be=be: phi.apply(
-                    operator.maps[al].column(a), operator.maps[be].column(b)
-                ),
-            )
-            for be in omega.elements()
-        )
-        for al in omega.elements()
-    )
-    return HomNSFamilyAlgebra(dim=d, omega=omega, prec=prec, succ=succ, vee=vee, p=module.q)
+    module = operator.bimodule
+    prec, succ, vee = _twisted_products(operator, operator.maps)
+    return HomNSFamilyAlgebra(dim=module.dim, omega=operator.omega, prec=prec, succ=succ, vee=vee, p=module.q)
 
 
 def ns_family_pack(family):
@@ -504,19 +474,10 @@ def pack_ns_family_morphism(f, omega):
 def tridend_from_weighted_rbf(family):
     """x <_a y = x . T_a y, x >_a y = T_a x . y, x.y scaled by the weight."""
     ensure_valid(family, check_weighted_rbf, "weighted Rota-Baxter family")
-    A, omega = family.algebra, family.omega
-    n = A.dim
-    basis = A.basis()
-    prec = tuple(
-        bilinear_tensor(n, lambda i, j, al=al: A.product(basis[i], family.maps[al].column(j)))
-        for al in omega.elements()
-    )
-    succ = tuple(
-        bilinear_tensor(n, lambda i, j, al=al: A.product(family.maps[al].column(i), basis[j]))
-        for al in omega.elements()
-    )
+    A = family.algebra
+    prec, succ = _split_products(A.mu, A.mu, family.maps)
     return HomTridendFamily(
-        dim=n, omega=omega, prec=prec, succ=succ, dot=A.mu.scale(family.weight), p=A.p
+        dim=A.dim, omega=family.omega, prec=prec, succ=succ, dot=A.mu.scale(family.weight), p=A.p
     )
 
 
@@ -557,46 +518,21 @@ def operator_bimodule(operator):
     right action x -<| u = x . R_b u - R_ab(x .l u) - R_ab phi(x, R_b u).
     """
     ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
-    A, module, phi, omega = (
-        operator.algebra,
-        operator.bimodule,
-        operator.cocycle,
-        operator.omega,
-    )
-    n, d = A.dim, module.dim
-    vbasis = module.basis()
-    ebasis = A.basis()
+    A, module, phi = operator.algebra, operator.bimodule, operator.cocycle.phi
+    omega, maps = operator.omega, operator.maps
     parent = _total_product(_split_operator(operator))
+    x_r, r_x = _split_products(A.mu, A.mu, maps)
+    phi_x_r, phi_r_x = _split_products(phi, phi, maps)
 
-    def left_tensor(a, b):
-        r_ab = operator.maps[omega.mul(a, b)]
+    def action(a, b, product, act, twisted):
+        # product - R_ab o act - R_ab o twisted
+        r_ab = maps[omega.mul(a, b)]
+        return product.sub(_compose(r_ab, [act])).sub(_compose(r_ab, [twisted]))
 
-        def col(u, i):
-            ru = operator.maps[a].column(u)
-            x = ebasis[i]
-            return vsub(
-                vsub(A.product(ru, x), r_ab.apply(module.act_r(vbasis[u], x))),
-                r_ab.apply(phi.apply(ru, x)),
-            )
-
-        return bilinear_tensor((n, d, n), col)
-
-    def right_tensor(a, b):
-        r_ab = operator.maps[omega.mul(a, b)]
-
-        def col(i, u):
-            rv = operator.maps[b].column(u)
-            x = ebasis[i]
-            return vsub(
-                vsub(A.product(x, rv), r_ab.apply(module.act_l(x, vbasis[u]))),
-                r_ab.apply(phi.apply(x, rv)),
-            )
-
-        return bilinear_tensor((n, n, d), col)
-
-    left = tuple(tuple(left_tensor(a, b) for b in omega.elements()) for a in omega.elements())
-    right = tuple(tuple(right_tensor(a, b) for b in omega.elements()) for a in omega.elements())
-    return OmegaBimodule(parent=parent, dim=n, left=left, right=right, q=A.p)
+    elements = omega.elements()
+    left = tuple(tuple(action(a, b, r_x[a], module.right, phi_r_x[a]) for b in elements) for a in elements)
+    right = tuple(tuple(action(a, b, x_r[b], module.left, phi_x_r[b]) for b in elements) for a in elements)
+    return OmegaBimodule(parent=parent, dim=A.dim, left=left, right=right, q=A.p)
 
 
 def yau_twist_ns_family(family, endo):
@@ -609,14 +545,13 @@ def yau_twist_ns_family(family, endo):
     ensure_valid(family, check_hom_ns_family, "Hom-NS family algebra")
     report = check_ns_family_morphism(endo, family, family)
     require_pass(report, "structure-preserving endomorphism")
-    omega, n = family.omega, family.dim
 
     def twist(tensor):
-        return bilinear_tensor(n, lambda i, j: multilinear_apply(tensor, [endo.column(i), endo.column(j)]))
+        return _compose(tensor, [endo, endo])
 
     return HomNSFamilyAlgebra(
-        dim=n,
-        omega=omega,
+        dim=family.dim,
+        omega=family.omega,
         prec=tuple(twist(t) for t in family.prec),
         succ=tuple(twist(t) for t in family.succ),
         vee=tuple(tuple(twist(t) for t in row) for row in family.vee),

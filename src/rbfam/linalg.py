@@ -333,7 +333,7 @@ def _compose(outer, parts):
     """The tensor outer o (parts[0] x ... x parts[m-1]), contracted sparsely.
 
     ``outer`` has shape (d, a_0, ..., a_{m-1}) and parts[s] has shape
-    (a_s, *in_s); the result has shape (d, *in_0, ..., *in_{m-1}) and the
+    (a_s, *in_s), a ``Matrix`` counting as its (rows, cols) tensor; the result has shape (d, *in_0, ..., *in_{m-1}) and the
     entry sum over a of outer[k][a] * parts[0][a_0][i_0] * ... *
     parts[m-1][a_{m-1}][i_{m-1}].  Slots are contracted one at a time over
     nonzero supports, so outer o (first x inner) costs O(n^5) where one
@@ -347,6 +347,7 @@ def _compose(outer, parts):
     contraction runs on integer numerators (each tensor scaled by the lcm
     of its denominators) and divides once at the end.
     """
+    outer, parts = _as_tensor(outer), [_as_tensor(t) for t in parts]
     shape = outer.shape
     if len(shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, shape[1:])):
         raise InputError(f"cannot compose shape {shape} with {[t.shape for t in parts]}")
@@ -382,6 +383,11 @@ def _compose(outer, parts):
     for k, v in state.items():
         out[k] = v if den is None else Fraction(v, den)
     return Tensor(out_shape, tuple(out))
+
+
+def _as_tensor(t):
+    """A ``Matrix`` as its row-major (rows, cols) tensor; a tensor as itself."""
+    return Tensor((t.rows, t.cols), t.entries) if isinstance(t, Matrix) else t
 
 
 def bilinear_tensor(shape, col):

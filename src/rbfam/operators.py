@@ -4,6 +4,15 @@ Covers twisted Rota-Baxter families {R_a : V -> L}, Nijenhuis families
 {N_a : L -> L}, weighted Rota-Baxter families {T_a : L -> L}, morphisms
 between twisted families, the graph characterization inside the twisted
 semidirect product, and the packings onto the semigroup algebra.
+
+A family's induced products are composed as whole tensors, once, in
+``_split_products`` (right o (I x M_a) and left o (M_a x I)) and
+``_twisted_products`` (adding phi o (R_a x R_b)); the constructions in
+``family`` take them from here.  Every family identity is one law,
+``_family_identity``: M_ab o total_ab = mu o (M_a x M_b) on each pair
+(a, b), where total_ab = x <_b y + x >_a y plus phi o (R_a x R_b),
+-N_ab o mu or w mu.  ``twisted_inner_sum``, ``graph_check`` and the search
+loop stay per tuple as independent second routes.
 """
 from __future__ import annotations
 
@@ -25,16 +34,26 @@ from .homalg import (
     semidirect_product,
     tensor_bimodule,
 )
-from .linalg import Matrix, bilinear_tensor, block_diag, unit_vector, vadd, vsub
+from .linalg import Matrix, _compose, block_diag, unit_vector, vadd, vsub
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
     ensure_valid,
     intertwining_cases,
+    intertwining_sides,
     run_law,
 )
 from .scalars import ensure_rational
 from .semigroups import FiniteSemigroup, builtin
+
+
+def _check_maps(family, rows, cols):
+    """One rows x cols matrix per semigroup element, or ``InputError``."""
+    if len(family.maps) != family.omega.size:
+        raise InputError("one matrix per semigroup element is required")
+    for a, mat in enumerate(family.maps):
+        if (mat.rows, mat.cols) != (rows, cols):
+            raise InputError(f"map {a} must be {rows}x{cols}, got {mat.rows}x{mat.cols}")
 
 
 @dataclass(frozen=True)
@@ -46,12 +65,7 @@ class TwistedRBFamily:
     maps: tuple
 
     def __post_init__(self):
-        if len(self.maps) != self.omega.size:
-            raise InputError("one matrix per semigroup element is required")
-        n, d = self.algebra.dim, self.bimodule.dim
-        for a, mat in enumerate(self.maps):
-            if (mat.rows, mat.cols) != (n, d):
-                raise InputError(f"map {a} must be {n}x{d}, got {mat.rows}x{mat.cols}")
+        _check_maps(self, self.algebra.dim, self.bimodule.dim)
 
     @property
     def bimodule(self):
@@ -69,12 +83,7 @@ class NijenhuisFamily:
     maps: tuple
 
     def __post_init__(self):
-        if len(self.maps) != self.omega.size:
-            raise InputError("one matrix per semigroup element is required")
-        n = self.algebra.dim
-        for a, mat in enumerate(self.maps):
-            if (mat.rows, mat.cols) != (n, n):
-                raise InputError(f"map {a} must be {n}x{n}")
+        _check_maps(self, self.algebra.dim, self.algebra.dim)
 
 
 @dataclass(frozen=True)
@@ -86,12 +95,7 @@ class WeightedRBFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "weight", ensure_rational(self.weight))
-        if len(self.maps) != self.omega.size:
-            raise InputError("one matrix per semigroup element is required")
-        n = self.algebra.dim
-        for a, mat in enumerate(self.maps):
-            if (mat.rows, mat.cols) != (n, n):
-                raise InputError(f"map {a} must be {n}x{n}")
+        _check_maps(self, self.algebra.dim, self.algebra.dim)
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,69 @@ def _validate_hosts(operator):
 
 def twisted_inner_sum(operator, alpha, beta, u, v):
     """R_a u .l v + u .r R_b v + phi(R_a u, R_b v)."""
-    return _inner_sum(operator, u, v, operator.maps[alpha].apply(u), operator.maps[beta].apply(v))
-
-
-def _inner_sum(operator, u, v, ru, rv):
     module, phi = operator.bimodule, operator.cocycle
+    ru, rv = operator.maps[alpha].apply(u), operator.maps[beta].apply(v)
     return vadd(vadd(module.act_l(ru, v), module.act_r(u, rv)), phi.apply(ru, rv))
+
+
+# ---------------------------------------------------------------------------
+# induced products and the family identity
+
+
+def _split_products(left, right, maps):
+    """(prec, succ) with prec_a = right o (I x M_a) and succ_a = left o (M_a x I).
+
+    On a module's actions and maps R_a : V -> L these are the splitting
+    products u .r R_a v and R_a u .l v; on (mu, mu) they are x . M_a y and
+    M_a x . y, on (phi, phi) phi(x, M_a y) and phi(M_a x, y).
+    """
+    i_right, i_left = Matrix.identity(right.shape[1]), Matrix.identity(left.shape[2])
+    prec = tuple(_compose(right, [i_right, m]) for m in maps)
+    succ = tuple(_compose(left, [m, i_left]) for m in maps)
+    return prec, succ
+
+
+def _twisted_products(operator, maps):
+    """(prec, succ, vee) of maps R_a : V -> L on the operator's hosts:
+    u .r R_a v, R_a u .l v and vee[a][b] = phi o (R_a x R_b)."""
+    module = operator.bimodule
+    prec, succ = _split_products(module.left, module.right, maps)
+    vee = tuple(tuple(_compose(operator.cocycle.phi, [r_a, r_b]) for r_b in maps) for r_a in maps)
+    return prec, succ, vee
+
+
+def _nijenhuis_products(family):
+    """(prec, succ, minus_n_mu, total) of a Nijenhuis family: x . N_a y,
+    N_a x . y, -N_g(x.y) per grade g and total[a][b] = x . N_b y +
+    N_a x . y - N_ab(x.y)."""
+    A, omega = family.algebra, family.omega
+    prec, succ = _split_products(A.mu, A.mu, family.maps)
+    minus_n_mu = tuple(_compose(n, [A.mu]).neg() for n in family.maps)
+    total = _totals(omega, prec, succ, lambda a, b: minus_n_mu[omega.mul(a, b)])
+    return prec, succ, minus_n_mu, total
+
+
+def _totals(omega, prec, succ, third):
+    """total[a][b] = prec[b] + succ[a] + third(a, b), one summed tensor per pair."""
+    return tuple(
+        tuple(prec[b].add(succ[a]).add(third(a, b)) for b in omega.elements())
+        for a in omega.elements()
+    )
+
+
+def _family_identity(omega, mu, maps, total, names):
+    """Cases of M_a x . M_b y = M_ab(total[a][b](x, y)) for ``run_law``.
+
+    On each pair (a, b) this is the intertwining law
+    M_ab o total_ab = mu o (M_a x M_b); the residual is its right side
+    minus its left side, M_a x . M_b y - M_ab(total_ab(x, y)).
+    """
+    for alpha, beta in iproduct(omega.elements(), repeat=2):
+        m_ab = maps[omega.mul(alpha, beta)]
+        for idx, lhs, rhs in intertwining_sides(m_ab, total[alpha][beta], mu, [maps[alpha], maps[beta]]):
+            case = {"alpha": alpha, "beta": beta}
+            case.update(zip(names, idx))
+            yield case, vsub(rhs, lhs)
 
 
 def family_identity_cases(operator, maps):
@@ -134,15 +195,10 @@ def family_identity_cases(operator, maps):
     The hosts are the operator's; ``maps`` are the R_a: the operator's own,
     or deformed ones whose entries are truncated polynomials.
     """
-    A, omega = operator.algebra, operator.omega
-    vbasis = operator.bimodule.basis()
-    for alpha, beta in iproduct(omega.elements(), repeat=2):
-        r_ab = maps[omega.mul(alpha, beta)]
-        for a, b in iproduct(range(len(vbasis)), repeat=2):
-            u, v = vbasis[a], vbasis[b]
-            ru, rv = maps[alpha].apply(u), maps[beta].apply(v)
-            rhs = r_ab.apply(_inner_sum(operator, u, v, ru, rv))
-            yield {"alpha": alpha, "beta": beta, "u": a, "v": b}, vsub(A.product(ru, rv), rhs)
+    omega = operator.omega
+    prec, succ, vee = _twisted_products(operator, maps)
+    total = _totals(omega, prec, succ, lambda a, b: vee[a][b])
+    return _family_identity(omega, operator.algebra.mu, maps, total, ("u", "v"))
 
 
 def check_twisted_rbf(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
@@ -174,45 +230,33 @@ def _commutes_with_p(family):
         yield from intertwining_cases(p, m_a, m_a, [p], ("x",), {"alpha": alpha})
 
 
-def _endo_family_identity_cases(family, third):
-    """Cases of M_a x . M_b y = M_ab(M_a x . y + x . M_b y + third(M_ab, x.y))
-    on basis pairs (x, y), for the maps M_a of an operator family on L."""
-    A, omega, maps = family.algebra, family.omega, family.maps
-    n = A.dim
-    for alpha, beta in iproduct(omega.elements(), repeat=2):
-        m_ab = maps[omega.mul(alpha, beta)]
-        for i, j in iproduct(range(n), repeat=2):
-            x, y = unit_vector(n, i), unit_vector(n, j)
-            lhs = A.product(maps[alpha].apply(x), maps[beta].apply(y))
-            inner = vadd(
-                vadd(A.product(maps[alpha].apply(x), y), A.product(x, maps[beta].apply(y))),
-                third(m_ab, A.basis_product(i, j)),
-            )
-            yield {"alpha": alpha, "beta": beta, "x": i, "y": j}, vsub(lhs, m_ab.apply(inner))
-
-
 def check_nijenhuis_family(family, max_violations=DEFAULT_MAX_VIOLATIONS):
     ensure_valid(family.algebra, check_hom_algebra, "host hom-algebra")
     report = CheckReport(subject=f"Nijenhuis family over omega of size {family.omega.size}")
     run_law(report, "p o N_a = N_a o p", _commutes_with_p(family), max_violations)
+    *_, total = _nijenhuis_products(family)
     run_law(
         report,
         "N_a x . N_b y = N_ab(N_a x . y + x . N_b y - N_ab(x.y))",
-        _endo_family_identity_cases(family, lambda n_ab, xy: tuple(-c for c in n_ab.apply(xy))),
+        _family_identity(family.omega, family.algebra.mu, family.maps, total, ("x", "y")),
         max_violations,
     )
     return report
 
 
 def check_weighted_rbf(family, max_violations=DEFAULT_MAX_VIOLATIONS):
-    ensure_valid(family.algebra, check_hom_algebra, "host hom-algebra")
+    A, omega = family.algebra, family.omega
+    ensure_valid(A, check_hom_algebra, "host hom-algebra")
     lam = family.weight
     report = CheckReport(subject=f"weighted Rota-Baxter family (weight {lam})")
     run_law(report, "p(T_a x) = T_a p(x)", _commutes_with_p(family), max_violations)
+    prec, succ = _split_products(A.mu, A.mu, family.maps)
+    weighted = A.mu.scale(lam)
+    total = _totals(omega, prec, succ, lambda a, b: weighted)
     run_law(
         report,
         "T_a x . T_b y = T_ab(T_a x . y + x . T_b y + w x.y)",
-        _endo_family_identity_cases(family, lambda t_ab, xy: tuple(lam * c for c in xy)),
+        _family_identity(omega, A.mu, family.maps, total, ("x", "y")),
         max_violations,
     )
     return report
@@ -326,24 +370,11 @@ def nijenhuis_induced_data(family):
     """
     ensure_valid(family, check_nijenhuis_family, "Nijenhuis family")
     A, omega = family.algebra, family.omega
-    n, basis = A.dim, A.basis()
-
-    def per_grade(col):
-        return [bilinear_tensor(n, lambda i, j, N=N: col(N, i, j)) for N in family.maps]
-
-    # N_a x . y, x . N_b y and -N_g(x.y) per grade; the deformed product of
-    # grades a and b is their sum with g = ab.
-    lefts = per_grade(lambda N, i, j: A.product(N.column(i), basis[j]))
-    rights = per_grade(lambda N, i, j: A.product(basis[i], N.column(j)))
-    minus_n_mu = [t.neg() for t in per_grade(lambda N, i, j: N.apply(A.basis_product(i, j)))]
-    products = {
-        (a, b): lefts[a].add(rights[b]).add(minus_n_mu[omega.mul(a, b)])
-        for a, b in iproduct(omega.elements(), repeat=2)
-    }
+    rights, lefts, minus_n_mu, products = _nijenhuis_products(family)
     algebra, module, cocycle = _packed_data(
         omega,
         A.p,
-        lambda a, b: products[(a, b)],
+        lambda a, b: products[a][b],
         lefts,
         rights,
         lambda a, b: minus_n_mu[omega.mul(a, b)],

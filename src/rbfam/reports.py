@@ -20,10 +20,14 @@ its JSON, depend on that order.
 
 An intertwining law ``out o T = T' o (in_1 x ... x in_n)`` (multiplicativity
 of a structure map, a morphism condition, cochain membership) is checked
-through ``intertwining_cases`` and nowhere else.  That includes a law read
-off one coefficient of such a law over K[t]/(t^k): the Nijenhuis-element
-laws are coefficients of the morphism laws of the trivial pair
-(phi^t, psi^t).
+through ``intertwining_cases`` or its sides ``intertwining_sides``.  That
+includes a law read off one coefficient of such a law over K[t]/(t^k):
+the Nijenhuis-element laws are coefficients of the morphism laws of the
+trivial pair (phi^t, psi^t).  It also includes the family identities
+(twisted Rota-Baxter, Nijenhuis, weighted Rota-Baxter): on each pair
+(a, b) the identity is M_ab o total_ab = mu o (M_a x M_b) against the
+composed induced total product, with residual rhs - lhs, so the where-keys
+and residuals are those of the identity evaluated per basis pair.
 
 A nested-product law is a signed sum of terms outer(first x, inner(y, z))
 and outer(inner(x, y), last z), with a structure map on the outer slot
@@ -43,10 +47,14 @@ sum of entries of those tensors, read off in the order above.  An entry
 fed by a product of nonzero factors keeps that sum's type even when it
 cancels to 0, every other entry is ``ZERO``, so each residual entry is a
 ``TruncatedPoly`` or a ``Fraction`` exactly as when each tuple was
-contracted on its own.  ``homalg.hochschild_differential`` stays on
-one contraction per tuple: in degree 2 its terms are the compositions of
-the direct 2-cocycle identity, and as that identity's independent second
-route it must not share their computation.
+contracted on its own.  Three per-tuple paths stay, each an
+independent second route that must not share the composed computation:
+``homalg.hochschild_differential`` (in degree 2 its terms are the
+compositions of the direct 2-cocycle identity), the direct stencil of the
+family differential (``operators.twisted_inner_sum``, cross-checked
+against the generic route on the induced bimodule), and the early-exit
+loop of ``operators.search_nijenhuis_families``, which screens thousands
+of candidates and stops at the first failing tuple of each.
 """
 from __future__ import annotations
 
@@ -55,7 +63,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .errors import InputError, PreconditionError
-from .linalg import ZERO, Matrix, Tensor, _compose, vadd, vsub
+from .linalg import ZERO, Tensor, _as_tensor, _compose, vadd, vsub
 from .scalars import format_scalar
 
 DEFAULT_MAX_VIOLATIONS = 16
@@ -185,8 +193,8 @@ def intertwining_sides(out, src, tgt, ins):
     membership) that needs neither a where-dict nor a residual: the law
     holds when lhs == rhs on every idx.
     """
-    lhs = _compose(_as_tensor(out), [_as_tensor(src)])
-    rhs = _compose(_as_tensor(tgt), [_as_tensor(m) for m in ins])
+    lhs = _compose(out, [src])
+    rhs = _compose(tgt, ins)
     if lhs.shape != rhs.shape:
         raise InputError(f"law sides of shapes {lhs.shape} and {rhs.shape}")
     inner = prod(lhs.shape[1:])
@@ -243,10 +251,6 @@ def _at_first_input(t, i):
         t.shape[:1] + t.shape[2:],
         tuple(e for k in range(d) for e in entries[(k * n + i) * rest : (k * n + i + 1) * rest]),
     )
-
-
-def _as_tensor(t):
-    return Tensor((t.rows, t.cols), t.entries) if isinstance(t, Matrix) else t
 
 
 def run_law(report, name, cases, max_violations=DEFAULT_MAX_VIOLATIONS):

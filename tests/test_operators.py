@@ -78,6 +78,23 @@ def test_missing_map_rejected(d1):
         TwistedRBFamily(cocycle=d1["cocycle"], omega=d1["omega"], maps=(Matrix.zero(4, 2),))
 
 
+def test_twisted_map_shape_message_names_the_shape_received(d1):
+    with pytest.raises(InputError, match=r"^map 1 must be 4x2, got 2x4$"):
+        TwistedRBFamily(cocycle=d1["cocycle"], omega=d1["omega"], maps=(Matrix.zero(4, 2), Matrix.zero(2, 4)))
+
+
+def test_nijenhuis_map_shape_message_names_the_shape_received(d1):
+    with pytest.raises(InputError, match=r"^map 1 must be 2x2, got 2x3$"):
+        NijenhuisFamily(algebra=d1["base_algebra"], omega=d1["omega"], maps=(Matrix.zero(2, 2), Matrix.zero(2, 3)))
+
+
+def test_weighted_map_shape_message_names_the_shape_received(d1):
+    with pytest.raises(InputError, match=r"^map 0 must be 2x2, got 1x2$"):
+        WeightedRBFamily(
+            algebra=d1["base_algebra"], omega=d1["omega"], weight=0, maps=(Matrix.zero(1, 2), Matrix.zero(2, 2))
+        )
+
+
 # -- Nijenhuis families -----------------------------------------------------
 
 
