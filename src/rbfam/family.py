@@ -521,11 +521,11 @@ def operator_bimodule(operator):
     A, module, phi = operator.algebra, operator.bimodule, operator.cocycle.phi
     omega, maps = operator.omega, operator.maps
     parent = _total_product(_split_operator(operator))
+    # x . R_b u, R_a u . x, phi(x, R_b u) and phi(R_a u, x)
     x_r, r_x = _split_products(A.mu, A.mu, maps)
     phi_x_r, phi_r_x = _split_products(phi, phi, maps)
 
     def action(a, b, product, act, twisted):
-        # product - R_ab o act - R_ab o twisted
         r_ab = maps[omega.mul(a, b)]
         return product.sub(_compose(r_ab, [act])).sub(_compose(r_ab, [twisted]))
 

@@ -333,9 +333,9 @@ def _compose(outer, parts):
     """The tensor outer o (parts[0] x ... x parts[m-1]), contracted sparsely.
 
     ``outer`` has shape (d, a_0, ..., a_{m-1}) and parts[s] has shape
-    (a_s, *in_s), a ``Matrix`` counting as its (rows, cols) tensor; the result has shape (d, *in_0, ..., *in_{m-1}) and the
-    entry sum over a of outer[k][a] * parts[0][a_0][i_0] * ... *
-    parts[m-1][a_{m-1}][i_{m-1}].  Slots are contracted one at a time over
+    (a_s, *in_s), a ``Matrix`` counting as its (rows, cols) tensor; the
+    result has shape (d, *in_0, ..., *in_{m-1}) and the entry sum over a
+    of outer[k][a] * parts[0][a_0][i_0] * ... * parts[m-1][a_{m-1}][i_{m-1}].  Slots are contracted one at a time over
     nonzero supports, so outer o (first x inner) costs O(n^5) where one
     contraction per basis triple costs O(n^6).
 

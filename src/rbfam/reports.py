@@ -53,8 +53,9 @@ independent second route that must not share the composed computation:
 compositions of the direct 2-cocycle identity), the direct stencil of the
 family differential (``operators.twisted_inner_sum``, cross-checked
 against the generic route on the induced bimodule), and the early-exit
-loop of ``operators.search_nijenhuis_families``, which screens thousands
-of candidates and stops at the first failing tuple of each.
+loop of ``operators.search_nijenhuis_families``: most of its thousands of
+candidates fail on an early tuple, so composing every law side in full
+per candidate would cost more than the loop.
 """
 from __future__ import annotations
 
