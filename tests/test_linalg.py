@@ -6,13 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bareiss_solve, dense_multilinear, naive_multilinear, naive_rank, nested_of, rows_of
+from oracles import (
+    bareiss_kernel_supports,
+    bareiss_rank,
+    bareiss_solve,
+    dense_multilinear,
+    naive_multilinear,
+    naive_rank,
+    nested_of,
+    rows_of,
+)
+from rbfam.cohomology import HA, ComplexHandle
 from rbfam.errors import InputError
 from rbfam.linalg import (
     Matrix,
     Tensor,
+    densify,
     invert_matrix,
     kernel_basis,
+    kernel_supports,
     multilinear_apply,
     rank,
     solve,
@@ -178,6 +190,85 @@ def test_invert_matrix_matches_per_column_solves(m):
     inverse = invert_matrix(m)
     assert (inverse.rows, inverse.cols) == (m.rows, m.rows)
     assert repr([inverse.column(i) for i in range(m.rows)]) == repr([sol[0] for sol in solutions])
+
+
+@st.composite
+def sparse_matrices(draw):
+    """0/+-1 matrices up to 40x40, tall or wide, at a drawn density, with
+    some rows or columns zeroed and some rows copied (maybe negated) onto
+    others.  About a quarter are square and invertible: a row-shuffled
+    triangular matrix with +-1 on its diagonal."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.02, 0.05, 0.1, 0.3, 0.7]))
+
+    def entry():
+        return rng.choice((1, -1)) if rng.random() < density else 0
+
+    if draw(st.integers(0, 3)) == 0:
+        rows = cols
+        grid = [[rng.choice((1, -1)) if i == j else entry() if j > i else 0 for j in range(cols)] for i in range(rows)]
+        rng.shuffle(grid)
+        return Matrix.from_rows(grid)
+    grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            grid[rng.randrange(rows)] = [0] * cols
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = 0
+    for _ in range(draw(st.integers(0, 3))):
+        if rows > 1:
+            i, k, sign = rng.randrange(rows), rng.randrange(rows), rng.choice((1, -1))
+            grid[k] = [sign * e for e in grid[i]]
+    return Matrix(rows, cols, tuple(Fraction(e) for row in grid for e in row))
+
+
+def dense_rational_matrices():
+    return st.integers(0, 6).flatmap(
+        lambda r: st.integers(1, 6).flatmap(
+            lambda c: st.lists(rationals, min_size=r * c, max_size=r * c).map(
+                lambda entries: Matrix(r, c, tuple(entries))
+            )
+        )
+    )
+
+
+def _assert_matches_frozen_elimination(m, xs):
+    assert repr(rank(m)) == repr(bareiss_rank(m))
+    expected = bareiss_kernel_supports(m)
+    assert repr(kernel_supports(m)) == repr(expected)
+    assert repr(kernel_basis(m)) == repr([densify(v, m.cols) for v in expected])
+    # A consistent right-hand side, then one that usually is not.
+    x = tuple(xs[i % len(xs)] for i in range(m.cols))
+    for b in (m.apply(x), tuple(xs[i % len(xs)] for i in range(m.rows))):
+        assert repr(solve(m, b)) == repr(bareiss_solve(m, b))
+    if m.rows == m.cols:
+        solutions = [bareiss_solve(m, unit_vector(m.rows, i)) for i in range(m.rows)]
+        if any(sol is None or sol[1] for sol in solutions):
+            with pytest.raises(InputError, match="^matrix is not invertible$"):
+                invert_matrix(m)
+        else:
+            inverse = invert_matrix(m)
+            assert repr([inverse.column(i) for i in range(m.rows)]) == repr([sol[0] for sol in solutions])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dense_rational_matrices(), sparse_matrices()), st.lists(rationals, min_size=1, max_size=5))
+def test_elimination_matches_the_frozen_bareiss(m, xs):
+    _assert_matches_frozen_elimination(m, xs)
+
+
+def test_seeded_triangular_constraint_block_matches_the_frozen_bareiss():
+    # The structure map diag(1, 2, 1) of the Yau-twisted triangular algebra,
+    # moved by the twisted-constrained benchmark's basis change S = P D at
+    # seed 0 (S p S^-1).  Its degree-4 Hochschild constraint block is sparse.
+    p = Matrix.from_rows([[2, 1, 0], [0, 1, 0], [0, 0, 1]])
+    handle = ComplexHandle(tag=HA, source_dim=3, target_dim=3, source_map=p, target_map=p, omega=None, degree_cap=4)
+    m = handle._constraint_matrix(4)
+    assert (m.rows, m.cols, sum(1 for e in m.entries if e)) == (241, 243, 785)
+    assert repr(rank(m)) == repr(bareiss_rank(m))
+    assert repr(kernel_supports(m)) == repr(bareiss_kernel_supports(m))
 
 
 def test_invert_matrix_shapes():
