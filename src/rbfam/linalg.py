@@ -1,15 +1,21 @@
 """Exact linear algebra: dense vectors, matrices and tensors, sparse
-contraction, fraction-free elimination.
+contraction, sparse fraction-free elimination.
 
 Everything is immutable and every operation is a pure function of its
 inputs, so values are safe to share across threads.  Matrix-vector products
 and multilinear contraction run over the arguments' supports (their nonzero
 coordinates), reading a tensor through a sparse column view built once per
 tensor; a law's sides are composed as whole tensors (``_compose``), one
-slot at a time over nonzero entries.  Elimination follows
-the Bareiss fraction-free scheme with the pivot fixed as the first nonzero
-entry in the current column (lowest row index), which makes rank, kernel
-and solve fully deterministic.
+slot at a time over nonzero entries.
+
+Elimination (``rank``, ``kernel_supports``, ``solve``, ``invert_matrix``)
+runs on sparse integer rows ``{column: value}``: columns are eliminated
+left to right, each pivot is the candidate row with the fewest nonzeros,
+and each combined row is divided by the gcd of its entries.  The answers
+do not depend on which rows become pivots: the pivot columns found left to
+right are the same for every row choice, and the null-space basis that is
+1 on its own free column and 0 on the others is unique, so rank, kernel,
+solve and inverse are fully deterministic.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import InputError
 from .scalars import TruncatedPoly, ensure_scalar
@@ -414,7 +420,7 @@ def tensor_column(tensor, idx):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination
+# sparse fraction-free elimination
 
 
 def _require_rational_matrix(m):
@@ -422,64 +428,79 @@ def _require_rational_matrix(m):
         raise InputError("elimination is defined for rational matrices only")
 
 
-def _integer_rows(rows):
-    # Scaling each row by the lcm of its denominators changes neither the
-    # rank nor the null space (nor, on an augmented row, the solutions).
+def _sparse_rows(rows):
+    """Each nonzero row as {column: int}, scaled by the lcm of its
+    denominators; zero rows are left out.  Scaling a row changes neither
+    the rank nor the null space (nor, on an augmented row, the solutions)."""
     out = []
     for row in rows:
-        scale = lcm(*(e.denominator for e in row))
-        out.append([e.numerator * (scale // e.denominator) for e in row])
+        nonzero = [(j, e) for j, e in enumerate(row) if e]
+        if nonzero:
+            scale = lcm(*(e.denominator for _, e in nonzero))
+            out.append({j: e.numerator * (scale // e.denominator) for j, e in nonzero})
     return out
 
 
-def _bareiss(rows, ncols):
-    """In-place fraction-free echelon form; returns the pivot column list.
+def _echelon(rows, ncols):
+    """Sparse fraction-free echelon form; returns (pivot rows, pivot columns).
 
-    Pivot choice: first nonzero entry in the current column, lowest row
-    index first.  All intermediate divisions are exact by the Bareiss
-    identity.
+    Columns are eliminated left to right.  The pivot of a column is the
+    candidate row with the fewest nonzeros, ties going to the lowest row
+    index; every other candidate becomes pc * row - rc * pivot (over the
+    gcd of pc and rc), divided by the gcd of its entries, and waits at its
+    new leading column.  Pivot row r leads at pivot column r.
     """
-    nrows = len(rows)
-    prev = 1
-    r = 0
-    pivots = []
+    waiting = {}
+    for i, row in enumerate(rows):
+        waiting.setdefault(min(row), []).append((len(row), i, row))
+    echelon, pivots = [], []
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+        candidates = waiting.pop(c, None)
+        if candidates is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pc = rows[r][c]
-        width = len(rows[0])
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            ic = ri[c]
-            rr = rows[r]
-            for j in range(c, width):
-                ri[j] = (pc * ri[j] - ic * rr[j]) // prev
-        prev = pc
+        candidates.sort(key=lambda t: t[:2])
+        (_, _, pivot), *others = candidates
+        pc = pivot[c]
+        for _, i, row in others:
+            rc = row[c]
+            g = gcd(pc, rc)
+            a, b = pc // g, rc // g
+            new = {j: a * v for j, v in row.items() if j != c}
+            for j, v in pivot.items():
+                if j != c:
+                    w = new.get(j, 0) - b * v
+                    if w:
+                        new[j] = w
+                    else:
+                        del new[j]
+            if new:
+                g = gcd(*new.values())
+                if g != 1:
+                    new = {j: v // g for j, v in new.items()}
+                waiting.setdefault(min(new), []).append((len(new), i, new))
+        echelon.append(pivot)
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+    return echelon, pivots
 
 
 def rank(m):
-    """Rank over the rationals via Bareiss fraction-free elimination."""
+    """Rank over the rationals by sparse fraction-free elimination.
+
+    rank(M) = rank(M^T), so the shorter side's lines are eliminated.
+    """
     _require_rational_matrix(m)
-    rows = _integer_rows(m.row(i) for i in range(m.rows))
-    return len(_bareiss(rows, m.cols))
+    if m.rows > m.cols:
+        lines, width = (m.entries[j :: m.cols] for j in range(m.cols)), m.rows
+    else:
+        lines, width = (m.row(i) for i in range(m.rows)), m.cols
+    return len(_echelon(_sparse_rows(lines), width)[1])
 
 
 def _kernel_from_echelon(rows, pivots, ncols):
-    """Null space of an echelon form as sparse ((column, value), ...), one
+    """Null space of a sparse echelon form as ((column, value), ...), one
     per free column f: 1 at f, 0 at the other free columns, so only the
-    pivot columns before f can be nonzero."""
+    pivot columns before f can be nonzero.  That vector is unique, so it
+    does not depend on which rows were chosen as pivots."""
     pivot_set = set(pivots)
     basis = []
     for f in (c for c in range(ncols) if c not in pivot_set):
@@ -487,9 +508,14 @@ def _kernel_from_echelon(rows, pivots, ncols):
         for r in range(bisect_left(pivots, f) - 1, -1, -1):
             row = rows[r]
             acc = ZERO
-            for j, v in x.items():
-                if row[j]:
-                    acc += row[j] * v
+            if len(x) < len(row):
+                for j, v in x.items():
+                    if j in row:
+                        acc += row[j] * v
+            else:
+                for j, e in row.items():
+                    if j in x:
+                        acc += e * x[j]
             if acc:
                 x[pivots[r]] = -acc / row[pivots[r]]
         basis.append(tuple(sorted(x.items())))
@@ -507,8 +533,7 @@ def densify(support, n):
 def kernel_supports(m):
     """``kernel_basis`` with each vector as its nonzero ((column, value), ...)."""
     _require_rational_matrix(m)
-    rows = _integer_rows(m.row(i) for i in range(m.rows))
-    return _kernel_from_echelon(rows, _bareiss(rows, m.cols), m.cols)
+    return _kernel_from_echelon(*_echelon(_sparse_rows(m.row(i) for i in range(m.rows)), m.cols), m.cols)
 
 
 def kernel_basis(m):
@@ -538,8 +563,7 @@ def solve(m, b):
     b = [ensure_scalar(e) for e in b]
     if any(isinstance(e, TruncatedPoly) for e in b):
         raise InputError("elimination is defined for rational inputs only")
-    rows = _integer_rows(m.row(i) + (b[i],) for i in range(m.rows))
-    pivots = _bareiss(rows, m.cols + 1)
+    rows, pivots = _echelon(_sparse_rows(m.row(i) + (b[i],) for i in range(m.rows)), m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
     *kernel, last = _kernel_from_echelon(rows, pivots, m.cols + 1)
@@ -560,8 +584,7 @@ def invert_matrix(m):
         raise InputError("only square matrices invert")
     _require_rational_matrix(m)
     n = m.rows
-    rows = _integer_rows(m.row(i) + unit_vector(n, i) for i in range(n))
-    pivots = _bareiss(rows, 2 * n)
+    rows, pivots = _echelon(_sparse_rows(m.row(i) + unit_vector(n, i) for i in range(n)), 2 * n)
     if pivots != list(range(n)):
         raise InputError("matrix is not invertible")
     kernel = _kernel_from_echelon(rows, pivots, 2 * n)

@@ -569,6 +569,14 @@ def test_d1_rbf_degree_three_golden(d1):
     assert tuple(cohomology_dims(handle, 3)) == (256, 48, 48, 0)
 
 
+def test_d1_rbf_degree_four_golden(d1):
+    # Frozen once from the dense Bareiss elimination the package had before
+    # its sparse engine (212 s on a 2-core machine); the budget admits the
+    # 1024-dimensional space with its dense basis and the 4096x1024 matrix.
+    handle = rbf_complex(d1["operator"], degree_cap=4, max_entries=2 * 10**7)
+    assert tuple(cohomology_dims(handle, 4)) == (1024, 208, 208, 0)
+
+
 # -- differential() on inputs the matrix tests do not reach ---------------------
 
 
