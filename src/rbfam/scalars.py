@@ -15,16 +15,23 @@ from .errors import InputError
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
-def parse_rational(text):
-    """Parse a rational literal: optional sign, integer, optional "/" positive integer."""
+def parse_rational(text, where=None):
+    """Parse a rational literal: optional sign, integer, optional "/" positive integer.
+
+    ``where`` names the entry in the message for a literal too long to convert.
+    """
     if not isinstance(text, str) or _RATIONAL_RE.match(text) is None:
         raise InputError(f"bad rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InputError(f"bad rational literal (zero denominator): {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:
+        # Python refuses to convert integer strings of over 4300 digits.
+        prefix = "" if where is None else f"{where}: "
+        raise InputError(f"{prefix}rational literal of {len(text)} characters is too long") from exc
+    if den == 0:
+        raise InputError(f"bad rational literal (zero denominator): {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value):

@@ -119,7 +119,7 @@ class Workspace:
 
 def _parse_scalar(node, where):
     if isinstance(node, str):
-        return parse_rational(node)
+        return parse_rational(node, where)
     raise InputError(f"{where}: scalars must be rational literals as strings, got {node!r}")
 
 

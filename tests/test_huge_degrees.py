@@ -2,9 +2,10 @@
 
 Cochain sizes grow exponentially with the degree, so every size is counted
 arithmetically and checked against the cap or budget before anything is
-listed, and no message prints an unbounded number.  The last two cases are
-documents the JSON reader refuses: an integer literal too long to convert
-and a file that is not UTF-8.  Every case goes through the CLI.
+listed, and no message prints an unbounded number.  The last cases are
+documents the loader refuses: an integer literal or a rational literal too
+long to convert, and a file that is not UTF-8.  Every case goes through the
+CLI.
 """
 import json
 import time
@@ -132,6 +133,17 @@ def test_overlong_integer_literal_exits_two(tmp_path, capsys, d1_doc):
     path.write_text(text)
     err = _exits_two_quickly(capsys, ["check", str(path), "--object", "f"])
     assert err == "error: workspace is not valid JSON: an integer literal is too long"
+
+
+@pytest.mark.parametrize("literal", ["1" * 5000, "1/" + "7" * 5000])
+def test_overlong_rational_literal_exits_two(tmp_path, capsys, d1_doc, literal):
+    # The same limit, reached by a rational literal (a JSON string) in an entry.
+    data = json.loads(json.dumps(d1_doc))
+    data["objects"]["algebra"]["p"][1][0] = literal
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data))
+    err = _exits_two_quickly(capsys, ["check", str(path), "--object", "algebra"])
+    assert err == f"error: objects['algebra'].p[1]: rational literal of {len(literal)} characters is too long"
 
 
 def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):
