@@ -396,17 +396,6 @@ def _as_tensor(t):
     return Tensor((t.rows, t.cols), t.entries) if isinstance(t, Matrix) else t
 
 
-def bilinear_tensor(shape, col):
-    """The tensor whose column at input indices (i, j) is col(i, j).
-
-    ``shape`` is (out, left, right), or one int n for (n, n, n).
-    """
-    if isinstance(shape, int):
-        shape = (shape,) * 3
-    cols = {idx: col(*idx) for idx in iproduct(range(shape[1]), range(shape[2]))}
-    return Tensor.from_function(shape, lambda k, i, j: cols[(i, j)][k])
-
-
 def tensor_column(tensor, idx):
     """The vector tensor[:, idx] over the output axis, for input indices idx."""
     d_out, in_dims = tensor.shape[0], tensor.shape[1:]

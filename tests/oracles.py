@@ -59,7 +59,6 @@ from rbfam.linalg import (
     ZERO,
     Matrix,
     Tensor,
-    bilinear_tensor,
     multilinear_apply,
     tensor_column,
     unit_vector,
@@ -90,6 +89,17 @@ READING_NOTE = (
     "module-action reading: the second lines of the morphism obstructions "
     "use u .r x (a module element cannot act from the left on an algebra element)"
 )
+
+
+def bilinear_tensor(shape, col):
+    """The tensor whose column at input indices (i, j) is col(i, j).
+
+    ``shape`` is (out, left, right), or one int n for (n, n, n).
+    """
+    if isinstance(shape, int):
+        shape = (shape,) * 3
+    cols = {idx: col(*idx) for idx in product(range(shape[1]), range(shape[2]))}
+    return Tensor.from_function(shape, lambda k, i, j: cols[(i, j)][k])
 
 
 def rows_of(matrix):

@@ -44,7 +44,6 @@ from rbfam.homalg import (
 from rbfam.linalg import (
     Matrix,
     Tensor,
-    bilinear_tensor,
     invert_matrix,
     kernel_basis,
     multilinear_apply,
@@ -105,7 +104,7 @@ def seeded_unimodular(n, rng):
 
 def _transport3(tensor, out, left, right):
     """out o tensor o (left x right)."""
-    return bilinear_tensor(
+    return oracles.bilinear_tensor(
         (out.rows, left.cols, right.cols),
         lambda i, j: out.apply(multilinear_apply(tensor, [left.column(i), right.column(j)])),
     )
