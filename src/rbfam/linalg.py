@@ -437,7 +437,8 @@ def _echelon(rows, ncols):
     candidate row with the fewest nonzeros, ties going to the lowest row
     index; every other candidate becomes pc * row - rc * pivot (over the
     gcd of pc and rc), divided by the gcd of its entries, and waits at its
-    new leading column.  Pivot row r leads at pivot column r.
+    new leading column.  Pivot row r leads at pivot column r.  The rows are
+    consumed: a combined row may be updated in place.
     """
     waiting = {}
     for i, row in enumerate(rows):
@@ -450,18 +451,18 @@ def _echelon(rows, ncols):
         candidates.sort(key=lambda t: t[:2])
         (_, _, pivot), *others = candidates
         pc = pivot[c]
+        tail = [(j, v) for j, v in pivot.items() if j != c]
         for _, i, row in others:
-            rc = row[c]
+            rc = row.pop(c)
             g = gcd(pc, rc)
             a, b = pc // g, rc // g
-            new = {j: a * v for j, v in row.items() if j != c}
-            for j, v in pivot.items():
-                if j != c:
-                    w = new.get(j, 0) - b * v
-                    if w:
-                        new[j] = w
-                    else:
-                        del new[j]
+            new = row if a == 1 else {j: a * v for j, v in row.items()}
+            for j, v in tail:
+                w = new.get(j, 0) - b * v
+                if w:
+                    new[j] = w
+                else:
+                    del new[j]
             if new:
                 g = gcd(*new.values())
                 if g != 1:
@@ -497,14 +498,8 @@ def _kernel_from_echelon(rows, pivots, ncols):
         for r in range(bisect_left(pivots, f) - 1, -1, -1):
             row = rows[r]
             acc = ZERO
-            if len(x) < len(row):
-                for j, v in x.items():
-                    if j in row:
-                        acc += row[j] * v
-            else:
-                for j, e in row.items():
-                    if j in x:
-                        acc += e * x[j]
+            for j in x.keys() & row.keys():
+                acc += row[j] * x[j]
             if acc:
                 x[pivots[r]] = -acc / row[pivots[r]]
         basis.append(tuple(sorted(x.items())))
