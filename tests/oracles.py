@@ -17,7 +17,9 @@ constructions and hand-split deformed splitting (frozen as the references
 of the ones built through one packing body and one splitting over
 K[t]/(t^2)), the package's former family identities and induced
 products (frozen as the references of the ones read off products composed
-as whole tensors), a twist-free family-law
+as whole tensors), the package's former Nijenhuis grid search (frozen, as
+it enumerated every candidate, as the reference of the map-by-map
+search), a twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
 maps), and the dense raw x raw membership-constraint matrix of a cochain
@@ -52,6 +54,7 @@ from rbfam.homalg import (
     check_hom_algebra,
     check_two_cocycle,
     graded_tensor,
+    is_equivariant,
     tensor_bimodule,
 )
 from rbfam.linalg import (
@@ -67,6 +70,7 @@ from rbfam.linalg import (
     vsub,
 )
 from rbfam.operators import (
+    NijenhuisFamily,
     NijenhuisInducedData,
     TwistedRBFamily,
     check_nijenhuis_family,
@@ -82,7 +86,7 @@ from rbfam.reports import (
     require_pass,
     run_law,
 )
-from rbfam.scalars import TruncatedPoly
+from rbfam.scalars import TruncatedPoly, ensure_rational
 from rbfam.semigroups import FiniteSemigroup, builtin
 
 READING_NOTE = (
@@ -800,6 +804,49 @@ def weighted_rbf_report(family, max_violations=DEFAULT_MAX_VIOLATIONS):
         max_violations,
     )
     return report
+
+
+def brute_force_nijenhuis_search(algebra, omega, grid):
+    """The body ``operators.search_nijenhuis_families`` had while it
+    enumerated every one of the len(grid)**(m*n*n) candidates, less its cap.
+
+    Kept verbatim otherwise, so the map-by-map search can be held to a
+    ``repr``-identical family list.
+    """
+    ensure_valid(algebra, check_hom_algebra, "host hom-algebra")
+    n, m = algebra.dim, omega.size
+    slots = m * n * n
+    grid = tuple(ensure_rational(g) for g in grid)
+    prods = {(i, j): algebra.basis_product(i, j) for i, j in product(range(n), repeat=2)}
+    basis = algebra.basis()
+    p = algebra.p
+    p_is_id = p.is_identity()
+    found = []
+    for flat in product(grid, repeat=slots):
+        maps = tuple(Matrix(n, n, flat[a * n * n : (a + 1) * n * n]) for a in range(m))
+        ok = True
+        if not p_is_id:
+            ok = is_equivariant(p, p, 1, maps)
+        if ok:
+            for alpha, beta in product(range(m), repeat=2):
+                n_ab = maps[omega.mul(alpha, beta)]
+                for i, j in product(range(n), repeat=2):
+                    lhs = algebra.product(maps[alpha].column(i), maps[beta].column(j))
+                    inner = vsub(
+                        vadd(
+                            algebra.product(maps[alpha].column(i), basis[j]),
+                            algebra.product(basis[i], maps[beta].column(j)),
+                        ),
+                        n_ab.apply(prods[(i, j)]),
+                    )
+                    if lhs != n_ab.apply(inner):
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if ok:
+            found.append(NijenhuisFamily(algebra=algebra, omega=omega, maps=maps))
+    return found
 
 
 def split_operator(operator):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -247,3 +247,29 @@ def test_search_finds_exactly_the_families_the_checker_passes(name, count):
             passing.append(maps)
     assert found == passing
     assert len(found) == count
+
+
+SEARCH_SEMIGROUPS = (("trivial", None), ("cyclic", 2), ("boolean_monoid", None), ("left_zero", 2), ("right_zero", 2))
+SEARCH_VALUES = (0, 1, -1, 2, Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
+# The frozen search enumerates len(grid)**(m*n*n) candidates; this bound keeps it fast.
+SEARCH_CANDIDATES = 512
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ALGEBRAS) + ["triangular"]),
+    semigroup=st.sampled_from(SEARCH_SEMIGROUPS),
+    values=st.lists(st.sampled_from(SEARCH_VALUES), max_size=len(SEARCH_VALUES)),
+)
+# Over this grid 6 of the triangular algebra's 18 Nijenhuis maps do not commute with p.
+@example(name="triangular", semigroup=("trivial", None), values=[0, 1])
+def test_search_matches_brute_force(twisted_triangular_algebra, name, semigroup, values):
+    # The triangular algebra's p is not the identity, so the search filters
+    # its maps to the p-commutant; grids may repeat a value, mix int and
+    # Fraction, or be empty.
+    algebra = twisted_triangular_algebra if name == "triangular" else ALGEBRAS[name]
+    omega = builtin(*semigroup)
+    slots = omega.size * algebra.dim**2
+    grid = values[: max(k for k in range(len(values) + 1) if k**slots <= SEARCH_CANDIDATES)]
+    found = search_nijenhuis_families(algebra, omega, grid)
+    assert repr(found) == repr(oracles.brute_force_nijenhuis_search(algebra, omega, grid))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -128,6 +129,28 @@ def test_nijenhuis_search_cap():
     algebra = c2_group_algebra()
     with pytest.raises(InputError):
         search_nijenhuis_families(algebra, builtin("cyclic", 2), cap=10)
+
+
+def _count_and_digest(found):
+    return len(found), hashlib.sha256(repr(found).encode()).hexdigest()
+
+
+# Both goldens were frozen from the search while it enumerated every candidate.
+def test_nijenhuis_search_golden(nijenhuis_search):
+    assert _count_and_digest(nijenhuis_search) == (
+        40,
+        "ff7c95f11b9667c0ec6c8c9b5e73ba47c27ed28018a29a0410560c932b61ea24",
+    )
+
+
+def test_nijenhuis_search_golden_of_the_benchmark_grid(d1):
+    # D1 over C2 with grid (0, 1, -1), as the verdict-stream benchmark runs it.
+    grid = (Fraction(0), Fraction(1), Fraction(-1))
+    found = search_nijenhuis_families(d1["base_algebra"], d1["omega"], grid=grid)
+    assert _count_and_digest(found) == (
+        25,
+        "527d1236d756ed8ea7655b383f8f4286e74f394435b95a45e11eece4b9a167b1",
+    )
 
 
 def test_unequal_scalars_fail(d1):
