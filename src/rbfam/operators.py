@@ -11,8 +11,8 @@ A family's induced products are composed as whole tensors, once, in
 ``family`` take them from here.  Every family identity is one law,
 ``_family_identity``: M_ab o total_ab = mu o (M_a x M_b) on each pair
 (a, b), where total_ab = x <_b y + x >_a y plus phi o (R_a x R_b),
--N_ab o mu or w mu.  ``twisted_inner_sum``, ``graph_check`` and the search
-loop stay per tuple as independent second routes.
+-N_ab o mu or w mu.  ``twisted_inner_sum``, ``graph_check`` and the grid
+search stay per tuple as independent second routes.
 """
 from __future__ import annotations
 
@@ -409,54 +409,88 @@ DEFAULT_SEARCH_GRID = (
 SEARCH_CANDIDATE_CAP = 10**6
 
 
+@dataclass(frozen=True)
+class _SearchOption:
+    """A candidate map N with what its equations read, computed once: its
+    columns N e_i and, per basis pair (i, j) in row-major order,
+    N e_i . e_j, e_i . N e_j and N(e_i . e_j)."""
+
+    matrix: Matrix
+    columns: tuple
+    left: tuple
+    right: tuple
+    after_mu: tuple
+
+
+def _search_option(algebra, mat):
+    n = algebra.dim
+    pairs = tuple(iproduct(range(n), repeat=2))
+    cols, basis = tuple(mat.column(i) for i in range(n)), algebra.basis()
+    return _SearchOption(
+        matrix=mat,
+        columns=cols,
+        left=tuple(algebra.product(cols[i], basis[j]) for i, j in pairs),
+        right=tuple(algebra.product(basis[i], cols[j]) for i, j in pairs),
+        after_mu=tuple(mat.apply(algebra.basis_product(i, j)) for i, j in pairs),
+    )
+
+
+def _pair_holds(algebra, a, b, c):
+    """N_a e_i . N_b e_j = N_c(N_a e_i . e_j + e_i . N_b e_j - N_c(e_i . e_j))
+    on every basis pair, for the options bound to N_a, N_b and N_c, c = ab."""
+    apply = c.matrix.apply
+    return all(
+        algebra.product(ai, bj) == apply(vsub(vadd(ai_j, i_bj), c_ij))
+        for (ai, bj), ai_j, i_bj, c_ij in zip(iproduct(a.columns, b.columns), a.left, b.right, c.after_mu)
+    )
+
+
 def search_nijenhuis_families(algebra, omega, grid=DEFAULT_SEARCH_GRID, cap=SEARCH_CANDIDATE_CAP):
     """Exhaustive grid search for Nijenhuis families with entries from ``grid``.
 
-    The candidate count len(grid)**(m*n*n) must stay within ``cap``; beyond
-    that an explicit candidate must be supplied instead.  Candidates are
-    screened with early exit; survivors are returned in grid order.
+    The raw candidate count len(grid)**(m*n*n) must stay within ``cap``;
+    beyond that an explicit candidate must be supplied instead.  The maps
+    are bound one at a time, N_0 first, each from the n x n matrices over
+    the grid that commute with p, in grid order.  The equations of a pair
+    (a, b) are tested per basis tuple, directly, as soon as N_a, N_b and
+    N_ab are all bound, so a failing prefix prunes every candidate that
+    extends it.  Survivors come back in grid order, exactly as enumerating
+    every candidate would return them.
     """
     ensure_valid(algebra, check_hom_algebra, "host hom-algebra")
+    grid = tuple(ensure_rational(g) for g in grid)
     n, m = algebra.dim, omega.size
-    slots = m * n * n
-    total = len(grid) ** slots
+    total = len(grid) ** (m * n * n)
     if total > cap:
         raise InputError(
             f"search space {total} exceeds the candidate cap {cap}; "
             "supply an explicit candidate instead"
         )
-    grid = tuple(ensure_rational(g) for g in grid)
-    prods = {
-        (i, j): algebra.basis_product(i, j) for i, j in iproduct(range(n), repeat=2)
-    }
-    basis = algebra.basis()
     p = algebra.p
-    p_is_id = p.is_identity()
-    found = []
-    for flat in iproduct(grid, repeat=slots):
-        maps = tuple(
-            Matrix(n, n, flat[a * n * n : (a + 1) * n * n]) for a in range(m)
-        )
-        ok = True
-        if not p_is_id:
-            ok = is_equivariant(p, p, 1, maps)
-        if ok:
-            for alpha, beta in iproduct(range(m), repeat=2):
-                n_ab = maps[omega.mul(alpha, beta)]
-                for i, j in iproduct(range(n), repeat=2):
-                    lhs = algebra.product(maps[alpha].column(i), maps[beta].column(j))
-                    inner = vsub(
-                        vadd(
-                            algebra.product(maps[alpha].column(i), basis[j]),
-                            algebra.product(basis[i], maps[beta].column(j)),
-                        ),
-                        n_ab.apply(prods[(i, j)]),
-                    )
-                    if lhs != n_ab.apply(inner):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+    options = (
+        _search_option(algebra, mat)
+        for mat in (Matrix(n, n, flat) for flat in iproduct(grid, repeat=n * n))
+        if is_equivariant(p, p, 1, (mat,))
+    )
+    if m > 1:
+        # Each later map tries every option again.  A single map tries each
+        # once, and only there can the options reach the cap in number.
+        options = tuple(options)
+    due = [[] for _ in range(m)]
+    for alpha, beta in iproduct(range(m), repeat=2):
+        ab = omega.mul(alpha, beta)
+        due[max(alpha, beta, ab)].append((alpha, beta, ab))
+    found, bound = [], [None] * m
+
+    def extend(k):
+        if k == m:
+            maps = tuple(option.matrix for option in bound)
             found.append(NijenhuisFamily(algebra=algebra, omega=omega, maps=maps))
+            return
+        for option in options:
+            bound[k] = option
+            if all(_pair_holds(algebra, bound[a], bound[b], bound[ab]) for a, b, ab in due[k]):
+                extend(k + 1)
+
+    extend(0)
     return found

@@ -52,10 +52,11 @@ independent second route that must not share the composed computation:
 ``homalg.hochschild_differential`` (in degree 2 its terms are the
 compositions of the direct 2-cocycle identity), the direct stencil of the
 family differential (``operators.twisted_inner_sum``, cross-checked
-against the generic route on the induced bimodule), and the early-exit
-loop of ``operators.search_nijenhuis_families``: most of its thousands of
-candidates fail on an early tuple, so composing every law side in full
-per candidate would cost more than the loop.
+against the generic route on the induced bimodule), and
+``operators.search_nijenhuis_families``: it binds one map at a time and
+tests each basis tuple as soon as its maps are bound, so most prefixes
+fail on an early tuple, and composing every law side in full per
+candidate would cost more than the search.
 """
 from __future__ import annotations
 

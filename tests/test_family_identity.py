@@ -16,9 +16,11 @@ weight 0, 1, -1 and 1/2; the Nijenhuis families the grid search finds on
 D1 and D2, moved or not, and random failing ones; a 0-dimensional algebra
 and a 0-dimensional module.
 
-The Nijenhuis grid search screens each candidate with its own early-exit
-loop; on the whole grid {0, 1} over D1 and D2 it must find exactly the
-candidates ``check_nijenhuis_family`` passes.
+The Nijenhuis grid search binds one map at a time and tests each basis
+tuple on its own; on the whole grid {0, 1} over D1 and D2 it must find
+exactly the candidates ``check_nijenhuis_family`` passes, and on small
+grids over D0-D2, the empty algebra and the Yau-twisted triangular
+algebra it must return the list of the frozen enumerating search.
 """
 from dataclasses import replace
 from fractions import Fraction

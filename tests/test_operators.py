@@ -131,6 +131,14 @@ def test_nijenhuis_search_cap():
         search_nijenhuis_families(algebra, builtin("cyclic", 2), cap=10)
 
 
+def test_nijenhuis_search_accepts_a_generator_grid(d1):
+    algebra, omega = d1["base_algebra"], d1["omega"]
+    grid = (Fraction(0), Fraction(1))
+    found = search_nijenhuis_families(algebra, omega, (g for g in grid))
+    assert repr(found) == repr(search_nijenhuis_families(algebra, omega, grid))
+    assert len(found) == 8
+
+
 def _count_and_digest(found):
     return len(found), hashlib.sha256(repr(found).encode()).hexdigest()
 
