@@ -10,9 +10,7 @@ from .cohomology import (
     differential_matrix,
     ha_complex,
     omega_complex,
-    omega_differential,
     rbf_complex,
-    rbf_differential,
     transport_cochain,
 )
 from .deformations import (

@@ -347,10 +347,6 @@ class ComplexHandle:
     def differential(self, cochain):
         if cochain.complex != self.tag:
             raise InputError("cochain belongs to a different complex")
-        if self.tag == OMEGA:
-            return omega_differential(self, cochain)
-        if self.tag == RBF:
-            return rbf_differential(self, cochain)
         return self._image(cochain)
 
     def _image(self, cochain):
@@ -518,33 +514,6 @@ def rbf_complex(operator, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX
             "every call",
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# differentials
-
-
-def omega_differential(handle, cochain):
-    """Differential of the pair-indexed complex (Ω-graded Hochschild shape)."""
-    if handle.tag != OMEGA:
-        raise InputError("omega_differential needs an OMEGA handle")
-    if cochain.complex != OMEGA:
-        raise InputError("cochain belongs to a different complex")
-    return handle._image(cochain)
-
-
-def rbf_differential(handle, cochain):
-    """Differential of the twisted-family complex, computed by both routes.
-
-    The direct formula and the generic pair-indexed differential on the
-    induced data are the handle's two independently assembled maps; their
-    images must agree entrywise.
-    """
-    if handle.tag != RBF:
-        raise InputError("rbf_differential needs an RBF handle")
-    if cochain.complex != RBF:
-        raise InputError("cochain belongs to a different complex")
-    return handle._image(cochain)
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +782,7 @@ def cohomology_dims(handle, degree):
     return CohomologyDims(dim_c=dim_c, dim_z=dim_z, dim_b=dim_b, dim_h=dim_z - dim_b)
 
 
-def transport_cochain(morphism, cochain, source_handle=None, target_handle=None):
+def transport_cochain(morphism, cochain):
     """Move a cochain along an invertible morphism of twisted families.
 
     Degree n >= 1 sends f to psi o f o (phi^{-1})^(x n); degree 0 sends x
@@ -824,14 +793,11 @@ def transport_cochain(morphism, cochain, source_handle=None, target_handle=None)
     src, tgt = morphism.source, morphism.target
     if src.bimodule != tgt.bimodule or src.algebra != tgt.algebra:
         raise InputError("cochain transport needs both families on one bimodule")
-    if source_handle is None:
-        source_handle = rbf_complex(src)
-    if target_handle is None:
-        target_handle = rbf_complex(tgt)
+    source_handle, target_handle = rbf_complex(src), rbf_complex(tgt)
     if cochain.complex != RBF:
         raise InputError("only twisted-family cochains transport")
-    out = transport_cochain_unchecked(morphism, cochain, target_handle)
-    lhs = transport_cochain_unchecked(morphism, source_handle.differential(cochain), target_handle)
+    out = _transported(morphism, cochain, target_handle)
+    lhs = _transported(morphism, source_handle.differential(cochain), target_handle)
     rhs = target_handle.differential(out)
     for key in lhs.keys():
         if lhs.table[key].entries != rhs.table[key].entries:
@@ -839,7 +805,7 @@ def transport_cochain(morphism, cochain, source_handle=None, target_handle=None)
     return out
 
 
-def transport_cochain_unchecked(morphism, cochain, target_handle):
+def _transported(morphism, cochain, target_handle):
     phi_inv = invert_matrix(morphism.phi)
     psi = morphism.psi
     degree = cochain.degree

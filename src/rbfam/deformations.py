@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain
 from itertools import product as iproduct
 
-from .cohomology import Tensor, cohomology_dims, differential_matrix, rbf_complex
+from .cohomology import RBF, Tensor, cohomology_dims, differential_matrix, rbf_complex
 from .errors import InputError, PreconditionError, RouteMismatchError
 from .family import (
     _split_operator,
@@ -156,7 +156,7 @@ def direction_cochain(handle, direction):
     return handle.make_cochain(1, table)
 
 
-def check_infinitesimal(deformation, handle=None, max_violations=DEFAULT_MAX_VIOLATIONS):
+def check_infinitesimal(deformation, max_violations=DEFAULT_MAX_VIOLATIONS):
     """Order-wise check that R + t R1 stays a twisted Rota-Baxter family.
 
     The order-1 verdict (the t-coefficient of the family identity) must
@@ -165,8 +165,16 @@ def check_infinitesimal(deformation, handle=None, max_violations=DEFAULT_MAX_VIO
     """
     base = deformation.base
     ensure_valid(base, check_twisted_rbf, "base twisted Rota-Baxter family")
+    return _infinitesimal_report(deformation, rbf_complex(base), max_violations)
+
+
+def _infinitesimal_report(deformation, handle, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """``check_infinitesimal`` on a validated base, whose complex ``handle``
+    the caller already holds."""
     order1_cases, order2_cases = _order_coefficients(
-        family_identity_cases(base, deformation.deformed_maps(TRUNCATION)), "base identity", (1, 2)
+        family_identity_cases(deformation.base, deformation.deformed_maps(TRUNCATION)),
+        "base identity",
+        (1, 2),
     )
 
     order1 = CheckReport(subject="infinitesimal deformation, order-1 identity")
@@ -179,8 +187,6 @@ def check_infinitesimal(deformation, handle=None, max_violations=DEFAULT_MAX_VIO
     order2 = CheckReport(subject="order-2 coefficient (separate flag)")
     run_law(order2, "t^2-coefficient of the family identity", order2_cases, max_violations)
 
-    if handle is None:
-        handle = rbf_complex(base)
     cocycle = direction_cochain(handle, deformation.direction)
     cocycle_ok = handle.differential(cocycle).is_zero()
     if cocycle_ok != order1.passed:
@@ -234,7 +240,7 @@ class NSDeformationReport:
         return "\n".join(lines)
 
 
-def deform_ns_family(deformation, handle=None, strict=True, max_violations=DEFAULT_MAX_VIOLATIONS):
+def deform_ns_family(deformation, strict=True, max_violations=DEFAULT_MAX_VIOLATIONS):
     """Deform the induced splitting products and re-verify the axioms mod t^2.
 
     The deformed products are the splitting of R + t R1 taken over
@@ -247,7 +253,7 @@ def deform_ns_family(deformation, handle=None, strict=True, max_violations=DEFAU
     strict=False the failing order-1 verdict is included and the axioms
     are evaluated anyway, exposing the order-t residuals.
     """
-    inf = check_infinitesimal(deformation, handle=handle, max_violations=max_violations)
+    inf = check_infinitesimal(deformation, max_violations)
     if strict and not inf.passed:
         raise PreconditionError(
             "direction fails the order-1 infinitesimal check", report=inf.order1
@@ -427,7 +433,7 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def check_equivalence(deformation, other, x, handle=None, max_violations=DEFAULT_MAX_VIOLATIONS):
+def check_equivalence(deformation, other, x, max_violations=DEFAULT_MAX_VIOLATIONS):
     """Morphism conditions for (phi^t, psi^t) between two deformations.
 
     psi^t = id + t(x.(-) - (-).x) on the algebra; phi^t is the per-index
@@ -441,10 +447,9 @@ def check_equivalence(deformation, other, x, handle=None, max_violations=DEFAULT
         raise InputError("equivalence needs two deformations of the same base family")
     base = deformation.base
     ensure_valid(base, check_twisted_rbf, "base twisted Rota-Baxter family")
-    if handle is None:
-        handle = rbf_complex(base)
-    inf1 = check_infinitesimal(deformation, handle=handle)
-    inf2 = check_infinitesimal(other, handle=handle)
+    handle = rbf_complex(base)
+    inf1 = _infinitesimal_report(deformation, handle)
+    inf2 = _infinitesimal_report(other, handle)
     if not inf1.passed:
         raise PreconditionError("first deformation fails its order-1 check", report=inf1.order1)
     if not inf2.passed:
@@ -536,31 +541,33 @@ class TrivializationResult:
         }
 
 
-def trivialize_cocycle(operator, cocycle_maps, handle=None):
+def trivialize_cocycle(operator, cocycle_maps):
     """Solve delta0(x) = f over the p-fixed elements for a degree-1 cocycle f.
 
-    Returns the particular solution, the solution-space kernel, and
-    Nijenhuis verdicts for the solution and its shifts by +-1 of each
-    kernel basis vector; ``found=False`` means the class is nontrivial.
+    f is a degree-1 cochain of the twisted-family complex or one matrix per
+    semigroup element.  Returns the particular solution, the solution-space
+    kernel, and Nijenhuis verdicts for the solution and its shifts by +-1 of
+    each kernel basis vector; ``found=False`` means the class is nontrivial.
     """
     ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
-    if handle is None:
-        handle = rbf_complex(operator)
-    omega = operator.omega
-    n, d = operator.algebra.dim, operator.bimodule.dim
+    return _trivialization(operator, cocycle_maps, rbf_complex(operator))
+
+
+def _trivialization(operator, cocycle_maps, handle):
+    """``trivialize_cocycle`` on a validated operator, whose complex
+    ``handle`` the caller already holds."""
     if hasattr(cocycle_maps, "table"):
-        if cocycle_maps.degree != 1:
-            raise InputError("trivialization needs a degree-1 cochain")
-        mats = []
-        for alpha in omega.elements():
-            t = cocycle_maps.table[(alpha,)]
-            mats.append(Matrix(n, d, t.entries))
+        if cocycle_maps.complex != RBF or cocycle_maps.degree != 1:
+            raise InputError("trivialization needs a degree-1 twisted-family cochain")
+        cochain = handle.make_cochain(1, cocycle_maps.table)
+    elif len(cocycle_maps) != operator.omega.size:
+        raise InputError("one direction matrix per semigroup element is required")
     else:
-        mats = [cocycle_maps[alpha] for alpha in omega.elements()]
-    cochain = direction_cochain(handle, mats)
+        cochain = direction_cochain(handle, cocycle_maps)
     if not handle.differential(cochain).is_zero():
         raise InputError("the supplied cochain is not a cocycle")
 
+    n = operator.algebra.dim
     rhs = handle.flatten(cochain)
     p_rows = operator.algebra.p.sub(Matrix.identity(n))
     delta0 = [tuple(handle.raw_differential(0, unit_vector(n, i))) for i in range(n)]
@@ -638,7 +645,7 @@ class RigidityReport:
         return "\n".join(lines)
 
 
-def rigidity_probe(operator, handle=None):
+def rigidity_probe(operator):
     """Sufficient-condition probe: every degree-1 cocycle must be the
     coboundary of some Nijenhuis element.
 
@@ -647,8 +654,7 @@ def rigidity_probe(operator, handle=None):
     search is limited to the affine solution sets of the trivialization.
     """
     ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
-    if handle is None:
-        handle = rbf_complex(operator)
+    handle = rbf_complex(operator)
     dims = cohomology_dims(handle, 1)
     m1 = differential_matrix(handle, 1)
     z_basis = kernel_basis(m1)
@@ -656,7 +662,7 @@ def rigidity_probe(operator, handle=None):
     all_good = True
     for coeffs in z_basis:
         cochain = handle.unflatten(1, handle.combine(1, coeffs))
-        result = trivialize_cocycle(operator, cochain, handle=handle)
+        result = _trivialization(operator, cochain, handle)
         nij = result.found and result.witness is not None
         outcomes.append(
             {

@@ -650,7 +650,7 @@ def _poly_tensor(t0, t1, order):
     )
 
 
-def ns_deformation_report(deformation, handle=None, strict=True, max_violations=DEFAULT_MAX_VIOLATIONS):
+def ns_deformation_report(deformation, strict=True, max_violations=DEFAULT_MAX_VIOLATIONS):
     """The body ``deformations.deform_ns_family`` had while it split R + t R1
     into its t^0 and t^1 parts by hand (two splittings, a hand-written
     t-part of v and one truncated polynomial per entry).
@@ -658,7 +658,7 @@ def ns_deformation_report(deformation, handle=None, strict=True, max_violations=
     Kept verbatim, so the splitting of R + t R1 over K[t]/(t^2) can be held
     to an identical ``to_dict()`` and ``render()``.
     """
-    inf = check_infinitesimal(deformation, handle=handle, max_violations=max_violations)
+    inf = check_infinitesimal(deformation, max_violations=max_violations)
     if strict and not inf.passed:
         raise PreconditionError(
             "direction fails the order-1 infinitesimal check", report=inf.order1

@@ -299,7 +299,7 @@ def test_criterion_8_deformation_cocycle_link(instances, rbf_handles):
                 for _ in range(operator.omega.size)
             )
             deformation = LinearDeformation(base=operator, direction=direction)
-            verdict = check_infinitesimal(deformation, handle=handle).passed
+            verdict = check_infinitesimal(deformation).passed
             coeffs = []
             for mat in direction:
                 coeffs.extend(mat.entries)
@@ -326,8 +326,8 @@ def test_criterion_9_equivalence_via_nijenhuis(d1, d1_handle):
                 cochain = piece if cochain is None else cochain.add(piece)
         cocycles.append(cochain)
     zero_maps = [Matrix.zero(4, 2), Matrix.zero(4, 2)]
-    results = [trivialize_cocycle(operator, f, handle=d1_handle) for f in cocycles]
-    results.append(trivialize_cocycle(operator, zero_maps, handle=d1_handle))
+    results = [trivialize_cocycle(operator, f) for f in cocycles]
+    results.append(trivialize_cocycle(operator, zero_maps))
     for res in results:
         if not res.found:
             continue
@@ -346,7 +346,7 @@ def test_criterion_9_equivalence_via_nijenhuis(d1, d1_handle):
     for x in produced:
         delta = rbf_delta0_matrices(d1_handle, x)
         deformation = LinearDeformation(base=operator, direction=tuple(delta))
-        report = check_equivalence(deformation, trivial, x, handle=d1_handle)
+        report = check_equivalence(deformation, trivial, x)
         ok = ok and report.passes_mod_t2
         for alpha, mat in enumerate(delta):
             ok = ok and deformation.direction[alpha].sub(mat).is_zero()
@@ -379,6 +379,6 @@ def test_criterion_10_cohomology_sanity(instances, rbf_handles, omega_handles, h
     if oracle_dims != GOLDEN_RBF_DIMS["D1"]:
         ok = False
     # golden rigidity verdict, independently implied by dim Z^1 = 0 above
-    if rigidity_probe(instances["D1"]["operator"], handle=rbf_handles["D1"]).verdict != GOLDEN_D1_RIGIDITY:
+    if rigidity_probe(instances["D1"]["operator"]).verdict != GOLDEN_D1_RIGIDITY:
         ok = False
     _verdict(10, ok, "rank-nullity, D0 dims (1,1,1), and D1 goldens match the naive oracle bit-for-bit")

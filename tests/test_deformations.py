@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rbfam.cohomology import differential_matrix, rbf_complex
+from rbfam.cohomology import differential_matrix, ha_complex, rbf_complex
 from rbfam.deformations import (
     LinearDeformation,
     check_equivalence,
@@ -36,17 +36,16 @@ def d0_operator():
     )
 
 
-def test_zero_direction_passes_everything(d1, d1_handle):
+def test_zero_direction_passes_everything(d1):
     deformation = zero_deformation(d1["operator"])
-    report = check_infinitesimal(deformation, handle=d1_handle)
+    report = check_infinitesimal(deformation)
     assert report.passed and report.order2.passed and report.cocycle_route_ok
 
 
 def test_d0_any_direction_is_order_one_cocycle():
     operator = d0_operator()
-    handle = rbf_complex(operator)
     deformation = LinearDeformation(base=operator, direction=(Matrix(1, 1, (Fraction(1),)),))
-    report = check_infinitesimal(deformation, handle=handle)
+    report = check_infinitesimal(deformation)
     # order 1 passes (the degree-1 differential vanishes identically) while
     # the order-2 coefficient obstructs: the flag stays separate
     assert report.passed
@@ -75,7 +74,7 @@ def test_order_one_matches_kernel_membership(d1, d1_handle):
             Matrix(4, 2, tuple(rng.choice(grid) for _ in range(8))) for _ in range(2)
         )
         deformation = LinearDeformation(base=d1["operator"], direction=direction)
-        report = check_infinitesimal(deformation, handle=d1_handle)
+        report = check_infinitesimal(deformation)
         coeffs = []
         for mat in direction:
             coeffs.extend(mat.entries)
@@ -83,21 +82,21 @@ def test_order_one_matches_kernel_membership(d1, d1_handle):
         assert report.passed == in_kernel == report.cocycle_route_ok
 
 
-def test_deform_ns_family_zero_direction(d1, d1_handle):
-    report = deform_ns_family(zero_deformation(d1["operator"]), handle=d1_handle)
+def test_deform_ns_family_zero_direction(d1):
+    report = deform_ns_family(zero_deformation(d1["operator"]))
     assert report.passed
     assert report.ns_axioms.passed and report.total_product.passed
 
 
-def test_deform_ns_family_non_cocycle_direction(d1, d1_handle):
+def test_deform_ns_family_non_cocycle_direction(d1):
     direction = (
         Matrix.from_rows([[1, 0], [0, 0], [0, 0], [0, 0]]),
         Matrix.zero(4, 2),
     )
     deformation = LinearDeformation(base=d1["operator"], direction=direction)
     with pytest.raises(PreconditionError):
-        deform_ns_family(deformation, handle=d1_handle)
-    report = deform_ns_family(deformation, handle=d1_handle, strict=False)
+        deform_ns_family(deformation)
+    report = deform_ns_family(deformation, strict=False)
     assert not report.order1.passed
     assert not report.passed
     vee_law = report.ns_axioms.law(
@@ -131,7 +130,7 @@ def test_coboundary_directions_are_infinitesimal(twisted_triangular_algebra):
             continue
         nonzero += 1
         deformation = LinearDeformation(base=operator, direction=tuple(delta))
-        assert check_infinitesimal(deformation, handle=handle).passed
+        assert check_infinitesimal(deformation).passed
     assert nonzero > 0
 
 
@@ -142,7 +141,7 @@ def test_nijenhuis_coboundaries_are_infinitesimal(d1, d1_handle):
         assert check_nijenhuis_element(x, d1["operator"]).passed
         delta = rbf_delta0_matrices(d1_handle, x)
         deformation = LinearDeformation(base=d1["operator"], direction=tuple(delta))
-        assert check_infinitesimal(deformation, handle=d1_handle).passed
+        assert check_infinitesimal(deformation).passed
 
 
 # -- Nijenhuis elements -----------------------------------------------------------
@@ -182,9 +181,9 @@ def test_wrong_length_rejected(d1, d1_handle):
 # -- equivalence ----------------------------------------------------------------
 
 
-def test_identity_equivalence(d1, d1_handle):
+def test_identity_equivalence(d1):
     deformation = zero_deformation(d1["operator"])
-    report = check_equivalence(deformation, deformation, (0, 0, 0, 0), handle=d1_handle)
+    report = check_equivalence(deformation, deformation, (0, 0, 0, 0))
     assert report.passes_mod_t2 and report.passes_all_orders
 
 
@@ -195,17 +194,16 @@ def test_nijenhuis_element_gives_trivial_equivalence(d1, d1_handle):
     delta = rbf_delta0_matrices(d1_handle, x)
     deformation = LinearDeformation(base=operator, direction=tuple(delta))
     trivial = zero_deformation(operator)
-    report = check_equivalence(deformation, trivial, x, handle=d1_handle)
+    report = check_equivalence(deformation, trivial, x)
     assert report.passes_mod_t2
     assert report.conditions.law("R1 - R1bar = delta0(x) entrywise").ok
 
 
 def test_non_nijenhuis_element_obstructs_at_order_two(matrix_algebra_operator):
     operator = matrix_algebra_operator
-    handle = rbf_complex(operator)
     x = unit_vector(4, 1)  # E12: fails the square law
     deformation = zero_deformation(operator)
-    report = check_equivalence(deformation, deformation, x, handle=handle)
+    report = check_equivalence(deformation, deformation, x)
     assert report.passes_mod_t2  # order-t conditions hold in the associative case
     assert not report.passes_all_orders
     assert not report.conditions.law("(i) psi^t multiplicative @ t^2").ok
@@ -234,10 +232,10 @@ def test_equivalence_requires_same_base(d1, d2):
 # -- trivialization ----------------------------------------------------------------
 
 
-def test_trivialize_zero_cocycle(d1, d1_handle):
+def test_trivialize_zero_cocycle(d1):
     operator = d1["operator"]
     zero_maps = [Matrix.zero(4, 2), Matrix.zero(4, 2)]
-    result = trivialize_cocycle(operator, zero_maps, handle=d1_handle)
+    result = trivialize_cocycle(operator, zero_maps)
     assert result.found
     assert result.solution == (0, 0, 0, 0)
     # delta0 vanishes identically on the commutative packed data, so the
@@ -249,15 +247,27 @@ def test_trivialize_zero_cocycle(d1, d1_handle):
 
 def test_trivialize_reports_nontrivial_class():
     operator = d0_operator()
-    handle = rbf_complex(operator)
-    result = trivialize_cocycle(operator, [Matrix(1, 1, (Fraction(1),))], handle=handle)
+    result = trivialize_cocycle(operator, [Matrix(1, 1, (Fraction(1),))])
     assert not result.found
 
 
-def test_trivialize_rejects_non_cocycle(d1, d1_handle):
+def test_trivialize_rejects_non_cocycle(d1):
     bad = [Matrix.from_rows([[1, 0], [0, 0], [0, 0], [0, 0]]), Matrix.zero(4, 2)]
     with pytest.raises(InputError):
-        trivialize_cocycle(d1["operator"], bad, handle=d1_handle)
+        trivialize_cocycle(d1["operator"], bad)
+
+
+def test_trivialize_rejects_ha_cochain(d1):
+    f = ha_complex(d1["algebra"], d1["bimodule"]).basis(1)[0]
+    with pytest.raises(InputError, match="twisted-family cochain"):
+        trivialize_cocycle(d1["operator"], f)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_trivialize_rejects_wrong_matrix_count(d1, count):
+    # D1 is indexed by the two elements of C2.
+    with pytest.raises(InputError, match="one direction matrix per semigroup element is required"):
+        trivialize_cocycle(d1["operator"], [Matrix.zero(4, 2)] * count)
 
 
 # -- rigidity ------------------------------------------------------------------------
@@ -288,7 +298,7 @@ def test_rigidity_inconclusive_on_scalar_line():
     assert not report.outcomes[0]["trivialized"]
 
 
-def test_rigidity_d1(d1, d1_handle):
-    report = rigidity_probe(d1["operator"], handle=d1_handle)
+def test_rigidity_d1(d1):
+    report = rigidity_probe(d1["operator"])
     assert report.verdict == "sufficient condition met"
     assert report.dims.dim_z == 0

@@ -247,9 +247,9 @@ def test_deformed_splitting_matches_frozen_body(operators, handles, data):
     deformation = LinearDeformation(base=op, direction=direction_of(handle, op, coeffs))
     strict = data.draw(st.booleans())
     max_violations = data.draw(st.sampled_from((1, 3, ALL)))
-    new = _outcome(lambda: deform_ns_family(deformation, handle, strict, max_violations))
+    new = _outcome(lambda: deform_ns_family(deformation, strict, max_violations))
     old = _outcome(
-        lambda: oracles.ns_deformation_report(deformation, handle, strict, max_violations)
+        lambda: oracles.ns_deformation_report(deformation, strict, max_violations)
     )
     assert new == old
 

@@ -16,7 +16,14 @@ import pytest
 from rbfam import reports
 from rbfam.cli import main
 from rbfam.cohomology import ha_complex, omega_complex, rbf_complex, transport_cochain
-from rbfam.deformations import LinearDeformation, check_equivalence, check_infinitesimal, trivialize_cocycle
+from rbfam.deformations import (
+    LinearDeformation,
+    check_equivalence,
+    check_infinitesimal,
+    deform_ns_family,
+    rigidity_probe,
+    trivialize_cocycle,
+)
 from rbfam.errors import PreconditionError
 from rbfam.family import (
     HomNSAlgebra,
@@ -149,6 +156,33 @@ def test_trivialize_cocycle_builds_one_operator_bimodule(monkeypatch):
     result = trivialize_cocycle(operator, zero_maps)
     assert result.found and len(result.kernel) == 4
     assert counts == {"rbf_complex": 1, "operator_bimodule": 1}
+
+
+def test_each_call_assembles_one_complex_per_family(monkeypatch):
+    # Each public call derives the complex from its operator once and reuses
+    # it inside the call; transport needs one per end of the morphism.
+    operator = desk_instance("D1")["operator"]
+    zero = _zero_deformation(operator)
+    identity = OperatorMorphism(
+        source=operator, target=operator, psi=Matrix.identity(4), phi=Matrix.identity(2)
+    )
+    f = rbf_complex(operator).basis(1)[5]
+    calls = {
+        "check_infinitesimal": (lambda: check_infinitesimal(zero), 1),
+        "deform_ns_family": (lambda: deform_ns_family(zero), 1),
+        "check_equivalence": (lambda: check_equivalence(zero, zero, (0, 0, 0, 0)), 1),
+        "trivialize_cocycle": (lambda: trivialize_cocycle(operator, [Matrix.zero(4, 2)] * 2), 1),
+        "rigidity_probe": (lambda: rigidity_probe(desk_instance("D0")["operator"]), 1),
+        "transport_cochain": (lambda: transport_cochain(identity, f), 2),
+    }
+    counts = count_runs(monkeypatch, rbf_complex)
+    results = {}
+    for name, (call, expected) in calls.items():
+        counts.clear()
+        results[name] = call()
+        assert counts["rbf_complex"] == expected, name
+    # dim Z^1 = 1 on D0, so the probe trivialized one cocycle on its complex.
+    assert results["rigidity_probe"].dims.dim_z == 1
 
 
 def test_rbf_complex_reuses_the_bimodule_parent(d1):
