@@ -303,9 +303,25 @@ def test_multilinear_against_naive_oracle():
 
 
 def kernel_scalars(order):
-    """Scalars biased toward 0 and 1; TruncatedPoly of ``order`` when set."""
+    """Scalars biased toward 0 and 1: small and long ``Fraction``s (long
+    ones have numerators of about 300 digits and denominators up to
+    2**61 - 1), raw ints mixed in, and TruncatedPoly of ``order`` when set."""
     rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    options = [st.just(Fraction(0)), st.just(Fraction(1)), rationals]
+    long_rationals = st.builds(
+        lambda n, sign, d: Fraction(sign * n, d),
+        st.integers(10**299, 10**300),
+        st.sampled_from((1, -1)),
+        st.one_of(st.just(2**61 - 1), st.integers(1, 2**61 - 1)),
+    )
+    options = [
+        st.just(Fraction(0)),
+        st.just(Fraction(1)),
+        st.just(0),
+        st.just(1),
+        st.integers(-3, 3),
+        rationals,
+        long_rationals,
+    ]
     if order is not None:
         options += [
             st.just(TruncatedPoly.constant(1, order)),
@@ -319,10 +335,12 @@ def kernel_scalars(order):
 @st.composite
 def kernel_inputs(draw):
     """A tensor with 0-3 input axes (extents 0-3) and arguments that are
-    unit, zero or dense vectors, over rationals or one truncation order."""
+    unit, zero or dense vectors, over rationals (``Fraction``s, raw ints or
+    both) or one truncation order."""
     order = draw(st.sampled_from([None, 1, 2, 3]))
     scalars = kernel_scalars(order)
-    ones = [Fraction(1)] + ([] if order is None else [TruncatedPoly.constant(1, order)])
+    ones = [Fraction(1), 1] + ([] if order is None else [TruncatedPoly.constant(1, order)])
+    zeros = [Fraction(0), 0]
     shape = (draw(st.integers(0, 3)),) + tuple(
         draw(st.lists(st.integers(0, 3), min_size=0, max_size=3))
     )
@@ -333,9 +351,10 @@ def kernel_inputs(draw):
         kind = draw(st.sampled_from(kinds))
         if kind == "unit":
             one, i = draw(st.sampled_from(ones)), draw(st.integers(0, d - 1))
-            args.append(tuple(one if j == i else Fraction(0) for j in range(d)))
+            zero = draw(st.sampled_from(zeros))
+            args.append(tuple(one if j == i else zero for j in range(d)))
         elif kind == "zero":
-            args.append(zero_vector(d))
+            args.append((draw(st.sampled_from(zeros)),) * d)
         else:
             args.append(tuple(draw(st.lists(scalars, min_size=d, max_size=d))))
     return Tensor(shape, entries), args
