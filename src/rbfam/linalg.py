@@ -8,6 +8,15 @@ coordinates), reading a tensor through a sparse column view built once per
 tensor; a law's sides are composed as whole tensors (``_compose``), one
 slot at a time over nonzero entries.
 
+Rationals become integers in one place, ``_integer_view``: the lcm of the
+entries' denominators and the entries scaled by it.  Each ``Tensor`` and
+``Matrix`` caches its view on first use (a tensor its integer sparse
+columns too), so ``multilinear_apply`` and ``_compose`` contract integer
+numerators and build one ``Fraction`` per output entry.  An entry that is
+neither an int nor a ``Fraction`` (a ``TruncatedPoly``, a float) leaves its
+tensor or matrix without a view: contraction then runs on the entries
+themselves, and elimination refuses the matrix.
+
 Elimination (``rank``, ``kernel_supports``, ``solve``, ``invert_matrix``)
 runs on sparse integer rows ``{column: value}``: columns are eliminated
 left to right, each pivot is the candidate row with the fewest nonzeros,
@@ -24,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
+from itertools import repeat
 from math import gcd, lcm, prod
 
 from .errors import InputError
@@ -183,6 +193,12 @@ class Matrix:
     def has_poly_entries(self):
         return any(isinstance(e, TruncatedPoly) for e in self.entries)
 
+    @cached_property
+    def integer_view(self):
+        """``_integer_view(entries)``, built on first use and kept on the
+        instance; not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
+        return _integer_view(self.entries)
+
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise InputError("matrix shape mismatch")
@@ -233,24 +249,26 @@ class Tensor:
 
     @staticmethod
     def from_nested(nested, depth):
-        """Build from depth-nested lists (row-major)."""
+        """Build from depth-nested lists (row-major).  The shape is read
+        along the first path; every list at a level must have its extent."""
+        shape = []
+        node = nested
+        for _ in range(depth):
+            shape.append(len(node))
+            node = node[0] if len(node) else []
 
         def walk(node, level):
-            if level == 0:
+            if level == depth:
                 yield ensure_scalar(node)
                 return
+            if len(node) != shape[level]:
+                raise InputError(
+                    f"ragged nested tensor: {len(node)} entries at depth {level}, expected {shape[level]}"
+                )
             for child in node:
-                yield from walk(child, level - 1)
+                yield from walk(child, level + 1)
 
-        def dims(node, level):
-            out = []
-            for _ in range(level):
-                out.append(len(node))
-                node = node[0] if len(node) else []
-            return tuple(out)
-
-        shape = dims(nested, depth)
-        return Tensor(shape, tuple(walk(nested, depth)))
+        return Tensor(tuple(shape), tuple(walk(nested, 0)))
 
     def at(self, *idx):
         if len(idx) != len(self.shape):
@@ -289,12 +307,42 @@ class Tensor:
         Built on first use and kept on the instance; not a field, so ``==``,
         ``hash`` and ``repr`` ignore it.  Needs an output axis.
         """
-        d_out, inner = self.shape[0], prod(self.shape[1:])
-        entries = self.entries
-        return tuple(
-            tuple((k, c) for k in range(d_out) if (c := entries[k * inner + j]))
-            for j in range(inner)
-        )
+        return _columns(self.entries, self.shape)
+
+    @cached_property
+    def integer_view(self):
+        """``_integer_view(entries)``, kept like ``sparse_columns``."""
+        return _integer_view(self.entries)
+
+    @cached_property
+    def integer_columns(self):
+        """(scale, ``sparse_columns`` of the integer view), kept like
+        ``sparse_columns``; None when the tensor has no integer view."""
+        if self.integer_view is None:
+            return None
+        scale, ints = self.integer_view
+        return scale, _columns(ints, self.shape)
+
+
+def _columns(entries, shape):
+    d_out, inner = shape[0], prod(shape[1:])
+    return tuple(
+        tuple((k, c) for k in range(d_out) if (c := entries[k * inner + j]))
+        for j in range(inner)
+    )
+
+
+def _integer_view(entries):
+    """``(scale, ints)`` with ``scale`` the lcm of the entries' denominators
+    and ``ints[i] = entries[i] * scale``; None when an entry is not an int
+    or a ``Fraction`` (a ``TruncatedPoly``, say).  The one place where
+    rationals become integer numerators."""
+    if not all(map(isinstance, entries, repeat((int, Fraction)))):
+        return None
+    scale = lcm(*{e.denominator for e in entries})
+    if scale == 1:
+        return 1, tuple(e.numerator for e in entries)
+    return scale, tuple(e.numerator * (scale // e.denominator) for e in entries)
 
 
 def multilinear_apply(tensor, args):
@@ -303,7 +351,15 @@ def multilinear_apply(tensor, args):
     Returns the vector with coordinates sum T[k][i_1..i_n] args_1[i_1]...args_n[i_n];
     the result is linear in each argument.  The sum runs over the product of
     the arguments' supports only, in lexicographic order, against the
-    tensor's ``sparse_columns``; each term is ``T[k][i] * (x_1 * ... * x_n)``.
+    tensor's sparse columns; each term is ``T[k][i] * (x_1 * ... * x_n)``.
+
+    When the tensor and every argument have an integer view (every entry an
+    int or a ``Fraction``), the sum runs on the tensor's cached integer
+    columns and on each argument scaled by the lcm of its denominators, and
+    each nonzero coordinate is one ``Fraction`` built at the end.  Otherwise
+    (a ``TruncatedPoly`` entry, say) it runs on the entries themselves.
+    Either way a rational coordinate is a ``Fraction`` (``ZERO`` when it
+    vanishes) and a polynomial one a ``TruncatedPoly``.
     """
     shape = tensor.shape
     if len(shape) < 1:
@@ -316,8 +372,19 @@ def multilinear_apply(tensor, args):
             raise InputError(f"argument length {len(v)} != extent {d}")
     if d_out == 0:
         return ()
-    out = [ZERO] * d_out
-    columns = tensor.sparse_columns
+    if tensor.integer_columns is not None:
+        views = [_integer_view(v) for v in args]
+        if None not in views:
+            scale, columns = tensor.integer_columns
+            den = scale * prod(s for s, _ in views)
+            out = _contract(columns, [ints for _, ints in views], [0] * d_out, 1)
+            return tuple(Fraction(v, den) if v else ZERO for v in out)
+    return tuple(_contract(tensor.sparse_columns, args, [ZERO] * d_out, ONE))
+
+
+def _contract(columns, args, out, one):
+    """Add every term columns[i] * (args_1[i_1] * ... * args_n[i_n]) into
+    ``out``, over the product of the arguments' supports; returns ``out``."""
     # Each support entry carries its row-major offset i * stride in place of i.
     supports = []
     stride = 1
@@ -326,13 +393,13 @@ def multilinear_apply(tensor, args):
         stride *= len(v)
     supports.reverse()
     for terms in iproduct(*supports):
-        flat, w = terms[0] if terms else (0, ONE)
+        flat, w = terms[0] if terms else (0, one)
         for offset, x in terms[1:]:
             flat += offset
             w = w * x
         for k, c in columns[flat]:
             out[k] = out[k] + c * w
-    return tuple(out)
+    return out
 
 
 def _compose(outer, parts):
@@ -349,21 +416,21 @@ def _compose(outer, parts):
     even when it cancels to 0; every other entry is ``ZERO``.  That keeps
     the entry types ``multilinear_apply`` gives: a ``TruncatedPoly`` stays
     one (t * t^2 = 0 mod t^3 included) and a rational is a ``Fraction``.
-    When every entry of every input is an int or a ``Fraction``, the
-    contraction runs on integer numerators (each tensor scaled by the lcm
-    of its denominators) and divides once at the end.
+    When every input has an integer view (every entry an int or a
+    ``Fraction``), the contraction runs on the inputs' cached integer views
+    (each scaled by the lcm of its denominators) and divides once at the
+    end; a ``TruncatedPoly`` entry anywhere keeps the entries themselves.
     """
+    views = [t.integer_view for t in (outer, *parts)]
     outer, parts = _as_tensor(outer), [_as_tensor(t) for t in parts]
     shape = outer.shape
     if len(shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, shape[1:])):
         raise InputError(f"cannot compose shape {shape} with {[t.shape for t in parts]}")
-    tensors = (outer, *parts)
-    if all(isinstance(e, (int, Fraction)) for t in tensors for e in t.entries):
-        scales = [lcm(*(e.denominator for e in t.entries)) for t in tensors]
-        values = [[e.numerator * (s // e.denominator) for e in t.entries] for t, s in zip(tensors, scales)]
-        den = prod(scales)
+    if None not in views:
+        values = [ints for _, ints in views]
+        den = prod(scale for scale, _ in views)
     else:
-        values = [[ensure_scalar(e) for e in t.entries] for t in tensors]
+        values = [[ensure_scalar(e) for e in t.entries] for t in (outer, *parts)]
         den = None
     state = {f: e for f, e in enumerate(values[0]) if e}
     remaining = prod(shape[1:])
@@ -412,21 +479,28 @@ def tensor_column(tensor, idx):
 # sparse fraction-free elimination
 
 
-def _require_rational_matrix(m):
-    if m.has_poly_entries():
+def _integer_rows(m, transpose=False):
+    """The nonzero rows of M (of M^T when ``transpose``) as {column: int},
+    read off M's cached integer view; zero rows are left out.
+
+    Each row is divided by the gcd of the view's scale and its entries,
+    which leaves it scaled by the lcm of its own denominators.  Scaling a
+    row changes neither the rank nor the null space (nor, on an augmented
+    row, the solutions).
+    """
+    if m.integer_view is None:
         raise InputError("elimination is defined for rational matrices only")
-
-
-def _sparse_rows(rows):
-    """Each nonzero row as {column: int}, scaled by the lcm of its
-    denominators; zero rows are left out.  Scaling a row changes neither
-    the rank nor the null space (nor, on an augmented row, the solutions)."""
+    scale, ints = m.integer_view
+    if transpose:
+        lines = (ints[j :: m.cols] for j in range(m.cols))
+    else:
+        lines = (ints[i * m.cols : (i + 1) * m.cols] for i in range(m.rows))
     out = []
-    for row in rows:
-        nonzero = [(j, e) for j, e in enumerate(row) if e]
-        if nonzero:
-            scale = lcm(*(e.denominator for _, e in nonzero))
-            out.append({j: e.numerator * (scale // e.denominator) for j, e in nonzero})
+    for line in lines:
+        row = {j: v for j, v in enumerate(line) if v}
+        if row:
+            g = gcd(scale, *row.values())
+            out.append(row if g == 1 else {j: v // g for j, v in row.items()})
     return out
 
 
@@ -478,12 +552,8 @@ def rank(m):
 
     rank(M) = rank(M^T), so the shorter side's lines are eliminated.
     """
-    _require_rational_matrix(m)
-    if m.rows > m.cols:
-        lines, width = (m.entries[j :: m.cols] for j in range(m.cols)), m.rows
-    else:
-        lines, width = (m.row(i) for i in range(m.rows)), m.cols
-    return len(_echelon(_sparse_rows(lines), width)[1])
+    transpose = m.rows > m.cols
+    return len(_echelon(_integer_rows(m, transpose), m.rows if transpose else m.cols)[1])
 
 
 def _kernel_from_echelon(rows, pivots, ncols):
@@ -516,8 +586,7 @@ def densify(support, n):
 
 def kernel_supports(m):
     """``kernel_basis`` with each vector as its nonzero ((column, value), ...)."""
-    _require_rational_matrix(m)
-    return _kernel_from_echelon(*_echelon(_sparse_rows(m.row(i) for i in range(m.rows)), m.cols), m.cols)
+    return _kernel_from_echelon(*_echelon(_integer_rows(m), m.cols), m.cols)
 
 
 def kernel_basis(m):
@@ -541,13 +610,11 @@ def solve(m, b):
     every free column of M), and the other vectors, which are 0 there,
     truncated, are the kernel.
     """
-    _require_rational_matrix(m)
     if len(b) != m.rows:
         raise InputError(f"right-hand side length {len(b)} != {m.rows} rows")
     b = [ensure_scalar(e) for e in b]
-    if any(isinstance(e, TruncatedPoly) for e in b):
-        raise InputError("elimination is defined for rational inputs only")
-    rows, pivots = _echelon(_sparse_rows(m.row(i) + (b[i],) for i in range(m.rows)), m.cols + 1)
+    augmented = Matrix(m.rows, m.cols + 1, tuple(e for i in range(m.rows) for e in (*m.row(i), b[i])))
+    rows, pivots = _echelon(_integer_rows(augmented), m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
     *kernel, last = _kernel_from_echelon(rows, pivots, m.cols + 1)
@@ -566,9 +633,9 @@ def invert_matrix(m):
     """
     if m.rows != m.cols:
         raise InputError("only square matrices invert")
-    _require_rational_matrix(m)
     n = m.rows
-    rows, pivots = _echelon(_sparse_rows(m.row(i) + unit_vector(n, i) for i in range(n)), 2 * n)
+    augmented = Matrix(n, 2 * n, tuple(e for i in range(n) for e in m.row(i) + unit_vector(n, i)))
+    rows, pivots = _echelon(_integer_rows(augmented), 2 * n)
     if pivots != list(range(n)):
         raise InputError("matrix is not invertible")
     kernel = _kernel_from_echelon(rows, pivots, 2 * n)

@@ -21,6 +21,7 @@ from rbfam.errors import InputError
 from rbfam.linalg import (
     Matrix,
     Tensor,
+    _compose,
     densify,
     invert_matrix,
     kernel_basis,
@@ -65,6 +66,16 @@ def test_rank_rejects_polynomials():
         kernel_basis(m)
     with pytest.raises(InputError):
         solve(m, (Fraction(1),))
+
+
+def test_elimination_refuses_float_entries():
+    # A float has no exact denominator, so it gets no integer view.
+    m = Matrix(1, 2, (0.5, 1))
+    for run in (rank, kernel_supports, kernel_basis, lambda m: solve(m, (Fraction(1),))):
+        with pytest.raises(InputError, match="rational matrices only"):
+            run(m)
+    with pytest.raises(InputError, match="rational matrices only"):
+        invert_matrix(Matrix(2, 2, (0.5, 1, 0, 1)))
 
 
 def test_kernel_examples():
@@ -387,11 +398,23 @@ def test_multilinear_keeps_polynomial_type_of_unit_factors():
 def test_tensor_identity_survives_the_kernel():
     rng = random.Random(9)
     t = random_tensor(rng, (3, 2, 2))
+    m = Matrix(2, 2, (Fraction(1, 2), Fraction(0), Fraction(3), Fraction(-1, 3)))
     multilinear_apply(t, [unit_vector(2, 1), (Fraction(1), Fraction(-2))])
-    fresh = Tensor(t.shape, t.entries)
-    assert t == fresh and fresh == t
-    assert hash(t) == hash(fresh)
-    assert repr(t) == repr(fresh)
+    _compose(t, [m, m])
+    rank(m)
+    assert m.integer_view == (6, (3, 0, 18, -2))
+    for built, fresh in ((t, Tensor(t.shape, t.entries)), (m, Matrix(m.rows, m.cols, m.entries))):
+        assert "integer_view" in vars(built)
+        assert built == fresh and fresh == built
+        assert hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
+    # A polynomial entry gets no view, and the results stay polynomial.
+    t2 = TruncatedPoly.t(2)
+    poly = Tensor((1, 2, 2), (t2, Fraction(1), Fraction(0), Fraction(2)))
+    args = [unit_vector(2, 0), unit_vector(2, 0)]
+    assert repr(multilinear_apply(poly, args)) == repr((t2,))
+    assert isinstance(_compose(poly, [m, m]).entries[0], TruncatedPoly)
+    assert poly.integer_view is None and poly.integer_columns is None
 
 
 def test_multilinear_shape_errors():
@@ -409,6 +432,11 @@ def test_tensor_construction_errors():
         Matrix(2, 2, (Fraction(1),) * 3)
     with pytest.raises(InputError):
         Matrix.from_rows([[0.5]])
+    # Ragged nested lists whose leaf count fits the extents of the first path.
+    for nested, depth in (([[1], [2, 3], []], 2), ([[[1, 0], [0, 1]], [[0, 1, 1, 0]]], 3)):
+        with pytest.raises(InputError, match="ragged nested tensor"):
+            Tensor.from_nested(nested, depth)
+    assert Tensor.from_nested([[], []], 2) == Tensor((2, 0), ())
 
 
 def test_matrix_block_and_power():
