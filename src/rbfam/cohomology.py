@@ -24,6 +24,10 @@ merged arguments) and kept on the handle.  ``differential_matrix`` applies
 it to every basis vector, ``differential`` to one member cochain and
 ``raw_differential`` to any raw coefficient vector; for RBF the direct and
 the generic stencils are both assembled and every image is compared.
+Images stay sparse ({row: value}) until the public matrix is built.  Every
+cochain that enters, through ``make_cochain`` or ``differential``, passes
+one validation path (index tuples, shapes, the size guard and membership),
+and every stencil is assembled under the size guard.
 """
 from __future__ import annotations
 
@@ -190,45 +194,35 @@ class ComplexHandle:
         )
 
     def make_cochain(self, degree, table):
-        """Wrap and validate a user-supplied cochain (membership enforced here)."""
+        """Wrap and validate a cochain: the one validation path of the complex.
+
+        ``table`` maps each index tuple to a tensor (or a flat sequence of
+        its entries); in degree 0 it may also be the vector itself.  The
+        degree passes the size guard, and the cochain the membership
+        constraint.
+        """
         self._guard_degree(degree, allow_plus_one=True)
-        if degree == 0:
-            vec = tuple(table) if isinstance(table, (tuple, list)) else tuple(table.entries)
-            if len(vec) != self.target_dim:
-                raise InputError("degree-0 cochain has the wrong length")
-            cochain = Cochain(
-                complex=self.tag,
-                degree=0,
-                source_dim=self.source_dim,
-                target_dim=self.target_dim,
-                table={(): Tensor((self.target_dim,), vec)},
-            )
-        else:
-            keys = self.index_keys(degree)
-            shape = self.tensor_shape(degree)
-            normalized = {}
-            for key in keys:
-                if key not in table:
-                    raise InputError(f"missing cochain table entry for index tuple {key}")
-                t = table[key]
-                if not isinstance(t, Tensor):
-                    t = Tensor(shape, tuple(t))
-                if t.shape != shape:
-                    raise InputError(f"cochain tensor at {key} must have shape {shape}")
-                normalized[key] = t
-            if len(table) != len(keys):
-                raise InputError("cochain table has unexpected extra keys")
-            cochain = Cochain(
-                complex=self.tag,
-                degree=degree,
-                source_dim=self.source_dim,
-                target_dim=self.target_dim,
-                table=normalized,
-            )
+        if degree == 0 and not isinstance(table, dict):
+            table = {(): table}
+        shape, keys = self.tensor_shape(degree), self.index_keys(degree)
+        block = self.block_dim(degree)
+        tensors = {
+            key: t if isinstance(t, Tensor) or len(t) != block else Tensor(shape, tuple(t))
+            for key, t in table.items()
+        }
+        if tensors.keys() != set(keys) or any(
+            not isinstance(t, Tensor) or t.shape != shape for t in tensors.values()
+        ):
+            raise InputError(f"cochain needs one tensor of shape {shape} per index tuple")
+        cochain = Cochain(
+            complex=self.tag,
+            degree=degree,
+            source_dim=self.source_dim,
+            target_dim=self.target_dim,
+            table={key: tensors[key] for key in keys},
+        )
         if not self.membership_ok(cochain):
-            raise InputError(
-                "cochain violates the equivariance membership constraint"
-            )
+            raise InputError("cochain violates the membership constraint q o f = f o p^n")
         return cochain
 
     # -- degree guards -------------------------------------------------------
@@ -345,20 +339,12 @@ class ComplexHandle:
     # -- differentials ----------------------------------------------------------
 
     def differential(self, cochain):
+        """D . f through the assembled maps; ``make_cochain`` validates the
+        input and the output is checked for membership."""
         if cochain.complex != self.tag:
             raise InputError("cochain belongs to a different complex")
-        return self._image(cochain)
-
-    def _image(self, cochain):
-        """D . f through the assembled maps, input and output checked."""
+        cochain = self.make_cochain(cochain.degree, cochain.table)
         degree = cochain.degree
-        shape = self.tensor_shape(degree)
-        if cochain.keys() != self.index_keys(degree) or any(
-            t.shape != shape for t in cochain.table.values()
-        ):
-            raise InputError(f"cochain needs one tensor of shape {shape} per index tuple")
-        if not self.membership_ok(cochain):
-            raise InputError("cochain violates the membership constraint q o f = f o p^n")
         out = self.unflatten(degree + 1, self.raw_differential(degree, self.flatten(cochain)))
         if not self.membership_ok(out):
             raise RouteMismatchError("differential output violates the membership constraint")
@@ -369,35 +355,41 @@ class ComplexHandle:
         (membership is not required); for RBF both routes must agree."""
         if len(vec) != self.raw_dim(degree, len(vec)):
             raise InputError("coefficient vector has the wrong length")
-        return self._apply_maps(self._stencil_maps(degree), degree, _sparse(vec))
+        image = self._apply_maps(self._stencil_maps(degree), degree, _sparse(vec))
+        return list(densify(image.items(), self.raw_dim(degree + 1)))
 
     def differential_matrix(self, degree):
         if degree in self._matrix:
             return self._matrix[degree]
-        basis_in = self.basis(0) if degree == 0 else self.supports(degree)
         vec_out = self.supports(degree + 1)
         if degree == 0:
-            images = [self.flatten(self.differential(b)) for b in basis_in]
+            images = [dict(_sparse(self.flatten(self.differential(b)))) for b in self.basis(0)]
         else:
             maps = self._stencil_maps(degree)
             images = [
                 self._apply_maps(maps, degree, b, f", on basis vector {j}")
-                for j, b in enumerate(basis_in)
+                for j, b in enumerate(self.supports(degree))
             ]
         # Each basis vector is 1 on its own free column (its last nonzero
         # entry) and 0 on the others' free columns, so the coordinates of a
         # member are its free-column entries.  Rebuild the image from them
-        # to check that it is a member.
-        free = [s[-1][0] for s in vec_out]
-        columns = []
-        for image in images:
-            coords = tuple(image[f] for f in free)
-            if self.combine(degree + 1, coords) != list(image):
+        # over the basis supports to check that it is a member.
+        free = {s[-1][0]: i for i, s in enumerate(vec_out)}
+        cols = len(images)
+        entries = [ZERO] * (len(vec_out) * cols)
+        for j, image in enumerate(images):
+            rebuilt = {}
+            for f, c in image.items():
+                i = free.get(f)
+                if i is not None:
+                    entries[i * cols + j] = c
+                    for r, e in vec_out[i]:
+                        rebuilt[r] = rebuilt.get(r, ZERO) + c * e
+            if {r: v for r, v in rebuilt.items() if v} != image:
                 raise RouteMismatchError(
                     "differential image escaped the constrained cochain space"
                 )
-            columns.append(coords)
-        mat = Matrix.from_columns(columns, rows=len(vec_out))
+        mat = Matrix(len(vec_out), cols, tuple(entries))
         self._matrix[degree] = mat
         return mat
 
@@ -411,6 +403,7 @@ class ComplexHandle:
         """
         if degree in self._maps:
             return self._maps[degree]
+        self._guard_degree(degree, allow_plus_one=True)
         if self.tag == HA:
             stencils = [_ha_stencil(self.ha_module, degree)]
         else:
@@ -422,13 +415,13 @@ class ComplexHandle:
         return maps
 
     def _apply_maps(self, maps, degree, support, where=""):
-        """Raw image D . vec of each map, for vec given by its nonzero
-        ((position, value), ...); for RBF both routes' images must agree."""
-        raw_out = self.raw_dim(degree + 1)
-        image, *others = [_apply_columns(cols, support, raw_out) for cols in maps]
+        """Nonzero entries {row: value} of D . vec for each map, for vec
+        given by its nonzero ((position, value), ...); for RBF both routes'
+        images must agree."""
+        image, *others = [_apply_columns(cols, support) for cols in maps]
         for other in others:
             if other != image:
-                row = next(r for r, (x, y) in enumerate(zip(image, other)) if x != y)
+                row = min(r for r in image.keys() | other.keys() if image.get(r) != other.get(r))
                 key, entry = self._locate(degree + 1, row)
                 raise RouteMismatchError(
                     f"twisted-family differential routes disagree at index tuple {key}, "
@@ -707,14 +700,14 @@ def _assemble_stencil(handle, degree, stencil):
     return cols
 
 
-def _apply_columns(cols, support, rows):
-    """Dense product of sparse columns {row: value} with a sparse vector
-    ((column, value), ...)."""
-    out = [ZERO] * rows
+def _apply_columns(cols, support):
+    """Nonzero entries {row: value} of the product of sparse columns
+    {row: value} with a sparse vector ((column, value), ...)."""
+    out = {}
     for c, e in support:
         for r, v in cols[c].items():
-            out[r] += e * v
-    return out
+            out[r] = out.get(r, ZERO) + e * v
+    return {r: v for r, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

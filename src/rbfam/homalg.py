@@ -203,10 +203,6 @@ def hochschild_differential(module, degree, f):
     n, d = A.dim, module.dim
     if degree < 0:
         raise InputError("degree must be nonnegative")
-    if hasattr(f, "table"):
-        # Cochain view: the table of a complex without semigroup grading
-        # holds a single tensor under the empty key.
-        f = f.table[()] if degree > 0 else tuple(f.table[()].entries)
     if degree == 0:
         u = tuple(f) if isinstance(f, (tuple, list)) else tuple(f.entries)
         if len(u) != d:

@@ -133,6 +133,20 @@ def test_degree_cap_and_entry_budget(d1):
     assert err.value.estimated_entries == 2 * 2 * 4 * 2 * 2
 
 
+def test_differential_and_raw_differential_respect_the_size_guard(d1):
+    # A degree-2 cochain of D1 has 64 raw entries, so its basis may hold
+    # 64x64 > 1000 cells; with the default cap 2, degree 4 is over the cap.
+    small = rbf_complex(d1["operator"], max_entries=1000)
+    zeros = (Fraction(0),) * small.raw_dim(2)
+    with pytest.raises(DegreeCapError):
+        small.differential(small.unflatten(2, zeros))
+    with pytest.raises(DegreeCapError):
+        small.raw_differential(2, zeros)
+    capped = rbf_complex(d1["operator"])
+    with pytest.raises(DegreeCapError):
+        capped.differential(capped.unflatten(4, (Fraction(0),) * capped.raw_dim(4)))
+
+
 def test_missing_unit_behavior(d1):
     omega = builtin("left_zero", 2)
     base = d1["base_algebra"]
