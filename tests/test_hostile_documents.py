@@ -151,7 +151,7 @@ def mutations(draw):
             key = draw(st.sampled_from(sorted(node)))
             del node[key]
             return name, doc, f"del {path + (key,)}"
-        node[draw(st.sampled_from(("extra", "0", "kind_")))] = draw(st.sampled_from(HOSTILE[-6:]))
+        node[draw(st.sampled_from(("extra", "0", "kind_")))] = draw(st.sampled_from(HOSTILE))
         return name, doc, f"extra key at {path}"
     objects = doc["objects"]
     if kind == "kind":
