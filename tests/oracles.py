@@ -11,6 +11,9 @@ elimination engine), the package's former
 law primitives ``reports.intertwining_sides`` and ``nested_cases`` and
 ``homalg.is_equivariant`` (frozen as the references of the ones that
 compose each law's sides as whole tensors), the package's former
+``homalg.hochschild_differential`` (frozen, as it called
+``multilinear_apply`` once per term of each basis tuple, as the reference
+of the one that contracts hoisted integer columns), the package's former
 ``check_nijenhuis_element`` (frozen as the reference of the one built on
 the trivial pair's morphism laws), the package's former packed-family
 constructions and hand-split deformed splitting (frozen as the references
@@ -34,7 +37,7 @@ from itertools import product
 from math import lcm, prod
 
 from rbfam.deformations import NSDeformationReport, check_infinitesimal
-from rbfam.errors import InputError, PreconditionError
+from rbfam.errors import InputError, PreconditionError, RouteMismatchError
 from rbfam.family import (
     HomNSFamilyAlgebra,
     HomTridendFamily,
@@ -1382,3 +1385,67 @@ def tuple_is_equivariant(q, p, degree, tensors):
     return not any(
         lhs != rhs for f in tensors for _, lhs, rhs in tuple_intertwining_sides(q, f, f, [p] * degree)
     )
+
+
+def tuple_hochschild_differential(module, degree, f):
+    """The body ``homalg.hochschild_differential`` had while it called
+    ``multilinear_apply`` (through ``act_l``, ``act_r`` and on f) once per
+    term of each basis tuple.
+
+    Kept verbatim, with its membership checks read through the frozen
+    ``tuple_is_equivariant``, so the one that contracts hoisted integer
+    columns over one common denominator can be held to ``repr``-identical
+    tensors and to the same exceptions.
+    """
+    A = module.parent
+    n, d = A.dim, module.dim
+    if degree < 0:
+        raise InputError("degree must be nonnegative")
+    if degree == 0:
+        u = tuple(f) if isinstance(f, (tuple, list)) else tuple(f.entries)
+        if len(u) != d:
+            raise InputError("degree-0 cochain has wrong length")
+        if not tuple_is_equivariant(module.q, A.p, 0, [u]):
+            raise InputError("degree-0 cochain violates q(u) = u")
+        cols = [vsub(module.act_l(x, u), module.act_r(u, x)) for x in A.basis()]
+        out = Tensor.from_function((d, n), lambda k, j: cols[j][k])
+        if not tuple_is_equivariant(module.q, A.p, 1, [out]):
+            raise RouteMismatchError(
+                "differential output violates the membership constraint; "
+                "the underlying bimodule most likely fails its axioms"
+            )
+        return out
+    if f.shape != (d,) + (n,) * degree:
+        raise InputError(f"cochain tensor must have shape {(d,) + (n,) * degree}")
+    if not tuple_is_equivariant(module.q, A.p, degree, [f]):
+        raise InputError("cochain violates the membership constraint q o f = f o p^n")
+
+    p_pow = A.p.power(degree - 1)
+    p_cols = [A.p.column(j) for j in range(n)]
+    ppow_cols = [p_pow.column(j) for j in range(n)]
+    sign_last = 1 if (degree + 1) % 2 == 0 else -1
+
+    inner = n ** (degree + 1)
+    out = [None] * (d * inner)
+    for flat, idx in enumerate(product(range(n), repeat=degree + 1)):
+        acc = list(module.act_l(ppow_cols[idx[0]], tensor_column(f, idx[1:])))
+        tail = module.act_r(tensor_column(f, idx[:-1]), ppow_cols[idx[-1]])
+        for k in range(d):
+            acc[k] = acc[k] + sign_last * tail[k]
+        for i in range(1, degree + 1):
+            args = [p_cols[j] for j in idx[: i - 1]]
+            args.append(A.basis_product(idx[i - 1], idx[i]))
+            args.extend(p_cols[j] for j in idx[i + 1 :])
+            term = multilinear_apply(f, args)
+            sgn = -1 if i % 2 else 1
+            for k in range(d):
+                acc[k] = acc[k] + sgn * term[k]
+        for k in range(d):
+            out[k * inner + flat] = acc[k]
+    result = Tensor((d,) + (n,) * (degree + 1), tuple(out))
+    if not tuple_is_equivariant(module.q, A.p, degree + 1, [result]):
+        raise RouteMismatchError(
+            "differential output violates the membership constraint; "
+            "the underlying bimodule most likely fails its axioms"
+        )
+    return result

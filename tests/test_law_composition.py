@@ -12,6 +12,17 @@ and sums that cancel to 0 among them), unit and dense structure maps,
 seeded unimodular transports of the twisted-triangular packings over C2 and
 the boolean monoid.
 
+A derandomized property holds ``homalg.hochschild_differential`` to the
+body it had while it called ``multilinear_apply`` once per term of each
+basis tuple (``oracles.tuple_hochschild_differential``): the same ``repr``
+or the same exception type and message, at degrees 0-3, on generated
+bimodules (identity, scalar and dense structure maps, rational and
+polynomial entries) and on the seeded transports below, nudged ones
+included.  ``FROZEN_COCYCLES`` pins the sha256 of the degree-2
+differential of phi and of the ``check_two_cocycle`` report of the desk
+cocycles D0-D2, the twisted-triangular packings over C2 and the boolean
+monoid, and one seeded transport of each packing.
+
 ``goldens/dense_transport_reports.json`` pins the ``to_dict()`` of the host
 checkers and ``check_twisted_rbf`` on the seeded transport of the
 twisted-triangular packing over cyclic(3), and of the host checkers on two
@@ -21,6 +32,7 @@ by 1/2).  On the broken ``mu`` the cocycle check stops with a
 frozen from the per-tuple bodies; a failure here means a report changed,
 and the fix belongs in the code, not in the golden file.
 """
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -36,12 +48,21 @@ from hypothesis import strategies as st
 import oracles
 from conftest import _yau_twisted_triangular
 from rbfam.errors import InputError, WorkbenchError
-from rbfam.homalg import check_bimodule, check_hom_algebra, check_two_cocycle, is_equivariant
-from rbfam.linalg import Matrix, Tensor
+from rbfam.homalg import (
+    HomAlgebra,
+    HomBimodule,
+    check_bimodule,
+    check_hom_algebra,
+    check_two_cocycle,
+    hochschild_differential,
+    is_equivariant,
+)
+from rbfam.linalg import Matrix, Tensor, kernel_basis
 from rbfam.operators import check_twisted_rbf
 from rbfam.reports import intertwining_cases, nested_cases
 from rbfam.scalars import TruncatedPoly
 from rbfam.semigroups import builtin
+from rbfam.workspace import desk_instance
 from test_family_constructions import packed_identity, transport_family
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "dense_transport_reports.json"
@@ -273,3 +294,150 @@ def dense_transport_reports():
 
 def test_dense_transport_reports_match_golden():
     assert dense_transport_reports() == json.loads(GOLDEN_PATH.read_text())
+
+
+# ---------------------------------------------------------------------------
+# the Hochschild-type differential
+
+
+def _differential_outcome(differential, module, degree, f):
+    try:
+        return repr(differential(module, degree, f))
+    except WorkbenchError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def populated(draw, shape, poly):
+    """A tensor of ``shape`` with about two entries in three nonzero, drawn
+    from a seeded generator: fractions with non-unit denominators, raw ints
+    and, when ``poly``, polynomials over K[t]/(t^3)."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+
+    def entry():
+        kind = rng.randrange(6 if poly else 4)
+        if kind == 0:
+            return Fraction(0)
+        if kind == 1:
+            return rng.choice((1, -2))
+        if kind < 4:
+            return Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 3, 6)))
+        return TruncatedPoly([Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(ORDER)], ORDER)
+
+    return Tensor(shape, tuple(entry() for _ in range(prod(shape))))
+
+
+@st.composite
+def generated_differential_inputs(draw):
+    """module, degree and cochain f on a generated bimodule.
+
+    With identity structure maps every f is a member; with p = c id and
+    q = c^degree id every f is a member too, and a nonzero image is not
+    (a ``RouteMismatchError``); dense maps mostly reject f.  Now and then f
+    has the wrong shape.
+    """
+    poly = draw(st.booleans())
+    n, d, degree = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    if draw(st.integers(0, 9)) == 0:
+        n, d = draw(st.sampled_from(((0, d), (n, 0))))
+    maps = draw(st.sampled_from(("identity", "identity", "scalar", "dense")))
+    if maps == "identity":
+        p, q = Matrix.identity(n), Matrix.identity(d)
+    elif maps == "scalar":
+        c = draw(st.sampled_from((Fraction(2), Fraction(-1), Fraction(1, 2))))
+        p, q = Matrix.identity(n).scale(c), Matrix.identity(d).scale(c**degree)
+    else:
+        p, q = matrix(draw, n, n, poly), matrix(draw, d, d, poly)
+    structure = tensor if draw(st.booleans()) else populated
+    algebra = HomAlgebra(dim=n, mu=structure(draw, (n, n, n), poly), p=p)
+    module = HomBimodule(
+        parent=algebra, dim=d, left=structure(draw, (d, n, d), poly), right=structure(draw, (d, d, n), poly), q=q
+    )
+    wrong = draw(st.integers(0, 9)) == 0
+    shape = (d + wrong,) + (n,) * degree
+    f = Tensor.zero(shape) if draw(st.integers(0, 4)) == 0 else populated(draw, shape, poly)
+    if degree == 0:
+        f = draw(st.sampled_from((f, f.entries, list(f.entries))))
+    return module, degree, f
+
+
+@st.composite
+def transport_differential_inputs(draw):
+    """module, degree and cochain f on a seeded transport, nudged or not.
+
+    Degree 2 takes phi, degree 0 a q-fixed vector and degree 1 its image
+    under the frozen body (zero when that raises).  Degree 3 is left to the
+    generated bimodules: a transport has 6^4 basis tuples there.
+    """
+    omega = draw(st.sampled_from((("cyclic", 2), ("boolean_monoid", None))))
+    operator = transported(omega, draw(st.integers(0, 3)))
+    module, phi = operator.bimodule, operator.cocycle.phi
+    nudge = draw(st.sampled_from((None, "mu", "phi")))
+    if nudge == "mu":
+        algebra = operator.algebra
+        algebra = replace(algebra, mu=_nudged(algebra.mu, draw(st.integers(0, len(algebra.mu.entries) - 1))))
+        module = replace(module, parent=algebra)
+    elif nudge == "phi":
+        phi = _nudged(phi, draw(st.integers(0, len(phi.entries) - 1)))
+    degree = draw(st.integers(0, 2))
+    fixed = kernel_basis(module.q.sub(Matrix.identity(module.dim)))
+    coefficients = [draw(st.sampled_from((Fraction(0), Fraction(1), Fraction(-2, 3)))) for _ in fixed]
+    u = tuple(sum((c * x for c, x in zip(coefficients, column)), Fraction(0)) for column in zip(*fixed))
+    if not fixed:
+        u = (Fraction(0),) * module.dim
+    if degree == 0:
+        return module, 0, u
+    if degree == 2:
+        return module, 2, phi
+    try:
+        f = oracles.tuple_hochschild_differential(module, 0, u)
+    except WorkbenchError:
+        f = Tensor.zero((module.dim, module.parent.dim))
+    return module, 1, f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.one_of(generated_differential_inputs(), transport_differential_inputs()))
+def test_hochschild_differential_matches_frozen_body(case):
+    new = _differential_outcome(hochschild_differential, *case)
+    assert new == _differential_outcome(oracles.tuple_hochschild_differential, *case)
+
+
+FROZEN_COCYCLES = {
+    "D0/d2": "e8a651f0c89b45c1d231e76cd139382738b6975053e353c0590b57f9d2821eab",
+    "D0/report": "b6909117ec5ba3f9e5562afe4ed167eef30e53c3e09e57c7a633f00db9610b37",
+    "D1/d2": "d4cf57d9cd46608e61861a5ce37777c245ca2c236a34832786f04d8e1eaa23c8",
+    "D1/report": "b6909117ec5ba3f9e5562afe4ed167eef30e53c3e09e57c7a633f00db9610b37",
+    "D2/d2": "d4cf57d9cd46608e61861a5ce37777c245ca2c236a34832786f04d8e1eaa23c8",
+    "D2/report": "b6909117ec5ba3f9e5562afe4ed167eef30e53c3e09e57c7a633f00db9610b37",
+    "cyclic/packed/d2": "22e737a112add6759dbf50ec37cd0aa1d65ad3d166100be35d5351ea7ec26531",
+    "cyclic/packed/report": "b6909117ec5ba3f9e5562afe4ed167eef30e53c3e09e57c7a633f00db9610b37",
+    "cyclic/transport/d2": "22e737a112add6759dbf50ec37cd0aa1d65ad3d166100be35d5351ea7ec26531",
+    "cyclic/transport/report": "b6909117ec5ba3f9e5562afe4ed167eef30e53c3e09e57c7a633f00db9610b37",
+    "boolean_monoid/packed/d2": "22e737a112add6759dbf50ec37cd0aa1d65ad3d166100be35d5351ea7ec26531",
+    "boolean_monoid/packed/report": "b6909117ec5ba3f9e5562afe4ed167eef30e53c3e09e57c7a633f00db9610b37",
+    "boolean_monoid/transport/d2": "22e737a112add6759dbf50ec37cd0aa1d65ad3d166100be35d5351ea7ec26531",
+    "boolean_monoid/transport/report": "b6909117ec5ba3f9e5562afe4ed167eef30e53c3e09e57c7a633f00db9610b37",
+}
+
+
+def frozen_cocycles():
+    """The desk cocycles, the twisted-triangular packings and one seeded
+    transport of each packing."""
+    cocycles = {name: desk_instance(name)["cocycle"] for name in ("D0", "D1", "D2")}
+    for omega in (("cyclic", 2), ("boolean_monoid", None)):
+        cocycles[f"{omega[0]}/packed"] = packed_identity(_yau_twisted_triangular(), builtin(*omega)).cocycle
+        cocycles[f"{omega[0]}/transport"] = transported(omega, 0).cocycle
+    return cocycles
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_cocycle_differentials_and_reports_match_frozen_digests():
+    listing = {}
+    for name, cocycle in frozen_cocycles().items():
+        listing[f"{name}/d2"] = _digest(hochschild_differential(cocycle.host, 2, cocycle.phi))
+        listing[f"{name}/report"] = _digest(check_two_cocycle(cocycle).to_dict())
+    assert len(listing) == 14
+    assert listing == FROZEN_COCYCLES
