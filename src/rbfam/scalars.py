@@ -168,6 +168,9 @@ class TruncatedPoly:
         return NotImplemented
 
     def __hash__(self):
+        # A constant equals its rational (see __eq__), so it hashes as one.
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.coeffs, self.order))
 
     def __bool__(self):

@@ -86,3 +86,23 @@ def test_truncation_discards_high_degrees():
     t = TruncatedPoly.t(3)
     full = (1 + t) * (1 + t) * (1 + t)  # 1 + 3t + 3t^2 (+ t^3 dropped)
     assert full == TruncatedPoly([1, 3, 3], 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=poly(), b=st.one_of(poly(), rationals, st.integers(-5, 5)))
+def test_equal_scalars_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_constant_poly_hashes_as_its_constant():
+    from rbfam.linalg import Matrix
+
+    one = TruncatedPoly.constant(1, 3)
+    assert one == Fraction(1) and hash(one) == hash(Fraction(1)) == hash(1)
+    assert hash(TruncatedPoly([0], 3)) == hash(Fraction(0))
+    assert len({Matrix(1, 1, (one,)), Matrix(1, 1, (Fraction(1),))}) == 1
+    assert {Fraction(1): "one"}[one] == "one"
+    # A nonconstant polynomial equals no rational and keeps its own hash.
+    t = TruncatedPoly.t(3)
+    assert t != Fraction(0) and len({Matrix(1, 1, (t,)), Matrix(1, 1, (Fraction(0),))}) == 2
