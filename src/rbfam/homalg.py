@@ -14,12 +14,18 @@ packed construction goes through them; nothing else decodes a packed index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import InputError, RouteMismatchError
 from .linalg import (
+    ZERO,
     Matrix,
     Tensor,
+    _columns,
+    _contract,
+    _multipliers,
+    _values,
     block_diag,
     multilinear_apply,
     tensor_column,
@@ -31,7 +37,7 @@ from .reports import (
     CheckReport,
     ensure_valid,
     intertwining_cases,
-    intertwining_sides,
+    intertwining_residual,
     nested_cases,
     run_law,
 )
@@ -180,14 +186,13 @@ def is_equivariant(q, p, degree, tensors):
     axes (or, in degree 1, a matrix); in degree 0 it is a vector (tuple or
     tensor) and the condition is q(u) = u.  The law is the intertwining law
     of ``reports.intertwining_cases`` with out = q, T = T' = f, in = p,
-    read through ``intertwining_sides``: no where-dict and no residual.
+    read as one residual state through ``intertwining_residual``: no
+    where-dict and no residual column.
     """
     if degree and q.is_identity() and p.is_identity():
         return True
     tensors = (Tensor((len(f),), f) if isinstance(f, tuple) else f for f in tensors)
-    return not any(
-        lhs != rhs for f in tensors for _, lhs, rhs in intertwining_sides(q, f, f, [p] * degree)
-    )
+    return not any(any(intertwining_residual(q, f, f, [p] * degree)[0].values()) for f in tensors)
 
 
 def hochschild_differential(module, degree, f):
@@ -222,28 +227,49 @@ def hochschild_differential(module, degree, f):
     if not is_equivariant(module.q, A.p, degree, [f]):
         raise InputError("cochain violates the membership constraint q o f = f o p^n")
 
+    # Every term is a contraction of hoisted columns: act_l on a column of
+    # p^(n-1) and one of f, act_r on a column of f and one of p^(n-1), and
+    # f on columns of p and one basis product.  Each term's numerators count
+    # in units of 1/dens[t]; its tensor's columns carry the sign and the
+    # factor to the common denominator.  Polynomial entries run the same
+    # loop on the entries themselves, with multipliers +-1 and no den.
     p_pow = A.p.power(degree - 1)
-    p_cols = [A.p.column(j) for j in range(n)]
-    ppow_cols = [p_pow.column(j) for j in range(n)]
+    scales, (left, right, fv, p, ppow, mu) = _values((module.left, module.right, f, A.p, p_pow, A.mu))
+    dens = None
+    if scales is not None:
+        s_left, s_right, s_f, s_p, s_ppow, s_mu = scales
+        dens = (s_left * s_ppow * s_f, s_right * s_f * s_ppow, s_f * s_p ** (degree - 1) * s_mu)
     sign_last = 1 if (degree + 1) % 2 == 0 else -1
+    (m_left, m_right, m_f), den = _multipliers((1, sign_last, 1), dens)
+
+    def columns(t, values, m):
+        return [tuple((k, c * m) for k, c in column) for column in _columns(values, t.shape)]
+
+    act_l, act_r = columns(module.left, left, m_left), columns(module.right, right, m_right)
+    # The i-th inner term carries the sign (-1)^i: f_terms[i % 2].
+    f_terms = (columns(f, fv, m_f), columns(f, fv, -m_f))
+    p_cols = [p[j::n] for j in range(n)]
+    ppow_cols = [ppow[j::n] for j in range(n)]
+    products = [mu[j :: n * n] for j in range(n * n)]
+    f_inner = n**degree
+    f_cols = [fv[j::f_inner] for j in range(f_inner)]
+    zero = ZERO if den is None else 0
 
     inner = n ** (degree + 1)
-    out = [None] * (d * inner)
+    out = [ZERO] * (d * inner)
     for flat, idx in enumerate(iproduct(range(n), repeat=degree + 1)):
-        acc = list(module.act_l(ppow_cols[idx[0]], tensor_column(f, idx[1:])))
-        tail = module.act_r(tensor_column(f, idx[:-1]), ppow_cols[idx[-1]])
-        for k in range(d):
-            acc[k] = acc[k] + sign_last * tail[k]
+        acc = _contract(act_l, [ppow_cols[idx[0]], f_cols[flat % f_inner]], [zero] * d, 1)
+        _contract(act_r, [f_cols[flat // n], ppow_cols[idx[-1]]], acc, 1)
         for i in range(1, degree + 1):
             args = [p_cols[j] for j in idx[: i - 1]]
-            args.append(A.basis_product(idx[i - 1], idx[i]))
+            args.append(products[idx[i - 1] * n + idx[i]])
             args.extend(p_cols[j] for j in idx[i + 1 :])
-            term = multilinear_apply(f, args)
-            sgn = -1 if i % 2 else 1
-            for k in range(d):
-                acc[k] = acc[k] + sgn * term[k]
-        for k in range(d):
-            out[k * inner + flat] = acc[k]
+            _contract(f_terms[i % 2], args, acc, 1)
+        for k, v in enumerate(acc):
+            if den is None:
+                out[k * inner + flat] = v
+            elif v:
+                out[k * inner + flat] = Fraction(v, den)
     result = Tensor((d,) + (n,) * (degree + 1), tuple(out))
     if not is_equivariant(module.q, A.p, degree + 1, [result]):
         raise RouteMismatchError(

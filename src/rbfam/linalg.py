@@ -5,17 +5,19 @@ Everything is immutable and every operation is a pure function of its
 inputs, so values are safe to share across threads.  Matrix-vector products
 and multilinear contraction run over the arguments' supports (their nonzero
 coordinates), reading a tensor through a sparse column view built once per
-tensor; a law's sides are composed as whole tensors (``_compose``), one
-slot at a time over nonzero entries.
+tensor; a law's sides are composed one slot at a time over nonzero
+entries by one kernel, ``_compose_state``, which returns the sparse state
+{flat index: value} that ``_compose`` turns into a tensor and the law
+primitives of ``reports`` sum into residuals.
 
 Rationals become integers in one place, ``_integer_view``: the lcm of the
 entries' denominators and the entries scaled by it.  Each ``Tensor`` and
 ``Matrix`` caches its view on first use (a tensor its integer sparse
-columns too), so ``multilinear_apply`` and ``_compose`` contract integer
-numerators and build one ``Fraction`` per output entry.  An entry that is
-neither an int nor a ``Fraction`` (a ``TruncatedPoly``, a float) leaves its
-tensor or matrix without a view: contraction then runs on the entries
-themselves, and elimination refuses the matrix.
+columns too), so ``multilinear_apply`` and ``_compose_state`` contract
+integer numerators and a ``Fraction`` is built once per output entry.  An
+entry that is neither an int nor a ``Fraction`` (a ``TruncatedPoly``, a
+float) leaves its tensor or matrix without a view: contraction then runs on
+the entries themselves, and elimination refuses the matrix.
 
 Elimination (``rank``, ``kernel_supports``, ``solve``, ``invert_matrix``)
 runs on sparse integer rows ``{column: value}``: columns are eliminated
@@ -409,8 +411,8 @@ def _compose(outer, parts):
     (a_s, *in_s), a ``Matrix`` counting as its (rows, cols) tensor; the
     result has shape (d, *in_0, ..., *in_{m-1}) and the entry sum over a
     of outer[k][a] * parts[0][a_0][i_0] * ... * parts[m-1][a_{m-1}][i_{m-1}].  Slots are contracted one at a time over
-    nonzero supports, so outer o (first x inner) costs O(n^5) where one
-    contraction per basis triple costs O(n^6).
+    nonzero supports (``_compose_state``), so outer o (first x inner) costs
+    O(n^5) where one contraction per basis triple costs O(n^6).
 
     An entry fed by at least one product of nonzero factors is that sum,
     even when it cancels to 0; every other entry is ``ZERO``.  That keeps
@@ -421,25 +423,38 @@ def _compose(outer, parts):
     (each scaled by the lcm of its denominators) and divides once at the
     end; a ``TruncatedPoly`` entry anywhere keeps the entries themselves.
     """
-    views = [t.integer_view for t in (outer, *parts)]
+    scales, values = _values((outer, *parts))
     outer, parts = _as_tensor(outer), [_as_tensor(t) for t in parts]
     shape = outer.shape
     if len(shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, shape[1:])):
         raise InputError(f"cannot compose shape {shape} with {[t.shape for t in parts]}")
-    if None not in views:
-        values = [ints for _, ints in views]
-        den = prod(scale for scale, _ in views)
-    else:
-        values = [[ensure_scalar(e) for e in t.entries] for t in (outer, *parts)]
-        den = None
-    state = {f: e for f, e in enumerate(values[0]) if e}
+    rows = [_rows(v, t.shape[0], prod(t.shape[1:])) for t, v in zip(parts, values[1:])]
+    state = _compose_state(shape, _nonzeros(values[0]), rows)
+    out_shape = shape[:1] + sum((t.shape[1:] for t in parts), ())
+    out = [ZERO] * prod(out_shape)
+    den = None if scales is None else prod(scales)
+    for k, v in state.items():
+        out[k] = v if den is None else Fraction(v, den)
+    return Tensor(out_shape, tuple(out))
+
+
+def _compose_state(shape, state, parts):
+    """The sparse state {flat: value} of outer o (parts[0] x ... x parts[m-1]).
+
+    ``state`` holds the nonzero entries of ``outer``, of shape
+    (d, a_0, ..., a_{m-1}), by row-major flat index.  parts[s] is
+    (rows, size) for a part of shape (a_s, *in_s): size is the product of
+    in_s and rows[a] the nonzero (j, x) of part[a] by flat index j over
+    in_s (what ``_rows`` gives).  The result is keyed by the flat index
+    over (d, *in_0, ..., *in_{m-1}) and holds every entry fed by a product
+    of nonzero factors, even one that cancels to 0.  Values are whatever
+    the inputs hold, integer numerators or the entries themselves; the
+    kernel of ``_compose`` and of the law primitives in ``reports``.
+    ``state`` is only read.
+    """
     remaining = prod(shape[1:])
-    for s, (part, entries) in enumerate(zip(parts, values[1:])):
-        size, rest = prod(part.shape[1:]), prod(shape[s + 2 :])
-        rows = [
-            [(j, x) for j, x in enumerate(entries[a * size : (a + 1) * size]) if x]
-            for a in range(part.shape[0])
-        ]
+    for s, (rows, size) in enumerate(parts):
+        rest = prod(shape[s + 2 :])
         acc = {}
         get = acc.get
         for key, c in state.items():
@@ -451,11 +466,42 @@ def _compose(outer, parts):
                 v = get(k)
                 acc[k] = c * x if v is None else v + c * x
         state, remaining = acc, rest
-    out_shape = shape[:1] + sum((t.shape[1:] for t in parts), ())
-    out = [ZERO] * prod(out_shape)
-    for k, v in state.items():
-        out[k] = v if den is None else Fraction(v, den)
-    return Tensor(out_shape, tuple(out))
+    return state
+
+
+def _rows(entries, count, size):
+    """(rows, size) of ``count`` consecutive rows of length ``size`` of a
+    row-major ``entries``: rows[a] is the nonzero (j, x) of row a."""
+    rows = [[(j, x) for j, x in enumerate(entries[a * size : (a + 1) * size]) if x] for a in range(count)]
+    return rows, size
+
+
+def _nonzeros(entries):
+    """The state {flat: x} of the nonzero entries."""
+    return {f: x for f, x in enumerate(entries) if x}
+
+
+def _values(tensors):
+    """(scales, values) of tensors and matrices: each one's cached integer
+    view, or, when one of them has none (a ``TruncatedPoly`` entry), scales
+    None and the entries themselves."""
+    views = [t.integer_view for t in tensors]
+    if None not in views:
+        return [scale for scale, _ in views], [ints for _, ints in views]
+    return None, [[ensure_scalar(e) for e in t.entries] for t in tensors]
+
+
+def _multipliers(signs, dens):
+    """(multipliers, den) that put signed states over one denominator.
+
+    A state over dens[t] is scaled by signs[t] * (den // dens[t]), den the
+    lcm of ``dens``.  With ``dens`` None the states hold the entries
+    themselves: the multipliers are the signs and den is None.
+    """
+    if dens is None:
+        return list(signs), None
+    den = lcm(*dens)
+    return [sign * (den // d) for sign, d in zip(signs, dens)], den
 
 
 def _as_tensor(t):

@@ -40,7 +40,6 @@ from .reports import (
     CheckReport,
     ensure_valid,
     intertwining_cases,
-    intertwining_sides,
     run_law,
 )
 from .scalars import ensure_rational
@@ -183,10 +182,10 @@ def _family_identity(omega, mu, maps, total, names):
     """
     for alpha, beta in iproduct(omega.elements(), repeat=2):
         m_ab = maps[omega.mul(alpha, beta)]
-        for idx, lhs, rhs in intertwining_sides(m_ab, total[alpha][beta], mu, [maps[alpha], maps[beta]]):
-            case = {"alpha": alpha, "beta": beta}
-            case.update(zip(names, idx))
-            yield case, vsub(rhs, lhs)
+        where = {"alpha": alpha, "beta": beta}
+        ins = [maps[alpha], maps[beta]]
+        for case, residual in intertwining_cases(m_ab, total[alpha][beta], mu, ins, names, where):
+            yield case, tuple(-c for c in residual)
 
 
 def family_identity_cases(operator, maps):

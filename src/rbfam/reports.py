@@ -20,14 +20,15 @@ its JSON, depend on that order.
 
 An intertwining law ``out o T = T' o (in_1 x ... x in_n)`` (multiplicativity
 of a structure map, a morphism condition, cochain membership) is checked
-through ``intertwining_cases`` or its sides ``intertwining_sides``.  That
-includes a law read off one coefficient of such a law over K[t]/(t^k):
-the Nijenhuis-element laws are coefficients of the morphism laws of the
-trivial pair (phi^t, psi^t).  It also includes the family identities
-(twisted Rota-Baxter, Nijenhuis, weighted Rota-Baxter): on each pair
-(a, b) the identity is M_ab o total_ab = mu o (M_a x M_b) against the
-composed induced total product, with residual rhs - lhs, so the where-keys
-and residuals are those of the identity evaluated per basis pair.
+through ``intertwining_cases``, or, for a yes/no, through its residual
+state ``intertwining_residual``.  That includes a law read off one
+coefficient of such a law over K[t]/(t^k): the Nijenhuis-element laws are
+coefficients of the morphism laws of the trivial pair (phi^t, psi^t).  It
+also includes the family identities (twisted Rota-Baxter, Nijenhuis,
+weighted Rota-Baxter): on each pair (a, b) the identity is
+M_ab o total_ab = mu o (M_a x M_b) against the composed induced total
+product, with residual rhs - lhs, so the where-keys and residuals are
+those of the identity evaluated per basis pair.
 
 A nested-product law is a signed sum of terms outer(first x, inner(y, z))
 and outer(inner(x, y), last z), with a structure map on the outer slot
@@ -39,20 +40,31 @@ and then one key per slot of the triple, and the residual is the signed
 sum of the terms, so it is lhs - rhs when the terms of the law's left side
 carry +1 and those of its right side -1.
 
-Both primitives compute a law's sides as whole composed tensors, through
-``linalg._compose``: out o T and T' o (in_1 x ... x in_n), and per first
-index i each nested term outer o (first e_i x inner) or
-outer o (inner(e_i, -) x last).  A residual is the difference or signed
-sum of entries of those tensors, read off in the order above.  An entry
-fed by a product of nonzero factors keeps that sum's type even when it
-cancels to 0, every other entry is ``ZERO``, so each residual entry is a
-``TruncatedPoly`` or a ``Fraction`` exactly as when each tuple was
-contracted on its own.  Three per-tuple paths stay, each an
-independent second route that must not share the composed computation:
-``homalg.hochschild_differential`` (in degree 2 its terms are the
-compositions of the direct 2-cocycle identity), the direct stencil of the
-family differential (``operators.twisted_inner_sum``, cross-checked
-against the generic route on the induced bimodule), and
+Integer residual states.  Both primitives compose a law's sides with
+``linalg._compose_state``, the kernel of ``linalg._compose``: out o T and
+T' o (in_1 x ... x in_n), and per first index i each nested term
+outer o (first e_i x inner) or outer o (inner(e_i, -) x last), its rows
+sliced off the law's inputs.  When every input has an integer view, each
+side is a sparse state {flat index: integer numerator} over the product of
+its inputs' scales; the residual is one state, the sum of each side's
+state times sign * (D // den) for D the lcm of the sides' denominators.
+The entry-type rule: a residual entry is ``Fraction(v, D)`` where its
+numerator v is nonzero and ``ZERO`` elsewhere, and a residual column with
+no nonzero entry is one shared (ZERO,) * d tuple.  A ``TruncatedPoly``
+entry anywhere runs the same loop on the entries themselves, with
+multipliers +-1 and no denominator: an entry fed by a product of nonzero
+factors keeps that sum's type even when it cancels to 0, and every other
+entry is ``ZERO``.  Either way each residual entry is a ``TruncatedPoly``
+or a ``Fraction`` exactly as when each tuple was contracted on its own.
+
+Three per-tuple paths stay, each an independent second route that must
+not share the composed computation: ``homalg.hochschild_differential``
+(in degree 2 its terms are the compositions of the direct 2-cocycle
+identity; it contracts hoisted integer columns per basis tuple with
+``linalg._contract``, the kernel of ``multilinear_apply``, and never calls
+``_compose`` or ``_compose_state``), the direct stencil of the family
+differential (``operators.twisted_inner_sum``, cross-checked against the
+generic route on the induced bimodule), and
 ``operators.search_nijenhuis_families``: it binds one map at a time and
 tests each basis tuple as soon as its maps are bound, so most prefixes
 fail on an early tuple, and composing every law side in full per
@@ -61,11 +73,12 @@ candidate would cost more than the search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product as iproduct
-from math import prod
+from math import lcm, prod
 
 from .errors import InputError, PreconditionError
-from .linalg import ZERO, Tensor, _as_tensor, _compose, vadd, vsub
+from .linalg import ZERO, _as_tensor, _compose_state, _multipliers, _nonzeros, _rows, _values
 from .scalars import format_scalar
 
 DEFAULT_MAX_VIOLATIONS = 16
@@ -181,27 +194,44 @@ def intertwining_cases(out, src, tgt, ins, names, where=None):
     and v of ``tgt``.  Entries may be any exact scalars.
     """
     prefix = where or {}
-    for idx, lhs, rhs in intertwining_sides(out, src, tgt, ins):
+    state, den, shape = intertwining_residual(out, src, tgt, ins)
+    indices = iproduct(*(range(d) for d in shape[1:]))
+    for idx, residual in zip(indices, _residual_columns(state, den, shape)):
         case = dict(prefix)
         case.update(zip(names, idx))
-        yield case, vsub(lhs, rhs)
+        yield case, residual
 
 
-def intertwining_sides(out, src, tgt, ins):
-    """(idx, lhs, rhs) of ``intertwining_cases``, in the same order.
+def intertwining_residual(out, src, tgt, ins):
+    """(state, den, shape): the residual out o src - tgt o (ins[0] x ... x
+    ins[n-1]) of ``intertwining_cases`` as one sparse state.
 
-    lhs and rhs are the columns at idx of the composed tensors out o src
-    and tgt o (ins[0] x ... x ins[n-1]).  For a yes/no (cochain
-    membership) that needs neither a where-dict nor a residual: the law
-    holds when lhs == rhs on every idx.
+    ``shape`` is (d, *input extents of src) and ``state`` maps flat indices
+    over it to numerators over ``den`` (entries themselves when ``den`` is
+    None).  For a yes/no (cochain membership) that needs neither a
+    where-dict nor a residual column: the law holds when every value is 0.
     """
-    lhs = _compose(out, [src])
-    rhs = _compose(tgt, ins)
-    if lhs.shape != rhs.shape:
-        raise InputError(f"law sides of shapes {lhs.shape} and {rhs.shape}")
-    inner = prod(lhs.shape[1:])
-    for flat, idx in enumerate(iproduct(*(range(d) for d in lhs.shape[1:]))):
-        yield idx, lhs.entries[flat::inner], rhs.entries[flat::inner]
+    src_shape, tgt_shape = _as_tensor(src).shape, _as_tensor(tgt).shape
+    ins_shapes = [(m.rows, m.cols) for m in ins]
+    shape = (out.rows, *src_shape[1:])
+    if (
+        out.cols != src_shape[0]
+        or tgt_shape[1:] != tuple(r for r, _ in ins_shapes)
+        or shape != (tgt_shape[0], *(c for _, c in ins_shapes))
+    ):
+        raise InputError(
+            f"law sides {(out.rows, out.cols)} o {src_shape} and {tgt_shape} o {ins_shapes} do not match"
+        )
+    scales, values = _values((out, src, tgt, *ins))
+    dens = None if scales is None else (scales[0] * scales[1], prod(scales[2:]))
+    (lhs_m, rhs_m), den = _multipliers((1, -1), dens)
+    lhs = [_rows(values[1], out.cols, prod(shape[1:]))]
+    rhs = [_rows(v, m.rows, m.cols) for m, v in zip(ins, values[3:])]
+    sides = [
+        (lhs_m, (out.rows, out.cols), _nonzeros(values[0]), lhs),
+        (rhs_m, tgt_shape, _nonzeros(values[2]), rhs),
+    ]
+    return _signed_state(sides), den, shape
 
 
 def nested_cases(first, last, terms, names, where=None):
@@ -218,41 +248,96 @@ def nested_cases(first, last, terms, names, where=None):
     zip(names, (i, j, k)) and residual the signed sum of the terms.  Entries
     may be any exact scalars.
 
-    For each i, every term is composed as one tensor over (j, k):
-    outer o (inner[:, i, :] x last) or outer o (first e_i x inner).
+    For each i, every term is composed as one state over (j, k):
+    outer o (inner[:, i, :] x last) or outer o (first e_i x inner), its
+    sliced rows read off the law's integer views, and the states are
+    summed over one common denominator.
     """
     _, outer0, inner0, left0 = terms[0]
     middle = inner0.shape[2] if left0 else inner0.shape[1]
     shape = (outer0.shape[0], middle, last.cols)
-    first, last = _as_tensor(first), _as_tensor(last)
-    inner_size = prod(shape[1:])
+    count = first.cols
+    for _, outer, inner, left in terms:
+        e = inner.shape[0] if inner.shape else -1
+        if left:
+            want = ((shape[0], e, last.rows), (e, count, middle))
+        else:
+            want = ((shape[0], first.rows, e), (e, middle, last.cols))
+        if (outer.shape, inner.shape) != want:
+            raise InputError(f"nested term of shapes {outer.shape} and {inner.shape}, expected {want}")
+    scales, values = _values([first, last, *(t for _, outer, inner, _ in terms for t in (outer, inner))])
+    dens = None
+    if scales is not None:
+        edges = (scales[1] if left else scales[0] for *_, left in terms)
+        dens = [s_outer * s_inner * s for s_outer, s_inner, s in zip(scales[2::2], scales[3::2], edges)]
+    multipliers, den = _multipliers([sign for sign, *_ in terms], dens)
+    # Row a * count + i of ``firsts`` is first[a][i], and of a left term's
+    # inner rows inner[a][i][:]: both are sliced per i.  A right term's
+    # inner is one fixed part.
+    firsts, _ = _rows(values[0], first.rows * count, 1)
+    lasts = _rows(values[1], last.rows, last.cols)
+    prepared = []
+    for m, term, outer_values, entries in zip(multipliers, terms, values[2::2], values[3::2]):
+        _, outer, inner, left = term
+        e = inner.shape[0]
+        rows = _rows(entries, e * count, middle)[0] if left else _rows(entries, e, middle * last.cols)
+        prepared.append((m, outer.shape, _nonzeros(outer_values), rows, left))
     prefix = where or {}
-    for i in range(first.shape[1]):
-        residual = (ZERO,) * prod(shape)
-        for sign, outer, inner, left in terms:
+    for i in range(count):
+        composed = []
+        for m, outer_shape, outer_state, rows, left in prepared:
+            heads = range(outer_shape[1])
             if left:
-                if inner.shape[1] != first.shape[1]:
-                    raise InputError(f"inner tensor of shape {inner.shape} for {first.shape[1]} first indices")
-                term = _compose(outer, [_at_first_input(inner, i), last])
+                parts = [([rows[a * count + i] for a in heads], middle), lasts]
             else:
-                term = _compose(outer, [_at_first_input(first, i), inner])
-            if term.shape != shape:
-                raise InputError(f"nested term of shape {term.shape}, expected {shape}")
-            residual = vadd(residual, term.entries) if sign > 0 else vsub(residual, term.entries)
-        for flat, (j, k) in enumerate(iproduct(range(middle), range(shape[2]))):
+                parts = [([firsts[a * count + i] for a in heads], 1), rows]
+            composed.append((m, outer_shape, outer_state, parts))
+        state = _signed_state(composed)
+        indices = iproduct(range(middle), range(shape[2]))
+        for (j, k), residual in zip(indices, _residual_columns(state, den, shape)):
             case = dict(prefix)
             case.update(zip(names, (i, j, k)))
-            yield case, residual[flat::inner_size]
+            yield case, residual
 
 
-def _at_first_input(t, i):
-    """t[:, i, ...]: the tensor ``t`` with its first input index fixed at i."""
-    d, n, rest = t.shape[0], t.shape[1], prod(t.shape[2:])
-    entries = t.entries
-    return Tensor(
-        t.shape[:1] + t.shape[2:],
-        tuple(e for k in range(d) for e in entries[(k * n + i) * rest : (k * n + i + 1) * rest]),
-    )
+def _signed_state(terms):
+    """The state of the sum of m * (outer o (parts...)) over the terms
+    (m, outer shape, outer state, parts) of ``_compose_state``."""
+    acc = {}
+    get = acc.get
+    for m, shape, state, parts in terms:
+        for k, v in _compose_state(shape, state, parts).items():
+            w = get(k)
+            acc[k] = v * m if w is None else w + v * m
+    return acc
+
+
+def _residual_columns(state, den, shape):
+    """The columns of a residual state over ``shape`` = (d, *inputs), one
+    tuple per input tuple in row-major order.
+
+    An entry is ``Fraction(v, den)`` for a nonzero numerator v, or the
+    state's own value when ``den`` is None (entries, not numerators: a
+    ``TruncatedPoly`` keeps its type, even when it cancels to 0); every
+    other entry is ``ZERO``.  A column with no such entry is one shared
+    (ZERO,) * d tuple.
+    """
+    d, inner = shape[0], prod(shape[1:])
+    columns = {}
+    for flat, v in state.items():
+        if den is not None:
+            if not v:
+                continue
+            v = Fraction(v, den)
+        k, c = divmod(flat, inner)
+        column = columns.get(c)
+        if column is None:
+            column = columns[c] = [ZERO] * d
+        column[k] = v
+    zero = (ZERO,) * d
+    for c in range(inner):
+        column = columns.get(c)
+        yield zero if column is None else tuple(column)
 
 
 def run_law(report, name, cases, max_violations=DEFAULT_MAX_VIOLATIONS):
