@@ -75,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm, prod
+from math import prod
 
 from .errors import InputError, PreconditionError
 from .linalg import ZERO, _as_tensor, _compose_state, _multipliers, _nonzeros, _rows, _values
