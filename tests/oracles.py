@@ -22,7 +22,10 @@ K[t]/(t^2)), the package's former family identities and induced
 products (frozen as the references of the ones read off products composed
 as whole tensors), the package's former Nijenhuis grid search (frozen, as
 it enumerated every candidate, as the reference of the map-by-map
-search), a twist-free family-law
+search), the package's former entrywise ``Matrix`` and ``Tensor`` code and
+``linalg._compose`` (frozen, as each class wrote its own and ``_compose``
+copied a ``Matrix`` into a ``Tensor``, as the references of the shared
+array layer), a twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
 maps), and the dense raw x raw membership-constraint matrix of a cochain
@@ -65,6 +68,10 @@ from rbfam.linalg import (
     ZERO,
     Matrix,
     Tensor,
+    _compose_state,
+    _nonzeros,
+    _rows,
+    _values,
     multilinear_apply,
     tensor_column,
     unit_vector,
@@ -89,7 +96,7 @@ from rbfam.reports import (
     require_pass,
     run_law,
 )
-from rbfam.scalars import TruncatedPoly, ensure_rational
+from rbfam.scalars import TruncatedPoly, ensure_rational, ensure_scalar
 from rbfam.semigroups import FiniteSemigroup, builtin
 
 READING_NOTE = (
@@ -1449,3 +1456,96 @@ def tuple_hochschild_differential(module, degree, f):
             "the underlying bimodule most likely fails its axioms"
         )
     return result
+
+
+# ---------------------------------------------------------------------------
+# entrywise array code, frozen while Matrix and Tensor each wrote their own
+
+
+def matrix_add(a, b):
+    """``Matrix.add`` as written apart from ``Tensor.add``.
+
+    Kept verbatim, like the other ``matrix_*`` and ``tensor_*`` bodies
+    below, so the array layer the two classes share can be held to
+    ``repr``-identical results and the same exceptions.
+    """
+    if a.rows != b.rows or a.cols != b.cols:
+        raise InputError("matrix shape mismatch")
+    return Matrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
+
+
+def matrix_sub(a, b):
+    if a.rows != b.rows or a.cols != b.cols:
+        raise InputError("matrix shape mismatch")
+    return Matrix(a.rows, a.cols, tuple(x - y for x, y in zip(a.entries, b.entries)))
+
+
+def matrix_neg(a):
+    return Matrix(a.rows, a.cols, tuple(-x for x in a.entries))
+
+
+def matrix_scale(a, c):
+    c = ensure_scalar(c)
+    return Matrix(a.rows, a.cols, tuple(c * x for x in a.entries))
+
+
+def matrix_is_zero(a):
+    return not any(a.entries)
+
+
+def matrix_is_identity(a):
+    if a.rows != a.cols:
+        return False
+    return all(
+        a.at(i, j) == (ONE if i == j else ZERO)
+        for i in range(a.rows)
+        for j in range(a.cols)
+    )
+
+
+def tensor_add(a, b):
+    if a.shape != b.shape:
+        raise InputError("tensor shape mismatch")
+    return Tensor(a.shape, tuple(x + y for x, y in zip(a.entries, b.entries)))
+
+
+def tensor_sub(a, b):
+    if a.shape != b.shape:
+        raise InputError("tensor shape mismatch")
+    return Tensor(a.shape, tuple(x - y for x, y in zip(a.entries, b.entries)))
+
+
+def tensor_neg(a):
+    return Tensor(a.shape, tuple(-x for x in a.entries))
+
+
+def tensor_scale(a, c):
+    c = ensure_scalar(c)
+    return Tensor(a.shape, tuple(c * x for x in a.entries))
+
+
+def tensor_is_zero(a):
+    return not any(a.entries)
+
+
+def copying_compose(outer, parts):
+    """The body ``linalg._compose`` had while it copied every ``Matrix``
+    input into a ``Tensor`` (``_as_tensor``) to read its shape.
+
+    Kept verbatim, on the package kernel ``_compose_state``, so the one that
+    reads a ``Matrix`` in place can be held to ``repr``-identical tensors
+    and to the same exceptions.
+    """
+    scales, values = _values((outer, *parts))
+    outer, parts = _as_tensor(outer), [_as_tensor(t) for t in parts]
+    shape = outer.shape
+    if len(shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, shape[1:])):
+        raise InputError(f"cannot compose shape {shape} with {[t.shape for t in parts]}")
+    rows = [_rows(v, t.shape[0], prod(t.shape[1:])) for t, v in zip(parts, values[1:])]
+    state = _compose_state(shape, _nonzeros(values[0]), rows)
+    out_shape = shape[:1] + sum((t.shape[1:] for t in parts), ())
+    out = [ZERO] * prod(out_shape)
+    den = None if scales is None else prod(scales)
+    for k, v in state.items():
+        out[k] = v if den is None else Fraction(v, den)
+    return Tensor(out_shape, tuple(out))

@@ -10,15 +10,29 @@ from oracles import (
     bareiss_kernel_supports,
     bareiss_rank,
     bareiss_solve,
+    copying_compose,
     dense_multilinear,
+    matrix_add,
+    matrix_is_identity,
+    matrix_is_zero,
+    matrix_neg,
+    matrix_scale,
+    matrix_sub,
     naive_multilinear,
     naive_rank,
     nested_of,
     rows_of,
+    tensor_add,
+    tensor_is_zero,
+    tensor_neg,
+    tensor_scale,
+    tensor_sub,
 )
 from rbfam.cohomology import HA, ComplexHandle
 from rbfam.errors import InputError
 from rbfam.linalg import (
+    ONE,
+    ZERO,
     Matrix,
     Tensor,
     _compose,
@@ -33,6 +47,7 @@ from rbfam.linalg import (
     unit_vector,
     zero_vector,
 )
+from rbfam.reports import intertwining_residual
 from rbfam.scalars import TruncatedPoly
 
 small_entries = st.integers(min_value=-6, max_value=6).map(Fraction)
@@ -377,6 +392,117 @@ def test_multilinear_matches_dense_kernel(case):
     # repr compares every entry's value and type (Fraction vs TruncatedPoly).
     tensor, args = case
     assert repr(multilinear_apply(tensor, args)) == repr(dense_multilinear(tensor, args))
+
+
+def _outcome(fn, *args):
+    """``repr`` of fn(*args), or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _array(draw, order, shape, matrix):
+    """A ``Matrix`` (``shape`` has two extents) or a ``Tensor`` of that shape
+    over ``kernel_scalars(order)``; a square matrix is at times an identity
+    with a raw-int, ``Fraction`` or constant-polynomial 1 and 0."""
+    if matrix and shape[0] == shape[1] and draw(st.booleans()):
+        one = draw(st.sampled_from([1, ONE] + ([] if order is None else [TruncatedPoly.constant(1, order)])))
+        zero = draw(st.sampled_from([0, ZERO]))
+        return Matrix(*shape, tuple(one if i == j else zero for i in range(shape[0]) for j in range(shape[1])))
+    entries = tuple(draw(st.lists(kernel_scalars(order), min_size=prod(shape), max_size=prod(shape))))
+    return Matrix(*shape, entries) if matrix else Tensor(shape, entries)
+
+
+def _extent(draw, extent):
+    """``extent``, or, one time in five, another extent (a shape mismatch)."""
+    return draw(st.integers(0, 3)) if draw(st.integers(0, 4)) == 0 else extent
+
+
+@st.composite
+def array_pairs(draw):
+    """A ``Matrix`` or a ``Tensor``, a second one of its class whose shape is
+    at times another, and a scalar, drawn as ``kernel_inputs`` draws them."""
+    order = draw(st.sampled_from([None, 1, 2, 3]))
+    matrix = draw(st.booleans())
+    rank_ = 2 if matrix else draw(st.integers(0, 3))
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=rank_, max_size=rank_)))
+    other = tuple(_extent(draw, d) for d in shape)
+    if not matrix and draw(st.integers(0, 4)) == 0:
+        other += (1,)
+    a, b = _array(draw, order, shape, matrix), _array(draw, order, other, matrix)
+    return a, b, draw(kernel_scalars(order))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(array_pairs())
+def test_array_ops_match_the_frozen_bodies(case):
+    # repr compares shapes, entry values and entry types; a mismatch must
+    # raise the same InputError message.
+    a, b, c = case
+    if isinstance(a, Matrix):
+        binary, unary = (("add", matrix_add), ("sub", matrix_sub)), (("neg", matrix_neg), ("is_zero", matrix_is_zero), ("is_identity", matrix_is_identity))
+    else:
+        binary, unary = (("add", tensor_add), ("sub", tensor_sub)), (("neg", tensor_neg), ("is_zero", tensor_is_zero))
+    for name, frozen in binary:
+        assert _outcome(getattr(type(a), name), a, b) == _outcome(frozen, a, b)
+    for name, frozen in unary:
+        for x in (a, b):
+            assert _outcome(getattr(type(x), name), x) == _outcome(frozen, x)
+    scale = matrix_scale if isinstance(a, Matrix) else tensor_scale
+    assert _outcome(type(a).scale, a, c) == _outcome(scale, a, c)
+
+
+@st.composite
+def compositions(draw):
+    """(outer, parts) for ``_compose``, each a ``Matrix`` or a ``Tensor``
+    with extents 0-3 and at times a part that does not fit its slot."""
+    order = draw(st.sampled_from([None, 1, 2, 3]))
+    m = draw(st.integers(1, 2))
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=m + 1, max_size=m + 1)))
+    outer = _array(draw, order, shape, m == 1 and draw(st.booleans()))
+    parts = []
+    for a in shape[1:]:
+        if draw(st.booleans()):
+            parts.append(_array(draw, order, (_extent(draw, a), draw(st.integers(0, 3))), True))
+        else:
+            inner = tuple(draw(st.lists(st.integers(0, 3), min_size=0, max_size=2)))
+            parts.append(_array(draw, order, (_extent(draw, a), *inner), False))
+    return outer, parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(compositions())
+def test_compose_matches_the_frozen_body(case):
+    outer, parts = case
+    assert _outcome(_compose, outer, parts) == _outcome(copying_compose, outer, parts)
+
+
+def _tensor_of(m):
+    return Tensor((m.rows, m.cols), m.entries)
+
+
+@st.composite
+def matrix_laws(draw):
+    """(out, src, tgt, ins) of an intertwining law out o src = tgt o ins[0]
+    on matrices, at times with sides that do not match."""
+    order = draw(st.sampled_from([None, 1, 2, 3]))
+    d, e, n, r = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    out = _array(draw, order, (d, e), True)
+    src = _array(draw, order, (_extent(draw, e), n), True)
+    tgt = _array(draw, order, (_extent(draw, d), r), True)
+    ins = _array(draw, order, (_extent(draw, r), _extent(draw, n)), True)
+    return out, src, tgt, [ins]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrix_laws())
+def test_intertwining_residual_reads_a_matrix_as_its_tensor(case):
+    out, src, tgt, ins = case
+    assert _outcome(intertwining_residual, out, src, tgt, ins) == _outcome(
+        intertwining_residual, out, _tensor_of(src), _tensor_of(tgt), ins
+    )
+    assert _outcome(_compose, out, [src]) == _outcome(copying_compose, out, [src])
 
 
 def test_multilinear_keeps_polynomial_type_of_unit_factors():
