@@ -2,13 +2,19 @@
 contraction, sparse fraction-free elimination.
 
 Everything is immutable and every operation is a pure function of its
-inputs, so values are safe to share across threads.  Matrix-vector products
-and multilinear contraction run over the arguments' supports (their nonzero
-coordinates), reading a tensor through a sparse column view built once per
-tensor; a law's sides are composed one slot at a time over nonzero
-entries by one kernel, ``_compose_state``, which returns the sparse state
-{flat index: value} that ``_compose`` turns into a tensor and the law
-primitives of ``reports`` sum into residuals.
+inputs, so values are safe to share across threads.
+
+``Matrix`` and ``Tensor`` are one array layer, ``_Array``: a shape and a
+row-major entries tuple, with one body each for the entrywise operations
+and the cached integer view.  A matrix's shape is (rows, cols), so the
+kernels read a ``Matrix`` in place as its row-major tensor, with no copy.
+
+Matrix-vector products and multilinear contraction run over the arguments'
+supports (their nonzero coordinates), reading a tensor through a sparse
+column view built once per tensor; a law's sides are composed one slot at
+a time over nonzero entries by one kernel, ``_compose_state``, which
+returns the sparse state {flat index: value} that ``_compose`` turns into
+a tensor and the law primitives of ``reports`` sum into residuals.
 
 Rationals become integers in one place, ``_integer_view``: the lcm of the
 entries' denominators and the entries scaled by it.  Each ``Tensor`` and
@@ -31,7 +37,7 @@ solve and inverse are fully deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
@@ -71,8 +77,43 @@ def vsub(u, v):
 # ---------------------------------------------------------------------------
 
 
+class _Array:
+    """The entrywise code of ``Matrix`` and ``Tensor``: a ``shape`` and a
+    row-major ``entries`` tuple.  Each result has the caller's class and
+    shape; the base adds no field, so ``==``, ``hash`` and ``repr`` stay
+    those of the dataclass."""
+
+    def add(self, other):
+        self._same_shape(other)
+        return replace(self, entries=tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def sub(self, other):
+        self._same_shape(other)
+        return replace(self, entries=tuple(a - b for a, b in zip(self.entries, other.entries)))
+
+    def neg(self):
+        return replace(self, entries=tuple(-a for a in self.entries))
+
+    def scale(self, c):
+        c = ensure_scalar(c)
+        return replace(self, entries=tuple(c * a for a in self.entries))
+
+    def is_zero(self):
+        return not any(self.entries)
+
+    @cached_property
+    def integer_view(self):
+        """``_integer_view(entries)``, built on first use and kept on the
+        instance; not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
+        return _integer_view(self.entries)
+
+    def _same_shape(self, other):
+        if self.shape != other.shape:
+            raise InputError(f"{type(self).__name__.lower()} shape mismatch")
+
+
 @dataclass(frozen=True)
-class Matrix:
+class Matrix(_Array):
     """Row-major dense matrix of exact scalars."""
 
     rows: int
@@ -113,6 +154,11 @@ class Matrix:
     @staticmethod
     def zero(rows, cols):
         return Matrix(rows, cols, (ZERO,) * (rows * cols))
+
+    @property
+    def shape(self):
+        """(rows, cols): a matrix is read in place as its row-major tensor."""
+        return (self.rows, self.cols)
 
     def at(self, i, j):
         return self.entries[i * self.cols + j]
@@ -155,21 +201,6 @@ class Matrix:
                 out.append(acc)
         return Matrix(self.rows, other.cols, tuple(out))
 
-    def add(self, other):
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def sub(self, other):
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def neg(self):
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def scale(self, c):
-        c = ensure_scalar(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
-
     def power(self, k):
         if self.rows != self.cols:
             raise InputError("matrix power needs a square matrix")
@@ -180,30 +211,11 @@ class Matrix:
             out = out.mul(self)
         return out
 
-    def is_zero(self):
-        return not any(self.entries)
-
     def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.at(i, j) == (ONE if i == j else ZERO)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return self == Matrix.identity(self.rows)
 
     def has_poly_entries(self):
         return any(isinstance(e, TruncatedPoly) for e in self.entries)
-
-    @cached_property
-    def integer_view(self):
-        """``_integer_view(entries)``, built on first use and kept on the
-        instance; not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
-        return _integer_view(self.entries)
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputError("matrix shape mismatch")
 
 
 def block_diag(blocks):
@@ -224,7 +236,7 @@ def block_diag(blocks):
 
 
 @dataclass(frozen=True)
-class Tensor:
+class Tensor(_Array):
     """Dense row-major coefficient tensor; shape is fixed at construction."""
 
     shape: tuple
@@ -282,26 +294,6 @@ class Tensor:
             flat = flat * d + i
         return self.entries[flat]
 
-    def add(self, other):
-        if self.shape != other.shape:
-            raise InputError("tensor shape mismatch")
-        return Tensor(self.shape, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def sub(self, other):
-        if self.shape != other.shape:
-            raise InputError("tensor shape mismatch")
-        return Tensor(self.shape, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def neg(self):
-        return Tensor(self.shape, tuple(-a for a in self.entries))
-
-    def scale(self, c):
-        c = ensure_scalar(c)
-        return Tensor(self.shape, tuple(c * a for a in self.entries))
-
-    def is_zero(self):
-        return not any(self.entries)
-
     @cached_property
     def sparse_columns(self):
         """For each flat input index, the tuple of (k, c) with c = T[k][index] != 0.
@@ -310,11 +302,6 @@ class Tensor:
         ``hash`` and ``repr`` ignore it.  Needs an output axis.
         """
         return _columns(self.entries, self.shape)
-
-    @cached_property
-    def integer_view(self):
-        """``_integer_view(entries)``, kept like ``sparse_columns``."""
-        return _integer_view(self.entries)
 
     @cached_property
     def integer_columns(self):
@@ -408,7 +395,7 @@ def _compose(outer, parts):
     """The tensor outer o (parts[0] x ... x parts[m-1]), contracted sparsely.
 
     ``outer`` has shape (d, a_0, ..., a_{m-1}) and parts[s] has shape
-    (a_s, *in_s), a ``Matrix`` counting as its (rows, cols) tensor; the
+    (a_s, *in_s), a ``Matrix`` read in place with shape (rows, cols); the
     result has shape (d, *in_0, ..., *in_{m-1}) and the entry sum over a
     of outer[k][a] * parts[0][a_0][i_0] * ... * parts[m-1][a_{m-1}][i_{m-1}].  Slots are contracted one at a time over
     nonzero supports (``_compose_state``), so outer o (first x inner) costs
@@ -424,7 +411,6 @@ def _compose(outer, parts):
     end; a ``TruncatedPoly`` entry anywhere keeps the entries themselves.
     """
     scales, values = _values((outer, *parts))
-    outer, parts = _as_tensor(outer), [_as_tensor(t) for t in parts]
     shape = outer.shape
     if len(shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, shape[1:])):
         raise InputError(f"cannot compose shape {shape} with {[t.shape for t in parts]}")
@@ -502,11 +488,6 @@ def _multipliers(signs, dens):
         return list(signs), None
     den = lcm(*dens)
     return [sign * (den // d) for sign, d in zip(signs, dens)], den
-
-
-def _as_tensor(t):
-    """A ``Matrix`` as its row-major (rows, cols) tensor; a tensor as itself."""
-    return Tensor((t.rows, t.cols), t.entries) if isinstance(t, Matrix) else t
 
 
 def tensor_column(tensor, idx):

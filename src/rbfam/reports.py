@@ -78,7 +78,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .errors import InputError, PreconditionError
-from .linalg import ZERO, _as_tensor, _compose_state, _multipliers, _nonzeros, _rows, _values
+from .linalg import ZERO, _compose_state, _multipliers, _nonzeros, _rows, _values
 from .scalars import format_scalar
 
 DEFAULT_MAX_VIOLATIONS = 16
@@ -184,8 +184,8 @@ def intertwining_cases(out, src, tgt, ins, names, where=None):
     """Cases of the law out o src = tgt o (ins[0] x ... x ins[n-1]) for ``run_law``.
 
     ``src`` and ``tgt`` are coefficient tensors with n input axes (a
-    ``Matrix`` is the n = 1 case, read as its row-major (rows, cols)
-    tensor); ``out`` and each of ``ins`` are matrices.  For every basis
+    ``Matrix`` is the n = 1 case, read in place through its shape
+    (rows, cols)); ``out`` and each of ``ins`` are matrices.  For every basis
     tuple idx of ``src``'s input axes, in lexicographic order, yields one
     (case, residual) pair: case is a new dict of the ``where`` keys
     followed by zip(names, idx), and the residual is
@@ -206,12 +206,14 @@ def intertwining_residual(out, src, tgt, ins):
     """(state, den, shape): the residual out o src - tgt o (ins[0] x ... x
     ins[n-1]) of ``intertwining_cases`` as one sparse state.
 
-    ``shape`` is (d, *input extents of src) and ``state`` maps flat indices
-    over it to numerators over ``den`` (entries themselves when ``den`` is
-    None).  For a yes/no (cochain membership) that needs neither a
-    where-dict nor a residual column: the law holds when every value is 0.
+    A ``Matrix`` ``src`` or ``tgt`` is read in place through its shape
+    (rows, cols), with no copy into a ``Tensor``.  ``shape`` is (d, *input
+    extents of src) and ``state`` maps flat indices over it to numerators
+    over ``den`` (entries themselves when ``den`` is None).  For a yes/no
+    (cochain membership) that needs neither a where-dict nor a residual
+    column: the law holds when every value is 0.
     """
-    src_shape, tgt_shape = _as_tensor(src).shape, _as_tensor(tgt).shape
+    src_shape, tgt_shape = src.shape, tgt.shape
     ins_shapes = [(m.rows, m.cols) for m in ins]
     shape = (out.rows, *src_shape[1:])
     if (

@@ -30,6 +30,7 @@ from oracles import (
 )
 from rbfam.cohomology import HA, ComplexHandle
 from rbfam.errors import InputError
+from rbfam.homalg import is_equivariant
 from rbfam.linalg import (
     ONE,
     ZERO,
@@ -441,15 +442,18 @@ def test_array_ops_match_the_frozen_bodies(case):
     # raise the same InputError message.
     a, b, c = case
     if isinstance(a, Matrix):
-        binary, unary = (("add", matrix_add), ("sub", matrix_sub)), (("neg", matrix_neg), ("is_zero", matrix_is_zero), ("is_identity", matrix_is_identity))
+        binary = {"add": matrix_add, "sub": matrix_sub}
+        unary = {"neg": matrix_neg, "is_zero": matrix_is_zero, "is_identity": matrix_is_identity}
+        scale = matrix_scale
     else:
-        binary, unary = (("add", tensor_add), ("sub", tensor_sub)), (("neg", tensor_neg), ("is_zero", tensor_is_zero))
-    for name, frozen in binary:
+        binary = {"add": tensor_add, "sub": tensor_sub}
+        unary = {"neg": tensor_neg, "is_zero": tensor_is_zero}
+        scale = tensor_scale
+    for name, frozen in binary.items():
         assert _outcome(getattr(type(a), name), a, b) == _outcome(frozen, a, b)
-    for name, frozen in unary:
+    for name, frozen in unary.items():
         for x in (a, b):
             assert _outcome(getattr(type(x), name), x) == _outcome(frozen, x)
-    scale = matrix_scale if isinstance(a, Matrix) else tensor_scale
     assert _outcome(type(a).scale, a, c) == _outcome(scale, a, c)
 
 
@@ -503,6 +507,26 @@ def test_intertwining_residual_reads_a_matrix_as_its_tensor(case):
         intertwining_residual, out, _tensor_of(src), _tensor_of(tgt), ins
     )
     assert _outcome(_compose, out, [src]) == _outcome(copying_compose, out, [src])
+
+
+def test_kernels_read_a_matrix_in_place(monkeypatch):
+    # Membership of a matrix cochain and a composition with a matrix build
+    # no Tensor but their result: a Matrix is read through its shape.
+    built = []
+    post_init = Tensor.__post_init__
+
+    def counting(self):
+        built.append(self.shape)
+        post_init(self)
+
+    monkeypatch.setattr(Tensor, "__post_init__", counting)
+    p = Matrix(2, 2, (1, 1, 0, 1))
+    m = Matrix(2, 2, (0, 1, 0, 0))
+    assert is_equivariant(p, p, 1, [m])
+    assert built == []
+    composed = _compose(p, [m])
+    assert built == [(2, 2)]
+    assert composed == Tensor((2, 2), (ZERO, ONE, ZERO, ZERO))
 
 
 def test_multilinear_keeps_polynomial_type_of_unit_factors():
