@@ -90,16 +90,14 @@ class Cochain:
     def keys(self):
         return sorted(self.table)
 
-    def tensor(self, key):
-        return self.table[key]
-
     def as_vector(self):
         if self.degree != 0:
             raise InputError("only degree-0 cochains collapse to a vector")
         return tuple(self.table[()].entries)
 
     def add(self, other):
-        if (self.complex, self.degree) != (other.complex, other.degree):
+        frame = (self.complex, self.degree, self.source_dim, self.target_dim, self.table.keys())
+        if frame != (other.complex, other.degree, other.source_dim, other.target_dim, other.table.keys()):
             raise InputError("cochain mismatch")
         return Cochain(
             complex=self.complex,

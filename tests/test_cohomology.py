@@ -629,3 +629,16 @@ def test_differential_rejects_a_misshapen_cochain(d1_ha_handle, twisted_triangul
             cochain = Cochain("HA", 1, handle.source_dim, handle.target_dim, table)
             with pytest.raises(InputError, match="shape"):
                 handle.differential(cochain)
+
+
+def test_cochain_add_refuses_other_keys_and_dims():
+    # Other keys or dims raise one InputError in either order: adding must
+    # neither drop the other's extra key nor raise KeyError on its own.
+    t = Tensor((2, 2), (Fraction(1), Fraction(0), Fraction(2), Fraction(-1)))
+    a = Cochain("RBF", 1, 2, 2, {(0,): t, (1,): t})
+    b = Cochain("RBF", 1, 2, 2, {(0,): t, (1,): t, (2,): t})
+    others = [b, Cochain("RBF", 1, 1, 2, a.table), Cochain("RBF", 1, 2, 1, a.table)]
+    for x, y in [(a, c) for c in others] + [(c, a) for c in others]:
+        with pytest.raises(InputError, match="^cochain mismatch$"):
+            x.add(y)
+    assert a.add(a) == Cochain("RBF", 1, 2, 2, {(0,): t.scale(2), (1,): t.scale(2)})
