@@ -25,7 +25,11 @@ it enumerated every candidate, as the reference of the map-by-map
 search), the package's former entrywise ``Matrix`` and ``Tensor`` code and
 ``linalg._compose`` (frozen, as each class wrote its own and ``_compose``
 copied a ``Matrix`` into a ``Tensor``, as the references of the shared
-array layer), a twist-free family-law
+array layer), the package's former stencil providers and walker
+(frozen, as they probed each first/last-term map on unit vectors and added
+``Fraction`` entries one cell at a time, as the references of the ones
+that compose those maps as tensors and assemble integer numerators), a
+twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
 maps), and the dense raw x raw membership-constraint matrix of a cochain
@@ -34,11 +38,14 @@ entries are extracted up front), except by the frozen package bodies,
 which keep the package primitives they were written on.
 """
 from bisect import bisect_left
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import fields, replace
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm, prod
 
+from rbfam.cohomology import HA, RBF, ComplexHandle
 from rbfam.deformations import NSDeformationReport, check_infinitesimal
 from rbfam.errors import InputError, PreconditionError, RouteMismatchError
 from rbfam.family import (
@@ -87,6 +94,7 @@ from rbfam.operators import (
     check_twisted_rbf,
     check_weighted_rbf,
     identity_packing_family,
+    twisted_inner_sum,
 )
 from rbfam.reports import (
     DEFAULT_MAX_VIOLATIONS,
@@ -1549,3 +1557,219 @@ def copying_compose(outer, parts):
     for k, v in state.items():
         out[k] = v if den is None else Fraction(v, den)
     return Tensor(out_shape, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# stencil maps, frozen while each first/last-term map was probed on unit
+# vectors and the walker added Fractions one cell at a time
+
+
+_ProbedStencil = namedtuple("_ProbedStencil", ["first", "last", "merged", "smap"])
+
+
+def _stencil_sparse(v):
+    return [(j, c) for j, c in enumerate(v) if c]
+
+
+def _probe(fn, dim):
+    """Nonzero entries (k, k', c) of a linear map on a dim-space."""
+    return [(k, kp, c) for kp in range(dim) for k, c in enumerate(fn(unit_vector(dim, kp))) if c]
+
+
+def probed_omega_stencil(algebra, module, degree):
+    """The body ``cohomology._omega_stencil`` had while it probed act_l and
+    act_r on unit vectors.  Kept verbatim, like the stencil bodies below,
+    so the stencil maps can be held to ``repr``-identical matrices and
+    images and to the same exceptions."""
+    omega, g, d = algebra.omega, algebra.dim, module.dim
+    ppow = algebra.p.power(max(degree - 1, 0))
+    ppow_cols = [ppow.column(j) for j in range(g)]
+
+    @cache
+    def first(alpha, rest):
+        return [_probe(lambda v: module.act_l(alpha, rest, x, v), d) for x in ppow_cols]
+
+    @cache
+    def last(head, beta):
+        return [_probe(lambda v: module.act_r(head, beta, v, x), d) for x in ppow_cols]
+
+    @cache
+    def merged(alpha, beta):
+        t = algebra.prod[alpha][beta]
+        return [[_stencil_sparse(tensor_column(t, (a, b))) for b in range(g)] for a in range(g)]
+
+    return _ProbedStencil(
+        first=lambda key: first(key[0], omega.product(key[1:])),
+        last=lambda key: last(omega.product(key[:-1]), key[-1]),
+        merged=lambda key, i: merged(key[i - 1], key[i]),
+        smap=[_stencil_sparse(algebra.p.column(j)) for j in range(g)],
+    )
+
+
+def probed_rbf_stencil(operator, degree):
+    A, module, phi, omega = (
+        operator.algebra,
+        operator.bimodule,
+        operator.cocycle,
+        operator.omega,
+    )
+    n, d = A.dim, module.dim
+    qpow = module.q.power(max(degree - 1, 0))
+    qpow_cols = [qpow.column(a) for a in range(d)]
+    vbasis = module.basis()
+
+    @cache
+    def first(alpha, pi):
+        r_pi = operator.maps[pi]
+
+        def term(u1):
+            r1u1 = operator.maps[alpha].apply(u1)
+            return _probe(
+                lambda x: vsub(
+                    vsub(A.product(r1u1, x), r_pi.apply(module.act_r(u1, x))),
+                    r_pi.apply(phi.apply(r1u1, x)),
+                ),
+                n,
+            )
+
+        return [term(u1) for u1 in qpow_cols]
+
+    @cache
+    def last(beta, pi):
+        r_pi = operator.maps[pi]
+
+        def term(un1):
+            rn1un1 = operator.maps[beta].apply(un1)
+            return _probe(
+                lambda x: vsub(
+                    vsub(A.product(x, rn1un1), r_pi.apply(module.act_l(x, un1))),
+                    r_pi.apply(phi.apply(x, rn1un1)),
+                ),
+                n,
+            )
+
+        return [term(un1) for un1 in qpow_cols]
+
+    @cache
+    def merged(alpha, beta):
+        return [
+            [_stencil_sparse(twisted_inner_sum(operator, alpha, beta, vbasis[a], vbasis[b])) for b in range(d)]
+            for a in range(d)
+        ]
+
+    return _ProbedStencil(
+        first=lambda key: first(key[0], omega.product(key)),
+        last=lambda key: last(key[-1], omega.product(key)),
+        merged=lambda key, i: merged(key[i - 1], key[i]),
+        smap=[_stencil_sparse(module.q.column(a)) for a in range(d)],
+    )
+
+
+def probed_ha_stencil(module, degree):
+    A, d = module.parent, module.dim
+    ppow = A.p.power(max(degree - 1, 0))
+    ppow_cols = [ppow.column(j) for j in range(A.dim)]
+    first = [_probe(lambda v: module.act_l(x, v), d) for x in ppow_cols]
+    last = [_probe(lambda v: module.act_r(v, x), d) for x in ppow_cols]
+    merged = [[_stencil_sparse(A.basis_product(a, b)) for b in range(A.dim)] for a in range(A.dim)]
+    return _ProbedStencil(
+        first=lambda key: first,
+        last=lambda key: last,
+        merged=lambda key, i: merged,
+        smap=[_stencil_sparse(A.p.column(j)) for j in range(A.dim)],
+    )
+
+
+def fraction_assemble_stencil(handle, degree, stencil):
+    """The body ``cohomology._assemble_stencil`` had while it added
+    ``Fraction`` entries one cell at a time."""
+    g, d, n = handle.source_dim, handle.target_dim, degree
+    in_pos = {key: pos for pos, key in enumerate(handle.index_keys(n))}
+    inner_in, inner_out = g**n, g ** (n + 1)
+    block_in, block_out = d * inner_in, d * inner_out
+    cols = [{} for _ in range(len(in_pos) * block_in)]
+    sign_last = 1 if (n + 1) % 2 == 0 else -1
+    smap = stencil.smap
+
+    def add(col, row, c):
+        entries = cols[col]
+        entries[row] = entries.get(row, ZERO) + c
+
+    for opos, key in enumerate(handle.index_keys(n + 1)):
+        if handle.tag == HA:
+            # Hochschild type: every cochain lives under the empty key.
+            tail = head = ()
+            mkeys = [()] * n
+        else:
+            mul = handle.omega.mul
+            tail, head = key[1:], key[:-1]
+            mkeys = [key[: i - 1] + (mul(key[i - 1], key[i]),) + key[i + 1 :] for i in range(1, n + 1)]
+        tail0, head0 = in_pos[tail] * block_in, in_pos[head] * block_in
+        first, last = stencil.first(key), stencil.last(key)
+        merged = [(i, in_pos[mk] * block_in, stencil.merged(key, i)) for i, mk in enumerate(mkeys, 1)]
+        for flat, idx in enumerate(product(range(g), repeat=n + 1)):
+            row = opos * block_out + flat
+            col = tail0 + flat % inner_in
+            for k, kp, c in first[idx[0]]:
+                add(col + kp * inner_in, row + k * inner_out, c)
+            col = head0 + flat // g
+            for k, kp, c in last[idx[-1]]:
+                add(col + kp * inner_in, row + k * inner_out, sign_last * c)
+            for i, m0, table in merged:
+                args = [smap[a] for a in idx[: i - 1]]
+                args.append(table[idx[i - 1]][idx[i]])
+                args.extend(smap[a] for a in idx[i + 1 :])
+                for combo in product(*args):
+                    j, w = 0, (-1 if i % 2 else 1)
+                    for jl, c in combo:
+                        j, w = j * g + jl, w * c
+                    for k in range(d):
+                        add(m0 + k * inner_in + j, row + k * inner_out, w)
+    return cols
+
+
+def fraction_apply_columns(cols, support):
+    """The body ``cohomology._apply_columns`` had on ``Fraction`` columns."""
+    out = {}
+    for c, e in support:
+        for r, v in cols[c].items():
+            out[r] = out.get(r, ZERO) + e * v
+    return {r: v for r, v in out.items() if v}
+
+
+class ProbedStencilHandle(ComplexHandle):
+    """A ``ComplexHandle`` whose stencil maps are built and applied by the
+    frozen bodies above: ``_stencil_maps`` and ``_apply_maps`` are the
+    handle's former methods, verbatim but for the frozen names."""
+
+    def _stencil_maps(self, degree):
+        if degree in self._maps:
+            return self._maps[degree]
+        self._guard_degree(degree, allow_plus_one=True)
+        if self.tag == HA:
+            stencils = [probed_ha_stencil(self.ha_module, degree)]
+        else:
+            stencils = [probed_omega_stencil(self.omega_algebra, self.omega_module, degree)]
+            if self.tag == RBF:
+                stencils.insert(0, probed_rbf_stencil(self.operator, degree))
+        maps = [fraction_assemble_stencil(self, degree, s) for s in stencils]
+        self._maps[degree] = maps
+        return maps
+
+    def _apply_maps(self, maps, degree, support, where=""):
+        image, *others = [fraction_apply_columns(cols, support) for cols in maps]
+        for other in others:
+            if other != image:
+                row = min(r for r in image.keys() | other.keys() if image.get(r) != other.get(r))
+                key, entry = self._locate(degree + 1, row)
+                raise RouteMismatchError(
+                    f"twisted-family differential routes disagree at index tuple {key}, "
+                    f"entry {entry}{where}"
+                )
+        return image
+
+
+def probed_handle(handle):
+    """A ``ProbedStencilHandle`` on the data of ``handle``, with empty caches."""
+    data = {f.name: getattr(handle, f.name) for f in fields(handle) if not f.name.startswith("_")}
+    return ProbedStencilHandle(**data)
