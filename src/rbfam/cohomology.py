@@ -19,12 +19,16 @@ Bases, differential matrices and dimensions are exact and deterministic.
 
 In every degree n >= 0 the differential of each complex is one linear
 map, assembled in raw coordinates by one stencil walker shared by the
-three complexes (each supplies a small stencil of probed linear maps and
-merged arguments) and kept on the handle.  ``differential_matrix`` applies
-it to every basis vector, ``differential`` to one member cochain and
-``raw_differential`` to any raw coefficient vector; for RBF the direct and
-the generic stencils are both assembled and every image is compared.
-Images stay sparse ({row: value}) until the public matrix is built.  Every
+three complexes and kept on the handle.  Each complex supplies a small
+stencil: its first/last-term maps, each composed once as a whole tensor,
+and its merged arguments.  The walker adds integer numerators over one
+denominator per stencil (the entries themselves when some data is
+polynomial).  ``differential_matrix`` applies the map to every basis
+vector, ``differential`` to one member cochain and ``raw_differential`` to
+any raw coefficient vector, on numerators too, with one ``Fraction`` per
+nonzero image entry; for RBF the direct and the generic stencils are both
+assembled and every image is compared.  Images stay sparse ({row: value})
+until the public matrix is built.  Every
 cochain that enters, through ``make_cochain`` or ``differential``, passes
 one validation path (index tuples, shapes, the size guard and membership),
 and every stencil is assembled under the size guard.
@@ -33,8 +37,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
+from math import lcm
 
 from .errors import (
     DegreeCapError,
@@ -49,14 +55,14 @@ from .linalg import (
     ZERO,
     Matrix,
     Tensor,
+    _compose,
+    _integer_view,
+    _values,
     densify,
     invert_matrix,
     kernel_supports,
     multilinear_apply,
     rank,
-    tensor_column,
-    unit_vector,
-    vsub,
 )
 from .operators import check_operator_morphism, twisted_inner_sum
 from .reports import ensure_valid
@@ -392,7 +398,8 @@ class ComplexHandle:
         return mat
 
     def _stencil_maps(self, degree):
-        """Raw differentials C^n -> C^(n+1), assembled once per degree.
+        """Raw differentials C^n -> C^(n+1), assembled once per degree, each
+        as (columns, den) from ``_assemble_stencil``.
 
         RBF gets two, the direct and the generic one, assembled
         independently; the others get one.  Degree 0 is the n = 0 case of
@@ -416,7 +423,7 @@ class ComplexHandle:
         """Nonzero entries {row: value} of D . vec for each map, for vec
         given by its nonzero ((position, value), ...); for RBF both routes'
         images must agree."""
-        image, *others = [_apply_columns(cols, support) for cols in maps]
+        image, *others = [_apply_columns(cols, den, support) for cols, den in maps]
         for other in others:
             if other != image:
                 row = min(r for r in image.keys() | other.keys() if image.get(r) != other.get(r))
@@ -510,18 +517,20 @@ def rbf_complex(operator, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX
 # ---------------------------------------------------------------------------
 # differentials from a raw-coordinate stencil
 #
-# A stencil holds the data-only parts of a degree-n differential:
-#   first(key)[a]   nonzero entries (k, k', c) of the map v -> first term,
-#                   acting on f[key[1:]][:, idx[1:]] when idx[0] = a;
-#   last(key)[a]    the same for the last term on f[key[:-1]][:, idx[:-1]]
+# A stencil holds the data-only parts of a degree-n differential, each one
+# array (a ``Tensor`` or a ``Matrix``):
+#   first(key)      T[k][a][k'], the map v -> first term acting on
+#                   f[key[1:]][:, idx[1:]] when idx[0] = a;
+#   last(key)       T[k][k'][a], the last term on f[key[:-1]][:, idx[:-1]]
 #                   when idx[-1] = a;
-#   merged(key, i)  [a][b] -> sparse merged argument of slot i when
+#   merged(key, i)  M[j][a][b], the merged argument of slot i when
 #                   (idx[i-1], idx[i]) = (a, b);
-#   smap[a]         sparse column a of the structure map on the source.
+#   smap            the structure map on the source.
 # In degree 0 key[1:] and key[:-1] are the empty key, whose semigroup
-# product is the unit, and there is no merged slot.
-# Each linear map is probed once on unit vectors and cached per the data
-# it depends on, never per key or per cochain.
+# product is the unit, and there is no merged slot.  Each term map is one
+# composition of whole tensors (``linalg._compose``), cached per the data it
+# depends on, never per key or per cochain; the walker reads every array
+# once, through its cached integer view.
 
 _Stencil = namedtuple("_Stencil", ["first", "last", "merged", "smap"])
 
@@ -530,141 +539,123 @@ def _sparse(v):
     return [(j, c) for j, c in enumerate(v) if c]
 
 
-def _probe(fn, dim):
-    """Nonzero entries (k, k', c) of a linear map on a dim-space."""
-    return [(k, kp, c) for kp in range(dim) for k, c in enumerate(fn(unit_vector(dim, kp))) if c]
-
-
 def _omega_stencil(algebra, module, degree):
-    """Generic pair-indexed stencil: with x = p^max(n-1, 0) e_idx[0] and
-    y = p^max(n-1, 0) e_idx[-1], the first term is x .l f[key[1:]] under
-    the left action indexed by (key[0], product of key[1:]), the last term
-    is f[key[:-1]] .r y indexed by (product of key[:-1], key[-1]), and the
-    merged argument is the pair-indexed product of slots i-1 and i."""
-    omega, g, d = algebra.omega, algebra.dim, module.dim
+    """Generic pair-indexed stencil: with P = p^max(n-1, 0), the first term
+    is left o (P x I) under the left action indexed by (key[0], product of
+    key[1:]), the last term right o (I x P) indexed by (product of
+    key[:-1], key[-1]), and the merged argument the pair-indexed product of
+    slots i-1 and i."""
+    omega = algebra.omega
     ppow = algebra.p.power(max(degree - 1, 0))
-    ppow_cols = [ppow.column(j) for j in range(g)]
+    eye = Matrix.identity(module.dim)
 
     @cache
     def first(alpha, rest):
-        return [_probe(lambda v: module.act_l(alpha, rest, x, v), d) for x in ppow_cols]
+        return _compose(module.left[alpha][rest], [ppow, eye])
 
     @cache
     def last(head, beta):
-        return [_probe(lambda v: module.act_r(head, beta, v, x), d) for x in ppow_cols]
-
-    @cache
-    def merged(alpha, beta):
-        t = algebra.prod[alpha][beta]
-        return [[_sparse(tensor_column(t, (a, b))) for b in range(g)] for a in range(g)]
+        return _compose(module.right[head][beta], [eye, ppow])
 
     return _Stencil(
         first=lambda key: first(key[0], omega.product(key[1:])),
         last=lambda key: last(omega.product(key[:-1]), key[-1]),
-        merged=lambda key, i: merged(key[i - 1], key[i]),
-        smap=[_sparse(algebra.p.column(j)) for j in range(g)],
+        merged=lambda key, i: algebra.prod[key[i - 1]][key[i]],
+        smap=algebra.p,
     )
 
 
 def _rbf_stencil(operator, degree):
-    """Direct twisted-family stencil: with u = q^max(n-1, 0) e_idx[0], pi
-    the product of key and x = f[key[1:]], the first term is
-    R_key[0] u . x - R_pi(u .r x) - R_pi phi(R_key[0] u, x); the last term
-    mirrors it on f[key[:-1]] and q^max(n-1, 0) e_idx[-1]; the merged
-    argument is ``twisted_inner_sum`` of slots i-1 and i."""
+    """Direct twisted-family stencil on the operator's host data: with
+    Q = q^max(n-1, 0), pi the product of key and a = key[0], the first term
+    is mu o (R_a Q x I) - R_pi o right o (Q x I) - R_pi o phi o (R_a Q x I);
+    the last term mirrors it with b = key[-1], mu o (I x R_b Q) -
+    R_pi o left o (I x Q) - R_pi o phi o (I x R_b Q); the merged argument is
+    ``twisted_inner_sum`` of slots i-1 and i, one basis pair at a time."""
     A, module, phi, omega = (
         operator.algebra,
         operator.bimodule,
-        operator.cocycle,
+        operator.cocycle.phi,
         operator.omega,
     )
-    n, d = A.dim, module.dim
+    d = module.dim
     qpow = module.q.power(max(degree - 1, 0))
-    qpow_cols = [qpow.column(a) for a in range(d)]
+    eye = Matrix.identity(A.dim)
+    right_q = _compose(module.right, [qpow, eye])
+    left_q = _compose(module.left, [eye, qpow])
     vbasis = module.basis()
 
     @cache
+    def r_q(alpha):
+        return operator.maps[alpha].mul(qpow)
+
+    @cache
     def first(alpha, pi):
-        r_pi = operator.maps[pi]
-
-        def term(u1):
-            r1u1 = operator.maps[alpha].apply(u1)
-            return _probe(
-                lambda x: vsub(
-                    vsub(A.product(r1u1, x), r_pi.apply(module.act_r(u1, x))),
-                    r_pi.apply(phi.apply(r1u1, x)),
-                ),
-                n,
-            )
-
-        return [term(u1) for u1 in qpow_cols]
+        r_pi, ra_q = operator.maps[pi], r_q(alpha)
+        return (
+            _compose(A.mu, [ra_q, eye])
+            .sub(_compose(r_pi, [right_q]))
+            .sub(_compose(r_pi, [_compose(phi, [ra_q, eye])]))
+        )
 
     @cache
     def last(beta, pi):
-        r_pi = operator.maps[pi]
-
-        def term(un1):
-            rn1un1 = operator.maps[beta].apply(un1)
-            return _probe(
-                lambda x: vsub(
-                    vsub(A.product(x, rn1un1), r_pi.apply(module.act_l(x, un1))),
-                    r_pi.apply(phi.apply(x, rn1un1)),
-                ),
-                n,
-            )
-
-        return [term(un1) for un1 in qpow_cols]
+        r_pi, rb_q = operator.maps[pi], r_q(beta)
+        return (
+            _compose(A.mu, [eye, rb_q])
+            .sub(_compose(r_pi, [left_q]))
+            .sub(_compose(r_pi, [_compose(phi, [eye, rb_q])]))
+        )
 
     @cache
     def merged(alpha, beta):
-        return [
-            [_sparse(twisted_inner_sum(operator, alpha, beta, vbasis[a], vbasis[b])) for b in range(d)]
-            for a in range(d)
-        ]
+        sums = [[twisted_inner_sum(operator, alpha, beta, u, v) for v in vbasis] for u in vbasis]
+        return Tensor.from_function((d, d, d), lambda j, a, b: sums[a][b][j])
 
     return _Stencil(
         first=lambda key: first(key[0], omega.product(key)),
         last=lambda key: last(key[-1], omega.product(key)),
         merged=lambda key, i: merged(key[i - 1], key[i]),
-        smap=[_sparse(module.q.column(a)) for a in range(d)],
+        smap=module.q,
     )
 
 
 def _ha_stencil(module, degree):
     """Hochschild-type stencil (the terms of ``hochschild_differential``)."""
-    A, d = module.parent, module.dim
+    A = module.parent
     ppow = A.p.power(max(degree - 1, 0))
-    ppow_cols = [ppow.column(j) for j in range(A.dim)]
-    first = [_probe(lambda v: module.act_l(x, v), d) for x in ppow_cols]
-    last = [_probe(lambda v: module.act_r(v, x), d) for x in ppow_cols]
-    merged = [[_sparse(A.basis_product(a, b)) for b in range(A.dim)] for a in range(A.dim)]
+    eye = Matrix.identity(module.dim)
+    first = _compose(module.left, [ppow, eye])
+    last = _compose(module.right, [eye, ppow])
     return _Stencil(
         first=lambda key: first,
         last=lambda key: last,
-        merged=lambda key, i: merged,
-        smap=[_sparse(A.p.column(j)) for j in range(A.dim)],
+        merged=lambda key, i: A.mu,
+        smap=A.p,
     )
 
 
 def _assemble_stencil(handle, degree, stencil):
-    """Raw differential C^n -> C^(n+1) as sparse columns {row: value}.
+    """Raw differential C^n -> C^(n+1) as (sparse columns {row: value}, den).
 
     Output entry (key, k, idx) is the first term on f[key[1:]][:, idx[1:]],
     plus sign_last times the last term on f[key[:-1]][:, idx[:-1]], plus,
     for each merged slot i, sgn_i * sum_j f[mkey_i][k, j] prod_l args_l[j_l].
+
+    The columns hold integer numerators over one denominator ``den`` for
+    the whole stencil: a first or last term counts in units of its tensor's
+    scale, a merged term in units of scale(smap)^(n-1) * scale(merged), and
+    each is multiplied up to den, the lcm of those units.  When some array
+    has no integer view (a ``TruncatedPoly`` entry), den is None and the
+    same loop adds the entries themselves.
     """
     g, d, n = handle.source_dim, handle.target_dim, degree
     in_pos = {key: pos for pos, key in enumerate(handle.index_keys(n))}
     inner_in, inner_out = g**n, g ** (n + 1)
     block_in, block_out = d * inner_in, d * inner_out
-    cols = [{} for _ in range(len(in_pos) * block_in)]
     sign_last = 1 if (n + 1) % 2 == 0 else -1
-    smap = stencil.smap
 
-    def add(col, row, c):
-        entries = cols[col]
-        entries[row] = entries.get(row, ZERO) + c
-
+    plan, ends, inner = [], {}, {}
     for opos, key in enumerate(handle.index_keys(n + 1)):
         if handle.tag == HA:
             # Hochschild type: every cochain lives under the empty key.
@@ -674,9 +665,77 @@ def _assemble_stencil(handle, degree, stencil):
             mul = handle.omega.mul
             tail, head = key[1:], key[:-1]
             mkeys = [key[: i - 1] + (mul(key[i - 1], key[i]),) + key[i + 1 :] for i in range(1, n + 1)]
-        tail0, head0 = in_pos[tail] * block_in, in_pos[head] * block_in
         first, last = stencil.first(key), stencil.last(key)
         merged = [(i, in_pos[mk] * block_in, stencil.merged(key, i)) for i, mk in enumerate(mkeys, 1)]
+        plan.append((opos, in_pos[tail] * block_in, in_pos[head] * block_in, first, last, merged))
+        ends.update({id(first): first, id(last): last})
+        inner.update((id(t), t) for _, _, t in merged)
+
+    # Every distinct array is read once, through its integer view when all
+    # of them have one; den is the lcm of the terms' units.
+    arrays = {**ends, **inner, id(stencil.smap): stencil.smap}
+    scales, values = _values(list(arrays.values()))
+    values = dict(zip(arrays, values))
+    den = None
+    if scales is not None:
+        scales = dict(zip(arrays, scales))
+        # A merged term multiplies n - 1 entries of smap into its own.
+        args_scale = scales[id(stencil.smap)] ** max(n - 1, 0)
+        units = {key: scales[key] for key in ends} | {key: scales[key] * args_scale for key in inner}
+        den = lcm(*units.values())
+
+    def multiplier(key):
+        return 1 if den is None else den // units[key]
+
+    zero = ZERO if den is None else 0
+
+    @cache
+    def first_term(key):
+        # (k, a, k') of a (d, g, d) tensor, listed per a.
+        out = [[] for _ in range(g)]
+        m = multiplier(key)
+        for flat, c in enumerate(values[key]):
+            if c:
+                k, rest = divmod(flat, g * d)
+                a, kp = divmod(rest, d)
+                out[a].append((k, kp, m * c))
+        return out
+
+    @cache
+    def last_term(key):
+        # (k, k', a) of a (d, d, g) tensor, listed per a, with the sign.
+        out = [[] for _ in range(g)]
+        m = sign_last * multiplier(key)
+        for flat, c in enumerate(values[key]):
+            if c:
+                rest, a = divmod(flat, g)
+                k, kp = divmod(rest, d)
+                out[a].append((k, kp, m * c))
+        return out
+
+    @cache
+    def merged_table(key):
+        # (j, a, b) of a (g, g, g) tensor, listed per (a, b).
+        out = [[[] for _ in range(g)] for _ in range(g)]
+        m = multiplier(key)
+        for flat, c in enumerate(values[key]):
+            if c:
+                j, rest = divmod(flat, g * g)
+                a, b = divmod(rest, g)
+                out[a][b].append((j, m * c))
+        return out
+
+    smap_values = values[id(stencil.smap)]
+    smap = [_sparse(smap_values[a::g]) for a in range(g)]
+    cols = [{} for _ in range(len(in_pos) * block_in)]
+
+    def add(col, row, c):
+        entries = cols[col]
+        entries[row] = entries.get(row, zero) + c
+
+    for opos, tail0, head0, first, last, merged in plan:
+        first, last = first_term(id(first)), last_term(id(last))
+        merged = [(i, m0, merged_table(id(t))) for i, m0, t in merged]
         for flat, idx in enumerate(iproduct(range(g), repeat=n + 1)):
             row = opos * block_out + flat
             col = tail0 + flat % inner_in
@@ -684,7 +743,7 @@ def _assemble_stencil(handle, degree, stencil):
                 add(col + kp * inner_in, row + k * inner_out, c)
             col = head0 + flat // g
             for k, kp, c in last[idx[-1]]:
-                add(col + kp * inner_in, row + k * inner_out, sign_last * c)
+                add(col + kp * inner_in, row + k * inner_out, c)
             for i, m0, table in merged:
                 args = [smap[a] for a in idx[: i - 1]]
                 args.append(table[idx[i - 1]][idx[i]])
@@ -695,16 +754,29 @@ def _assemble_stencil(handle, degree, stencil):
                         j, w = j * g + jl, w * c
                     for k in range(d):
                         add(m0 + k * inner_in + j, row + k * inner_out, w)
-    return cols
+    return cols, den
 
 
-def _apply_columns(cols, support):
-    """Nonzero entries {row: value} of the product of sparse columns
-    {row: value} with a sparse vector ((column, value), ...)."""
+def _apply_columns(cols, den, support):
+    """Nonzero entries {row: value} of the product of the sparse columns
+    {row: value} of ``_assemble_stencil`` with a sparse vector ((column,
+    value), ...).  On integer columns and a vector with an integer view the
+    sum runs on numerators and each nonzero entry is one ``Fraction``;
+    otherwise it runs on the entries, a column value read as value / den."""
+    if den is not None:
+        view = _integer_view([e for _, e in support])
+        if view is not None:
+            scale, ints = view
+            out = {}
+            for (c, _), e in zip(support, ints):
+                for r, v in cols[c].items():
+                    out[r] = out.get(r, 0) + e * v
+            den *= scale
+            return {r: Fraction(v, den) for r, v in out.items() if v}
     out = {}
     for c, e in support:
         for r, v in cols[c].items():
-            out[r] = out.get(r, ZERO) + e * v
+            out[r] = out.get(r, ZERO) + e * (v if den is None else Fraction(v, den))
     return {r: v for r, v in out.items() if v}
 
 

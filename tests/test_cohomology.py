@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -540,16 +541,15 @@ def test_differential_matrix_raises_when_routes_disagree(d1, monkeypatch):
         handle.differential(total)
 
 
-def test_degree_zero_matrix_raises_when_routes_disagree(d1, monkeypatch):
-    original = OmegaBimodule.act_l
-
-    def perturbed(self, alpha, beta, x, u):
-        out = original(self, alpha, beta, x, u)
-        return (out[0] + 1,) + out[1:]
-
-    # Only the generic route reads the pair-indexed left action.
-    monkeypatch.setattr(OmegaBimodule, "act_l", perturbed)
+def test_degree_zero_matrix_raises_when_routes_disagree(d1):
+    # Only the generic route reads the pair-indexed left action: move
+    # left[0][0] of the handle's omega_module at one entry.
     handle = rbf_complex(d1["operator"])
+    module = handle.omega_module
+    left = [list(row) for row in module.left]
+    moved = left[0][0]
+    left[0][0] = Tensor(moved.shape, (moved.entries[0] + 1,) + moved.entries[1:])
+    handle = replace(handle, omega_module=replace(module, left=tuple(map(tuple, left))))
     with pytest.raises(RouteMismatchError, match=r"disagree at index tuple \(\d+,\)"):
         differential_matrix(handle, 0)
 

@@ -19,6 +19,7 @@ maps over K[t]/(t^2), and the rational family on polynomial raw vectors.
 """
 import hashlib
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 import oracles
 from rbfam.cohomology import HA, OMEGA, ComplexHandle, cohomology_dims, ha_complex, omega_complex, rbf_complex
 from rbfam.errors import InputError, WorkbenchError
+from rbfam import linalg
 from rbfam.family import OmegaAssocAlgebra, OmegaBimodule
 from rbfam.homalg import HomAlgebra, HomBimodule
 from rbfam.linalg import Matrix
@@ -195,3 +197,26 @@ def test_polynomial_maps_keep_their_outputs(poly_handle, d1):
     assert all(type(e) is Fraction for e in poly_handle.differential_matrix(0).entries)
     with pytest.raises(InputError, match=r"^elimination is defined for rational matrices only$"):
         cohomology_dims(poly_handle, 1)
+
+
+# ---------------------------------------------------------------------------
+# term maps are composed, not probed
+
+
+@pytest.mark.parametrize("degree, calls", [(0, 0), (1, 108)])
+def test_stencil_term_maps_make_no_multilinear_calls(monkeypatch, degree, calls):
+    # Degree 0 has no merged slot; the 108 calls at degree 1 are the direct
+    # route's per-tuple merged slot, ``twisted_inner_sum``.  Probing every
+    # first/last-term map on unit vectors made 288 and 684.
+    handle = rbf_complex(transported(("cyclic", 2), 0))
+    original, count = linalg.multilinear_apply, []
+
+    def counting(*args):
+        count.append(1)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rbfam" and getattr(module, "multilinear_apply", None) is original:
+            monkeypatch.setattr(module, "multilinear_apply", counting)
+    handle._stencil_maps(degree)
+    assert len(count) == calls
