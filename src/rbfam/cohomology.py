@@ -19,16 +19,15 @@ Bases, differential matrices and dimensions are exact and deterministic.
 
 In every degree n >= 0 the differential of each complex is one linear
 map, assembled in raw coordinates by one stencil walker shared by the
-three complexes and kept on the handle.  Each complex supplies a small
-stencil: its first/last-term maps, each composed once as a whole tensor,
-and its merged arguments.  The walker adds integer numerators over one
-denominator per stencil (the entries themselves when some data is
-polynomial).  ``differential_matrix`` applies the map to every basis
-vector, ``differential`` to one member cochain and ``raw_differential`` to
-any raw coefficient vector, on numerators too, with one ``Fraction`` per
-nonzero image entry; for RBF the direct and the generic stencils are both
-assembled and every image is compared.  Images stay sparse ({row: value})
-until the public matrix is built.  Every
+three complexes (each supplies a small stencil of term maps, composed as
+whole tensors, and merged arguments) on integer numerators over one
+denominator, and kept on the handle.  ``differential_matrix`` applies it
+to every basis vector, ``differential`` to one member cochain and
+``raw_differential`` to any raw coefficient vector, with one ``Fraction``
+per nonzero image entry; for RBF the direct and the generic stencils are
+both assembled and every image is compared.  Polynomial data runs the same
+loops on the entries themselves.  Images stay sparse ({row: value}) until
+the public matrix is built.  Every
 cochain that enters, through ``make_cochain`` or ``differential``, passes
 one validation path (index tuples, shapes, the size guard and membership),
 and every stencil is assembled under the size guard.
@@ -690,38 +689,24 @@ def _assemble_stencil(handle, degree, stencil):
     zero = ZERO if den is None else 0
 
     @cache
-    def first_term(key):
-        # (k, a, k') of a (d, g, d) tensor, listed per a.
+    def end_term(key, axis):
+        # A first (axis 1, T[k][a][k']) or last (axis 2, T[k][k'][a]) term
+        # map as (k, k', value) per a; the last carries its sign.
+        m = multiplier(key) * (sign_last if axis == 2 else 1)
         out = [[] for _ in range(g)]
-        m = multiplier(key)
-        for flat, c in enumerate(values[key]):
+        for (k, x, y), c in zip(iproduct(*map(range, arrays[key].shape)), values[key]):
             if c:
-                k, rest = divmod(flat, g * d)
-                a, kp = divmod(rest, d)
-                out[a].append((k, kp, m * c))
-        return out
-
-    @cache
-    def last_term(key):
-        # (k, k', a) of a (d, d, g) tensor, listed per a, with the sign.
-        out = [[] for _ in range(g)]
-        m = sign_last * multiplier(key)
-        for flat, c in enumerate(values[key]):
-            if c:
-                rest, a = divmod(flat, g)
-                k, kp = divmod(rest, d)
+                a, kp = (x, y) if axis == 1 else (y, x)
                 out[a].append((k, kp, m * c))
         return out
 
     @cache
     def merged_table(key):
-        # (j, a, b) of a (g, g, g) tensor, listed per (a, b).
-        out = [[[] for _ in range(g)] for _ in range(g)]
+        # M[j][a][b] as (j, value) per (a, b).
         m = multiplier(key)
-        for flat, c in enumerate(values[key]):
+        out = [[[] for _ in range(g)] for _ in range(g)]
+        for (j, a, b), c in zip(iproduct(range(g), repeat=3), values[key]):
             if c:
-                j, rest = divmod(flat, g * g)
-                a, b = divmod(rest, g)
                 out[a][b].append((j, m * c))
         return out
 
@@ -734,7 +719,7 @@ def _assemble_stencil(handle, degree, stencil):
         entries[row] = entries.get(row, zero) + c
 
     for opos, tail0, head0, first, last, merged in plan:
-        first, last = first_term(id(first)), last_term(id(last))
+        first, last = end_term(id(first), 1), end_term(id(last), 2)
         merged = [(i, m0, merged_table(id(t))) for i, m0, t in merged]
         for flat, idx in enumerate(iproduct(range(g), repeat=n + 1)):
             row = opos * block_out + flat
