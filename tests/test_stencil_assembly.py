@@ -205,9 +205,9 @@ def test_polynomial_maps_keep_their_outputs(poly_handle, d1):
 
 @pytest.mark.parametrize("degree, calls", [(0, 0), (1, 108)])
 def test_stencil_term_maps_make_no_multilinear_calls(monkeypatch, degree, calls):
-    # Degree 0 has no merged slot; the 108 calls at degree 1 are the direct
-    # route's per-tuple merged slot, ``twisted_inner_sum``.  Probing every
-    # first/last-term map on unit vectors made 288 and 684.
+    # Every term map is composed as a whole tensor, so only the direct
+    # route's per-tuple merged slot, ``twisted_inner_sum``, contracts: no
+    # call at degree 0 (no merged slot), 108 at degree 1.
     handle = rbf_complex(transported(("cyclic", 2), 0))
     original, count = linalg.multilinear_apply, []
 
