@@ -28,7 +28,12 @@ copied a ``Matrix`` into a ``Tensor``, as the references of the shared
 array layer), the package's former stencil providers and walker
 (frozen, as they probed each first/last-term map on unit vectors and added
 ``Fraction`` entries one cell at a time, as the references of the ones
-that compose those maps as tensors and assemble integer numerators), a
+that compose those maps as tensors and assemble integer numerators), the
+package's former signed sums (``reports.nested_cases`` composing per first
+index, ``intertwining_residual`` putting its sides over one denominator,
+``linalg._compose`` as a body of its own, and the ``sub`` chains of the
+twisted stencil's end maps and of ``operator_bimodule``; frozen as the
+references of the one signed-composition kernel), a
 twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
@@ -76,6 +81,7 @@ from rbfam.linalg import (
     Matrix,
     Tensor,
     _compose_state,
+    _multipliers,
     _nonzeros,
     _rows,
     _values,
@@ -90,6 +96,7 @@ from rbfam.operators import (
     NijenhuisFamily,
     NijenhuisInducedData,
     TwistedRBFamily,
+    _split_products,
     check_nijenhuis_family,
     check_twisted_rbf,
     check_weighted_rbf,
@@ -1773,3 +1780,218 @@ def probed_handle(handle):
     """A ``ProbedStencilHandle`` on the data of ``handle``, with empty caches."""
     data = {f.name: getattr(handle, f.name) for f in fields(handle) if not f.name.startswith("_")}
     return ProbedStencilHandle(**data)
+
+
+# ---------------------------------------------------------------------------
+# signed sums, frozen while each builder summed its own terms
+
+
+def first_index_nested_cases(first, last, terms, names, where=None):
+    """The body ``reports.nested_cases`` had while it composed each term
+    once per first index i, with per-term denominators and multipliers and
+    rows sliced off the law's integer views.
+
+    Kept verbatim, with its ``_signed_state`` and ``_residual_columns``
+    (``first_index_signed_state``, ``residual_columns``), so the one that
+    composes each term whole through one signed sum can be held to
+    ``repr``-identical cases and to the same exceptions.
+    """
+    _, outer0, inner0, left0 = terms[0]
+    middle = inner0.shape[2] if left0 else inner0.shape[1]
+    shape = (outer0.shape[0], middle, last.cols)
+    count = first.cols
+    for _, outer, inner, left in terms:
+        e = inner.shape[0] if inner.shape else -1
+        if left:
+            want = ((shape[0], e, last.rows), (e, count, middle))
+        else:
+            want = ((shape[0], first.rows, e), (e, middle, last.cols))
+        if (outer.shape, inner.shape) != want:
+            raise InputError(f"nested term of shapes {outer.shape} and {inner.shape}, expected {want}")
+    scales, values = _values([first, last, *(t for _, outer, inner, _ in terms for t in (outer, inner))])
+    dens = None
+    if scales is not None:
+        edges = (scales[1] if left else scales[0] for *_, left in terms)
+        dens = [s_outer * s_inner * s for s_outer, s_inner, s in zip(scales[2::2], scales[3::2], edges)]
+    multipliers, den = _multipliers([sign for sign, *_ in terms], dens)
+    # Row a * count + i of ``firsts`` is first[a][i], and of a left term's
+    # inner rows inner[a][i][:]: both are sliced per i.  A right term's
+    # inner is one fixed part.
+    firsts, _ = _rows(values[0], first.rows * count, 1)
+    lasts = _rows(values[1], last.rows, last.cols)
+    prepared = []
+    for m, term, outer_values, entries in zip(multipliers, terms, values[2::2], values[3::2]):
+        _, outer, inner, left = term
+        e = inner.shape[0]
+        rows = _rows(entries, e * count, middle)[0] if left else _rows(entries, e, middle * last.cols)
+        prepared.append((m, outer.shape, _nonzeros(outer_values), rows, left))
+    prefix = where or {}
+    for i in range(count):
+        composed = []
+        for m, outer_shape, outer_state, rows, left in prepared:
+            heads = range(outer_shape[1])
+            if left:
+                parts = [([rows[a * count + i] for a in heads], middle), lasts]
+            else:
+                parts = [([firsts[a * count + i] for a in heads], 1), rows]
+            composed.append((m, outer_shape, outer_state, parts))
+        state = first_index_signed_state(composed)
+        indices = product(range(middle), range(shape[2]))
+        for (j, k), residual in zip(indices, residual_columns(state, den, shape)):
+            case = dict(prefix)
+            case.update(zip(names, (i, j, k)))
+            yield case, residual
+
+
+def first_index_signed_state(terms):
+    """The state of the sum of m * (outer o (parts...)) over the terms
+    (m, outer shape, outer state, parts) of ``_compose_state``."""
+    acc = {}
+    get = acc.get
+    for m, shape, state, parts in terms:
+        for k, v in _compose_state(shape, state, parts).items():
+            w = get(k)
+            acc[k] = v * m if w is None else w + v * m
+    return acc
+
+
+def residual_columns(state, den, shape):
+    """The columns of a residual state over ``shape`` = (d, *inputs), one
+    tuple per input tuple in row-major order."""
+    d, inner = shape[0], prod(shape[1:])
+    columns = {}
+    for flat, v in state.items():
+        if den is not None:
+            if not v:
+                continue
+            v = Fraction(v, den)
+        k, c = divmod(flat, inner)
+        column = columns.get(c)
+        if column is None:
+            column = columns[c] = [ZERO] * d
+        column[k] = v
+    zero = (ZERO,) * d
+    for c in range(inner):
+        column = columns.get(c)
+        yield zero if column is None else tuple(column)
+
+
+def sided_intertwining_residual(out, src, tgt, ins):
+    """The body ``reports.intertwining_residual`` had while it put its two
+    sides over one denominator itself.
+
+    Kept verbatim, on ``first_index_signed_state``, so the one that is a
+    two-term signed sum can be held to ``repr``-identical states and to the
+    same exceptions.
+    """
+    src_shape, tgt_shape = src.shape, tgt.shape
+    ins_shapes = [(m.rows, m.cols) for m in ins]
+    shape = (out.rows, *src_shape[1:])
+    if (
+        out.cols != src_shape[0]
+        or tgt_shape[1:] != tuple(r for r, _ in ins_shapes)
+        or shape != (tgt_shape[0], *(c for _, c in ins_shapes))
+    ):
+        raise InputError(
+            f"law sides {(out.rows, out.cols)} o {src_shape} and {tgt_shape} o {ins_shapes} do not match"
+        )
+    scales, values = _values((out, src, tgt, *ins))
+    dens = None if scales is None else (scales[0] * scales[1], prod(scales[2:]))
+    (lhs_m, rhs_m), den = _multipliers((1, -1), dens)
+    lhs = [_rows(values[1], out.cols, prod(shape[1:]))]
+    rhs = [_rows(v, m.rows, m.cols) for m, v in zip(ins, values[3:])]
+    sides = [
+        (lhs_m, (out.rows, out.cols), _nonzeros(values[0]), lhs),
+        (rhs_m, tgt_shape, _nonzeros(values[2]), rhs),
+    ]
+    return first_index_signed_state(sides), den, shape
+
+
+def single_compose(outer, parts):
+    """The body ``linalg._compose`` had while it composed one term on its
+    own, before it became the one-term case of a signed sum.
+
+    Kept verbatim, on the package kernel ``_compose_state``, so the signed
+    sum can be held to ``repr``-identical tensors and to the same
+    exceptions; the chained builders below compose through it.
+    """
+    scales, values = _values((outer, *parts))
+    shape = outer.shape
+    if len(shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, shape[1:])):
+        raise InputError(f"cannot compose shape {shape} with {[t.shape for t in parts]}")
+    rows = [_rows(v, t.shape[0], prod(t.shape[1:])) for t, v in zip(parts, values[1:])]
+    state = _compose_state(shape, _nonzeros(values[0]), rows)
+    out_shape = shape[:1] + sum((t.shape[1:] for t in parts), ())
+    out = [ZERO] * prod(out_shape)
+    den = None if scales is None else prod(scales)
+    for k, v in state.items():
+        out[k] = v if den is None else Fraction(v, den)
+    return Tensor(out_shape, tuple(out))
+
+
+def chained_rbf_ends(operator, degree):
+    """(first, last): the first- and last-term maps of
+    ``cohomology._rbf_stencil`` as it built them, each a chain of ``sub``
+    calls on separately composed tensors.
+
+    Kept verbatim but for ``single_compose`` in place of ``_compose``;
+    first(alpha, pi) and last(beta, pi) take the semigroup indices the
+    stencil reads off a key.
+    """
+    A, module, phi = (
+        operator.algebra,
+        operator.bimodule,
+        operator.cocycle.phi,
+    )
+    qpow = module.q.power(max(degree - 1, 0))
+    eye = Matrix.identity(A.dim)
+    right_q = single_compose(module.right, [qpow, eye])
+    left_q = single_compose(module.left, [eye, qpow])
+
+    @cache
+    def r_q(alpha):
+        return operator.maps[alpha].mul(qpow)
+
+    @cache
+    def first(alpha, pi):
+        r_pi, ra_q = operator.maps[pi], r_q(alpha)
+        return (
+            single_compose(A.mu, [ra_q, eye])
+            .sub(single_compose(r_pi, [right_q]))
+            .sub(single_compose(r_pi, [single_compose(phi, [ra_q, eye])]))
+        )
+
+    @cache
+    def last(beta, pi):
+        r_pi, rb_q = operator.maps[pi], r_q(beta)
+        return (
+            single_compose(A.mu, [eye, rb_q])
+            .sub(single_compose(r_pi, [left_q]))
+            .sub(single_compose(r_pi, [single_compose(phi, [eye, rb_q])]))
+        )
+
+    return first, last
+
+
+def chained_operator_bimodule(operator):
+    """The body ``family.operator_bimodule`` had while each action was a
+    chain of ``sub`` calls on separately composed tensors.
+
+    Kept verbatim but for ``single_compose`` in place of ``_compose``.
+    """
+    ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
+    A, module, phi = operator.algebra, operator.bimodule, operator.cocycle.phi
+    omega, maps = operator.omega, operator.maps
+    parent = _total_product(_split_operator(operator))
+    # x . R_b u, R_a u . x, phi(x, R_b u) and phi(R_a u, x)
+    x_r, r_x = _split_products(A.mu, A.mu, maps)
+    phi_x_r, phi_r_x = _split_products(phi, phi, maps)
+
+    def action(a, b, product, act, twisted):
+        r_ab = maps[omega.mul(a, b)]
+        return product.sub(single_compose(r_ab, [act])).sub(single_compose(r_ab, [twisted]))
+
+    elements = omega.elements()
+    left = tuple(tuple(action(a, b, r_x[a], module.right, phi_r_x[a]) for b in elements) for a in elements)
+    right = tuple(tuple(action(a, b, x_r[b], module.left, phi_x_r[b]) for b in elements) for a in elements)
+    return OmegaBimodule(parent=parent, dim=A.dim, left=left, right=right, q=A.p)
