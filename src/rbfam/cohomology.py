@@ -55,6 +55,7 @@ from .linalg import (
     Matrix,
     Tensor,
     _compose,
+    _compose_sum,
     _integer_view,
     _values,
     densify,
@@ -527,9 +528,9 @@ def rbf_complex(operator, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX
 #   smap            the structure map on the source.
 # In degree 0 key[1:] and key[:-1] are the empty key, whose semigroup
 # product is the unit, and there is no merged slot.  Each term map is one
-# composition of whole tensors (``linalg._compose``), cached per the data it
-# depends on, never per key or per cochain; the walker reads every array
-# once, through its cached integer view.
+# signed sum of whole compositions (``linalg._compose_sum``), cached per the
+# data it depends on, never per key or per cochain; the walker reads every
+# array once, through its cached integer view.
 
 _Stencil = namedtuple("_Stencil", ["first", "last", "merged", "smap"])
 
@@ -591,20 +592,14 @@ def _rbf_stencil(operator, degree):
     @cache
     def first(alpha, pi):
         r_pi, ra_q = operator.maps[pi], r_q(alpha)
-        return (
-            _compose(A.mu, [ra_q, eye])
-            .sub(_compose(r_pi, [right_q]))
-            .sub(_compose(r_pi, [_compose(phi, [ra_q, eye])]))
-        )
+        twisted = _compose(phi, [ra_q, eye])
+        return _compose_sum([(1, A.mu, [ra_q, eye]), (-1, r_pi, [right_q]), (-1, r_pi, [twisted])])
 
     @cache
     def last(beta, pi):
         r_pi, rb_q = operator.maps[pi], r_q(beta)
-        return (
-            _compose(A.mu, [eye, rb_q])
-            .sub(_compose(r_pi, [left_q]))
-            .sub(_compose(r_pi, [_compose(phi, [eye, rb_q])]))
-        )
+        twisted = _compose(phi, [eye, rb_q])
+        return _compose_sum([(1, A.mu, [eye, rb_q]), (-1, r_pi, [left_q]), (-1, r_pi, [twisted])])
 
     @cache
     def merged(alpha, beta):

@@ -13,7 +13,7 @@ from itertools import product as iproduct
 
 from .errors import InputError
 from .homalg import HomAlgebra, _block_repeat, graded_tensor
-from .linalg import Matrix, Tensor, _compose, multilinear_apply, rank
+from .linalg import Matrix, Tensor, _compose, _compose_sum, multilinear_apply, rank
 from .operators import _split_products, _totals, _twisted_products, check_twisted_rbf, check_weighted_rbf
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
@@ -521,17 +521,17 @@ def operator_bimodule(operator):
     A, module, phi = operator.algebra, operator.bimodule, operator.cocycle.phi
     omega, maps = operator.omega, operator.maps
     parent = _total_product(_split_operator(operator))
-    # x . R_b u, R_a u . x, phi(x, R_b u) and phi(R_a u, x)
-    x_r, r_x = _split_products(A.mu, A.mu, maps)
+    eye = Matrix.identity(A.dim)
+    # phi(x, R_b u) and phi(R_a u, x)
     phi_x_r, phi_r_x = _split_products(phi, phi, maps)
 
     def action(a, b, product, act, twisted):
         r_ab = maps[omega.mul(a, b)]
-        return product.sub(_compose(r_ab, [act])).sub(_compose(r_ab, [twisted]))
+        return _compose_sum([(1, A.mu, product), (-1, r_ab, [act]), (-1, r_ab, [twisted])])
 
     elements = omega.elements()
-    left = tuple(tuple(action(a, b, r_x[a], module.right, phi_r_x[a]) for b in elements) for a in elements)
-    right = tuple(tuple(action(a, b, x_r[b], module.left, phi_x_r[b]) for b in elements) for a in elements)
+    left = tuple(tuple(action(a, b, [maps[a], eye], module.right, phi_r_x[a]) for b in elements) for a in elements)
+    right = tuple(tuple(action(a, b, [eye, maps[b]], module.left, phi_x_r[b]) for b in elements) for a in elements)
     return OmegaBimodule(parent=parent, dim=A.dim, left=left, right=right, q=A.p)
 
 

@@ -11,15 +11,17 @@ kernels read a ``Matrix`` in place as its row-major tensor, with no copy.
 
 Matrix-vector products and multilinear contraction run over the arguments'
 supports (their nonzero coordinates), reading a tensor through a sparse
-column view built once per tensor; a law's sides are composed one slot at
-a time over nonzero entries by one kernel, ``_compose_state``, which
-returns the sparse state {flat index: value} that ``_compose`` turns into
-a tensor and the law primitives of ``reports`` sum into residuals.
+column view built once per tensor.  Every signed sum of compositions goes
+through one kernel, ``_signed_state``, which composes each term one slot
+at a time over nonzero entries and returns the sparse state {flat index:
+value} over one denominator: ``_compose_sum`` (one-term case ``_compose``)
+turns it into a tensor, and the law primitives of ``reports`` read it as
+residuals.
 
 Rationals become integers in one place, ``_integer_view``: the lcm of the
 entries' denominators and the entries scaled by it.  Each ``Tensor`` and
 ``Matrix`` caches its view on first use (a tensor its integer sparse
-columns too), so ``multilinear_apply`` and ``_compose_state`` contract
+columns too), so ``multilinear_apply`` and ``_signed_state`` contract
 integer numerators and a ``Fraction`` is built once per output entry.  An
 entry that is neither an int nor a ``Fraction`` (a ``TruncatedPoly``, a
 float) leaves its tensor or matrix without a view: contraction then runs on
@@ -392,36 +394,72 @@ def _contract(columns, args, out, one):
 
 
 def _compose(outer, parts):
-    """The tensor outer o (parts[0] x ... x parts[m-1]), contracted sparsely.
+    """The tensor outer o (parts[0] x ... x parts[m-1]): the one-term case
+    of ``_compose_sum``."""
+    return _compose_sum([(1, outer, parts)])
 
-    ``outer`` has shape (d, a_0, ..., a_{m-1}) and parts[s] has shape
-    (a_s, *in_s), a ``Matrix`` read in place with shape (rows, cols); the
-    result has shape (d, *in_0, ..., *in_{m-1}) and the entry sum over a
-    of outer[k][a] * parts[0][a_0][i_0] * ... * parts[m-1][a_{m-1}][i_{m-1}].  Slots are contracted one at a time over
-    nonzero supports (``_compose_state``), so outer o (first x inner) costs
-    O(n^5) where one contraction per basis triple costs O(n^6).
 
-    An entry fed by at least one product of nonzero factors is that sum,
-    even when it cancels to 0; every other entry is ``ZERO``.  That keeps
-    the entry types ``multilinear_apply`` gives: a ``TruncatedPoly`` stays
-    one (t * t^2 = 0 mod t^3 included) and a rational is a ``Fraction``.
-    When every input has an integer view (every entry an int or a
-    ``Fraction``), the contraction runs on the inputs' cached integer views
-    (each scaled by the lcm of its denominators) and divides once at the
-    end; a ``TruncatedPoly`` entry anywhere keeps the entries themselves.
-    """
-    scales, values = _values((outer, *parts))
-    shape = outer.shape
-    if len(shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, shape[1:])):
-        raise InputError(f"cannot compose shape {shape} with {[t.shape for t in parts]}")
-    rows = [_rows(v, t.shape[0], prod(t.shape[1:])) for t, v in zip(parts, values[1:])]
-    state = _compose_state(shape, _nonzeros(values[0]), rows)
-    out_shape = shape[:1] + sum((t.shape[1:] for t in parts), ())
-    out = [ZERO] * prod(out_shape)
-    den = None if scales is None else prod(scales)
+def _compose_sum(terms):
+    """The tensor of ``_signed_state(terms)``, ``ZERO`` where the state has no entry."""
+    state, den, shape = _signed_state(terms)
+    out = [ZERO] * prod(shape)
     for k, v in state.items():
         out[k] = v if den is None else Fraction(v, den)
-    return Tensor(out_shape, tuple(out))
+    return Tensor(shape, tuple(out))
+
+
+def _signed_state(terms):
+    """(state, den, shape): the sum of sign * outer o (parts[0] x ... x
+    parts[m-1]) over the terms (sign, outer, parts) as a sparse state
+    {flat index over shape: value}; the one signed-composition kernel.
+
+    outer has shape (d, a_0, ..., a_{m-1}) and parts[s] shape (a_s, *in_s),
+    a ``Matrix`` read in place; every term must have the shape
+    (d, *in_0, ..., *in_{m-1}).  Terms are contracted one slot at a time
+    over nonzero supports (``_compose_state``).  With an integer view on
+    every input, a term counts in units of 1/(product of its scales) and is
+    added times sign * (den // units), den the lcm of the units; a
+    ``TruncatedPoly`` entry anywhere runs on the entries themselves, with
+    the signs as multipliers and den None.  Every entry fed by a product of
+    nonzero factors is kept, even one that cancels to 0, so it keeps that
+    sum's type: a ``TruncatedPoly`` stays one (t * t^2 = 0 mod t^3
+    included) and a rational is a ``Fraction``.
+    """
+    scales, values = _values([t for _, outer, parts in terms for t in (outer, *parts)])
+    shape, spans, start = None, [], 0
+    for _, outer, parts in terms:
+        outer_shape = outer.shape
+        if len(outer_shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, outer_shape[1:])):
+            raise InputError(f"cannot compose shape {outer_shape} with {[t.shape for t in parts]}")
+        term_shape = outer_shape[:1] + sum((t.shape[1:] for t in parts), ())
+        if shape is None:
+            shape = term_shape
+        elif term_shape != shape:
+            raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
+        spans.append((start, start + len(parts) + 1))
+        start += len(parts) + 1
+    dens = None if scales is None else [prod(scales[a:b]) for a, b in spans]
+    states = (
+        _compose_state(
+            outer.shape,
+            _nonzeros(values[a]),
+            [_rows(v, t.shape[0], prod(t.shape[1:])) for t, v in zip(parts, values[a + 1 : b])],
+        )
+        for (_, outer, parts), (a, b) in zip(terms, spans)
+    )
+    multipliers, den = _multipliers([sign for sign, *_ in terms], dens)
+    # The first state starts the sum in place (a lone +1 term is returned as
+    # composed); each state is dropped before the next term is composed.
+    acc = next(states)
+    if multipliers[0] != 1:
+        for k, v in acc.items():
+            acc[k] = v * multipliers[0]
+    get = acc.get
+    for m in multipliers[1:]:
+        for k, v in next(states).items():
+            w = get(k)
+            acc[k] = v * m if w is None else w + v * m
+    return acc, den, shape
 
 
 def _compose_state(shape, state, parts):
@@ -435,8 +473,7 @@ def _compose_state(shape, state, parts):
     over (d, *in_0, ..., *in_{m-1}) and holds every entry fed by a product
     of nonzero factors, even one that cancels to 0.  Values are whatever
     the inputs hold, integer numerators or the entries themselves; the
-    kernel of ``_compose`` and of the law primitives in ``reports``.
-    ``state`` is only read.
+    contraction of ``_signed_state``.  ``state`` is only read.
     """
     remaining = prod(shape[1:])
     for s, (rows, size) in enumerate(parts):

@@ -34,13 +34,14 @@ from .homalg import (
     semidirect_product,
     tensor_bimodule,
 )
-from .linalg import Matrix, _compose, block_diag, unit_vector, vadd, vsub
+from .linalg import Matrix, _compose, _compose_sum, block_diag, unit_vector, vadd, vsub
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
     ensure_valid,
     intertwining_cases,
     run_law,
+    signed_cases,
 )
 from .scalars import ensure_rational
 from .semigroups import FiniteSemigroup, builtin
@@ -160,7 +161,7 @@ def _nijenhuis_products(family):
     N_a x . y - N_ab(x.y)."""
     A, omega = family.algebra, family.omega
     prec, succ = _split_products(A.mu, A.mu, family.maps)
-    minus_n_mu = tuple(_compose(n, [A.mu]).neg() for n in family.maps)
+    minus_n_mu = tuple(_compose_sum([(-1, n, [A.mu])]) for n in family.maps)
     total = _totals(omega, prec, succ, lambda a, b: minus_n_mu[omega.mul(a, b)])
     return prec, succ, minus_n_mu, total
 
@@ -178,14 +179,13 @@ def _family_identity(omega, mu, maps, total, names):
 
     On each pair (a, b) this is the intertwining law
     M_ab o total_ab = mu o (M_a x M_b); the residual is its right side
-    minus its left side, M_a x . M_b y - M_ab(total_ab(x, y)).
+    minus its left side, M_a x . M_b y - M_ab(total_ab(x, y)), one signed
+    sum of the two compositions.
     """
     for alpha, beta in iproduct(omega.elements(), repeat=2):
         m_ab = maps[omega.mul(alpha, beta)]
-        where = {"alpha": alpha, "beta": beta}
-        ins = [maps[alpha], maps[beta]]
-        for case, residual in intertwining_cases(m_ab, total[alpha][beta], mu, ins, names, where):
-            yield case, tuple(-c for c in residual)
+        terms = [(1, mu, [maps[alpha], maps[beta]]), (-1, m_ab, [total[alpha][beta]])]
+        yield from signed_cases(terms, names, {"alpha": alpha, "beta": beta})
 
 
 def family_identity_cases(operator, maps):

@@ -23,12 +23,13 @@ of a structure map, a morphism condition, cochain membership) is checked
 through ``intertwining_cases``, or, for a yes/no, through its residual
 state ``intertwining_residual``.  That includes a law read off one
 coefficient of such a law over K[t]/(t^k): the Nijenhuis-element laws are
-coefficients of the morphism laws of the trivial pair (phi^t, psi^t).  It
-also includes the family identities (twisted Rota-Baxter, Nijenhuis,
-weighted Rota-Baxter): on each pair (a, b) the identity is
+coefficients of the morphism laws of the trivial pair (phi^t, psi^t).  The
+family identities (twisted Rota-Baxter, Nijenhuis, weighted Rota-Baxter)
+are intertwining laws too: on each pair (a, b) the identity is
 M_ab o total_ab = mu o (M_a x M_b) against the composed induced total
-product, with residual rhs - lhs, so the where-keys and residuals are
-those of the identity evaluated per basis pair.
+product.  They are read through ``signed_cases`` as the two-term sum
+mu o (M_a x M_b) - M_ab o total_ab, so the where-keys and residuals
+(rhs - lhs) are those of the identity evaluated per basis pair.
 
 A nested-product law is a signed sum of terms outer(first x, inner(y, z))
 and outer(inner(x, y), last z), with a structure map on the outer slot
@@ -40,29 +41,30 @@ and then one key per slot of the triple, and the residual is the signed
 sum of the terms, so it is lhs - rhs when the terms of the law's left side
 carry +1 and those of its right side -1.
 
-Integer residual states.  Both primitives compose a law's sides with
-``linalg._compose_state``, the kernel of ``linalg._compose``: out o T and
-T' o (in_1 x ... x in_n), and per first index i each nested term
-outer o (first e_i x inner) or outer o (inner(e_i, -) x last), its rows
-sliced off the law's inputs.  When every input has an integer view, each
-side is a sparse state {flat index: integer numerator} over the product of
-its inputs' scales; the residual is one state, the sum of each side's
-state times sign * (D // den) for D the lcm of the sides' denominators.
-The entry-type rule: a residual entry is ``Fraction(v, D)`` where its
-numerator v is nonzero and ``ZERO`` elsewhere, and a residual column with
-no nonzero entry is one shared (ZERO,) * d tuple.  A ``TruncatedPoly``
+Integer residual states.  Every primitive reads its residual off one
+kernel, ``linalg._signed_state``, the signed sum of whole compositions:
+out o T - T' o (in_1 x ... x in_n) for an intertwining law, each nested
+term composed whole as outer o (inner x last) or outer o (first x inner),
+and any other sum of compositions through ``signed_cases``.  When every
+input has an integer view, the residual is one sparse state
+{flat index: integer numerator} over D, the lcm of the terms' products of
+scales.  The entry-type rule: a residual entry is ``Fraction(v, D)`` where
+its numerator v is nonzero and ``ZERO`` elsewhere, and a residual column
+with no nonzero entry is one shared (ZERO,) * d tuple.  A ``TruncatedPoly``
 entry anywhere runs the same loop on the entries themselves, with
 multipliers +-1 and no denominator: an entry fed by a product of nonzero
 factors keeps that sum's type even when it cancels to 0, and every other
 entry is ``ZERO``.  Either way each residual entry is a ``TruncatedPoly``
 or a ``Fraction`` exactly as when each tuple was contracted on its own.
+A nested law's state covers all (i, j, k) at once, d * I * J * K entries
+at most.
 
 Three per-tuple paths stay, each an independent second route that must
 not share the composed computation: ``homalg.hochschild_differential``
 (in degree 2 its terms are the compositions of the direct 2-cocycle
 identity; it contracts hoisted integer columns per basis tuple with
 ``linalg._contract``, the kernel of ``multilinear_apply``, and never calls
-``_compose`` or ``_compose_state``), the direct stencil of the family
+``_signed_state`` or its tensor forms), the direct stencil of the family
 differential (``operators.twisted_inner_sum``, cross-checked against the
 generic route on the induced bimodule), and
 ``operators.search_nijenhuis_families``: it binds one map at a time and
@@ -78,7 +80,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .errors import InputError, PreconditionError
-from .linalg import ZERO, _compose_state, _multipliers, _nonzeros, _rows, _values
+from .linalg import ZERO, _signed_state
 from .scalars import format_scalar
 
 DEFAULT_MAX_VIOLATIONS = 16
@@ -193,13 +195,7 @@ def intertwining_cases(out, src, tgt, ins, names, where=None):
     With n = 0 the one residual is out(u) - v for the vectors u of ``src``
     and v of ``tgt``.  Entries may be any exact scalars.
     """
-    prefix = where or {}
-    state, den, shape = intertwining_residual(out, src, tgt, ins)
-    indices = iproduct(*(range(d) for d in shape[1:]))
-    for idx, residual in zip(indices, _residual_columns(state, den, shape)):
-        case = dict(prefix)
-        case.update(zip(names, idx))
-        yield case, residual
+    yield from _cases(intertwining_residual(out, src, tgt, ins), names, where)
 
 
 def intertwining_residual(out, src, tgt, ins):
@@ -224,16 +220,7 @@ def intertwining_residual(out, src, tgt, ins):
         raise InputError(
             f"law sides {(out.rows, out.cols)} o {src_shape} and {tgt_shape} o {ins_shapes} do not match"
         )
-    scales, values = _values((out, src, tgt, *ins))
-    dens = None if scales is None else (scales[0] * scales[1], prod(scales[2:]))
-    (lhs_m, rhs_m), den = _multipliers((1, -1), dens)
-    lhs = [_rows(values[1], out.cols, prod(shape[1:]))]
-    rhs = [_rows(v, m.rows, m.cols) for m, v in zip(ins, values[3:])]
-    sides = [
-        (lhs_m, (out.rows, out.cols), _nonzeros(values[0]), lhs),
-        (rhs_m, tgt_shape, _nonzeros(values[2]), rhs),
-    ]
-    return _signed_state(sides), den, shape
+    return _signed_state([(1, out, [src]), (-1, tgt, ins)])
 
 
 def nested_cases(first, last, terms, names, where=None):
@@ -250,73 +237,36 @@ def nested_cases(first, last, terms, names, where=None):
     zip(names, (i, j, k)) and residual the signed sum of the terms.  Entries
     may be any exact scalars.
 
-    For each i, every term is composed as one state over (j, k):
-    outer o (inner[:, i, :] x last) or outer o (first e_i x inner), its
-    sliced rows read off the law's integer views, and the states are
-    summed over one common denominator.
+    Each term is composed whole, outer o (inner x last) or
+    outer o (first x inner), in one signed sum over (i, j, k).
     """
     _, outer0, inner0, left0 = terms[0]
     middle = inner0.shape[2] if left0 else inner0.shape[1]
-    shape = (outer0.shape[0], middle, last.cols)
-    count = first.cols
+    d, count = outer0.shape[0], first.cols
     for _, outer, inner, left in terms:
         e = inner.shape[0] if inner.shape else -1
         if left:
-            want = ((shape[0], e, last.rows), (e, count, middle))
+            want = ((d, e, last.rows), (e, count, middle))
         else:
-            want = ((shape[0], first.rows, e), (e, middle, last.cols))
+            want = ((d, first.rows, e), (e, middle, last.cols))
         if (outer.shape, inner.shape) != want:
             raise InputError(f"nested term of shapes {outer.shape} and {inner.shape}, expected {want}")
-    scales, values = _values([first, last, *(t for _, outer, inner, _ in terms for t in (outer, inner))])
-    dens = None
-    if scales is not None:
-        edges = (scales[1] if left else scales[0] for *_, left in terms)
-        dens = [s_outer * s_inner * s for s_outer, s_inner, s in zip(scales[2::2], scales[3::2], edges)]
-    multipliers, den = _multipliers([sign for sign, *_ in terms], dens)
-    # Row a * count + i of ``firsts`` is first[a][i], and of a left term's
-    # inner rows inner[a][i][:]: both are sliced per i.  A right term's
-    # inner is one fixed part.
-    firsts, _ = _rows(values[0], first.rows * count, 1)
-    lasts = _rows(values[1], last.rows, last.cols)
-    prepared = []
-    for m, term, outer_values, entries in zip(multipliers, terms, values[2::2], values[3::2]):
-        _, outer, inner, left = term
-        e = inner.shape[0]
-        rows = _rows(entries, e * count, middle)[0] if left else _rows(entries, e, middle * last.cols)
-        prepared.append((m, outer.shape, _nonzeros(outer_values), rows, left))
-    prefix = where or {}
-    for i in range(count):
-        composed = []
-        for m, outer_shape, outer_state, rows, left in prepared:
-            heads = range(outer_shape[1])
-            if left:
-                parts = [([rows[a * count + i] for a in heads], middle), lasts]
-            else:
-                parts = [([firsts[a * count + i] for a in heads], 1), rows]
-            composed.append((m, outer_shape, outer_state, parts))
-        state = _signed_state(composed)
-        indices = iproduct(range(middle), range(shape[2]))
-        for (j, k), residual in zip(indices, _residual_columns(state, den, shape)):
-            case = dict(prefix)
-            case.update(zip(names, (i, j, k)))
-            yield case, residual
+    composed = [(sign, outer, [inner, last] if left else [first, inner]) for sign, outer, inner, left in terms]
+    yield from _cases(_signed_state(composed), names, where)
 
 
-def _signed_state(terms):
-    """The state of the sum of m * (outer o (parts...)) over the terms
-    (m, outer shape, outer state, parts) of ``_compose_state``."""
-    acc = {}
-    get = acc.get
-    for m, shape, state, parts in terms:
-        for k, v in _compose_state(shape, state, parts).items():
-            w = get(k)
-            acc[k] = v * m if w is None else w + v * m
-    return acc
+def signed_cases(terms, names, where=None):
+    """Cases of the law sum of sign * outer o (parts...) = 0 for ``run_law``,
+    over the terms (sign, outer, parts) of ``linalg._signed_state``, which
+    checks their shapes: one (case, residual) pair per input tuple, in
+    lexicographic order, case a new dict of the ``where`` keys followed by
+    zip(names, tuple)."""
+    yield from _cases(_signed_state(terms), names, where)
 
 
-def _residual_columns(state, den, shape):
-    """The columns of a residual state over ``shape`` = (d, *inputs), one
-    tuple per input tuple in row-major order.
+def _cases(residual, names, where):
+    """The (case, residual column) pairs of a residual (state, den, shape),
+    shape = (d, *inputs), one per input tuple in row-major order.
 
     An entry is ``Fraction(v, den)`` for a nonzero numerator v, or the
     state's own value when ``den`` is None (entries, not numerators: a
@@ -324,6 +274,7 @@ def _residual_columns(state, den, shape):
     other entry is ``ZERO``.  A column with no such entry is one shared
     (ZERO,) * d tuple.
     """
+    state, den, shape = residual
     d, inner = shape[0], prod(shape[1:])
     columns = {}
     for flat, v in state.items():
@@ -337,9 +288,12 @@ def _residual_columns(state, den, shape):
             column = columns[c] = [ZERO] * d
         column[k] = v
     zero = (ZERO,) * d
-    for c in range(inner):
+    prefix = where or {}
+    for c, idx in enumerate(iproduct(*(range(e) for e in shape[1:]))):
         column = columns.get(c)
-        yield zero if column is None else tuple(column)
+        case = dict(prefix)
+        case.update(zip(names, idx))
+        yield case, zero if column is None else tuple(column)
 
 
 def run_law(report, name, cases, max_violations=DEFAULT_MAX_VIOLATIONS):

@@ -1,7 +1,9 @@
 """Signed sums of compositions held to the bodies that summed their own terms.
 
 Derandomized Hypothesis properties hold ``reports.nested_cases``,
-``reports.intertwining_residual``, ``linalg._compose``, the first- and
+``reports.intertwining_residual``, ``linalg._compose``, ``_compose_sum``
+(against each term composed on its own and chained through ``neg``,
+``add`` and ``sub``), the first- and
 last-term maps of ``cohomology._rbf_stencil`` and
 ``family.operator_bimodule`` to the bodies frozen in ``oracles``
 (``first_index_nested_cases``, ``sided_intertwining_residual``,
@@ -26,9 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rbfam.cohomology import _rbf_stencil
+from rbfam.cohomology import _rbf_stencil, differential_matrix, rbf_complex
 from rbfam.family import operator_bimodule
-from rbfam.linalg import ONE, ZERO, Matrix, Tensor, _compose
+from rbfam.linalg import ONE, ZERO, Matrix, Tensor, _Array, _compose, _compose_sum
 from rbfam.reports import intertwining_residual, nested_cases
 from rbfam.scalars import TruncatedPoly
 from rbfam.workspace import desk_instance
@@ -155,6 +157,46 @@ def compositions(draw):
     return outer, parts
 
 
+@st.composite
+def composition_sums(draw):
+    """Terms (sign, outer, parts) of one output shape (d, *ins): each term
+    splits ``ins`` over 1-2 parts (none when ``ins`` is empty), a part with
+    one trailing extent is at times a ``Matrix``; now and then a term is
+    repeated with the opposite sign, or a part does not fit its slot."""
+    order = draw(st.sampled_from((None, None, 2, 3)))
+    d = draw(dims)
+    ins = tuple(draw(st.lists(dims, min_size=0, max_size=3)))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 2)) if ins else draw(st.integers(0, 1))
+        cuts = sorted(draw(st.lists(st.integers(0, len(ins)), min_size=m - 1, max_size=m - 1))) if m else []
+        groups = [ins[a:b] for a, b in zip([0, *cuts], [*cuts, len(ins)])] if m else []
+        heads = [draw(dims) for _ in groups]
+        outer = array(draw, order, (d, *heads), len(heads) == 1 and draw(st.booleans()))
+        parts = [
+            array(draw, order, (extent(draw, a), *g), len(g) == 1 and draw(st.booleans()))
+            for a, g in zip(heads, groups)
+        ]
+        sign = draw(st.sampled_from((1, -1)))
+        terms.append((sign, outer, parts))
+        if draw(st.integers(0, 3)) == 0:
+            terms.append((-sign, outer, parts))
+    return terms
+
+
+def chained_sum(terms):
+    """The sum as the builders wrote it: each term composed on its own and
+    the results chained through ``neg``, ``add`` and ``sub``."""
+    total = None
+    for sign, outer, parts in terms:
+        t = oracles.single_compose(outer, parts)
+        if total is None:
+            total = t if sign > 0 else t.neg()
+        else:
+            total = total.add(t) if sign > 0 else total.sub(t)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # generated laws and compositions
 
@@ -178,6 +220,12 @@ def test_intertwining_residual_matches_sided_body(case):
 def test_compose_matches_single_term_body(case):
     outer, parts = case
     assert _outcome(_compose, outer, parts) == _outcome(oracles.single_compose, outer, parts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(terms=composition_sums())
+def test_compose_sum_matches_chained_terms(terms):
+    assert _outcome(_compose_sum, terms) == _outcome(chained_sum, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +300,18 @@ def test_operator_bimodules_match_chained_body():
     # mostly fail it, and both bodies must raise the same error.
     for operator in end_map_operators():
         assert _outcome(operator_bimodule, operator) == _outcome(oracles.chained_operator_bimodule, operator)
+
+
+def test_rbf_complex_subtracts_no_arrays(monkeypatch):
+    # The stencil end maps and the induced actions are one signed sum each,
+    # with no entrywise subtraction of composed tensors.
+    calls = []
+    sub = _Array.sub
+
+    def counting(self, other):
+        calls.append(self.shape)
+        return sub(self, other)
+
+    monkeypatch.setattr(_Array, "sub", counting)
+    differential_matrix(rbf_complex(desk_instance("D1")["operator"]), 1)
+    assert calls == []
