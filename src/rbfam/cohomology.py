@@ -839,8 +839,9 @@ def transport_cochain(morphism, cochain):
     source_handle, target_handle = rbf_complex(src), rbf_complex(tgt)
     if cochain.complex != RBF:
         raise InputError("only twisted-family cochains transport")
-    out = _transported(morphism, cochain, target_handle)
-    lhs = _transported(morphism, source_handle.differential(cochain), target_handle)
+    phi_inv = invert_matrix(morphism.phi)
+    out = _transported(morphism.psi, phi_inv, cochain, target_handle)
+    lhs = _transported(morphism.psi, phi_inv, source_handle.differential(cochain), target_handle)
     rhs = target_handle.differential(out)
     for key in lhs.keys():
         if lhs.table[key].entries != rhs.table[key].entries:
@@ -848,9 +849,7 @@ def transport_cochain(morphism, cochain):
     return out
 
 
-def _transported(morphism, cochain, target_handle):
-    phi_inv = invert_matrix(morphism.phi)
-    psi = morphism.psi
+def _transported(psi, phi_inv, cochain, target_handle):
     degree = cochain.degree
     if degree == 0:
         return target_handle.make_cochain(0, psi.apply(cochain.as_vector()))

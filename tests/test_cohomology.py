@@ -303,6 +303,29 @@ def test_transport_identity(d1, d1_handle):
         assert out.table[key].entries == f.table[key].entries
 
 
+def test_transport_inverts_phi_once(monkeypatch, d1):
+    # The cochain and its differential move along one inverse of phi.
+    from rbfam import cohomology
+
+    calls = []
+    invert = cohomology.invert_matrix
+
+    def counting(m):
+        calls.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(cohomology, "invert_matrix", counting)
+    operator = d1["operator"]
+    morphism = OperatorMorphism(
+        source=operator, target=operator, psi=Matrix.identity(4), phi=Matrix.identity(2)
+    )
+    f = rbf_complex(operator).basis(1)[0]
+    out = transport_cochain(morphism, f)
+    assert len(calls) == 1
+    for key in f.table:
+        assert out.table[key].entries == f.table[key].entries
+
+
 def test_transport_scaling_on_zero_operator():
     # On the scalar line with R = 0 and phi = 0, (phi, psi) = (c id, id) is a
     # valid morphism; transport rescales a degree-n cochain by c^(-n).
