@@ -421,11 +421,9 @@ def _doc_deformation(obj, named):
 def _load_linear_map(doc, ws, where):
     _require_fields(doc, ["entries"], where=where)
     node = doc["entries"]
-    if not isinstance(node, list) or not node:
+    if not (isinstance(node, list) and node and isinstance(node[0], list) and node[0]):
         raise InputError(f"{where}.entries: expected a nonempty matrix")
-    rows = len(node)
-    cols = len(node[0]) if isinstance(node[0], list) else 0
-    return LinearMapDoc(matrix=_parse_matrix(node, rows, cols, f"{where}.entries"))
+    return LinearMapDoc(matrix=_parse_matrix(node, len(node), len(node[0]), f"{where}.entries"))
 
 
 def _load_cochain(doc, ws, where):

@@ -1,6 +1,7 @@
 """Hostile workspace input and the loader's cochain membership check.
 
-Every case goes through the CLI.  Bad input must end in exit code 2 with a
+Every case goes through the CLI, a malformed linear map through the loader
+as well.  Bad input must end in exit code 2 with a
 message on stderr, never in a traceback.
 """
 import json
@@ -8,10 +9,11 @@ import json
 import pytest
 
 from rbfam.cli import main
+from rbfam.errors import InputError
 from rbfam.homalg import tensor_semigroup_algebra
 from rbfam.operators import identity_packing_family
 from rbfam.semigroups import builtin
-from rbfam.workspace import desk_instance, dump_workspace
+from rbfam.workspace import desk_instance, dump_workspace, load_workspace
 
 EXIT_INPUT_ERROR = 2
 
@@ -186,3 +188,22 @@ def test_long_reference_chain_loads_or_exits_two(tmp_path, capsys, closed):
     else:
         assert main(["check", path, "--object", "D0"]) == 0
         capsys.readouterr()
+
+
+# -- linear maps -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entries", [[[]], [[], []], ["1", "2"]])
+def test_linear_map_that_is_not_a_nonempty_matrix_is_refused(entries):
+    data = json.loads(dump_workspace(desk_instance("D1")))
+    data["objects"]["m"] = {"kind": "linear_map", "entries": entries}
+    with pytest.raises(InputError) as err:
+        load_workspace(data).get("m")
+    assert str(err.value) == "objects['m'].entries: expected a nonempty matrix"
+
+
+@pytest.mark.parametrize("entries", [[[]], [[], []], ["1", "2"]])
+def test_linear_map_that_is_not_a_nonempty_matrix_exits_two(tmp_path, capsys, entries):
+    path = _d1_with(tmp_path, lambda objects: objects.update(m={"kind": "linear_map", "entries": entries}))
+    err = _check_exits_two(capsys, path, "m", "expected a nonempty matrix")
+    assert err.strip() == "error: objects['m'].entries: expected a nonempty matrix"
