@@ -426,40 +426,51 @@ def _signed_state(terms):
     included) and a rational is a ``Fraction``.
     """
     scales, values = _values([t for _, outer, parts in terms for t in (outer, *parts)])
-    shape, spans, start = None, [], 0
-    for _, outer, parts in terms:
-        outer_shape = outer.shape
-        if len(outer_shape) != len(parts) + 1 or any(t.shape[0] != a for t, a in zip(parts, outer_shape[1:])):
-            raise InputError(f"cannot compose shape {outer_shape} with {[t.shape for t in parts]}")
-        term_shape = outer_shape[:1] + sum((t.shape[1:] for t in parts), ())
+    signs = [sign for sign, _, _ in terms]
+    # A lone term is over its own units, and entries without a view have none.
+    if scales is None or len(terms) == 1:
+        multipliers, den = signs, None if scales is None else prod(scales)
+    else:
+        dens, start = [], 0
+        for _, _, parts in terms:
+            dens.append(prod(scales[start : start + len(parts) + 1]))
+            start += len(parts) + 1
+        multipliers, den = _multipliers(signs, dens)
+    # The first state starts the sum in place, and each state is dropped
+    # before the next term is composed.
+    shape = acc = None
+    start = 0
+    for m, (_, outer, parts) in zip(multipliers, terms):
+        outer_shape, term_shape, rows = outer.shape, outer.shape[:1], []
+        if len(outer_shape) != len(parts) + 1:
+            raise _compose_error(outer, parts)
+        for part, a, v in zip(parts, outer_shape[1:], values[start + 1 :]):
+            part_shape = part.shape
+            if part_shape[0] != a:
+                raise _compose_error(outer, parts)
+            term_shape += part_shape[1:]
+            rows.append(_rows(v, a, prod(part_shape[1:])))
         if shape is None:
             shape = term_shape
         elif term_shape != shape:
             raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
-        spans.append((start, start + len(parts) + 1))
+        state = _compose_state(outer_shape, _nonzeros(values[start]), rows)
         start += len(parts) + 1
-    dens = None if scales is None else [prod(scales[a:b]) for a, b in spans]
-    states = (
-        _compose_state(
-            outer.shape,
-            _nonzeros(values[a]),
-            [_rows(v, t.shape[0], prod(t.shape[1:])) for t, v in zip(parts, values[a + 1 : b])],
-        )
-        for (_, outer, parts), (a, b) in zip(terms, spans)
-    )
-    multipliers, den = _multipliers([sign for sign, *_ in terms], dens)
-    # The first state starts the sum in place (a lone +1 term is returned as
-    # composed); each state is dropped before the next term is composed.
-    acc = next(states)
-    if multipliers[0] != 1:
-        for k, v in acc.items():
-            acc[k] = v * multipliers[0]
-    get = acc.get
-    for m in multipliers[1:]:
-        for k, v in next(states).items():
-            w = get(k)
-            acc[k] = v * m if w is None else w + v * m
+        if acc is None:
+            acc, get = state, state.get
+            if m != 1:
+                for k, v in acc.items():
+                    acc[k] = v * m
+        else:
+            for k, v in state.items():
+                w = get(k)
+                acc[k] = v * m if w is None else w + v * m
+        del state
     return acc, den, shape
+
+
+def _compose_error(outer, parts):
+    return InputError(f"cannot compose shape {outer.shape} with {[t.shape for t in parts]}")
 
 
 def _compose_state(shape, state, parts):
