@@ -525,9 +525,9 @@ def operator_bimodule(operator):
     # phi(x, R_b u) and phi(R_a u, x)
     phi_x_r, phi_r_x = _split_products(phi, phi, maps)
 
-    def action(a, b, product, act, twisted):
+    def action(a, b, parts, act, twisted):
         r_ab = maps[omega.mul(a, b)]
-        return _compose_sum([(1, A.mu, product), (-1, r_ab, [act]), (-1, r_ab, [twisted])])
+        return _compose_sum([(1, A.mu, parts), (-1, r_ab, [act]), (-1, r_ab, [twisted])])
 
     elements = omega.elements()
     left = tuple(tuple(action(a, b, [maps[a], eye], module.right, phi_r_x[a]) for b in elements) for a in elements)
