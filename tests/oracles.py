@@ -33,7 +33,13 @@ package's former signed sums (``reports.nested_cases`` composing per first
 index, ``intertwining_residual`` putting its sides over one denominator,
 ``linalg._compose`` as a body of its own, and the ``sub`` chains of the
 twisted stencil's end maps and of ``operator_bimodule``; frozen as the
-references of the one signed-composition kernel), a
+references of the one signed-composition kernel), the package's former
+``Matrix.mul`` and ``Matrix.apply``, per-index-tuple ``_transported`` and
+view-reading elimination (frozen, as ``Matrix`` multiplied in loops of its
+own and ``rank``, ``kernel_supports``, ``solve`` and ``invert_matrix`` read
+rows off a whole-matrix integer view, ``solve`` and ``invert_matrix`` of an
+augmented ``Matrix``, as the references of the products run on the
+contraction kernels and of elimination that reads each line once), a
 twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
@@ -48,9 +54,9 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
-from rbfam.cohomology import HA, RBF, ComplexHandle
+from rbfam.cohomology import HA, RBF, ComplexHandle, rbf_complex
 from rbfam.deformations import NSDeformationReport, check_infinitesimal
 from rbfam.errors import InputError, PreconditionError, RouteMismatchError
 from rbfam.family import (
@@ -75,16 +81,19 @@ from rbfam.homalg import (
     is_equivariant,
     tensor_bimodule,
 )
+from rbfam.linalg import _kernel_from_echelon as _sparse_kernel_from_echelon
 from rbfam.linalg import (
     ONE,
     ZERO,
     Matrix,
     Tensor,
     _compose_state,
+    _echelon,
     _multipliers,
     _nonzeros,
     _rows,
     _values,
+    densify,
     multilinear_apply,
     tensor_column,
     unit_vector,
@@ -98,6 +107,7 @@ from rbfam.operators import (
     TwistedRBFamily,
     _split_products,
     check_nijenhuis_family,
+    check_operator_morphism,
     check_twisted_rbf,
     check_weighted_rbf,
     identity_packing_family,
@@ -1995,3 +2005,154 @@ def chained_operator_bimodule(operator):
     left = tuple(tuple(action(a, b, r_x[a], module.right, phi_r_x[a]) for b in elements) for a in elements)
     right = tuple(tuple(action(a, b, x_r[b], module.left, phi_x_r[b]) for b in elements) for a in elements)
     return OmegaBimodule(parent=parent, dim=A.dim, left=left, right=right, q=A.p)
+
+
+# ---------------------------------------------------------------------------
+# matrix products and elimination, frozen while ``Matrix`` multiplied in
+# loops of its own, ``_transported`` contracted one index tuple at a time and
+# elimination read rows off a whole-matrix integer view
+
+
+def dense_matrix_apply(m, v):
+    """``Matrix.apply`` as a row loop of its own.
+
+    Kept verbatim, like ``dense_matrix_mul`` below, so the products that run
+    on the contraction kernels can be held to ``repr``-identical results and
+    the same exceptions.
+    """
+    if len(v) != m.cols:
+        raise InputError(f"matrix-vector mismatch: {m.cols} cols vs {len(v)}")
+    support = [(j, x) for j, x in enumerate(v) if x]
+    out = []
+    for i in range(m.rows):
+        acc = ZERO
+        base = i * m.cols
+        for j, x in support:
+            e = m.entries[base + j]
+            if e:
+                acc = acc + e * x
+        out.append(acc)
+    return tuple(out)
+
+
+def dense_matrix_mul(a, b):
+    """``Matrix.mul`` as a triple loop of its own."""
+    if a.cols != b.rows:
+        raise InputError("matrix-matrix dimension mismatch")
+    out = []
+    for i in range(a.rows):
+        base = i * a.cols
+        for j in range(b.cols):
+            acc = ZERO
+            for k in range(a.cols):
+                x = a.entries[base + k]
+                if x:
+                    y = b.entries[k * b.cols + j]
+                    if y:
+                        acc = acc + x * y
+            out.append(acc)
+    return Matrix(a.rows, b.cols, tuple(out))
+
+
+def tuple_transported(psi, phi_inv, cochain, target_handle):
+    """The body ``cohomology._transported`` had while it contracted the
+    cochain once per index tuple through ``multilinear_apply``.
+
+    Kept verbatim but for ``dense_matrix_apply`` in place of ``psi.apply``.
+    """
+    degree = cochain.degree
+    if degree == 0:
+        return target_handle.make_cochain(0, dense_matrix_apply(psi, cochain.as_vector()))
+    d = cochain.source_dim
+    inv_cols = [phi_inv.column(a) for a in range(d)]
+    table = {}
+    for key in cochain.keys():
+        t = cochain.table[key]
+        cols = {}
+        for idx in product(range(d), repeat=degree):
+            cols[idx] = dense_matrix_apply(psi, multilinear_apply(t, [inv_cols[a] for a in idx]))
+        table[key] = Tensor.from_function(t.shape, lambda k, *idx: cols[idx][k])
+    return target_handle.make_cochain(degree, table)
+
+
+def tuple_transport_cochain(morphism, cochain):
+    """``cohomology.transport_cochain`` on ``tuple_transported`` and
+    ``augmented_invert_matrix``, its body kept verbatim."""
+    ensure_valid(morphism, check_operator_morphism, "operator morphism")
+    src, tgt = morphism.source, morphism.target
+    if src.bimodule != tgt.bimodule or src.algebra != tgt.algebra:
+        raise InputError("cochain transport needs both families on one bimodule")
+    source_handle, target_handle = rbf_complex(src), rbf_complex(tgt)
+    if cochain.complex != RBF:
+        raise InputError("only twisted-family cochains transport")
+    phi_inv = augmented_invert_matrix(morphism.phi)
+    out = tuple_transported(morphism.psi, phi_inv, cochain, target_handle)
+    lhs = tuple_transported(morphism.psi, phi_inv, source_handle.differential(cochain), target_handle)
+    rhs = target_handle.differential(out)
+    for key in lhs.keys():
+        if lhs.table[key].entries != rhs.table[key].entries:
+            raise RouteMismatchError("cochain transport is not a chain map here")
+    return out
+
+
+def viewed_integer_rows(m, transpose=False):
+    """The body ``linalg._integer_rows`` had while it read the rows (or
+    columns) of a matrix off its cached integer view.
+
+    Kept verbatim, with the ``rank``, ``kernel_supports``, ``solve`` and
+    ``invert_matrix`` that called it (``viewed_rank``,
+    ``viewed_kernel_supports``, ``augmented_solve``,
+    ``augmented_invert_matrix``) on the package's ``_echelon`` and
+    ``_kernel_from_echelon``, so elimination that reads each line of entries
+    once can be held to ``repr``-identical answers and the same exceptions.
+    """
+    if m.integer_view is None:
+        raise InputError("elimination is defined for rational matrices only")
+    scale, ints = m.integer_view
+    if transpose:
+        lines = (ints[j :: m.cols] for j in range(m.cols))
+    else:
+        lines = (ints[i * m.cols : (i + 1) * m.cols] for i in range(m.rows))
+    out = []
+    for line in lines:
+        row = {j: v for j, v in enumerate(line) if v}
+        if row:
+            g = gcd(scale, *row.values())
+            out.append(row if g == 1 else {j: v // g for j, v in row.items()})
+    return out
+
+
+def viewed_rank(m):
+    transpose = m.rows > m.cols
+    return len(_echelon(viewed_integer_rows(m, transpose), m.rows if transpose else m.cols)[1])
+
+
+def viewed_kernel_supports(m):
+    return _sparse_kernel_from_echelon(*_echelon(viewed_integer_rows(m), m.cols), m.cols)
+
+
+def augmented_solve(m, b):
+    if len(b) != m.rows:
+        raise InputError(f"right-hand side length {len(b)} != {m.rows} rows")
+    b = [ensure_scalar(e) for e in b]
+    augmented = Matrix(m.rows, m.cols + 1, tuple(e for i in range(m.rows) for e in (*m.row(i), b[i])))
+    rows, pivots = _echelon(viewed_integer_rows(augmented), m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    *kernel, last = _sparse_kernel_from_echelon(rows, pivots, m.cols + 1)
+    x = [ZERO] * m.cols
+    for j, c in last[:-1]:
+        x[j] = -c
+    return tuple(x), [densify(v, m.cols) for v in kernel]
+
+
+def augmented_invert_matrix(m):
+    if m.rows != m.cols:
+        raise InputError("only square matrices invert")
+    n = m.rows
+    augmented = Matrix(n, 2 * n, tuple(e for i in range(n) for e in m.row(i) + unit_vector(n, i)))
+    rows, pivots = _echelon(viewed_integer_rows(augmented), 2 * n)
+    if pivots != list(range(n)):
+        raise InputError("matrix is not invertible")
+    kernel = _sparse_kernel_from_echelon(rows, pivots, 2 * n)
+    return Matrix.from_columns([tuple(-c for c in densify(v, 2 * n)[:n]) for v in kernel], rows=n)
