@@ -61,7 +61,6 @@ from .linalg import (
     densify,
     invert_matrix,
     kernel_supports,
-    multilinear_apply,
     rank,
 )
 from .operators import check_operator_morphism, twisted_inner_sum
@@ -853,13 +852,5 @@ def _transported(psi, phi_inv, cochain, target_handle):
     degree = cochain.degree
     if degree == 0:
         return target_handle.make_cochain(0, psi.apply(cochain.as_vector()))
-    d = cochain.source_dim
-    inv_cols = [phi_inv.column(a) for a in range(d)]
-    table = {}
-    for key in cochain.keys():
-        t = cochain.table[key]
-        cols = {}
-        for idx in iproduct(range(d), repeat=degree):
-            cols[idx] = psi.apply(multilinear_apply(t, [inv_cols[a] for a in idx]))
-        table[key] = Tensor.from_function(t.shape, lambda k, *idx: cols[idx][k])
+    table = {key: _compose(psi, [_compose(cochain.table[key], [phi_inv] * degree)]) for key in cochain.keys()}
     return target_handle.make_cochain(degree, table)

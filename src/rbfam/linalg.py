@@ -9,14 +9,15 @@ row-major entries tuple, with one body each for the entrywise operations
 and the cached integer view.  A matrix's shape is (rows, cols), so the
 kernels read a ``Matrix`` in place as its row-major tensor, with no copy.
 
-Matrix-vector products and multilinear contraction run over the arguments'
-supports (their nonzero coordinates), reading a tensor through a sparse
-column view built once per tensor.  Every signed sum of compositions goes
-through one kernel, ``_signed_state``, which composes each term one slot
-at a time over nonzero entries and returns the sparse state {flat index:
-value} over one denominator: ``_compose_sum`` (one-term case ``_compose``)
-turns it into a tensor, and the law primitives of ``reports`` read it as
-residuals.
+``Matrix.apply`` and ``multilinear_apply`` run one contraction,
+``_contract``, over the arguments' supports (their nonzero coordinates),
+reading a matrix or tensor through a sparse column view built once per
+array.  Every signed sum of compositions goes through one kernel,
+``_signed_state``, which composes each term one slot at a time over
+nonzero entries and returns the sparse state {flat index: value} over one
+denominator: ``_compose_sum`` (one-term case ``_compose``, which is also
+``Matrix.mul``) turns it into a tensor, and the law primitives of
+``reports`` read it as residuals.
 
 Rationals become integers in one place, ``_integer_view``: the lcm of the
 entries' denominators and the entries scaled by it.  Each ``Tensor`` and
@@ -25,10 +26,14 @@ columns too), so ``multilinear_apply`` and ``_signed_state`` contract
 integer numerators and a ``Fraction`` is built once per output entry.  An
 entry that is neither an int nor a ``Fraction`` (a ``TruncatedPoly``, a
 float) leaves its tensor or matrix without a view: contraction then runs on
-the entries themselves, and elimination refuses the matrix.
+the entries themselves.
 
 Elimination (``rank``, ``kernel_supports``, ``solve``, ``invert_matrix``)
-runs on sparse integer rows ``{column: value}``: columns are eliminated
+reads each line of entries once (a row or column of the matrix, a row with
+its right-hand side or identity row appended) into a sparse integer row
+``{column: value}`` scaled by the lcm of the line's own denominators, and
+refuses a line with an entry that is not an int or a ``Fraction``; it keeps
+no integer view and builds no augmented matrix.  Columns are eliminated
 left to right, each pivot is the candidate row with the fewest nonzeros,
 and each combined row is divided by the gcd of its entries.  The answers
 do not depend on which rows become pivots: the pivot columns found left to
@@ -43,8 +48,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
-from itertools import repeat
+from itertools import compress, count, repeat
 from math import gcd, lcm, prod
+from operator import is_not
 
 from .errors import InputError
 from .scalars import TruncatedPoly, ensure_scalar
@@ -108,6 +114,15 @@ class _Array:
         """``_integer_view(entries)``, built on first use and kept on the
         instance; not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
         return _integer_view(self.entries)
+
+    @cached_property
+    def sparse_columns(self):
+        """For each flat input index, the tuple of (k, c) with c = A[k][index] != 0.
+
+        Built on first use and kept on the instance; not a field, so ``==``,
+        ``hash`` and ``repr`` ignore it.  Needs an output axis.
+        """
+        return _columns(self.entries, self.shape)
 
     def _same_shape(self, other):
         if self.shape != other.shape:
@@ -174,34 +189,12 @@ class Matrix(_Array):
     def apply(self, v):
         if len(v) != self.cols:
             raise InputError(f"matrix-vector mismatch: {self.cols} cols vs {len(v)}")
-        support = [(j, x) for j, x in enumerate(v) if x]
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            base = i * self.cols
-            for j, x in support:
-                e = self.entries[base + j]
-                if e:
-                    acc = acc + e * x
-            out.append(acc)
-        return tuple(out)
+        return tuple(_contract(self.sparse_columns, [v], [ZERO] * self.rows, ONE))
 
     def mul(self, other):
         if self.cols != other.rows:
             raise InputError("matrix-matrix dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    a = self.entries[base + k]
-                    if a:
-                        b = other.entries[k * other.cols + j]
-                        if b:
-                            acc = acc + a * b
-                out.append(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
+        return Matrix(self.rows, other.cols, _compose(self, [other]).entries)
 
     def power(self, k):
         if self.rows != self.cols:
@@ -295,15 +288,6 @@ class Tensor(_Array):
                 raise InputError("tensor index out of range")
             flat = flat * d + i
         return self.entries[flat]
-
-    @cached_property
-    def sparse_columns(self):
-        """For each flat input index, the tuple of (k, c) with c = T[k][index] != 0.
-
-        Built on first use and kept on the instance; not a field, so ``==``,
-        ``hash`` and ``repr`` ignore it.  Needs an output axis.
-        """
-        return _columns(self.entries, self.shape)
 
     @cached_property
     def integer_columns(self):
@@ -554,28 +538,28 @@ def tensor_column(tensor, idx):
 # sparse fraction-free elimination
 
 
-def _integer_rows(m, transpose=False):
-    """The nonzero rows of M (of M^T when ``transpose``) as {column: int},
-    read off M's cached integer view; zero rows are left out.
+def _integer_rows(lines):
+    """The nonzero lines of entries as rows {column: int}; zero lines are
+    left out.
 
-    Each row is divided by the gcd of the view's scale and its entries,
-    which leaves it scaled by the lcm of its own denominators.  Scaling a
-    row changes neither the rank nor the null space (nor, on an augmented
-    row, the solutions).
+    Each row is its line scaled by the lcm of the line's own denominators.
+    Scaling a row changes neither the rank nor the null space (nor, on an
+    augmented row, the solutions).  A line holding an entry that is not an
+    int or a ``Fraction`` is refused.  The shared ``ZERO`` that fills most
+    matrices is skipped by identity, so only the other entries are read.
     """
-    if m.integer_view is None:
-        raise InputError("elimination is defined for rational matrices only")
-    scale, ints = m.integer_view
-    if transpose:
-        lines = (ints[j :: m.cols] for j in range(m.cols))
-    else:
-        lines = (ints[i * m.cols : (i + 1) * m.cols] for i in range(m.rows))
     out = []
     for line in lines:
-        row = {j: v for j, v in enumerate(line) if v}
+        row = {}
+        for j in compress(count(), map(is_not, line, repeat(ZERO))):
+            e = line[j]
+            if not isinstance(e, (int, Fraction)):
+                raise InputError("elimination is defined for rational matrices only")
+            if e:
+                row[j] = e
         if row:
-            g = gcd(scale, *row.values())
-            out.append(row if g == 1 else {j: v // g for j, v in row.items()})
+            scale = lcm(*{e.denominator for e in row.values()})
+            out.append({j: e.numerator * (scale // e.denominator) for j, e in row.items()})
     return out
 
 
@@ -627,8 +611,9 @@ def rank(m):
 
     rank(M) = rank(M^T), so the shorter side's lines are eliminated.
     """
-    transpose = m.rows > m.cols
-    return len(_echelon(_integer_rows(m, transpose), m.rows if transpose else m.cols)[1])
+    if m.rows > m.cols:
+        return len(_echelon(_integer_rows(m.entries[j :: m.cols] for j in range(m.cols)), m.rows)[1])
+    return len(_echelon(_integer_rows(map(m.row, range(m.rows))), m.cols)[1])
 
 
 def _kernel_from_echelon(rows, pivots, ncols):
@@ -661,7 +646,7 @@ def densify(support, n):
 
 def kernel_supports(m):
     """``kernel_basis`` with each vector as its nonzero ((column, value), ...)."""
-    return _kernel_from_echelon(*_echelon(_integer_rows(m), m.cols), m.cols)
+    return _kernel_from_echelon(*_echelon(_integer_rows(map(m.row, range(m.rows))), m.cols), m.cols)
 
 
 def kernel_basis(m):
@@ -688,8 +673,7 @@ def solve(m, b):
     if len(b) != m.rows:
         raise InputError(f"right-hand side length {len(b)} != {m.rows} rows")
     b = [ensure_scalar(e) for e in b]
-    augmented = Matrix(m.rows, m.cols + 1, tuple(e for i in range(m.rows) for e in (*m.row(i), b[i])))
-    rows, pivots = _echelon(_integer_rows(augmented), m.cols + 1)
+    rows, pivots = _echelon(_integer_rows(m.row(i) + (b[i],) for i in range(m.rows)), m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
     *kernel, last = _kernel_from_echelon(rows, pivots, m.cols + 1)
@@ -709,8 +693,7 @@ def invert_matrix(m):
     if m.rows != m.cols:
         raise InputError("only square matrices invert")
     n = m.rows
-    augmented = Matrix(n, 2 * n, tuple(e for i in range(n) for e in m.row(i) + unit_vector(n, i)))
-    rows, pivots = _echelon(_integer_rows(augmented), 2 * n)
+    rows, pivots = _echelon(_integer_rows(m.row(i) + unit_vector(n, i) for i in range(n)), 2 * n)
     if pivots != list(range(n)):
         raise InputError("matrix is not invertible")
     kernel = _kernel_from_echelon(rows, pivots, 2 * n)

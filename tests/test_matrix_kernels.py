@@ -170,3 +170,43 @@ def test_transport_matches_per_tuple_body(morphism, degree, data):
     assert _outcome(transport_cochain, morphism, cochain) == _outcome(
         oracles.tuple_transport_cochain, morphism, cochain
     )
+
+
+# ---------------------------------------------------------------------------
+# elimination builds no matrix and keeps no integer view
+
+
+def constructions(monkeypatch):
+    """A list that grows by one per ``Matrix`` constructed from now on."""
+    built = []
+    post_init = Matrix.__post_init__
+
+    def counting(self):
+        built.append((self.rows, self.cols))
+        post_init(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counting)
+    return built
+
+
+def test_solve_builds_no_matrix(monkeypatch):
+    m = Matrix.from_rows([[1, Fraction(1, 2), 0], [2, 3, Fraction(-1, 3)]])
+    built = constructions(monkeypatch)
+    assert solve(m, (1, Fraction(2, 5))) is not None
+    assert built == []
+
+
+def test_invert_matrix_builds_only_its_result(monkeypatch):
+    m = Matrix.from_rows([[1, Fraction(1, 2)], [2, 3]])
+    built = constructions(monkeypatch)
+    inverse = invert_matrix(m)
+    assert built == [(2, 2)]
+    assert inverse == Matrix.from_rows([[Fraction(3, 2), Fraction(-1, 4)], [-1, Fraction(1, 2)]])
+
+
+def test_elimination_keeps_no_integer_view():
+    for rows in ([[1, Fraction(1, 2), 0], [2, 3, 0]], [[1, 2], [Fraction(1, 3), 0], [0, 5]]):
+        m = Matrix.from_rows(rows)
+        assert rank(m) == 2
+        kernel_supports(m)
+        assert "integer_view" not in vars(m)
