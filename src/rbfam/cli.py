@@ -349,7 +349,8 @@ def _suite_properties(ws):
 
         def complex_ok(op=operator):
             handle = rbf_complex(op)
-            for n in (0, 1):
+            # Without a unit the complex starts at degree 1.
+            for n in (0, 1) if op.omega.unit is not None else (1,):
                 m_lo = differential_matrix(handle, n)
                 m_hi = differential_matrix(handle, n + 1)
                 if not m_hi.mul(m_lo).is_zero():

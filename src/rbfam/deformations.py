@@ -652,21 +652,28 @@ def rigidity_probe(operator):
     The verdict is "sufficient condition met" or "inconclusive"; the probe
     never claims non-rigidity (the condition is sufficient only), and the
     search is limited to the affine solution sets of the trivialization.
+    Without a unit in the semigroup the complex starts at degree 1, so
+    B^1 = 0 and no cocycle is trivialized.
     """
     ensure_valid(operator, check_twisted_rbf, "twisted Rota-Baxter family")
     handle = rbf_complex(operator)
     dims = cohomology_dims(handle, 1)
     m1 = differential_matrix(handle, 1)
     z_basis = kernel_basis(m1)
+    unitless = operator.omega.unit is None
     outcomes = []
     all_good = True
     for coeffs in z_basis:
-        cochain = handle.unflatten(1, handle.combine(1, coeffs))
-        result = _trivialization(operator, cochain, handle)
-        nij = result.found and result.witness is not None
+        if unitless:
+            found = nij = False
+        else:
+            cochain = handle.unflatten(1, handle.combine(1, coeffs))
+            result = _trivialization(operator, cochain, handle)
+            found = result.found
+            nij = found and result.witness is not None
         outcomes.append(
             {
-                "trivialized": result.found,
+                "trivialized": found,
                 "nijenhuis": nij,
                 "witness": list(result.witness) if nij else None,
             }
@@ -674,6 +681,8 @@ def rigidity_probe(operator):
         all_good = all_good and nij
     verdict = "sufficient condition met" if all_good else "inconclusive"
     report = RigidityReport(dims=dims, outcomes=tuple(outcomes), verdict=verdict)
+    if unitless:
+        report.notes.append("the semigroup has no unit: the complex starts at degree 1, so B^1 = 0")
     if dims.dim_z == 0:
         report.notes.append("no degree-1 cocycles: the condition holds vacuously")
     if verdict == "inconclusive":

@@ -14,10 +14,10 @@ from rbfam.deformations import (
     rigidity_probe,
     trivialize_cocycle,
 )
-from rbfam.errors import InputError, PreconditionError
-from rbfam.homalg import HomAlgebra, HomBimodule, regular_bimodule, zero_cocycle
-from rbfam.linalg import Matrix, Tensor, unit_vector
-from rbfam.operators import TwistedRBFamily
+from rbfam.errors import InputError, MissingUnitError, PreconditionError
+from rbfam.homalg import HomAlgebra, HomBimodule, regular_bimodule, tensor_semigroup_algebra, zero_cocycle
+from rbfam.linalg import Matrix, Tensor, kernel_basis, unit_vector
+from rbfam.operators import TwistedRBFamily, identity_packing_family
 from rbfam.semigroups import builtin
 
 
@@ -302,3 +302,20 @@ def test_rigidity_d1(d1):
     report = rigidity_probe(d1["operator"])
     assert report.verdict == "sufficient condition met"
     assert report.dims.dim_z == 0
+
+
+def test_rigidity_without_a_unit_trivializes_nothing(d1):
+    # Over left_zero(2) the complex starts at degree 1: B^1 = 0, so each of
+    # the four cocycles is reported untrivialized, while trivialize_cocycle,
+    # which asks for delta0, still refuses.
+    base, omega = d1["base_algebra"], builtin("left_zero", 2)
+    operator = identity_packing_family(base, omega, tensor_semigroup_algebra(base, omega)[2])
+    report = rigidity_probe(operator)
+    assert tuple(report.dims) == (16, 4, 0, 4)
+    assert report.outcomes == ({"trivialized": False, "nijenhuis": False, "witness": None},) * 4
+    assert report.verdict == "inconclusive"
+    assert "the semigroup has no unit: the complex starts at degree 1, so B^1 = 0" in report.notes
+    handle = rbf_complex(operator)
+    cocycle = handle.unflatten(1, handle.combine(1, kernel_basis(differential_matrix(handle, 1))[0]))
+    with pytest.raises(MissingUnitError):
+        trivialize_cocycle(operator, cocycle)

@@ -7,8 +7,10 @@ import pytest
 
 from rbfam.cli import main
 from rbfam.errors import InputError
-from rbfam.homalg import HomAlgebra, regular_bimodule
+from rbfam.homalg import HomAlgebra, regular_bimodule, tensor_semigroup_algebra
 from rbfam.linalg import Matrix, Tensor
+from rbfam.operators import identity_packing_family
+from rbfam.semigroups import builtin
 from rbfam.workspace import DESK_NAMES, _Names, desk_instance, dump_workspace, load_workspace
 
 
@@ -443,6 +445,33 @@ def test_cli_verify_suite_corrupted_exits_one(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
     assert doc["first_failing"]
+
+
+@pytest.fixture()
+def left_zero_file(tmp_path):
+    """D1's base algebra packed over left_zero(2), a semigroup without a unit."""
+    base, omega = desk_instance("D1")["base_algebra"], builtin("left_zero", 2)
+    op = identity_packing_family(base, omega, tensor_semigroup_algebra(base, omega)[2])
+    path = tmp_path / "left_zero.json"
+    objects = {"omega": omega, "base_algebra": base, "algebra": op.algebra, "bimodule": op.bimodule}
+    dump_workspace({**objects, "cocycle": op.cocycle, "operator": op}, path)
+    return str(path)
+
+
+def test_cli_rigidity_without_a_unit_exits_zero(left_zero_file, capsys):
+    assert run_cli("deform", left_zero_file, "--object", "operator", "--mode", "rigidity", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [doc[k] for k in ("dim_c1", "dim_z1", "dim_b1", "verdict")] == [16, 4, 0, "inconclusive"]
+    assert [o["trivialized"] for o in doc["outcomes"]] == [False] * 4
+    assert run_cli("cohomology", left_zero_file, "--object", "operator", "--degree", "0") == 2
+
+
+def test_cli_verify_suite_without_a_unit_passes(left_zero_file, capsys):
+    assert run_cli("verify-suite", left_zero_file, "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert len(doc["properties"]) == 12
+    assert all(p["ok"] for p in doc["properties"])
 
 
 # -- the deformation order field ----------------------------------------------------
