@@ -39,6 +39,7 @@ from .homalg import semidirect_product, tensor_semigroup_algebra
 from .linalg import Matrix, kernel_basis
 from .operators import check_twisted_rbf, graph_check, nijenhuis_induced_data, pack_operator
 from .reports import CheckReport
+from .scalars import format_scalar
 from .workspace import DESK_NAMES, KINDS, desk_instance, dump_workspace, load_workspace
 
 EXIT_OK = 0
@@ -281,7 +282,10 @@ def cmd_deform(args):
         else:
             if result.found:
                 print("trivializing element found; kernel dimension", len(result.kernel))
-                print("nijenhuis witness:", result.witness)
+                witness = result.witness
+                if witness is not None:
+                    witness = "(" + ", ".join(format_scalar(c) for c in witness) + ")"
+                print("nijenhuis witness:", witness)
             else:
                 print("no trivializing element: the class is nontrivial")
         return EXIT_OK

@@ -406,6 +406,19 @@ def test_cli_deform_modes(d1_file, tmp_path, capsys):
     assert doc["verdict"] == "sufficient condition met"
 
 
+def test_cli_trivialize_prints_the_witness_as_rationals(d1_file, tmp_path, capsys):
+    data = json.loads(Path(d1_file).read_text())
+    zeros = [["0", "0"]] * 4
+    data["objects"]["D"] = {"kind": "deformation", "base": "operator", "direction": {"0": zeros, "1": zeros}, "order": 3}
+    path = tmp_path / "deform.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("deform", str(path), "--object", "D", "--mode", "trivialize") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "trivializing element found; kernel dimension 4",
+        "nijenhuis witness: (0, 0, 0, 0)",
+    ]
+
+
 def test_cli_deform_missing_base_exits_two(tmp_path, capsys):
     data = {
         "objects": {
