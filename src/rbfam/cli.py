@@ -39,7 +39,6 @@ from .homalg import semidirect_product, tensor_semigroup_algebra
 from .linalg import Matrix, kernel_basis
 from .operators import check_twisted_rbf, graph_check, nijenhuis_induced_data, pack_operator
 from .reports import CheckReport
-from .scalars import format_scalar
 from .workspace import DESK_NAMES, KINDS, desk_instance, dump_workspace, load_workspace
 
 EXIT_OK = 0
@@ -226,30 +225,20 @@ def cmd_deform(args):
     kind = ws.kinds[args.object]
     mode = args.mode
 
+    if mode in ("infinitesimal", "ns_family", "equivalence") and kind != "deformation":
+        raise InputError(f"--mode {mode} needs a deformation object")
     if mode == "infinitesimal":
-        if kind != "deformation":
-            raise InputError("--mode infinitesimal needs a deformation object")
         report = check_infinitesimal(obj.deformation)
-        _emit_report(report, args.json)
-        return EXIT_OK if report.passed else EXIT_VERDICT_FAILED
-    if mode == "ns_family":
-        if kind != "deformation":
-            raise InputError("--mode ns_family needs a deformation object")
+    elif mode == "ns_family":
         report = deform_ns_family(obj.deformation)
-        _emit_report(report, args.json)
-        return EXIT_OK if report.passed else EXIT_VERDICT_FAILED
-    if mode == "equivalence":
-        if kind != "deformation":
-            raise InputError("--mode equivalence needs a deformation object")
+    elif mode == "equivalence":
         if obj.other is None or obj.element is None:
             raise InputError(
                 "--mode equivalence needs 'other' and 'element' fields on the deformation"
             )
         other = ws.get(obj.other, kinds={"deformation"})
         report = check_equivalence(obj.deformation, other.deformation, obj.element)
-        _emit_report(report, args.json)
-        return EXIT_OK if report.passed else EXIT_VERDICT_FAILED
-    if mode == "nijenhuis":
+    elif mode == "nijenhuis":
         if kind == "nijenhuis_candidate":
             report = check_nijenhuis_element(obj.vector, obj.operator)
         elif kind == "deformation" and obj.element is not None:
@@ -259,9 +248,7 @@ def cmd_deform(args):
                 "--mode nijenhuis needs a nijenhuis_candidate (or a deformation "
                 "with an 'element' field)"
             )
-        _emit_report(report, args.json)
-        return EXIT_OK if report.passed else EXIT_VERDICT_FAILED
-    if mode == "trivialize":
+    elif mode == "trivialize":
         if kind == "deformation":
             operator = obj.deformation.base
             maps = obj.deformation.direction
@@ -276,36 +263,24 @@ def cmd_deform(args):
             raise InputError(
                 "--mode trivialize needs a deformation or a degree-1 rbf cochain"
             )
-        result = trivialize_cocycle(operator, maps)
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=1, sort_keys=True))
-        else:
-            if result.found:
-                print("trivializing element found; kernel dimension", len(result.kernel))
-                witness = result.witness
-                if witness is not None:
-                    witness = "(" + ", ".join(format_scalar(c) for c in witness) + ")"
-                print("nijenhuis witness:", witness)
-            else:
-                print("no trivializing element: the class is nontrivial")
-        return EXIT_OK
-    if mode == "rigidity":
+        report = trivialize_cocycle(operator, maps)
+    elif mode == "rigidity":
         if kind == "twisted_rbf":
-            operator = obj
+            report = rigidity_probe(obj)
         elif kind == "deformation":
-            operator = obj.deformation.base
+            report = rigidity_probe(obj.deformation.base)
         else:
             raise InputError("--mode rigidity needs a twisted_rbf or deformation object")
-        report = rigidity_probe(operator)
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-        else:
-            print(report.render())
+    else:
+        raise InputError(
+            "unknown --mode; expected one of infinitesimal, ns_family, equivalence, "
+            "nijenhuis, trivialize, rigidity"
+        )
+    _emit_report(report, args.json)
+    # trivialize and rigidity report what they find; neither is a verdict.
+    if mode in ("trivialize", "rigidity") or report.passed:
         return EXIT_OK
-    raise InputError(
-        "unknown --mode; expected one of infinitesimal, ns_family, equivalence, "
-        "nijenhuis, trivialize, rigidity"
-    )
+    return EXIT_VERDICT_FAILED
 
 
 def _suite_properties(ws):
@@ -492,9 +467,7 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         if exc.report is not None:
-            render = getattr(exc.report, "render", None)
-            if render:
-                print(render(), file=sys.stderr)
+            print(exc.report.render(), file=sys.stderr)
         return EXIT_VERDICT_FAILED
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,11 +37,13 @@ from .operators import check_twisted_rbf, family_identity_cases
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
+    Report,
     ensure_valid,
     intertwining_cases,
+    note_lines,
     run_law,
 )
-from .scalars import TruncatedPoly, format_scalar, poly_coefficient
+from .scalars import TruncatedPoly, format_scalar, format_vector, poly_coefficient
 
 # R + t R1 enters the family identity and the equivalence conditions at
 # most quadratically, so K[t]/(t^3) holds every coefficient they have.
@@ -116,7 +118,7 @@ def _order_coefficients(cases, what, orders):
 
 
 @dataclass
-class InfinitesimalReport:
+class InfinitesimalReport(Report):
     subject: str
     order1: CheckReport
     order2: CheckReport
@@ -127,25 +129,20 @@ class InfinitesimalReport:
     def passed(self):
         return self.order1.passed
 
-    def to_dict(self):
+    def parts(self):
         return {
-            "subject": self.subject,
-            "passed": self.passed,
             "order1": self.order1.to_dict(),
             "order2_flag": self.order2.to_dict(),
             "cocycle_route_ok": self.cocycle_route_ok,
-            "notes": list(self.notes),
         }
 
-    def render(self):
-        lines = [f"{'PASS' if self.passed else 'FAIL'}  {self.subject}"]
-        lines.append(self.order1.render())
-        lines.append("order-2 coefficient (separate flag, not part of the verdict):")
-        lines.append(self.order2.render())
-        lines.append(f"  independent degree-1 cocycle route: {'pass' if self.cocycle_route_ok else 'fail'}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
+    def lines(self):
+        return [
+            self.order1.render(),
+            "order-2 coefficient (separate flag, not part of the verdict):",
+            self.order2.render(),
+            f"  independent degree-1 cocycle route: {'pass' if self.cocycle_route_ok else 'fail'}",
+        ]
 
 
 def direction_cochain(handle, direction):
@@ -210,7 +207,7 @@ def _infinitesimal_report(deformation, handle, max_violations=DEFAULT_MAX_VIOLAT
 
 
 @dataclass
-class NSDeformationReport:
+class NSDeformationReport(Report):
     subject: str
     order1: InfinitesimalReport
     ns_axioms: CheckReport
@@ -221,23 +218,15 @@ class NSDeformationReport:
     def passed(self):
         return self.ns_axioms.passed and self.total_product.passed
 
-    def to_dict(self):
+    def parts(self):
         return {
-            "subject": self.subject,
-            "passed": self.passed,
             "order1": self.order1.to_dict(),
             "ns_axioms": self.ns_axioms.to_dict(),
             "total_product": self.total_product.to_dict(),
-            "notes": list(self.notes),
         }
 
-    def render(self):
-        lines = [f"{'PASS' if self.passed else 'FAIL'}  {self.subject}"]
-        lines.append(self.ns_axioms.render())
-        lines.append(self.total_product.render())
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
+    def lines(self):
+        return [self.ns_axioms.render(), self.total_product.render()]
 
 
 def deform_ns_family(deformation, strict=True, max_violations=DEFAULT_MAX_VIOLATIONS):
@@ -404,7 +393,7 @@ def _nijenhuis_element_report(x, operator, actions, max_violations=DEFAULT_MAX_V
 
 
 @dataclass
-class EquivalenceReport:
+class EquivalenceReport(Report):
     subject: str
     conditions: CheckReport
     passes_mod_t2: bool
@@ -415,22 +404,19 @@ class EquivalenceReport:
     def passed(self):
         return self.passes_mod_t2
 
-    def to_dict(self):
+    @property
+    def title(self):
+        return self.subject + " (mod t^2)"
+
+    def parts(self):
         return {
-            "subject": self.subject,
-            "passed": self.passed,
             "passes_mod_t2": self.passes_mod_t2,
             "passes_all_orders": self.passes_all_orders,
             "conditions": self.conditions.to_dict(),
-            "notes": list(self.notes),
         }
 
-    def render(self):
-        lines = [f"{'PASS' if self.passed else 'FAIL'}  {self.subject} (mod t^2)"]
-        lines.append(self.conditions.render())
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
+    def lines(self):
+        return [self.conditions.render()]
 
 
 def check_equivalence(deformation, other, x, max_violations=DEFAULT_MAX_VIOLATIONS):
@@ -540,6 +526,12 @@ class TrivializationResult:
             "witness": [format_scalar(c) for c in self.witness] if self.witness else None,
         }
 
+    def render(self):
+        if not self.found:
+            return "no trivializing element: the class is nontrivial"
+        witness = None if self.witness is None else format_vector(self.witness)
+        return f"trivializing element found; kernel dimension {len(self.kernel)}\nnijenhuis witness: {witness}"
+
 
 def trivialize_cocycle(operator, cocycle_maps):
     """Solve delta0(x) = f over the p-fixed elements for a degree-1 cocycle f.
@@ -615,10 +607,6 @@ class RigidityReport:
     verdict: str
     notes: list = field(default_factory=list)
 
-    @property
-    def sufficient_condition_met(self):
-        return self.verdict == "sufficient condition met"
-
     def to_dict(self):
         return {
             "dim_c1": self.dims.dim_c,
@@ -640,9 +628,7 @@ class RigidityReport:
                 f"  cocycle {i}: trivialized={o['trivialized']} nijenhuis={o['nijenhuis']}"
             )
         lines.append(f"verdict: {self.verdict}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
+        return "\n".join(lines + note_lines(self.notes))
 
 
 def rigidity_probe(operator):

@@ -466,11 +466,6 @@ def ns_family_pack(family):
     )
 
 
-def pack_ns_family_morphism(f, omega):
-    """f(x)id on G(x)K[omega] for an NS-family morphism f."""
-    return _block_repeat(f, omega.size)
-
-
 def tridend_from_weighted_rbf(family):
     """x <_a y = x . T_a y, x >_a y = T_a x . y, x.y scaled by the weight."""
     ensure_valid(family, check_weighted_rbf, "weighted Rota-Baxter family")

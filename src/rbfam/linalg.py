@@ -66,10 +66,6 @@ def vector(values):
     return tuple(ensure_scalar(v) for v in values)
 
 
-def zero_vector(n):
-    return (ZERO,) * n
-
-
 def unit_vector(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 

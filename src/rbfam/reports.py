@@ -5,6 +5,14 @@ and records the first ``max_violations`` offending tuples together with the
 residual vector, plus the total violation count.  Axiom failure is a report
 outcome, never an exception.
 
+Every verdict report shares one frame, ``Report``: its JSON is
+{"subject", "passed", <parts>, "notes"} and its text is a
+``PASS``/``FAIL  <title>`` header, the report's body lines, then one
+``  note: ...`` line per note.  ``CheckReport`` and the deformation reports
+(infinitesimal, induced NS-family, equivalence) supply only their parts
+and body lines.  The rigidity report has no subject and no verdict, so it
+shares only ``note_lines``.
+
 A construction that needs its input to satisfy an axiom system checks it
 through ``ensure_valid`` and nowhere else: a failing check raises
 ``PreconditionError`` carrying the report, and a pass is cached per object.
@@ -81,7 +89,7 @@ from math import prod
 
 from .errors import InputError, PreconditionError
 from .linalg import ZERO, _signed_state
-from .scalars import format_scalar
+from .scalars import format_scalar, format_vector
 
 DEFAULT_MAX_VIOLATIONS = 16
 
@@ -100,8 +108,33 @@ class LawCheck:
     violation_count: int
 
 
+def note_lines(notes):
+    return [f"  note: {note}" for note in notes]
+
+
+class Report:
+    """The frame of a verdict report.
+
+    A report has a ``subject``, a ``passed`` verdict and ``notes``; a
+    subclass supplies only its ``parts()`` (the keys of its JSON between
+    "passed" and "notes") and its body ``lines()``.  ``title`` heads the
+    rendered text and is the subject unless a subclass says otherwise.
+    """
+
+    @property
+    def title(self):
+        return self.subject
+
+    def to_dict(self):
+        return {"subject": self.subject, "passed": self.passed, **self.parts(), "notes": list(self.notes)}
+
+    def render(self):
+        header = f"{'PASS' if self.passed else 'FAIL'}  {self.title}"
+        return "\n".join([header, *self.lines(), *note_lines(self.notes)])
+
+
 @dataclass
-class CheckReport:
+class CheckReport(Report):
     subject: str
     laws: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -116,30 +149,23 @@ class CheckReport:
                 return law
         raise KeyError(name)
 
-    def to_dict(self):
-        return {
-            "subject": self.subject,
-            "passed": self.passed,
-            "laws": [
-                {
-                    "law": law.law,
-                    "ok": law.ok,
-                    "violation_count": law.violation_count,
-                    "violations": [
-                        {
-                            "where": dict(v.where),
-                            "residual": [format_scalar(c) for c in v.residual],
-                        }
-                        for v in law.violations
-                    ],
-                }
-                for law in self.laws
-            ],
-            "notes": list(self.notes),
-        }
+    def parts(self):
+        laws = [
+            {
+                "law": law.law,
+                "ok": law.ok,
+                "violation_count": law.violation_count,
+                "violations": [
+                    {"where": dict(v.where), "residual": [format_scalar(c) for c in v.residual]}
+                    for v in law.violations
+                ],
+            }
+            for law in self.laws
+        ]
+        return {"laws": laws}
 
-    def render(self):
-        lines = [f"{'PASS' if self.passed else 'FAIL'}  {self.subject}"]
+    def lines(self):
+        lines = []
         for law in self.laws:
             mark = "ok " if law.ok else "FAIL"
             lines.append(f"  [{mark}] {law.law}")
@@ -148,11 +174,8 @@ class CheckReport:
                 lines.append(f"        {law.violation_count} violating tuple(s), first {shown}:")
                 for v in law.violations:
                     where = ", ".join(f"{k}={v.where[k]}" for k in v.where)
-                    residual = "(" + ", ".join(format_scalar(c) for c in v.residual) + ")"
-                    lines.append(f"        at {where}: residual {residual}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
+                    lines.append(f"        at {where}: residual {format_vector(v.residual)}")
+        return lines
 
 
 def require_pass(report, what):

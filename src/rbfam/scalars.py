@@ -61,6 +61,10 @@ def format_scalar(value):
     return format_rational(value)
 
 
+def format_vector(values):
+    return "(" + ", ".join(format_scalar(c) for c in values) + ")"
+
+
 def poly_coefficient(value, i):
     """The t^i coefficient of a scalar (rationals live in degree 0)."""
     if isinstance(value, TruncatedPoly):
@@ -96,10 +100,6 @@ class TruncatedPoly:
 
     def coefficient(self, i):
         return self.coeffs[i] if 0 <= i < self.order else Fraction(0)
-
-    def at_zero(self):
-        """Evaluation at t = 0 (a ring map onto the rationals)."""
-        return self.coeffs[0]
 
     def _lift(self, other):
         if isinstance(other, TruncatedPoly):

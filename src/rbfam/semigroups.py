@@ -32,10 +32,6 @@ class FiniteSemigroup:
             out = self.table[out][a]
         return out
 
-    @property
-    def is_monoid(self):
-        return self.unit is not None
-
     def elements(self):
         return range(self.size)
 

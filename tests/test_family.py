@@ -25,11 +25,11 @@ from rbfam.family import (
     ns_family_pack,
     omega_assoc_from_ns_family,
     operator_bimodule,
-    pack_ns_family_morphism,
     total_product_algebra,
     tridend_from_weighted_rbf,
     yau_twist_ns_family,
 )
+from rbfam import homalg
 from rbfam.homalg import check_hom_algebra
 from rbfam.linalg import Matrix, Tensor, tensor_column, unit_vector, vadd
 from rbfam.operators import WeightedRBFamily
@@ -354,7 +354,7 @@ def test_pack_operator_family_and_morphism(d1):
     # its packing is a morphism of the packed NS algebras
     f = Matrix.from_rows([[1, 0], [0, -1]])
     assert check_ns_family_morphism(f, family, family).passed
-    fbar = pack_ns_family_morphism(f, family.omega)
+    fbar = homalg._block_repeat(f, family.omega.size)
     assert check_ns_morphism(fbar, packed, packed).passed
 
 

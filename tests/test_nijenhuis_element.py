@@ -29,7 +29,7 @@ from oracles import nijenhuis_element_report
 from rbfam.deformations import LinearDeformation, check_equivalence, check_nijenhuis_element
 from rbfam.errors import InputError
 from rbfam.homalg import tensor_semigroup_algebra
-from rbfam.linalg import Matrix, unit_vector, zero_vector
+from rbfam.linalg import ZERO, Matrix, unit_vector
 from rbfam.operators import identity_packing_family
 from rbfam.scalars import format_rational
 from rbfam.semigroups import builtin
@@ -75,7 +75,7 @@ def goldens():
 def elements(name, n):
     """0, the unit vectors, then seeded random vectors over GRID (no repeats)."""
     rng = random.Random(GOLDEN_NAMES.index(name))
-    out = [zero_vector(n)] + [unit_vector(n, i) for i in range(n)]
+    out = [(ZERO,) * n] + [unit_vector(n, i) for i in range(n)]
     out += [tuple(rng.choice(GRID) for _ in range(n)) for _ in range(RANDOM_ELEMENTS)]
     return list(dict.fromkeys(out))
 
