@@ -46,18 +46,12 @@ EXIT_VERDICT_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _vacuous_report(subject, note):
-    report = CheckReport(subject=subject)
-    report.notes.append(note)
-    return report
-
-
 def _check_object(ws, name):
     obj = ws.get(name)
     kind = ws.kinds[name]
     check = KINDS[kind].check
     if isinstance(check, str):
-        return _vacuous_report(f"{kind} {name}", check)
+        return CheckReport(subject=f"{kind} {name}", notes=[check])
     return check(obj)
 
 

@@ -190,16 +190,13 @@ def _infinitesimal_report(deformation, handle, max_violations=DEFAULT_MAX_VIOLAT
         raise RouteMismatchError(
             "order-1 identity and degree-1 cocycle membership disagree"
         )
-    report = InfinitesimalReport(
+    return InfinitesimalReport(
         subject="infinitesimal deformation",
         order1=order1,
         order2=order2,
         cocycle_route_ok=cocycle_ok,
+        notes=["the verdict is the order-1 condition; the order-2 coefficient is a separate flag"],
     )
-    report.notes.append(
-        "the verdict is the order-1 condition; the order-2 coefficient is a separate flag"
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +479,13 @@ def check_equivalence(deformation, other, x, max_violations=DEFAULT_MAX_VIOLATIO
             "morphism conditions passed mod t^2 but the directions do not "
             "differ by the coboundary of x"
         )
-    report = EquivalenceReport(
+    return EquivalenceReport(
         subject="equivalence of infinitesimal deformations",
         conditions=conditions,
         passes_mod_t2=mod_t2,
         passes_all_orders=all_orders,
+        notes=[READING_NOTE],
     )
-    report.notes.append(READING_NOTE)
-    return report
 
 
 def rbf_delta0_matrices(handle, x):
@@ -619,14 +615,10 @@ class RigidityReport:
         }
 
     def render(self):
-        lines = [
-            f"rigidity probe: dim Z^1 = {self.dims.dim_z}, dim B^1 = {self.dims.dim_b}, "
-            f"dim H^1 = {self.dims.dim_h}"
-        ]
+        dims = self.dims
+        lines = [f"rigidity probe: dim Z^1 = {dims.dim_z}, dim B^1 = {dims.dim_b}, dim H^1 = {dims.dim_h}"]
         for i, o in enumerate(self.outcomes):
-            lines.append(
-                f"  cocycle {i}: trivialized={o['trivialized']} nijenhuis={o['nijenhuis']}"
-            )
+            lines.append(f"  cocycle {i}: trivialized={o['trivialized']} nijenhuis={o['nijenhuis']}")
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines + note_lines(self.notes))
 

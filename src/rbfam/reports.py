@@ -5,13 +5,11 @@ and records the first ``max_violations`` offending tuples together with the
 residual vector, plus the total violation count.  Axiom failure is a report
 outcome, never an exception.
 
-Every verdict report shares one frame, ``Report``: its JSON is
-{"subject", "passed", <parts>, "notes"} and its text is a
-``PASS``/``FAIL  <title>`` header, the report's body lines, then one
-``  note: ...`` line per note.  ``CheckReport`` and the deformation reports
-(infinitesimal, induced NS-family, equivalence) supply only their parts
-and body lines.  The rigidity report has no subject and no verdict, so it
-shares only ``note_lines``.
+Every verdict report shares one frame, ``Report``: JSON {"subject",
+"passed", <parts>, "notes"}, and text that is a ``PASS``/``FAIL  <title>``
+header, the report's body lines and one ``  note: ...`` line per note.  The
+rigidity report has no subject and no verdict, so it shares only
+``note_lines``.
 
 A construction that needs its input to satisfy an axiom system checks it
 through ``ensure_valid`` and nowhere else: a failing check raises
@@ -113,13 +111,9 @@ def note_lines(notes):
 
 
 class Report:
-    """The frame of a verdict report.
-
-    A report has a ``subject``, a ``passed`` verdict and ``notes``; a
-    subclass supplies only its ``parts()`` (the keys of its JSON between
-    "passed" and "notes") and its body ``lines()``.  ``title`` heads the
-    rendered text and is the subject unless a subclass says otherwise.
-    """
+    """A subclass has ``subject``, ``passed`` and ``notes`` and supplies
+    ``parts()``, its JSON keys between "passed" and "notes", and ``lines()``,
+    its body; ``title`` heads the text and is the subject unless overridden."""
 
     @property
     def title(self):
