@@ -146,10 +146,7 @@ def report_golden(case):
     except PreconditionError as exc:
         return {"raises": str(exc), "report": exc.report.render() if exc.report is not None else None}
     # Key order is kept: it is the order in which render() prints a where-dict.
-    out = {"to_dict": json.dumps(report.to_dict(), indent=1)}
-    if hasattr(report, "render"):
-        out["render"] = report.render()
-    return out
+    return {"to_dict": json.dumps(report.to_dict(), indent=1), "render": report.render()}
 
 
 def _deform_document(path):
