@@ -19,9 +19,11 @@ is the deform document of the CI smoke test (D1 plus two zero deformations
 D and Dbar, the candidate x and the families N, T and T0) with one more
 deformation F, whose direction R1_0 = E_00 fails the order-1 identity.
 
-The goldens were frozen before the reports moved onto one shared frame; a
-failure here means an output changed, and the fix belongs in the code, not
-in the golden file.
+The goldens were frozen before the reports moved onto one shared frame,
+except two later entries: the ``render()`` of ``trivialize_cocycle``, which
+had none before, and the ``deform --mode trivialize`` witness line, which
+now prints rationals instead of ``Fraction`` reprs.  A failure here means
+an output changed, and the fix belongs in the code, not in the golden file.
 """
 import contextlib
 import io
