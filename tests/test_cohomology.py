@@ -612,6 +612,14 @@ def test_d1_rbf_degree_four_golden(d1):
     assert tuple(cohomology_dims(handle, 4)) == (1024, 208, 208, 0)
 
 
+def test_d1_rbf_degree_five_golden(d1):
+    # Frozen from the dense differential matrix (a 16384x4096 public matrix
+    # and a raw^2 basis bound, 9 s and 1066 MB on a 2-core machine); the
+    # budget admits that path.
+    handle = rbf_complex(d1["operator"], degree_cap=5, max_entries=3 * 10**8)
+    assert tuple(cohomology_dims(handle, 5)) == (4096, 816, 816, 0)
+
+
 # -- differential() on inputs the matrix tests do not reach ---------------------
 
 
