@@ -23,14 +23,17 @@ three complexes (each supplies a small stencil of term maps, composed as
 whole tensors, and merged arguments) on integer numerators over one
 denominator, and kept on the handle.  ``differential_matrix`` applies it
 to every basis vector, ``differential`` to one member cochain and
-``raw_differential`` to any raw coefficient vector, with one ``Fraction``
-per nonzero image entry; for RBF the direct and the generic stencils are
-both assembled and every image is compared.  Polynomial data runs the same
-loops on the entries themselves.  Images stay sparse ({row: value}) until
-the public matrix is built.  Every
-cochain that enters, through ``make_cochain`` or ``differential``, passes
-one validation path (index tuples, shapes, the size guard and membership),
-and every stencil is assembled under the size guard.
+``raw_differential`` to any raw coefficient vector.  Each image stays a
+sparse state {row: integer numerator} over one denominator from the walk
+to elimination: the RBF direct and generic images are compared across
+their denominators, the membership rebuild runs on integers, and the
+matrix keeps each column's coordinates as such a state, which ``rank``
+eliminates directly.  Only ``raw_differential`` and a matrix's lazy
+``entries`` build ``Fraction``s.  Polynomial data runs the same loops on
+the entries themselves, over no denominator.  Every cochain that enters,
+through ``make_cochain`` or ``differential``, passes one validation path
+(index tuples, shapes, the size guard and membership), and every stencil
+is assembled under the size guard.
 """
 from __future__ import annotations
 
@@ -238,36 +241,24 @@ class ComplexHandle:
             raise _cap_error(self, degree, degree)
         limit = max(self.max_entries, EXACT_SIZE_LIMIT)
         est = self.raw_dim(degree, limit)
-        if est is None or est > self.max_entries:
-            raise DegreeCapError(
-                f"degree {degree} needs {_about(est, limit)} tensor entries, "
-                f"beyond the budget {self.max_entries}",
-                estimated_entries=est,
-            )
-        # The basis is stored as supports, but ``basis_vectors`` can still
-        # materialize raw vectors of raw entries; raw^2 also bounds the
-        # block x block constraint (block <= raw) and the stencil's
-        # raw(n+1) x raw(n) nonzeros, guarded at degree n + 1.
-        if est * est > self.max_entries:
-            raise DegreeCapError(
-                f"degree {degree} needs a basis of up to {est}x{est} "
-                f"({est * est} entries), beyond the budget {self.max_entries}",
-                estimated_entries=est * est,
-            )
+        self._guard_size(degree, est, f"{_about(est, limit)} tensor entries")
+        # Dense arrays are bounded where they are built: the constraint
+        # block, ``basis_vectors`` and a differential matrix's entries.
         # The stencil walks raw(n+1) output rows with n merged slots of
         # n-long argument lists each, however small the spaces above are.
         walk = self.raw_dim(degree + 1, limit)
         walk = None if walk is None or walk * degree**2 > limit else walk * degree**2
-        if walk is None or walk > self.max_entries:
-            raise DegreeCapError(
-                f"degree {degree} needs a stencil walk of {_about(walk, limit)} steps, "
-                f"beyond the budget {self.max_entries}",
-                estimated_entries=walk,
-            )
+        self._guard_size(degree, walk, f"a stencil walk of {_about(walk, limit)} steps")
         if degree == 0 and self.tag in (OMEGA, RBF) and self.omega.unit is None:
             raise MissingUnitError(
                 "degree-0 cohomology needs a unit in the semigroup"
             )
+
+    def _guard_size(self, degree, size, what):
+        """Refuse degree n's ``what`` when its size (None: beyond any limit) is over the budget."""
+        if size is None or size > self.max_entries:
+            message = f"degree {degree} needs {what}, beyond the budget {self.max_entries}"
+            raise DegreeCapError(message, estimated_entries=size)
 
     # -- bases ----------------------------------------------------------------
 
@@ -279,6 +270,7 @@ class ComplexHandle:
         if degree not in self._basis:
             self._guard_degree(degree, allow_plus_one=True)
             block = self.block_dim(degree)
+            self._guard_size(degree, block**2, f"a constraint block of up to {block}x{block} ({block**2} entries)")
             block_vecs = kernel_supports(self._constraint_matrix(degree))
             self._basis[degree] = [
                 tuple((offset + j, c) for j, c in v)
@@ -289,7 +281,9 @@ class ComplexHandle:
 
     def basis_vectors(self, degree):
         """Coefficient vectors of the constraint-kernel basis, lexicographic."""
-        return [densify(v, self.raw_dim(degree)) for v in self.supports(degree)]
+        supports, raw = self.supports(degree), self.raw_dim(degree)
+        self._guard_size(degree, raw**2, f"a basis of up to {raw}x{raw} ({raw**2} entries)")
+        return [densify(v, raw) for v in supports]
 
     def basis(self, degree):
         return [self.unflatten(degree, v) for v in self.basis_vectors(degree)]
@@ -358,43 +352,45 @@ class ComplexHandle:
         (membership is not required); for RBF both routes must agree."""
         if len(vec) != self.raw_dim(degree, len(vec)):
             raise InputError("coefficient vector has the wrong length")
-        image = self._apply_maps(self._stencil_maps(degree), degree, _sparse(vec))
+        image, den = self._apply_maps(self._stencil_maps(degree), degree, _sparse(vec))
+        image = image if den is None else {r: Fraction(v, den) for r, v in image.items()}
         return list(densify(image.items(), self.raw_dim(degree + 1)))
 
     def differential_matrix(self, degree):
+        """The matrix of D from the degree-n basis to the next one, built
+        from its columns' integer states (``Matrix.from_column_states``)."""
         if degree in self._matrix:
             return self._matrix[degree]
         vec_out = self.supports(degree + 1)
         if degree == 0:
-            images = [dict(_sparse(self.flatten(self.differential(b)))) for b in self.basis(0)]
+            images = [_state(self.flatten(self.differential(b))) for b in self.basis(0)]
         else:
-            maps = self._stencil_maps(degree)
-            images = [
-                self._apply_maps(maps, degree, b, f", on basis vector {j}")
-                for j, b in enumerate(self.supports(degree))
-            ]
+            maps, vec_in = self._stencil_maps(degree), self.supports(degree)
+            size = sum(len(c) for cols, _ in maps for c in cols) + sum(map(len, vec_in + vec_out))
+            self._guard_size(degree, size, f"{size} stencil and basis nonzeros for its differential")
+            images = [self._apply_maps(maps, degree, b, f", on basis vector {j}") for j, b in enumerate(vec_in)]
         # Each basis vector is 1 on its own free column (its last nonzero
         # entry) and 0 on the others' free columns, so the coordinates of a
         # member are its free-column entries.  Rebuild the image from them
-        # over the basis supports to check that it is a member.
+        # over the basis supports, scaled to integers by one lcm, to check
+        # that it is a member.
         free = {s[-1][0]: i for i, s in enumerate(vec_out)}
-        cols = len(images)
-        entries = [ZERO] * (len(vec_out) * cols)
-        for j, image in enumerate(images):
-            rebuilt = {}
+        scale = lcm(*{e.denominator for s in vec_out for _, e in s})
+        scaled = [[(r, e.numerator * (scale // e.denominator)) for r, e in s] for s in vec_out]
+        columns = []
+        for image, den in images:
+            coords, rebuilt = {}, {}
             for f, c in image.items():
                 i = free.get(f)
                 if i is not None:
-                    entries[i * cols + j] = c
-                    for r, e in vec_out[i]:
-                        rebuilt[r] = rebuilt.get(r, ZERO) + c * e
-            if {r: v for r, v in rebuilt.items() if v} != image:
-                raise RouteMismatchError(
-                    "differential image escaped the constrained cochain space"
-                )
-        mat = Matrix(len(vec_out), cols, tuple(entries))
-        self._matrix[degree] = mat
-        return mat
+                    coords[i] = c
+                    for r, e in scaled[i]:
+                        rebuilt[r] = rebuilt.get(r, 0) + c * e
+            if {r: v for r, v in rebuilt.items() if v} != {r: scale * v for r, v in image.items()}:
+                raise RouteMismatchError("differential image escaped the constrained cochain space")
+            columns.append((coords, den))
+        self._matrix[degree] = Matrix.from_column_states(len(vec_out), len(images), columns, self.max_entries)
+        return self._matrix[degree]
 
     def _stencil_maps(self, degree):
         """Raw differentials C^n -> C^(n+1), assembled once per degree, each
@@ -419,19 +415,19 @@ class ComplexHandle:
         return maps
 
     def _apply_maps(self, maps, degree, support, where=""):
-        """Nonzero entries {row: value} of D . vec for each map, for vec
-        given by its nonzero ((position, value), ...); for RBF both routes'
-        images must agree."""
-        image, *others = [_apply_columns(cols, den, support) for cols, den in maps]
-        for other in others:
-            if other != image:
-                row = min(r for r in image.keys() | other.keys() if image.get(r) != other.get(r))
-                key, entry = self._locate(degree + 1, row)
+        """(state, den) of D . vec (``_apply_columns``), vec given by its nonzero ((position,
+        value), ...); for RBF both routes must agree, across denominators (None counts as 1)."""
+        (image, den), *others = [_apply_columns(cols, d, support) for cols, d in maps]
+        for other, oden in others:
+            da, db = den or 1, oden or 1
+            rows = [r for r in image.keys() | other.keys() if image.get(r, 0) * db != other.get(r, 0) * da]
+            if rows:
+                key, entry = self._locate(degree + 1, min(rows))
                 raise RouteMismatchError(
                     f"twisted-family differential routes disagree at index tuple {key}, "
                     f"entry {entry}{where}"
                 )
-        return image
+        return image, den
 
     def _locate(self, degree, row):
         """(index tuple, tensor entry) of a raw coordinate position."""
@@ -737,26 +733,30 @@ def _assemble_stencil(handle, degree, stencil):
 
 
 def _apply_columns(cols, den, support):
-    """Nonzero entries {row: value} of the product of the sparse columns
-    {row: value} of ``_assemble_stencil`` with a sparse vector ((column,
-    value), ...).  On integer columns and a vector with an integer view the
-    sum runs on numerators and each nonzero entry is one ``Fraction``;
-    otherwise it runs on the entries, a column value read as value / den."""
-    if den is not None:
-        view = _integer_view([e for _, e in support])
-        if view is not None:
-            scale, ints = view
-            out = {}
-            for (c, _), e in zip(support, ints):
-                for r, v in cols[c].items():
-                    out[r] = out.get(r, 0) + e * v
-            den *= scale
-            return {r: Fraction(v, den) for r, v in out.items() if v}
+    """(state, den) of the product of the sparse columns {row: value} of
+    ``_assemble_stencil`` with a sparse vector ((column, value), ...): the
+    nonzero entries {row: value} over a denominator.  On integer columns
+    and a vector with an integer view the sum runs on numerators, over den
+    times the vector's scale; otherwise it runs on the entries, a column
+    value read as value / den, and the denominator is None."""
+    view = None if den is None else _integer_view([e for _, e in support])
+    if view is not None:
+        scale, ints = view
+        support, den = zip((c for c, _ in support), ints), den * scale
+    else:
+        support = [(c, e if den is None else e * Fraction(1, den)) for c, e in support]
+        den = None
     out = {}
     for c, e in support:
         for r, v in cols[c].items():
-            out[r] = out.get(r, ZERO) + e * (v if den is None else Fraction(v, den))
-    return {r: v for r, v in out.items() if v}
+            out[r] = out.get(r, 0) + e * v
+    return {r: v for r, v in out.items() if v}, den
+
+
+def _state(vec):
+    """(state, den) of a raw vector, as ``_apply_columns`` gives an image."""
+    view = _integer_view(vec)
+    return (dict(_sparse(vec)), None) if view is None else (dict(_sparse(view[1])), view[0])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ reads each line of entries once (a row or column of the matrix, a row with
 its right-hand side or identity row appended) into a sparse integer row
 ``{column: value}`` scaled by the lcm of the line's own denominators, and
 refuses a line with an entry that is not an int or a ``Fraction``; it keeps
-no integer view and builds no augmented matrix.  Columns are eliminated
+no integer view and builds no augmented matrix; ``rank`` reads no entry of
+a matrix built from integer column states (``Matrix.from_column_states``,
+a differential matrix), only its columns.  Columns are eliminated
 left to right, each pivot is the candidate row with the fewest nonzeros,
 and each combined row is divided by the gcd of its entries.  The answers
 do not depend on which rows become pivots: the pivot columns found left to
@@ -52,7 +54,7 @@ from itertools import compress, count, repeat
 from math import gcd, lcm, prod
 from operator import is_not
 
-from .errors import InputError
+from .errors import DegreeCapError, InputError
 from .scalars import TruncatedPoly, ensure_scalar
 
 ZERO = Fraction(0)
@@ -207,6 +209,31 @@ class Matrix(_Array):
 
     def has_poly_entries(self):
         return any(isinstance(e, TruncatedPoly) for e in self.entries)
+
+    column_states = None  # (state {row: value}, den) per column, from ``from_column_states``
+
+    @staticmethod
+    def from_column_states(rows, cols, states, limit):
+        """Column j is (state, den) = states[j]: entry (i, j) is Fraction(state[i], den), state[i]
+        when den is None, and ``ZERO`` off the state.  ``entries``, which ``==``, ``hash``, ``repr``
+        and ``replace`` read, is built on first access, up to ``limit`` cells; ``rank`` reads the states."""
+        m = object.__new__(Matrix)
+        vars(m).update(rows=rows, cols=cols, column_states=tuple(states), _limit=limit)
+        return m
+
+    def __getattr__(self, name):  # an unset attribute: ``entries`` before its first access
+        if name != "entries" or self.column_states is None:
+            raise AttributeError(name)
+        size = self.rows * self.cols
+        if size > self._limit:
+            message = f"a {self.rows}x{self.cols} matrix needs {size} entries, beyond the budget {self._limit}"
+            raise DegreeCapError(message, estimated_entries=size)
+        out = [ZERO] * size
+        for j, (state, den) in enumerate(self.column_states):
+            for i, v in state.items():
+                out[i * self.cols + j] = v if den is None else Fraction(v, den)
+        vars(self)["entries"] = entries = tuple(out)
+        return entries
 
 
 def block_diag(blocks):
@@ -608,11 +635,22 @@ def _echelon(rows, ncols):
 def rank(m):
     """Rank over the rationals by sparse fraction-free elimination.
 
-    rank(M) = rank(M^T), so the shorter side's lines are eliminated.
+    rank(M) = rank(M^T), so the shorter side's lines are eliminated.  Integer
+    column states, each column scaled by its denominator (which keeps the
+    rank), are eliminated as rows or transposed in O(nonzeros).
     """
-    if m.rows > m.cols:
-        return len(_echelon(_integer_rows(m.entries[j :: m.cols] for j in range(m.cols)), m.rows)[1])
-    return len(_echelon(_integer_rows(map(m.row, range(m.rows))), m.cols)[1])
+    tall, states = m.rows > m.cols, m.column_states
+    if states is None or any(den is None for _, den in states):
+        lines = _integer_rows((m.entries[j :: m.cols] for j in range(m.cols)) if tall else map(m.row, range(m.rows)))
+    elif tall:
+        lines = [dict(state) for state, _ in states if state]
+    else:
+        lines = [{} for _ in range(m.rows)]
+        for j, (state, _) in enumerate(states):
+            for i, v in state.items():
+                lines[i][j] = v
+        lines = [line for line in lines if line]
+    return len(_echelon(lines, m.rows if tall else m.cols)[1])
 
 
 def _kernel_from_echelon(rows, pivots, ncols):

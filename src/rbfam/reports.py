@@ -224,19 +224,10 @@ def intertwining_residual(out, src, tgt, ins):
     extents of src) and ``state`` maps flat indices over it to numerators
     over ``den`` (entries themselves when ``den`` is None).  For a yes/no
     (cochain membership) that needs neither a where-dict nor a residual
-    column: the law holds when every value is 0.
+    column: the law holds when every value is 0.  Sides whose shapes do
+    not fit raise the ``InputError`` of ``_signed_state``, which checks
+    them.
     """
-    src_shape, tgt_shape = src.shape, tgt.shape
-    ins_shapes = [(m.rows, m.cols) for m in ins]
-    shape = (out.rows, *src_shape[1:])
-    if (
-        out.cols != src_shape[0]
-        or tgt_shape[1:] != tuple(r for r, _ in ins_shapes)
-        or shape != (tgt_shape[0], *(c for _, c in ins_shapes))
-    ):
-        raise InputError(
-            f"law sides {(out.rows, out.cols)} o {src_shape} and {tgt_shape} o {ins_shapes} do not match"
-        )
     return _signed_state([(1, out, [src]), (-1, tgt, ins)])
 
 

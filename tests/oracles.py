@@ -1757,7 +1757,9 @@ def fraction_apply_columns(cols, support):
 class ProbedStencilHandle(ComplexHandle):
     """A ``ComplexHandle`` whose stencil maps are built and applied by the
     frozen bodies above: ``_stencil_maps`` and ``_apply_maps`` are the
-    handle's former methods, verbatim but for the frozen names."""
+    handle's former methods, verbatim but for the frozen names and the
+    (columns or image, None) pairs that the handle passes on: a denominator
+    of None means the values are the ``Fraction`` entries themselves."""
 
     def _stencil_maps(self, degree):
         if degree in self._maps:
@@ -1769,12 +1771,12 @@ class ProbedStencilHandle(ComplexHandle):
             stencils = [probed_omega_stencil(self.omega_algebra, self.omega_module, degree)]
             if self.tag == RBF:
                 stencils.insert(0, probed_rbf_stencil(self.operator, degree))
-        maps = [fraction_assemble_stencil(self, degree, s) for s in stencils]
+        maps = [(fraction_assemble_stencil(self, degree, s), None) for s in stencils]
         self._maps[degree] = maps
         return maps
 
     def _apply_maps(self, maps, degree, support, where=""):
-        image, *others = [fraction_apply_columns(cols, support) for cols in maps]
+        image, *others = [fraction_apply_columns(cols, support) for cols, _ in maps]
         for other in others:
             if other != image:
                 row = min(r for r in image.keys() | other.keys() if image.get(r) != other.get(r))
@@ -1783,7 +1785,7 @@ class ProbedStencilHandle(ComplexHandle):
                     f"twisted-family differential routes disagree at index tuple {key}, "
                     f"entry {entry}{where}"
                 )
-        return image
+        return image, None
 
 
 def probed_handle(handle):

@@ -135,8 +135,9 @@ def test_degree_cap_and_entry_budget(d1):
 
 
 def test_differential_and_raw_differential_respect_the_size_guard(d1):
-    # A degree-2 cochain of D1 has 64 raw entries, so its basis may hold
-    # 64x64 > 1000 cells; with the default cap 2, degree 4 is over the cap.
+    # A degree-2 cochain of D1 has 64 raw entries, and its stencil walks
+    # 256 rows x 2^2 > 1000 steps; with the default cap 2, degree 4 is over
+    # the cap.
     small = rbf_complex(d1["operator"], max_entries=1000)
     zeros = (Fraction(0),) * small.raw_dim(2)
     with pytest.raises(DegreeCapError):
@@ -510,25 +511,33 @@ def test_differential_matrix_rejects_escaped_image(twisted_family_handle, monkey
 
 
 def test_constraint_block_counts_against_the_entry_budget(twisted_triangular_algebra):
+    # The budget admits the raw size and the stencil walk (729 x 4^2 = 11664
+    # steps); the dense 243x243 constraint block is what it refuses, on the
+    # dims path (``supports``) as well as through ``basis_vectors``.
     handle = ha_complex(
         twisted_triangular_algebra,
         regular_bimodule(twisted_triangular_algebra),
         degree_cap=4,
-        max_entries=1000,
+        max_entries=20000,
     )
-    assert handle.raw_dim(4) == 243 <= 1000
-    with pytest.raises(DegreeCapError) as info:
-        handle.basis_vectors(4)
-    assert info.value.estimated_entries == 243**2
+    assert handle.raw_dim(4) == 243 <= 20000
+    for build in (handle.supports, handle.basis_vectors):
+        with pytest.raises(DegreeCapError) as info:
+            build(4)
+        assert info.value.estimated_entries == 243**2
+        assert "constraint block of up to 243x243" in str(info.value)
 
 
 # -- stencil-assembled matrices ----------------------------------------------
 
 
 def test_dense_basis_counts_against_the_entry_budget(d1):
-    # p = q = id: the basis is raw unit vectors of raw entries each.
-    handle = rbf_complex(d1["operator"], max_entries=1000)
-    assert handle.raw_dim(2) == 64 <= 1000
+    # p = q = id: the basis is raw unit vectors of raw entries each.  The
+    # budget admits the raw size and the stencil walk (256 x 2^2 steps), so
+    # the sparse supports pass and only the dense vectors are refused.
+    handle = rbf_complex(d1["operator"], max_entries=2000)
+    assert handle.raw_dim(2) == 64 <= 2000
+    assert len(handle.supports(2)) == 64
     with pytest.raises(DegreeCapError) as info:
         handle.basis_vectors(2)
     assert info.value.estimated_entries == 64**2
@@ -614,9 +623,10 @@ def test_d1_rbf_degree_four_golden(d1):
 
 def test_d1_rbf_degree_five_golden(d1):
     # Frozen from the dense differential matrix (a 16384x4096 public matrix
-    # and a raw^2 basis bound, 9 s and 1066 MB on a 2-core machine); the
-    # budget admits that path.
-    handle = rbf_complex(d1["operator"], degree_cap=5, max_entries=3 * 10**8)
+    # and a raw^2 basis bound, 9 s and 1066 MB on a 2-core machine, under a
+    # budget of 3 * 10^8).  The dims path now builds no dense cell, so 10^7
+    # admits it: raw 16384 and a degree-6 stencil walk of 65536 x 6^2 steps.
+    handle = rbf_complex(d1["operator"], degree_cap=5, max_entries=10**7)
     assert tuple(cohomology_dims(handle, 5)) == (4096, 816, 816, 0)
 
 

@@ -81,7 +81,8 @@ def test_small_degree_cap_messages_are_kept(d1_path, capsys, obj, message):
     "budget, message",
     [
         ("100", "error: degree 3 needs about 256 tensor entries, beyond the budget 100"),
-        ("5000", "error: degree 3 needs a basis of up to 256x256 (65536 entries), beyond the budget 5000"),
+        # The dims path builds no dense basis: the stencil walk (1024 rows x 3^2) is refused.
+        ("5000", "error: degree 3 needs a stencil walk of about 9216 steps, beyond the budget 5000"),
     ],
 )
 def test_small_degree_budget_messages_are_kept(d1_path, capsys, budget, message):

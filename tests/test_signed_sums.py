@@ -9,7 +9,9 @@ last-term maps of ``cohomology._rbf_stencil`` and
 (``first_index_nested_cases``, ``sided_intertwining_residual``,
 ``single_compose``, ``chained_rbf_ends``, ``chained_operator_bimodule``):
 the same ``repr``, so an entry's type counts as much as its value, or the
-same exception type and message.
+same exception type and message.  The one exception: sides of an
+intertwining law that do not fit raise the ``InputError`` of
+``linalg._signed_state``, not the message of the frozen body's own check.
 
 Inputs are raw ints, mixed int/``Fraction`` entries and long rationals
 (numerators of about 300 digits), polynomials over K[t]/(t^2) and
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rbfam.cohomology import _rbf_stencil, differential_matrix, rbf_complex
+from rbfam.errors import InputError
 from rbfam.family import operator_bimodule
 from rbfam.linalg import ONE, ZERO, Matrix, Tensor, _Array, _compose, _compose_sum
 from rbfam.reports import intertwining_residual, nested_cases
@@ -212,7 +215,14 @@ def test_nested_cases_match_first_index_body(case, where):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=intertwining_laws())
 def test_intertwining_residual_matches_sided_body(case):
-    assert _outcome(intertwining_residual, *case) == _outcome(oracles.sided_intertwining_residual, *case)
+    got, want = _outcome(intertwining_residual, *case), _outcome(oracles.sided_intertwining_residual, *case)
+    if isinstance(want, tuple) and want[1].startswith("law sides "):
+        # The residual leaves its shape check to ``_signed_state``: sides
+        # that do not fit raise its InputError, about the first term or the
+        # pair of terms that does not fit.
+        assert got[0] is InputError and got[1].startswith(("cannot compose shape ", "cannot add compositions "))
+    else:
+        assert got == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
