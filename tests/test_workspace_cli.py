@@ -7,7 +7,7 @@ import pytest
 
 from rbfam.cli import main
 from rbfam.errors import InputError
-from rbfam.homalg import HomAlgebra, regular_bimodule, tensor_semigroup_algebra
+from rbfam.homalg import HomAlgebra, HomBimodule, regular_bimodule, tensor_semigroup_algebra
 from rbfam.linalg import Matrix, Tensor
 from rbfam.operators import identity_packing_family
 from rbfam.semigroups import builtin
@@ -104,6 +104,29 @@ def test_cochain_round_trip(d1_file):
     named = {n: ws.get(n) for n in data["objects"]}
     again = load_workspace(json.loads(dump_workspace(named)))
     assert again.get("f") == ws.get("f")
+
+
+def test_zero_extent_arrays_round_trip():
+    # A 0-dimensional algebra under a 2-dimensional bimodule: mu and p have
+    # no entries, left is 2x0x2 and right 2x2x0, so every axis length must
+    # come from the shape, not from the entries.
+    algebra = HomAlgebra(dim=0, mu=Tensor((0, 0, 0), ()), p=Matrix(0, 0, ()))
+    module = HomBimodule(
+        parent=algebra,
+        dim=2,
+        left=Tensor((2, 0, 2), ()),
+        right=Tensor((2, 2, 0), ()),
+        q=Matrix.identity(2),
+    )
+    named = {"algebra": algebra, "bimodule": module}
+    text = dump_workspace(named)
+    doc = json.loads(text)["objects"]
+    assert (doc["algebra"]["mu"], doc["algebra"]["p"]) == ([], [])
+    assert doc["bimodule"]["left"] == [[], []]
+    assert doc["bimodule"]["right"] == [[[], []], [[], []]]
+    ws = load_workspace(text)
+    assert ws.get("algebra") == algebra and ws.get("bimodule") == module
+    assert dump_workspace({n: ws.get(n) for n in named}) == text
 
 
 def _algebra(c):
