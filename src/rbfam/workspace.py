@@ -4,9 +4,14 @@ Schema: {"objects": {name: {"kind": ..., ...}, ...}}.  Cross-references
 are by name inside the same document; the reference graph must be acyclic
 and every referenced name defined.  Scalars are rational literals stored
 as strings ("-3/4", "7"); semigroup elements and dimensions are plain
-integers.  Unknown fields are rejected so that emitted documents stay
-bit-exact under round-trips.  Each kind's layout is one row of ``KINDS``,
-read by loading, dumping, the reference check and ``rbfam check``.
+integers.  Every array field (vector, matrix or 3-tensor) is nested lists,
+one list level per axis, row-major; a keyed table ("a", "a,b" or a joined
+index tuple) holds exactly its keys, each an array.  One reader
+(``_parse_array``, with ``_keyed`` for tables) and one writer
+(``_array_doc``) handle all of them.  Unknown fields are rejected so that
+emitted documents stay bit-exact under round-trips.  Each kind's layout is
+one row of ``KINDS``, read by loading, dumping, the reference check and
+``rbfam check``.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -123,35 +129,42 @@ def _parse_scalar(node, where):
     raise InputError(f"{where}: scalars must be rational literals as strings, got {node!r}")
 
 
-def _parse_matrix(node, rows, cols, where):
-    if not isinstance(node, list) or len(node) != rows:
-        raise InputError(f"{where}: expected {rows} rows")
+# The message for a list of the wrong length, by (rank, depth): ``path``
+# names the list, ``where`` and ``i`` its parent list and its index there.
+_WRONG_LENGTH = {
+    (1, 0): "{path}: expected a vector of length {n}",
+    (2, 0): "{path}: expected {n} rows",
+    (2, 1): "{where}: row {i} must have {n} entries",
+    (3, 0): "{path}: expected {n} outer entries",
+    (3, 1): "{path}: expected {n} rows",
+    (3, 2): "{path}: expected {n} entries",
+}
+
+
+def _parse_array(node, shape, where):
+    """Nested lists, one list level per axis, read row-major: a tuple for a
+    vector, a ``Matrix`` or a ``Tensor``.  A bad scalar is named by the path
+    of its innermost list."""
     entries = []
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != cols:
-            raise InputError(f"{where}: row {i} must have {cols} entries")
-        entries.extend(_parse_scalar(e, f"{where}[{i}]") for e in row)
-    return Matrix(rows, cols, tuple(entries))
+    _read_lists(node, shape, 0, where, None, entries)
+    if len(shape) == 1:
+        return tuple(entries)
+    if len(shape) == 2:
+        return Matrix(shape[0], shape[1], tuple(entries))
+    return Tensor(shape, tuple(entries))
 
 
-def _parse_tensor3(node, d0, d1, d2, where):
-    if not isinstance(node, list) or len(node) != d0:
-        raise InputError(f"{where}: expected {d0} outer entries")
-    entries = []
-    for k, plane in enumerate(node):
-        if not isinstance(plane, list) or len(plane) != d1:
-            raise InputError(f"{where}[{k}]: expected {d1} rows")
-        for i, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != d2:
-                raise InputError(f"{where}[{k}][{i}]: expected {d2} entries")
-            entries.extend(_parse_scalar(e, f"{where}[{k}][{i}]") for e in row)
-    return Tensor((d0, d1, d2), tuple(entries))
-
-
-def _parse_vector(node, length, where):
-    if not isinstance(node, list) or len(node) != length:
-        raise InputError(f"{where}: expected a vector of length {length}")
-    return tuple(_parse_scalar(e, where) for e in node)
+def _read_lists(node, shape, depth, where, i, out):
+    path = where if i is None else f"{where}[{i}]"
+    n = shape[depth]
+    if not isinstance(node, list) or len(node) != n:
+        message = _WRONG_LENGTH[len(shape), depth]
+        raise InputError(message.format(path=path, where=where, i=i, n=n))
+    if depth + 1 == len(shape):
+        out.extend(_parse_scalar(e, path) for e in node)
+    else:
+        for j, child in enumerate(node):
+            _read_lists(child, shape, depth + 1, path, j, out)
 
 
 def _parse_int(node, where, minimum=0):
@@ -170,49 +183,32 @@ def _require_fields(doc, required, optional=(), where=""):
         raise InputError(f"{where}: unknown fields {sorted(extra)}")
 
 
-def _indexed_arrays(node, count, parse, dims, where):
-    """One array per semigroup index, keyed "0", "1", ..., each read by
-    ``parse(entry, *dims, where)`` (``_parse_matrix`` or ``_parse_tensor3``)."""
+def _keyed(node, keys, shape, where, what, quoted=False):
+    """The arrays of ``shape`` under exactly ``keys`` of an object, in key
+    order, each key checked and read before the next; ``what`` names the
+    keys, and ``quoted`` quotes a key in the path of its array."""
     if not isinstance(node, dict):
-        raise InputError(f"{where}: expected an object keyed by semigroup indices")
+        raise InputError(f"{where}: expected an object keyed by {what}")
     out = []
-    for alpha in range(count):
-        key = str(alpha)
+    for key in keys:
         if key not in node:
             raise InputError(f"{where}: missing key {key!r}")
-        out.append(parse(node[key], *dims, f"{where}[{key}]"))
-    if len(node) != count:
+        out.append(_parse_array(node[key], shape, f"{where}[{key!r}]" if quoted else f"{where}[{key}]"))
+    if len(node) != len(keys):
         raise InputError(f"{where}: unexpected extra keys")
     return tuple(out)
 
 
-def _pair_tensors(node, count, shape, where):
-    if not isinstance(node, dict):
-        raise InputError(f"{where}: expected an object keyed by 'a,b' pairs")
-    out = []
-    for a in range(count):
-        row = []
-        for b in range(count):
-            key = f"{a},{b}"
-            if key not in node:
-                raise InputError(f"{where}: missing key {key!r}")
-            row.append(_parse_tensor3(node[key], *shape, f"{where}[{key}]"))
-        out.append(tuple(row))
-    if len(node) != count * count:
-        raise InputError(f"{where}: unexpected extra keys")
-    return tuple(out)
-
-
-def _matrix_doc(mat):
-    return [[format_rational(mat.at(i, j)) for j in range(mat.cols)] for i in range(mat.rows)]
-
-
-def _tensor3_doc(t):
-    d0, d1, d2 = t.shape
-    return [
-        [[format_rational(t.at(k, i, j)) for j in range(d2)] for i in range(d1)]
-        for k in range(d0)
-    ]
+def _array_doc(x):
+    """A vector (tuple), ``Matrix`` or ``Tensor`` as nested lists, one per
+    axis, row-major; the extents come from the shape, so empty axes stay."""
+    if isinstance(x, tuple):
+        return [format_rational(c) for c in x]
+    shape, nested = x.shape, [format_rational(c) for c in x.entries]
+    for axis in range(len(shape) - 1, 0, -1):
+        n = shape[axis]
+        nested = [nested[k * n : (k + 1) * n] for k in range(prod(shape[:axis]))]
+    return nested
 
 
 class _Names:
@@ -281,17 +277,11 @@ SCALAR = Codec(
 )
 
 
-def matrix(shape):
+def array(shape):
+    """A vector, matrix or 3-tensor of the extents ``shape(f)``."""
     return Codec(
-        lambda node, f, ws, where: _parse_matrix(node, *shape(f), where),
-        lambda mat, named: _matrix_doc(mat),
-    )
-
-
-def tensor3(shape):
-    return Codec(
-        lambda node, f, ws, where: _parse_tensor3(node, *shape(f), where),
-        lambda t, named: _tensor3_doc(t),
+        lambda node, f, ws, where: _parse_array(node, shape(f), where),
+        lambda x, named: _array_doc(x),
     )
 
 
@@ -301,14 +291,9 @@ def indexed(shape):
 
     def load(node, f, ws, where):
         count, *dims = shape(f)
-        parse = _parse_matrix if len(dims) == 2 else _parse_tensor3
-        return _indexed_arrays(node, count, parse, dims, where)
+        return _keyed(node, [str(a) for a in range(count)], dims, where, "semigroup indices")
 
-    def dump(arrays, named):
-        doc = _matrix_doc if isinstance(arrays[0], Matrix) else _tensor3_doc
-        return {str(a): doc(x) for a, x in enumerate(arrays)}
-
-    return Codec(load, dump)
+    return Codec(load, lambda arrays, named: {str(a): _array_doc(x) for a, x in enumerate(arrays)})
 
 
 def pair_indexed(shape):
@@ -317,21 +302,14 @@ def pair_indexed(shape):
 
     def load(node, f, ws, where):
         count, *dims = shape(f)
-        return _pair_tensors(node, count, dims, where)
+        keys = [f"{a},{b}" for a in range(count) for b in range(count)]
+        flat = _keyed(node, keys, dims, where, "'a,b' pairs")
+        return tuple(flat[a * count : (a + 1) * count] for a in range(count))
 
     def dump(rows, named):
-        return {
-            f"{a},{b}": _tensor3_doc(t) for a, row in enumerate(rows) for b, t in enumerate(row)
-        }
+        return {f"{a},{b}": _array_doc(t) for a, row in enumerate(rows) for b, t in enumerate(row)}
 
     return Codec(load, dump)
-
-
-def vector(length):
-    return Codec(
-        lambda node, f, ws, where: _parse_vector(node, length(f), where),
-        lambda vec, named: [format_rational(c) for c in vec],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +368,8 @@ def _load_deformation(doc, ws, where):
     _require_fields(doc, ["base", "direction", "order"], optional=["other", "element"], where=where)
     base = ws.get(doc["base"], kinds={"twisted_rbf"})
     n, d = base.algebra.dim, base.bimodule.dim
-    direction = _indexed_arrays(
-        doc["direction"], base.omega.size, _parse_matrix, (n, d), f"{where}.direction"
-    )
+    keys = [str(a) for a in range(base.omega.size)]
+    direction = _keyed(doc["direction"], keys, (n, d), f"{where}.direction", "semigroup indices")
     order = _parse_int(doc["order"], f"{where}.order", minimum=2)
     deformation = LinearDeformation(base=base, direction=direction, order=order)
     other = doc.get("other")
@@ -400,7 +377,7 @@ def _load_deformation(doc, ws, where):
         raise InputError(f"{where}.other: expected an object name")
     element = doc.get("element")
     if element is not None:
-        element = _parse_vector(element, n, f"{where}.element")
+        element = _parse_array(element, (n,), f"{where}.element")
     return DeformationDoc(deformation=deformation, other=other, element=element)
 
 
@@ -408,13 +385,13 @@ def _doc_deformation(obj, named):
     deformation = obj.deformation
     doc = {
         "base": named.ref(deformation.base, "base operator"),
-        "direction": {str(a): _matrix_doc(m) for a, m in enumerate(deformation.direction)},
+        "direction": {str(a): _array_doc(m) for a, m in enumerate(deformation.direction)},
         "order": deformation.order,
     }
     if obj.other is not None:
         doc["other"] = obj.other
     if obj.element is not None:
-        doc["element"] = [format_rational(c) for c in obj.element]
+        doc["element"] = _array_doc(obj.element)
     return doc
 
 
@@ -423,7 +400,7 @@ def _load_linear_map(doc, ws, where):
     node = doc["entries"]
     if not (isinstance(node, list) and node and isinstance(node[0], list) and node[0]):
         raise InputError(f"{where}.entries: expected a nonempty matrix")
-    return LinearMapDoc(matrix=_parse_matrix(node, len(node), len(node[0]), f"{where}.entries"))
+    return LinearMapDoc(matrix=_parse_array(node, (len(node), len(node[0])), f"{where}.entries"))
 
 
 def _load_cochain(doc, ws, where):
@@ -474,25 +451,11 @@ def _load_cochain(doc, ws, where):
             f"{where}.degree: a cochain of this degree has more than {DEFAULT_MAX_ENTRIES} entries"
         )
     keys = [()] if tag == "ha" else list(iproduct(range(indices), repeat=degree))
-
-    node = doc["table"]
-    if not isinstance(node, dict):
-        raise InputError(f"{where}.table: expected an object keyed by joined index tuples")
-    table = {}
-    for key in keys:
-        skey = ",".join(str(a) for a in key)
-        if skey not in node:
-            raise InputError(f"{where}.table: missing key {skey!r}")
-        if degree == 0:
-            table[key] = Tensor((tgt,), _parse_vector(node[skey], tgt, f"{where}.table[{skey!r}]"))
-        else:
-            flat = node[skey]
-            # Stored as a (target x source^degree) rectangular array.
-            width = src**degree
-            mat = _parse_matrix(flat, tgt, width, f"{where}.table[{skey!r}]")
-            table[key] = Tensor((tgt,) + (src,) * degree, mat.entries)
-    if len(node) != len(keys):
-        raise InputError(f"{where}.table: unexpected extra keys")
+    # Each tensor is stored as a (target x source^degree) rectangular array.
+    shape, skeys = (tgt, src**degree) if degree else (tgt,), [",".join(map(str, k)) for k in keys]
+    arrays = _keyed(doc["table"], skeys, shape, f"{where}.table", "joined index tuples", quoted=True)
+    tshape = (tgt,) + (src,) * degree
+    table = {key: Tensor(tshape, x if degree == 0 else x.entries) for key, x in zip(keys, arrays)}
     # Membership (equivariance) is part of shape validation for cochains.
     if not is_equivariant(tgt_map, src_map, degree, table.values()):
         if degree == 0:
@@ -511,14 +474,9 @@ def _doc_cochain(obj, named):
         doc["bimodule"] = named.ref(obj.host[1], "bimodule")
         src = obj.host[0].dim
     for key, tensor in sorted(obj.table.items()):
-        skey = ",".join(str(a) for a in key)
-        if obj.degree == 0:
-            doc["table"][skey] = [format_rational(c) for c in tensor.entries]
-        else:
-            width = src**obj.degree
-            tgt = tensor.shape[0]
-            mat = Matrix(tgt, width, tensor.entries)
-            doc["table"][skey] = _matrix_doc(mat)
+        if obj.degree:
+            tensor = Matrix(tensor.shape[0], src**obj.degree, tensor.entries)
+        doc["table"][",".join(map(str, key))] = _array_doc(tensor)
     return doc
 
 
@@ -540,7 +498,7 @@ def _maps(f):
 
 
 DIM = ("dim", "dim", INT)
-P = ("p", "p", matrix(_square))
+P = ("p", "p", array(_square))
 OMEGA = ("omega", "omega", reference("semigroup", "semigroup"))
 HOST_ALGEBRA = ("algebra", "algebra", reference("hom_algebra", "host algebra"))
 
@@ -556,7 +514,7 @@ KINDS = {
         dump=lambda obj, named: obj.to_dict(),
     ),
     "hom_algebra": Kind(
-        HomAlgebra, lambda obj: check_hom_algebra(obj), (DIM, ("mu", "mu", tensor3(_cube)), P)
+        HomAlgebra, lambda obj: check_hom_algebra(obj), (DIM, ("mu", "mu", array(_cube)), P)
     ),
     "hom_bimodule": Kind(
         HomBimodule,
@@ -564,9 +522,9 @@ KINDS = {
         (
             ("algebra", "parent", reference("hom_algebra", "parent algebra")),
             DIM,
-            ("left", "left", tensor3(lambda f: (f.dim, f.parent.dim, f.dim))),
-            ("right", "right", tensor3(lambda f: (f.dim, f.dim, f.parent.dim))),
-            ("q", "q", matrix(_square)),
+            ("left", "left", array(lambda f: (f.dim, f.parent.dim, f.dim))),
+            ("right", "right", array(lambda f: (f.dim, f.dim, f.parent.dim))),
+            ("q", "q", array(_square)),
         ),
     ),
     "two_cocycle": Kind(
@@ -574,7 +532,7 @@ KINDS = {
         lambda obj: check_two_cocycle(obj),
         (
             ("bimodule", "host", reference("hom_bimodule", "host bimodule")),
-            ("phi", "phi", tensor3(lambda f: (f.host.dim, f.host.parent.dim, f.host.parent.dim))),
+            ("phi", "phi", array(lambda f: (f.host.dim, f.host.parent.dim, f.host.parent.dim))),
         ),
     ),
     "twisted_rbf": Kind(
@@ -606,8 +564,8 @@ KINDS = {
         (
             ("source", "source", reference("twisted_rbf", "source operator")),
             ("target", "target", reference("twisted_rbf", "target operator")),
-            ("psi", "psi", matrix(lambda f: (f.target.algebra.dim, f.source.algebra.dim))),
-            ("phi", "phi", matrix(lambda f: (f.target.bimodule.dim, f.source.bimodule.dim))),
+            ("psi", "psi", array(lambda f: (f.target.algebra.dim, f.source.algebra.dim))),
+            ("phi", "phi", array(lambda f: (f.target.bimodule.dim, f.source.bimodule.dim))),
         ),
     ),
     "ns_algebra": Kind(
@@ -615,9 +573,9 @@ KINDS = {
         lambda obj: check_hom_ns(obj),
         (
             DIM,
-            ("prec", "prec", tensor3(_cube)),
-            ("succ", "succ", tensor3(_cube)),
-            ("vee", "vee", tensor3(_cube)),
+            ("prec", "prec", array(_cube)),
+            ("succ", "succ", array(_cube)),
+            ("vee", "vee", array(_cube)),
             P,
         ),
     ),
@@ -641,7 +599,7 @@ KINDS = {
             DIM,
             ("prec", "prec", indexed(_indexed_cubes)),
             ("succ", "succ", indexed(_indexed_cubes)),
-            ("dot", "dot", tensor3(_cube)),
+            ("dot", "dot", array(_cube)),
             P,
         ),
     ),
@@ -658,7 +616,7 @@ KINDS = {
             DIM,
             ("left", "left", pair_indexed(lambda f: (f.parent.omega.size, f.dim, f.parent.dim, f.dim))),
             ("right", "right", pair_indexed(lambda f: (f.parent.omega.size, f.dim, f.dim, f.parent.dim))),
-            ("q", "q", matrix(_square)),
+            ("q", "q", array(_square)),
         ),
     ),
     "deformation": Kind(
@@ -673,14 +631,14 @@ KINDS = {
         lambda candidate: check_nijenhuis_element(candidate.vector, candidate.operator),
         (
             ("operator", "operator", reference("twisted_rbf", "operator")),
-            ("vector", "vector", vector(lambda f: f.operator.algebra.dim)),
+            ("vector", "vector", array(lambda f: (f.operator.algebra.dim,))),
         ),
     ),
     "linear_map": Kind(
         LinearMapDoc,
         "shape and membership validated at load",
         load=_load_linear_map,
-        dump=lambda obj, named: {"entries": _matrix_doc(obj.matrix)},
+        dump=lambda obj, named: {"entries": _array_doc(obj.matrix)},
     ),
     "cochain": Kind(
         WorkspaceCochain,
