@@ -207,7 +207,7 @@ class ComplexHandle:
         degree passes the size guard, and the cochain the membership
         constraint.
         """
-        self._guard_degree(degree, allow_plus_one=True)
+        self._guard_degree(degree)
         if degree == 0 and not isinstance(table, dict):
             table = {(): table}
         shape, keys = self.tensor_shape(degree), self.index_keys(degree)
@@ -233,22 +233,17 @@ class ComplexHandle:
 
     # -- degree guards -------------------------------------------------------
 
-    def _guard_degree(self, degree, allow_plus_one=False):
+    def _guard_degree(self, degree):
         if degree < 0:
             raise InputError("degree must be nonnegative")
-        cap = self.degree_cap + (1 if allow_plus_one else 0)
-        if degree > cap:
+        if degree > self.degree_cap + 1:  # the differential at the cap reaches one past it
             raise _cap_error(self, degree, degree)
         limit = max(self.max_entries, EXACT_SIZE_LIMIT)
         est = self.raw_dim(degree, limit)
         self._guard_size(degree, est, f"{_about(est, limit)} tensor entries")
         # Dense arrays are bounded where they are built: the constraint
-        # block, ``basis_vectors`` and a differential matrix's entries.
-        # The stencil walks raw(n+1) output rows with n merged slots of
-        # n-long argument lists each, however small the spaces above are.
-        walk = self.raw_dim(degree + 1, limit)
-        walk = None if walk is None or walk * degree**2 > limit else walk * degree**2
-        self._guard_size(degree, walk, f"a stencil walk of {_about(walk, limit)} steps")
+        # block, ``basis_vectors``, a differential matrix's entries and the
+        # stencil walk (``_stencil_maps``, the only walker).
         if degree == 0 and self.tag in (OMEGA, RBF) and self.omega.unit is None:
             raise MissingUnitError(
                 "degree-0 cohomology needs a unit in the semigroup"
@@ -268,7 +263,7 @@ class ComplexHandle:
         identical block per index tuple, so the basis (unit on its free
         columns, hence unique) is the block's, placed at each key's offset."""
         if degree not in self._basis:
-            self._guard_degree(degree, allow_plus_one=True)
+            self._guard_degree(degree)
             block = self.block_dim(degree)
             self._guard_size(degree, block**2, f"a constraint block of up to {block}x{block} ({block**2} entries)")
             block_vecs = kernel_supports(self._constraint_matrix(degree))
@@ -403,7 +398,13 @@ class ComplexHandle:
         """
         if degree in self._maps:
             return self._maps[degree]
-        self._guard_degree(degree, allow_plus_one=True)
+        self._guard_degree(degree)
+        # The walk covers raw(n+1) output rows with n merged slots of n-long
+        # argument lists each, however small the spaces above are.
+        limit = max(self.max_entries, EXACT_SIZE_LIMIT)
+        walk = self.raw_dim(degree + 1, limit)
+        walk = None if walk is None or walk * degree**2 > limit else walk * degree**2
+        self._guard_size(degree, walk, f"a stencil walk of {_about(walk, limit)} steps")
         if self.tag == HA:
             stencils = [_ha_stencil(self.ha_module, degree)]
         else:

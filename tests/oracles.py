@@ -1764,7 +1764,7 @@ class ProbedStencilHandle(ComplexHandle):
     def _stencil_maps(self, degree):
         if degree in self._maps:
             return self._maps[degree]
-        self._guard_degree(degree, allow_plus_one=True)
+        self._guard_degree(degree)
         if self.tag == HA:
             stencils = [probed_ha_stencil(self.ha_module, degree)]
         else:

@@ -625,7 +625,7 @@ def test_d1_rbf_degree_five_golden(d1):
     # Frozen from the dense differential matrix (a 16384x4096 public matrix
     # and a raw^2 basis bound, 9 s and 1066 MB on a 2-core machine, under a
     # budget of 3 * 10^8).  The dims path now builds no dense cell, so 10^7
-    # admits it: raw 16384 and a degree-6 stencil walk of 65536 x 6^2 steps.
+    # admits it: raw 16384 and a degree-5 stencil walk of 16384 x 5^2 steps.
     handle = rbf_complex(d1["operator"], degree_cap=5, max_entries=10**7)
     assert tuple(cohomology_dims(handle, 5)) == (4096, 816, 816, 0)
 

@@ -388,6 +388,16 @@ def test_cli_max_entries_overrides_degree_cap(d0_file, capsys):
     assert doc["dimH"] == 1
 
 
+def test_cli_dims_walk_only_the_requested_degree(d1_file, capsys):
+    # The dimensions at degree 5 walk the degree-5 stencil (raw(6) = 16384
+    # rows x 5^2 = 409600 steps) and never the degree-6 one (2359296 steps),
+    # so a budget of 2 * 10^6 admits them.
+    argv = ["cohomology", d1_file, "--object", "operator", "--degree", "5", "--max-entries", "2000000"]
+    assert run_cli(*argv, "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [doc[k] for k in ("dimC", "dimZ", "dimB", "dimH")] == [4096, 816, 816, 0]
+
+
 def test_cli_deform_modes(d1_file, tmp_path, capsys):
     data = json.loads(Path(d1_file).read_text())
     zeros = [["0", "0"]] * 4
