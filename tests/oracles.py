@@ -39,7 +39,10 @@ view-reading elimination (frozen, as ``Matrix`` multiplied in loops of its
 own and ``rank``, ``kernel_supports``, ``solve`` and ``invert_matrix`` read
 rows off a whole-matrix integer view, ``solve`` and ``invert_matrix`` of an
 augmented ``Matrix``, as the references of the products run on the
-contraction kernels and of elimination that reads each line once), a
+contraction kernels and of elimination that reads each line once), the
+package's former entry-wise branch of ``linalg._signed_state`` (frozen,
+as it multiplied ``TruncatedPoly`` entries one product at a time, as the
+reference of the one that composes polynomials as packed integers), a
 twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
@@ -89,7 +92,6 @@ from rbfam.linalg import (
     Tensor,
     _compose_state,
     _echelon,
-    _multipliers,
     _nonzeros,
     _rows,
     _values,
@@ -2158,3 +2160,75 @@ def augmented_invert_matrix(m):
         raise InputError("matrix is not invertible")
     kernel = _sparse_kernel_from_echelon(rows, pivots, 2 * n)
     return Matrix.from_columns([tuple(-c for c in densify(v, 2 * n)[:n]) for v in kernel], rows=n)
+
+
+# ---------------------------------------------------------------------------
+# the signed-composition kernel, frozen while polynomial entries were
+# multiplied entry by entry
+
+
+def _multipliers(signs, dens):
+    """(multipliers, den) that put signed states over one denominator.
+
+    A state over dens[t] is scaled by signs[t] * (den // dens[t]), den the
+    lcm of ``dens``.  With ``dens`` None the states hold the entries
+    themselves: the multipliers are the signs and den is None.
+    """
+    if dens is None:
+        return list(signs), None
+    den = lcm(*dens)
+    return [sign * (den // d) for sign, d in zip(signs, dens)], den
+
+
+def entrywise_signed_state(terms):
+    """The body ``linalg._signed_state`` had while a ``TruncatedPoly``
+    entry sent the whole call down an entry-wise branch: every product a
+    ``TruncatedPoly.__mul__``, the signs as multipliers and den None.
+
+    Kept verbatim, on the package kernel ``_compose_state``, so the one
+    that composes polynomials as packed integers can be held to
+    ``repr``-identical (state, den, shape), key order and entry types
+    included, and to the same exceptions.
+    """
+    scales, values = _values([t for _, outer, parts in terms for t in (outer, *parts)])
+    signs = [sign for sign, _, _ in terms]
+    # A lone term is over its own units, and entries without a view have none.
+    if scales is None or len(terms) == 1:
+        multipliers, den = signs, None if scales is None else prod(scales)
+    else:
+        dens, start = [], 0
+        for _, _, parts in terms:
+            dens.append(prod(scales[start : start + len(parts) + 1]))
+            start += len(parts) + 1
+        multipliers, den = _multipliers(signs, dens)
+    # The first state starts the sum in place, and each state is dropped
+    # before the next term is composed.
+    shape = acc = None
+    start = 0
+    for m, (_, outer, parts) in zip(multipliers, terms):
+        outer_shape, term_shape, rows = outer.shape, outer.shape[:1], []
+        if len(outer_shape) != len(parts) + 1:
+            raise InputError(f"cannot compose shape {outer.shape} with {[t.shape for t in parts]}")
+        for part, a, v in zip(parts, outer_shape[1:], values[start + 1 :]):
+            part_shape = part.shape
+            if part_shape[0] != a:
+                raise InputError(f"cannot compose shape {outer.shape} with {[t.shape for t in parts]}")
+            term_shape += part_shape[1:]
+            rows.append(_rows(v, a, prod(part_shape[1:])))
+        if shape is None:
+            shape = term_shape
+        elif term_shape != shape:
+            raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
+        state = _compose_state(outer_shape, _nonzeros(values[start]), rows)
+        start += len(parts) + 1
+        if acc is None:
+            acc, get = state, state.get
+            if m != 1:
+                for k, v in acc.items():
+                    acc[k] = v * m
+        else:
+            for k, v in state.items():
+                w = get(k)
+                acc[k] = v * m if w is None else w + v * m
+        del state
+    return acc, den, shape
