@@ -235,12 +235,13 @@ def hochschild_differential(module, degree, f):
     # loop on the entries themselves, with multipliers +-1 and no den.
     p_pow = A.p.power(degree - 1)
     scales, (left, right, fv, p, ppow, mu) = _values((module.left, module.right, f, A.p, p_pow, A.mu))
-    dens = None
-    if scales is not None:
+    sign_last = 1 if (degree + 1) % 2 == 0 else -1
+    if scales is None:
+        (m_left, m_right, m_f), den = (1, sign_last, 1), None
+    else:
         s_left, s_right, s_f, s_p, s_ppow, s_mu = scales
         dens = (s_left * s_ppow * s_f, s_right * s_f * s_ppow, s_f * s_p ** (degree - 1) * s_mu)
-    sign_last = 1 if (degree + 1) % 2 == 0 else -1
-    (m_left, m_right, m_f), den = _multipliers((1, sign_last, 1), dens)
+        (m_left, m_right, m_f), den = _multipliers((1, sign_last, 1), dens)
 
     def columns(t, values, m):
         return [tuple((k, c * m) for k, c in column) for column in _columns(values, t.shape)]

@@ -55,7 +55,7 @@ from math import gcd, lcm, prod
 from operator import is_not
 
 from .errors import DegreeCapError, InputError
-from .scalars import TruncatedPoly, ensure_scalar
+from .scalars import TruncatedPoly, ensure_rational, ensure_scalar
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,6 +112,11 @@ class _Array:
         """``_integer_view(entries)``, built on first use and kept on the
         instance; not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
         return _integer_view(self.entries)
+
+    @cached_property
+    def coefficient_view(self):
+        """``_coefficient_view(entries)``, kept like ``integer_view``."""
+        return _coefficient_view(self.entries)
 
     @cached_property
     def sparse_columns(self):
@@ -426,26 +431,49 @@ def _signed_state(terms):
     outer has shape (d, a_0, ..., a_{m-1}) and parts[s] shape (a_s, *in_s),
     a ``Matrix`` read in place; every term must have the shape
     (d, *in_0, ..., *in_{m-1}).  Terms are contracted one slot at a time
-    over nonzero supports (``_compose_state``).  With an integer view on
-    every input, a term counts in units of 1/(product of its scales) and is
-    added times sign * (den // units), den the lcm of the units; a
-    ``TruncatedPoly`` entry anywhere runs on the entries themselves, with
-    the signs as multipliers and den None.  Every entry fed by a product of
-    nonzero factors is kept, even one that cancels to 0, so it keeps that
-    sum's type: a ``TruncatedPoly`` stays one (t * t^2 = 0 mod t^3
-    included) and a rational is a ``Fraction``.
+    over nonzero supports (``_compose_state``) on integers: a term counts
+    in units of 1/(product of its arrays' scales) and is added times
+    sign * (den // units), den the lcm of the units (a lone term is over
+    its own units).  Every entry fed by a product of nonzero factors is
+    kept, even one that cancels to 0.
+
+    With an integer view on every input the values are numerators over
+    den.  Otherwise (a ``TruncatedPoly`` entry) every polynomial runs on
+    the same integer loop, packed (Kronecker substitution): each array is
+    read once as its scale and integer coefficients (``coefficient_view``;
+    a rational is a constant), each entry becomes sum c_i 2^(s i), and
+    each output entry is read back once as its k balanced base-2^s
+    digits, k the one truncation order of the call (two orders are
+    refused).  Evaluation at 2^s is a ring map, so truncation happens only
+    there.  The slot width s is ``_slot_width(bound)``, bound = sum over
+    terms of |multiplier| * (the product of outer's input extents) * (the
+    product over the term's arrays of their largest coefficient sum
+    |c_0| + ... + |c_{k-1}|), which bounds every coefficient of every
+    untruncated output entry.  The values are then the entries themselves,
+    den None: an entry is a ``TruncatedPoly`` exactly when some product
+    with a polynomial factor feeds it (t * t^2 = 0 mod t^3 included), and a
+    ``Fraction`` otherwise.
     """
-    scales, values = _values([t for _, outer, parts in terms for t in (outer, *parts)])
+    arrays = [t for _, outer, parts in terms for t in (outer, *parts)]
+    views = [t.integer_view for t in arrays]
+    packed = None in views
+    if packed:
+        views = [t.coefficient_view for t in arrays]
+    scales = [view[0] for view in views]
     signs = [sign for sign, _, _ in terms]
-    # A lone term is over its own units, and entries without a view have none.
-    if scales is None or len(terms) == 1:
-        multipliers, den = signs, None if scales is None else prod(scales)
+    if len(terms) == 1:
+        multipliers, den = signs, prod(scales)
     else:
         dens, start = [], 0
         for _, _, parts in terms:
             dens.append(prod(scales[start : start + len(parts) + 1]))
             start += len(parts) + 1
         multipliers, den = _multipliers(signs, dens)
+    if packed:
+        values, order, slot = _packed_values(terms, views, multipliers)
+        marked = set()
+    else:
+        values = [ints for _, ints in views]
     # The first state starts the sum in place, and each state is dropped
     # before the next term is composed.
     shape = acc = None
@@ -464,7 +492,13 @@ def _signed_state(terms):
             shape = term_shape
         elif term_shape != shape:
             raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
-        state = _compose_state(outer_shape, _nonzeros(values[start]), rows)
+        outer_state = _nonzeros(values[start])
+        state = _compose_state(outer_shape, outer_state, rows)
+        if packed:
+            term = slice(start, start + len(parts) + 1)
+            marked.update(
+                _polynomial_keys(state, outer_shape, outer_state, rows, arrays[term], values[term], views[term])
+            )
         start += len(parts) + 1
         if acc is None:
             acc, get = state, state.get
@@ -476,7 +510,83 @@ def _signed_state(terms):
                 w = get(k)
                 acc[k] = v * m if w is None else w + v * m
         del state
+    if packed:
+        return _unpacked(acc, den, order, slot, marked), None, shape
     return acc, den, shape
+
+
+def _slot_width(bound):
+    """The bits per coefficient of a packed polynomial whose coefficients
+    all lie in [-bound, bound]: balanced base-2^s digits hold
+    [-2^(s-1), 2^(s-1)), so s = bound.bit_length() + 1 (one bit fewer
+    misreads -bound when bound is not a power of 2)."""
+    return bound.bit_length() + 1
+
+
+def _packed_values(terms, views, multipliers):
+    """(values, order, slot) of ``_signed_state``'s packed path: the
+    arrays' entries packed at ``slot`` bits per coefficient, and the
+    call's one truncation order."""
+    orders = {view[1] for view in views} - {None}
+    if len(orders) > 1:
+        raise InputError("mixed truncation orders")
+    bound, start = 0, 0
+    for m, (_, outer, parts) in zip(multipliers, terms):
+        end = start + len(parts) + 1
+        bound += abs(m) * prod(outer.shape[1:]) * prod(view[3] for view in views[start:end])
+        start = end
+    slot = _slot_width(bound)
+    values = []
+    for view in views:
+        packed = []
+        for coeffs in view[2]:
+            v = 0
+            for c in reversed(coeffs):
+                v = (v << slot) + c
+            packed.append(v)
+        values.append(packed)
+    return values, orders.pop(), slot
+
+
+def _polynomial_keys(state, outer_shape, outer_state, rows, arrays, values, views):
+    """The keys of a term's ``state`` fed by some product with a
+    polynomial factor.  When an array of the term holds polynomials and no
+    nonzero rational, every product has a factor from it, so that is every
+    key.  Otherwise each array that mixes the two is cut down to its
+    polynomial entries and the term composed again: the union of those
+    compositions' keys."""
+    if any(view[4] and not view[5] for view in views):
+        return state
+    keys = set()
+    for s, (array, v, view) in enumerate(zip(arrays, values, views)):
+        if not view[4]:
+            continue
+        cut = [x if isinstance(e, TruncatedPoly) else 0 for x, e in zip(v, array.entries)]
+        if s == 0:
+            keys.update(_compose_state(outer_shape, _nonzeros(cut), rows))
+        else:
+            size = rows[s - 1][1]
+            cut_rows = [*rows[: s - 1], _rows(cut, len(rows[s - 1][0]), size), *rows[s:]]
+            keys.update(_compose_state(outer_shape, outer_state, cut_rows))
+    return keys
+
+
+def _unpacked(state, den, order, slot, marked):
+    """``state`` with each packed value read back: a ``TruncatedPoly``
+    of its first ``order`` balanced base-2^slot digits over den at a
+    ``marked`` key, and ``Fraction(value, den)`` elsewhere (a constant)."""
+    half, mask = 1 << (slot - 1), (1 << slot) - 1
+    for k, v in state.items():
+        if k in marked:
+            coeffs = []
+            for _ in range(order):
+                c = ((v + half) & mask) - half
+                coeffs.append(Fraction(c, den))
+                v = (v - c) >> slot
+            state[k] = TruncatedPoly(coeffs, order)
+        else:
+            state[k] = Fraction(v, den)
+    return state
 
 
 def _compose_error(outer, parts):
@@ -525,6 +635,37 @@ def _nonzeros(entries):
     return {f: x for f, x in enumerate(entries) if x}
 
 
+def _coefficient_view(entries):
+    """(scale, order, coeffs, norm, poly, rational) of entries that may be
+    ``TruncatedPoly``s, for ``_signed_state``'s packed path.
+
+    ``scale`` is the lcm of every coefficient's denominator (a rational is
+    a constant polynomial), ``coeffs[i]`` the coefficients of entries[i]
+    times scale, ``order`` the truncation order of the polynomial entries
+    (None when there is none; two orders are refused), ``norm`` the
+    largest |c_0| + |c_1| + ... of an entry, and ``poly`` and ``rational``
+    whether some nonzero entry is a polynomial or a rational.  An entry
+    that is neither is refused as ``ensure_rational`` refuses it.
+    """
+    order, poly, rational, raw = None, False, False, []
+    for e in entries:
+        if isinstance(e, TruncatedPoly):
+            if order is None:
+                order = e.order
+            elif e.order != order:
+                raise InputError("mixed truncation orders")
+            poly = poly or bool(e)
+            raw.append(e.coeffs)
+        else:
+            e = ensure_rational(e)
+            rational = rational or bool(e)
+            raw.append((e,))
+    scale = lcm(*{c.denominator for cs in raw for c in cs})
+    coeffs = [tuple(c.numerator * (scale // c.denominator) for c in cs) for cs in raw]
+    norm = max((sum(map(abs, cs)) for cs in coeffs), default=0)
+    return scale, order, coeffs, norm, poly, rational
+
+
 def _values(tensors):
     """(scales, values) of tensors and matrices: each one's cached integer
     view, or, when one of them has none (a ``TruncatedPoly`` entry), scales
@@ -539,11 +680,8 @@ def _multipliers(signs, dens):
     """(multipliers, den) that put signed states over one denominator.
 
     A state over dens[t] is scaled by signs[t] * (den // dens[t]), den the
-    lcm of ``dens``.  With ``dens`` None the states hold the entries
-    themselves: the multipliers are the signs and den is None.
+    lcm of ``dens``.
     """
-    if dens is None:
-        return list(signs), None
     den = lcm(*dens)
     return [sign * (den // d) for sign, d in zip(signs, dens)], den
 

@@ -217,24 +217,31 @@ class _Names:
     ``ref(obj, what)`` is the first name in dict order whose object is or
     ``==`` obj.  Equal hashable objects share one key of ``first``, which
     keeps the earliest position; objects that cannot be hashed are scanned,
-    and so is everything when the lookup misses.
+    and so is everything when the lookup misses.  ``by_id`` maps the id of
+    each hashable named object to its hit in ``first``, so a reference to
+    one of the named objects themselves (the usual case) is found without
+    hashing it again; ``items`` keeps those objects, and so their ids,
+    alive.
     """
 
     def __init__(self, named):
         self.items = list(named.items())
         self.first = {}
+        self.by_id = {}
         self.unhashable = []
         for pos, (_, obj) in enumerate(self.items):
             try:
-                self.first.setdefault(obj, pos)
+                self.by_id[id(obj)] = self.first.setdefault(obj, pos)
             except TypeError:
                 self.unhashable.append(pos)
 
     def ref(self, obj, what):
-        try:
-            hit = self.first.get(obj)
-        except TypeError:
-            hit = None
+        hit = self.by_id.get(id(obj))
+        if hit is None:
+            try:
+                hit = self.first.get(obj)
+            except TypeError:
+                hit = None
         if hit is None:
             positions = range(len(self.items))
         else:

@@ -12,14 +12,21 @@ digits over distinct denominators; arrays that are all rational, all
 polynomial or that mix nonzero rationals and polynomials; powers of t
 whose products truncate to 0; and terms repeated with the opposite sign,
 so sums cancel.
+
+Two deterministic cases pin the packing's edges: an output coefficient of
+exactly -bound, which one bit less of slot width misreads, and a call
+mixing two truncation orders, which is refused even where they never meet.
 """
 from fractions import Fraction
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from rbfam import linalg
+from rbfam.errors import InputError
 from rbfam.linalg import ZERO, Matrix, Tensor, _signed_state
 from rbfam.scalars import TruncatedPoly
 
@@ -124,3 +131,36 @@ def polynomial_sums(draw):
 @given(terms=polynomial_sums())
 def test_signed_state_matches_entrywise_body(terms):
     assert _outcome(_signed_state, terms) == _outcome(oracles.entrywise_signed_state, terms)
+
+
+# ---------------------------------------------------------------------------
+# edges of the packing
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+def test_slot_width_holds_a_coefficient_of_minus_bound(order, monkeypatch):
+    # (-3, -3) o (1, 1)^T - (3, 3) o (1, 1)^T: the bound is 2 * (1 * 2 * 3 * 1)
+    # = 12 and the one output coefficient is -12 = -bound.
+    def constants(rows, cols, c):
+        return Matrix(rows, cols, (TruncatedPoly.constant(c, order),) * (rows * cols))
+
+    ones = constants(2, 1, 1)
+    terms = [(1, constants(1, 2, -3), [ones]), (-1, constants(1, 2, 3), [ones])]
+    want = repr(({0: TruncatedPoly.constant(-12, order)}, None, (1, 1)))
+    assert repr(_signed_state(terms)) == want == repr(oracles.entrywise_signed_state(terms))
+    # One bit fewer puts -12 outside the balanced digits of the slot.
+    monkeypatch.setattr(linalg, "_slot_width", lambda bound: bound.bit_length())
+    assert repr(_signed_state(terms)) != want
+
+
+def test_mixed_truncation_orders_are_refused_even_where_they_never_meet():
+    # Every product is 0, so the entry-wise body never combined the two
+    # orders and did not refuse them.
+    zero = Matrix(1, 1, (ZERO,))
+    t2, t3 = TruncatedPoly.t(2), TruncatedPoly.t(3)
+    apart = [(1, Matrix(1, 1, (t2,)), [zero]), (1, Matrix(1, 1, (t3,)), [zero])]
+    together = [(1, Matrix(1, 2, (t2, t3)), [Matrix(2, 1, (ZERO, ZERO))])]
+    for terms in (apart, together):
+        assert oracles.entrywise_signed_state(terms) == ({}, None, (1, 1))
+        with pytest.raises(InputError, match="^mixed truncation orders$"):
+            _signed_state(terms)
