@@ -25,8 +25,18 @@ entries' denominators and the entries scaled by it.  Each ``Tensor`` and
 columns too), so ``multilinear_apply`` and ``_signed_state`` contract
 integer numerators and a ``Fraction`` is built once per output entry.  An
 entry that is neither an int nor a ``Fraction`` (a ``TruncatedPoly``, a
-float) leaves its tensor or matrix without a view: contraction then runs on
-the entries themselves.
+float) leaves its tensor or matrix without a view.  ``_signed_state`` then
+packs polynomials into integers (Kronecker substitution): each array is
+read once as its ``coefficient_view`` (the lcm scale of all its
+coefficients, a rational counting as a constant, and its integer
+coefficients), each entry becomes sum c_i 2^(s i) with the slot width s
+taken from an a-priori bound on the output coefficients, the same integer
+loop runs, and each output entry is read back once as its k balanced
+base-2^s digits over the denominator.  An output entry is a
+``TruncatedPoly`` exactly when a product with a polynomial factor feeds
+it, and a ``Fraction`` otherwise.  ``multilinear_apply``, the stencil
+walk of ``cohomology`` and ``homalg.hochschild_differential`` still run
+on the entries themselves there.
 
 Elimination (``rank``, ``kernel_supports``, ``solve``, ``invert_matrix``)
 reads each line of entries once (a row or column of the matrix, a row with
@@ -46,6 +56,7 @@ solve and inverse are fully deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -527,19 +538,19 @@ def _packed_values(terms, views, multipliers):
     """(values, order, slot) of ``_signed_state``'s packed path: the
     arrays' entries packed at ``slot`` bits per coefficient, and the
     call's one truncation order."""
-    orders = {view[1] for view in views} - {None}
+    orders = {view.order for view in views} - {None}
     if len(orders) > 1:
         raise InputError("mixed truncation orders")
     bound, start = 0, 0
     for m, (_, outer, parts) in zip(multipliers, terms):
         end = start + len(parts) + 1
-        bound += abs(m) * prod(outer.shape[1:]) * prod(view[3] for view in views[start:end])
+        bound += abs(m) * prod(outer.shape[1:]) * prod(view.norm for view in views[start:end])
         start = end
     slot = _slot_width(bound)
     values = []
     for view in views:
         packed = []
-        for coeffs in view[2]:
+        for coeffs in view.coeffs:
             v = 0
             for c in reversed(coeffs):
                 v = (v << slot) + c
@@ -555,18 +566,18 @@ def _polynomial_keys(state, outer_shape, outer_state, rows, arrays, values, view
     key.  Otherwise each array that mixes the two is cut down to its
     polynomial entries and the term composed again: the union of those
     compositions' keys."""
-    if any(view[4] and not view[5] for view in views):
+    if any(view.poly and not view.rational for view in views):
         return state
     keys = set()
     for s, (array, v, view) in enumerate(zip(arrays, values, views)):
-        if not view[4]:
+        if not view.poly:
             continue
         cut = [x if isinstance(e, TruncatedPoly) else 0 for x, e in zip(v, array.entries)]
         if s == 0:
             keys.update(_compose_state(outer_shape, _nonzeros(cut), rows))
         else:
-            size = rows[s - 1][1]
-            cut_rows = [*rows[: s - 1], _rows(cut, len(rows[s - 1][0]), size), *rows[s:]]
+            part_rows, size = rows[s - 1]
+            cut_rows = [*rows[: s - 1], _rows(cut, len(part_rows), size), *rows[s:]]
             keys.update(_compose_state(outer_shape, outer_state, cut_rows))
     return keys
 
@@ -635,9 +646,13 @@ def _nonzeros(entries):
     return {f: x for f, x in enumerate(entries) if x}
 
 
+_Coefficients = namedtuple("_Coefficients", "scale order coeffs norm poly rational")
+
+
 def _coefficient_view(entries):
-    """(scale, order, coeffs, norm, poly, rational) of entries that may be
-    ``TruncatedPoly``s, for ``_signed_state``'s packed path.
+    """``_Coefficients(scale, order, coeffs, norm, poly, rational)`` of
+    entries that may be ``TruncatedPoly``s, for ``_signed_state``'s packed
+    path.
 
     ``scale`` is the lcm of every coefficient's denominator (a rational is
     a constant polynomial), ``coeffs[i]`` the coefficients of entries[i]
@@ -663,7 +678,7 @@ def _coefficient_view(entries):
     scale = lcm(*{c.denominator for cs in raw for c in cs})
     coeffs = [tuple(c.numerator * (scale // c.denominator) for c in cs) for cs in raw]
     norm = max((sum(map(abs, cs)) for cs in coeffs), default=0)
-    return scale, order, coeffs, norm, poly, rational
+    return _Coefficients(scale, order, coeffs, norm, poly, rational)
 
 
 def _values(tensors):

@@ -57,10 +57,11 @@ input has an integer view, the residual is one sparse state
 scales.  The entry-type rule: a residual entry is ``Fraction(v, D)`` where
 its numerator v is nonzero and ``ZERO`` elsewhere, and a residual column
 with no nonzero entry is one shared (ZERO,) * d tuple.  A ``TruncatedPoly``
-entry anywhere runs the same loop on the entries themselves, with
-multipliers +-1 and no denominator: an entry fed by a product of nonzero
-factors keeps that sum's type even when it cancels to 0, and every other
-entry is ``ZERO``.  Either way each residual entry is a ``TruncatedPoly``
+entry anywhere runs the same integer loop on packed polynomials and reads
+each entry back as itself, with no denominator: an entry fed by a product
+with a polynomial factor is a ``TruncatedPoly`` even when it cancels or
+truncates to 0, one fed by rational products only is a ``Fraction``, and
+every other entry is ``ZERO``.  Either way each residual entry is a ``TruncatedPoly``
 or a ``Fraction`` exactly as when each tuple was contracted on its own.
 A nested law's state covers all (i, j, k) at once, d * I * J * K entries
 at most.
