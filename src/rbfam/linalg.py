@@ -503,13 +503,10 @@ def _signed_state(terms):
             shape = term_shape
         elif term_shape != shape:
             raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
-        outer_state = _nonzeros(values[start])
-        state = _compose_state(outer_shape, outer_state, rows)
+        state = _compose_state(outer_shape, _nonzeros(values[start]), rows)
         if packed:
             term = slice(start, start + len(parts) + 1)
-            marked.update(
-                _polynomial_keys(state, outer_shape, outer_state, rows, arrays[term], values[term], views[term])
-            )
+            marked.update(_polynomial_keys(state, outer_shape, rows, arrays[term], values[term], views[term]))
         start += len(parts) + 1
         if acc is None:
             acc, get = state, state.get
@@ -559,7 +556,7 @@ def _packed_values(terms, views, multipliers):
     return values, orders.pop(), slot
 
 
-def _polynomial_keys(state, outer_shape, outer_state, rows, arrays, values, views):
+def _polynomial_keys(state, outer_shape, rows, arrays, values, views):
     """The keys of a term's ``state`` fed by some product with a
     polynomial factor.  When an array of the term holds polynomials and no
     nonzero rational, every product has a factor from it, so that is every
@@ -578,7 +575,7 @@ def _polynomial_keys(state, outer_shape, outer_state, rows, arrays, values, view
         else:
             part_rows, size = rows[s - 1]
             cut_rows = [*rows[: s - 1], _rows(cut, len(part_rows), size), *rows[s:]]
-            keys.update(_compose_state(outer_shape, outer_state, cut_rows))
+            keys.update(_compose_state(outer_shape, _nonzeros(values[0]), cut_rows))
     return keys
 
 
