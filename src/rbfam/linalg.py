@@ -611,7 +611,7 @@ def _compose_state(shape, state, parts):
     in_s (what ``_rows`` gives).  The result is keyed by the flat index
     over (d, *in_0, ..., *in_{m-1}) and holds every entry fed by a product
     of nonzero factors, even one that cancels to 0.  Values are whatever
-    the inputs hold, integer numerators or the entries themselves; the
+    the inputs hold, integer numerators or packed polynomials; the
     contraction of ``_signed_state``.  ``state`` is only read.
     """
     remaining = prod(shape[1:])
