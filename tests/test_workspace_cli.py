@@ -283,6 +283,40 @@ def test_cli_induce_pack_operator(d1_file, tmp_path, capsys):
 
 def test_cli_induce_unknown_what(d1_file, capsys):
     assert run_cli("induce", d1_file, "--object", "operator", "--what", "mystery") == 2
+    assert capsys.readouterr().err == (
+        "error: unknown --what; expected one of semidirect, tensor_omega, ns_family, "
+        "tridend, omega_assoc, pack_ns, pack_operator, operator_bimodule, "
+        "nijenhuis_data, yau\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "what,needs",
+    [
+        ("semidirect", "a two_cocycle"),
+        ("tensor_omega", "a hom_algebra"),
+        ("ns_family", "a twisted_rbf"),
+        ("tridend", "a weighted_rbf"),
+        ("omega_assoc", "an ns_family"),
+        ("pack_ns", "an ns_family"),
+        ("pack_operator", "a twisted_rbf"),
+        ("operator_bimodule", "a twisted_rbf"),
+        ("nijenhuis_data", "a nijenhuis_family"),
+        ("yau", "an ns_family"),
+    ],
+)
+def test_cli_induce_refuses_the_wrong_kind(d1_file, capsys, what, needs):
+    # The kind is checked first: yau names its kind before asking for --with.
+    assert run_cli("induce", d1_file, "--object", "omega", "--what", what) == 2
+    assert capsys.readouterr().err == f"error: --what {what} needs {needs} object\n"
+
+
+def test_cli_induce_yau_needs_with(d1_file, tmp_path, capsys):
+    assert run_cli("induce", d1_file, "--object", "operator", "--what", "ns_family") == 0
+    ns_path = tmp_path / "ns.json"
+    ns_path.write_text(capsys.readouterr().out)
+    assert run_cli("induce", str(ns_path), "--object", "operator_ns_family", "--what", "yau") == 2
+    assert capsys.readouterr().err == "error: --what yau needs --with NAME of a linear_map\n"
 
 
 @pytest.fixture()
@@ -510,6 +544,28 @@ def test_cli_rigidity_without_a_unit_exits_zero(left_zero_file, capsys):
     assert [doc[k] for k in ("dim_c1", "dim_z1", "dim_b1", "verdict")] == [16, 4, 0, "inconclusive"]
     assert [o["trivialized"] for o in doc["outcomes"]] == [False] * 4
     assert run_cli("cohomology", left_zero_file, "--object", "operator", "--degree", "0") == 2
+
+
+UNIT_FREE_NOTE = "  note: no unit in the semigroup: the complex starts at degree 1, so dimB = 0"
+
+
+def test_cli_cohomology_notes_where_a_complex_without_a_unit_starts(left_zero_file, tmp_path, capsys):
+    assert run_cli("induce", left_zero_file, "--object", "operator", "--what", "operator_bimodule") == 0
+    derived = tmp_path / "left_zero_bimodule.json"
+    derived.write_text(capsys.readouterr().out)
+    for path, obj, tag in ((left_zero_file, "operator", "rbf"), (str(derived), "operator_operator_bimodule", "omega")):
+        assert run_cli("cohomology", path, "--object", obj, "--degree", "1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{tag} complex, degree 1: dim C = 16, dim Z = 4, dim B = 0, dim H = 4"
+        assert UNIT_FREE_NOTE in lines
+        assert run_cli("cohomology", path, "--object", obj, "--degree", "0") == 2
+        assert capsys.readouterr().err == "error: degree-0 cohomology needs a unit in the semigroup\n"
+    # The Hochschild-type complex has no semigroup grading: it starts at degree 0.
+    for degree in ("0", "1"):
+        assert run_cli("cohomology", left_zero_file, "--object", "bimodule", "--degree", degree) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"ha complex, degree {degree}:")
+        assert UNIT_FREE_NOTE not in lines
 
 
 def test_cli_verify_suite_without_a_unit_passes(left_zero_file, capsys):
