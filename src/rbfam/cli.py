@@ -175,23 +175,20 @@ def cmd_cohomology(args):
         kwargs["max_entries"] = args.max_entries
         kwargs["degree_cap"] = max(2, args.degree)
     if kind == "twisted_rbf":
-        handle, tag = rbf_complex(obj, **kwargs), "rbf"
+        handle = rbf_complex(obj, **kwargs)
     elif kind == "hom_bimodule":
-        handle, tag = ha_complex(obj.parent, obj, **kwargs), "ha"
+        handle = ha_complex(obj.parent, obj, **kwargs)
     elif kind == "omega_bimodule":
-        handle, tag = omega_complex(obj.parent, obj, **kwargs), "omega"
+        handle = omega_complex(obj.parent, obj, **kwargs)
     else:
         raise InputError(
             "cohomology needs a twisted_rbf, hom_bimodule or omega_bimodule object"
         )
     dims = cohomology_dims(handle, args.degree)
     notes = list(handle.notes)
-    if (
-        args.degree == 1
-        and tag in ("rbf", "omega")
-        and handle.omega.unit is None
-    ):
+    if args.degree == handle.first_degree == 1:
         notes.append("no unit in the semigroup: the complex starts at degree 1, so dimB = 0")
+    tag = handle.tag.lower()
     doc = {
         "complex": tag,
         "degree": args.degree,
@@ -322,8 +319,7 @@ def _suite_properties(ws):
 
         def complex_ok(op=operator):
             handle = rbf_complex(op)
-            # Without a unit the complex starts at degree 1.
-            for n in (0, 1) if op.omega.unit is not None else (1,):
+            for n in range(handle.first_degree, 2):
                 m_lo = differential_matrix(handle, n)
                 m_hi = differential_matrix(handle, n + 1)
                 if not m_hi.mul(m_lo).is_zero():

@@ -17,6 +17,11 @@ construction.  In every degree and for any structure maps the basis is the
 kernel of one index tuple's constraint block, kept as sparse supports.
 Bases, differential matrices and dimensions are exact and deterministic.
 
+A complex starts at degree ``ComplexHandle.first_degree``: 0, or 1 for an
+OMEGA or RBF complex over a semigroup without a unit, whose degree-0
+differential needs the empty product.  Degrees below it are refused, and in
+it nothing bounds (dim B = 0).
+
 In every degree n >= 0 the differential of each complex is one linear
 map, assembled in raw coordinates by one stencil walker shared by the
 three complexes (each supplies a small stencil of term maps, composed as
@@ -151,8 +156,15 @@ class ComplexHandle:
 
     # -- layout ------------------------------------------------------------
 
+    @property
+    def first_degree(self):
+        """The degree the complex starts at: 1 for a pair-indexed or family
+        complex over a semigroup without a unit, whose degree-0 differential
+        needs the empty product, and 0 otherwise."""
+        return int(self.tag != HA and self.omega.unit is None)
+
     def index_keys(self, degree):
-        if degree == 0 or self.tag == HA:
+        if self.tag == HA:
             return [()]
         return list(iproduct(range(self.omega.size), repeat=degree))
 
@@ -244,10 +256,8 @@ class ComplexHandle:
         # Dense arrays are bounded where they are built: the constraint
         # block, ``basis_vectors``, a differential matrix's entries and the
         # stencil walk (``_stencil_maps``, the only walker).
-        if degree == 0 and self.tag in (OMEGA, RBF) and self.omega.unit is None:
-            raise MissingUnitError(
-                "degree-0 cohomology needs a unit in the semigroup"
-            )
+        if degree < self.first_degree:
+            raise MissingUnitError("degree-0 cohomology needs a unit in the semigroup")
 
     def _guard_size(self, degree, size, what):
         """Refuse degree n's ``what`` when its size (None: beyond any limit) is over the budget."""
@@ -393,8 +403,7 @@ class ComplexHandle:
 
         RBF gets two, the direct and the generic one, assembled
         independently; the others get one.  Degree 0 is the n = 0 case of
-        the same stencils; over a semigroup without a unit the generic
-        stencil raises ``MissingUnitError`` there (its empty product).
+        the same stencils, refused below ``first_degree``.
         """
         if degree in self._maps:
             return self._maps[degree]
@@ -803,25 +812,12 @@ def differential_matrix(handle, degree):
 
 def cohomology_dims(handle, degree):
     """(dim C, dim Z, dim B, dim H) at the requested degree, exactly."""
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
     if degree > handle.degree_cap:
         raise _cap_error(handle, degree, degree + 1, " at the next degree")
     dim_c = len(handle.supports(degree))
-    m_n = handle.differential_matrix(degree)
-    dim_z = dim_c - rank(m_n)
-    if degree == 0:
-        dim_b = 0
-    elif (
-        degree == 1
-        and handle.tag in (OMEGA, RBF)
-        and handle.omega.unit is None
-    ):
-        # Without a unit the complex starts at degree 1, so nothing bounds.
-        dim_b = 0
-    else:
-        m_prev = handle.differential_matrix(degree - 1)
-        dim_b = rank(m_prev)
+    dim_z = dim_c - rank(handle.differential_matrix(degree))
+    # Nothing bounds in the first degree of the complex.
+    dim_b = 0 if degree == handle.first_degree else rank(handle.differential_matrix(degree - 1))
     return CohomologyDims(dim_c=dim_c, dim_z=dim_z, dim_b=dim_b, dim_h=dim_z - dim_b)
 
 
@@ -851,7 +847,5 @@ def transport_cochain(morphism, cochain):
 
 def _transported(psi, phi_inv, cochain, target_handle):
     degree = cochain.degree
-    if degree == 0:
-        return target_handle.make_cochain(0, psi.apply(cochain.as_vector()))
     table = {key: _compose(psi, [_compose(cochain.table[key], [phi_inv] * degree)]) for key in cochain.keys()}
     return target_handle.make_cochain(degree, table)

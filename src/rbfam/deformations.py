@@ -638,7 +638,7 @@ def rigidity_probe(operator):
     dims = cohomology_dims(handle, 1)
     m1 = differential_matrix(handle, 1)
     z_basis = kernel_basis(m1)
-    unitless = operator.omega.unit is None
+    unitless = handle.first_degree == 1
     outcomes = []
     all_good = True
     for coeffs in z_basis:

@@ -30,7 +30,6 @@ from .linalg import (
     multilinear_apply,
     tensor_column,
     unit_vector,
-    vsub,
 )
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
@@ -199,10 +198,10 @@ def hochschild_differential(module, degree, f):
     """Differential of the Hom-type Hochschild complex of L with values in V.
 
     ``f`` is a coefficient tensor of shape (d, n..n) with ``degree`` input
-    axes (a plain vector for degree 0, where the differential specializes
-    to u -> x .l u - u .r x).  The input must satisfy the membership
-    constraint q o f = f o p^(x degree); the output satisfies it one degree
-    higher.
+    axes (in degree 0 a vector: a tuple, list or tensor).  Degree 0 is the
+    n = 0 case of the same formula, u -> x .l u - u .r x with p^0 = id.
+    The input must satisfy the membership constraint q o f = f o p^(x degree);
+    the output satisfies it one degree higher.
     """
     A = module.parent
     n, d = A.dim, module.dim
@@ -212,19 +211,12 @@ def hochschild_differential(module, degree, f):
         u = tuple(f) if isinstance(f, (tuple, list)) else tuple(f.entries)
         if len(u) != d:
             raise InputError("degree-0 cochain has wrong length")
-        if not is_equivariant(module.q, A.p, 0, [u]):
-            raise InputError("degree-0 cochain violates q(u) = u")
-        cols = [vsub(module.act_l(x, u), module.act_r(u, x)) for x in A.basis()]
-        out = Tensor.from_function((d, n), lambda k, j: cols[j][k])
-        if not is_equivariant(module.q, A.p, 1, [out]):
-            raise RouteMismatchError(
-                "differential output violates the membership constraint; "
-                "the underlying bimodule most likely fails its axioms"
-            )
-        return out
+        f = Tensor((d,), u)
     if f.shape != (d,) + (n,) * degree:
         raise InputError(f"cochain tensor must have shape {(d,) + (n,) * degree}")
     if not is_equivariant(module.q, A.p, degree, [f]):
+        if degree == 0:
+            raise InputError("degree-0 cochain violates q(u) = u")
         raise InputError("cochain violates the membership constraint q o f = f o p^n")
 
     # Every term is a contraction of hoisted columns: act_l on a column of
@@ -233,14 +225,14 @@ def hochschild_differential(module, degree, f):
     # in units of 1/dens[t]; its tensor's columns carry the sign and the
     # factor to the common denominator.  Polynomial entries run the same
     # loop on the entries themselves, with multipliers +-1 and no den.
-    p_pow = A.p.power(degree - 1)
+    p_pow = A.p.power(max(degree - 1, 0))
     scales, (left, right, fv, p, ppow, mu) = _values((module.left, module.right, f, A.p, p_pow, A.mu))
     sign_last = 1 if (degree + 1) % 2 == 0 else -1
     if scales is None:
         (m_left, m_right, m_f), den = (1, sign_last, 1), None
     else:
         s_left, s_right, s_f, s_p, s_ppow, s_mu = scales
-        dens = (s_left * s_ppow * s_f, s_right * s_f * s_ppow, s_f * s_p ** (degree - 1) * s_mu)
+        dens = (s_left * s_ppow * s_f, s_right * s_f * s_ppow, s_f * s_p ** max(degree - 1, 0) * s_mu)
         (m_left, m_right, m_f), den = _multipliers((1, sign_last, 1), dens)
 
     def columns(t, values, m):

@@ -174,6 +174,18 @@ def test_missing_unit_behavior(d1):
     assert m2.mul(m1).is_zero()
 
 
+@pytest.mark.parametrize(
+    "omega,first",
+    [(("cyclic", 2), 0), (("boolean_monoid",), 0), (("left_zero", 2), 1), (("right_zero", 2), 1)],
+)
+def test_first_degree_is_one_exactly_without_a_unit(d1, omega, first):
+    base, omega = d1["base_algebra"], builtin(*omega)
+    handle = rbf_complex(identity_packing_family(base, omega, tensor_semigroup_algebra(base, omega)[2]))
+    generic = omega_complex(handle.omega_algebra, handle.omega_module)
+    assert (handle.first_degree, generic.first_degree) == (first, first)
+    assert ha_complex(base, regular_bimodule(base)).first_degree == 0
+
+
 def test_noncommutative_semigroup_complex(d1):
     """Index bookkeeping survives a semigroup with ab != ba.
 
