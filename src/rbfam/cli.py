@@ -78,89 +78,85 @@ def _unique_semigroup(ws):
     return ws.get(names[0])
 
 
+def _induce_tensor_omega(algebra, ws, args):
+    omega = ws.get(args.with_name, kinds={"semigroup"}) if args.with_name else _unique_semigroup(ws)
+    packed, module, cocycle = tensor_semigroup_algebra(algebra, omega)
+    return {
+        "omega": omega,
+        "_tensor_omega": packed,
+        "_tensor_omega_bimodule": module,
+        "_tensor_omega_cocycle": cocycle,
+    }
+
+
+def _induce_pack_operator(operator, ws, args):
+    packed = pack_operator(operator)
+    return {
+        "omega_trivial": packed.omega,
+        "_packed_algebra": packed.algebra,
+        "_packed_bimodule": packed.bimodule,
+        "_packed_cocycle": packed.cocycle,
+        "_packed": packed,
+    }
+
+
+def _induce_operator_bimodule(operator, ws, args):
+    module = operator_bimodule(operator)
+    return {"omega": operator.omega, "_total_product": module.parent, "_operator_bimodule": module}
+
+
+def _induce_nijenhuis_data(family, ws, args):
+    data = nijenhuis_induced_data(family)
+    return {
+        "omega": family.omega,
+        "_induced_algebra": data.algebra,
+        "_induced_bimodule": data.module,
+        "_induced_cocycle": data.cocycle,
+        "_induced_operator": data.operator,
+    }
+
+
+def _induce_yau(family, ws, args):
+    if not args.with_name:
+        raise InputError("--what yau needs --with NAME of a linear_map")
+    endo = ws.get(args.with_name, kinds={"linear_map"}).matrix
+    return {"omega": family.omega, "_yau": yau_twist_ns_family(family, endo)}
+
+
+# --what -> (the kind of object it needs, its builder).  A builder maps
+# output names to objects; a name that starts with "_" is a suffix of the
+# induced object's name.
+INDUCE = {
+    "semidirect": ("two_cocycle", lambda c, ws, args: {"_semidirect": semidirect_product(c.host, c)}),
+    "tensor_omega": ("hom_algebra", _induce_tensor_omega),
+    "ns_family": (
+        "twisted_rbf", lambda r, ws, args: {"omega": r.omega, "_ns_family": ns_family_from_operator(r)}
+    ),
+    "tridend": (
+        "weighted_rbf", lambda r, ws, args: {"omega": r.omega, "_tridend": tridend_from_weighted_rbf(r)}
+    ),
+    "omega_assoc": (
+        "ns_family", lambda f, ws, args: {"omega": f.omega, "_omega_assoc": omega_assoc_from_ns_family(f)}
+    ),
+    "pack_ns": ("ns_family", lambda f, ws, args: {"_packed_ns": ns_family_pack(f)}),
+    "pack_operator": ("twisted_rbf", _induce_pack_operator),
+    "operator_bimodule": ("twisted_rbf", _induce_operator_bimodule),
+    "nijenhuis_data": ("nijenhuis_family", _induce_nijenhuis_data),
+    "yau": ("ns_family", _induce_yau),
+}
+
+
 def cmd_induce(args):
     ws = load_workspace(args.file)
-    name = args.object
-    what = args.what
-    obj = ws.get(name)
-    kind = ws.kinds[name]
-
-    if what == "semidirect":
-        if kind != "two_cocycle":
-            raise InputError("--what semidirect needs a two_cocycle object")
-        out = {f"{name}_semidirect": semidirect_product(obj.host, obj)}
-    elif what == "tensor_omega":
-        if kind != "hom_algebra":
-            raise InputError("--what tensor_omega needs a hom_algebra object")
-        omega = ws.get(args.with_name, kinds={"semigroup"}) if args.with_name else _unique_semigroup(ws)
-        packed, module, cocycle = tensor_semigroup_algebra(obj, omega)
-        out = {
-            "omega": omega,
-            f"{name}_tensor_omega": packed,
-            f"{name}_tensor_omega_bimodule": module,
-            f"{name}_tensor_omega_cocycle": cocycle,
-        }
-    elif what == "ns_family":
-        if kind != "twisted_rbf":
-            raise InputError("--what ns_family needs a twisted_rbf object")
-        out = {"omega": obj.omega, f"{name}_ns_family": ns_family_from_operator(obj)}
-    elif what == "tridend":
-        if kind != "weighted_rbf":
-            raise InputError("--what tridend needs a weighted_rbf object")
-        out = {"omega": obj.omega, f"{name}_tridend": tridend_from_weighted_rbf(obj)}
-    elif what == "omega_assoc":
-        if kind != "ns_family":
-            raise InputError("--what omega_assoc needs an ns_family object")
-        out = {"omega": obj.omega, f"{name}_omega_assoc": omega_assoc_from_ns_family(obj)}
-    elif what == "pack_ns":
-        if kind != "ns_family":
-            raise InputError("--what pack_ns needs an ns_family object")
-        out = {f"{name}_packed_ns": ns_family_pack(obj)}
-    elif what == "pack_operator":
-        if kind != "twisted_rbf":
-            raise InputError("--what pack_operator needs a twisted_rbf object")
-        packed = pack_operator(obj)
-        out = {
-            "omega_trivial": packed.omega,
-            f"{name}_packed_algebra": packed.algebra,
-            f"{name}_packed_bimodule": packed.bimodule,
-            f"{name}_packed_cocycle": packed.cocycle,
-            f"{name}_packed": packed,
-        }
-    elif what == "operator_bimodule":
-        if kind != "twisted_rbf":
-            raise InputError("--what operator_bimodule needs a twisted_rbf object")
-        module = operator_bimodule(obj)
-        out = {
-            "omega": obj.omega,
-            f"{name}_total_product": module.parent,
-            f"{name}_operator_bimodule": module,
-        }
-    elif what == "nijenhuis_data":
-        if kind != "nijenhuis_family":
-            raise InputError("--what nijenhuis_data needs a nijenhuis_family object")
-        data = nijenhuis_induced_data(obj)
-        out = {
-            "omega": obj.omega,
-            f"{name}_induced_algebra": data.algebra,
-            f"{name}_induced_bimodule": data.module,
-            f"{name}_induced_cocycle": data.cocycle,
-            f"{name}_induced_operator": data.operator,
-        }
-    elif what == "yau":
-        if kind != "ns_family":
-            raise InputError("--what yau needs an ns_family object")
-        if not args.with_name:
-            raise InputError("--what yau needs --with NAME of a linear_map")
-        endo = ws.get(args.with_name, kinds={"linear_map"}).matrix
-        out = {"omega": obj.omega, f"{name}_yau": yau_twist_ns_family(obj, endo)}
-    else:
-        raise InputError(
-            "unknown --what; expected one of semidirect, tensor_omega, ns_family, "
-            "tridend, omega_assoc, pack_ns, pack_operator, operator_bimodule, "
-            "nijenhuis_data, yau"
-        )
-    print(dump_workspace(out))
+    obj, kind = ws.get(args.object), ws.kinds[args.object]
+    if args.what not in INDUCE:
+        raise InputError(f"unknown --what; expected one of {', '.join(INDUCE)}")
+    needs, build = INDUCE[args.what]
+    if kind != needs:
+        article = "an" if needs == "ns_family" else "a"
+        raise InputError(f"--what {args.what} needs {article} {needs} object")
+    out = build(obj, ws, args)
+    print(dump_workspace({args.object + k if k.startswith("_") else k: v for k, v in out.items()}))
     return EXIT_OK
 
 
