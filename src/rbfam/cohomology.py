@@ -14,7 +14,9 @@ Three complexes share one chassis:
 
 Cochain spaces carry the equivariance membership constraint, enforced at
 construction.  In every degree and for any structure maps the basis is the
-kernel of one index tuple's constraint block, kept as sparse supports.
+kernel of one index tuple's constraint block, kept as sparse supports; the
+block is built and eliminated as integer column states, with no dense cell,
+and an a-priori bound on its nonzeros counts against the entry budget.
 Bases, differential matrices and dimensions are exact and deterministic.
 
 A complex starts at degree ``ComplexHandle.first_degree``: 0, or 1 for an
@@ -32,8 +34,8 @@ to every basis vector, ``differential`` to one member cochain and
 sparse state {row: integer numerator} over one denominator from the walk
 to elimination: the RBF direct and generic images are compared across
 their denominators, the membership rebuild runs on integers, and the
-matrix keeps each column's coordinates as such a state, which ``rank``
-eliminates directly.  Only ``raw_differential`` and a matrix's lazy
+matrix keeps each column's coordinates as such a state, which elimination
+reads directly.  Only ``raw_differential`` and a matrix's lazy
 ``entries`` build ``Fraction``s.  Polynomial data runs the same loops on
 the entries themselves, over no denominator.  Every cochain that enters,
 through ``make_cochain`` or ``differential``, passes one validation path
@@ -43,7 +45,7 @@ is assembled under the size guard.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -58,7 +60,6 @@ from .errors import (
 from .family import check_omega_assoc, check_omega_bimodule, operator_bimodule
 from .homalg import check_bimodule, check_hom_algebra, is_equivariant
 from .linalg import (
-    ONE,
     ZERO,
     Matrix,
     Tensor,
@@ -103,31 +104,14 @@ class Cochain:
     def keys(self):
         return sorted(self.table)
 
-    def as_vector(self):
-        if self.degree != 0:
-            raise InputError("only degree-0 cochains collapse to a vector")
-        return tuple(self.table[()].entries)
-
     def add(self, other):
         frame = (self.complex, self.degree, self.source_dim, self.target_dim, self.table.keys())
         if frame != (other.complex, other.degree, other.source_dim, other.target_dim, other.table.keys()):
             raise InputError("cochain mismatch")
-        return Cochain(
-            complex=self.complex,
-            degree=self.degree,
-            source_dim=self.source_dim,
-            target_dim=self.target_dim,
-            table={k: self.table[k].add(other.table[k]) for k in self.table},
-        )
+        return replace(self, table={k: self.table[k].add(other.table[k]) for k in self.table})
 
     def scale(self, c):
-        return Cochain(
-            complex=self.complex,
-            degree=self.degree,
-            source_dim=self.source_dim,
-            target_dim=self.target_dim,
-            table={k: t.scale(c) for k, t in self.table.items()},
-        )
+        return replace(self, table={k: t.scale(c) for k, t in self.table.items()})
 
     def is_zero(self):
         return all(t.is_zero() for t in self.table.values())
@@ -274,12 +258,14 @@ class ComplexHandle:
         columns, hence unique) is the block's, placed at each key's offset."""
         if degree not in self._basis:
             self._guard_degree(degree)
-            block = self.block_dim(degree)
-            self._guard_size(degree, block**2, f"a constraint block of up to {block}x{block} ({block**2} entries)")
+            # Rows (k, i_vec) hold q's row k, nnz(q) g^n in all, and d nnz(p)^n products of p.
+            nnz_p, nnz_q = (sum(1 for e in t.entries if e) for t in (self.source_map, self.target_map))
+            bound = nnz_q * self.source_dim**degree + self.target_dim * nnz_p**degree
+            self._guard_size(degree, bound, f"a constraint block of up to {bound} nonzeros")
             block_vecs = kernel_supports(self._constraint_matrix(degree))
             self._basis[degree] = [
                 tuple((offset + j, c) for j, c in v)
-                for offset in range(0, self.raw_dim(degree), block or 1)
+                for offset in range(0, self.raw_dim(degree), self.block_dim(degree) or 1)
                 for v in block_vecs
             ]
         return self._basis[degree]
@@ -303,40 +289,47 @@ class ComplexHandle:
         return out
 
     def _constraint_matrix(self, degree):
-        """One key's block of the membership constraint q o f = f o p^(x n).
+        """One key's block of the membership constraint q o f = f o p^(x n),
+        as integer column states over den = scale(q) scale(p)^n.
 
         Row (k, i_vec), column (k', j_vec):
             q[k][k'] [j=i] - [k'=k] prod_l p[j_l][i_l],
         the products taken over the supports of p's columns i_l.  Rows that
         vanish (all of them when p = q = id) do not change the kernel and
-        are left out.
+        are left out.  Polynomial p or q keep their entries, over no den.
         """
         g, d = self.source_dim, self.target_dim
         m = g**degree
-        p_cols = [_sparse(self.source_map.column(i)) for i in range(g)]
-        q_rows = [_sparse(self.target_map.row(k)) for k in range(d)]
-        # prod_l p[j_l][i_l] does not depend on k: one list per i_vec.
+        scales, (p_ints, q_ints) = _values([self.source_map, self.target_map])
+        p_scale, q_scale = scales or (1, 1)
+        p_units = p_scale**degree
+        den = None if scales is None else q_scale * p_units
+        p_cols = [_sparse(p_ints[i::g]) for i in range(g)]
+        q_rows = [_sparse(q_ints[k * d : (k + 1) * d]) for k in range(d)]
+        # q_scale prod_l p[j_l][i_l] does not depend on k: one list per i_vec.
         weights = []
         for ivec in iproduct(range(g), repeat=degree):
             row = []
             for combo in iproduct(*(p_cols[i] for i in ivec)):
-                jpos, w = 0, ONE
+                jpos, w = 0, q_scale
                 for jl, c in combo:
                     jpos, w = jpos * g + jl, w * c
                 row.append((jpos, w))
             weights.append(row)
-        rows = []
+        columns, rows = [{} for _ in range(d * m)], 0
         for krow in range(d):
             for ipos in range(m):
                 r = {}
                 for kcol, e in q_rows[krow]:
-                    r[kcol * m + ipos] = e
+                    r[kcol * m + ipos] = e * p_units
                 for jpos, w in weights[ipos]:
                     col = krow * m + jpos
-                    r[col] = r.get(col, ZERO) - w
+                    r[col] = r.get(col, 0) - w
                 if any(r.values()):
-                    rows.append(densify(r.items(), d * m))
-        return Matrix(len(rows), d * m, tuple(e for row in rows for e in row))
+                    for col, v in r.items():
+                        columns[col][rows] = v
+                    rows += 1
+        return Matrix.from_column_states(rows, d * m, [(c, den) for c in columns], self.max_entries)
 
     # -- differentials ----------------------------------------------------------
 

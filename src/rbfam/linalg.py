@@ -43,15 +43,15 @@ reads each line of entries once (a row or column of the matrix, a row with
 its right-hand side or identity row appended) into a sparse integer row
 ``{column: value}`` scaled by the lcm of the line's own denominators, and
 refuses a line with an entry that is not an int or a ``Fraction``; it keeps
-no integer view and builds no augmented matrix; ``rank`` reads no entry of
-a matrix built from integer column states (``Matrix.from_column_states``,
-a differential matrix), only its columns.  Columns are eliminated
-left to right, each pivot is the candidate row with the fewest nonzeros,
-and each combined row is divided by the gcd of its entries.  The answers
-do not depend on which rows become pivots: the pivot columns found left to
-right are the same for every row choice, and the null-space basis that is
-1 on its own free column and 0 on the others is unique, so rank, kernel,
-solve and inverse are fully deterministic.
+no integer view and builds no augmented matrix; ``rank`` and
+``kernel_supports`` share one reader, ``_matrix_rows``, which reads only
+the states of a matrix built from integer column states.  Columns are
+eliminated left to right, each pivot is the candidate row with the fewest
+nonzeros, and each combined row is divided by the gcd of its entries.  The
+answers do not depend on which rows become pivots: the pivot columns found
+left to right are the same for every row choice, and the null-space basis
+that is 1 on its own free column and 0 on the others is unique, so rank,
+kernel, solve and inverse are fully deterministic.
 """
 from __future__ import annotations
 
@@ -232,7 +232,7 @@ class Matrix(_Array):
     def from_column_states(rows, cols, states, limit):
         """Column j is (state, den) = states[j]: entry (i, j) is Fraction(state[i], den), state[i]
         when den is None, and ``ZERO`` off the state.  ``entries``, which ``==``, ``hash``, ``repr``
-        and ``replace`` read, is built on first access, up to ``limit`` cells; ``rank`` reads the states."""
+        and ``replace`` read, is built on first access, up to ``limit`` cells; elimination reads the states."""
         m = object.__new__(Matrix)
         vars(m).update(rows=rows, cols=cols, column_states=tuple(states), _limit=limit)
         return m
@@ -782,25 +782,32 @@ def _echelon(rows, ncols):
     return echelon, pivots
 
 
-def rank(m):
-    """Rank over the rationals by sparse fraction-free elimination.
-
-    rank(M) = rank(M^T), so the shorter side's lines are eliminated.  Integer
-    column states, each column scaled by its denominator (which keeps the
-    rank), are eliminated as rows or transposed in O(nonzeros).
-    """
-    tall, states = m.rows > m.cols, m.column_states
+def _matrix_rows(m, transposed=False):
+    """The nonzero integer rows {column: value} of L * m, or of its columns
+    when ``transposed``.  Integer column states are read in O(nonzeros), L
+    the lcm of their denominators (a uniform scale keeps the rank and the
+    null space); any other matrix goes through ``_integer_rows``."""
+    states = m.column_states
     if states is None or any(den is None for _, den in states):
-        lines = _integer_rows((m.entries[j :: m.cols] for j in range(m.cols)) if tall else map(m.row, range(m.rows)))
-    elif tall:
-        lines = [dict(state) for state, _ in states if state]
+        return _integer_rows((m.entries[j :: m.cols] for j in range(m.cols)) if transposed else map(m.row, range(m.rows)))
+    scale = lcm(*(den for _, den in states))
+    factors = [scale // den for _, den in states]
+    if transposed:
+        lines = [{i: k * v for i, v in state.items() if v} for (state, _), k in zip(states, factors)]
     else:
         lines = [{} for _ in range(m.rows)]
-        for j, (state, _) in enumerate(states):
+        for j, ((state, _), k) in enumerate(zip(states, factors)):
             for i, v in state.items():
-                lines[i][j] = v
-        lines = [line for line in lines if line]
-    return len(_echelon(lines, m.rows if tall else m.cols)[1])
+                if v:
+                    lines[i][j] = k * v
+    return [line for line in lines if line]
+
+
+def rank(m):
+    """Rank over the rationals by sparse fraction-free elimination: rank(M)
+    = rank(M^T), so the shorter side's lines are eliminated."""
+    tall = m.rows > m.cols
+    return len(_echelon(_matrix_rows(m, tall), m.rows if tall else m.cols)[1])
 
 
 def _kernel_from_echelon(rows, pivots, ncols):
@@ -833,7 +840,7 @@ def densify(support, n):
 
 def kernel_supports(m):
     """``kernel_basis`` with each vector as its nonzero ((column, value), ...)."""
-    return _kernel_from_echelon(*_echelon(_integer_rows(map(m.row, range(m.rows))), m.cols), m.cols)
+    return _kernel_from_echelon(*_echelon(_matrix_rows(m), m.cols), m.cols)
 
 
 def kernel_basis(m):

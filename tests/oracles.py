@@ -2066,7 +2066,7 @@ def tuple_transported(psi, phi_inv, cochain, target_handle):
     """
     degree = cochain.degree
     if degree == 0:
-        return target_handle.make_cochain(0, dense_matrix_apply(psi, cochain.as_vector()))
+        return target_handle.make_cochain(0, dense_matrix_apply(psi, cochain.table[()].entries))
     d = cochain.source_dim
     inv_cols = [phi_inv.column(a) for a in range(d)]
     table = {}

@@ -7,6 +7,7 @@ import pytest
 
 from rbfam.cohomology import (
     Cochain,
+    ComplexHandle,
     cochain_basis,
     cohomology_dims,
     differential_matrix,
@@ -448,7 +449,7 @@ def _oracle_reference(operator, degree):
         if memo not in images:
             if degree == 0:
                 # Degree 0 tables are [a][k]; key them by (a,) like the others.
-                out = oracle.delta(0, list(cochain.as_vector()))
+                out = oracle.delta(0, list(cochain.table[()].entries))
                 out = {key: {(a,): col for a, col in enumerate(cols)} for key, cols in out.items()}
             else:
                 out = oracle.delta(degree, {key: nested_of(t) for key, t in cochain.table.items()})
@@ -487,10 +488,14 @@ def _assert_matrix_reproduces_images(handle, degree, reference):
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
-def test_twisted_family_basis_matches_dense_constraint(twisted_family_handle, degree):
-    assert twisted_family_handle.basis_vectors(degree) == _reference_basis(
-        twisted_family_handle, degree
-    )
+def test_twisted_family_basis_matches_dense_constraint(twisted_family_handle, degree, monkeypatch):
+    # A fresh handle builds its block once, as column states with no dense cell.
+    blocks, build = [], ComplexHandle._constraint_matrix
+    monkeypatch.setattr(ComplexHandle, "_constraint_matrix", lambda h, n: blocks.append(build(h, n)) or blocks[-1])
+    handle = replace(twisted_family_handle, _basis={})
+    assert handle.basis_vectors(degree) == _reference_basis(twisted_family_handle, degree)
+    (block,) = blocks
+    assert block.column_states is not None and "entries" not in vars(block)
 
 
 @pytest.mark.parametrize("degree", [0, 1])
@@ -523,21 +528,24 @@ def test_differential_matrix_rejects_escaped_image(twisted_family_handle, monkey
 
 
 def test_constraint_block_counts_against_the_entry_budget(twisted_triangular_algebra):
-    # The budget admits the raw size and the stencil walk (729 x 4^2 = 11664
-    # steps); the dense 243x243 constraint block is what it refuses, on the
-    # dims path (``supports``) as well as through ``basis_vectors``.
-    handle = ha_complex(
-        twisted_triangular_algebra,
-        regular_bimodule(twisted_triangular_algebra),
-        degree_cap=4,
-        max_entries=20000,
-    )
-    assert handle.raw_dim(4) == 243 <= 20000
-    for build in (handle.supports, handle.basis_vectors):
-        with pytest.raises(DegreeCapError) as info:
-            build(4)
-        assert info.value.estimated_entries == 243**2
-        assert "constraint block of up to 243x243" in str(info.value)
+    # The block is bounded by its nonzeros, nnz(q) g^n + d nnz(p)^n =
+    # 3 * 81 + 3 * 3^4 = 486 for p = q = diag(1, 2, 1) at degree 4 (it holds
+    # 179).  A budget that admits the raw size (243) but not the bound
+    # refuses ``supports``.
+    module = regular_bimodule(twisted_triangular_algebra)
+    handle = ha_complex(twisted_triangular_algebra, module, degree_cap=4, max_entries=400)
+    assert handle.raw_dim(4) == 243 <= 400
+    with pytest.raises(DegreeCapError) as info:
+        handle.supports(4)
+    assert info.value.estimated_entries == 486
+    assert "constraint block of up to 486 nonzeros" in str(info.value)
+    # Under 20000 the sparse supports pass; the dense 243x243 basis is refused.
+    handle = ha_complex(twisted_triangular_algebra, module, degree_cap=4, max_entries=20000)
+    assert len(handle.supports(4)) == 64
+    with pytest.raises(DegreeCapError) as info:
+        handle.basis_vectors(4)
+    assert info.value.estimated_entries == 243**2
+    assert "a basis of up to 243x243" in str(info.value)
 
 
 # -- stencil-assembled matrices ----------------------------------------------
