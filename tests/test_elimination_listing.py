@@ -68,7 +68,8 @@ def _families():
     }
 
 
-# (name, handle builder, degrees); dims at n need the matrix at n and n - 1.
+# (name, handle builder, degrees).  Each range stops below the first degree
+# that takes seconds (seeded HA at 4, the packings at 3).
 COMPLEXES = [
     ("triangular-ha", lambda: _ha(False), range(5)),
     ("seeded-ha", lambda: _ha(True), range(4)),
