@@ -148,6 +148,11 @@ POLYNOMIAL_MAPS = {
     "q=[[1,t],[0,1]]": (Matrix.identity(2), _poly([[1, T], [0, 1]])),
     "p=q=id over K[t]/(t^2)": (_poly([[1, 0], [0, 1]]), _poly([[1, 0], [0, 1]])),
     "p=diag(t,1)": (_poly([[T, 0], [0, 1]]), Matrix.identity(2)),
+    # A rational q with denominators beside a polynomial p.
+    "p=id over K[t]/(t^2), q=[[1/2,1/2],[1/2,1/2]]": (
+        _poly([[1, 0], [0, 1]]),
+        Matrix.from_rows([[Fraction(1, 2)] * 2] * 2),
+    ),
 }
 
 

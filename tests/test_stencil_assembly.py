@@ -15,7 +15,8 @@ rationals, now and then with polynomial entries.
 
 ``FROZEN_POLYNOMIAL`` pins what the complexes of D1 give on polynomial data
 (the outputs were frozen from the probing bodies): the twisted family with
-maps over K[t]/(t^2), and the rational family on polynomial raw vectors.
+maps over K[t]/(t^2), on integer, rational and polynomial raw vectors, and
+the rational family on polynomial raw vectors.
 """
 import hashlib
 import random
@@ -168,6 +169,8 @@ FROZEN_POLYNOMIAL = {
     "rational/raw-poly": "e67ba4d7b0425d8574af311a8cf0a6c9761edb58ecd51419907b88d82103292a",
     # raw_differential(1, MIXED) on rational D1: polynomial and Fraction entries.
     "rational/raw-mixed": "b1221d68cf01de35a113f5a24586cc604237a752bdd5d5cd5e4068350ec80202",
+    # raw_differential(1, [1/3] * 16) with D1's maps over K[t]/(t^2): every entry 1/3 (mod t^2).
+    "poly-maps/raw-thirds": "ae3a5ca6550e68eb10f500e17b92597c7e3d2aca9a060c78914e1fd8c3ccf201",
 }
 MIXED = [TruncatedPoly([Fraction(i, 3), -1], 2) if i % 3 else Fraction(i, 2) for i in range(16)]
 
@@ -191,6 +194,7 @@ def test_polynomial_maps_keep_their_outputs(poly_handle, d1):
         "poly-maps/raw-mixed": _digest(poly_handle.raw_differential(1, MIXED)),
         "rational/raw-poly": _digest(rational.raw_differential(1, [TruncatedPoly([1, 1], 2)] * 16)),
         "rational/raw-mixed": _digest(rational.raw_differential(1, MIXED)),
+        "poly-maps/raw-thirds": _digest(poly_handle.raw_differential(1, [Fraction(1, 3)] * 16)),
     }
     assert listing == FROZEN_POLYNOMIAL
     assert {repr(e) for e in poly_handle.raw_differential(1, [1] * 16)} == {"1 (mod t^2)"}
