@@ -36,17 +36,16 @@ to elimination: the RBF direct and generic images are compared across
 their denominators, the membership rebuild runs on integers, and the
 matrix keeps each column's coordinates as such a state, which elimination
 reads directly.  Only ``raw_differential`` and a matrix's lazy
-``entries`` build ``Fraction``s.  Polynomial data runs the same loops on
-the entries themselves, over no denominator.  Every cochain that enters,
-through ``make_cochain`` or ``differential``, passes one validation path
-(index tuples, shapes, the size guard and membership), and every stencil
-is assembled under the size guard.
+``entries`` turn values into entries (``linalg._read``).  Polynomial data
+rides the same loops at scale 1, over the same denominators.  Every
+cochain that enters, through ``make_cochain`` or ``differential``, passes
+one validation path (index tuples, shapes, the size guard and
+membership), and every stencil is assembled under the size guard.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 from math import lcm
@@ -65,8 +64,8 @@ from .linalg import (
     Tensor,
     _compose,
     _compose_sum,
-    _integer_view,
-    _values,
+    _read,
+    _scaled,
     densify,
     invert_matrix,
     kernel_supports,
@@ -296,16 +295,15 @@ class ComplexHandle:
             q[k][k'] [j=i] - [k'=k] prod_l p[j_l][i_l],
         the products taken over the supports of p's columns i_l.  Rows that
         vanish (all of them when p = q = id) do not change the kernel and
-        are left out.  Polynomial p or q keep their entries, over no den.
+        are left out.  A polynomial p or q is read at scale 1 (``scaled``).
         """
         g, d = self.source_dim, self.target_dim
         m = g**degree
-        scales, (p_ints, q_ints) = _values([self.source_map, self.target_map])
-        p_scale, q_scale = scales or (1, 1)
+        (p_scale, p_values), (q_scale, q_values) = self.source_map.scaled, self.target_map.scaled
         p_units = p_scale**degree
-        den = None if scales is None else q_scale * p_units
-        p_cols = [_sparse(p_ints[i::g]) for i in range(g)]
-        q_rows = [_sparse(q_ints[k * d : (k + 1) * d]) for k in range(d)]
+        den = q_scale * p_units
+        p_cols = [_sparse(p_values[i::g]) for i in range(g)]
+        q_rows = [_sparse(q_values[k * d : (k + 1) * d]) for k in range(d)]
         # q_scale prod_l p[j_l][i_l] does not depend on k: one list per i_vec.
         weights = []
         for ivec in iproduct(range(g), repeat=degree):
@@ -351,8 +349,7 @@ class ComplexHandle:
         if len(vec) != self.raw_dim(degree, len(vec)):
             raise InputError("coefficient vector has the wrong length")
         image, den = self._apply_maps(self._stencil_maps(degree), degree, _sparse(vec))
-        image = image if den is None else {r: Fraction(v, den) for r, v in image.items()}
-        return list(densify(image.items(), self.raw_dim(degree + 1)))
+        return list(densify(((r, _read(v, den)) for r, v in image.items()), self.raw_dim(degree + 1)))
 
     def differential_matrix(self, degree):
         """The matrix of D from the degree-n basis to the next one, built
@@ -419,11 +416,10 @@ class ComplexHandle:
 
     def _apply_maps(self, maps, degree, support, where=""):
         """(state, den) of D . vec (``_apply_columns``), vec given by its nonzero ((position,
-        value), ...); for RBF both routes must agree, across denominators (None counts as 1)."""
+        value), ...); for RBF both routes must agree, across denominators."""
         (image, den), *others = [_apply_columns(cols, d, support) for cols, d in maps]
         for other, oden in others:
-            da, db = den or 1, oden or 1
-            rows = [r for r in image.keys() | other.keys() if image.get(r, 0) * db != other.get(r, 0) * da]
+            rows = [r for r in image.keys() | other.keys() if image.get(r, 0) * oden != other.get(r, 0) * den]
             if rows:
                 key, entry = self._locate(degree + 1, min(rows))
                 raise RouteMismatchError(
@@ -528,7 +524,7 @@ def rbf_complex(operator, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX
 # product is the unit, and there is no merged slot.  Each term map is one
 # signed sum of whole compositions (``linalg._compose_sum``), cached per the
 # data it depends on, never per key or per cochain; the walker reads every
-# array once, through its cached integer view.
+# array once, through its cached ``scaled`` view.
 
 _Stencil = namedtuple("_Stencil", ["first", "last", "merged", "smap"])
 
@@ -634,12 +630,12 @@ def _assemble_stencil(handle, degree, stencil):
     plus sign_last times the last term on f[key[:-1]][:, idx[:-1]], plus,
     for each merged slot i, sgn_i * sum_j f[mkey_i][k, j] prod_l args_l[j_l].
 
-    The columns hold integer numerators over one denominator ``den`` for
-    the whole stencil: a first or last term counts in units of its tensor's
-    scale, a merged term in units of scale(smap)^(n-1) * scale(merged), and
-    each is multiplied up to den, the lcm of those units.  When some array
-    has no integer view (a ``TruncatedPoly`` entry), den is None and the
-    same loop adds the entries themselves.
+    The columns hold values over one denominator ``den`` for the whole
+    stencil, each array read through ``scaled``: a first or last term
+    counts in units of its tensor's scale, a merged term in units of
+    scale(smap)^(n-1) * scale(merged), and each is multiplied up to den, the
+    lcm of those units.  The values are integer numerators, and a
+    polynomial, read at scale 1, rides the same loop.
     """
     g, d, n = handle.source_dim, handle.target_dim, degree
     in_pos = {key: pos for pos, key in enumerate(handle.index_keys(n))}
@@ -663,31 +659,21 @@ def _assemble_stencil(handle, degree, stencil):
         ends.update({id(first): first, id(last): last})
         inner.update((id(t), t) for _, _, t in merged)
 
-    # Every distinct array is read once, through its integer view when all
-    # of them have one; den is the lcm of the terms' units.
+    # Every distinct array is read once; den is the lcm of the terms' units.
     arrays = {**ends, **inner, id(stencil.smap): stencil.smap}
-    scales, values = _values(list(arrays.values()))
-    values = dict(zip(arrays, values))
-    den = None
-    if scales is not None:
-        scales = dict(zip(arrays, scales))
-        # A merged term multiplies n - 1 entries of smap into its own.
-        args_scale = scales[id(stencil.smap)] ** max(n - 1, 0)
-        units = {key: scales[key] for key in ends} | {key: scales[key] * args_scale for key in inner}
-        den = lcm(*units.values())
-
-    def multiplier(key):
-        return 1 if den is None else den // units[key]
-
-    zero = ZERO if den is None else 0
+    scales = {key: t.scaled[0] for key, t in arrays.items()}
+    # A merged term multiplies n - 1 entries of smap into its own.
+    args_scale = scales[id(stencil.smap)] ** max(n - 1, 0)
+    units = {key: scales[key] for key in ends} | {key: scales[key] * args_scale for key in inner}
+    den = lcm(*units.values())
 
     @cache
     def end_term(key, axis):
         # A first (axis 1, T[k][a][k']) or last (axis 2, T[k][k'][a]) term
         # map as (k, k', value) per a; the last carries its sign.
-        m = multiplier(key) * (sign_last if axis == 2 else 1)
+        m = den // units[key] * (sign_last if axis == 2 else 1)
         out = [[] for _ in range(g)]
-        for (k, x, y), c in zip(iproduct(*map(range, arrays[key].shape)), values[key]):
+        for (k, x, y), c in zip(iproduct(*map(range, arrays[key].shape)), arrays[key].scaled[1]):
             if c:
                 a, kp = (x, y) if axis == 1 else (y, x)
                 out[a].append((k, kp, m * c))
@@ -696,20 +682,20 @@ def _assemble_stencil(handle, degree, stencil):
     @cache
     def merged_table(key):
         # M[j][a][b] as (j, value) per (a, b).
-        m = multiplier(key)
+        m = den // units[key]
         out = [[[] for _ in range(g)] for _ in range(g)]
-        for (j, a, b), c in zip(iproduct(range(g), repeat=3), values[key]):
+        for (j, a, b), c in zip(iproduct(range(g), repeat=3), arrays[key].scaled[1]):
             if c:
                 out[a][b].append((j, m * c))
         return out
 
-    smap_values = values[id(stencil.smap)]
+    smap_values = stencil.smap.scaled[1]
     smap = [_sparse(smap_values[a::g]) for a in range(g)]
     cols = [{} for _ in range(len(in_pos) * block_in)]
 
     def add(col, row, c):
         entries = cols[col]
-        entries[row] = entries.get(row, zero) + c
+        entries[row] = entries.get(row, 0) + c
 
     for opos, tail0, head0, first, last, merged in plan:
         first, last = end_term(id(first), 1), end_term(id(last), 2)
@@ -738,28 +724,20 @@ def _assemble_stencil(handle, degree, stencil):
 def _apply_columns(cols, den, support):
     """(state, den) of the product of the sparse columns {row: value} of
     ``_assemble_stencil`` with a sparse vector ((column, value), ...): the
-    nonzero entries {row: value} over a denominator.  On integer columns
-    and a vector with an integer view the sum runs on numerators, over den
-    times the vector's scale; otherwise it runs on the entries, a column
-    value read as value / den, and the denominator is None."""
-    view = None if den is None else _integer_view([e for _, e in support])
-    if view is not None:
-        scale, ints = view
-        support, den = zip((c for c, _ in support), ints), den * scale
-    else:
-        support = [(c, e if den is None else e * Fraction(1, den)) for c, e in support]
-        den = None
+    nonzero values {row: value} over den times the vector's scale, the
+    vector read through ``linalg._scaled``."""
+    scale, values = _scaled([e for _, e in support])
     out = {}
-    for c, e in support:
+    for (c, _), e in zip(support, values):
         for r, v in cols[c].items():
             out[r] = out.get(r, 0) + e * v
-    return {r: v for r, v in out.items() if v}, den
+    return {r: v for r, v in out.items() if v}, den * scale
 
 
 def _state(vec):
     """(state, den) of a raw vector, as ``_apply_columns`` gives an image."""
-    view = _integer_view(vec)
-    return (dict(_sparse(vec)), None) if view is None else (dict(_sparse(view[1])), view[0])
+    scale, values = _scaled(vec)
+    return dict(_sparse(values)), scale
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ packed construction goes through them; nothing else decodes a packed index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import InputError, RouteMismatchError
@@ -22,10 +21,9 @@ from .linalg import (
     ZERO,
     Matrix,
     Tensor,
-    _columns,
     _contract,
     _multipliers,
-    _values,
+    _read,
     block_diag,
     multilinear_apply,
     tensor_column,
@@ -223,46 +221,39 @@ def hochschild_differential(module, degree, f):
     # p^(n-1) and one of f, act_r on a column of f and one of p^(n-1), and
     # f on columns of p and one basis product.  Each term's numerators count
     # in units of 1/dens[t]; its tensor's columns carry the sign and the
-    # factor to the common denominator.  Polynomial entries run the same
-    # loop on the entries themselves, with multipliers +-1 and no den.
+    # factor to the common denominator.  Each array is read through
+    # ``scaled``, so a polynomial rides the same loop at scale 1.
     p_pow = A.p.power(max(degree - 1, 0))
-    scales, (left, right, fv, p, ppow, mu) = _values((module.left, module.right, f, A.p, p_pow, A.mu))
+    arrays = (module.left, module.right, f, A.p, p_pow, A.mu)
+    (s_left, s_right, s_f, s_p, s_ppow, s_mu), (_, _, fv, p, ppow, mu) = zip(*(t.scaled for t in arrays))
     sign_last = 1 if (degree + 1) % 2 == 0 else -1
-    if scales is None:
-        (m_left, m_right, m_f), den = (1, sign_last, 1), None
-    else:
-        s_left, s_right, s_f, s_p, s_ppow, s_mu = scales
-        dens = (s_left * s_ppow * s_f, s_right * s_f * s_ppow, s_f * s_p ** max(degree - 1, 0) * s_mu)
-        (m_left, m_right, m_f), den = _multipliers((1, sign_last, 1), dens)
+    dens = (s_left * s_ppow * s_f, s_right * s_f * s_ppow, s_f * s_p ** max(degree - 1, 0) * s_mu)
+    (m_left, m_right, m_f), den = _multipliers((1, sign_last, 1), dens)
 
-    def columns(t, values, m):
-        return [tuple((k, c * m) for k, c in column) for column in _columns(values, t.shape)]
+    def columns(t, m):
+        return [tuple((k, c * m) for k, c in column) for column in t.columns[1]]
 
-    act_l, act_r = columns(module.left, left, m_left), columns(module.right, right, m_right)
+    act_l, act_r = columns(module.left, m_left), columns(module.right, m_right)
     # The i-th inner term carries the sign (-1)^i: f_terms[i % 2].
-    f_terms = (columns(f, fv, m_f), columns(f, fv, -m_f))
+    f_terms = (columns(f, m_f), columns(f, -m_f))
     p_cols = [p[j::n] for j in range(n)]
     ppow_cols = [ppow[j::n] for j in range(n)]
     products = [mu[j :: n * n] for j in range(n * n)]
     f_inner = n**degree
     f_cols = [fv[j::f_inner] for j in range(f_inner)]
-    zero = ZERO if den is None else 0
 
     inner = n ** (degree + 1)
     out = [ZERO] * (d * inner)
     for flat, idx in enumerate(iproduct(range(n), repeat=degree + 1)):
-        acc = _contract(act_l, [ppow_cols[idx[0]], f_cols[flat % f_inner]], [zero] * d, 1)
-        _contract(act_r, [f_cols[flat // n], ppow_cols[idx[-1]]], acc, 1)
+        acc = _contract(act_l, [ppow_cols[idx[0]], f_cols[flat % f_inner]], [0] * d)
+        _contract(act_r, [f_cols[flat // n], ppow_cols[idx[-1]]], acc)
         for i in range(1, degree + 1):
             args = [p_cols[j] for j in idx[: i - 1]]
             args.append(products[idx[i - 1] * n + idx[i]])
             args.extend(p_cols[j] for j in idx[i + 1 :])
-            _contract(f_terms[i % 2], args, acc, 1)
+            _contract(f_terms[i % 2], args, acc)
         for k, v in enumerate(acc):
-            if den is None:
-                out[k * inner + flat] = v
-            elif v:
-                out[k * inner + flat] = Fraction(v, den)
+            out[k * inner + flat] = _read(v, den)
     result = Tensor((d,) + (n,) * (degree + 1), tuple(out))
     if not is_equivariant(module.q, A.p, degree + 1, [result]):
         raise RouteMismatchError(

@@ -94,7 +94,6 @@ from rbfam.linalg import (
     _echelon,
     _nonzeros,
     _rows,
-    _values,
     densify,
     multilinear_apply,
     tensor_column,
@@ -130,6 +129,19 @@ READING_NOTE = (
     "module-action reading: the second lines of the morphism obstructions "
     "use u .r x (a module element cannot act from the left on an algebra element)"
 )
+
+
+def _values(tensors):
+    """(scales, values) of tensors and matrices: each one's cached integer
+    view, or, when one of them has none (a ``TruncatedPoly`` entry), scales
+    None and the entries themselves.
+
+    The package's former ``linalg._values``, kept verbatim for the frozen
+    bodies below that read their arrays through it."""
+    views = [t.integer_view for t in tensors]
+    if None not in views:
+        return [scale for scale, _ in views], [ints for _, ints in views]
+    return None, [[ensure_scalar(e) for e in t.entries] for t in tensors]
 
 
 def bilinear_tensor(shape, col):
@@ -1760,8 +1772,8 @@ class ProbedStencilHandle(ComplexHandle):
     """A ``ComplexHandle`` whose stencil maps are built and applied by the
     frozen bodies above: ``_stencil_maps`` and ``_apply_maps`` are the
     handle's former methods, verbatim but for the frozen names and the
-    (columns or image, None) pairs that the handle passes on: a denominator
-    of None means the values are the ``Fraction`` entries themselves."""
+    (columns or image, 1) pairs that the handle passes on: the values are
+    the ``Fraction`` entries themselves, over the denominator 1."""
 
     def _stencil_maps(self, degree):
         if degree in self._maps:
@@ -1773,7 +1785,7 @@ class ProbedStencilHandle(ComplexHandle):
             stencils = [probed_omega_stencil(self.omega_algebra, self.omega_module, degree)]
             if self.tag == RBF:
                 stencils.insert(0, probed_rbf_stencil(self.operator, degree))
-        maps = [(fraction_assemble_stencil(self, degree, s), None) for s in stencils]
+        maps = [(fraction_assemble_stencil(self, degree, s), 1) for s in stencils]
         self._maps[degree] = maps
         return maps
 
@@ -1787,7 +1799,7 @@ class ProbedStencilHandle(ComplexHandle):
                     f"twisted-family differential routes disagree at index tuple {key}, "
                     f"entry {entry}{where}"
                 )
-        return image, None
+        return image, 1
 
 
 def probed_handle(handle):

@@ -563,7 +563,22 @@ def test_tensor_identity_survives_the_kernel():
     args = [unit_vector(2, 0), unit_vector(2, 0)]
     assert repr(multilinear_apply(poly, args)) == repr((t2,))
     assert isinstance(_compose(poly, [m, m]).entries[0], TruncatedPoly)
-    assert poly.integer_view is None and poly.integer_columns is None
+    assert poly.integer_view is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda handle: Matrix.identity(2).apply((1.5, 0)),
+        lambda handle: multilinear_apply(Tensor((1, 2), (ONE, ZERO)), [(1.5, 0)]),
+        lambda handle: handle.raw_differential(1, [1.5] + [0] * 15),
+    ],
+    ids=["matrix-apply", "multilinear-apply", "raw-differential"],
+)
+def test_float_arguments_are_refused(d1_handle, call):
+    # An argument is read through ``_scaled``, which takes exact scalars only.
+    with pytest.raises(InputError, match=r"^not an exact rational: 1\.5$"):
+        call(d1_handle)
 
 
 def test_multilinear_shape_errors():
