@@ -365,7 +365,7 @@ def _scaled(v):
 def _read(v, den):
     """The entry of value v over den: ``Fraction(v, den)`` (``ZERO`` for 0)
     for an integer, and v / den otherwise (a ``TruncatedPoly``, or a
-    ``Fraction`` over den 1)."""
+    ``Fraction`` entry of an array read at scale 1)."""
     if type(v) is int:
         return Fraction(v, den) if v else ZERO
     return v / den
