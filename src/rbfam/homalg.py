@@ -21,9 +21,10 @@ from .linalg import (
     ZERO,
     Matrix,
     Tensor,
-    _contract,
+    _contract_supports,
     _multipliers,
     _read,
+    _support,
     block_diag,
     multilinear_apply,
     tensor_column,
@@ -236,22 +237,29 @@ def hochschild_differential(module, degree, f):
     act_l, act_r = columns(module.left, m_left), columns(module.right, m_right)
     # The i-th inner term carries the sign (-1)^i: f_terms[i % 2].
     f_terms = (columns(f, m_f), columns(f, -m_f))
-    p_cols = [p[j::n] for j in range(n)]
-    ppow_cols = [ppow[j::n] for j in range(n)]
-    products = [mu[j :: n * n] for j in range(n * n)]
     f_inner = n**degree
     f_cols = [fv[j::f_inner] for j in range(f_inner)]
+    ppow_cols = [ppow[j::n] for j in range(n)]
+    # Each hoisted column's support is built once per stride it is read at
+    # (``linalg._supports``): act_l reads (p^(n-1), f) columns at strides
+    # (d, 1), act_r (f, p^(n-1)) at (n, 1), and slot s of an f term reads a
+    # column of p or a basis product at n^(degree-1-s).
+    l_ppow, l_f = [_support(c, d) for c in ppow_cols], [_support(c, 1) for c in f_cols]
+    r_f, r_ppow = [_support(c, n) for c in f_cols], [_support(c, 1) for c in ppow_cols]
+    strides = [n ** (degree - 1 - s) for s in range(degree)]
+    p_at = [[_support(p[j::n], stride) for j in range(n)] for stride in strides]
+    products_at = [[_support(mu[j :: n * n], stride) for j in range(n * n)] for stride in strides]
 
     inner = n ** (degree + 1)
     out = [ZERO] * (d * inner)
     for flat, idx in enumerate(iproduct(range(n), repeat=degree + 1)):
-        acc = _contract(act_l, [ppow_cols[idx[0]], f_cols[flat % f_inner]], [0] * d)
-        _contract(act_r, [f_cols[flat // n], ppow_cols[idx[-1]]], acc)
+        acc = _contract_supports(act_l, [l_ppow[idx[0]], l_f[flat % f_inner]], [0] * d)
+        _contract_supports(act_r, [r_f[flat // n], r_ppow[idx[-1]]], acc)
         for i in range(1, degree + 1):
-            args = [p_cols[j] for j in idx[: i - 1]]
-            args.append(products[idx[i - 1] * n + idx[i]])
-            args.extend(p_cols[j] for j in idx[i + 1 :])
-            _contract(f_terms[i % 2], args, acc)
+            supports = [p_at[s][idx[s]] for s in range(i - 1)]
+            supports.append(products_at[i - 1][idx[i - 1] * n + idx[i]])
+            supports.extend(p_at[s][idx[s + 1]] for s in range(i, degree))
+            _contract_supports(f_terms[i % 2], supports, acc)
         for k, v in enumerate(acc):
             out[k * inner + flat] = _read(v, den)
     result = Tensor((d,) + (n,) * (degree + 1), tuple(out))

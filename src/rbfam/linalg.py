@@ -11,8 +11,10 @@ kernels read a ``Matrix`` in place as its row-major tensor, with no copy.
 
 ``Matrix.apply`` and ``multilinear_apply`` share one body, ``_applied``:
 one contraction, ``_contract``, over the arguments' supports (their
-nonzero coordinates), reading a matrix or tensor through its sparse
-``columns``, built once per array.  Every signed sum of compositions goes
+nonzero coordinates, built by ``_supports``), reading a matrix or tensor
+through its sparse ``columns``, built once per array.  A caller that
+contracts the same vector many times builds its support once and calls
+``_contract_supports``.  Every signed sum of compositions goes
 through one kernel, ``_signed_state``, which composes each term one slot
 at a time over nonzero entries and returns the sparse state {flat index:
 value} over one denominator: ``_compose_sum`` (one-term case
@@ -226,7 +228,10 @@ class Matrix(_Array):
         return out
 
     def is_identity(self):
-        return self == Matrix.identity(self.rows)
+        """Whether this is ``Matrix.identity(rows)``, read in place: diagonal
+        entries equal ``ONE`` and the others ``ZERO``."""
+        n = self.rows
+        return self.cols == n and all(e == (ZERO if k % (n + 1) else ONE) for k, e in enumerate(self.entries))
 
     def has_poly_entries(self):
         return any(isinstance(e, TruncatedPoly) for e in self.entries)
@@ -408,13 +413,30 @@ def _applied(array, args):
 def _contract(columns, args, out):
     """Add every term columns[i] * (args_1[i_1] * ... * args_n[i_n]) into
     ``out``, over the product of the arguments' supports; returns ``out``."""
-    # Each support entry carries its row-major offset i * stride in place of i.
+    return _contract_supports(columns, _supports(args), out)
+
+
+def _support(v, stride):
+    """The nonzero entries of a vector as (i * stride, x): each carries its
+    row-major offset in place of its index i."""
+    return [(i * stride, x) for i, x in enumerate(v) if x]
+
+
+def _supports(args):
+    """``_support`` of each argument at its row-major stride, the product of
+    the lengths of the arguments after it."""
     supports = []
     stride = 1
     for v in reversed(args):
-        supports.append([(i * stride, x) for i, x in enumerate(v) if x])
+        supports.append(_support(v, stride))
         stride *= len(v)
     supports.reverse()
+    return supports
+
+
+def _contract_supports(columns, supports, out):
+    """``_contract`` on supports already built, so that a caller contracting
+    the same vector many times builds its support once."""
     for terms in iproduct(*supports):
         flat, w = terms[0] if terms else (0, 1)
         for offset, x in terms[1:]:

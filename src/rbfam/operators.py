@@ -12,7 +12,9 @@ A family's induced products are composed as whole tensors, once, in
 ``_family_identity``: M_ab o total_ab = mu o (M_a x M_b) on each pair
 (a, b), where total_ab = x <_b y + x >_a y plus phi o (R_a x R_b),
 -N_ab o mu or w mu.  ``twisted_inner_sum``, ``graph_check`` and the grid
-search stay per tuple as independent second routes.
+search stay per tuple as independent second routes; ``graph_check`` and the
+search read their arrays once per call as integer tables and build a
+``Fraction`` only for a violating tuple's residual or a found family.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from itertools import product as iproduct
+from math import lcm
 
 from .errors import InputError
 from .homalg import (
@@ -34,7 +37,19 @@ from .homalg import (
     semidirect_product,
     tensor_bimodule,
 )
-from .linalg import Matrix, _compose, _compose_sum, block_diag, unit_vector, vadd, vsub
+from .linalg import (
+    ZERO,
+    Matrix,
+    _columns,
+    _compose,
+    _compose_sum,
+    _contract,
+    _contract_supports,
+    _read,
+    _support,
+    block_diag,
+    vadd,
+)
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
@@ -298,37 +313,49 @@ def graph_check(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     and tests (p+q)-stability of each graph plus the product containment
     Gr(R_a) . Gr(R_b) within Gr(R_ab), both by exact membership.
     The verdict agrees with check_twisted_rbf on every input.
+
+    Each graph column (R_a e_u, e_u) is read as values at R_a's scale s_a
+    (its ``scaled`` view), and the product's mu and p through their
+    ``columns``, once per call; a product of graph columns is one
+    ``_contract`` over den.  Every graph's bottom block is the identity, so
+    w lies in Gr(R_t) exactly when w = Gr(R_t) w_V: the residual is
+    s_t w - Gr_t(w_V) over den * s_t, Gr_t the graph at scale s_t.  A
+    passing tuple yields one shared zero tuple; only a violating one is read
+    into entries.
     """
     _validate_hosts(operator)
-    A, module, omega = operator.algebra, operator.bimodule, operator.omega
-    n, d = A.dim, module.dim
+    module, omega = operator.bimodule, operator.omega
+    n, d = operator.algebra.dim, module.dim
     semidirect = semidirect_product(module, operator.cocycle)
-    graphs = []
-    for alpha in omega.elements():
-        cols = []
-        for a in range(d):
-            cols.append(tuple(operator.maps[alpha].column(a)) + unit_vector(d, a))
-        graphs.append(Matrix.from_columns(cols, rows=n + d))
+    s_mu, mu = semidirect.mu.columns
+    s_p, p = semidirect.p.columns
+    scales, graphs, minus_graphs = [], [], []
+    for r in operator.maps:
+        scale, values = r.scaled
+        cols = [values[u::d] + tuple(scale if v == u else 0 for v in range(d)) for u in range(d)]
+        scales.append(scale)
+        graphs.append(cols)
+        minus_graphs.append([tuple((k, -c) for k, c in enumerate(col) if c) for col in cols])
+    zero = (ZERO,) * (n + d)
     report = CheckReport(subject="graph characterization in the twisted semidirect product")
 
-    def residual_against(graph, w):
-        # The bottom block of every graph matrix is the identity, so w lies
-        # in the graph exactly when it equals the graph applied to its
-        # bottom part.
-        return vsub(w, graph.apply(w[n:]))
+    def residual(w, den, t):
+        s_t = scales[t]
+        out = _contract(minus_graphs[t], [w[n:]], [x * s_t for x in w])
+        return tuple(_read(v, den * s_t) for v in out) if any(out) else zero
 
     def stability():
         for alpha in omega.elements():
             for a in range(d):
-                w = semidirect.p.apply(graphs[alpha].column(a))
-                yield {"alpha": alpha, "u": a}, residual_against(graphs[alpha], w)
+                w = _contract(p, [graphs[alpha][a]], [0] * (n + d))
+                yield {"alpha": alpha, "u": a}, residual(w, s_p * scales[alpha], alpha)
 
     def containment():
         for alpha, beta in iproduct(omega.elements(), repeat=2):
-            target = graphs[omega.mul(alpha, beta)]
+            ab, den = omega.mul(alpha, beta), s_mu * scales[alpha] * scales[beta]
             for a, b in iproduct(range(d), repeat=2):
-                w = semidirect.product(graphs[alpha].column(a), graphs[beta].column(b))
-                yield {"alpha": alpha, "beta": beta, "u": a, "v": b}, residual_against(target, w)
+                w = _contract(mu, [graphs[alpha][a], graphs[beta][b]], [0] * (n + d))
+                yield {"alpha": alpha, "beta": beta, "u": a, "v": b}, residual(w, den, ab)
 
     run_law(report, "(p+q) Gr(R_a) inside Gr(R_a)", stability(), max_violations)
     run_law(report, "Gr(R_a) . Gr(R_b) inside Gr(R_ab)", containment(), max_violations)
@@ -410,37 +437,51 @@ SEARCH_CANDIDATE_CAP = 10**6
 
 @dataclass(frozen=True)
 class _SearchOption:
-    """A candidate map N with what its equations read, computed once: its
-    columns N e_i and, per basis pair (i, j) in row-major order,
-    N e_i . e_j, e_i . N e_j and N(e_i . e_j)."""
+    """A candidate map N with what its equations read, computed once as
+    integers: N is read as the integer matrix M = G N, G the lcm of the
+    grid's denominators, and mu as its integer columns U over the scale s.
+    Kept are M's ``columns``, the supports of M e_i as the first and as the
+    second argument of U (``first``, ``second``), and per basis pair (i, j)
+    in row-major order U(M e_i, e_j), U(e_i, M e_j) and M U(e_i, e_j)."""
 
     matrix: Matrix
     columns: tuple
+    first: tuple
+    second: tuple
     left: tuple
     right: tuple
     after_mu: tuple
 
 
-def _search_option(algebra, mat):
-    n = algebra.dim
+def _search_option(mu, products, mat, ints):
+    """The option of ``mat``, whose entries times G are ``ints``; ``mu`` is
+    the algebra's integer columns and products[i * n + j] = U(e_i, e_j)."""
+    n = mat.rows
     pairs = tuple(iproduct(range(n), repeat=2))
-    cols, basis = tuple(mat.column(i) for i in range(n)), algebra.basis()
+    columns = _columns(ints, (n, n))
+    vectors = [ints[i::n] for i in range(n)]
+    first, second = tuple(_support(v, n) for v in vectors), tuple(_support(v, 1) for v in vectors)
     return _SearchOption(
         matrix=mat,
-        columns=cols,
-        left=tuple(algebra.product(cols[i], basis[j]) for i, j in pairs),
-        right=tuple(algebra.product(basis[i], cols[j]) for i, j in pairs),
-        after_mu=tuple(mat.apply(algebra.basis_product(i, j)) for i, j in pairs),
+        columns=columns,
+        first=first,
+        second=second,
+        left=tuple(_contract_supports(mu, [first[i], [(j, 1)]], [0] * n) for i, j in pairs),
+        right=tuple(_contract_supports(mu, [[(i * n, 1)], second[j]], [0] * n) for i, j in pairs),
+        after_mu=tuple(_contract(columns, [products[i * n + j]], [0] * n) for i, j in pairs),
     )
 
 
-def _pair_holds(algebra, a, b, c):
+def _pair_holds(mu, n, a, b, c):
     """N_a e_i . N_b e_j = N_c(N_a e_i . e_j + e_i . N_b e_j - N_c(e_i . e_j))
-    on every basis pair, for the options bound to N_a, N_b and N_c, c = ab."""
-    apply = c.matrix.apply
+    on every basis pair, for the options bound to N_a, N_b and N_c, c = ab.
+    With N = M / G and mu = U / s both sides are over s G^2, so the test is
+    U(M_a e_i, M_b e_j) == M_c(U(M_a e_i, e_j) + U(e_i, M_b e_j) - M_c U(e_i, e_j))
+    on integer vectors."""
     return all(
-        algebra.product(ai, bj) == apply(vsub(vadd(ai_j, i_bj), c_ij))
-        for (ai, bj), ai_j, i_bj, c_ij in zip(iproduct(a.columns, b.columns), a.left, b.right, c.after_mu)
+        _contract_supports(mu, [ai, bj], [0] * n)
+        == _contract(c.columns, [[x + y - z for x, y, z in zip(ai_j, i_bj, c_ij)]], [0] * n)
+        for (ai, bj), ai_j, i_bj, c_ij in zip(iproduct(a.first, b.second), a.left, b.right, c.after_mu)
     )
 
 
@@ -466,9 +507,15 @@ def search_nijenhuis_families(algebra, omega, grid=DEFAULT_SEARCH_GRID, cap=SEAR
             "supply an explicit candidate instead"
         )
     p = algebra.p
+    scale = lcm(*(g.denominator for g in grid))
+    ints = tuple(g.numerator * (scale // g.denominator) for g in grid)
+    (_, values), (_, mu) = algebra.mu.scaled, algebra.mu.columns
+    products = [values[j :: n * n] for j in range(n * n)]
     options = (
-        _search_option(algebra, mat)
-        for mat in (Matrix(n, n, flat) for flat in iproduct(grid, repeat=n * n))
+        _search_option(mu, products, mat, flat_ints)
+        for mat, flat_ints in zip(
+            (Matrix(n, n, flat) for flat in iproduct(grid, repeat=n * n)), iproduct(ints, repeat=n * n)
+        )
         if is_equivariant(p, p, 1, (mat,))
     )
     if m > 1:
@@ -488,7 +535,7 @@ def search_nijenhuis_families(algebra, omega, grid=DEFAULT_SEARCH_GRID, cap=SEAR
             return
         for option in options:
             bound[k] = option
-            if all(_pair_holds(algebra, bound[a], bound[b], bound[ab]) for a, b, ab in due[k]):
+            if all(_pair_holds(mu, n, bound[a], bound[b], bound[ab]) for a, b, ab in due[k]):
                 extend(k + 1)
 
     extend(0)

@@ -66,18 +66,23 @@ or a ``Fraction`` exactly as when each tuple was contracted on its own.
 A nested law's state covers all (i, j, k) at once, d * I * J * K entries
 at most.
 
-Three per-tuple paths stay, each an independent second route that must
-not share the composed computation: ``homalg.hochschild_differential``
-(in degree 2 its terms are the compositions of the direct 2-cocycle
-identity; it contracts hoisted integer columns per basis tuple with
-``linalg._contract``, the kernel of ``multilinear_apply``, and never calls
-``_signed_state`` or its tensor forms), the direct stencil of the family
+Four per-tuple paths stay, each an independent second route that must
+not share the composed computation, and none calls ``_signed_state`` or its
+tensor forms: ``homalg.hochschild_differential`` (in degree 2 its terms are
+the compositions of the direct 2-cocycle identity), ``operators.graph_check``
+(products of graph columns inside the twisted semidirect product),
+``operators.search_nijenhuis_families`` (it binds one map at a time and
+tests each basis tuple as soon as its maps are bound, so most prefixes fail
+on an early tuple, and composing every law side in full per candidate would
+cost more than the search), and the direct stencil of the family
 differential (``operators.twisted_inner_sum``, cross-checked against the
-generic route on the induced bimodule), and
-``operators.search_nijenhuis_families``: it binds one map at a time and
-tests each basis tuple as soon as its maps are bound, so most prefixes
-fail on an early tuple, and composing every law side in full per
-candidate would cost more than the search.
+generic route on the induced bimodule).  The first three read each array
+once per call as an integer table (its ``scaled`` values or sparse
+``columns``), contract per basis tuple with ``linalg._contract``, the
+kernel of ``multilinear_apply``, building the support of a vector they
+read many times once (``linalg._supports``), and compare or keep integer
+numerators over one denominator: an entry is read (``linalg._read``) only
+where a result or a violation needs one.
 """
 from __future__ import annotations
 

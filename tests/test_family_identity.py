@@ -252,7 +252,9 @@ def test_search_finds_exactly_the_families_the_checker_passes(name, count):
 
 
 SEARCH_SEMIGROUPS = (("trivial", None), ("cyclic", 2), ("boolean_monoid", None), ("left_zero", 2), ("right_zero", 2))
-SEARCH_VALUES = (0, 1, -1, 2, Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
+SEARCH_VALUES = (
+    0, 1, -1, 2, Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3)
+)
 # The frozen search enumerates len(grid)**(m*n*n) candidates; this bound keeps it fast.
 SEARCH_CANDIDATES = 512
 
@@ -265,6 +267,8 @@ SEARCH_CANDIDATES = 512
 )
 # Over this grid 6 of the triangular algebra's 18 Nijenhuis maps do not commute with p.
 @example(name="triangular", semigroup=("trivial", None), values=[0, 1])
+# A grid whose denominators have lcm 6.
+@example(name="D1", semigroup=("trivial", None), values=[Fraction(1, 2), Fraction(-2, 3), 0, 1])
 def test_search_matches_brute_force(twisted_triangular_algebra, name, semigroup, values):
     # The triangular algebra's p is not the identity, so the search filters
     # its maps to the p-commutant; grids may repeat a value, mix int and

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from oracles import relative_family_law_holds
+from rbfam import linalg
 from rbfam.errors import InputError, PreconditionError
 from rbfam.homalg import (
     HomAlgebra,
@@ -159,6 +160,21 @@ def test_nijenhuis_search_golden_of_the_benchmark_grid(d1):
         25,
         "527d1236d756ed8ea7655b383f8f4286e74f394435b95a45e11eece4b9a167b1",
     )
+
+
+def test_search_and_graph_check_apply_no_matrix_per_tuple(d1, monkeypatch):
+    # Both read integer tables once per call and contract them directly:
+    # neither reaches the body of Matrix.apply and multilinear_apply.
+    algebra, omega, operator = d1["base_algebra"], d1["omega"], d1["operator"]
+    grid = (Fraction(0), Fraction(1), Fraction(-1))
+    search_nijenhuis_families(algebra, omega, grid=grid)
+    graph_check(operator)
+    calls = []
+    applied = linalg._applied
+    monkeypatch.setattr(linalg, "_applied", lambda *args: calls.append(args) or applied(*args))
+    assert len(search_nijenhuis_families(algebra, omega, grid=grid)) == 25
+    assert graph_check(operator).passed
+    assert calls == []
 
 
 def test_unequal_scalars_fail(d1):
