@@ -42,7 +42,12 @@ augmented ``Matrix``, as the references of the products run on the
 contraction kernels and of elimination that reads each line once), the
 package's former entry-wise branch of ``linalg._signed_state`` (frozen,
 as it multiplied ``TruncatedPoly`` entries one product at a time, as the
-reference of the one that composes polynomials as packed integers), a
+reference of the one that composes polynomials as packed integers), the
+package's former ``linalg._signed_state`` with its ``_compose_state``,
+``_rows`` and ``_nonzeros`` (frozen, as every call built each part's
+sparse rows and each outer's nonzero state afresh and composed every part,
+an identity included, as the reference of the kernel that reads cached
+views and skips identity parts), a
 twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
@@ -90,10 +95,13 @@ from rbfam.linalg import (
     ZERO,
     Matrix,
     Tensor,
+    _compose_error,
     _compose_state,
     _echelon,
     _nonzeros,
+    _packed_values,
     _rows,
+    _unpacked,
     densify,
     multilinear_apply,
     tensor_column,
@@ -2244,3 +2252,123 @@ def entrywise_signed_state(terms):
                 acc[k] = v * m if w is None else w + v * m
         del state
     return acc, den, shape
+
+
+# ---------------------------------------------------------------------------
+# the signed-composition kernel, frozen while every call read its arrays
+# afresh: the sparse rows of each part and the nonzero state of each outer
+# built per call, and every part composed, an identity included
+
+
+def fresh_signed_state(terms):
+    """The package's former ``linalg._signed_state``, kept verbatim (only
+    the helpers it shares with the frozen bodies below are renamed), so
+    the kernel that reads cached views and skips identity parts can be held
+    to the same (state, den, shape): keys, zero-valued keys, key order and
+    value types included."""
+    arrays = [t for _, outer, parts in terms for t in (outer, *parts)]
+    views = [t.integer_view for t in arrays]
+    packed = None in views
+    if packed:
+        views = [t.coefficient_view for t in arrays]
+    scales = [view[0] for view in views]
+    signs = [sign for sign, _, _ in terms]
+    if len(terms) == 1:
+        multipliers, den = signs, prod(scales)
+    else:
+        dens, start = [], 0
+        for _, _, parts in terms:
+            dens.append(prod(scales[start : start + len(parts) + 1]))
+            start += len(parts) + 1
+        multipliers, den = _multipliers(signs, dens)
+    if packed:
+        values, order, slot = _packed_values(terms, views, multipliers)
+        marked = set()
+    else:
+        values = [ints for _, ints in views]
+    # The first state starts the sum in place, and each state is dropped
+    # before the next term is composed.
+    shape = acc = None
+    start = 0
+    for m, (_, outer, parts) in zip(multipliers, terms):
+        outer_shape, term_shape, rows = outer.shape, outer.shape[:1], []
+        if len(outer_shape) != len(parts) + 1:
+            raise _compose_error(outer, parts)
+        for part, a, v in zip(parts, outer_shape[1:], values[start + 1 :]):
+            part_shape = part.shape
+            if part_shape[0] != a:
+                raise _compose_error(outer, parts)
+            term_shape += part_shape[1:]
+            rows.append(_fresh_rows(v, a, prod(part_shape[1:])))
+        if shape is None:
+            shape = term_shape
+        elif term_shape != shape:
+            raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
+        state = _fresh_compose_state(outer_shape, _fresh_nonzeros(values[start]), rows)
+        if packed:
+            term = slice(start, start + len(parts) + 1)
+            marked.update(_fresh_polynomial_keys(state, outer_shape, rows, arrays[term], values[term], views[term]))
+        start += len(parts) + 1
+        if acc is None:
+            acc, get = state, state.get
+            if m != 1:
+                for k, v in acc.items():
+                    acc[k] = v * m
+        else:
+            for k, v in state.items():
+                w = get(k)
+                acc[k] = v * m if w is None else w + v * m
+        del state
+    if packed:
+        return _unpacked(acc, den, order, slot, marked), None, shape
+    return acc, den, shape
+
+
+def _fresh_polynomial_keys(state, outer_shape, rows, arrays, values, views):
+    """The package's former ``linalg._polynomial_keys``, kept verbatim on
+    the frozen helpers."""
+    if any(view.poly and not view.rational for view in views):
+        return state
+    keys = set()
+    for s, (array, v, view) in enumerate(zip(arrays, values, views)):
+        if not view.poly:
+            continue
+        cut = [x if isinstance(e, TruncatedPoly) else 0 for x, e in zip(v, array.entries)]
+        if s == 0:
+            keys.update(_fresh_compose_state(outer_shape, _fresh_nonzeros(cut), rows))
+        else:
+            part_rows, size = rows[s - 1]
+            cut_rows = [*rows[: s - 1], _fresh_rows(cut, len(part_rows), size), *rows[s:]]
+            keys.update(_fresh_compose_state(outer_shape, _fresh_nonzeros(values[0]), cut_rows))
+    return keys
+
+
+def _fresh_compose_state(shape, state, parts):
+    """The package's former ``linalg._compose_state``, kept verbatim: every
+    part is (rows, size) and is composed, an identity included."""
+    remaining = prod(shape[1:])
+    for s, (rows, size) in enumerate(parts):
+        rest = prod(shape[s + 2 :])
+        acc = {}
+        get = acc.get
+        for key, c in state.items():
+            head, tail = divmod(key, remaining)
+            a, tail = divmod(tail, rest)
+            base = head * size
+            for j, x in rows[a]:
+                k = (base + j) * rest + tail
+                v = get(k)
+                acc[k] = c * x if v is None else v + c * x
+        state, remaining = acc, rest
+    return state
+
+
+def _fresh_rows(entries, count, size):
+    """The package's former ``linalg._rows``, kept verbatim."""
+    rows = [[(j, x) for j, x in enumerate(entries[a * size : (a + 1) * size]) if x] for a in range(count)]
+    return rows, size
+
+
+def _fresh_nonzeros(entries):
+    """The package's former ``linalg._nonzeros``, kept verbatim."""
+    return {f: x for f, x in enumerate(entries) if x}
