@@ -14,7 +14,7 @@ from itertools import product as iproduct
 from .errors import InputError
 from .homalg import HomAlgebra, _block_repeat, graded_tensor
 from .linalg import Matrix, Tensor, _compose, _compose_sum, multilinear_apply, rank
-from .operators import _split_products, _totals, _twisted_products, check_twisted_rbf, check_weighted_rbf
+from .operators import _split_products, _totals, check_twisted_rbf, check_weighted_rbf
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
@@ -446,7 +446,7 @@ def _split_operator(operator):
     operator already checked, or maps that are not a family (R + t R1 over
     K[t]/(t^2), whose splitting ``deform_ns_family`` checks)."""
     module = operator.bimodule
-    prec, succ, vee = _twisted_products(operator, operator.maps)
+    prec, succ, vee = operator.products
     return HomNSFamilyAlgebra(dim=module.dim, omega=operator.omega, prec=prec, succ=succ, vee=vee, p=module.q)
 
 

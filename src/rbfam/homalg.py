@@ -39,6 +39,7 @@ from .reports import (
     nested_cases,
     run_law,
 )
+from .scalars import ensure_scalar
 from .semigroups import FiniteSemigroup
 
 
@@ -347,21 +348,8 @@ def semidirect_product(module, cocycle):
     A = module.parent
     n, d = A.dim, module.dim
     total = n + d
-
-    def entry(k, i, j):
-        if i < n and j < n:
-            if k < n:
-                return A.mu.at(k, i, j)
-            return cocycle.phi.at(k - n, i, j)
-        if k < n:
-            return 0
-        if i < n and j >= n:
-            return module.left.at(k - n, i, j - n)
-        if i >= n and j < n:
-            return module.right.at(k - n, i - n, j)
-        return 0
-
-    mu_s = Tensor.from_function((total, total, total), entry)
+    blocks = [((0, 0, 0), A.mu), ((n, 0, 0), cocycle.phi), ((n, 0, n), module.left), ((n, n, 0), module.right)]
+    mu_s = _placed((total, total, total), blocks)
     return HomAlgebra(dim=total, mu=mu_s, p=block_diag([A.p, module.q]))
 
 
@@ -399,27 +387,16 @@ def _packed_data(omega, p, product, left, right, cocycle):
         dim=nm, mu=graded_tensor(omega, (n, n, n), product), p=_block_repeat(p, m)
     )
 
-    def left_entry(k, ii, j):
-        alpha, i = divmod(ii, n)
-        return left[alpha].at(k, i, j)
-
-    def right_entry(k, j, ii):
-        beta, i = divmod(ii, n)
-        return right[beta].at(k, j, i)
-
-    def phi_entry(k, ii, jj):
-        alpha, i = divmod(ii, n)
-        beta, j = divmod(jj, n)
-        return cocycle(alpha, beta).at(k, i, j)
-
+    elements = omega.elements()
     module = HomBimodule(
         parent=packed,
         dim=n,
-        left=Tensor.from_function((n, nm, n), left_entry),
-        right=Tensor.from_function((n, n, nm), right_entry),
+        left=_placed((n, nm, n), [((0, a * n, 0), left[a]) for a in elements]),
+        right=_placed((n, n, nm), [((0, 0, b * n), right[b]) for b in elements]),
         q=p,
     )
-    return packed, module, TwoCocycle(host=module, phi=Tensor.from_function((n, nm, nm), phi_entry))
+    phi = _placed((n, nm, nm), [((0, a * n, b * n), cocycle(a, b)) for a, b in iproduct(elements, repeat=2)])
+    return packed, module, TwoCocycle(host=module, phi=phi)
 
 
 def tensor_bimodule(cocycle, omega):
@@ -456,16 +433,24 @@ def graded_tensor(omega, dims, block):
     """
     d0, d1, d2 = dims
     m = omega.size
+    blocks = [((omega.mul(a, b) * d0, a * d1, b * d2), block(a, b)) for a, b in iproduct(omega.elements(), repeat=2)]
+    return _placed((d0 * m, d1 * m, d2 * m), blocks)
 
-    def entry(kk, ii, jj):
-        gamma, k = divmod(kk, d0)
-        alpha, i = divmod(ii, d1)
-        beta, j = divmod(jj, d2)
-        if gamma != omega.mul(alpha, beta):
-            return 0
-        return block(alpha, beta).at(k, i, j)
 
-    return Tensor.from_function((d0 * m, d1 * m, d2 * m), entry)
+def _placed(shape, blocks):
+    """The 3-tensor of ``shape`` holding each block (offsets, tensor) with
+    its entry (k, i, j) at (k, i, j) + offsets, and ``ZERO`` where no block
+    lies.  Each block's entries pass ``ensure_scalar`` once, so an int is
+    read as a ``Fraction`` and a float is refused."""
+    _, s1, s2 = shape
+    out = [ZERO] * (s1 * s2 * shape[0])
+    for (o0, o1, o2), block in blocks:
+        b0, b1, b2 = block.shape
+        entries = [ensure_scalar(e) for e in block.entries]
+        for k, i in iproduct(range(b0), range(b1)):
+            dst, src = ((o0 + k) * s1 + o1 + i) * s2 + o2, (k * b1 + i) * b2
+            out[dst : dst + b2] = entries[src : src + b2]
+    return Tensor(shape, tuple(out))
 
 
 def _block_repeat(mat, copies):

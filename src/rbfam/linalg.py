@@ -145,6 +145,27 @@ class _Array:
         scale, values = self.scaled
         return scale, _columns(values, self.shape)
 
+    @cached_property
+    def state_view(self):
+        """``_nonzeros`` of ``integer_view``'s values: what ``_signed_state``
+        reads of an outer.  Kept like ``integer_view`` and shared by every
+        call, so never mutated."""
+        return _nonzeros(self.integer_view[1])
+
+    @cached_property
+    def rows_view(self):
+        """``_rows`` of ``integer_view``'s values, cut after the output axis:
+        what ``_signed_state`` reads of a part.  None when they are the
+        identity pattern at scale 1 (shape (a, *in) with prod(in) = a and
+        row k the one entry 1 at k), a part ``_compose_state`` skips.  Kept
+        like ``integer_view``, so never mutated."""
+        scale, values = self.integer_view
+        a, size = self.shape[0], prod(self.shape[1:])
+        rows, size = _rows(values, a, size)
+        if scale == 1 and size == a and all(row == [(k, 1)] for k, row in enumerate(rows)):
+            return None
+        return rows, size
+
     def _same_shape(self, other):
         if self.shape != other.shape:
             raise InputError(f"{type(self).__name__.lower()} shape mismatch")
@@ -454,12 +475,27 @@ def _compose(outer, parts):
 
 
 def _compose_sum(terms):
-    """The tensor of ``_signed_state(terms)``, ``ZERO`` where the state has no entry."""
+    """The tensor of ``_signed_state(terms)``, ``ZERO`` where the state has no entry.
+
+    On the integer path the tensor is born with its ``integer_view``:
+    (den // g, values // g), g the gcd of den and the values.  That is
+    ``_integer_view`` of the entries, since the lcm of the denominators
+    den / gcd(v, den) is den / gcd(den, v_1, ..., v_m)."""
     state, den, shape = _signed_state(terms)
-    out = [ZERO] * prod(shape)
+    size = prod(shape)
+    out = [ZERO] * size
+    if den is None:
+        for k, v in state.items():
+            out[k] = v
+        return Tensor(shape, tuple(out))
+    g = gcd(den, *state.values())
+    ints = [0] * size
     for k, v in state.items():
-        out[k] = v if den is None else Fraction(v, den)
-    return Tensor(shape, tuple(out))
+        out[k] = Fraction(v, den)
+        ints[k] = v // g
+    tensor = Tensor(shape, tuple(out))
+    vars(tensor)["integer_view"] = den // g, tuple(ints)
+    return tensor
 
 
 def _signed_state(terms):
@@ -511,8 +547,6 @@ def _signed_state(terms):
     if packed:
         values, order, slot = _packed_values(terms, views, multipliers)
         marked = set()
-    else:
-        values = [ints for _, ints in views]
     # The first state starts the sum in place, and each state is dropped
     # before the next term is composed.
     shape = acc = None
@@ -521,17 +555,17 @@ def _signed_state(terms):
         outer_shape, term_shape, rows = outer.shape, outer.shape[:1], []
         if len(outer_shape) != len(parts) + 1:
             raise _compose_error(outer, parts)
-        for part, a, v in zip(parts, outer_shape[1:], values[start + 1 :]):
+        for s, (part, a) in enumerate(zip(parts, outer_shape[1:]), start + 1):
             part_shape = part.shape
             if part_shape[0] != a:
                 raise _compose_error(outer, parts)
             term_shape += part_shape[1:]
-            rows.append(_rows(v, a, prod(part_shape[1:])))
+            rows.append(_rows(values[s], a, prod(part_shape[1:])) if packed else part.rows_view)
         if shape is None:
             shape = term_shape
         elif term_shape != shape:
             raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
-        state = _compose_state(outer_shape, _nonzeros(values[start]), rows)
+        state = _compose_state(outer_shape, _nonzeros(values[start]) if packed else outer.state_view, rows)
         if packed:
             term = slice(start, start + len(parts) + 1)
             marked.update(_polynomial_keys(state, outer_shape, rows, arrays[term], values[term], views[term]))
@@ -640,11 +674,21 @@ def _compose_state(shape, state, parts):
     over (d, *in_0, ..., *in_{m-1}) and holds every entry fed by a product
     of nonzero factors, even one that cancels to 0.  Values are whatever
     the inputs hold, integer numerators or packed polynomials; the
-    contraction of ``_signed_state``.  ``state`` is only read.
+    contraction of ``_signed_state``.
+
+    A part given as None is an identity pattern (``_Array.rows_view``) and
+    is skipped: composing with it keeps every key, its value and the key
+    order, zero values included.  ``state`` may be an array's cached
+    ``state_view`` and is only read; when every part is skipped the result
+    is a copy of it, so the caller may add into the result in place.
     """
     remaining = prod(shape[1:])
-    for s, (rows, size) in enumerate(parts):
+    for s, part in enumerate(parts):
         rest = prod(shape[s + 2 :])
+        if part is None:
+            remaining = rest
+            continue
+        rows, size = part
         acc = {}
         get = acc.get
         for key, c in state.items():
@@ -656,7 +700,8 @@ def _compose_state(shape, state, parts):
                 v = get(k)
                 acc[k] = c * x if v is None else v + c * x
         state, remaining = acc, rest
-    return state
+    # A part that was composed made ``state`` a new dict.
+    return state if any(parts) else dict(state)
 
 
 def _rows(entries, count, size):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from itertools import product as iproduct
 from math import lcm
@@ -89,6 +90,13 @@ class TwistedRBFamily:
     @property
     def algebra(self):
         return self.cocycle.host.parent
+
+    @cached_property
+    def products(self):
+        """``_twisted_products`` of the family's own maps, built on first use
+        and kept on the instance; not a field, so ``==``, ``hash`` and
+        ``repr`` ignore it."""
+        return _twisted_products(self, self.maps)
 
 
 @dataclass(frozen=True)
@@ -207,10 +215,11 @@ def family_identity_cases(operator, maps):
     """Cases of R_a u . R_b v = R_ab(R_a u .l v + u .r R_b v + phi(R_a u, R_b v)).
 
     The hosts are the operator's; ``maps`` are the R_a: the operator's own,
-    or deformed ones whose entries are truncated polynomials.
+    whose products it keeps, or deformed ones whose entries are truncated
+    polynomials, composed afresh.
     """
     omega = operator.omega
-    prec, succ, vee = _twisted_products(operator, maps)
+    prec, succ, vee = operator.products if maps is operator.maps else _twisted_products(operator, maps)
     total = _totals(omega, prec, succ, lambda a, b: vee[a][b])
     return _family_identity(omega, operator.algebra.mu, maps, total, ("u", "v"))
 

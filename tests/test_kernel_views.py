@@ -14,6 +14,12 @@ int-entry identities, identity-pattern tensors of shape (a, b, c) with
 b * c = a) beside ones it may not (2 * I), ``TruncatedPoly`` parts, and
 0-extent axes; terms repeat, with either sign, so sums cancel and a term
 whose parts are all skipped is added into.
+
+Three deterministic cases pin what the views save: a negated composition
+with identities leaves the outer's cached state alone, one
+``check_infinitesimal`` on D1 builds the twisted products twice (the
+operator's own, kept on it, and the deformed maps'), and ``rbf_complex``
+after ``check_twisted_rbf`` builds them no more.
 """
 from fractions import Fraction
 from math import prod
@@ -22,8 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from rbfam import family, operators
+from rbfam.cohomology import rbf_complex
+from rbfam.deformations import LinearDeformation, check_infinitesimal
 from rbfam.linalg import ONE, ZERO, Matrix, Tensor, _compose_sum, _integer_view, _signed_state
+from rbfam.operators import check_twisted_rbf
 from rbfam.scalars import TruncatedPoly
+from rbfam.workspace import desk_instance
 
 
 def _outcome(fn, *args):
@@ -113,3 +124,62 @@ def test_composed_tensor_carries_the_integer_view_of_its_entries(terms):
     except Exception:
         return
     assert tensor.integer_view == _integer_view(tensor.entries)
+
+
+# ---------------------------------------------------------------------------
+# what the views save
+
+
+def test_identity_patterns_at_scale_one_are_the_parts_skipped():
+    pattern = Tensor((4, 2, 2), _identity_entries(4, ONE))
+    for eye in (Matrix.identity(3), Matrix(2, 2, (1, 0, 0, 1)), pattern, Matrix(0, 0, ())):
+        assert eye.rows_view is None
+    for other in (Matrix.identity(2).scale(2), Matrix(2, 2, (0, 1, 1, 0)), Tensor((2, 2, 2), (ONE,) * 8)):
+        assert other.rows_view is not None
+
+
+def test_negated_identity_composition_leaves_the_cached_state_alone():
+    t = Tensor((2, 2, 2), tuple(Fraction(k - 3, 2) for k in range(8)))
+    eye = Matrix.identity(2)
+    terms = [(-1, t, [eye, eye])]
+    before = dict(t.state_view)
+    first, second = _compose_sum(terms), _compose_sum(terms)
+    assert t.state_view == before
+    state, den, shape = oracles.fresh_signed_state(terms)
+    entries = [ZERO] * prod(shape)
+    for k, v in state.items():
+        entries[k] = Fraction(v, den)
+    assert repr(first) == repr(second) == repr(Tensor(shape, tuple(entries)))
+    assert vars(first)["integer_view"] == _integer_view(first.entries)
+
+
+def _counted_products(monkeypatch):
+    """The maps of every ``_twisted_products`` call, wherever it is read from."""
+    calls, build = [], operators._twisted_products
+
+    def counted(operator, maps):
+        calls.append(maps)
+        return build(operator, maps)
+
+    monkeypatch.setattr(operators, "_twisted_products", counted)
+    monkeypatch.setattr(family, "_twisted_products", counted, raising=False)
+    return calls
+
+
+def test_check_infinitesimal_builds_the_twisted_products_twice(monkeypatch):
+    calls = _counted_products(monkeypatch)
+    operator = desk_instance("D1")["operator"]
+    n, d = operator.algebra.dim, operator.bimodule.dim
+    direction = (Matrix.zero(n, d),) * operator.omega.size
+    assert check_infinitesimal(LinearDeformation(base=operator, direction=direction)).passed
+    assert len(calls) == 2
+    assert calls[0] is operator.maps and calls[1] is not operator.maps
+
+
+def test_rbf_complex_after_check_twisted_rbf_builds_no_products(monkeypatch):
+    calls = _counted_products(monkeypatch)
+    operator = desk_instance("D1")["operator"]
+    assert check_twisted_rbf(operator).passed
+    assert len(calls) == 1
+    rbf_complex(operator)
+    assert len(calls) == 1
