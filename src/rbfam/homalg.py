@@ -10,6 +10,8 @@ keeping each semigroup block contiguous.  Two bodies own that layout:
 ``graded_tensor`` for a graded bilinear map, and ``_packed_data`` for a
 packed algebra with L as a bimodule over it and a cocycle in L.  Every
 packed construction goes through them; nothing else decodes a packed index.
+They, and ``semidirect_product``, place each block's entries at its
+offsets (``_placed``), reading each block once.
 """
 from __future__ import annotations
 
@@ -442,8 +444,8 @@ def _placed(shape, blocks):
     its entry (k, i, j) at (k, i, j) + offsets, and ``ZERO`` where no block
     lies.  Each block's entries pass ``ensure_scalar`` once, so an int is
     read as a ``Fraction`` and a float is refused."""
-    _, s1, s2 = shape
-    out = [ZERO] * (s1 * s2 * shape[0])
+    s0, s1, s2 = shape
+    out = [ZERO] * (s0 * s1 * s2)
     for (o0, o1, o2), block in blocks:
         b0, b1, b2 = block.shape
         entries = [ensure_scalar(e) for e in block.entries]

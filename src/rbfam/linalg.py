@@ -19,7 +19,15 @@ through one kernel, ``_signed_state``, which composes each term one slot
 at a time over nonzero entries and returns the sparse state {flat index:
 value} over one denominator: ``_compose_sum`` (one-term case
 ``_compose``, which is also ``Matrix.mul``) turns it into a tensor, and
-the law primitives of ``reports`` read it as residuals.
+the law primitives of ``reports`` read it as residuals.  On integers the
+kernel reads each array through two views built once per array:
+``state_view``, its nonzero state, when it is an outer, and ``rows_view``,
+its sparse rows, when it is a part.  A part whose integer view is the
+identity pattern at scale 1 (a square identity, or shape (a, *in) with
+prod(in) = a) has no rows view and is skipped, which keeps every key and
+value; 2 * I is composed.  Cached views are shared by every call and never
+mutated.  A tensor composed on integers is born with its ``integer_view``,
+so its next reader does not read its ``Fraction`` entries again.
 
 Every value is read as (scale, values), the entries times an integer
 scale.  Rationals become integers in one place, ``_integer_view``: the lcm
@@ -160,8 +168,8 @@ class _Array:
         row k the one entry 1 at k), a part ``_compose_state`` skips.  Kept
         like ``integer_view``, so never mutated."""
         scale, values = self.integer_view
-        a, size = self.shape[0], prod(self.shape[1:])
-        rows, size = _rows(values, a, size)
+        a = self.shape[0]
+        rows, size = _rows(values, a, prod(self.shape[1:]))
         if scale == 1 and size == a and all(row == [(k, 1)] for k, row in enumerate(rows)):
             return None
         return rows, size
@@ -513,7 +521,12 @@ def _signed_state(terms):
     kept, even one that cancels to 0.
 
     With an integer view on every input the values are numerators over
-    den.  Otherwise (a ``TruncatedPoly`` entry) every polynomial runs on
+    den, and each array is read through its cached views: an outer's
+    ``state_view`` and a part's ``rows_view``, None for an identity
+    pattern at scale 1, which ``_compose_state`` skips.  Those views are
+    shared and only read: a term whose parts are all skipped starts from a
+    copy of its outer's state, so the sum is scaled and added in place.
+    Otherwise (a ``TruncatedPoly`` entry) every polynomial runs on
     the same integer loop, packed (Kronecker substitution): each array is
     read once as its scale and integer coefficients (``coefficient_view``;
     a rational is a constant), each entry becomes sum c_i 2^(s i), and

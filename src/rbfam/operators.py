@@ -8,7 +8,9 @@ semidirect product, and the packings onto the semigroup algebra.
 A family's induced products are composed as whole tensors, once, in
 ``_split_products`` (right o (I x M_a) and left o (M_a x I)) and
 ``_twisted_products`` (adding phi o (R_a x R_b)); the constructions in
-``family`` take them from here.  Every family identity is one law,
+``family`` take them from here.  A twisted family keeps the products of
+its own maps (``TwistedRBFamily.products``), which its check, its
+splitting and its induced bimodule share.  Every family identity is one law,
 ``_family_identity``: M_ab o total_ab = mu o (M_a x M_b) on each pair
 (a, b), where total_ab = x <_b y + x >_a y plus phi o (R_a x R_b),
 -N_ab o mu or w mu.  ``twisted_inner_sum``, ``graph_check`` and the grid

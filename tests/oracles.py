@@ -2262,7 +2262,7 @@ def entrywise_signed_state(terms):
 
 def fresh_signed_state(terms):
     """The package's former ``linalg._signed_state``, kept verbatim (only
-    the helpers it shares with the frozen bodies below are renamed), so
+    the names of its four frozen helpers below carry a ``_fresh`` prefix), so
     the kernel that reads cached views and skips identity parts can be held
     to the same (state, den, shape): keys, zero-valued keys, key order and
     value types included."""
