@@ -178,6 +178,12 @@ class _Array:
         if self.shape != other.shape:
             raise InputError(f"{type(self).__name__.lower()} shape mismatch")
 
+    def _check_entries(self):
+        """Refuse what ``ensure_scalar`` refuses, after one type pass; convert nothing."""
+        if not all(map(isinstance, self.entries, repeat((Fraction, int, TruncatedPoly)))):
+            for entry in self.entries:
+                ensure_scalar(entry)
+
 
 @dataclass(frozen=True)
 class Matrix(_Array):
@@ -192,6 +198,7 @@ class Matrix(_Array):
             raise InputError(
                 f"matrix entry count {len(self.entries)} != {self.rows}x{self.cols}"
             )
+        self._check_entries()
 
     @staticmethod
     def from_rows(rows):
@@ -323,6 +330,7 @@ class Tensor(_Array):
             raise InputError(
                 f"tensor entry count {len(self.entries)} != product of {self.shape}"
             )
+        self._check_entries()
 
     @staticmethod
     def zero(shape):

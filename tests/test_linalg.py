@@ -84,13 +84,17 @@ def test_rank_rejects_polynomials():
 
 
 def test_elimination_refuses_float_entries():
-    # A float has no exact denominator, so it gets no integer view.
-    m = Matrix(1, 2, (0.5, 1))
+    # A float is refused when the matrix is built, so elimination never sees
+    # one; a polynomial entry has no integer view and is refused there.
+    with pytest.raises(InputError, match="not an exact rational: 0.5"):
+        Matrix(1, 2, (0.5, 1))
+    t = TruncatedPoly.t(2)
+    m = Matrix(1, 2, (t, 1))
     for run in (rank, kernel_supports, kernel_basis, lambda m: solve(m, (Fraction(1),))):
         with pytest.raises(InputError, match="rational matrices only"):
             run(m)
     with pytest.raises(InputError, match="rational matrices only"):
-        invert_matrix(Matrix(2, 2, (0.5, 1, 0, 1)))
+        invert_matrix(Matrix(2, 2, (t, 1, 0, 1)))
 
 
 def test_kernel_examples():
@@ -596,6 +600,15 @@ def test_tensor_construction_errors():
         Matrix(2, 2, (Fraction(1),) * 3)
     with pytest.raises(InputError):
         Matrix.from_rows([[0.5]])
+    # The constructors refuse what ensure_scalar refuses and convert nothing.
+    with pytest.raises(InputError, match="not an exact rational: 1.5"):
+        Matrix(1, 1, (1.5,))
+    with pytest.raises(InputError, match="not an exact rational: 0.5"):
+        Tensor((1,), (0.5,))
+    with pytest.raises(InputError, match="not an exact rational: '1'"):
+        Tensor((2,), (Fraction(1), "1"))
+    entries = (1, Fraction(1, 2), TruncatedPoly.t(2))
+    assert Matrix(1, 3, entries).entries is entries
     # Ragged nested lists whose leaf count fits the extents of the first path.
     for nested, depth in (([[1], [2, 3], []], 2), ([[[1, 0], [0, 1]], [[0, 1, 1, 0]]], 3)):
         with pytest.raises(InputError, match="ragged nested tensor"):

@@ -11,8 +11,8 @@ as much as its value, or the same exception type and message.
 Products draw raw ints, mixed int/``Fraction`` entries, long rationals and
 polynomials over K[t]/(t^2) and K[t]/(t^3) (nilpotent products vanish), with
 0-extent and mismatched shapes.  Elimination draws rational matrices, low
-rank ones among them, and now and then a float or polynomial entry or
-right-hand side.  Transport moves degree 0-2 cochains along D1's identity
+rank ones among them, and now and then a polynomial entry or a float or
+polynomial right-hand side.  Transport moves degree 0-2 cochains along D1's identity
 morphism, a D1 automorphism and the identity morphisms of the seeded C2
 transports.
 """
@@ -66,23 +66,26 @@ def test_apply_matches_dense_body(case):
 # ---------------------------------------------------------------------------
 # elimination
 
-INEXACT = (1.5, 0.0, TruncatedPoly.t(2), TruncatedPoly.constant(1, 3))
+POLYNOMIALS = (TruncatedPoly.t(2), TruncatedPoly.constant(1, 3))
+INEXACT = (1.5, 0.0) + POLYNOMIALS
 sizes = st.integers(0, 5)
 
 
-def spoil(draw, entries):
-    """``entries``, or, one time in ten, with one entry a float or a
-    polynomial."""
+def spoil(draw, entries, inexact=INEXACT):
+    """``entries``, or, one time in ten, with one entry drawn from
+    ``inexact``."""
     entries = list(entries)
     if entries and draw(st.integers(0, 9)) == 0:
-        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(INEXACT))
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(inexact))
     return entries
 
 
 @st.composite
 def rational_matrices(draw, rows=None, cols=None):
     """A rational matrix: dense, sparse, or the product of two through a
-    narrower middle (rank deficient); now and then one entry is inexact."""
+    narrower middle (rank deficient); now and then one entry is a
+    polynomial.  A float entry is refused when a matrix is built
+    (``tests/test_linalg.py``), so only a right-hand side draws one."""
     rows = draw(sizes) if rows is None else rows
     cols = draw(sizes) if cols is None else cols
     if draw(st.booleans()):
@@ -90,7 +93,7 @@ def rational_matrices(draw, rows=None, cols=None):
     else:
         k = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
         m = oracles.dense_matrix_mul(array(draw, None, (rows, k), True), array(draw, None, (k, cols), True))
-    return Matrix(rows, cols, tuple(spoil(draw, m.entries)))
+    return Matrix(rows, cols, tuple(spoil(draw, m.entries, POLYNOMIALS)))
 
 
 @st.composite
