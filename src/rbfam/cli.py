@@ -4,6 +4,11 @@ Subcommands: check, induce, cohomology, deform, verify-suite, catalog.
 Exit codes: 0 when every requested verdict passes, 1 when a mathematical
 verdict fails (including failing preconditions of a construction), 2 on
 input or usage errors.
+
+Every choice is read from a table: ``SUBCOMMANDS``, ``INDUCE``,
+``COMPLEXES``, ``DEFORM``, ``SUITE`` and ``workspace.KINDS``.  An entry
+calls its target by name when it runs, so a wrapper installed on that name
+later (a tracer's span, say) sees the calls.  The parser is built once.
 """
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .cohomology import cohomology_dims, differential_matrix, ha_complex, omega_complex, rbf_complex
 from .deformations import (
@@ -160,26 +166,26 @@ def cmd_induce(args):
     return EXIT_OK
 
 
+COMPLEXES = {
+    "twisted_rbf": lambda op, **budget: rbf_complex(op, **budget),
+    "hom_bimodule": lambda mod, **budget: ha_complex(mod.parent, mod, **budget),
+    "omega_bimodule": lambda mod, **budget: omega_complex(mod.parent, mod, **budget),
+}
+
+
 def cmd_cohomology(args):
     ws = load_workspace(args.file)
     obj = ws.get(args.object)
     kind = ws.kinds[args.object]
-    kwargs = {}
+    if kind not in COMPLEXES:
+        raise InputError("cohomology needs a twisted_rbf, hom_bimodule or omega_bimodule object")
+    budget = {}
     if args.max_entries is not None:
         # Explicitly granting an entry budget also lifts the default degree
         # cap up to the requested degree; the size estimate stays the guard.
-        kwargs["max_entries"] = args.max_entries
-        kwargs["degree_cap"] = max(2, args.degree)
-    if kind == "twisted_rbf":
-        handle = rbf_complex(obj, **kwargs)
-    elif kind == "hom_bimodule":
-        handle = ha_complex(obj.parent, obj, **kwargs)
-    elif kind == "omega_bimodule":
-        handle = omega_complex(obj.parent, obj, **kwargs)
-    else:
-        raise InputError(
-            "cohomology needs a twisted_rbf, hom_bimodule or omega_bimodule object"
-        )
+        budget["max_entries"] = args.max_entries
+        budget["degree_cap"] = max(2, args.degree)
+    handle = COMPLEXES[kind](obj, **budget)
     dims = cohomology_dims(handle, args.degree)
     notes = list(handle.notes)
     if args.degree == handle.first_degree == 1:
@@ -206,150 +212,142 @@ def cmd_cohomology(args):
     return EXIT_OK
 
 
+def _deform_equivalence(doc, ws):
+    if doc.other is None or doc.element is None:
+        raise InputError("--mode equivalence needs 'other' and 'element' fields on the deformation")
+    other = ws.get(doc.other, kinds={"deformation"})
+    return check_equivalence(doc.deformation, other.deformation, doc.element)
+
+
+def _deform_nijenhuis_element(doc, ws):
+    return None if doc.element is None else check_nijenhuis_element(doc.element, doc.deformation.base)
+
+
+def _trivialize_cochain(cochain, ws):
+    if cochain.complex != "rbf" or cochain.degree != 1:
+        return None
+    operator = cochain.host[0]
+    n, d = operator.algebra.dim, operator.bimodule.dim
+    maps = [Matrix(n, d, cochain.table[(alpha,)].entries) for alpha in operator.omega.elements()]
+    return trivialize_cocycle(operator, maps)
+
+
+# (--mode, kind) -> report builder.  A builder takes (object, workspace) and
+# returns the report, or None when the object does not fit the mode.
+DEFORM = {
+    ("infinitesimal", "deformation"): lambda d, ws: check_infinitesimal(d.deformation),
+    ("ns_family", "deformation"): lambda d, ws: deform_ns_family(d.deformation),
+    ("equivalence", "deformation"): _deform_equivalence,
+    ("nijenhuis", "nijenhuis_candidate"): lambda c, ws: check_nijenhuis_element(c.vector, c.operator),
+    ("nijenhuis", "deformation"): _deform_nijenhuis_element,
+    ("trivialize", "deformation"): lambda d, ws: trivialize_cocycle(d.deformation.base, d.deformation.direction),
+    ("trivialize", "cochain"): _trivialize_cochain,
+    ("rigidity", "twisted_rbf"): lambda op, ws: rigidity_probe(op),
+    ("rigidity", "deformation"): lambda d, ws: rigidity_probe(d.deformation.base),
+}
+# --mode -> what it needs, named by the error on an object it has no builder for.
+MODE_NEEDS = {
+    "infinitesimal": "a deformation object",
+    "ns_family": "a deformation object",
+    "equivalence": "a deformation object",
+    "nijenhuis": "a nijenhuis_candidate (or a deformation with an 'element' field)",
+    "trivialize": "a deformation or a degree-1 rbf cochain",
+    "rigidity": "a twisted_rbf or deformation object",
+}
+
+
 def cmd_deform(args):
     ws = load_workspace(args.file)
     obj = ws.get(args.object)
     kind = ws.kinds[args.object]
-    mode = args.mode
-
-    if mode in ("infinitesimal", "ns_family", "equivalence") and kind != "deformation":
-        raise InputError(f"--mode {mode} needs a deformation object")
-    if mode == "infinitesimal":
-        report = check_infinitesimal(obj.deformation)
-    elif mode == "ns_family":
-        report = deform_ns_family(obj.deformation)
-    elif mode == "equivalence":
-        if obj.other is None or obj.element is None:
-            raise InputError(
-                "--mode equivalence needs 'other' and 'element' fields on the deformation"
-            )
-        other = ws.get(obj.other, kinds={"deformation"})
-        report = check_equivalence(obj.deformation, other.deformation, obj.element)
-    elif mode == "nijenhuis":
-        if kind == "nijenhuis_candidate":
-            report = check_nijenhuis_element(obj.vector, obj.operator)
-        elif kind == "deformation" and obj.element is not None:
-            report = check_nijenhuis_element(obj.element, obj.deformation.base)
-        else:
-            raise InputError(
-                "--mode nijenhuis needs a nijenhuis_candidate (or a deformation "
-                "with an 'element' field)"
-            )
-    elif mode == "trivialize":
-        if kind == "deformation":
-            operator = obj.deformation.base
-            maps = obj.deformation.direction
-        elif kind == "cochain" and obj.complex == "rbf" and obj.degree == 1:
-            operator = obj.host[0]
-            n, d = operator.algebra.dim, operator.bimodule.dim
-            maps = [
-                Matrix(n, d, obj.table[(alpha,)].entries)
-                for alpha in operator.omega.elements()
-            ]
-        else:
-            raise InputError(
-                "--mode trivialize needs a deformation or a degree-1 rbf cochain"
-            )
-        report = trivialize_cocycle(operator, maps)
-    elif mode == "rigidity":
-        if kind == "twisted_rbf":
-            report = rigidity_probe(obj)
-        elif kind == "deformation":
-            report = rigidity_probe(obj.deformation.base)
-        else:
-            raise InputError("--mode rigidity needs a twisted_rbf or deformation object")
-    else:
-        raise InputError(
-            "unknown --mode; expected one of infinitesimal, ns_family, equivalence, "
-            "nijenhuis, trivialize, rigidity"
-        )
+    if args.mode not in MODE_NEEDS:
+        raise InputError(f"unknown --mode; expected one of {', '.join(MODE_NEEDS)}")
+    build = DEFORM.get((args.mode, kind))
+    report = None if build is None else build(obj, ws)
+    if report is None:
+        raise InputError(f"--mode {args.mode} needs {MODE_NEEDS[args.mode]}")
     _emit_report(report, args.json)
     # trivialize and rigidity report what they find; neither is a verdict.
-    if mode in ("trivialize", "rigidity") or report.passed:
+    if args.mode in ("trivialize", "rigidity") or report.passed:
         return EXIT_OK
     return EXIT_VERDICT_FAILED
 
 
-def _suite_properties(ws):
-    """Yield (property name, callable) pairs for everything in the workspace."""
-    for name in ws.objects:
-        kind = ws.kinds[name]
-        if kind in ("cochain", "linear_map"):
-            continue
-        yield f"{name}: axioms", (lambda n=name: _check_object(ws, n).passed)
-    for name in ws.names_of_kind("twisted_rbf"):
-        operator = ws.get(name)
-        yield f"{name}: graph characterization agrees with the direct check", (
-            lambda op=operator: graph_check(op).passed == check_twisted_rbf(op).passed
-        )
+def _axioms_hold(ws, name):
+    return _check_object(ws, name).passed
 
-        def packing_ok(op=operator):
-            packed = pack_operator(op)
-            return check_twisted_rbf(packed).passed
 
-        yield f"{name}: packed single operator passes", packing_ok
+def _graph_agrees(op):
+    return graph_check(op).passed == check_twisted_rbf(op).passed
 
-        def chain_ok(op=operator):
-            ns = ns_family_from_operator(op)
-            if not check_hom_ns_family(ns).passed:
-                return False
-            if not check_hom_ns(ns_family_pack(ns)).passed:
-                return False
-            if not check_omega_assoc(omega_assoc_from_ns_family(ns)).passed:
-                return False
-            return check_omega_bimodule(operator_bimodule(op)).passed
 
-        yield f"{name}: splitting / total-product / bimodule chain passes", chain_ok
+def _packing_passes(op):
+    return check_twisted_rbf(pack_operator(op)).passed
 
-        def coherence_ok(op=operator):
-            packed_route = as_ns_algebra(ns_family_from_operator(pack_operator(op)))
-            family_route = ns_family_pack(ns_family_from_operator(op))
-            return (
-                packed_route.prec.entries == family_route.prec.entries
-                and packed_route.succ.entries == family_route.succ.entries
-                and packed_route.vee.entries == family_route.vee.entries
-                and packed_route.p.entries == family_route.p.entries
-            )
 
-        yield f"{name}: packing coherence (family route = packed-operator route)", coherence_ok
+def _chain_passes(op):
+    ns = ns_family_from_operator(op)
+    return (
+        check_hom_ns_family(ns).passed
+        and check_hom_ns(ns_family_pack(ns)).passed
+        and check_omega_assoc(omega_assoc_from_ns_family(ns)).passed
+        and check_omega_bimodule(operator_bimodule(op)).passed
+    )
 
-        def complex_ok(op=operator):
-            handle = rbf_complex(op)
-            for n in range(handle.first_degree, 2):
-                m_lo = differential_matrix(handle, n)
-                m_hi = differential_matrix(handle, n + 1)
-                if not m_hi.mul(m_lo).is_zero():
-                    return False
-                dims = cohomology_dims(handle, n)
-                if len(kernel_basis(m_lo)) != dims.dim_z:
-                    return False
-            return True
 
-        yield f"{name}: differential squares to zero (degrees 0,1) and rank-nullity", complex_ok
-    for name in ws.names_of_kind("hom_bimodule"):
-        module = ws.get(name)
+def _packing_coheres(op):
+    packed_route = as_ns_algebra(ns_family_from_operator(pack_operator(op)))
+    family_route = ns_family_pack(ns_family_from_operator(op))
+    products = ("prec", "succ", "vee", "p")
+    return all(getattr(packed_route, f).entries == getattr(family_route, f).entries for f in products)
 
-        def ha_ok(mod=module):
-            handle = ha_complex(mod.parent, mod)
-            for n in (0, 1):
-                if not differential_matrix(handle, n + 1).mul(differential_matrix(handle, n)).is_zero():
-                    return False
-            return True
 
-        yield f"{name}: Hochschild-type differential squares to zero (degrees 0,1)", ha_ok
-    for name in ws.names_of_kind("deformation"):
-        doc = ws.get(name)
+def _rbf_complex_holds(op):
+    handle = rbf_complex(op)
+    for n in range(handle.first_degree, 2):
+        m_lo = differential_matrix(handle, n)
+        if not differential_matrix(handle, n + 1).mul(m_lo).is_zero():
+            return False
+        if cohomology_dims(handle, n).dim_z != len(kernel_basis(m_lo)):
+            return False
+    return True
 
-        def routes_agree(d=doc):
-            report = check_infinitesimal(d.deformation)
-            return report.cocycle_route_ok == report.passed
 
-        yield f"{name}: order-1 verdict agrees with the cocycle route", routes_agree
+def _ha_complex_holds(mod):
+    handle = ha_complex(mod.parent, mod)
+    return all(differential_matrix(handle, n + 1).mul(differential_matrix(handle, n)).is_zero() for n in (0, 1))
+
+
+def _routes_agree(doc):
+    report = check_infinitesimal(doc.deformation)
+    return report.cocycle_route_ok == report.passed
+
+
+# kind -> the (property label, check) pairs verify-suite runs on each object
+# of that kind, in this order, after the axioms of every object.
+SUITE = {
+    "twisted_rbf": (
+        ("graph characterization agrees with the direct check", _graph_agrees),
+        ("packed single operator passes", _packing_passes),
+        ("splitting / total-product / bimodule chain passes", _chain_passes),
+        ("packing coherence (family route = packed-operator route)", _packing_coheres),
+        ("differential squares to zero (degrees 0,1) and rank-nullity", _rbf_complex_holds),
+    ),
+    "hom_bimodule": (("Hochschild-type differential squares to zero (degrees 0,1)", _ha_complex_holds),),
+    "deformation": (("order-1 verdict agrees with the cocycle route", _routes_agree),),
+}
+
+
+def _holds(check, *args):
+    """A property fails when its check returns false or a precondition fails."""
+    try:
+        return bool(check(*args))
+    except PreconditionError:
+        return False
 
 
 def cmd_verify_suite(args):
     ws = load_workspace(args.file)
-    results = []
     if not ws.objects:
         doc = {"passed": True, "warning": "empty workspace: vacuous pass", "properties": []}
         if args.json:
@@ -357,15 +355,14 @@ def cmd_verify_suite(args):
         else:
             print("WARNING: empty workspace, nothing to verify (vacuous pass)")
         return EXIT_OK
-    failed = None
-    for prop_name, prop in _suite_properties(ws):
-        try:
-            ok = bool(prop())
-        except PreconditionError:
-            ok = False
-        results.append((prop_name, ok))
-        if not ok and failed is None:
-            failed = prop_name
+    results = []
+    for name in ws.objects:
+        if ws.kinds[name] not in ("cochain", "linear_map"):
+            results.append((f"{name}: axioms", _holds(_axioms_hold, ws, name)))
+    for kind, properties in SUITE.items():
+        for name in ws.names_of_kind(kind):
+            results += [(f"{name}: {label}", _holds(check, ws.get(name))) for label, check in properties]
+    failed = next((n for n, ok in results if not ok), None)
     doc = {
         "passed": failed is None,
         "first_failing": failed,
@@ -395,7 +392,35 @@ def cmd_catalog(args):
     return EXIT_OK
 
 
+FILE, OBJECT, JSON = ("file", {}), ("--object", {"required": True}), ("--json", {"action": "store_true"})
+
+# subcommand -> (command, help line, arguments), each argument a name and
+# the keywords of ``add_argument``.
+SUBCOMMANDS = {
+    "check": (lambda args: cmd_check(args), "run the axiom checker for one object", (FILE, OBJECT, JSON)),
+    "induce": (
+        lambda args: cmd_induce(args),
+        "emit a derived-object document",
+        (FILE, OBJECT, ("--what", {"required": True}), ("--with", {"dest": "with_name", "metavar": "NAME"})),
+    ),
+    "cohomology": (
+        lambda args: cmd_cohomology(args),
+        "cohomology dimensions at one degree",
+        (FILE, OBJECT, ("--degree", {"type": int, "required": True}), JSON, ("--max-entries", {"type": int})),
+    ),
+    "deform": (
+        lambda args: cmd_deform(args),
+        "deformation analyses",
+        (FILE, OBJECT, ("--mode", {"required": True}), JSON),
+    ),
+    "verify-suite": (lambda args: cmd_verify_suite(args), "run every applicable property", (FILE, JSON)),
+    "catalog": (lambda args: cmd_catalog(args), "write the shipped desk instances", (("outdir", {}),)),
+}
+
+
+@cache
 def build_parser():
+    """The parser of every subcommand; built on the first call, then shared."""
     parser = argparse.ArgumentParser(
         prog="rbfam",
         description=(
@@ -404,52 +429,17 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run the axiom checker for one object")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("induce", help="emit a derived-object document")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-    p.add_argument("--what", required=True)
-    p.add_argument("--with", dest="with_name", default=None, metavar="NAME")
-    p.set_defaults(fn=cmd_induce)
-
-    p = sub.add_parser("cohomology", help="cohomology dimensions at one degree")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-entries", type=int, default=None)
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("deform", help="deformation analyses")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-    p.add_argument("--mode", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_deform)
-
-    p = sub.add_parser("verify-suite", help="run every applicable property")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify_suite)
-
-    p = sub.add_parser("catalog", help="write the shipped desk instances")
-    p.add_argument("outdir")
-    p.set_defaults(fn=cmd_catalog)
-
+    for name, (_, help_line, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return SUBCOMMANDS[args.command][0](args)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         if exc.report is not None:
