@@ -245,7 +245,7 @@ DEFORM = {
     ("rigidity", "twisted_rbf"): lambda op, ws: rigidity_probe(op),
     ("rigidity", "deformation"): lambda d, ws: rigidity_probe(d.deformation.base),
 }
-# --mode -> what it needs, named by the error on an object it has no builder for.
+# --mode -> what the mode needs, for the error when no builder takes the object.
 MODE_NEEDS = {
     "infinitesimal": "a deformation object",
     "ns_family": "a deformation object",
