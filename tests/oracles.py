@@ -47,7 +47,11 @@ package's former ``linalg._signed_state`` with its ``_compose_state``,
 ``_rows`` and ``_nonzeros`` (frozen, as every call built each part's
 sparse rows and each outer's nonzero state afresh and composed every part,
 an identity included, as the reference of the kernel that reads cached
-views and skips identity parts), a
+views and skips identity parts), the package's former
+``check_infinitesimal`` and ``check_equivalence`` with their
+``_order_coefficients``, ``_trivial_pair`` and ``_module_laws`` (frozen,
+as they read the t and t^2 coefficients of residuals over K[t]/(t^3), as
+the references of the ones that interpolate rational evaluations), a
 twist-free family-law
 checker, the dendriform subsystem checker, a from-scratch twisted-family
 differential (any structure maps; its matrix builder needs identity
@@ -61,11 +65,18 @@ from collections import namedtuple
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
 
 from rbfam.cohomology import HA, RBF, ComplexHandle, rbf_complex
-from rbfam.deformations import NSDeformationReport, check_infinitesimal
+from rbfam.deformations import (
+    EquivalenceReport,
+    InfinitesimalReport,
+    NSDeformationReport,
+    check_infinitesimal,
+    direction_cochain,
+    rbf_delta0_matrices,
+)
 from rbfam.errors import InputError, PreconditionError, RouteMismatchError
 from rbfam.family import (
     HomNSFamilyAlgebra,
@@ -119,6 +130,7 @@ from rbfam.operators import (
     check_operator_morphism,
     check_twisted_rbf,
     check_weighted_rbf,
+    family_identity_cases,
     identity_packing_family,
     twisted_inner_sum,
 )
@@ -130,7 +142,7 @@ from rbfam.reports import (
     require_pass,
     run_law,
 )
-from rbfam.scalars import TruncatedPoly, ensure_rational, ensure_scalar
+from rbfam.scalars import TruncatedPoly, ensure_rational, ensure_scalar, poly_coefficient
 from rbfam.semigroups import FiniteSemigroup, builtin
 
 READING_NOTE = (
@@ -2372,3 +2384,178 @@ def _fresh_rows(entries, count, size):
 def _fresh_nonzeros(entries):
     """The package's former ``linalg._nonzeros``, kept verbatim."""
     return {f: x for f, x in enumerate(entries) if x}
+
+
+# ---------------------------------------------------------------------------
+# deformation laws, frozen while their t and t^2 coefficients were read off
+# residuals over K[t]/(t^3)
+
+DEFORMATION_TRUNCATION = 3
+
+
+def _coeff_vector(vec, i):
+    return tuple(poly_coefficient(c, i) for c in vec)
+
+
+def _order_coefficients(cases, what, orders):
+    """The package's former ``deformations._order_coefficients``, kept
+    verbatim: one list of (where, t^i coefficient of the residual) per i in
+    ``orders``, after a nonzero constant term raised."""
+    stored = list(cases)
+    if any(any(_coeff_vector(residual, 0)) for _, residual in stored):
+        raise RouteMismatchError(f"{what} broke at order 0")
+    return [[(where, _coeff_vector(residual, i)) for where, residual in stored] for i in orders]
+
+
+def _trivial_pair(operator, x):
+    """The package's former ``deformations._trivial_pair``, kept verbatim:
+    psi^t and each phi^t_a as matrices of ``TruncatedPoly`` entries over
+    K[t]/(t^3)."""
+    A, module, phi = operator.algebra, operator.bimodule, operator.cocycle
+    x = vector(x)
+    if len(x) != A.dim:
+        raise InputError(f"element must live in the {A.dim}-dimensional algebra")
+
+    def id_plus_t(basis, first_order):
+        cols = [
+            tuple(TruncatedPoly([b, c], DEFORMATION_TRUNCATION) for b, c in zip(e, first_order(e)))
+            for e in basis
+        ]
+        return Matrix.from_columns(cols, rows=len(basis))
+
+    def transform(r):
+        def first_order(u):
+            ru = r.apply(u)
+            return vadd(
+                vsub(module.act_l(x, u), module.act_r(u, x)),
+                vsub(phi.apply(x, ru), phi.apply(ru, x)),
+            )
+
+        return first_order
+
+    psi = id_plus_t(A.basis(), lambda a: _commutator(A, x, a))
+    return x, psi, [id_plus_t(module.basis(), transform(r)) for r in operator.maps]
+
+
+def _module_laws(operator, psi):
+    """The package's former ``deformations._module_laws``, kept verbatim."""
+    module, phi = operator.bimodule, operator.cocycle
+    left, right = module.left, module.right
+    return (
+        ("(iv) phi^t o Phi = Phi o (psi^t x psi^t)", lambda al, ph: (ph, phi.phi, phi.phi, [psi, psi], ("a", "b"))),
+        ("(v) phi^t(a .l u) = psi^t(a) .l phi^t(u)", lambda al, ph: (ph, left, left, [psi, ph], ("a", "u"))),
+        ("(vi) phi^t(u .r a) = phi^t(u) .r psi^t(a)", lambda al, ph: (ph, right, right, [ph, psi], ("u", "a"))),
+    )
+
+
+def _per_alpha(law, phi_ts):
+    return chain.from_iterable(
+        intertwining_cases(*law(al, ph), {"alpha": al}) for al, ph in enumerate(phi_ts)
+    )
+
+
+def truncated_infinitesimal_report(deformation, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """The body ``deformations.check_infinitesimal`` had while it read the
+    family identity of R + t R1 over K[t]/(t^3), on the frozen
+    ``_order_coefficients``."""
+    base = deformation.base
+    ensure_valid(base, check_twisted_rbf, "base twisted Rota-Baxter family")
+    return _truncated_infinitesimal(deformation, rbf_complex(base), max_violations)
+
+
+def _truncated_infinitesimal(deformation, handle, max_violations=DEFAULT_MAX_VIOLATIONS):
+    order1_cases, order2_cases = _order_coefficients(
+        family_identity_cases(deformation.base, deformation.deformed_maps(DEFORMATION_TRUNCATION)),
+        "base identity",
+        (1, 2),
+    )
+
+    order1 = CheckReport(subject="infinitesimal deformation, order-1 identity")
+    run_law(
+        order1,
+        "t-coefficient of R^t_a u . R^t_b v = R^t_ab(R^t_a u .l v + u .r R^t_b v + phi(..))",
+        order1_cases,
+        max_violations,
+    )
+    order2 = CheckReport(subject="order-2 coefficient (separate flag)")
+    run_law(order2, "t^2-coefficient of the family identity", order2_cases, max_violations)
+
+    cocycle = direction_cochain(handle, deformation.direction)
+    cocycle_ok = handle.differential(cocycle).is_zero()
+    if cocycle_ok != order1.passed:
+        raise RouteMismatchError(
+            "order-1 identity and degree-1 cocycle membership disagree"
+        )
+    return InfinitesimalReport(
+        subject="infinitesimal deformation",
+        order1=order1,
+        order2=order2,
+        cocycle_route_ok=cocycle_ok,
+        notes=["the verdict is the order-1 condition; the order-2 coefficient is a separate flag"],
+    )
+
+
+def truncated_equivalence_report(deformation, other, x, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """The body ``deformations.check_equivalence`` had while it read the
+    morphism laws of the trivial pair over K[t]/(t^3), on the frozen
+    ``_order_coefficients``, ``_trivial_pair`` and ``_module_laws``."""
+    if deformation.base is not other.base and deformation.base != other.base:
+        raise InputError("equivalence needs two deformations of the same base family")
+    base = deformation.base
+    ensure_valid(base, check_twisted_rbf, "base twisted Rota-Baxter family")
+    handle = rbf_complex(base)
+    inf1 = _truncated_infinitesimal(deformation, handle)
+    inf2 = _truncated_infinitesimal(other, handle)
+    if not inf1.passed:
+        raise PreconditionError("first deformation fails its order-1 check", report=inf1.order1)
+    if not inf2.passed:
+        raise PreconditionError("second deformation fails its order-1 check", report=inf2.order1)
+    A, module, omega = base.algebra, base.bimodule, base.omega
+    x, psi, phi_ts = _trivial_pair(base, x)
+    if A.p.apply(x) != tuple(x):
+        raise PreconditionError("element is not fixed by the structure map")
+    maps_t = deformation.deformed_maps(DEFORMATION_TRUNCATION)
+    maps_bar = other.deformed_maps(DEFORMATION_TRUNCATION)
+
+    q = module.q
+    per_alpha = (
+        ("(ii) psi^t o R^t = Rbar^t o phi^t", lambda al, ph: (psi, maps_t[al], maps_bar[al], [ph], ("u",))),
+        ("(iii) phi^t o q = q o phi^t", lambda al, ph: (ph, q, q, [ph], ("u",))),
+    ) + _module_laws(base, psi)
+    laws = [
+        ("(i) psi^t multiplicative", intertwining_cases(psi, A.mu, A.mu, [psi, psi], ("a", "b"))),
+        ("(i) psi^t commutes with p", intertwining_cases(psi, A.p, A.p, [psi], ("a",))),
+    ] + [(name, _per_alpha(law, phi_ts)) for name, law in per_alpha]
+    buckets = [
+        (name, _order_coefficients(cases, f"condition {name}", (1, 2))) for name, cases in laws
+    ]
+
+    conditions = CheckReport(subject="equivalence morphism conditions")
+    for name, (at_t, _) in buckets:
+        run_law(conditions, f"{name} @ t^1", at_t, max_violations)
+    mod_t2 = conditions.passed
+    for name, (_, at_t2) in buckets:
+        run_law(conditions, f"{name} @ t^2", at_t2, max_violations)
+    all_orders = conditions.passed
+
+    delta0 = rbf_delta0_matrices(handle, x)
+    coboundary_cases = []
+    for alpha in omega.elements():
+        diff = deformation.direction[alpha].sub(other.direction[alpha])
+        res = diff.sub(delta0[alpha])
+        for a in range(module.dim):
+            coboundary_cases.append(({"alpha": alpha, "u": a}, res.column(a)))
+    run_law(conditions, "R1 - R1bar = delta0(x) entrywise", iter(coboundary_cases), max_violations)
+    coboundary_ok = conditions.laws[-1].ok
+    if mod_t2 and not coboundary_ok:
+        raise RouteMismatchError(
+            "morphism conditions passed mod t^2 but the directions do not "
+            "differ by the coboundary of x"
+        )
+    return EquivalenceReport(
+        subject="equivalence of infinitesimal deformations",
+        conditions=conditions,
+        passes_mod_t2=mod_t2,
+        passes_all_orders=all_orders,
+        notes=[READING_NOTE],
+    )
