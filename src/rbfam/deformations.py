@@ -1,16 +1,18 @@
 """Infinitesimal deformations of twisted Rota-Baxter families.
 
-Order-by-order verification over the truncated polynomial ring, the link
-to the degree-1 cocycle condition (both routes computed, exact agreement
-required), equivalences through the (phi^t, psi^t) pairs, Nijenhuis
-elements, cocycle trivialization, and the rigidity probe built on them.
+Order-by-order verification, the link to the degree-1 cocycle condition
+(both routes computed, exact agreement required), equivalences through
+the (phi^t, psi^t) pairs, Nijenhuis elements, cocycle trivialization, and
+the rigidity probe built on them.
 
 An element x generates one trivial pair (phi^t, psi^t), built in
 ``_trivial_pair``.  The equivalence check verifies that pair's morphism
 laws; apart from p(x) = x and the commutator law, every Nijenhuis-element
 law is a t or t^2 coefficient of the same laws.  Each checker reads its
 coefficients through ``_order_coefficients``, which also requires the
-laws to hold at t = 0.
+laws to hold at t = 0: it interpolates each law's residual states at four
+rational points, on the integer path of every other law.  Only
+``deform_ns_family`` builds truncated polynomials.
 
 The infinitesimal verdict is the order-1 condition; the order-2
 coefficient is computed and reported as a separate flag, never folded in.
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
+from functools import cache
 from itertools import product as iproduct
+from math import lcm
 
 from .cohomology import RBF, Tensor, cohomology_dims, differential_matrix, rbf_complex
 from .errors import InputError, PreconditionError, RouteMismatchError
@@ -33,21 +36,19 @@ from .family import (
 )
 from .homalg import is_equivariant
 from .linalg import Matrix, kernel_basis, solve, unit_vector, vadd, vector, vsub
-from .operators import check_twisted_rbf, family_identity_cases
+from .operators import check_twisted_rbf, family_identity_residuals
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
     Report,
     ensure_valid,
     intertwining_cases,
+    intertwining_residual,
     note_lines,
+    residual_cases,
     run_law,
 )
-from .scalars import TruncatedPoly, format_scalar, format_vector, poly_coefficient
-
-# R + t R1 enters the family identity and the equivalence conditions at
-# most quadratically, so K[t]/(t^3) holds every coefficient they have.
-TRUNCATION = 3
+from .scalars import TruncatedPoly, format_scalar, format_vector
 
 PSI_MULTIPLICATIVE = "(i) psi^t multiplicative"
 
@@ -64,8 +65,8 @@ class LinearDeformation:
     The direction must satisfy the equivariance law R1_a o q = p o R1_a
     (degree-1 cochain membership); violating it is an input error, not an
     axiom verdict.  ``order`` is the truncation a workspace document
-    records; it is validated and written back, but every check expands
-    over K[t]/(t^TRUNCATION), so it changes no result.
+    records; it is validated and written back, but every law is read off
+    evaluations at rational points (``maps_at``), so it changes no result.
     """
 
     base: object
@@ -89,6 +90,13 @@ class LinearDeformation:
                     f"direction {alpha} violates equivariance (degree-1 membership)"
                 )
 
+    def maps_at(self, t):
+        """R + t R1 at a rational t; at t = 0 the base maps themselves,
+        whose products the base keeps."""
+        if not t:
+            return self.base.maps
+        return tuple(r.add(r1.scale(t)) for r, r1 in zip(self.base.maps, self.direction))
+
     def deformed_maps(self, order):
         """Base maps with the direction attached to t, over K[t]/(t^order)."""
         out = []
@@ -100,21 +108,32 @@ class LinearDeformation:
         return tuple(out)
 
 
-def _coeff_vector(vec, i):
-    return tuple(poly_coefficient(c, i) for c in vec)
+def _order_coefficients(law, what):
+    """(t cases, t^2 cases) for ``run_law`` of a law of degree at most 3 in t.
 
-
-def _order_coefficients(cases, what, orders):
-    """One list of (where, t^i coefficient of the residual) per i in ``orders``.
-
-    The cases are materialized first.  At t = 0 every law here is a law of
-    the base structure, so a residual with a nonzero constant term raises
+    ``law(t)`` gives the law's residual blocks (residual, names, where) at
+    a rational t, as ``reports.residual_cases`` reads them.  Its values at
+    t = 0, 1, -1 and 2 fix its coefficients c_i: with v(0) = 0,
+    6 c_1 = 6 v(1) - 2 v(-1) - v(2) and 2 c_2 = v(1) + v(-1), taken on each
+    block's integer numerators over one denominator.  At t = 0 every law
+    here is a law of the base structure, so a nonzero v(0) raises
     ``RouteMismatchError("<what> broke at order 0")``.
     """
-    stored = list(cases)
-    if any(any(_coeff_vector(residual, 0)) for _, residual in stored):
+    at0, at1, at_minus1, at2 = (list(law(Fraction(t))) for t in (0, 1, -1, 2))
+    if any(any(state.values()) for (state, _, _), _, _ in at0):
         raise RouteMismatchError(f"{what} broke at order 0")
-    return [[(where, _coeff_vector(residual, i)) for where, residual in stored] for i in orders]
+    first, second = [], []
+    for (v1, names, where), (v_minus1, _, _), (v2, _, _) in zip(at1, at_minus1, at2):
+        den = lcm(v1[1], v_minus1[1], v2[1])
+        c1, c2 = {}, {}
+        for (state, d, _), w1, w2 in ((v1, 6, 1), (v_minus1, -2, 1), (v2, -1, 0)):
+            for k, v in state.items():
+                v *= den // d
+                c1[k] = c1.get(k, 0) + w1 * v
+                c2[k] = c2.get(k, 0) + w2 * v
+        first.append(((c1, 6 * den, v1[2]), names, where))
+        second.append(((c2, 2 * den, v1[2]), names, where))
+    return residual_cases(first), residual_cases(second)
 
 
 @dataclass
@@ -169,9 +188,8 @@ def _infinitesimal_report(deformation, handle, max_violations=DEFAULT_MAX_VIOLAT
     """``check_infinitesimal`` on a validated base, whose complex ``handle``
     the caller already holds."""
     order1_cases, order2_cases = _order_coefficients(
-        family_identity_cases(deformation.base, deformation.deformed_maps(TRUNCATION)),
+        lambda t: family_identity_residuals(deformation.base, deformation.maps_at(t)),
         "base identity",
-        (1, 2),
     )
 
     order1 = CheckReport(subject="infinitesimal deformation, order-1 identity")
@@ -268,58 +286,69 @@ def _commutator(algebra, x, y):
 
 
 def _trivial_pair(operator, x):
-    """(x, psi^t, [phi^t_a]) for the trivial deformation that x generates.
+    """(x, pair) for the trivial deformation that x generates: pair(t) is
+    (psi^t, [phi^t_a]) at a rational t, built once per point.
 
     psi^t = id + t(x.(-) - (-).x) on the algebra; phi^t_a = id + t T_a on
     the module, with T_a(u) = x .l u - u .r x + phi(x, R_a u) - phi(R_a u, x).
-    Both are over K[t]/(t^TRUNCATION); x comes back parsed as a vector.
+    x comes back parsed as a vector.
     """
     A, module, phi = operator.algebra, operator.bimodule, operator.cocycle
     x = vector(x)
     if len(x) != A.dim:
         raise InputError(f"element must live in the {A.dim}-dimensional algebra")
 
-    def id_plus_t(basis, first_order):
-        cols = [
-            tuple(TruncatedPoly([b, c], TRUNCATION) for b, c in zip(e, first_order(e)))
-            for e in basis
-        ]
-        return Matrix.from_columns(cols, rows=len(basis))
+    def transform(r, u):
+        ru = r.apply(u)
+        return vadd(
+            vsub(module.act_l(x, u), module.act_r(u, x)),
+            vsub(phi.apply(x, ru), phi.apply(ru, x)),
+        )
 
-    def transform(r):
-        def first_order(u):
-            ru = r.apply(u)
-            return vadd(
-                vsub(module.act_l(x, u), module.act_r(u, x)),
-                vsub(phi.apply(x, ru), phi.apply(ru, x)),
-            )
+    commutator = Matrix.from_columns([_commutator(A, x, a) for a in A.basis()], rows=A.dim)
+    transforms = [
+        Matrix.from_columns([transform(r, u) for u in module.basis()], rows=module.dim) for r in operator.maps
+    ]
+    id_algebra, id_module = Matrix.identity(A.dim), Matrix.identity(module.dim)
 
-        return first_order
+    @cache
+    def pair(t):
+        psi = id_algebra.add(commutator.scale(t))
+        return psi, [id_module.add(t_a.scale(t)) for t_a in transforms]
 
-    psi = id_plus_t(A.basis(), lambda a: _commutator(A, x, a))
-    return x, psi, [id_plus_t(module.basis(), transform(r)) for r in operator.maps]
+    return x, pair
 
 
-def _module_laws(operator, psi):
-    """The pair's laws (iv)-(vi) on one index, as (name, (alpha, phi^t_alpha)
-    -> ``intertwining_cases`` arguments)."""
+def _module_laws(operator):
+    """The pair's laws (iv)-(vi) on one index, as (name, where-names,
+    (psi^t, phi^t_alpha) -> ``intertwining_residual`` arguments)."""
     module, phi = operator.bimodule, operator.cocycle
     left, right = module.left, module.right
     return (
-        ("(iv) phi^t o Phi = Phi o (psi^t x psi^t)", lambda al, ph: (ph, phi.phi, phi.phi, [psi, psi], ("a", "b"))),
-        ("(v) phi^t(a .l u) = psi^t(a) .l phi^t(u)", lambda al, ph: (ph, left, left, [psi, ph], ("a", "u"))),
-        ("(vi) phi^t(u .r a) = phi^t(u) .r psi^t(a)", lambda al, ph: (ph, right, right, [ph, psi], ("u", "a"))),
+        ("(iv) phi^t o Phi = Phi o (psi^t x psi^t)", ("a", "b"), lambda psi, ph: (ph, phi.phi, phi.phi, [psi, psi])),
+        ("(v) phi^t(a .l u) = psi^t(a) .l phi^t(u)", ("a", "u"), lambda psi, ph: (ph, left, left, [psi, ph])),
+        ("(vi) phi^t(u .r a) = phi^t(u) .r psi^t(a)", ("u", "a"), lambda psi, ph: (ph, right, right, [ph, psi])),
     )
 
 
-def _per_alpha(law, phi_ts):
-    return chain.from_iterable(
-        intertwining_cases(*law(al, ph), {"alpha": al}) for al, ph in enumerate(phi_ts)
-    )
+def _pair_law(pair, names, law, indexed=True):
+    """law(t), for ``_order_coefficients``, of a law of the trivial pair
+    whose residual at t is ``intertwining_residual(*law(psi^t, phi^t_alpha))``:
+    one block per index alpha, where-keys {"alpha": alpha}; with ``indexed``
+    false, one block on the first index and no where-key (a law of psi^t
+    alone, or one that is the same on every index)."""
+
+    def at(t):
+        psi, phi_ts = pair(t)
+        if not indexed:
+            return [(intertwining_residual(*law(psi, phi_ts[0])), names, None)]
+        return [(intertwining_residual(*law(psi, ph)), names, {"alpha": al}) for al, ph in enumerate(phi_ts)]
+
+    return at
 
 
-def _psi_multiplicative(algebra, psi):
-    return intertwining_cases(psi, algebra.mu, algebra.mu, [psi, psi], ("a", "b"))
+def _psi_multiplicative(algebra, pair):
+    return _pair_law(pair, ("a", "b"), lambda psi, _: (psi, algebra.mu, algebra.mu, [psi, psi]), indexed=False)
 
 
 def _negated(cases):
@@ -345,7 +374,7 @@ def _nijenhuis_element_report(x, operator, actions, max_violations=DEFAULT_MAX_V
     """``check_nijenhuis_element`` on a validated operator, whose operator
     bimodule ``actions`` the caller already holds."""
     A, omega = operator.algebra, operator.omega
-    x, psi, phi_ts = _trivial_pair(operator, x)
+    x, pair = _trivial_pair(operator, x)
     report = CheckReport(subject="Nijenhuis element")
 
     def commutator_law():
@@ -355,9 +384,6 @@ def _nijenhuis_element_report(x, operator, actions, max_violations=DEFAULT_MAX_V
                 c = vsub(actions.act_l(alpha, beta, u, x), actions.act_r(alpha, beta, x, u))
                 yield {"alpha": alpha, "beta": beta, "u": a}, _commutator(A, x, c)
 
-    def coefficients(name, cases):
-        return _order_coefficients(cases, f"condition {name}", (1, 2))
-
     x_t = Tensor((A.dim,), x)
     run_law(report, "p(x) = x", intertwining_cases(A.p, x_t, x_t, [], ()), max_violations)
     run_law(
@@ -366,19 +392,19 @@ def _nijenhuis_element_report(x, operator, actions, max_violations=DEFAULT_MAX_V
         commutator_law(),
         max_violations,
     )
-    _, square = coefficients(PSI_MULTIPLICATIVE, _psi_multiplicative(A, psi))
+    _, square = _order_coefficients(_psi_multiplicative(A, pair), f"condition {PSI_MULTIPLICATIVE}")
     run_law(
         report,
         "(x.a).(x.b) - (x.a).(b.x) - (a.x).(x.b) + (a.x).(b.x) = 0",
         _negated(square),
         max_violations,
     )
-    for what, (name, law) in zip(
-        ("cocycle", "left-action", "right-action"), _module_laws(operator, psi)
+    for what, (name, names, law) in zip(
+        ("cocycle", "left-action", "right-action"), _module_laws(operator)
     ):
-        at_t, at_t2 = coefficients(name, _per_alpha(law, phi_ts))
+        at_t, at_t2 = _order_coefficients(_pair_law(pair, names, law), f"condition {name}")
         if what == "cocycle":
-            _, at_t2 = coefficients(name, intertwining_cases(*law(0, phi_ts[0])))
+            _, at_t2 = _order_coefficients(_pair_law(pair, names, law, indexed=False), f"condition {name}")
         run_law(report, f"{what} compatibility @ t", at_t, max_violations)
         run_law(report, f"{what} compatibility @ t^2", _negated(at_t2), max_violations)
     report.notes.append(READING_NOTE)
@@ -421,8 +447,9 @@ def check_equivalence(deformation, other, x, max_violations=DEFAULT_MAX_VIOLATIO
 
     psi^t = id + t(x.(-) - (-).x) on the algebra; phi^t is the per-index
     family id + t(x .l (-) - (-) .r x + phi(x, R_a -) - phi(R_a -, x)).
-    Conditions are expanded over K[t]/(t^3); the verdict is taken mod t^2
-    and the t^2 coefficients are reported as separate obstruction laws.
+    Each condition is read as its t and t^2 coefficients
+    (``_order_coefficients``); the verdict is taken mod t^2 and the t^2
+    coefficients are reported as separate obstruction laws.
     Passing mod t^2 forces the difference of directions to equal the
     degree-0 coboundary of x, which is asserted.
     """
@@ -438,24 +465,26 @@ def check_equivalence(deformation, other, x, max_violations=DEFAULT_MAX_VIOLATIO
     if not inf2.passed:
         raise PreconditionError("second deformation fails its order-1 check", report=inf2.order1)
     A, module, omega = base.algebra, base.bimodule, base.omega
-    x, psi, phi_ts = _trivial_pair(base, x)
+    x, pair = _trivial_pair(base, x)
     if A.p.apply(x) != tuple(x):
         raise PreconditionError("element is not fixed by the structure map")
-    maps_t = deformation.deformed_maps(order=TRUNCATION)
-    maps_bar = other.deformed_maps(order=TRUNCATION)
+
+    def psi_intertwines(t):
+        psi, phi_ts = pair(t)
+        maps_t, maps_bar = deformation.maps_at(t), other.maps_at(t)
+        return [
+            (intertwining_residual(psi, maps_t[al], maps_bar[al], [ph]), ("u",), {"alpha": al})
+            for al, ph in enumerate(phi_ts)
+        ]
 
     q = module.q
-    per_alpha = (
-        ("(ii) psi^t o R^t = Rbar^t o phi^t", lambda al, ph: (psi, maps_t[al], maps_bar[al], [ph], ("u",))),
-        ("(iii) phi^t o q = q o phi^t", lambda al, ph: (ph, q, q, [ph], ("u",))),
-    ) + _module_laws(base, psi)
     laws = [
-        (PSI_MULTIPLICATIVE, _psi_multiplicative(A, psi)),
-        ("(i) psi^t commutes with p", intertwining_cases(psi, A.p, A.p, [psi], ("a",))),
-    ] + [(name, _per_alpha(law, phi_ts)) for name, law in per_alpha]
-    buckets = [
-        (name, _order_coefficients(cases, f"condition {name}", (1, 2))) for name, cases in laws
-    ]
+        (PSI_MULTIPLICATIVE, _psi_multiplicative(A, pair)),
+        ("(i) psi^t commutes with p", _pair_law(pair, ("a",), lambda psi, _: (psi, A.p, A.p, [psi]), indexed=False)),
+        ("(ii) psi^t o R^t = Rbar^t o phi^t", psi_intertwines),
+        ("(iii) phi^t o q = q o phi^t", _pair_law(pair, ("u",), lambda _, ph: (ph, q, q, [ph]))),
+    ] + [(name, _pair_law(pair, names, law)) for name, names, law in _module_laws(base)]
+    buckets = [(name, _order_coefficients(law, f"condition {name}")) for name, law in laws]
 
     conditions = CheckReport(subject="equivalence morphism conditions")
     for name, (at_t, _) in buckets:

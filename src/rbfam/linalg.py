@@ -38,15 +38,13 @@ an exact scalar (a float) is refused.  So ``_applied``, the stencil walk of
 ``cohomology`` and ``homalg.hochschild_differential`` run one integer loop
 over one denominator, a polynomial riding it at scale 1, and read each
 output value once through ``_read``: ``Fraction(v, den)`` for an integer
-and v / den for a polynomial.  ``_signed_state`` instead packs polynomials
-into integers (Kronecker substitution): each array is read once as its
-``coefficient_view`` (the lcm scale of all its coefficients, a rational
-counting as a constant, and its integer coefficients), each entry becomes
-sum c_i 2^(s i) with the slot width s taken from an a-priori bound on the
-output coefficients, the same integer loop runs, and each output entry is
-read back once as its k balanced base-2^s digits over the denominator.  An
+and v / den for a polynomial.  ``_signed_state`` runs the same loop on the
+entries themselves when one is a polynomial, with no denominator: an
 output entry is a ``TruncatedPoly`` exactly when a product with a
-polynomial factor feeds it, and a ``Fraction`` otherwise.
+polynomial factor feeds it, and a ``Fraction`` otherwise.  In the
+package, polynomials come only from ``LinearDeformation.deformed_maps``,
+whose splitting ``deformations.deform_ns_family`` checks; the deformation
+laws read their t and t^2 coefficients off rational evaluations instead.
 
 Elimination (``rank``, ``kernel_supports``, ``solve``, ``invert_matrix``)
 reads each line of entries once (a row or column of the matrix, a row with
@@ -66,7 +64,6 @@ kernel, solve and inverse are fully deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -76,7 +73,7 @@ from math import gcd, lcm, prod
 from operator import is_not
 
 from .errors import DegreeCapError, InputError
-from .scalars import TruncatedPoly, ensure_rational, ensure_scalar
+from .scalars import TruncatedPoly, ensure_scalar
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -133,11 +130,6 @@ class _Array:
         """``_integer_view(entries)``, built on first use and kept on the
         instance; not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
         return _integer_view(self.entries)
-
-    @cached_property
-    def coefficient_view(self):
-        """``_coefficient_view(entries)``, kept like ``integer_view``."""
-        return _coefficient_view(self.entries)
 
     @cached_property
     def scaled(self):
@@ -522,52 +514,45 @@ def _signed_state(terms):
     outer has shape (d, a_0, ..., a_{m-1}) and parts[s] shape (a_s, *in_s),
     a ``Matrix`` read in place; every term must have the shape
     (d, *in_0, ..., *in_{m-1}).  Terms are contracted one slot at a time
-    over nonzero supports (``_compose_state``) on integers: a term counts
-    in units of 1/(product of its arrays' scales) and is added times
-    sign * (den // units), den the lcm of the units (a lone term is over
-    its own units).  Every entry fed by a product of nonzero factors is
-    kept, even one that cancels to 0.
+    over nonzero supports (``_compose_state``).  Every entry fed by a
+    product of nonzero factors is kept, even one that cancels to 0.
 
-    With an integer view on every input the values are numerators over
-    den, and each array is read through its cached views: an outer's
-    ``state_view`` and a part's ``rows_view``, None for an identity
-    pattern at scale 1, which ``_compose_state`` skips.  Those views are
-    shared and only read: a term whose parts are all skipped starts from a
-    copy of its outer's state, so the sum is scaled and added in place.
-    Otherwise (a ``TruncatedPoly`` entry) every polynomial runs on
-    the same integer loop, packed (Kronecker substitution): each array is
-    read once as its scale and integer coefficients (``coefficient_view``;
-    a rational is a constant), each entry becomes sum c_i 2^(s i), and
-    each output entry is read back once as its k balanced base-2^s
-    digits, k the one truncation order of the call (two orders are
-    refused).  Evaluation at 2^s is a ring map, so truncation happens only
-    there.  The slot width s is ``_slot_width(bound)``, bound = sum over
-    terms of |multiplier| * (the product of outer's input extents) * (the
-    product over the term's arrays of their largest coefficient sum
-    |c_0| + ... + |c_{k-1}|), which bounds every coefficient of every
-    untruncated output entry.  The values are then the entries themselves,
-    den None: an entry is a ``TruncatedPoly`` exactly when some product
-    with a polynomial factor feeds it (t * t^2 = 0 mod t^3 included), and a
-    ``Fraction`` otherwise.
+    With an integer view on every input the values are integer numerators
+    over den: a term counts in units of 1/(product of its arrays' scales)
+    and is added times sign * (den // units), den the lcm of the units (a
+    lone term is over its own units).  Each array is read through its
+    cached views: an outer's ``state_view`` and a part's ``rows_view``,
+    None for an identity pattern at scale 1, which ``_compose_state``
+    skips.  Those views are shared and only read: a term whose parts are
+    all skipped starts from a copy of its outer's state, so the sum is
+    scaled and added in place.
+
+    Otherwise (a ``TruncatedPoly`` entry) every array's entries are read
+    (``ensure_scalar``) and multiplied one product at a time, the
+    multipliers are the signs and den is None: the values are the entries
+    themselves, a ``TruncatedPoly`` exactly where some product with a
+    polynomial factor feeds it (t * t^2 = 0 mod t^3 included) and a
+    ``Fraction`` elsewhere.  A call that holds two truncation orders is
+    refused, even where they never meet.
     """
     arrays = [t for _, outer, parts in terms for t in (outer, *parts)]
     views = [t.integer_view for t in arrays]
-    packed = None in views
-    if packed:
-        views = [t.coefficient_view for t in arrays]
-    scales = [view[0] for view in views]
     signs = [sign for sign, _, _ in terms]
-    if len(terms) == 1:
-        multipliers, den = signs, prod(scales)
+    entrywise = None in views
+    if entrywise:
+        values = [[ensure_scalar(e) for e in t.entries] for t in arrays]
+        if len({e.order for v in values for e in v if isinstance(e, TruncatedPoly)}) > 1:
+            raise InputError("mixed truncation orders")
+        multipliers, den = signs, None
+    elif len(terms) == 1:
+        multipliers, den = signs, prod(scale for scale, _ in views)
     else:
+        scales = [scale for scale, _ in views]
         dens, start = [], 0
         for _, _, parts in terms:
             dens.append(prod(scales[start : start + len(parts) + 1]))
             start += len(parts) + 1
         multipliers, den = _multipliers(signs, dens)
-    if packed:
-        values, order, slot = _packed_values(terms, views, multipliers)
-        marked = set()
     # The first state starts the sum in place, and each state is dropped
     # before the next term is composed.
     shape = acc = None
@@ -581,15 +566,12 @@ def _signed_state(terms):
             if part_shape[0] != a:
                 raise _compose_error(outer, parts)
             term_shape += part_shape[1:]
-            rows.append(_rows(values[s], a, prod(part_shape[1:])) if packed else part.rows_view)
+            rows.append(_rows(values[s], a, prod(part_shape[1:])) if entrywise else part.rows_view)
         if shape is None:
             shape = term_shape
         elif term_shape != shape:
             raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
-        state = _compose_state(outer_shape, _nonzeros(values[start]) if packed else outer.state_view, rows)
-        if packed:
-            term = slice(start, start + len(parts) + 1)
-            marked.update(_polynomial_keys(state, outer_shape, rows, arrays[term], values[term], views[term]))
+        state = _compose_state(outer_shape, _nonzeros(values[start]) if entrywise else outer.state_view, rows)
         start += len(parts) + 1
         if acc is None:
             acc, get = state, state.get
@@ -601,83 +583,7 @@ def _signed_state(terms):
                 w = get(k)
                 acc[k] = v * m if w is None else w + v * m
         del state
-    if packed:
-        return _unpacked(acc, den, order, slot, marked), None, shape
     return acc, den, shape
-
-
-def _slot_width(bound):
-    """The bits per coefficient of a packed polynomial whose coefficients
-    all lie in [-bound, bound]: balanced base-2^s digits hold
-    [-2^(s-1), 2^(s-1)), so s = bound.bit_length() + 1 (one bit fewer
-    misreads -bound when bound is not a power of 2)."""
-    return bound.bit_length() + 1
-
-
-def _packed_values(terms, views, multipliers):
-    """(values, order, slot) of ``_signed_state``'s packed path: the
-    arrays' entries packed at ``slot`` bits per coefficient, and the
-    call's one truncation order."""
-    orders = {view.order for view in views} - {None}
-    if len(orders) > 1:
-        raise InputError("mixed truncation orders")
-    bound, start = 0, 0
-    for m, (_, outer, parts) in zip(multipliers, terms):
-        end = start + len(parts) + 1
-        bound += abs(m) * prod(outer.shape[1:]) * prod(view.norm for view in views[start:end])
-        start = end
-    slot = _slot_width(bound)
-    values = []
-    for view in views:
-        packed = []
-        for coeffs in view.coeffs:
-            v = 0
-            for c in reversed(coeffs):
-                v = (v << slot) + c
-            packed.append(v)
-        values.append(packed)
-    return values, orders.pop(), slot
-
-
-def _polynomial_keys(state, outer_shape, rows, arrays, values, views):
-    """The keys of a term's ``state`` fed by some product with a
-    polynomial factor.  When an array of the term holds polynomials and no
-    nonzero rational, every product has a factor from it, so that is every
-    key.  Otherwise each array that mixes the two is cut down to its
-    polynomial entries and the term composed again: the union of those
-    compositions' keys."""
-    if any(view.poly and not view.rational for view in views):
-        return state
-    keys = set()
-    for s, (array, v, view) in enumerate(zip(arrays, values, views)):
-        if not view.poly:
-            continue
-        cut = [x if isinstance(e, TruncatedPoly) else 0 for x, e in zip(v, array.entries)]
-        if s == 0:
-            keys.update(_compose_state(outer_shape, _nonzeros(cut), rows))
-        else:
-            part_rows, size = rows[s - 1]
-            cut_rows = [*rows[: s - 1], _rows(cut, len(part_rows), size), *rows[s:]]
-            keys.update(_compose_state(outer_shape, _nonzeros(values[0]), cut_rows))
-    return keys
-
-
-def _unpacked(state, den, order, slot, marked):
-    """``state`` with each packed value read back: a ``TruncatedPoly``
-    of its first ``order`` balanced base-2^slot digits over den at a
-    ``marked`` key, and ``Fraction(value, den)`` elsewhere (a constant)."""
-    half, mask = 1 << (slot - 1), (1 << slot) - 1
-    for k, v in state.items():
-        if k in marked:
-            coeffs = []
-            for _ in range(order):
-                c = ((v + half) & mask) - half
-                coeffs.append(Fraction(c, den))
-                v = (v - c) >> slot
-            state[k] = TruncatedPoly(coeffs, order)
-        else:
-            state[k] = Fraction(v, den)
-    return state
 
 
 def _compose_error(outer, parts):
@@ -694,8 +600,8 @@ def _compose_state(shape, state, parts):
     in_s (what ``_rows`` gives).  The result is keyed by the flat index
     over (d, *in_0, ..., *in_{m-1}) and holds every entry fed by a product
     of nonzero factors, even one that cancels to 0.  Values are whatever
-    the inputs hold, integer numerators or packed polynomials; the
-    contraction of ``_signed_state``.
+    the inputs hold, integer numerators or entries; the contraction of
+    ``_signed_state``.
 
     A part given as None is an identity pattern (``_Array.rows_view``) and
     is skipped: composing with it keeps every key, its value and the key
@@ -735,41 +641,6 @@ def _rows(entries, count, size):
 def _nonzeros(entries):
     """The state {flat: x} of the nonzero entries."""
     return {f: x for f, x in enumerate(entries) if x}
-
-
-_Coefficients = namedtuple("_Coefficients", "scale order coeffs norm poly rational")
-
-
-def _coefficient_view(entries):
-    """``_Coefficients(scale, order, coeffs, norm, poly, rational)`` of
-    entries that may be ``TruncatedPoly``s, for ``_signed_state``'s packed
-    path.
-
-    ``scale`` is the lcm of every coefficient's denominator (a rational is
-    a constant polynomial), ``coeffs[i]`` the coefficients of entries[i]
-    times scale, ``order`` the truncation order of the polynomial entries
-    (None when there is none; two orders are refused), ``norm`` the
-    largest |c_0| + |c_1| + ... of an entry, and ``poly`` and ``rational``
-    whether some nonzero entry is a polynomial or a rational.  An entry
-    that is neither is refused as ``ensure_rational`` refuses it.
-    """
-    order, poly, rational, raw = None, False, False, []
-    for e in entries:
-        if isinstance(e, TruncatedPoly):
-            if order is None:
-                order = e.order
-            elif e.order != order:
-                raise InputError("mixed truncation orders")
-            poly = poly or bool(e)
-            raw.append(e.coeffs)
-        else:
-            e = ensure_rational(e)
-            rational = rational or bool(e)
-            raw.append((e,))
-    scale = lcm(*{c.denominator for cs in raw for c in cs})
-    coeffs = [tuple(c.numerator * (scale // c.denominator) for c in cs) for cs in raw]
-    norm = max((sum(map(abs, cs)) for cs in coeffs), default=0)
-    return _Coefficients(scale, order, coeffs, norm, poly, rational)
 
 
 def _multipliers(signs, dens):

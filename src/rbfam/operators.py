@@ -49,6 +49,7 @@ from .linalg import (
     _contract,
     _contract_supports,
     _read,
+    _signed_state,
     _support,
     block_diag,
     vadd,
@@ -58,8 +59,8 @@ from .reports import (
     CheckReport,
     ensure_valid,
     intertwining_cases,
+    residual_cases,
     run_law,
-    signed_cases,
 )
 from .scalars import ensure_rational
 from .semigroups import FiniteSemigroup, builtin
@@ -200,7 +201,9 @@ def _totals(omega, prec, succ, third):
 
 
 def _family_identity(omega, mu, maps, total, names):
-    """Cases of M_a x . M_b y = M_ab(total[a][b](x, y)) for ``run_law``.
+    """Residual blocks of M_a x . M_b y = M_ab(total[a][b](x, y)) for
+    ``residual_cases``, one (residual, names, {"alpha": a, "beta": b}) per
+    pair (a, b).
 
     On each pair (a, b) this is the intertwining law
     M_ab o total_ab = mu o (M_a x M_b); the residual is its right side
@@ -210,20 +213,25 @@ def _family_identity(omega, mu, maps, total, names):
     for alpha, beta in iproduct(omega.elements(), repeat=2):
         m_ab = maps[omega.mul(alpha, beta)]
         terms = [(1, mu, [maps[alpha], maps[beta]]), (-1, m_ab, [total[alpha][beta]])]
-        yield from signed_cases(terms, names, {"alpha": alpha, "beta": beta})
+        yield _signed_state(terms), names, {"alpha": alpha, "beta": beta}
 
 
-def family_identity_cases(operator, maps):
-    """Cases of R_a u . R_b v = R_ab(R_a u .l v + u .r R_b v + phi(R_a u, R_b v)).
+def family_identity_residuals(operator, maps):
+    """Residual blocks of R_a u . R_b v = R_ab(R_a u .l v + u .r R_b v + phi(R_a u, R_b v)).
 
     The hosts are the operator's; ``maps`` are the R_a: the operator's own,
-    whose products it keeps, or deformed ones whose entries are truncated
-    polynomials, composed afresh.
+    whose products it keeps, or others (R + t R1 at some t, say), composed
+    afresh.
     """
     omega = operator.omega
     prec, succ, vee = operator.products if maps is operator.maps else _twisted_products(operator, maps)
     total = _totals(omega, prec, succ, lambda a, b: vee[a][b])
     return _family_identity(omega, operator.algebra.mu, maps, total, ("u", "v"))
+
+
+def family_identity_cases(operator, maps):
+    """``family_identity_residuals`` read as cases for ``run_law``."""
+    return residual_cases(family_identity_residuals(operator, maps))
 
 
 def check_twisted_rbf(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
@@ -263,7 +271,7 @@ def check_nijenhuis_family(family, max_violations=DEFAULT_MAX_VIOLATIONS):
     run_law(
         report,
         "N_a x . N_b y = N_ab(N_a x . y + x . N_b y - N_ab(x.y))",
-        _family_identity(family.omega, family.algebra.mu, family.maps, total, ("x", "y")),
+        residual_cases(_family_identity(family.omega, family.algebra.mu, family.maps, total, ("x", "y"))),
         max_violations,
     )
     return report
@@ -281,7 +289,7 @@ def check_weighted_rbf(family, max_violations=DEFAULT_MAX_VIOLATIONS):
     run_law(
         report,
         "T_a x . T_b y = T_ab(T_a x . y + x . T_b y + w x.y)",
-        _family_identity(omega, A.mu, family.maps, total, ("x", "y")),
+        residual_cases(_family_identity(omega, A.mu, family.maps, total, ("x", "y"))),
         max_violations,
     )
     return report

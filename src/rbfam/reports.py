@@ -27,15 +27,16 @@ its JSON, depend on that order.
 An intertwining law ``out o T = T' o (in_1 x ... x in_n)`` (multiplicativity
 of a structure map, a morphism condition, cochain membership) is checked
 through ``intertwining_cases``, or, for a yes/no, through its residual
-state ``intertwining_residual``.  That includes a law read off one
-coefficient of such a law over K[t]/(t^k): the Nijenhuis-element laws are
-coefficients of the morphism laws of the trivial pair (phi^t, psi^t).  The
-family identities (twisted Rota-Baxter, Nijenhuis, weighted Rota-Baxter)
-are intertwining laws too: on each pair (a, b) the identity is
-M_ab o total_ab = mu o (M_a x M_b) against the composed induced total
-product.  They are read through ``signed_cases`` as the two-term sum
-mu o (M_a x M_b) - M_ab o total_ab, so the where-keys and residuals
-(rhs - lhs) are those of the identity evaluated per basis pair.
+state ``intertwining_residual``.  The family identities (twisted
+Rota-Baxter, Nijenhuis, weighted Rota-Baxter) are intertwining laws too:
+on each pair (a, b) the identity is M_ab o total_ab = mu o (M_a x M_b)
+against the composed induced total product, one residual block per pair,
+the two-term sum mu o (M_a x M_b) - M_ab o total_ab.  ``residual_cases``
+reads such blocks, so the where-keys and residuals (rhs - lhs) are those
+of the identity evaluated per basis pair.  A law read off one coefficient
+in t (the deformation laws, and the Nijenhuis-element laws as
+coefficients of the morphism laws of the trivial pair (phi^t, psi^t)) is
+a block too, its state interpolated from evaluations at rational t.
 
 A nested-product law is a signed sum of terms outer(first x, inner(y, z))
 and outer(inner(x, y), last z), with a structure map on the outer slot
@@ -51,20 +52,17 @@ Integer residual states.  Every primitive reads its residual off one
 kernel, ``linalg._signed_state``, the signed sum of whole compositions:
 out o T - T' o (in_1 x ... x in_n) for an intertwining law, each nested
 term composed whole as outer o (inner x last) or outer o (first x inner),
-and any other sum of compositions through ``signed_cases``.  When every
-input has an integer view, the residual is one sparse state
-{flat index: integer numerator} over D, the lcm of the terms' products of
-scales.  The entry-type rule: a residual entry is ``Fraction(v, D)`` where
-its numerator v is nonzero and ``ZERO`` elsewhere, and a residual column
-with no nonzero entry is one shared (ZERO,) * d tuple.  A ``TruncatedPoly``
-entry anywhere runs the same integer loop on packed polynomials and reads
-each entry back as itself, with no denominator: an entry fed by a product
+and the family identity's two terms.  When every input has an integer
+view, the residual is one sparse state {flat index: integer numerator}
+over D, the lcm of the terms' products of scales.  The entry-type rule: a
+residual entry is ``Fraction(v, D)`` where its numerator v is nonzero and
+``ZERO`` elsewhere, and a residual column with no nonzero entry is one
+shared (ZERO,) * d tuple.  A ``TruncatedPoly`` entry anywhere multiplies
+the entries themselves, with no denominator: an entry fed by a product
 with a polynomial factor is a ``TruncatedPoly`` even when it cancels or
 truncates to 0, one fed by rational products only is a ``Fraction``, and
-every other entry is ``ZERO``.  Either way each residual entry is a ``TruncatedPoly``
-or a ``Fraction`` exactly as when each tuple was contracted on its own.
-A nested law's state covers all (i, j, k) at once, d * I * J * K entries
-at most.
+every other entry is ``ZERO``.  A nested law's state covers all (i, j, k)
+at once, d * I * J * K entries at most.
 
 Four per-tuple paths stay, each an independent second route that must
 not share the composed computation, and none calls ``_signed_state`` or its
@@ -269,13 +267,13 @@ def nested_cases(first, last, terms, names, where=None):
     yield from _cases(_signed_state(composed), names, where)
 
 
-def signed_cases(terms, names, where=None):
-    """Cases of the law sum of sign * outer o (parts...) = 0 for ``run_law``,
-    over the terms (sign, outer, parts) of ``linalg._signed_state``, which
-    checks their shapes: one (case, residual) pair per input tuple, in
-    lexicographic order, case a new dict of the ``where`` keys followed by
-    zip(names, tuple)."""
-    yield from _cases(_signed_state(terms), names, where)
+def residual_cases(blocks):
+    """Cases of residual blocks for ``run_law``, block by block: each block
+    is (residual, names, where), a residual (state, den, shape) of
+    ``linalg._signed_state`` with its where-keys, read as
+    ``intertwining_cases`` reads one."""
+    for residual, names, where in blocks:
+        yield from _cases(residual, names, where)
 
 
 def _cases(residual, names, where):

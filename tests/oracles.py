@@ -110,9 +110,7 @@ from rbfam.linalg import (
     _compose_state,
     _echelon,
     _nonzeros,
-    _packed_values,
     _rows,
-    _unpacked,
     densify,
     multilinear_apply,
     tensor_column,
@@ -2274,7 +2272,9 @@ def entrywise_signed_state(terms):
 
 def fresh_signed_state(terms):
     """The package's former ``linalg._signed_state``, kept verbatim (only
-    the names of its four frozen helpers below carry a ``_fresh`` prefix), so
+    the names of its frozen helpers below carry a ``_fresh`` prefix, and the
+    array's cached ``coefficient_view`` is ``_fresh_coefficient_view`` of
+    its entries), so
     the kernel that reads cached views and skips identity parts can be held
     to the same (state, den, shape): keys, zero-valued keys, key order and
     value types included."""
@@ -2282,7 +2282,7 @@ def fresh_signed_state(terms):
     views = [t.integer_view for t in arrays]
     packed = None in views
     if packed:
-        views = [t.coefficient_view for t in arrays]
+        views = [_fresh_coefficient_view(t.entries) for t in arrays]
     scales = [view[0] for view in views]
     signs = [sign for sign, _, _ in terms]
     if len(terms) == 1:
@@ -2294,7 +2294,7 @@ def fresh_signed_state(terms):
             start += len(parts) + 1
         multipliers, den = _multipliers(signs, dens)
     if packed:
-        values, order, slot = _packed_values(terms, views, multipliers)
+        values, order, slot = _fresh_packed_values(terms, views, multipliers)
         marked = set()
     else:
         values = [ints for _, ints in views]
@@ -2332,7 +2332,7 @@ def fresh_signed_state(terms):
                 acc[k] = v * m if w is None else w + v * m
         del state
     if packed:
-        return _unpacked(acc, den, order, slot, marked), None, shape
+        return _fresh_unpacked(acc, den, order, slot, marked), None, shape
     return acc, den, shape
 
 
@@ -2353,6 +2353,93 @@ def _fresh_polynomial_keys(state, outer_shape, rows, arrays, values, views):
             cut_rows = [*rows[: s - 1], _fresh_rows(cut, len(part_rows), size), *rows[s:]]
             keys.update(_fresh_compose_state(outer_shape, _fresh_nonzeros(values[0]), cut_rows))
     return keys
+
+
+def _fresh_slot_width(bound):
+    """The bits per coefficient of a packed polynomial whose coefficients
+    all lie in [-bound, bound]: balanced base-2^s digits hold
+    [-2^(s-1), 2^(s-1)), so s = bound.bit_length() + 1 (one bit fewer
+    misreads -bound when bound is not a power of 2)."""
+    return bound.bit_length() + 1
+
+
+def _fresh_packed_values(terms, views, multipliers):
+    """(values, order, slot) of ``_signed_state``'s packed path: the
+    arrays' entries packed at ``slot`` bits per coefficient, and the
+    call's one truncation order."""
+    orders = {view.order for view in views} - {None}
+    if len(orders) > 1:
+        raise InputError("mixed truncation orders")
+    bound, start = 0, 0
+    for m, (_, outer, parts) in zip(multipliers, terms):
+        end = start + len(parts) + 1
+        bound += abs(m) * prod(outer.shape[1:]) * prod(view.norm for view in views[start:end])
+        start = end
+    slot = _fresh_slot_width(bound)
+    values = []
+    for view in views:
+        packed = []
+        for coeffs in view.coeffs:
+            v = 0
+            for c in reversed(coeffs):
+                v = (v << slot) + c
+            packed.append(v)
+        values.append(packed)
+    return values, orders.pop(), slot
+
+
+def _fresh_unpacked(state, den, order, slot, marked):
+    """``state`` with each packed value read back: a ``TruncatedPoly``
+    of its first ``order`` balanced base-2^slot digits over den at a
+    ``marked`` key, and ``Fraction(value, den)`` elsewhere (a constant)."""
+    half, mask = 1 << (slot - 1), (1 << slot) - 1
+    for k, v in state.items():
+        if k in marked:
+            coeffs = []
+            for _ in range(order):
+                c = ((v + half) & mask) - half
+                coeffs.append(Fraction(c, den))
+                v = (v - c) >> slot
+            state[k] = TruncatedPoly(coeffs, order)
+        else:
+            state[k] = Fraction(v, den)
+    return state
+
+
+_FreshCoefficients = namedtuple("_FreshCoefficients", "scale order coeffs norm poly rational")
+
+
+def _fresh_coefficient_view(entries):
+    """``_Coefficients(scale, order, coeffs, norm, poly, rational)`` of
+    entries that may be ``TruncatedPoly``s, for ``_signed_state``'s packed
+    path.
+
+    ``scale`` is the lcm of every coefficient's denominator (a rational is
+    a constant polynomial), ``coeffs[i]`` the coefficients of entries[i]
+    times scale, ``order`` the truncation order of the polynomial entries
+    (None when there is none; two orders are refused), ``norm`` the
+    largest |c_0| + |c_1| + ... of an entry, and ``poly`` and ``rational``
+    whether some nonzero entry is a polynomial or a rational.  An entry
+    that is neither is refused as ``ensure_rational`` refuses it.
+    """
+    order, poly, rational, raw = None, False, False, []
+    for e in entries:
+        if isinstance(e, TruncatedPoly):
+            if order is None:
+                order = e.order
+            elif e.order != order:
+                raise InputError("mixed truncation orders")
+            poly = poly or bool(e)
+            raw.append(e.coeffs)
+        else:
+            e = ensure_rational(e)
+            rational = rational or bool(e)
+            raw.append((e,))
+    scale = lcm(*{c.denominator for cs in raw for c in cs})
+    coeffs = [tuple(c.numerator * (scale // c.denominator) for c in cs) for cs in raw]
+    norm = max((sum(map(abs, cs)) for cs in coeffs), default=0)
+    return _FreshCoefficients(scale, order, coeffs, norm, poly, rational)
+
 
 
 def _fresh_compose_state(shape, state, parts):

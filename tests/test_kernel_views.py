@@ -17,9 +17,10 @@ whose parts are all skipped is added into.
 
 Three deterministic cases pin what the views save: a negated composition
 with identities leaves the outer's cached state alone, one
-``check_infinitesimal`` on D1 builds the twisted products twice (the
-operator's own, kept on it, and the deformed maps'), and ``rbf_complex``
-after ``check_twisted_rbf`` builds them no more.
+``check_infinitesimal`` on D1 builds the twisted products four times (the
+operator's own, kept on it and read again at t = 0, and those of R + t R1
+at t = 1, -1 and 2), and ``rbf_complex`` after ``check_twisted_rbf``
+builds them no more.
 """
 from fractions import Fraction
 from math import prod
@@ -166,14 +167,16 @@ def _counted_products(monkeypatch):
     return calls
 
 
-def test_check_infinitesimal_builds_the_twisted_products_twice(monkeypatch):
+def test_check_infinitesimal_builds_the_twisted_products_once_per_point(monkeypatch):
     calls = _counted_products(monkeypatch)
     operator = desk_instance("D1")["operator"]
     n, d = operator.algebra.dim, operator.bimodule.dim
     direction = (Matrix.zero(n, d),) * operator.omega.size
     assert check_infinitesimal(LinearDeformation(base=operator, direction=direction)).passed
-    assert len(calls) == 2
-    assert calls[0] is operator.maps and calls[1] is not operator.maps
+    # The operator's own maps first; t = 0 reads them again through the
+    # products kept on the operator, and each nonzero point composes afresh.
+    assert len(calls) == 4
+    assert calls[0] is operator.maps and all(maps is not operator.maps for maps in calls[1:])
 
 
 def test_rbf_complex_after_check_twisted_rbf_builds_no_products(monkeypatch):

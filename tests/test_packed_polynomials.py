@@ -2,7 +2,7 @@
 
 A derandomized Hypothesis property holds ``linalg._signed_state`` on
 polynomial data to ``oracles.entrywise_signed_state``, the body that
-multiplied ``TruncatedPoly`` entries one product at a time: the same
+multiplies ``TruncatedPoly`` entries one product at a time: the same
 ``repr`` of (state, den, shape), so key order and each entry's type
 (``TruncatedPoly`` or ``Fraction``) count as much as its value, or the
 same exception type and message.
@@ -13,9 +13,10 @@ polynomial or that mix nonzero rationals and polynomials; powers of t
 whose products truncate to 0; and terms repeated with the opposite sign,
 so sums cancel.
 
-Two deterministic cases pin the packing's edges: an output coefficient of
-exactly -bound, which one bit less of slot width misreads, and a call
-mixing two truncation orders, which is refused even where they never meet.
+Two deterministic cases pin edges: an output coefficient of exactly
+-bound, for the a-priori bound on every coefficient that a packed kernel
+would take its slot width from, and a call mixing two truncation orders,
+which is refused even where they never meet.
 """
 from fractions import Fraction
 from math import prod
@@ -25,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rbfam import linalg
 from rbfam.errors import InputError
 from rbfam.linalg import ZERO, Matrix, Tensor, _signed_state
 from rbfam.scalars import TruncatedPoly
@@ -134,13 +134,13 @@ def test_signed_state_matches_entrywise_body(terms):
 
 
 # ---------------------------------------------------------------------------
-# edges of the packing
+# edges
 
 
 @pytest.mark.parametrize("order", (1, 2, 3))
-def test_slot_width_holds_a_coefficient_of_minus_bound(order, monkeypatch):
-    # (-3, -3) o (1, 1)^T - (3, 3) o (1, 1)^T: the bound is 2 * (1 * 2 * 3 * 1)
-    # = 12 and the one output coefficient is -12 = -bound.
+def test_slot_width_holds_a_coefficient_of_minus_bound(order):
+    # (-3, -3) o (1, 1)^T - (3, 3) o (1, 1)^T: the a-priori coefficient bound
+    # is 2 * (1 * 2 * 3 * 1) = 12 and the one output coefficient is -12 = -bound.
     def constants(rows, cols, c):
         return Matrix(rows, cols, (TruncatedPoly.constant(c, order),) * (rows * cols))
 
@@ -148,9 +148,6 @@ def test_slot_width_holds_a_coefficient_of_minus_bound(order, monkeypatch):
     terms = [(1, constants(1, 2, -3), [ones]), (-1, constants(1, 2, 3), [ones])]
     want = repr(({0: TruncatedPoly.constant(-12, order)}, None, (1, 1)))
     assert repr(_signed_state(terms)) == want == repr(oracles.entrywise_signed_state(terms))
-    # One bit fewer puts -12 outside the balanced digits of the slot.
-    monkeypatch.setattr(linalg, "_slot_width", lambda bound: bound.bit_length())
-    assert repr(_signed_state(terms)) != want
 
 
 def test_mixed_truncation_orders_are_refused_even_where_they_never_meet():
