@@ -42,7 +42,7 @@ augmented ``Matrix``, as the references of the products run on the
 contraction kernels and of elimination that reads each line once), the
 package's former entry-wise branch of ``linalg._signed_state`` (frozen,
 as it multiplied ``TruncatedPoly`` entries one product at a time, as the
-reference of the one that composes polynomials as packed integers), the
+reference of the polynomial path of the kernel), the
 package's former ``linalg._signed_state`` with its ``_compose_state``,
 ``_rows`` and ``_nonzeros`` (frozen, as every call built each part's
 sparse rows and each outer's nonzero state afresh and composed every part,
@@ -2215,10 +2215,10 @@ def entrywise_signed_state(terms):
     entry sent the whole call down an entry-wise branch: every product a
     ``TruncatedPoly.__mul__``, the signs as multipliers and den None.
 
-    Kept verbatim, on the package kernel ``_compose_state``, so the one
-    that composes polynomials as packed integers can be held to
-    ``repr``-identical (state, den, shape), key order and entry types
-    included, and to the same exceptions.
+    Kept verbatim, on the package kernel ``_compose_state``, so the
+    kernel's polynomial path can be held to ``repr``-identical
+    (state, den, shape), key order and entry types included, and to the
+    same exceptions.
     """
     scales, values = _values([t for _, outer, parts in terms for t in (outer, *parts)])
     signs = [sign for sign, _, _ in terms]
