@@ -31,6 +31,15 @@ by 1/2).  On the broken ``mu`` the cocycle check stops with a
 ``RouteMismatchError``, pinned by its type and message.  The golden was
 frozen from the per-tuple bodies; a failure here means a report changed,
 and the fix belongs in the code, not in the golden file.
+
+``FROZEN_FAILING_REPORTS`` pins, per failing input and checker, the sha256
+of the ``to_dict()`` (or the exception) of ``check_hom_algebra``,
+``check_bimodule``, ``check_two_cocycle`` and ``check_twisted_rbf`` at
+``max_violations`` 1, 3 and the default.  The inputs are D0-D2 and one
+seeded transport of each packing (dense p) with one entry of mu, p, the
+left action, phi or R_0 moved by 1/2, and with phi plus a degree-2 cochain
+that is not a cocycle.  The digests fix the first violations' order, their
+where-keys, the residual entries and the violation counts.
 """
 import hashlib
 import json
@@ -47,6 +56,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import _yau_twisted_triangular
+from rbfam.cohomology import ha_complex
 from rbfam.errors import InputError, WorkbenchError
 from rbfam.homalg import (
     HomAlgebra,
@@ -59,7 +69,7 @@ from rbfam.homalg import (
 )
 from rbfam.linalg import Matrix, Tensor, kernel_basis
 from rbfam.operators import check_twisted_rbf
-from rbfam.reports import intertwining_cases, nested_cases
+from rbfam.reports import DEFAULT_MAX_VIOLATIONS, intertwining_cases, nested_cases
 from rbfam.scalars import TruncatedPoly
 from rbfam.semigroups import builtin
 from rbfam.workspace import desk_instance
@@ -441,3 +451,155 @@ def test_cocycle_differentials_and_reports_match_frozen_digests():
         listing[f"{name}/report"] = _digest(check_two_cocycle(cocycle).to_dict())
     assert len(listing) == 14
     assert listing == FROZEN_COCYCLES
+
+
+# ---------------------------------------------------------------------------
+# failing host and family reports, pinned per violation limit
+
+
+def _moved(t, flat):
+    """``t`` (a matrix or tensor) with the row-major entry ``flat`` moved by 1/2."""
+    entries = list(t.entries)
+    entries[flat % len(entries)] += Fraction(1, 2)
+    return replace(t, entries=tuple(entries))
+
+
+def _with_hosts(operator, algebra=None, module=None, phi=None):
+    """``operator`` on a new algebra, module or cocycle tensor, rewired so
+    the module sits over the algebra and the cocycle on the module."""
+    algebra = algebra or operator.algebra
+    module = replace(module or operator.bimodule, parent=algebra)
+    cocycle = replace(operator.cocycle, host=module, phi=operator.cocycle.phi if phi is None else phi)
+    return replace(operator, cocycle=cocycle)
+
+
+def _non_cocycle(operator):
+    """phi plus the first degree-2 basis cochain of the HA complex of the
+    operator's bimodule whose differential is not zero: still equivariant,
+    so both cocycle routes run, and not a cocycle.  None when every basis
+    cochain is a cocycle (on D0)."""
+    handle = ha_complex(operator.algebra, operator.bimodule)
+    for cochain in handle.basis(2):
+        if not handle.differential(cochain).is_zero():
+            return operator.cocycle.phi.add(cochain.table[()])
+    return None
+
+
+def failing_operators():
+    """Nudged copies of D0-D2 and of one seeded transport of each
+    twisted-triangular packing (dense p): one entry of mu, p, the left
+    action, phi or R_0 moved by 1/2, and phi plus a non-cocycle."""
+    bases = {name: desk_instance(name)["operator"] for name in ("D0", "D1", "D2")}
+    for omega in (("cyclic", 2), ("boolean_monoid", None)):
+        bases[f"{omega[0]}/transport"] = transported(omega, 0)
+    out = {}
+    for name, op in bases.items():
+        A, module = op.algebra, op.bimodule
+        out[f"{name}/mu"] = _with_hosts(op, algebra=replace(A, mu=_moved(A.mu, 1)))
+        out[f"{name}/p"] = _with_hosts(op, algebra=replace(A, p=_moved(A.p, 1)))
+        out[f"{name}/left"] = _with_hosts(op, module=replace(module, left=_moved(module.left, 1)))
+        out[f"{name}/phi"] = _with_hosts(op, phi=_moved(op.cocycle.phi, 1))
+        out[f"{name}/map"] = replace(op, maps=(_moved(op.maps[0], 1),) + op.maps[1:])
+        phi = _non_cocycle(op)
+        if phi is not None:
+            out[f"{name}/cochain"] = _with_hosts(op, phi=phi)
+    return out
+
+
+FAILING_CHECKERS = {
+    "check_hom_algebra": lambda op, limit: check_hom_algebra(op.algebra, limit),
+    "check_bimodule": lambda op, limit: check_bimodule(op.bimodule, limit),
+    "check_two_cocycle": lambda op, limit: check_two_cocycle(op.cocycle, limit),
+    "check_twisted_rbf": lambda op, limit: check_twisted_rbf(op, limit),
+}
+
+FROZEN_FAILING_REPORTS = {
+    "D0/mu/check_bimodule": "8575c02b417c4a97f52c58a3db41e3569497788d7718310df92a5adf1b0dcf23",
+    "D0/mu/check_twisted_rbf": "01bc3003a5200988af0e41868823184762df5f3dcad3d4ad9f5ab116c7b10336",
+    "D0/p/check_hom_algebra": "9d77351a128d3b62dc6e286a7776bae738e0b1c4879a5423038d3c5efd227955",
+    "D0/p/check_bimodule": "859950971e713d7ec6d51a7ef278f710e87d7fa3c1e37b7a005c80656746076f",
+    "D0/p/check_twisted_rbf": "e98c4e7a777b2293cc277b9a5752a510d6576793b6f027b4d3dfac6c38e0e4bc",
+    "D0/left/check_bimodule": "4d2b5a83d3396a47b724350d309beed258c3db8a35a0d0e3cd856cd79b00278b",
+    "D0/left/check_twisted_rbf": "01bc3003a5200988af0e41868823184762df5f3dcad3d4ad9f5ab116c7b10336",
+    "D0/map/check_twisted_rbf": "c1cc50d40e9ee64cd7ad07962b8c661cb1fb2c24010050a1394cc477ee967c4c",
+    "D1/mu/check_hom_algebra": "1c590cae10145ecb260456c146eb113de7b593e164d11b5e248237e6fcd00da1",
+    "D1/mu/check_bimodule": "bac94f92ef2d87dcfb041135384a187861b0b5f0d8b08572a0477e80d39d9e83",
+    "D1/mu/check_two_cocycle": "3a6230f9dca252f52459223db393f32b27f371437dc552c839d796a6eaa53520",
+    "D1/mu/check_twisted_rbf": "e98c4e7a777b2293cc277b9a5752a510d6576793b6f027b4d3dfac6c38e0e4bc",
+    "D1/p/check_hom_algebra": "60cf24fdd7463f0c9963e4ec4703d86c4e87692874a6ee14cf8d6399318021fb",
+    "D1/p/check_bimodule": "7fe9b3caa42dc9efb3d47b074294b0b06ef49a434a152fbcc8f5fc7983d769b5",
+    "D1/p/check_two_cocycle": "b690dda0ac29f4309b09017f015cd930140ea6712fe826af302988284d79b20b",
+    "D1/p/check_twisted_rbf": "e98c4e7a777b2293cc277b9a5752a510d6576793b6f027b4d3dfac6c38e0e4bc",
+    "D1/left/check_bimodule": "f3fb76a2fc77de60b0a5afd4635b668eb465b5a374afc7908852b8d29634c5d7",
+    "D1/left/check_two_cocycle": "a01b7ba6dba3330329f89d6db5092ecf6890efc40a2834b742a9a6251364b2f0",
+    "D1/left/check_twisted_rbf": "01bc3003a5200988af0e41868823184762df5f3dcad3d4ad9f5ab116c7b10336",
+    "D1/phi/check_two_cocycle": "443bd62cab2125be227d31e66cd1200de599d61dd55d494c1b5dc76ed4b72943",
+    "D1/phi/check_twisted_rbf": "af21e5f399795aff1d78198123e3a863ab68d837f96bc4e957b3c949a30c3b2a",
+    "D1/map/check_twisted_rbf": "c9d8721c5faaa7204b97d41bf9f75c8b2f3cccb142de8e6b3d7c407cb530ddce",
+    "D1/cochain/check_two_cocycle": "d6ef688be37f3983bf2c32a0c95a2ad187eb5e4c32e921a9fc2ff50b0bd8536d",
+    "D1/cochain/check_twisted_rbf": "af21e5f399795aff1d78198123e3a863ab68d837f96bc4e957b3c949a30c3b2a",
+    "D2/mu/check_hom_algebra": "b2bc5db3987c0237e8a9ca445aa77505080c0e0581035510ec2f70f0f8fab306",
+    "D2/mu/check_bimodule": "bac94f92ef2d87dcfb041135384a187861b0b5f0d8b08572a0477e80d39d9e83",
+    "D2/mu/check_two_cocycle": "3a6230f9dca252f52459223db393f32b27f371437dc552c839d796a6eaa53520",
+    "D2/mu/check_twisted_rbf": "e98c4e7a777b2293cc277b9a5752a510d6576793b6f027b4d3dfac6c38e0e4bc",
+    "D2/p/check_hom_algebra": "18b85dce09825b316a5af0c08f61931a9d8220a97f1aac78ef3520f5b78a7dfe",
+    "D2/p/check_bimodule": "7fe9b3caa42dc9efb3d47b074294b0b06ef49a434a152fbcc8f5fc7983d769b5",
+    "D2/p/check_two_cocycle": "b690dda0ac29f4309b09017f015cd930140ea6712fe826af302988284d79b20b",
+    "D2/p/check_twisted_rbf": "e98c4e7a777b2293cc277b9a5752a510d6576793b6f027b4d3dfac6c38e0e4bc",
+    "D2/left/check_bimodule": "a6afb67a3355b2f21e067747afd1cf91910c51fe128ab95b98fadec7eee763dc",
+    "D2/left/check_two_cocycle": "a01b7ba6dba3330329f89d6db5092ecf6890efc40a2834b742a9a6251364b2f0",
+    "D2/left/check_twisted_rbf": "01bc3003a5200988af0e41868823184762df5f3dcad3d4ad9f5ab116c7b10336",
+    "D2/phi/check_two_cocycle": "77be71852197841a7ddbfafe4b1042aa646ec31a21a3f7b18fa466d252aa69c0",
+    "D2/phi/check_twisted_rbf": "af21e5f399795aff1d78198123e3a863ab68d837f96bc4e957b3c949a30c3b2a",
+    "D2/map/check_twisted_rbf": "028bd38c8937e93f417c0d2f42fb2a95dbfbdf08f93a55840b6c944ba0a0ba24",
+    "D2/cochain/check_two_cocycle": "3fbdaee1d15344af334ba2cab5aba618c5af8b3c5a9e59229d005e2dd3999e6b",
+    "D2/cochain/check_twisted_rbf": "af21e5f399795aff1d78198123e3a863ab68d837f96bc4e957b3c949a30c3b2a",
+    "cyclic/transport/mu/check_hom_algebra": "3811c8b4ff9891e231fd50dd53a22b2fe812789a7589e58b311509324818da9e",
+    "cyclic/transport/mu/check_bimodule": "19a3fb835db7217d16a4b74f8c996bdfd20cd8b25460bfc74531d3cf3e6d9fdd",
+    "cyclic/transport/mu/check_two_cocycle": "381e68b93bf6064fe439791f30b3710456ea3fd875ee5b50c32c1d4d0ee06f4c",
+    "cyclic/transport/mu/check_twisted_rbf": "e98c4e7a777b2293cc277b9a5752a510d6576793b6f027b4d3dfac6c38e0e4bc",
+    "cyclic/transport/p/check_hom_algebra": "18e75a14cefdeb5bfbfa35cf58fd5ab64382b8115993f134878ca2f856b2a850",
+    "cyclic/transport/p/check_bimodule": "ea2442204411ad818cc235602c2fe82f0b71066c05ad09db8dd17ec0ea4a9cad",
+    "cyclic/transport/p/check_two_cocycle": "95f363a6bec7fd7fdf43d9ccef366add05d4ba7065fc009d2b6b947b6b094966",
+    "cyclic/transport/p/check_twisted_rbf": "e98c4e7a777b2293cc277b9a5752a510d6576793b6f027b4d3dfac6c38e0e4bc",
+    "cyclic/transport/left/check_bimodule": "53bdc83cdaf0a00ca22fdba38e2c2e979a0d0dddcbeb7f49836f8ad430a7481c",
+    "cyclic/transport/left/check_two_cocycle": "381e68b93bf6064fe439791f30b3710456ea3fd875ee5b50c32c1d4d0ee06f4c",
+    "cyclic/transport/left/check_twisted_rbf": "01bc3003a5200988af0e41868823184762df5f3dcad3d4ad9f5ab116c7b10336",
+    "cyclic/transport/phi/check_two_cocycle": "2320116b0eb5b9ff5f19d0c1737254bcbaa47d514f585a7db53b5b350be4aa36",
+    "cyclic/transport/phi/check_twisted_rbf": "af21e5f399795aff1d78198123e3a863ab68d837f96bc4e957b3c949a30c3b2a",
+    "cyclic/transport/map/check_twisted_rbf": "fcfa659d590a41c182ecfbfc58db113ac4982712fe654234d119b667775cf5ae",
+    "cyclic/transport/cochain/check_two_cocycle": "9510d1e0861eda095720b60bee948417ca9981f02ea3798b4b66c3b52d3acd26",
+    "cyclic/transport/cochain/check_twisted_rbf": "af21e5f399795aff1d78198123e3a863ab68d837f96bc4e957b3c949a30c3b2a",
+    "boolean_monoid/transport/mu/check_hom_algebra": "47c2ea14490db1b7fa6a19df109c66b6674ed419c7bd61d6c11777398c20341f",
+    "boolean_monoid/transport/mu/check_bimodule": "19a3fb835db7217d16a4b74f8c996bdfd20cd8b25460bfc74531d3cf3e6d9fdd",
+    "boolean_monoid/transport/mu/check_two_cocycle": "381e68b93bf6064fe439791f30b3710456ea3fd875ee5b50c32c1d4d0ee06f4c",
+    "boolean_monoid/transport/mu/check_twisted_rbf": "e98c4e7a777b2293cc277b9a5752a510d6576793b6f027b4d3dfac6c38e0e4bc",
+    "boolean_monoid/transport/p/check_hom_algebra": "9a5127260b0251376216bbb8a6a98126c5b51a5f3c9338a8edc4201c531b3348",
+    "boolean_monoid/transport/p/check_bimodule": "ea2442204411ad818cc235602c2fe82f0b71066c05ad09db8dd17ec0ea4a9cad",
+    "boolean_monoid/transport/p/check_two_cocycle": "95f363a6bec7fd7fdf43d9ccef366add05d4ba7065fc009d2b6b947b6b094966",
+    "boolean_monoid/transport/p/check_twisted_rbf": "e98c4e7a777b2293cc277b9a5752a510d6576793b6f027b4d3dfac6c38e0e4bc",
+    "boolean_monoid/transport/left/check_bimodule": "b95168b8e37b479b3e2eded51f724628bae432d1abe1abcdcc6f6a21edd8fb52",
+    "boolean_monoid/transport/left/check_two_cocycle": "381e68b93bf6064fe439791f30b3710456ea3fd875ee5b50c32c1d4d0ee06f4c",
+    "boolean_monoid/transport/left/check_twisted_rbf": "01bc3003a5200988af0e41868823184762df5f3dcad3d4ad9f5ab116c7b10336",
+    "boolean_monoid/transport/phi/check_two_cocycle": "5210f56c35152cd9429b01a35b2a28acb6d3813ff4f1df7d87db097656184d50",
+    "boolean_monoid/transport/phi/check_twisted_rbf": "af21e5f399795aff1d78198123e3a863ab68d837f96bc4e957b3c949a30c3b2a",
+    "boolean_monoid/transport/map/check_twisted_rbf": "92141bf2eb4296e6faca36304ac643c643de85b381683ff9b861e82335170778",
+    "boolean_monoid/transport/cochain/check_two_cocycle": "480f2a250f2652c1728307f0ee07a4fa403317039c70dfa92b87dafc4dcf08a3",
+    "boolean_monoid/transport/cochain/check_twisted_rbf": "af21e5f399795aff1d78198123e3a863ab68d837f96bc4e957b3c949a30c3b2a",
+}
+
+
+def failing_report_listing():
+    """sha256 of the outcomes at max_violations 1, 3 and the default, per
+    failing input and checker; a checker that passes the input is left out."""
+    listing = {}
+    for name, op in failing_operators().items():
+        for checker, run in FAILING_CHECKERS.items():
+            outcomes = [_outcome(lambda obj: run(obj, limit), op) for limit in (1, 3, DEFAULT_MAX_VIOLATIONS)]
+            if outcomes[-1].get("passed") is not True:
+                listing[f"{name}/{checker}"] = _digest(outcomes)
+    return listing
+
+
+def test_failing_reports_match_frozen_digests():
+    assert failing_report_listing() == FROZEN_FAILING_REPORTS
