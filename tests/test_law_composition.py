@@ -57,7 +57,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import _yau_twisted_triangular
 from rbfam.cohomology import ha_complex
-from rbfam.errors import InputError, WorkbenchError
+from rbfam.errors import InputError, RouteMismatchError, WorkbenchError
 from rbfam.homalg import (
     HomAlgebra,
     HomBimodule,
@@ -603,3 +603,39 @@ def failing_report_listing():
 
 def test_failing_reports_match_frozen_digests():
     assert failing_report_listing() == FROZEN_FAILING_REPORTS
+
+
+# The message of a cocycle-route disagreement, as raised before the direct
+# residual was compared with d2 on states: d2 moved at two entries, the one
+# of the later triple on output coordinate 0 and the one of the earlier
+# triple on the last coordinate, so the message names the earlier triple.
+ROUTE_MISMATCHES = {
+    "D1": ((0, 37), (1, 5), "cocycle routes disagree at {'x1': 0, 'x2': 1, 'x3': 1}: direct identity vs differential"),
+    "cyclic/transport": (
+        (0, 150),
+        (2, 41),
+        "cocycle routes disagree at {'x1': 1, 'x2': 0, 'x3': 5}: direct identity vs differential",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_MISMATCHES))
+def test_route_mismatch_names_the_first_disagreeing_triple(name, monkeypatch):
+    import rbfam.homalg as homalg
+
+    cocycle = desk_instance(name)["cocycle"] if name == "D1" else transported(("cyclic", 2), 0).cocycle
+    *moves, message = ROUTE_MISMATCHES[name]
+    differential = homalg.hochschild_differential
+
+    def moved(module, degree, f):
+        d2 = differential(module, degree, f)
+        inner = len(d2.entries) // d2.shape[0]
+        entries = list(d2.entries)
+        for k, column in moves:
+            entries[k * inner + column] += 1
+        return Tensor(d2.shape, tuple(entries))
+
+    monkeypatch.setattr(homalg, "hochschild_differential", moved)
+    with pytest.raises(RouteMismatchError) as err:
+        check_two_cocycle(cocycle)
+    assert str(err.value) == message
