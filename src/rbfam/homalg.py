@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import gcd
 
 from .errors import InputError, RouteMismatchError
 from .linalg import (
     ZERO,
     Matrix,
     Tensor,
-    _contract_supports,
     _multipliers,
     _read,
-    _support,
+    _rows,
     block_diag,
     multilinear_apply,
     tensor_column,
@@ -35,10 +35,13 @@ from .linalg import (
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
+    disagreeing_case,
     ensure_valid,
     intertwining_cases,
     intertwining_residual,
     nested_cases,
+    nested_residual,
+    residual_cases,
     run_law,
 )
 from .scalars import ensure_scalar
@@ -204,6 +207,16 @@ def hochschild_differential(module, degree, f):
     n = 0 case of the same formula, u -> x .l u - u .r x with p^0 = id.
     The input must satisfy the membership constraint q o f = f o p^(x degree);
     the output satisfies it one degree higher.
+
+    The route is its own: every array is read once through ``scaled`` and
+    each term is contracted one slot at a time (``_slot``) over nonzero
+    entries into one sparse state of integer numerators over one
+    denominator, a polynomial riding it at scale 1.  Each term's partial
+    contraction is formed once, not per output tuple: left o (p^(n-1) x I),
+    right o (I x p^(n-1)) and, for the i-th merged slot,
+    f o (p^(x i-1) x I x p^(x n-i)), which then meets f, f and mu.  The
+    membership checks read the same states: f o p^(x n) extends the chain
+    f o (p x ... x p x I).
     """
     A = module.parent
     n, d = A.dim, module.dim
@@ -216,62 +229,113 @@ def hochschild_differential(module, degree, f):
         f = Tensor((d,), u)
     if f.shape != (d,) + (n,) * degree:
         raise InputError(f"cochain tensor must have shape {(d,) + (n,) * degree}")
-    if not is_equivariant(module.q, A.p, degree, [f]):
-        if degree == 0:
-            raise InputError("degree-0 cochain violates q(u) = u")
-        raise InputError("cochain violates the membership constraint q o f = f o p^n")
+    arrays = (module.left, module.right, f, A.p, A.mu, module.q)
+    (s_left, s_right, s_f, s_p, s_mu, s_q), (left, right, fv, p, mu, q) = zip(*(t.scaled for t in arrays))
+    identities = module.q.is_identity() and A.p.is_identity()
+    f_inner = n**degree
+    p_rows, f_rows = _rows(p, n, n)[0], _rows(fv, d, f_inner)[0]
 
-    # Every term is a contraction of hoisted columns: act_l on a column of
-    # p^(n-1) and one of f, act_r on a column of f and one of p^(n-1), and
-    # f on columns of p and one basis product.  Each term's numerators count
-    # in units of 1/dens[t]; its tensor's columns carry the sign and the
-    # factor to the common denominator.  Each array is read through
-    # ``scaled``, so a polynomial rides the same loop at scale 1.
-    p_pow = A.p.power(max(degree - 1, 0))
-    arrays = (module.left, module.right, f, A.p, p_pow, A.mu)
-    (s_left, s_right, s_f, s_p, s_ppow, s_mu), (_, _, fv, p, ppow, mu) = zip(*(t.scaled for t in arrays))
+    # chain[s] = f o (p^(x s) x I^(x degree-s)) for s < degree: chain[i - 1]
+    # starts the i-th merged-slot term, and one more slot gives f o p^(x degree).
+    chain = [_state(fv)]
+    for s in range(degree - 1):
+        chain.append(_slot(chain[-1], n, n ** (degree - 1 - s), p_rows, n, {}))
+    if not (degree and identities):
+        image = _slot(chain[-1], n, 1, p_rows, n, {}) if degree else chain[0]
+        if _violates(q, s_q * s_f, image, s_f * s_p**degree, f_rows, f_inner):
+            if degree == 0:
+                raise InputError("degree-0 cochain violates q(u) = u")
+            raise InputError("cochain violates the membership constraint q o f = f o p^n")
+
+    # p^(n-1) over s_p^(n-1), read at its nonzero entries.
+    ppow, s_ppow = {a * n + a: 1 for a in range(n)}, 1
+    for _ in range(degree - 1):
+        ppow, s_ppow = _slot(ppow, n, 1, p_rows, n, {}), s_ppow * s_p
+    ppow_rows = [[(j, x) for j in range(n) if (x := ppow.get(a * n + j))] for a in range(n)]
     sign_last = 1 if (degree + 1) % 2 == 0 else -1
     dens = (s_left * s_ppow * s_f, s_right * s_f * s_ppow, s_f * s_p ** max(degree - 1, 0) * s_mu)
     (m_left, m_right, m_f), den = _multipliers((1, sign_last, 1), dens)
 
-    def columns(t, m):
-        return [tuple((k, c * m) for k, c in column) for column in t.columns[1]]
+    out = {}
+    # p^(n-1) x_0 .l f(x_1, ..., x_n): left o (p^(n-1) x I), then f in its last slot.
+    _slot(_slot(_state(left, m_left), n, d, ppow_rows, n, {}), d, 1, f_rows, f_inner, out)
+    # f(x_0, ..., x_{n-1}) .r p^(n-1) x_n: right o (I x p^(n-1)), then f in its first slot.
+    _slot(_slot(_state(right, m_right), n, 1, ppow_rows, n, {}), d, n, f_rows, f_inner, out)
+    # (-1)^i f(p x_0, ..., x_{i-1} x_i, ..., p x_n): p in every slot of f but
+    # i - 1, then mu in that slot; mu_rows[i % 2] carries the sign.
+    mu_rows = [[[(j, sign * m_f * x) for j, x in row] for row in _rows(mu, n, n * n)[0]] for sign in (1, -1)]
+    for i in range(1, degree + 1):
+        term = chain[i - 1]
+        for s in range(i, degree):
+            term = _slot(term, n, n ** (degree - 1 - s), p_rows, n, {})
+        _slot(term, n, n ** (degree - i), mu_rows[i % 2], n * n, out)
 
-    act_l, act_r = columns(module.left, m_left), columns(module.right, m_right)
-    # The i-th inner term carries the sign (-1)^i: f_terms[i % 2].
-    f_terms = (columns(f, m_f), columns(f, -m_f))
-    f_inner = n**degree
-    f_cols = [fv[j::f_inner] for j in range(f_inner)]
-    ppow_cols = [ppow[j::n] for j in range(n)]
-    # Each hoisted column's support is built once per stride it is read at
-    # (``linalg._supports``): act_l reads (p^(n-1), f) columns at strides
-    # (d, 1), act_r (f, p^(n-1)) at (n, 1), and slot s of an f term reads a
-    # column of p or a basis product at n^(degree-1-s).
-    l_ppow, l_f = [_support(c, d) for c in ppow_cols], [_support(c, 1) for c in f_cols]
-    r_f, r_ppow = [_support(c, n) for c in f_cols], [_support(c, 1) for c in ppow_cols]
-    strides = [n ** (degree - 1 - s) for s in range(degree)]
-    p_at = [[_support(p[j::n], stride) for j in range(n)] for stride in strides]
-    products_at = [[_support(mu[j :: n * n], stride) for j in range(n * n)] for stride in strides]
-
-    inner = n ** (degree + 1)
-    out = [ZERO] * (d * inner)
-    for flat, idx in enumerate(iproduct(range(n), repeat=degree + 1)):
-        acc = _contract_supports(act_l, [l_ppow[idx[0]], l_f[flat % f_inner]], [0] * d)
-        _contract_supports(act_r, [r_f[flat // n], r_ppow[idx[-1]]], acc)
-        for i in range(1, degree + 1):
-            supports = [p_at[s][idx[s]] for s in range(i - 1)]
-            supports.append(products_at[i - 1][idx[i - 1] * n + idx[i]])
-            supports.extend(p_at[s][idx[s + 1]] for s in range(i, degree))
-            _contract_supports(f_terms[i % 2], supports, acc)
-        for k, v in enumerate(acc):
-            out[k * inner + flat] = _read(v, den)
-    result = Tensor((d,) + (n,) * (degree + 1), tuple(out))
-    if not is_equivariant(module.q, A.p, degree + 1, [result]):
-        raise RouteMismatchError(
-            "differential output violates the membership constraint; "
-            "the underlying bimodule most likely fails its axioms"
-        )
+    inner = n * f_inner
+    entries = [ZERO] * (d * inner)
+    for k, v in out.items():
+        entries[k] = _read(v, den)
+    result = Tensor((d,) + (n,) * (degree + 1), tuple(entries))
+    if all(type(v) is int for v in out.values()):
+        # Born with its integer view, as ``linalg._compose_sum``'s tensors are.
+        g = gcd(den, *out.values())
+        ints = [0] * (d * inner)
+        for k, v in out.items():
+            ints[k] = v // g
+        vars(result)["integer_view"] = den // g, tuple(ints)
+    if not identities:
+        state = {k: v for k, v in out.items() if v}
+        image = state
+        for s in range(degree + 1):
+            image = _slot(image, n, n ** (degree - s), p_rows, n, {})
+        rows = [[] for _ in range(d)]
+        for k, v in state.items():
+            a, j = divmod(k, inner)
+            rows[a].append((j, v))
+        if _violates(q, s_q * den, image, den * s_p ** (degree + 1), rows, inner):
+            raise RouteMismatchError(
+                "differential output violates the membership constraint; "
+                "the underlying bimodule most likely fails its axioms"
+            )
     return result
+
+
+def _state(values, m=1):
+    """The state {flat: m * x} of the nonzero values."""
+    return {k: m * x for k, x in enumerate(values) if x}
+
+
+def _slot(state, extent, rest, rows, size, out):
+    """Add into ``out`` the state of a tensor with one input slot contracted:
+    ``state`` holds its entries by flat index over (head, extent, rest),
+    rows[a] the nonzero (j, x), j < size, that index a of the slot becomes,
+    and the result is keyed over (head, size, rest).  Every key fed by a
+    product of nonzero factors is kept, even one that cancels.  Returns
+    ``out``."""
+    block = extent * rest
+    get = out.get
+    for key, c in state.items():
+        head, tail = divmod(key, block)
+        a, tail = divmod(tail, rest)
+        base = head * size
+        for j, x in rows[a]:
+            k = (base + j) * rest + tail
+            v = get(k)
+            out[k] = c * x if v is None else v + c * x
+    return out
+
+
+def _violates(q, s_qg, image, s_image, g_rows, size):
+    """Whether q o g differs from ``image``: g is given by its rows (the
+    nonzero (j, x), j < size, of each output coordinate), q o g counts in
+    units of 1/s_qg and ``image`` is a state over s_image."""
+    d = len(g_rows)
+    (m_q, m_image), _ = _multipliers((1, -1), (s_qg, s_image))
+    residual = _slot(_state(q, m_q), d, 1, g_rows, size, {})
+    get = residual.get
+    for k, v in image.items():
+        w = get(k)
+        residual[k] = v * m_image if w is None else w + v * m_image
+    return any(residual.values())
 
 
 def check_two_cocycle(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
@@ -280,11 +344,12 @@ def check_two_cocycle(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     Route one evaluates the equivariance and cocycle identities directly;
     route two checks membership in the degree-2 cochain space plus the
     vanishing of the Hochschild-type differential.  The two routes must
-    agree tuple by tuple.
+    agree tuple by tuple: the direct residual is compared with d2 on
+    states, and the first triple where they differ is named in the
+    ``RouteMismatchError``.
     """
     module = cand.host
     A = module.parent
-    n = A.dim
     p, q = A.p, module.q
     report = CheckReport(subject="two-cocycle")
 
@@ -297,20 +362,21 @@ def check_two_cocycle(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
         (-1, phi, mu, True),
         (1, phi, mu, False),
     ]
-    direct = list(nested_cases(p, p, terms, ("x1", "x2", "x3")))
+    names = ("x1", "x2", "x3")
+    direct = nested_residual(p, p, terms)
     run_law(
         report,
         "p(x1).l phi(x2,x3) - phi(x1,x2).r p(x3) - phi(x1.x2, p x3) + phi(p x1, x2.x3) = 0",
-        iter(direct),
+        residual_cases([(direct, names, None)]),
         max_violations,
     )
     if ok_eq:
         d2 = hochschild_differential(module, 2, cand.phi)
-        for (where, residual), idx in zip(direct, iproduct(range(n), repeat=3)):
-            if tensor_column(d2, idx) != tuple(residual):
-                raise RouteMismatchError(
-                    f"cocycle routes disagree at {where}: direct identity vs differential"
-                )
+        where = disagreeing_case(direct, d2, names)
+        if where is not None:
+            raise RouteMismatchError(
+                f"cocycle routes disagree at {where}: direct identity vs differential"
+            )
         run_law(
             report,
             "membership + vanishing hochschild differential (independent route)",

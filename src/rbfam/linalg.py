@@ -19,7 +19,9 @@ through one kernel, ``_signed_state``, which composes each term one slot
 at a time over nonzero entries and returns the sparse state {flat index:
 value} over one denominator: ``_compose_sum`` (one-term case
 ``_compose``, which is also ``Matrix.mul``) turns it into a tensor, and
-the law primitives of ``reports`` read it as residuals.  On integers the
+the law primitives of ``reports`` read it as residuals: ``run_law`` counts
+a law's violations on the state itself and reads entries only for the
+first violations it reports.  On integers the
 kernel reads each array through two views built once per array:
 ``state_view``, its nonzero state, when it is an outer, and ``rows_view``,
 its sparse rows, when it is a part.  A part whose integer view is the
@@ -38,7 +40,10 @@ an exact scalar (a float) is refused.  So ``_applied``, the stencil walk of
 ``cohomology`` and ``homalg.hochschild_differential`` run one integer loop
 over one denominator, a polynomial riding it at scale 1, and read each
 output value once through ``_read``: ``Fraction(v, den)`` for an integer
-and v / den for a polynomial.  ``_signed_state`` runs the same loop on the
+and v / den for a polynomial.  The Hochschild route is a second route to
+the cocycle identity, so it composes with its own loop, one slot at a
+time over nonzero entries with each term's partial contraction formed
+once, and never enters ``_signed_state``.  ``_signed_state`` runs the same loop on the
 entries themselves when one is a polynomial, with no denominator: an
 output entry is a ``TruncatedPoly`` exactly when a product with a
 polynomial factor feeds it, and a ``Fraction`` otherwise.  In the

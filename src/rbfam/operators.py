@@ -20,12 +20,12 @@ search read their arrays once per call as integer tables and build a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError
 from .homalg import (
@@ -59,6 +59,7 @@ from .reports import (
     CheckReport,
     ensure_valid,
     intertwining_cases,
+    intertwining_residual,
     residual_cases,
     run_law,
 )
@@ -195,9 +196,34 @@ def _nijenhuis_products(family):
 def _totals(omega, prec, succ, third):
     """total[a][b] = prec[b] + succ[a] + third(a, b), one summed tensor per pair."""
     return tuple(
-        tuple(prec[b].add(succ[a]).add(third(a, b)) for b in omega.elements())
+        tuple(_summed([prec[b], succ[a], third(a, b)]) for b in omega.elements())
         for a in omega.elements()
     )
+
+
+def _summed(arrays):
+    """The entrywise sum of arrays of one shape.  When every array has an
+    integer view, the numerators are summed over the lcm of the scales and
+    the sum is born with its integer view, as ``linalg._compose_sum``'s
+    tensors are; otherwise (a polynomial entry, or shapes that ``add``
+    refuses) the arrays are added entry by entry."""
+    first, *rest = arrays
+    views = [t.integer_view for t in arrays]
+    if None in views or any(t.shape != first.shape for t in rest):
+        for t in rest:
+            first = first.add(t)
+        return first
+    den = lcm(*(scale for scale, _ in views))
+    values = [0] * len(first.entries)
+    for scale, ints in views:
+        m = den // scale
+        for k, v in enumerate(ints):
+            if v:
+                values[k] += m * v
+    total = replace(first, entries=tuple(Fraction(v, den) if v else ZERO for v in values))
+    g = gcd(den, *values)
+    vars(total)["integer_view"] = den // g, tuple(v // g for v in values)
+    return total
 
 
 def _family_identity(omega, mu, maps, total, names):
@@ -240,12 +266,11 @@ def check_twisted_rbf(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     omega = operator.omega
     report = CheckReport(subject=f"twisted Rota-Baxter family over omega of size {omega.size}")
 
-    def equivariance():
-        for alpha in omega.elements():
-            r_a = operator.maps[alpha]
-            yield from intertwining_cases(r_a, module.q, A.p, [r_a], ("u",), {"alpha": alpha})
-
-    run_law(report, "R_a o q = p o R_a", equivariance(), max_violations)
+    equivariance = residual_cases(
+        (intertwining_residual(r_a, module.q, A.p, [r_a]), ("u",), {"alpha": alpha})
+        for alpha, r_a in zip(omega.elements(), operator.maps)
+    )
+    run_law(report, "R_a o q = p o R_a", equivariance, max_violations)
     run_law(
         report,
         "R_a u . R_b v = R_ab(R_a u .l v + u .r R_b v + phi(R_a u, R_b v))",

@@ -64,8 +64,19 @@ truncates to 0, one fed by rational products only is a ``Fraction``, and
 every other entry is ``ZERO``.  A nested law's state covers all (i, j, k)
 at once, d * I * J * K entries at most.
 
-Four per-tuple paths stay, each an independent second route that must
-not share the composed computation, and none calls ``_signed_state`` or its
+Verdicts read off states.  ``intertwining_cases``, ``nested_cases`` and
+``residual_cases`` return a ``Cases``: iterating it yields the (case,
+residual) pairs above, block by block, computing each block on first read
+and raising where a block raises, as a generator would.
+``run_law`` reads its residual states instead: it counts the violating
+input tuples off their nonzero values and builds a where-dict, a residual
+column and its ``Fraction``s only for the first ``max_violations``
+violations, so a passing law builds none.  ``check_two_cocycle`` compares
+its direct residual with d2 on integer numerators (``disagreeing_case``)
+and builds the where-dict of the first disagreeing triple only to raise.
+
+Four second routes stay apart, each an independent route that must not
+share the composed computation, and none calls ``_signed_state`` or its
 tensor forms: ``homalg.hochschild_differential`` (in degree 2 its terms are
 the compositions of the direct 2-cocycle identity), ``operators.graph_check``
 (products of graph columns inside the twisted semidirect product),
@@ -74,10 +85,16 @@ tests each basis tuple as soon as its maps are bound, so most prefixes fail
 on an early tuple, and composing every law side in full per candidate would
 cost more than the search), and the direct stencil of the family
 differential (``operators.twisted_inner_sum``, cross-checked against the
-generic route on the induced bimodule).  The first three read each array
-once per call as an integer table (its ``scaled`` values or sparse
-``columns``), contract per basis tuple with ``linalg._contract``, the
-kernel of ``multilinear_apply``, building the support of a vector they
+generic route on the induced bimodule).  The Hochschild route contracts one
+slot at a time with its own loop (``homalg._slot``): it reads each array
+once through ``scaled``, forms each term's partial contraction once
+(left o (p^(n-1) x I), right o (I x p^(n-1)) and, per merged slot i,
+f o (p^(x i-1) x I x p^(x n-i))), meets it with f or mu over nonzero
+entries into one sparse state of integer numerators over one denominator,
+and checks membership on the same states.  ``graph_check`` and the search
+read each array once per call as an integer table (its ``scaled`` values
+or sparse ``columns``), contract per basis tuple with ``linalg._contract``,
+the kernel of ``multilinear_apply``, building the support of a vector they
 read many times once (``linalg._supports``), and compare or keep integer
 numerators over one denominator: an entry is read (``linalg._read``) only
 where a result or a violation needs one.
@@ -87,7 +104,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from math import prod
+from math import gcd, prod
 
 from .errors import InputError, PreconditionError
 from .linalg import ZERO, _signed_state
@@ -216,7 +233,7 @@ def intertwining_cases(out, src, tgt, ins, names, where=None):
     With n = 0 the one residual is out(u) - v for the vectors u of ``src``
     and v of ``tgt``.  Entries may be any exact scalars.
     """
-    yield from _cases(intertwining_residual(out, src, tgt, ins), names, where)
+    return Cases(_block(intertwining_residual, (out, src, tgt, ins), names, where))
 
 
 def intertwining_residual(out, src, tgt, ins):
@@ -247,11 +264,16 @@ def nested_cases(first, last, terms, names, where=None):
     Triples come in ``itertools.product`` order; each yields one
     (case, residual) pair, case a new dict of the ``where`` keys followed by
     zip(names, (i, j, k)) and residual the signed sum of the terms.  Entries
-    may be any exact scalars.
-
-    Each term is composed whole, outer o (inner x last) or
-    outer o (first x inner), in one signed sum over (i, j, k).
+    may be any exact scalars.  The residual is ``nested_residual``'s.
     """
+    return Cases(_block(nested_residual, (first, last, terms), names, where))
+
+
+def nested_residual(first, last, terms):
+    """(state, den, shape): the residual of ``nested_cases`` as one sparse
+    state, each term composed whole, outer o (inner x last) or
+    outer o (first x inner), in one signed sum over (i, j, k).  Terms whose
+    shapes do not fit raise ``InputError``."""
     _, outer0, inner0, left0 = terms[0]
     middle = inner0.shape[2] if left0 else inner0.shape[1]
     d, count = outer0.shape[0], first.cols
@@ -264,7 +286,7 @@ def nested_cases(first, last, terms, names, where=None):
         if (outer.shape, inner.shape) != want:
             raise InputError(f"nested term of shapes {outer.shape} and {inner.shape}, expected {want}")
     composed = [(sign, outer, [inner, last] if left else [first, inner]) for sign, outer, inner, left in terms]
-    yield from _cases(_signed_state(composed), names, where)
+    return _signed_state(composed)
 
 
 def residual_cases(blocks):
@@ -272,6 +294,52 @@ def residual_cases(blocks):
     is (residual, names, where), a residual (state, den, shape) of
     ``linalg._signed_state`` with its where-keys, read as
     ``intertwining_cases`` reads one."""
+    return Cases(blocks)
+
+
+class Cases:
+    """The (case, residual column) pairs of residual blocks: what
+    ``intertwining_cases``, ``nested_cases`` and ``residual_cases`` return.
+
+    ``blocks`` is an iterable of (residual, names, where), read lazily,
+    block by block: iterating yields the pairs of ``_cases`` for each block
+    in turn and raises where reading a block raises, as a generator would.
+    ``run_law`` reads the blocks' states instead (``_violations``), so a
+    passing law builds no where-dict, column or ``Fraction``.
+    """
+
+    __slots__ = ("_blocks", "_pairs")
+
+    def __init__(self, blocks):
+        self._blocks, self._pairs = blocks, None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._pairs is None:
+            self._pairs = _pairs(self._blocks)
+        return next(self._pairs)
+
+    def violations(self, limit):
+        """(count, violations) of the blocks not yet read: the number of
+        violating input tuples and the first ``limit`` of them as
+        ``Violation``s, each what iterating would have yielded for it."""
+        if self._pairs is not None:  # partly iterated: count the rest
+            return _count(self, limit)
+        self._pairs = iter(())
+        count, violations = 0, []
+        for residual, names, where in self._blocks:
+            count += _violations(residual, names, where, limit, violations)
+        return count, violations
+
+
+def _block(residual, args, names, where):
+    """One block (residual(*args), names, where), computed on first read."""
+    yield residual(*args), names, where
+
+
+def _pairs(blocks):
     for residual, names, where in blocks:
         yield from _cases(residual, names, where)
 
@@ -308,15 +376,87 @@ def _cases(residual, names, where):
         yield case, zero if column is None else tuple(column)
 
 
-def run_law(report, name, cases, max_violations=DEFAULT_MAX_VIOLATIONS):
-    """Evaluate one law. ``cases`` yields (where, residual vector) pairs."""
+def _violations(residual, names, where, limit, out):
+    """The number of violating input tuples of a residual (state, den,
+    shape); the first of them, up to ``limit`` in ``out`` in all, are
+    appended to ``out`` as the ``Violation``s ``_cases`` would have yielded
+    (where-dict and residual column), read off the state.  An input tuple
+    violates when a value of its column is nonzero (a nonzero numerator, or
+    an entry that is not falsy when den is None)."""
+    state, den, shape = residual
+    if not any(state.values()):
+        return 0
+    d, extents = shape[0], shape[1:]
+    inner = prod(extents)
+    bad = sorted({flat % inner for flat, v in state.items() if v})
+    for c in bad[: max(limit - len(out), 0)]:
+        column = []
+        for k in range(d):
+            v = state.get(k * inner + c)
+            if v is None or (den is not None and not v):
+                column.append(ZERO)
+            else:
+                column.append(v if den is None else Fraction(v, den))
+        out.append(Violation(where=_where(where, names, c, extents), residual=tuple(column)))
+    return len(bad)
+
+
+def _where(prefix, names, c, extents):
+    """The where-dict of input tuple number c (row-major over ``extents``):
+    the ``prefix`` keys, then zip(names, the tuple)."""
+    idx = []
+    for e in reversed(extents):
+        c, i = divmod(c, e)
+        idx.append(i)
+    case = dict(prefix or {})
+    case.update(zip(names, reversed(idx)))
+    return case
+
+
+def _count(cases, limit):
+    """(count, violations) of (where, residual vector) pairs, one by one."""
     violations = []
     count = 0
     for where, residual in cases:
         if any(residual):
             count += 1
-            if len(violations) < max_violations:
+            if len(violations) < limit:
                 violations.append(Violation(where=where, residual=tuple(residual)))
+    return count, violations
+
+
+def disagreeing_case(residual, tensor, names):
+    """The where-dict of the first input tuple at which a residual (state,
+    den, shape) and a tensor of its shape differ, or None when they agree
+    entry by entry.  On integer views the two are compared as numerators
+    (v / den against w / scale); otherwise entry by entry, the residual's
+    entries read as ``_cases`` reads them."""
+    state, den, shape = residual
+    view = tensor.integer_view
+    if den is None or view is None:
+        entries = ((ZERO if v is None else v) for v in map(state.get, range(len(tensor.entries))))
+        if den is not None:
+            entries = (Fraction(v, den) if v else ZERO for v in entries)
+        bad = [flat for flat, (e, v) in enumerate(zip(tensor.entries, entries)) if e != v]
+    else:
+        scale, ints = view
+        g = gcd(scale, den)
+        a, b = scale // g, den // g
+        get = state.get
+        bad = [flat for flat, w in enumerate(ints) if w * b != get(flat, 0) * a]
+    if not bad:
+        return None
+    extents = shape[1:]
+    return _where(None, names, min(flat % prod(extents) for flat in bad), extents)
+
+
+def run_law(report, name, cases, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """Evaluate one law. ``cases`` yields (where, residual vector) pairs; a
+    ``Cases`` is read off its residual states."""
+    if isinstance(cases, Cases):
+        count, violations = cases.violations(max_violations)
+    else:
+        count, violations = _count(cases, max_violations)
     report.laws.append(
         LawCheck(law=name, ok=count == 0, violations=tuple(violations), violation_count=count)
     )

@@ -44,6 +44,7 @@ where-keys, the residual entries and the violation counts.
 import hashlib
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -410,6 +411,30 @@ def transport_differential_inputs(draw):
 def test_hochschild_differential_matches_frozen_body(case):
     new = _differential_outcome(hochschild_differential, *case)
     assert new == _differential_outcome(oracles.tuple_hochschild_differential, *case)
+
+
+def test_hochschild_differential_composes_nothing():
+    """The Hochschild route is the cocycle check's independent second route:
+    on dense p, its membership checks included, it never enters the
+    composition kernel."""
+    kernel = {"_signed_state", "_compose_state", "_compose", "_compose_sum", "intertwining_residual"}
+    operator = transported(("cyclic", 2), 1)
+    module = operator.bimodule
+    cases = [(module, 0, (Fraction(0),) * module.dim), (module, 2, operator.cocycle.phi)]
+    cases.append((replace(module, left=_nudged(module.left, 1)), 2, operator.cocycle.phi))
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_name)
+
+    for case in cases:
+        sys.setprofile(record)
+        try:
+            _differential_outcome(hochschild_differential, *case)
+        finally:
+            sys.setprofile(None)
+    assert "hochschild_differential" in called and not called & kernel
 
 
 FROZEN_COCYCLES = {

@@ -12,6 +12,10 @@ the same ``repr``, so an entry's type counts as much as its value, or the
 same exception type and message.  The one exception: sides of an
 intertwining law that do not fit raise the ``InputError`` of
 ``linalg._signed_state``, not the message of the frozen body's own check.
+A further property holds ``run_law``, which reads a law's residual states,
+to ``run_law`` on the same law's listed (case, residual) pairs: the same
+violations, count and exception at violation limits 0, 1, 3 and the
+default.
 
 Inputs are raw ints, mixed int/``Fraction`` entries and long rationals
 (numerators of about 300 digits), polynomials over K[t]/(t^2) and
@@ -34,7 +38,14 @@ from rbfam.cohomology import _rbf_stencil, differential_matrix, rbf_complex
 from rbfam.errors import InputError
 from rbfam.family import operator_bimodule
 from rbfam.linalg import ONE, ZERO, Matrix, Tensor, _Array, _compose, _compose_sum
-from rbfam.reports import intertwining_residual, nested_cases
+from rbfam.reports import (
+    DEFAULT_MAX_VIOLATIONS,
+    CheckReport,
+    intertwining_cases,
+    intertwining_residual,
+    nested_cases,
+    run_law,
+)
 from rbfam.scalars import TruncatedPoly
 from rbfam.workspace import desk_instance
 from test_law_composition import _nudged, host_laws, transported
@@ -210,6 +221,42 @@ def test_nested_cases_match_first_index_body(case, where):
     first, last, terms = case
     args = (first, last, terms, NAMES, where)
     assert _outcome(nested_cases, *args) == _outcome(oracles.first_index_nested_cases, *args)
+
+
+def _law_outcome(cases, limit):
+    """``repr`` of the ``LawCheck`` that ``run_law`` appends for ``cases``,
+    or the type and message of what it raises."""
+    report = CheckReport(subject="law")
+    try:
+        run_law(report, "law", cases, limit)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(report.laws)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    law=st.one_of(
+        nested_laws().map(lambda case: (nested_cases, case)),
+        intertwining_laws().map(lambda case: (intertwining_cases, case)),
+    ),
+    where=st.sampled_from((None, WHERE)),
+    limit=st.sampled_from((0, 1, 3, DEFAULT_MAX_VIOLATIONS)),
+)
+def test_run_law_reads_states_as_it_reads_pairs(law, where, limit):
+    """``run_law`` on a law's residual states gives the violations, count
+    and exception it gives on the listed (case, residual) pairs."""
+    primitive, case = law
+    args = (*case, NAMES, where)
+
+    def listed():
+        return iter(list(primitive(*args)))
+
+    try:
+        want = _law_outcome(listed(), limit)
+    except Exception as exc:
+        want = type(exc), str(exc)
+    assert _law_outcome(primitive(*args), limit) == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
