@@ -18,6 +18,7 @@ from .operators import _split_products, _totals, check_twisted_rbf, check_weight
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
+    chained_cases,
     ensure_valid,
     intertwining_cases,
     nested_cases,
@@ -161,7 +162,7 @@ def _product_cases(f, s_t, t_t, where=None):
 def _indexed(omega, arity, cases):
     """cases(*idx, where=...) chained over idx in omega^arity, in product
     order, with the where-dict naming the indices alpha, beta, gamma."""
-    return chain.from_iterable(
+    return chained_cases(
         cases(*idx, where=dict(zip(("alpha", "beta", "gamma"), idx)))
         for idx in iproduct(omega.elements(), repeat=arity)
     )

@@ -65,7 +65,8 @@ every other entry is ``ZERO``.  A nested law's state covers all (i, j, k)
 at once, d * I * J * K entries at most.
 
 Verdicts read off states.  ``intertwining_cases``, ``nested_cases`` and
-``residual_cases`` return a ``Cases``: iterating it yields the (case,
+``residual_cases`` return a ``Cases``, and ``chained_cases`` joins several
+(one law per semigroup index, say) into one: iterating it yields the (case,
 residual) pairs above, block by block, computing each block on first read
 and raising where a block raises, as a generator would.
 ``run_law`` reads its residual states instead: it counts the violating
@@ -297,9 +298,16 @@ def residual_cases(blocks):
     return Cases(blocks)
 
 
+def chained_cases(sources):
+    """One ``Cases`` of the blocks of fresh ``Cases`` sources, in order; the
+    sources are read lazily, as chaining their pairs would read them."""
+    return Cases(block for cases in sources for block in cases._blocks)
+
+
 class Cases:
     """The (case, residual column) pairs of residual blocks: what
-    ``intertwining_cases``, ``nested_cases`` and ``residual_cases`` return.
+    ``intertwining_cases``, ``nested_cases``, ``residual_cases`` and
+    ``chained_cases`` return.
 
     ``blocks`` is an iterable of (residual, names, where), read lazily,
     block by block: iterating yields the pairs of ``_cases`` for each block
@@ -314,19 +322,19 @@ class Cases:
         self._blocks, self._pairs = blocks, None
 
     def __iter__(self):
-        return self
-
-    def __next__(self):
         if self._pairs is None:
             self._pairs = _pairs(self._blocks)
-        return next(self._pairs)
+        return self._pairs
+
+    def __next__(self):
+        return next(iter(self))
 
     def violations(self, limit):
         """(count, violations) of the blocks not yet read: the number of
         violating input tuples and the first ``limit`` of them as
         ``Violation``s, each what iterating would have yielded for it."""
         if self._pairs is not None:  # partly iterated: count the rest
-            return _count(self, limit)
+            return _count(self._pairs, limit)
         self._pairs = iter(())
         count, violations = 0, []
         for residual, names, where in self._blocks:

@@ -15,7 +15,7 @@ intertwining law that do not fit raise the ``InputError`` of
 A further property holds ``run_law``, which reads a law's residual states,
 to ``run_law`` on the same law's listed (case, residual) pairs: the same
 violations, count and exception at violation limits 0, 1, 3 and the
-default.
+default, for one law and for laws joined by ``reports.chained_cases``.
 
 Inputs are raw ints, mixed int/``Fraction`` entries and long rationals
 (numerators of about 300 digits), polynomials over K[t]/(t^2) and
@@ -27,7 +27,7 @@ twisted-triangular packings over C2 and the boolean monoid.
 """
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 from hypothesis import given, settings
@@ -41,6 +41,7 @@ from rbfam.linalg import ONE, ZERO, Matrix, Tensor, _Array, _compose, _compose_s
 from rbfam.reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
+    chained_cases,
     intertwining_cases,
     intertwining_residual,
     nested_cases,
@@ -236,27 +237,34 @@ def _law_outcome(cases, limit):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    law=st.one_of(
-        nested_laws().map(lambda case: (nested_cases, case)),
-        intertwining_laws().map(lambda case: (intertwining_cases, case)),
+    laws=st.lists(
+        st.one_of(
+            nested_laws().map(lambda case: (nested_cases, case)),
+            intertwining_laws().map(lambda case: (intertwining_cases, case)),
+        ),
+        min_size=1,
+        max_size=3,
     ),
     where=st.sampled_from((None, WHERE)),
     limit=st.sampled_from((0, 1, 3, DEFAULT_MAX_VIOLATIONS)),
 )
-def test_run_law_reads_states_as_it_reads_pairs(law, where, limit):
-    """``run_law`` on a law's residual states gives the violations, count
-    and exception it gives on the listed (case, residual) pairs."""
-    primitive, case = law
-    args = (*case, NAMES, where)
+def test_run_law_reads_states_as_it_reads_pairs(laws, where, limit):
+    """``run_law`` on laws' residual states, one law or several joined by
+    ``chained_cases``, gives the violations, count and exception it gives
+    on the listed (case, residual) pairs, and ``chained_cases`` lists the
+    pairs of the laws in turn."""
 
-    def listed():
-        return iter(list(primitive(*args)))
+    def sources():
+        return [primitive(*case, NAMES, where) for primitive, case in laws]
 
     try:
-        want = _law_outcome(listed(), limit)
+        want = _law_outcome(iter(list(chain.from_iterable(sources()))), limit)
     except Exception as exc:
         want = type(exc), str(exc)
-    assert _law_outcome(primitive(*args), limit) == want
+    assert _law_outcome(chained_cases(iter(sources())), limit) == want
+    if len(laws) == 1:
+        assert _law_outcome(sources()[0], limit) == want
+    assert _outcome(chained_cases, iter(sources())) == _outcome(chain.from_iterable, sources())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
