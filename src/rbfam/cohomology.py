@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 from itertools import product as iproduct
 from math import lcm
 
@@ -393,7 +393,9 @@ class ComplexHandle:
 
         RBF gets two, the direct and the generic one, assembled
         independently; the others get one.  Degree 0 is the n = 0 case of
-        the same stencils, refused below ``first_degree``.
+        the same stencils, refused below ``first_degree``.  ``_maps`` holds
+        the maps of each degree and, under each stencil's tag, its term
+        maps, built once per handle; a copy with ``_maps={}`` builds its own.
         """
         if degree in self._maps:
             return self._maps[degree]
@@ -404,12 +406,15 @@ class ComplexHandle:
         walk = self.raw_dim(degree + 1, limit)
         walk = None if walk is None or walk * degree**2 > limit else walk * degree**2
         self._guard_size(degree, walk, f"a stencil walk of {_about(walk, limit)} steps")
+        # Each stencil keeps its term maps in the handle's store for its tag,
+        # shared by every degree.
+        terms = self._maps.setdefault
         if self.tag == HA:
-            stencils = [_ha_stencil(self.ha_module, degree)]
+            stencils = [_ha_stencil(self.ha_module, degree, terms(HA, {}))]
         else:
-            stencils = [_omega_stencil(self.omega_algebra, self.omega_module, degree)]
+            stencils = [_omega_stencil(self.omega_algebra, self.omega_module, degree, terms(OMEGA, {}))]
             if self.tag == RBF:
-                stencils.insert(0, _rbf_stencil(self.operator, degree))
+                stencils.insert(0, _rbf_stencil(self.operator, degree, terms(RBF, {})))
         maps = [_assemble_stencil(self, degree, s) for s in stencils]
         self._maps[degree] = maps
         return maps
@@ -522,9 +527,15 @@ def rbf_complex(operator, degree_cap=DEFAULT_DEGREE_CAP, max_entries=DEFAULT_MAX
 #   smap            the structure map on the source.
 # In degree 0 key[1:] and key[:-1] are the empty key, whose semigroup
 # product is the unit, and there is no merged slot.  Each term map is one
-# signed sum of whole compositions (``linalg._compose_sum``), cached per the
-# data it depends on, never per key or per cochain; the walker reads every
-# array once, through its cached ``scaled`` view.
+# signed sum of whole compositions (``linalg._compose_sum``), built once per
+# handle and kept in its store (``_kept``) under the data it depends on,
+# never per key, degree or cochain: a merged argument by its two semigroup
+# indices, an end map by its indices and the exponent k of the power of the
+# structure map it composes (``_exponent``: n - 1, or 0 when the map is the
+# identity, so degrees with equal powers share it).  Where that power is the
+# identity, a generic or Hochschild end map is the action itself.  The
+# walker reads every array once per degree, through its cached ``scaled``
+# view.
 
 _Stencil = namedtuple("_Stencil", ["first", "last", "merged", "smap"])
 
@@ -533,39 +544,74 @@ def _sparse(v):
     return [(j, c) for j, c in enumerate(v) if c]
 
 
-def _omega_stencil(algebra, module, degree):
+def _kept(terms, name):
+    """Decorator: fn(*args) is built on its first call and kept in
+    ``terms``, a handle's store, under (name, *args)."""
+
+    def wrap(fn):
+        def kept(*args):
+            key = (name, *args)
+            out = terms.get(key)
+            if out is None:
+                out = terms[key] = fn(*args)
+            return out
+
+        return kept
+
+    return wrap
+
+
+def _exponent(smap, degree):
+    """k of the power smap^k = smap^max(n-1, 0) that a degree-n end map
+    composes, 0 when smap is the identity pattern ``_compose`` skips."""
+    if smap.integer_view is not None and smap.rows_view is None:
+        return 0
+    return max(degree - 1, 0)
+
+
+def _omega_stencil(algebra, module, degree, terms):
     """Generic pair-indexed stencil: with P = p^max(n-1, 0), the first term
     is left o (P x I) under the left action indexed by (key[0], product of
     key[1:]), the last term right o (I x P) indexed by (product of
     key[:-1], key[-1]), and the merged argument the pair-indexed product of
-    slots i-1 and i."""
+    slots i-1 and i.  An end map is kept by its indices and P's exponent k;
+    when P is the identity (k = 0) it is the action itself."""
     omega = algebra.omega
-    ppow = algebra.p.power(max(degree - 1, 0))
+    k = _exponent(algebra.p, degree)
     eye = Matrix.identity(module.dim)
+    kept = partial(_kept, terms)
 
-    @cache
-    def first(alpha, rest):
-        return _compose(module.left[alpha][rest], [ppow, eye])
+    @kept("power")
+    def ppow(k):
+        return algebra.p.power(k)
 
-    @cache
-    def last(head, beta):
-        return _compose(module.right[head][beta], [eye, ppow])
+    @kept("first")
+    def first(alpha, rest, k):
+        act = module.left[alpha][rest]
+        return _compose(act, [ppow(k), eye]) if k else act
+
+    @kept("last")
+    def last(head, beta, k):
+        act = module.right[head][beta]
+        return _compose(act, [eye, ppow(k)]) if k else act
 
     return _Stencil(
-        first=lambda key: first(key[0], omega.product(key[1:])),
-        last=lambda key: last(omega.product(key[:-1]), key[-1]),
+        first=lambda key: first(key[0], omega.product(key[1:]), k),
+        last=lambda key: last(omega.product(key[:-1]), key[-1], k),
         merged=lambda key, i: algebra.prod[key[i - 1]][key[i]],
         smap=algebra.p,
     )
 
 
-def _rbf_stencil(operator, degree):
+def _rbf_stencil(operator, degree, terms):
     """Direct twisted-family stencil on the operator's host data: with
     Q = q^max(n-1, 0), pi the product of key and a = key[0], the first term
     is mu o (R_a Q x I) - R_pi o right o (Q x I) - R_pi o phi o (R_a Q x I);
     the last term mirrors it with b = key[-1], mu o (I x R_b Q) -
     R_pi o left o (I x Q) - R_pi o phi o (I x R_b Q); the merged argument is
-    ``twisted_inner_sum`` of slots i-1 and i, one basis pair at a time."""
+    ``twisted_inner_sum`` of slots i-1 and i, one basis pair at a time.
+    The end maps are kept by (a or b, pi, k), k the exponent of Q, and the
+    merged arguments by (a, b), for every degree."""
     A, module, phi, omega = (
         operator.algebra,
         operator.bimodule,
@@ -573,48 +619,69 @@ def _rbf_stencil(operator, degree):
         operator.omega,
     )
     d = module.dim
-    qpow = module.q.power(max(degree - 1, 0))
+    k = _exponent(module.q, degree)
     eye = Matrix.identity(A.dim)
-    right_q = _compose(module.right, [qpow, eye])
-    left_q = _compose(module.left, [eye, qpow])
     vbasis = module.basis()
+    kept = partial(_kept, terms)
 
-    @cache
-    def r_q(alpha):
-        return operator.maps[alpha].mul(qpow)
+    @kept("power")
+    def qpow(k):
+        return module.q.power(k)
 
-    @cache
-    def first(alpha, pi):
-        r_pi, ra_q = operator.maps[pi], r_q(alpha)
+    @kept("right_q")
+    def right_q(k):
+        return _compose(module.right, [qpow(k), eye])
+
+    @kept("left_q")
+    def left_q(k):
+        return _compose(module.left, [eye, qpow(k)])
+
+    @kept("r_q")
+    def r_q(alpha, k):
+        return operator.maps[alpha].mul(qpow(k))
+
+    @kept("first")
+    def first(alpha, pi, k):
+        r_pi, ra_q = operator.maps[pi], r_q(alpha, k)
         twisted = _compose(phi, [ra_q, eye])
-        return _compose_sum([(1, A.mu, [ra_q, eye]), (-1, r_pi, [right_q]), (-1, r_pi, [twisted])])
+        return _compose_sum([(1, A.mu, [ra_q, eye]), (-1, r_pi, [right_q(k)]), (-1, r_pi, [twisted])])
 
-    @cache
-    def last(beta, pi):
-        r_pi, rb_q = operator.maps[pi], r_q(beta)
+    @kept("last")
+    def last(beta, pi, k):
+        r_pi, rb_q = operator.maps[pi], r_q(beta, k)
         twisted = _compose(phi, [eye, rb_q])
-        return _compose_sum([(1, A.mu, [eye, rb_q]), (-1, r_pi, [left_q]), (-1, r_pi, [twisted])])
+        return _compose_sum([(1, A.mu, [eye, rb_q]), (-1, r_pi, [left_q(k)]), (-1, r_pi, [twisted])])
 
-    @cache
+    @kept("merged")
     def merged(alpha, beta):
         sums = [[twisted_inner_sum(operator, alpha, beta, u, v) for v in vbasis] for u in vbasis]
         return Tensor.from_function((d, d, d), lambda j, a, b: sums[a][b][j])
 
     return _Stencil(
-        first=lambda key: first(key[0], omega.product(key)),
-        last=lambda key: last(key[-1], omega.product(key)),
+        first=lambda key: first(key[0], omega.product(key), k),
+        last=lambda key: last(key[-1], omega.product(key), k),
         merged=lambda key, i: merged(key[i - 1], key[i]),
         smap=module.q,
     )
 
 
-def _ha_stencil(module, degree):
-    """Hochschild-type stencil (the terms of ``hochschild_differential``)."""
+def _ha_stencil(module, degree, terms):
+    """Hochschild-type stencil (the terms of ``hochschild_differential``),
+    its end maps kept by the exponent k of p^max(n-1, 0): the actions
+    themselves when k = 0."""
     A = module.parent
-    ppow = A.p.power(max(degree - 1, 0))
+    k = _exponent(A.p, degree)
     eye = Matrix.identity(module.dim)
-    first = _compose(module.left, [ppow, eye])
-    last = _compose(module.right, [eye, ppow])
+    kept = partial(_kept, terms)
+
+    @kept("ends")
+    def ends(k):
+        if not k:
+            return module.left, module.right
+        ppow = A.p.power(k)
+        return _compose(module.left, [ppow, eye]), _compose(module.right, [eye, ppow])
+
+    first, last = ends(k)
     return _Stencil(
         first=lambda key: first,
         last=lambda key: last,
@@ -662,16 +729,17 @@ def _assemble_stencil(handle, degree, stencil):
     # Every distinct array is read once; den is the lcm of the terms' units.
     arrays = {**ends, **inner, id(stencil.smap): stencil.smap}
     scales = {key: t.scaled[0] for key, t in arrays.items()}
-    # A merged term multiplies n - 1 entries of smap into its own.
+    # A merged term multiplies n - 1 entries of smap into its own.  An end
+    # map kept as an action may be the very array of a merged term, so the
+    # units are taken per role.
     args_scale = scales[id(stencil.smap)] ** max(n - 1, 0)
-    units = {key: scales[key] for key in ends} | {key: scales[key] * args_scale for key in inner}
-    den = lcm(*units.values())
+    den = lcm(*(scales[key] for key in ends), *(scales[key] * args_scale for key in inner))
 
     @cache
     def end_term(key, axis):
         # A first (axis 1, T[k][a][k']) or last (axis 2, T[k][k'][a]) term
         # map as (k, k', value) per a; the last carries its sign.
-        m = den // units[key] * (sign_last if axis == 2 else 1)
+        m = den // scales[key] * (sign_last if axis == 2 else 1)
         out = [[] for _ in range(g)]
         for (k, x, y), c in zip(iproduct(*map(range, arrays[key].shape)), arrays[key].scaled[1]):
             if c:
@@ -682,7 +750,7 @@ def _assemble_stencil(handle, degree, stencil):
     @cache
     def merged_table(key):
         # M[j][a][b] as (j, value) per (a, b).
-        m = den // units[key]
+        m = den // (scales[key] * args_scale)
         out = [[[] for _ in range(g)] for _ in range(g)]
         for (j, a, b), c in zip(iproduct(range(g), repeat=3), arrays[key].scaled[1]):
             if c:

@@ -16,8 +16,8 @@ through its sparse ``columns``, built once per array.  A caller that
 contracts the same vector many times builds its support once and calls
 ``_contract_supports``.  Every signed sum of compositions goes
 through one kernel, ``_signed_state``, which composes each term one slot
-at a time over nonzero entries and returns the sparse state {flat index:
-value} over one denominator: ``_compose_sum`` (one-term case
+at a time over nonzero entries, the sparsest part first, and returns the
+sparse state {flat index: value} over one denominator: ``_compose_sum`` (one-term case
 ``_compose``, which is also ``Matrix.mul``) turns it into a tensor, and
 the law primitives of ``reports`` read it as residuals: ``run_law`` counts
 a law's violations on the state itself and reads entries only for the
@@ -519,7 +519,8 @@ def _signed_state(terms):
     outer has shape (d, a_0, ..., a_{m-1}) and parts[s] shape (a_s, *in_s),
     a ``Matrix`` read in place; every term must have the shape
     (d, *in_0, ..., *in_{m-1}).  Terms are contracted one slot at a time
-    over nonzero supports (``_compose_state``).  Every entry fed by a
+    over nonzero supports, the part with the fewest nonzeros per row first
+    (``_compose_state``).  Every entry fed by a
     product of nonzero factors is kept, even one that cancels to 0.
 
     With an integer view on every input the values are integer numerators
@@ -613,14 +614,21 @@ def _compose_state(shape, state, parts):
     order, zero values included.  ``state`` may be an array's cached
     ``state_view`` and is only read; when every part is skipped the result
     is a copy of it, so the caller may add into the result in place.
+
+    When two or more parts are composed, the one with the fewest nonzeros
+    per row goes first (a sparse p before an expanding mu), so the
+    intermediate states stay small.  The keys and exact values do not
+    depend on that order, only the order of the keys does.
     """
-    remaining = prod(shape[1:])
-    for s, part in enumerate(parts):
-        rest = prod(shape[s + 2 :])
-        if part is None:
-            remaining = rest
-            continue
-        rows, size = part
+    # extents[s] is slot s's extent in the state: a_s until it is composed, then prod(in_s).
+    extents = list(shape[1:])
+    slots = [s for s, part in enumerate(parts) if part is not None]
+    if len(slots) > 1:
+        slots.sort(key=lambda s: sum(map(len, parts[s][0])) / (extents[s] or 1))
+    for s in slots:
+        rows, size = parts[s]
+        rest = prod(extents[s + 1 :])
+        remaining = extents[s] * rest
         acc = {}
         get = acc.get
         for key, c in state.items():
@@ -631,9 +639,9 @@ def _compose_state(shape, state, parts):
                 k = (base + j) * rest + tail
                 v = get(k)
                 acc[k] = c * x if v is None else v + c * x
-        state, remaining = acc, rest
+        state, extents[s] = acc, size
     # A part that was composed made ``state`` a new dict.
-    return state if any(parts) else dict(state)
+    return state if slots else dict(state)
 
 
 def _rows(entries, count, size):

@@ -351,8 +351,10 @@ def end_map_operators():
 def test_rbf_end_maps_match_chained_bodies():
     for operator in end_map_operators():
         omega = operator.omega
+        # One store for every degree, as a handle keeps it.
+        terms = {}
         for degree in (0, 1, 2):
-            stencil = _rbf_stencil(operator, degree)
+            stencil = _rbf_stencil(operator, degree, terms)
             first, last = oracles.chained_rbf_ends(operator, degree)
             for key in product(omega.elements(), repeat=degree + 1):
                 pi = omega.product(key)

@@ -224,3 +224,27 @@ def test_stencil_term_maps_make_no_multilinear_calls(monkeypatch, degree, calls)
             monkeypatch.setattr(module, "multilinear_apply", counting)
     handle._stencil_maps(degree)
     assert len(count) == calls
+
+
+def test_term_maps_are_built_once_per_handle(monkeypatch):
+    # q is not the identity here, so degree 1 composes Q = I and degree 2
+    # Q = q: the end maps are kept per exponent of Q, and the merged slots,
+    # which do not depend on it, are built once for both degrees.
+    operator = transported(("cyclic", 2), 0)
+    handle = rbf_complex(operator)
+    assert not handle.source_map.is_identity()
+    original, count = linalg.multilinear_apply, []
+
+    def counting(*args):
+        count.append(1)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rbfam" and getattr(module, "multilinear_apply", None) is original:
+            monkeypatch.setattr(module, "multilinear_apply", counting)
+    handle._stencil_maps(1)
+    assert len(count) == 108
+    handle._stencil_maps(2)
+    assert len(count) == 108
+    monkeypatch.undo()
+    assert repr(handle.differential_matrix(2)) == repr(rbf_complex(operator).differential_matrix(2))
