@@ -8,6 +8,10 @@ inputs, so values are safe to share across threads.
 row-major entries tuple, with one body each for the entrywise operations
 and the cached views.  A matrix's shape is (rows, cols), so the
 kernels read a ``Matrix`` in place as its row-major tensor, with no copy.
+An array the integer path makes is born integer (``_Array._born``): it
+holds its shape and ``integer_view`` only, and one hook,
+``_Array.__getattr__``, builds its ``Fraction`` entries on their first
+read, as it builds those of a matrix born from integer column states.
 
 ``Matrix.apply`` and ``multilinear_apply`` share one body, ``_applied``:
 one contraction, ``_contract``, over the arguments' supports (their
@@ -22,14 +26,16 @@ sparse state {flat index: value} over one denominator: ``_compose_sum`` (one-ter
 the law primitives of ``reports`` read it as residuals: ``run_law`` counts
 a law's violations on the state itself and reads entries only for the
 first violations it reports.  On integers the
-kernel reads each array through two views built once per array:
+kernel reads each array through views built once per array:
 ``state_view``, its nonzero state, when it is an outer, and ``rows_view``,
-its sparse rows, when it is a part.  A part whose integer view is the
-identity pattern at scale 1 (a square identity, or shape (a, *in) with
-prod(in) = a) has no rows view and is skipped, which keeps every key and
-value; 2 * I is composed.  Cached views are shared by every call and never
-mutated.  A tensor composed on integers is born with its ``integer_view``,
-so its next reader does not read its ``Fraction`` entries again.
+its sparse rows, with ``density``, its nonzeros per row, when it is a
+part.  A part whose integer view is the identity pattern at scale 1 (a
+square identity, or shape (a, *in) with prod(in) = a) has no rows view and
+is skipped, which keeps every key and value; 2 * I is composed.  Cached
+views are shared by every call and never mutated.  A tensor composed on
+integers (``_from_state``) is born integer, so its next reader takes its
+integer view and no ``Fraction`` entry is built unless something reads
+``entries`` (``==``, ``hash``, ``repr``, ``replace``, a report).
 
 Every value is read as (scale, values), the entries times an integer
 scale.  Rationals become integers in one place, ``_integer_view``: the lcm
@@ -110,7 +116,32 @@ class _Array:
     """The entrywise code of ``Matrix`` and ``Tensor``: a ``shape`` and a
     row-major ``entries`` tuple.  Each result has the caller's class and
     shape; the base adds no field, so ``==``, ``hash`` and ``repr`` stay
-    those of the dataclass."""
+    those of the dataclass.
+
+    An array may be born (``_born``) with its shape and a view in place of
+    its entries: the ``integer_view`` (scale, ints) of the integer path, or
+    a matrix's ``column_states``.  It skips ``__post_init__``, and
+    ``__getattr__`` builds ``entries`` from that view on their first read,
+    so ``==``, ``hash``, ``repr`` and ``replace`` read the same entries as
+    those of the array built eagerly."""
+
+    @classmethod
+    def _born(cls, shape, **views):
+        array = object.__new__(cls)
+        vars(array).update(cls._fields_of(shape), **views)
+        return array
+
+    def __getattr__(self, name):  # an unset attribute: ``entries`` of a born array before its first read
+        fields = vars(self)
+        if name == "entries" and "column_states" in fields:
+            entries = self._column_entries()
+        elif name == "entries" and "integer_view" in fields:
+            scale, ints = fields["integer_view"]
+            entries = tuple(Fraction(v, scale) if v else ZERO for v in ints)
+        else:
+            raise AttributeError(name)
+        fields["entries"] = entries
+        return entries
 
     def add(self, other):
         self._same_shape(other)
@@ -170,6 +201,13 @@ class _Array:
         if scale == 1 and size == a and all(row == [(k, 1)] for k, row in enumerate(rows)):
             return None
         return rows, size
+
+    @cached_property
+    def density(self):
+        """The nonzeros per row of ``rows_view`` (0 when it is None), the key
+        by which ``_compose_state`` orders parts; kept like ``integer_view``."""
+        view = self.rows_view
+        return _density(view[0], self.shape[0]) if view else 0
 
     def _same_shape(self, other):
         if self.shape != other.shape:
@@ -231,6 +269,11 @@ class Matrix(_Array):
         """(rows, cols): a matrix is read in place as its row-major tensor."""
         return (self.rows, self.cols)
 
+    @staticmethod
+    def _fields_of(shape):
+        rows, cols = shape
+        return {"rows": rows, "cols": cols}
+
     def at(self, i, j):
         return self.entries[i * self.cols + j]
 
@@ -248,7 +291,7 @@ class Matrix(_Array):
     def mul(self, other):
         if self.cols != other.rows:
             raise InputError("matrix-matrix dimension mismatch")
-        return Matrix(self.rows, other.cols, _compose(self, [other]).entries)
+        return _from_state(Matrix, *_signed_state([(1, self, [other])]))
 
     def power(self, k):
         if self.rows != self.cols:
@@ -274,15 +317,11 @@ class Matrix(_Array):
     @staticmethod
     def from_column_states(rows, cols, states, limit):
         """Column j is (state, den) = states[j]: entry (i, j) is _read(state[i], den), and ``ZERO`` off
-        the state.  ``entries``, which ``==``, ``hash``, ``repr`` and ``replace`` read, is built on
-        first access, up to ``limit`` cells; elimination reads the states."""
-        m = object.__new__(Matrix)
-        vars(m).update(rows=rows, cols=cols, column_states=tuple(states), _limit=limit)
-        return m
+        the state.  The matrix is born (``_Array``): ``entries`` is built on first read, up to
+        ``limit`` cells; elimination reads the states."""
+        return Matrix._born((rows, cols), column_states=tuple(states), _limit=limit)
 
-    def __getattr__(self, name):  # an unset attribute: ``entries`` before its first access
-        if name != "entries" or self.column_states is None:
-            raise AttributeError(name)
+    def _column_entries(self):
         size = self.rows * self.cols
         if size > self._limit:
             message = f"a {self.rows}x{self.cols} matrix needs {size} entries, beyond the budget {self._limit}"
@@ -291,8 +330,7 @@ class Matrix(_Array):
         for j, (state, den) in enumerate(self.column_states):
             for i, v in state.items():
                 out[i * self.cols + j] = _read(v, den)
-        vars(self)["entries"] = entries = tuple(out)
-        return entries
+        return tuple(out)
 
 
 def block_diag(blocks):
@@ -328,6 +366,10 @@ class Tensor(_Array):
                 f"tensor entry count {len(self.entries)} != product of {self.shape}"
             )
         self._check_entries()
+
+    @staticmethod
+    def _fields_of(shape):
+        return {"shape": tuple(shape)}
 
     @staticmethod
     def zero(shape):
@@ -488,27 +530,33 @@ def _compose(outer, parts):
 
 
 def _compose_sum(terms):
-    """The tensor of ``_signed_state(terms)``, ``ZERO`` where the state has no entry.
+    """The tensor of ``_signed_state(terms)`` (``_from_state``): on the
+    integer path it is born integer and builds its ``Fraction`` entries
+    only when they are read."""
+    return _from_state(Tensor, *_signed_state(terms))
 
-    On the integer path the tensor is born with its ``integer_view``:
-    (den // g, values // g), g the gcd of den and the values.  That is
+
+def _from_state(cls, state, den, shape):
+    """The array of ``cls`` and ``shape`` whose entries are the state's
+    values over den, ``ZERO`` where the state has no entry.
+
+    On the integer path (den an int) the array is born (``_Array._born``)
+    with only its ``integer_view``, (den // g, values // g), g the gcd of
+    den and the values, and reads its entries from it.  That is
     ``_integer_view`` of the entries, since the lcm of the denominators
-    den / gcd(v, den) is den / gcd(den, v_1, ..., v_m)."""
-    state, den, shape = _signed_state(terms)
+    den / gcd(v, den) is den / gcd(den, v_1, ..., v_m).  With den None the
+    values are the entries themselves, and the array is built eagerly."""
     size = prod(shape)
-    out = [ZERO] * size
     if den is None:
+        out = [ZERO] * size
         for k, v in state.items():
             out[k] = v
-        return Tensor(shape, tuple(out))
+        return cls(**cls._fields_of(shape), entries=tuple(out))
     g = gcd(den, *state.values())
     ints = [0] * size
     for k, v in state.items():
-        out[k] = Fraction(v, den)
         ints[k] = v // g
-    tensor = Tensor(shape, tuple(out))
-    vars(tensor)["integer_view"] = den // g, tuple(ints)
-    return tensor
+    return cls._born(shape, integer_view=(den // g, tuple(ints)))
 
 
 def _signed_state(terms):
@@ -527,11 +575,11 @@ def _signed_state(terms):
     over den: a term counts in units of 1/(product of its arrays' scales)
     and is added times sign * (den // units), den the lcm of the units (a
     lone term is over its own units).  Each array is read through its
-    cached views: an outer's ``state_view`` and a part's ``rows_view``,
-    None for an identity pattern at scale 1, which ``_compose_state``
-    skips.  Those views are shared and only read: a term whose parts are
-    all skipped starts from a copy of its outer's state, so the sum is
-    scaled and added in place.
+    cached views: an outer's ``state_view`` and a part's ``rows_view``
+    (None for an identity pattern at scale 1, which ``_compose_state``
+    skips) and ``density``.  Those views are shared and only read: a term
+    whose parts are all skipped starts from a copy of its outer's state,
+    so the sum is scaled and added in place.
 
     Otherwise (a ``TruncatedPoly`` entry) every array's entries are read
     (``ensure_scalar``) and multiplied one product at a time, the
@@ -565,6 +613,7 @@ def _signed_state(terms):
     start = 0
     for m, (_, outer, parts) in zip(multipliers, terms):
         outer_shape, term_shape, rows = outer.shape, outer.shape[:1], []
+        densities = None if entrywise else []
         if len(outer_shape) != len(parts) + 1:
             raise _compose_error(outer, parts)
         for s, (part, a) in enumerate(zip(parts, outer_shape[1:]), start + 1):
@@ -572,12 +621,16 @@ def _signed_state(terms):
             if part_shape[0] != a:
                 raise _compose_error(outer, parts)
             term_shape += part_shape[1:]
-            rows.append(_rows(values[s], a, prod(part_shape[1:])) if entrywise else part.rows_view)
+            if entrywise:
+                rows.append(_rows(values[s], a, prod(part_shape[1:])))
+            else:
+                rows.append(part.rows_view)
+                densities.append(part.density)
         if shape is None:
             shape = term_shape
         elif term_shape != shape:
             raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
-        state = _compose_state(outer_shape, _nonzeros(values[start]) if entrywise else outer.state_view, rows)
+        state = _compose_state(outer_shape, _nonzeros(values[start]) if entrywise else outer.state_view, rows, densities)
         start += len(parts) + 1
         if acc is None:
             acc, get = state, state.get
@@ -596,7 +649,7 @@ def _compose_error(outer, parts):
     return InputError(f"cannot compose shape {outer.shape} with {[t.shape for t in parts]}")
 
 
-def _compose_state(shape, state, parts):
+def _compose_state(shape, state, parts, densities=None):
     """The sparse state {flat: value} of outer o (parts[0] x ... x parts[m-1]).
 
     ``state`` holds the nonzero entries of ``outer``, of shape
@@ -618,13 +671,17 @@ def _compose_state(shape, state, parts):
     When two or more parts are composed, the one with the fewest nonzeros
     per row goes first (a sparse p before an expanding mu), so the
     intermediate states stay small.  The keys and exact values do not
-    depend on that order, only the order of the keys does.
+    depend on that order, only the order of the keys does.  ``densities``
+    gives each part's nonzeros per row when the caller keeps them
+    (``_Array.density``); otherwise they are counted here.
     """
     # extents[s] is slot s's extent in the state: a_s until it is composed, then prod(in_s).
     extents = list(shape[1:])
     slots = [s for s, part in enumerate(parts) if part is not None]
     if len(slots) > 1:
-        slots.sort(key=lambda s: sum(map(len, parts[s][0])) / (extents[s] or 1))
+        if densities is None:
+            densities = [part and _density(part[0], a) for part, a in zip(parts, extents)]
+        slots.sort(key=densities.__getitem__)
     for s in slots:
         rows, size = parts[s]
         rest = prod(extents[s + 1 :])
@@ -649,6 +706,11 @@ def _rows(entries, count, size):
     row-major ``entries``: rows[a] is the nonzero (j, x) of row a."""
     rows = [[(j, x) for j, x in enumerate(entries[a * size : (a + 1) * size]) if x] for a in range(count)]
     return rows, size
+
+
+def _density(rows, count):
+    """The nonzeros per row of ``count`` rows (``_rows``)."""
+    return sum(map(len, rows)) / (count or 1)
 
 
 def _nonzeros(entries):

@@ -20,12 +20,12 @@ search read their arrays once per call as integer tables and build a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from itertools import product as iproduct
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import InputError
 from .homalg import (
@@ -204,9 +204,10 @@ def _totals(omega, prec, succ, third):
 def _summed(arrays):
     """The entrywise sum of arrays of one shape.  When every array has an
     integer view, the numerators are summed over the lcm of the scales and
-    the sum is born with its integer view, as ``linalg._compose_sum``'s
-    tensors are; otherwise (a polynomial entry, or shapes that ``add``
-    refuses) the arrays are added entry by entry."""
+    the sum, of the first array's class, is born integer as
+    ``linalg._compose_sum``'s tensors are: it builds its ``Fraction``
+    entries only when they are read.  Otherwise (a polynomial entry, or
+    shapes that ``add`` refuses) the arrays are added entry by entry."""
     first, *rest = arrays
     views = [t.integer_view for t in arrays]
     if None in views or any(t.shape != first.shape for t in rest):
@@ -214,16 +215,14 @@ def _summed(arrays):
             first = first.add(t)
         return first
     den = lcm(*(scale for scale, _ in views))
-    values = [0] * len(first.entries)
+    values = [0] * prod(first.shape)
     for scale, ints in views:
         m = den // scale
         for k, v in enumerate(ints):
             if v:
                 values[k] += m * v
-    total = replace(first, entries=tuple(Fraction(v, den) if v else ZERO for v in values))
     g = gcd(den, *values)
-    vars(total)["integer_view"] = den // g, tuple(v // g for v in values)
-    return total
+    return type(first)._born(first.shape, integer_view=(den // g, tuple(v // g for v in values)))
 
 
 def _family_identity(omega, mu, maps, total, names):

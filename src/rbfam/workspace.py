@@ -123,9 +123,15 @@ class Workspace:
 # scalar / array parsing and writing
 
 
-def _parse_scalar(node, where):
+def _parse_scalar(node, where, literals):
+    """The value of a rational literal.  ``literals`` maps each literal this
+    load has parsed to its value; only successes are kept, so a bad literal
+    fails in ``parse_rational`` wherever it appears."""
     if isinstance(node, str):
-        return parse_rational(node, where)
+        value = literals.get(node)
+        if value is None:
+            value = literals[node] = parse_rational(node, where)
+        return value
     raise InputError(f"{where}: scalars must be rational literals as strings, got {node!r}")
 
 
@@ -141,12 +147,12 @@ _WRONG_LENGTH = {
 }
 
 
-def _parse_array(node, shape, where):
+def _parse_array(node, shape, where, literals):
     """Nested lists, one list level per axis, read row-major: a tuple for a
     vector, a ``Matrix`` or a ``Tensor``.  A bad scalar is named by the path
     of its innermost list."""
     entries = []
-    _read_lists(node, shape, 0, where, None, entries)
+    _read_lists(node, shape, 0, where, None, entries, literals)
     if len(shape) == 1:
         return tuple(entries)
     if len(shape) == 2:
@@ -154,17 +160,17 @@ def _parse_array(node, shape, where):
     return Tensor(shape, tuple(entries))
 
 
-def _read_lists(node, shape, depth, where, i, out):
+def _read_lists(node, shape, depth, where, i, out, literals):
     path = where if i is None else f"{where}[{i}]"
     n = shape[depth]
     if not isinstance(node, list) or len(node) != n:
         message = _WRONG_LENGTH[len(shape), depth]
         raise InputError(message.format(path=path, where=where, i=i, n=n))
     if depth + 1 == len(shape):
-        out.extend(_parse_scalar(e, path) for e in node)
+        out.extend(_parse_scalar(e, path, literals) for e in node)
     else:
         for j, child in enumerate(node):
-            _read_lists(child, shape, depth + 1, path, j, out)
+            _read_lists(child, shape, depth + 1, path, j, out, literals)
 
 
 def _parse_int(node, where, minimum=0):
@@ -183,7 +189,7 @@ def _require_fields(doc, required, optional=(), where=""):
         raise InputError(f"{where}: unknown fields {sorted(extra)}")
 
 
-def _keyed(node, keys, shape, where, what, quoted=False):
+def _keyed(node, keys, shape, where, what, literals, quoted=False):
     """The arrays of ``shape`` under exactly ``keys`` of an object, in key
     order, each key checked and read before the next; ``what`` names the
     keys, and ``quoted`` quotes a key in the path of its array."""
@@ -193,7 +199,7 @@ def _keyed(node, keys, shape, where, what, quoted=False):
     for key in keys:
         if key not in node:
             raise InputError(f"{where}: missing key {key!r}")
-        out.append(_parse_array(node[key], shape, f"{where}[{key!r}]" if quoted else f"{where}[{key}]"))
+        out.append(_parse_array(node[key], shape, f"{where}[{key!r}]" if quoted else f"{where}[{key}]", literals))
     if len(node) != len(keys):
         raise InputError(f"{where}: unexpected extra keys")
     return tuple(out)
@@ -279,7 +285,7 @@ def reference(kind, what):
 
 INT = Codec(lambda node, f, ws, where: _parse_int(node, where), lambda value, named: value)
 SCALAR = Codec(
-    lambda node, f, ws, where: _parse_scalar(node, where),
+    lambda node, f, ws, where: _parse_scalar(node, where, ws.literals),
     lambda value, named: format_rational(value),
 )
 
@@ -287,7 +293,7 @@ SCALAR = Codec(
 def array(shape):
     """A vector, matrix or 3-tensor of the extents ``shape(f)``."""
     return Codec(
-        lambda node, f, ws, where: _parse_array(node, shape(f), where),
+        lambda node, f, ws, where: _parse_array(node, shape(f), where, ws.literals),
         lambda x, named: _array_doc(x),
     )
 
@@ -298,7 +304,7 @@ def indexed(shape):
 
     def load(node, f, ws, where):
         count, *dims = shape(f)
-        return _keyed(node, [str(a) for a in range(count)], dims, where, "semigroup indices")
+        return _keyed(node, [str(a) for a in range(count)], dims, where, "semigroup indices", ws.literals)
 
     return Codec(load, lambda arrays, named: {str(a): _array_doc(x) for a, x in enumerate(arrays)})
 
@@ -310,7 +316,7 @@ def pair_indexed(shape):
     def load(node, f, ws, where):
         count, *dims = shape(f)
         keys = [f"{a},{b}" for a in range(count) for b in range(count)]
-        flat = _keyed(node, keys, dims, where, "'a,b' pairs")
+        flat = _keyed(node, keys, dims, where, "'a,b' pairs", ws.literals)
         return tuple(flat[a * count : (a + 1) * count] for a in range(count))
 
     def dump(rows, named):
@@ -376,7 +382,7 @@ def _load_deformation(doc, ws, where):
     base = ws.get(doc["base"], kinds={"twisted_rbf"})
     n, d = base.algebra.dim, base.bimodule.dim
     keys = [str(a) for a in range(base.omega.size)]
-    direction = _keyed(doc["direction"], keys, (n, d), f"{where}.direction", "semigroup indices")
+    direction = _keyed(doc["direction"], keys, (n, d), f"{where}.direction", "semigroup indices", ws.literals)
     order = _parse_int(doc["order"], f"{where}.order", minimum=2)
     deformation = LinearDeformation(base=base, direction=direction, order=order)
     other = doc.get("other")
@@ -384,7 +390,7 @@ def _load_deformation(doc, ws, where):
         raise InputError(f"{where}.other: expected an object name")
     element = doc.get("element")
     if element is not None:
-        element = _parse_array(element, (n,), f"{where}.element")
+        element = _parse_array(element, (n,), f"{where}.element", ws.literals)
     return DeformationDoc(deformation=deformation, other=other, element=element)
 
 
@@ -407,7 +413,7 @@ def _load_linear_map(doc, ws, where):
     node = doc["entries"]
     if not (isinstance(node, list) and node and isinstance(node[0], list) and node[0]):
         raise InputError(f"{where}.entries: expected a nonempty matrix")
-    return LinearMapDoc(matrix=_parse_array(node, (len(node), len(node[0])), f"{where}.entries"))
+    return LinearMapDoc(matrix=_parse_array(node, (len(node), len(node[0])), f"{where}.entries", ws.literals))
 
 
 def _load_cochain(doc, ws, where):
@@ -460,7 +466,7 @@ def _load_cochain(doc, ws, where):
     keys = [()] if tag == "ha" else list(iproduct(range(indices), repeat=degree))
     # Each tensor is stored as a (target x source^degree) rectangular array.
     shape, skeys = (tgt, src**degree) if degree else (tgt,), [",".join(map(str, k)) for k in keys]
-    arrays = _keyed(doc["table"], skeys, shape, f"{where}.table", "joined index tuples", quoted=True)
+    arrays = _keyed(doc["table"], skeys, shape, f"{where}.table", "joined index tuples", ws.literals, quoted=True)
     tshape = (tgt,) + (src,) * degree
     table = {key: Tensor(tshape, x if degree == 0 else x.entries) for key, x in zip(keys, arrays)}
     # Membership (equivariance) is part of shape validation for cochains.
@@ -729,10 +735,13 @@ def load_workspace(source):
                 stack.append((nxt, iter(edges[nxt])))
 
     ws = Workspace()
+    # Each distinct literal is parsed once per load (``_parse_scalar``).
+    ws.literals = {}
     for name in order:
         doc = docs[name]
         obj = KINDS[doc["kind"]].load_document(doc, ws, f"objects[{name!r}]")
         ws.add(name, doc["kind"], obj)
+    del ws.literals
     return ws
 
 

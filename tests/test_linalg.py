@@ -36,6 +36,7 @@ from rbfam.linalg import (
     ZERO,
     Matrix,
     Tensor,
+    _Array,
     _compose,
     densify,
     invert_matrix,
@@ -514,15 +515,21 @@ def test_intertwining_residual_reads_a_matrix_as_its_tensor(case):
 
 def test_kernels_read_a_matrix_in_place(monkeypatch):
     # Membership of a matrix cochain and a composition with a matrix build
-    # no Tensor but their result: a Matrix is read through its shape.
+    # no Tensor but their result: a Matrix is read through its shape.  An
+    # array is built eagerly (``__post_init__``) or born integer (``_born``).
     built = []
-    post_init = Tensor.__post_init__
+    post_init, born = Tensor.__post_init__, _Array._born.__func__
 
     def counting(self):
         built.append(self.shape)
         post_init(self)
 
+    def counting_born(cls, shape, **views):
+        built.append(tuple(shape))
+        return born(cls, shape, **views)
+
     monkeypatch.setattr(Tensor, "__post_init__", counting)
+    monkeypatch.setattr(_Array, "_born", classmethod(counting_born))
     p = Matrix(2, 2, (1, 1, 0, 1))
     m = Matrix(2, 2, (0, 1, 0, 0))
     assert is_equivariant(p, p, 1, [m])
