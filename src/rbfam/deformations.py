@@ -35,7 +35,7 @@ from .family import (
     operator_bimodule,
 )
 from .homalg import is_equivariant
-from .linalg import Matrix, kernel_basis, solve, unit_vector, vadd, vector, vsub
+from .linalg import Matrix, _compose_sum, _signed_state, kernel_basis, solve, unit_vector, vadd, vector, vsub
 from .operators import check_twisted_rbf, family_identity_residuals
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
@@ -109,10 +109,11 @@ class LinearDeformation:
 
 
 def _order_coefficients(law, what):
-    """(t cases, t^2 cases) for ``run_law`` of a law of degree at most 3 in t.
+    """(t blocks, t^2 blocks) of a law of degree at most 3 in t, as
+    ``reports.residual_cases`` reads them.
 
     ``law(t)`` gives the law's residual blocks (residual, names, where) at
-    a rational t, as ``reports.residual_cases`` reads them.  Its values at
+    a rational t.  Its values at
     t = 0, 1, -1 and 2 fix its coefficients c_i: with v(0) = 0,
     6 c_1 = 6 v(1) - 2 v(-1) - v(2) and 2 c_2 = v(1) + v(-1), taken on each
     block's integer numerators over one denominator.  At t = 0 every law
@@ -133,7 +134,12 @@ def _order_coefficients(law, what):
                 c2[k] = c2.get(k, 0) + w2 * v
         first.append(((c1, 6 * den, v1[2]), names, where))
         second.append(((c2, 2 * den, v1[2]), names, where))
-    return residual_cases(first), residual_cases(second)
+    return first, second
+
+
+def _minus(blocks):
+    """The blocks of minus a law: each state's numerators negated."""
+    return [(({k: -v for k, v in s.items()}, den, shape), names, where) for (s, den, shape), names, where in blocks]
 
 
 @dataclass
@@ -187,7 +193,7 @@ def check_infinitesimal(deformation, max_violations=DEFAULT_MAX_VIOLATIONS):
 def _infinitesimal_report(deformation, handle, max_violations=DEFAULT_MAX_VIOLATIONS):
     """``check_infinitesimal`` on a validated base, whose complex ``handle``
     the caller already holds."""
-    order1_cases, order2_cases = _order_coefficients(
+    order1_blocks, order2_blocks = _order_coefficients(
         lambda t: family_identity_residuals(deformation.base, deformation.maps_at(t)),
         "base identity",
     )
@@ -196,11 +202,11 @@ def _infinitesimal_report(deformation, handle, max_violations=DEFAULT_MAX_VIOLAT
     run_law(
         order1,
         "t-coefficient of R^t_a u . R^t_b v = R^t_ab(R^t_a u .l v + u .r R^t_b v + phi(..))",
-        order1_cases,
+        residual_cases(order1_blocks),
         max_violations,
     )
     order2 = CheckReport(subject="order-2 coefficient (separate flag)")
-    run_law(order2, "t^2-coefficient of the family identity", order2_cases, max_violations)
+    run_law(order2, "t^2-coefficient of the family identity", residual_cases(order2_blocks), max_violations)
 
     cocycle = direction_cochain(handle, deformation.direction)
     cocycle_ok = handle.differential(cocycle).is_zero()
@@ -351,10 +357,6 @@ def _psi_multiplicative(algebra, pair):
     return _pair_law(pair, ("a", "b"), lambda psi, _: (psi, algebra.mu, algebra.mu, [psi, psi]), indexed=False)
 
 
-def _negated(cases):
-    return [(where, tuple(-c for c in residual)) for where, residual in cases]
-
-
 def check_nijenhuis_element(x, operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     """Verify the Nijenhuis-element laws for a vector x in the algebra.
 
@@ -377,26 +379,28 @@ def _nijenhuis_element_report(x, operator, actions, max_violations=DEFAULT_MAX_V
     x, pair = _trivial_pair(operator, x)
     report = CheckReport(subject="Nijenhuis element")
 
+    x_t = Tensor((A.dim,), x)
+    eye = Matrix.identity(operator.bimodule.dim)
+
     def commutator_law():
         # u |>- x and x -<| u are the actions of V on L in the operator bimodule.
         for alpha, beta in iproduct(omega.elements(), repeat=2):
-            for a, u in enumerate(operator.bimodule.basis()):
-                c = vsub(actions.act_l(alpha, beta, u, x), actions.act_r(alpha, beta, x, u))
-                yield {"alpha": alpha, "beta": beta, "u": a}, _commutator(A, x, c)
+            left, right = actions.left[alpha][beta], actions.right[alpha][beta]
+            c = _compose_sum([(1, left, [eye, x_t]), (-1, right, [x_t, eye])])
+            yield _signed_state([(1, A.mu, [x_t, c]), (-1, A.mu, [c, x_t])]), ("u",), {"alpha": alpha, "beta": beta}
 
-    x_t = Tensor((A.dim,), x)
     run_law(report, "p(x) = x", intertwining_cases(A.p, x_t, x_t, [], ()), max_violations)
     run_law(
         report,
         "x.(u |>- x - x -<| u) - (u |>- x - x -<| u).x = 0",
-        commutator_law(),
+        residual_cases(commutator_law()),
         max_violations,
     )
     _, square = _order_coefficients(_psi_multiplicative(A, pair), f"condition {PSI_MULTIPLICATIVE}")
     run_law(
         report,
         "(x.a).(x.b) - (x.a).(b.x) - (a.x).(x.b) + (a.x).(b.x) = 0",
-        _negated(square),
+        residual_cases(_minus(square)),
         max_violations,
     )
     for what, (name, names, law) in zip(
@@ -405,8 +409,8 @@ def _nijenhuis_element_report(x, operator, actions, max_violations=DEFAULT_MAX_V
         at_t, at_t2 = _order_coefficients(_pair_law(pair, names, law), f"condition {name}")
         if what == "cocycle":
             _, at_t2 = _order_coefficients(_pair_law(pair, names, law, indexed=False), f"condition {name}")
-        run_law(report, f"{what} compatibility @ t", at_t, max_violations)
-        run_law(report, f"{what} compatibility @ t^2", _negated(at_t2), max_violations)
+        run_law(report, f"{what} compatibility @ t", residual_cases(at_t), max_violations)
+        run_law(report, f"{what} compatibility @ t^2", residual_cases(_minus(at_t2)), max_violations)
     report.notes.append(READING_NOTE)
     return report
 
@@ -488,21 +492,19 @@ def check_equivalence(deformation, other, x, max_violations=DEFAULT_MAX_VIOLATIO
 
     conditions = CheckReport(subject="equivalence morphism conditions")
     for name, (at_t, _) in buckets:
-        run_law(conditions, f"{name} @ t^1", at_t, max_violations)
+        run_law(conditions, f"{name} @ t^1", residual_cases(at_t), max_violations)
     mod_t2 = conditions.passed
     for name, (_, at_t2) in buckets:
-        run_law(conditions, f"{name} @ t^2", at_t2, max_violations)
+        run_law(conditions, f"{name} @ t^2", residual_cases(at_t2), max_violations)
     all_orders = conditions.passed
 
     delta0 = rbf_delta0_matrices(handle, x)
-    coboundary_cases = []
-    for alpha in omega.elements():
-        diff = deformation.direction[alpha].sub(other.direction[alpha])
-        res = diff.sub(delta0[alpha])
-        for a in range(module.dim):
-            coboundary_cases.append(({"alpha": alpha, "u": a}, res.column(a)))
-    run_law(conditions, "R1 - R1bar = delta0(x) entrywise", iter(coboundary_cases), max_violations)
-    coboundary_ok = conditions.laws[-1].ok
+    eye = Matrix.identity(module.dim)
+    coboundary = residual_cases(
+        (_signed_state([(1, r1, [eye]), (-1, r1bar, [eye]), (-1, d0, [eye])]), ("u",), {"alpha": alpha})
+        for alpha, r1, r1bar, d0 in zip(omega.elements(), deformation.direction, other.direction, delta0)
+    )
+    coboundary_ok = run_law(conditions, "R1 - R1bar = delta0(x) entrywise", coboundary, max_violations)
     if mod_t2 and not coboundary_ok:
         raise RouteMismatchError(
             "morphism conditions passed mod t^2 but the directions do not "

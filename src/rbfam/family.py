@@ -8,7 +8,6 @@ Hom-dendriform (family) algebras are not a separate type here: they are NS
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from itertools import product as iproduct
 
 from .errors import InputError
@@ -21,8 +20,10 @@ from .reports import (
     chained_cases,
     ensure_valid,
     intertwining_cases,
+    intertwining_residual,
     nested_cases,
     require_pass,
+    residual_cases,
     run_law,
 )
 from .semigroups import FiniteSemigroup
@@ -183,9 +184,8 @@ def check_hom_ns(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
     def law(terms):
         return nested_cases(p, p, terms, XYZ)
 
-    multiplicativity = chain.from_iterable(
-        _product_cases(p, t, t, {"op": op})
-        for op, t in (("<", prec), (">", succ), ("v", vee))
+    multiplicativity = chained_cases(
+        _product_cases(p, t, t, {"op": op}) for op, t in (("<", prec), (">", succ), ("v", vee))
     )
     run_law(report, "p(x ? y) = p(x) ? p(y) for ? in {<, >, v}", multiplicativity, max_violations)
     law_prec = law([(1, prec, prec, True), (-1, prec, total, False)])
@@ -233,12 +233,12 @@ def check_hom_ns_family(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 
     def mult_cases():
         for a in omega.elements():
-            yield from _product_cases(p, prec[a], prec[a], {"op": "<", "alpha": a})
-            yield from _product_cases(p, succ[a], succ[a], {"op": ">", "alpha": a})
+            yield _product_cases(p, prec[a], prec[a], {"op": "<", "alpha": a})
+            yield _product_cases(p, succ[a], succ[a], {"op": ">", "alpha": a})
         for a, b in iproduct(omega.elements(), repeat=2):
-            yield from _product_cases(p, vee[a][b], vee[a][b], {"op": "v", "alpha": a, "beta": b})
+            yield _product_cases(p, vee[a][b], vee[a][b], {"op": "v", "alpha": a, "beta": b})
 
-    run_law(report, "p(x ?_idx y) = p(x) ?_idx p(y)", mult_cases(), max_violations)
+    run_law(report, "p(x ?_idx y) = p(x) ?_idx p(y)", chained_cases(mult_cases()), max_violations)
 
     total = _totals(omega, prec, succ, lambda a, b: vee[a][b])
     law_prec, law_mixed, law_succ = _split_laws(omega, p, prec, succ, total)
@@ -288,11 +288,11 @@ def check_tridend_family(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
 
     def mult_cases():
         for a in omega.elements():
-            yield from _product_cases(p, prec[a], prec[a], {"op": "<", "alpha": a})
-            yield from _product_cases(p, succ[a], succ[a], {"op": ">", "alpha": a})
-        yield from _product_cases(p, dot, dot, {"op": "."})
+            yield _product_cases(p, prec[a], prec[a], {"op": "<", "alpha": a})
+            yield _product_cases(p, succ[a], succ[a], {"op": ">", "alpha": a})
+        yield _product_cases(p, dot, dot, {"op": "."})
 
-    run_law(report, "p(x ? y) = p(x) ? p(y) for every product", mult_cases(), max_violations)
+    run_law(report, "p(x ? y) = p(x) ? p(y) for every product", chained_cases(mult_cases()), max_violations)
 
     total = _totals(omega, prec, succ, lambda a, b: dot)
     law_prec, law_mixed, law_succ = _split_laws(omega, p, prec, succ, total)
@@ -389,30 +389,36 @@ def check_ns_family_morphism(f, source, target, max_violations=DEFAULT_MAX_VIOLA
         raise InputError("morphisms need families indexed by the same semigroup")
     _check_morphism_shape(f, source, target)
     report = CheckReport(subject="Hom-NS family algebra morphism")
-    omega = source.omega
-
-    def product_cases():
-        # Per (alpha, x, y) the < case comes before the > case.
-        for a in omega.elements():
-            prec = _product_cases(f, source.prec[a], target.prec[a], {"op": "<", "alpha": a})
-            succ = _product_cases(f, source.succ[a], target.succ[a], {"op": ">", "alpha": a})
-            for pair in zip(prec, succ):
-                yield from pair
-        for a, b in iproduct(omega.elements(), repeat=2):
-            where = {"op": "v", "alpha": a, "beta": b}
-            yield from _product_cases(f, source.vee[a][b], target.vee[a][b], where)
-
+    products = residual_cases(_product_blocks(f, source, target))
     structure_map = intertwining_cases(f, source.p, target.p, [f], ("x",))
-    run_law(report, "f(x ? y) = f(x) ? f(y) for every product", product_cases(), max_violations)
+    run_law(report, "f(x ? y) = f(x) ? f(y) for every product", products, max_violations)
     run_law(report, "f o p = p' o f", structure_map, max_violations)
     return report
+
+
+def _product_blocks(f, source, target):
+    """Blocks of f(x ? y) = f(x) ? f(y) for every product of two NS families.
+    Per (alpha, x, y) the < case comes before the > case ("<" sorts first),
+    so those two laws are cut into one block per input pair and product."""
+    n, omega = source.dim, source.omega
+    for a in omega.elements():
+        cut = {}
+        for op, s_t, t_t in (("<", source.prec[a], target.prec[a]), (">", source.succ[a], target.succ[a])):
+            state, den, _ = intertwining_residual(f, s_t, t_t, [f, f])
+            for flat, v in state.items():
+                cut.setdefault((flat % (n * n), op), ({}, den))[0][flat // (n * n)] = v
+        for (c, op), (column, den) in sorted(cut.items()):
+            yield (column, den, (f.rows,)), (), {"op": op, "alpha": a, "x": c // n, "y": c % n}
+    for a, b in iproduct(omega.elements(), repeat=2):
+        where = {"op": "v", "alpha": a, "beta": b}
+        yield intertwining_residual(f, source.vee[a][b], target.vee[a][b], [f, f]), ("x", "y"), where
 
 
 def check_ns_morphism(f, source, target, max_violations=DEFAULT_MAX_VIOLATIONS):
     """NS-algebra morphism check (unindexed products)."""
     _check_morphism_shape(f, source, target)
     report = CheckReport(subject="Hom-NS algebra morphism")
-    product_cases = chain.from_iterable(
+    product_cases = chained_cases(
         _product_cases(f, s_t, t_t, {"op": op})
         for op, s_t, t_t in (
             ("<", source.prec, target.prec),

@@ -375,11 +375,13 @@ def check_two_cocycle(cand, max_violations=DEFAULT_MAX_VIOLATIONS):
             raise RouteMismatchError(
                 f"cocycle routes disagree at {where}: direct identity vs differential"
             )
+        # One block: d2 read whole as a vector of numerators over its scale.
+        scale, values = d2.scaled
+        vanishing = (dict(enumerate(values)), scale if d2.integer_view else None, (len(values),))
         run_law(
             report,
             "membership + vanishing hochschild differential (independent route)",
-            # A vanishing differential reads none of its entries.
-            iter([({}, tuple(d2.entries) if any(d2.scaled[1]) else ())]),
+            residual_cases([(vanishing, (), None)]),
             max_violations,
         )
     else:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 
@@ -41,7 +40,6 @@ from .homalg import (
     tensor_bimodule,
 )
 from .linalg import (
-    ZERO,
     Matrix,
     _columns,
     _compose,
@@ -57,6 +55,7 @@ from .linalg import (
 from .reports import (
     DEFAULT_MAX_VIOLATIONS,
     CheckReport,
+    chained_cases,
     ensure_valid,
     intertwining_cases,
     intertwining_residual,
@@ -282,9 +281,10 @@ def check_twisted_rbf(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
 def _commutes_with_p(family):
     """Cases of p o M_a = M_a o p for the maps M_a of an operator family on L."""
     p = family.algebra.p
-    for alpha in family.omega.elements():
-        m_a = family.maps[alpha]
-        yield from intertwining_cases(p, m_a, m_a, [p], ("x",), {"alpha": alpha})
+    return chained_cases(
+        intertwining_cases(p, m_a, m_a, [p], ("x",), {"alpha": alpha})
+        for alpha, m_a in zip(family.omega.elements(), family.maps)
+    )
 
 
 def check_nijenhuis_family(family, max_violations=DEFAULT_MAX_VIOLATIONS):
@@ -327,7 +327,7 @@ def check_operator_morphism(morphism, max_violations=DEFAULT_MAX_VIOLATIONS):
     s_mod, t_mod = src.bimodule, tgt.bimodule
     s_alg, t_alg = src.algebra, tgt.algebra
     report = CheckReport(subject="twisted Rota-Baxter family morphism")
-    intertwines_r = chain.from_iterable(
+    intertwines_r = chained_cases(
         intertwining_cases(psi, src.maps[alpha], tgt.maps[alpha], [phi], ("u",), {"alpha": alpha})
         for alpha in src.omega.elements()
     )
@@ -362,9 +362,9 @@ def graph_check(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     ``columns``, once per call; a product of graph columns is one
     ``_contract`` over den.  Every graph's bottom block is the identity, so
     w lies in Gr(R_t) exactly when w = Gr(R_t) w_V: the residual is
-    s_t w - Gr_t(w_V) over den * s_t, Gr_t the graph at scale s_t.  A
-    passing tuple yields one shared zero tuple; only a violating one is read
-    into entries.
+    s_t w - Gr_t(w_V) over den * s_t, Gr_t the graph at scale s_t.  A law
+    is one block of those numerators per alpha (or (alpha, beta)), holding
+    violating tuples only, and entries (``_read``) where a polynomial feeds.
     """
     _validate_hosts(operator)
     module, omega = operator.bimodule, operator.omega
@@ -379,29 +379,32 @@ def graph_check(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
         scales.append(scale)
         graphs.append(cols)
         minus_graphs.append([tuple((k, -c) for k, c in enumerate(col) if c) for col in cols])
-    zero = (ZERO,) * (n + d)
     report = CheckReport(subject="graph characterization in the twisted semidirect product")
 
-    def residual(w, den, t):
-        s_t = scales[t]
-        out = _contract(minus_graphs[t], [w[n:]], [x * s_t for x in w])
-        return tuple(_read(v, den * s_t) for v in out) if any(out) else zero
+    def block(products, den, t, names, where):
+        s_t, state = scales[t], {}
+        for c, w in enumerate(products):
+            out = _contract(minus_graphs[t], [w[n:]], [x * s_t for x in w])
+            if any(out):
+                state.update((k * len(products) + c, v) for k, v in enumerate(out) if v or type(v) is not int)
+        den *= s_t
+        if any(type(v) is not int for v in state.values()):
+            state, den = {key: _read(v, den) for key, v in state.items()}, None
+        return (state, den, (n + d,) + (d,) * len(names)), names, where
 
-    def stability():
-        for alpha in omega.elements():
-            for a in range(d):
-                w = _contract(p, [graphs[alpha][a]], [0] * (n + d))
-                yield {"alpha": alpha, "u": a}, residual(w, s_p * scales[alpha], alpha)
-
-    def containment():
-        for alpha, beta in iproduct(omega.elements(), repeat=2):
-            ab, den = omega.mul(alpha, beta), s_mu * scales[alpha] * scales[beta]
-            for a, b in iproduct(range(d), repeat=2):
-                w = _contract(mu, [graphs[alpha][a], graphs[beta][b]], [0] * (n + d))
-                yield {"alpha": alpha, "beta": beta, "u": a, "v": b}, residual(w, den, ab)
-
-    run_law(report, "(p+q) Gr(R_a) inside Gr(R_a)", stability(), max_violations)
-    run_law(report, "Gr(R_a) . Gr(R_b) inside Gr(R_ab)", containment(), max_violations)
+    stability = residual_cases(
+        block([_contract(p, [u], [0] * (n + d)) for u in graphs[a]], s_p * scales[a], a, ("u",), {"alpha": a})
+        for a in omega.elements()
+    )
+    containment = residual_cases(
+        block(
+            [_contract(mu, [u, v], [0] * (n + d)) for u, v in iproduct(graphs[a], graphs[b])],
+            s_mu * scales[a] * scales[b], omega.mul(a, b), ("u", "v"), {"alpha": a, "beta": b},
+        )
+        for a, b in iproduct(omega.elements(), repeat=2)
+    )
+    run_law(report, "(p+q) Gr(R_a) inside Gr(R_a)", stability, max_violations)
+    run_law(report, "Gr(R_a) . Gr(R_b) inside Gr(R_ab)", containment, max_violations)
     return report
 
 

@@ -66,15 +66,16 @@ at once, d * I * J * K entries at most.
 
 Verdicts read off states.  ``intertwining_cases``, ``nested_cases`` and
 ``residual_cases`` return a ``Cases``, and ``chained_cases`` joins several
-(one law per semigroup index, say) into one: iterating it yields the (case,
-residual) pairs above, block by block, computing each block on first read
-and raising where a block raises, as a generator would.
-``run_law`` reads its residual states instead: it counts the violating
-input tuples off their nonzero values and builds a where-dict, a residual
-column and its ``Fraction``s only for the first ``max_violations``
-violations, so a passing law builds none.  ``check_two_cocycle`` compares
-its direct residual with d2 on integer numerators (``disagreeing_case``)
-and builds the where-dict of the first disagreeing triple only to raise.
+(one law per semigroup index, say) into one.  Every law in the package
+reaches ``run_law`` as a ``Cases``, the second routes' laws as blocks of
+their own numerators.  ``run_law`` counts the violating input tuples off
+the states' nonzero values and builds a where-dict, a residual column and
+its ``Fraction``s only for the first ``max_violations`` violations, so a
+passing law builds none.  Iterating a ``Cases`` still yields the (case,
+residual) pairs above, and ``run_law`` still reads such pairs, for callers
+outside the package.  ``check_two_cocycle`` compares its direct residual
+with d2 on integer numerators (``disagreeing_case``) and builds the
+where-dict of the first disagreeing triple only to raise.
 
 Four second routes stay apart, each an independent route that must not
 share the composed computation, and none calls ``_signed_state`` or its
@@ -104,7 +105,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
 from math import gcd, prod
 
 from .errors import InputError, PreconditionError
@@ -305,15 +305,15 @@ def chained_cases(sources):
 
 
 class Cases:
-    """The (case, residual column) pairs of residual blocks: what
-    ``intertwining_cases``, ``nested_cases``, ``residual_cases`` and
-    ``chained_cases`` return.
+    """The residual blocks of a law, the one form in which the package's
+    laws reach ``run_law``: what ``intertwining_cases``, ``nested_cases``,
+    ``residual_cases`` and ``chained_cases`` return.
 
     ``blocks`` is an iterable of (residual, names, where), read lazily,
-    block by block: iterating yields the pairs of ``_cases`` for each block
-    in turn and raises where reading a block raises, as a generator would.
-    ``run_law`` reads the blocks' states instead (``_violations``), so a
-    passing law builds no where-dict, column or ``Fraction``.
+    block by block.  ``run_law`` reads the blocks' states (``violations``).
+    For callers outside the package a ``Cases`` is also an iterator of the
+    pairs of ``_cases`` for each block in turn, raising where reading a
+    block raises, as a generator would.
     """
 
     __slots__ = ("_blocks", "_pairs")
@@ -354,34 +354,9 @@ def _pairs(blocks):
 
 def _cases(residual, names, where):
     """The (case, residual column) pairs of a residual (state, den, shape),
-    shape = (d, *inputs), one per input tuple in row-major order.
-
-    An entry is ``Fraction(v, den)`` for a nonzero numerator v, or the
-    state's own value when ``den`` is None (entries, not numerators: a
-    ``TruncatedPoly`` keeps its type, even when it cancels to 0); every
-    other entry is ``ZERO``.  A column with no such entry is one shared
-    (ZERO,) * d tuple.
-    """
-    state, den, shape = residual
-    d, inner = shape[0], prod(shape[1:])
-    columns = {}
-    for flat, v in state.items():
-        if den is not None:
-            if not v:
-                continue
-            v = Fraction(v, den)
-        k, c = divmod(flat, inner)
-        column = columns.get(c)
-        if column is None:
-            column = columns[c] = [ZERO] * d
-        column[k] = v
-    zero = (ZERO,) * d
-    prefix = where or {}
-    for c, idx in enumerate(iproduct(*(range(e) for e in shape[1:]))):
-        column = columns.get(c)
-        case = dict(prefix)
-        case.update(zip(names, idx))
-        yield case, zero if column is None else tuple(column)
+    shape = (d, *inputs), one per input tuple in row-major order."""
+    for c in range(prod(residual[2][1:])):
+        yield _where(where, names, c, residual[2][1:]), _column(residual, c)
 
 
 def _violations(residual, names, where, limit, out):
@@ -391,22 +366,30 @@ def _violations(residual, names, where, limit, out):
     (where-dict and residual column), read off the state.  An input tuple
     violates when a value of its column is nonzero (a nonzero numerator, or
     an entry that is not falsy when den is None)."""
-    state, den, shape = residual
+    state, _, shape = residual
     if not any(state.values()):
         return 0
-    d, extents = shape[0], shape[1:]
-    inner = prod(extents)
+    inner = prod(shape[1:])
     bad = sorted({flat % inner for flat, v in state.items() if v})
     for c in bad[: max(limit - len(out), 0)]:
-        column = []
-        for k in range(d):
-            v = state.get(k * inner + c)
-            if v is None or (den is not None and not v):
-                column.append(ZERO)
-            else:
-                column.append(v if den is None else Fraction(v, den))
-        out.append(Violation(where=_where(where, names, c, extents), residual=tuple(column)))
+        out.append(Violation(where=_where(where, names, c, shape[1:]), residual=_column(residual, c)))
     return len(bad)
+
+
+def _column(residual, c):
+    """The residual column of input tuple number c: ``Fraction(v, den)`` for
+    a nonzero numerator v, or the state's own value when ``den`` is None
+    (entries, not numerators: a ``TruncatedPoly`` keeps its type, even when
+    it cancels to 0); every other entry is ``ZERO``."""
+    state, den, shape = residual
+    inner, column = prod(shape[1:]), []
+    for k in range(shape[0]):
+        v = state.get(k * inner + c)
+        if v is None or (den is not None and not v):
+            column.append(ZERO)
+        else:
+            column.append(v if den is None else Fraction(v, den))
+    return tuple(column)
 
 
 def _where(prefix, names, c, extents):
@@ -438,7 +421,7 @@ def disagreeing_case(residual, tensor, names):
     den, shape) and a tensor of its shape differ, or None when they agree
     entry by entry.  On integer views the two are compared as numerators
     (v / den against w / scale); otherwise entry by entry, the residual's
-    entries read as ``_cases`` reads them."""
+    entries read as ``_column`` reads them."""
     state, den, shape = residual
     view = tensor.integer_view
     if den is None or view is None:
@@ -459,8 +442,9 @@ def disagreeing_case(residual, tensor, names):
 
 
 def run_law(report, name, cases, max_violations=DEFAULT_MAX_VIOLATIONS):
-    """Evaluate one law. ``cases`` yields (where, residual vector) pairs; a
-    ``Cases`` is read off its residual states."""
+    """Evaluate one law.  Every law in the package hands a ``Cases``, read
+    off its residual states; (where, residual vector) pairs, which only
+    callers outside the package hand, are read one by one."""
     if isinstance(cases, Cases):
         count, violations = cases.violations(max_violations)
     else:

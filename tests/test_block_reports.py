@@ -14,15 +14,29 @@ with elements that are not Nijenhuis (its commutator law and its t^2
 coefficients) and ``check_equivalence`` with a wrong element (its
 coboundary law).  The digests fix the first violations' order, their
 where-keys, the residual entries and the violation counts.
+
+A guard runs every checker on D0-D2 and on those inputs with ``run_law``
+wrapped in each package module, and requires every law to arrive as a
+``reports.Cases``: no package law hands ``run_law`` (where, residual)
+pairs.
 """
 import hashlib
+import importlib
 import random
+from pathlib import Path
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 from conftest import _matrix_units_algebra, _yau_twisted_triangular
-from rbfam.deformations import LinearDeformation, check_equivalence, check_nijenhuis_element
+import rbfam
+from rbfam.deformations import (
+    LinearDeformation,
+    check_equivalence,
+    check_infinitesimal,
+    check_nijenhuis_element,
+    deform_ns_family,
+)
 from rbfam.errors import WorkbenchError
 from rbfam.family import (
     HomNSAlgebra,
@@ -31,10 +45,24 @@ from rbfam.family import (
     check_hom_ns_family,
     check_ns_family_morphism,
     check_ns_morphism,
+    check_omega_assoc,
+    check_omega_bimodule,
     check_tridend_family,
     ns_family_from_operator,
+    omega_assoc_from_ns_family,
+    operator_bimodule,
+    tridend_from_weighted_rbf,
 )
-from rbfam.homalg import regular_bimodule, tensor_semigroup_algebra, zero_cocycle
+from rbfam.homalg import (
+    AlgebraMorphism,
+    check_algebra_morphism,
+    check_bimodule,
+    check_hom_algebra,
+    check_two_cocycle,
+    regular_bimodule,
+    tensor_semigroup_algebra,
+    zero_cocycle,
+)
 from rbfam.linalg import Matrix, block_diag, unit_vector
 from rbfam.operators import (
     NijenhuisFamily,
@@ -43,11 +71,12 @@ from rbfam.operators import (
     WeightedRBFamily,
     check_nijenhuis_family,
     check_operator_morphism,
+    check_twisted_rbf,
     check_weighted_rbf,
     graph_check,
     identity_packing_family,
 )
-from rbfam.reports import DEFAULT_MAX_VIOLATIONS
+from rbfam.reports import DEFAULT_MAX_VIOLATIONS, run_law
 from rbfam.semigroups import builtin
 from rbfam.workspace import desk_instance
 from test_law_composition import failing_operators
@@ -341,3 +370,90 @@ FROZEN_BLOCK_REPORTS = {
 
 def test_block_reports_match_frozen_digests():
     assert block_report_listing() == FROZEN_BLOCK_REPORTS
+
+
+# ---------------------------------------------------------------------------
+# every law reaches run_law as residual blocks
+
+PACKAGE = [
+    importlib.import_module(f"rbfam.{path.stem}")
+    for path in sorted(Path(rbfam.__file__).parent.glob("*.py"))
+    if path.stem != "__init__"
+]
+
+# The laws that reached run_law as (where, residual) pairs before they
+# moved onto residual blocks; the guard must see each of them.
+MOVED_LAWS = {
+    "p(x ? y) = p(x) ? p(y) for ? in {<, >, v}",
+    "p(x ?_idx y) = p(x) ?_idx p(y)",
+    "p(x ? y) = p(x) ? p(y) for every product",
+    "f(x ? y) = f(x) ? f(y) for every product",
+    "p o N_a = N_a o p",
+    "p(T_a x) = T_a p(x)",
+    "psi o R_a = R'_a o phi",
+    "(p+q) Gr(R_a) inside Gr(R_a)",
+    "Gr(R_a) . Gr(R_b) inside Gr(R_ab)",
+    "x.(u |>- x - x -<| u) - (u |>- x - x -<| u).x = 0",
+    "(x.a).(x.b) - (x.a).(b.x) - (a.x).(x.b) + (a.x).(b.x) = 0",
+    "cocycle compatibility @ t^2",
+    "left-action compatibility @ t^2",
+    "right-action compatibility @ t^2",
+    "R1 - R1bar = delta0(x) entrywise",
+    "membership + vanishing hochschild differential (independent route)",
+}
+
+
+def desk_checks(name):
+    """Every checker on desk instance ``name``, as thunks."""
+    op = desk_instance(name)["operator"]
+    A, module, omega = op.algebra, op.bimodule, op.omega
+    n, d = A.dim, module.dim
+    fam = ns_family_from_operator(op)
+    ns = HomNSAlgebra(dim=d, prec=fam.prec[0], succ=fam.succ[0], vee=fam.vee[0][0], p=fam.p)
+    zero_maps = (Matrix.zero(n, n),) * omega.size
+    weighted = WeightedRBFamily(A, omega, 1, zero_maps)
+    zero, x = _zero_deformation(op), unit_vector(n, 0)
+    eye_n, eye_d = Matrix.identity(n), Matrix.identity(d)
+    return [
+        lambda: check_hom_algebra(A),
+        lambda: check_bimodule(module),
+        lambda: check_two_cocycle(op.cocycle),
+        lambda: check_algebra_morphism(AlgebraMorphism(source=A, target=A, psi=eye_n)),
+        lambda: check_twisted_rbf(op),
+        lambda: graph_check(op),
+        lambda: check_operator_morphism(OperatorMorphism(source=op, target=op, psi=eye_n, phi=eye_d)),
+        lambda: check_nijenhuis_family(NijenhuisFamily(A, omega, zero_maps)),
+        lambda: check_weighted_rbf(weighted),
+        lambda: check_hom_ns(ns),
+        lambda: check_ns_morphism(eye_d, ns, ns),
+        lambda: check_hom_ns_family(fam),
+        lambda: check_ns_family_morphism(eye_d, fam, fam),
+        lambda: check_tridend_family(tridend_from_weighted_rbf(weighted)),
+        lambda: check_omega_assoc(omega_assoc_from_ns_family(fam)),
+        lambda: check_omega_bimodule(operator_bimodule(op)),
+        lambda: check_nijenhuis_element(x, op),
+        lambda: check_equivalence(zero, zero, x),
+        lambda: check_infinitesimal(zero),
+        lambda: deform_ns_family(zero),
+    ]
+
+
+def test_every_law_reaches_run_law_as_blocks(monkeypatch):
+    seen = []
+
+    def recording(report, name, cases, *args):
+        seen.append((name, type(cases).__name__))
+        return run_law(report, name, cases, *args)
+
+    for module in PACKAGE:
+        if hasattr(module, "run_law"):
+            monkeypatch.setattr(module, "run_law", recording)
+    runs = [check for name in ("D0", "D1", "D2") for check in desk_checks(name)]
+    runs += [lambda run=run, limit=limit: run(limit) for run in failing_inputs().values() for limit in LIMITS]
+    for run in runs:
+        try:
+            run()
+        except WorkbenchError:
+            pass
+    assert MOVED_LAWS <= {name for name, _ in seen}
+    assert sorted({(name, form) for name, form in seen if form != "Cases"}) == []
