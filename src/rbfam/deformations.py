@@ -113,8 +113,8 @@ def _order_coefficients(law, what):
     ``reports.residual_cases`` reads them.
 
     ``law(t)`` gives the law's residual blocks (residual, names, where) at
-    a rational t.  Its values at
-    t = 0, 1, -1 and 2 fix its coefficients c_i: with v(0) = 0,
+    a rational t.  Its values at t = 0, 1, -1 and 2 fix its coefficients
+    c_i: with v(0) = 0,
     6 c_1 = 6 v(1) - 2 v(-1) - v(2) and 2 c_2 = v(1) + v(-1), taken on each
     block's integer numerators over one denominator.  At t = 0 every law
     here is a law of the base structure, so a nonzero v(0) raises

@@ -363,8 +363,9 @@ def graph_check(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
     ``_contract`` over den.  Every graph's bottom block is the identity, so
     w lies in Gr(R_t) exactly when w = Gr(R_t) w_V: the residual is
     s_t w - Gr_t(w_V) over den * s_t, Gr_t the graph at scale s_t.  A law
-    is one block of those numerators per alpha (or (alpha, beta)), holding
-    violating tuples only, and entries (``_read``) where a polynomial feeds.
+    is one residual block of those numerators per alpha (or (alpha, beta))
+    holding the violating tuples' columns, read as entries (``_read``)
+    where a polynomial feeds them.
     """
     _validate_hosts(operator)
     module, omega = operator.bimodule, operator.omega
@@ -386,7 +387,7 @@ def graph_check(operator, max_violations=DEFAULT_MAX_VIOLATIONS):
         for c, w in enumerate(products):
             out = _contract(minus_graphs[t], [w[n:]], [x * s_t for x in w])
             if any(out):
-                state.update((k * len(products) + c, v) for k, v in enumerate(out) if v or type(v) is not int)
+                state.update((k * len(products) + c, v) for k, v in enumerate(out))
         den *= s_t
         if any(type(v) is not int for v in state.values()):
             state, den = {key: _read(v, den) for key, v in state.items()}, None

@@ -56,10 +56,9 @@ and the family identity's two terms.  When every input has an integer
 view, the residual is one sparse state {flat index: integer numerator}
 over D, the lcm of the terms' products of scales.  The entry-type rule: a
 residual entry is ``Fraction(v, D)`` where its numerator v is nonzero and
-``ZERO`` elsewhere, and a residual column with no nonzero entry is one
-shared (ZERO,) * d tuple.  A ``TruncatedPoly`` entry anywhere multiplies
-the entries themselves, with no denominator: an entry fed by a product
-with a polynomial factor is a ``TruncatedPoly`` even when it cancels or
+``ZERO`` elsewhere.  A ``TruncatedPoly`` entry anywhere multiplies the
+entries themselves, with no denominator: an entry fed by a product with a
+polynomial factor is a ``TruncatedPoly`` even when it cancels or
 truncates to 0, one fed by rational products only is a ``Fraction``, and
 every other entry is ``ZERO``.  A nested law's state covers all (i, j, k)
 at once, d * I * J * K entries at most.
@@ -67,15 +66,16 @@ at once, d * I * J * K entries at most.
 Verdicts read off states.  ``intertwining_cases``, ``nested_cases`` and
 ``residual_cases`` return a ``Cases``, and ``chained_cases`` joins several
 (one law per semigroup index, say) into one.  Every law in the package
-reaches ``run_law`` as a ``Cases``, the second routes' laws as blocks of
-their own numerators.  ``run_law`` counts the violating input tuples off
-the states' nonzero values and builds a where-dict, a residual column and
-its ``Fraction``s only for the first ``max_violations`` violations, so a
-passing law builds none.  Iterating a ``Cases`` still yields the (case,
-residual) pairs above, and ``run_law`` still reads such pairs, for callers
-outside the package.  ``check_two_cocycle`` compares its direct residual
-with d2 on integer numerators (``disagreeing_case``) and builds the
-where-dict of the first disagreeing triple only to raise.
+hands ``run_law`` such residual blocks, the second routes' laws blocks of
+their own numerators, and ``run_law`` counts the violating input tuples
+off the states' nonzero values, building a where-dict, a residual column
+and its ``Fraction``s only for the first ``max_violations`` violations, so
+a passing law builds none.  (case, residual) pairs are read only for
+callers outside the package: iterating a ``Cases`` yields them, and
+``run_law`` reads pairs it is handed one by one (``_count``).
+``check_two_cocycle`` compares its direct residual with d2 on integer
+numerators (``disagreeing_case``) and builds the where-dict of the first
+disagreeing triple only to raise.
 
 Four second routes stay apart, each an independent route that must not
 share the composed computation, and none calls ``_signed_state`` or its
@@ -322,20 +322,17 @@ class Cases:
         self._blocks, self._pairs = blocks, None
 
     def __iter__(self):
-        if self._pairs is None:
-            self._pairs = _pairs(self._blocks)
-        return self._pairs
+        return self
 
     def __next__(self):
-        return next(iter(self))
+        if self._pairs is None:
+            self._pairs = (pair for block in self._blocks for pair in _cases(*block))
+        return next(self._pairs)
 
     def violations(self, limit):
-        """(count, violations) of the blocks not yet read: the number of
-        violating input tuples and the first ``limit`` of them as
-        ``Violation``s, each what iterating would have yielded for it."""
-        if self._pairs is not None:  # partly iterated: count the rest
-            return _count(self._pairs, limit)
-        self._pairs = iter(())
+        """(count, violations) of the blocks: the number of violating input
+        tuples and the first ``limit`` of them as ``Violation``s, each what
+        iterating would have yielded for it."""
         count, violations = 0, []
         for residual, names, where in self._blocks:
             count += _violations(residual, names, where, limit, violations)
@@ -347,16 +344,12 @@ def _block(residual, args, names, where):
     yield residual(*args), names, where
 
 
-def _pairs(blocks):
-    for residual, names, where in blocks:
-        yield from _cases(residual, names, where)
-
-
 def _cases(residual, names, where):
     """The (case, residual column) pairs of a residual (state, den, shape),
     shape = (d, *inputs), one per input tuple in row-major order."""
-    for c in range(prod(residual[2][1:])):
-        yield _where(where, names, c, residual[2][1:]), _column(residual, c)
+    extents = residual[2][1:]
+    for c in range(prod(extents)):
+        yield _where(where, names, c, extents), _column(residual, c)
 
 
 def _violations(residual, names, where, limit, out):
@@ -382,14 +375,11 @@ def _column(residual, c):
     (entries, not numerators: a ``TruncatedPoly`` keeps its type, even when
     it cancels to 0); every other entry is ``ZERO``."""
     state, den, shape = residual
-    inner, column = prod(shape[1:]), []
-    for k in range(shape[0]):
-        v = state.get(k * inner + c)
-        if v is None or (den is not None and not v):
-            column.append(ZERO)
-        else:
-            column.append(v if den is None else Fraction(v, den))
-    return tuple(column)
+    inner = prod(shape[1:])
+    values = map(state.get, range(c, shape[0] * inner, inner))
+    if den is None:
+        return tuple(ZERO if v is None else v for v in values)
+    return tuple(Fraction(v, den) if v else ZERO for v in values)
 
 
 def _where(prefix, names, c, extents):
