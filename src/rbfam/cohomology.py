@@ -8,9 +8,10 @@ Three complexes share one chassis:
 * OMEGA - the complex of a semigroup-pair-indexed associative algebra with
           coefficients in a pair-indexed bimodule,
 * RBF   - the complex of a twisted Rota-Baxter family, whose differential
-          is computed twice: once by the direct formula and once through
-          the generic OMEGA differential on the induced total-product
-          algebra and bimodule; the two must agree exactly.
+          has two routes: the direct formula and the generic OMEGA
+          differential on the induced total-product algebra and bimodule.
+          Their term maps are built apart and compared exactly; where any
+          differs, both maps are assembled and every image must agree.
 
 Cochain spaces carry the equivariance membership constraint, enforced at
 construction.  In every degree and for any structure maps the basis is the
@@ -28,14 +29,15 @@ In every degree n >= 0 the differential of each complex is one linear
 map, assembled in raw coordinates by one stencil walker shared by the
 three complexes (each supplies a small stencil of term maps, composed as
 whole tensors, and merged arguments) on integer numerators over one
-denominator, and kept on the handle.  ``differential_matrix`` applies it
-to every basis vector, ``differential`` to one member cochain and
+denominator, and kept on the handle.  ``differential_matrix`` reads a
+unit basis's images off its columns and applies it to every basis vector
+of a constrained space, ``differential`` to one member cochain and
 ``raw_differential`` to any raw coefficient vector.  Each image stays a
 sparse state {row: integer numerator} over one denominator from the walk
-to elimination: the RBF direct and generic images are compared across
-their denominators, the membership rebuild runs on integers, and the
-matrix keeps each column's coordinates as such a state, which elimination
-reads directly.  Only ``raw_differential`` and a matrix's lazy
+to elimination: two RBF maps' images are compared across their
+denominators, the membership rebuild runs on integers, and the matrix
+keeps each column's coordinates as such a state, which elimination reads
+directly.  Only ``raw_differential`` and a matrix's lazy
 ``entries`` turn values into entries (``linalg._read``).  Polynomial data
 rides the same loops at scale 1, over the same denominators.  Every
 cochain that enters, through ``make_cochain`` or ``differential``, passes
@@ -345,7 +347,8 @@ class ComplexHandle:
 
     def raw_differential(self, degree, vec):
         """D . vec in raw coordinates for any raw vector of the right length
-        (membership is not required); for RBF both routes must agree."""
+        (membership is not required); for RBF the routes must agree
+        (``_apply_maps``)."""
         if len(vec) != self.raw_dim(degree, len(vec)):
             raise InputError("coefficient vector has the wrong length")
         image, den = self._apply_maps(self._stencil_maps(degree), degree, _sparse(vec))
@@ -353,7 +356,15 @@ class ComplexHandle:
 
     def differential_matrix(self, degree):
         """The matrix of D from the degree-n basis to the next one, built
-        from its columns' integer states (``Matrix.from_column_states``)."""
+        from its columns' integer states (``Matrix.from_column_states``).
+
+        Degree 0 sends each basis vector through ``differential``.  From
+        degree 1 on, a space that is the whole raw space has the unit
+        basis: when one map stands for every route, its images are the
+        map's columns; otherwise each basis vector goes through
+        ``_apply_maps``.  An image in a whole raw space is its own
+        coordinates; in a constrained one it is rebuilt over the basis
+        (``_coordinates``)."""
         if degree in self._matrix:
             return self._matrix[degree]
         vec_out = self.supports(degree + 1)
@@ -363,39 +374,30 @@ class ComplexHandle:
             maps, vec_in = self._stencil_maps(degree), self.supports(degree)
             size = sum(len(c) for cols, _ in maps for c in cols) + sum(map(len, vec_in + vec_out))
             self._guard_size(degree, size, f"{size} stencil and basis nonzeros for its differential")
-            images = [self._apply_maps(maps, degree, b, f", on basis vector {j}") for j, b in enumerate(vec_in)]
-        # Each basis vector is 1 on its own free column (its last nonzero
-        # entry) and 0 on the others' free columns, so the coordinates of a
-        # member are its free-column entries.  Rebuild the image from them
-        # over the basis supports, scaled to integers by one lcm, to check
-        # that it is a member.
-        free = {s[-1][0]: i for i, s in enumerate(vec_out)}
-        scale = lcm(*{e.denominator for s in vec_out for _, e in s})
-        scaled = [[(r, e.numerator * (scale // e.denominator)) for r, e in s] for s in vec_out]
-        columns = []
-        for image, den in images:
-            coords, rebuilt = {}, {}
-            for f, c in image.items():
-                i = free.get(f)
-                if i is not None:
-                    coords[i] = c
-                    for r, e in scaled[i]:
-                        rebuilt[r] = rebuilt.get(r, 0) + c * e
-            if {r: v for r, v in rebuilt.items() if v} != {r: scale * v for r, v in image.items()}:
-                raise RouteMismatchError("differential image escaped the constrained cochain space")
-            columns.append((coords, den))
-        self._matrix[degree] = Matrix.from_column_states(len(vec_out), len(images), columns, self.max_entries)
+            (cols, den), *others = _distinct(maps)
+            if not others and len(vec_in) == len(cols):
+                images = [({r: v for r, v in col.items() if v}, den) for col in cols]
+            else:
+                images = [self._apply_maps(maps, degree, b, f", on basis vector {j}") for j, b in enumerate(vec_in)]
+        if len(vec_out) < self.raw_dim(degree + 1):
+            images = _coordinates(images, vec_out)
+        self._matrix[degree] = Matrix.from_column_states(len(vec_out), len(images), images, self.max_entries)
         return self._matrix[degree]
 
     def _stencil_maps(self, degree):
         """Raw differentials C^n -> C^(n+1), assembled once per degree, each
         as (columns, den) from ``_assemble_stencil``.
 
-        RBF gets two, the direct and the generic one, assembled
-        independently; the others get one.  Degree 0 is the n = 0 case of
-        the same stencils, refused below ``first_degree``.  ``_maps`` holds
-        the maps of each degree and, under each stencil's tag, its term
-        maps, built once per handle; a copy with ``_maps={}`` builds its own.
+        RBF gets two, the direct and the generic one, whose term maps are
+        built independently and compared exactly as the walker reads them
+        (``_same_terms``).  When they agree, the walker runs once, on the
+        direct stencil, and its map stands for both routes: it would walk
+        equal arrays to an equal map.  When any term map differs, both are
+        assembled and ``_apply_maps`` compares their images.  The others
+        get one.  Degree 0 is the n = 0 case of the same stencils, refused
+        below ``first_degree``.  ``_maps`` holds the maps of each degree
+        and, under each stencil's tag, its term maps, built once per
+        handle; a copy with ``_maps={}`` builds its own.
         """
         if degree in self._maps:
             return self._maps[degree]
@@ -415,14 +417,18 @@ class ComplexHandle:
             stencils = [_omega_stencil(self.omega_algebra, self.omega_module, degree, terms(OMEGA, {}))]
             if self.tag == RBF:
                 stencils.insert(0, _rbf_stencil(self.operator, degree, terms(RBF, {})))
-        maps = [_assemble_stencil(self, degree, s) for s in stencils]
+        if len(stencils) == 2 and _same_terms(self.index_keys(degree + 1), degree, *stencils):
+            maps = [_assemble_stencil(self, degree, stencils[0])] * 2
+        else:
+            maps = [_assemble_stencil(self, degree, s) for s in stencils]
         self._maps[degree] = maps
         return maps
 
     def _apply_maps(self, maps, degree, support, where=""):
         """(state, den) of D . vec (``_apply_columns``), vec given by its nonzero ((position,
-        value), ...); for RBF both routes must agree, across denominators."""
-        (image, den), *others = [_apply_columns(cols, d, support) for cols, d in maps]
+        value), ...), each distinct map applied once; RBF's two routes, when
+        they are two maps, must agree, across denominators."""
+        (image, den), *others = [_apply_columns(cols, d, support) for cols, d in _distinct(maps)]
         for other, oden in others:
             rows = [r for r in image.keys() | other.keys() if image.get(r, 0) * oden != other.get(r, 0) * den]
             if rows:
@@ -789,6 +795,27 @@ def _assemble_stencil(handle, degree, stencil):
     return cols, den
 
 
+def _same_terms(keys, degree, direct, generic):
+    """Whether two degree-n stencils hand ``_assemble_stencil`` the same
+    arrays, compared as it reads them (``shape`` and ``scaled``): ``smap``,
+    and the first, last and merged terms of every output key.  Each
+    stencil's term maps are built in full before any is compared."""
+
+    def arrays(stencil):
+        out = [stencil.smap]
+        for key in keys:
+            out += [stencil.first(key), stencil.last(key), *(stencil.merged(key, i) for i in range(1, degree + 1))]
+        return out
+
+    pairs = {(id(a), id(b)): (a, b) for a, b in zip(arrays(direct), arrays(generic))}
+    return all(a.shape == b.shape and a.scaled == b.scaled for a, b in pairs.values())
+
+
+def _distinct(maps):
+    """The maps of a degree, each one once, in order."""
+    return list({id(m): m for m in maps}.values())
+
+
 def _apply_columns(cols, den, support):
     """(state, den) of the product of the sparse columns {row: value} of
     ``_assemble_stencil`` with a sparse vector ((column, value), ...): the
@@ -800,6 +827,31 @@ def _apply_columns(cols, den, support):
         for r, v in cols[c].items():
             out[r] = out.get(r, 0) + e * v
     return {r: v for r, v in out.items() if v}, den * scale
+
+
+def _coordinates(images, supports):
+    """The coordinates (state, den) of each image (state, den) in the basis
+    of ``supports``.  Each basis vector is 1 on its own free column (its
+    last nonzero entry) and 0 on the others' free columns, so the
+    coordinates of a member are its free-column entries.  The image is
+    rebuilt from them over the supports, scaled to integers by one lcm, to
+    check that it is a member."""
+    free = {s[-1][0]: i for i, s in enumerate(supports)}
+    scale = lcm(*{e.denominator for s in supports for _, e in s})
+    scaled = [[(r, e.numerator * (scale // e.denominator)) for r, e in s] for s in supports]
+    columns = []
+    for image, den in images:
+        coords, rebuilt = {}, {}
+        for f, c in image.items():
+            i = free.get(f)
+            if i is not None:
+                coords[i] = c
+                for r, e in scaled[i]:
+                    rebuilt[r] = rebuilt.get(r, 0) + c * e
+        if {r: v for r, v in rebuilt.items() if v} != {r: scale * v for r, v in image.items()}:
+            raise RouteMismatchError("differential image escaped the constrained cochain space")
+        columns.append((coords, den))
+    return columns
 
 
 def _state(vec):

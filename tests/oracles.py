@@ -25,10 +25,12 @@ it enumerated every candidate, as the reference of the map-by-map
 search), the package's former entrywise ``Matrix`` and ``Tensor`` code and
 ``linalg._compose`` (frozen, as each class wrote its own and ``_compose``
 copied a ``Matrix`` into a ``Tensor``, as the references of the shared
-array layer), the package's former stencil providers and walker
-(frozen, as they probed each first/last-term map on unit vectors and added
-``Fraction`` entries one cell at a time, as the references of the ones
-that compose those maps as tensors and assemble integer numerators), the
+array layer), the package's former stencil providers, walker and
+``differential_matrix`` (frozen, as they probed each first/last-term map
+on unit vectors, added ``Fraction`` entries one cell at a time and sent
+every basis vector through the maps, as the references of the ones that
+compose those maps as tensors, assemble integer numerators and read a
+unit basis's images off the map), the
 package's former signed sums (``reports.nested_cases`` composing per first
 index, ``intertwining_residual`` putting its sides over one denominator,
 ``linalg._compose`` as a body of its own, and the ``sub`` chains of the
@@ -68,7 +70,7 @@ from functools import cache
 from itertools import chain, product
 from math import gcd, lcm, prod
 
-from rbfam.cohomology import HA, RBF, ComplexHandle, rbf_complex
+from rbfam.cohomology import HA, RBF, ComplexHandle, _state, rbf_complex
 from rbfam.deformations import (
     EquivalenceReport,
     InfinitesimalReport,
@@ -1791,7 +1793,39 @@ class ProbedStencilHandle(ComplexHandle):
     frozen bodies above: ``_stencil_maps`` and ``_apply_maps`` are the
     handle's former methods, verbatim but for the frozen names and the
     (columns or image, 1) pairs that the handle passes on: the values are
-    the ``Fraction`` entries themselves, over the denominator 1."""
+    the ``Fraction`` entries themselves, over the denominator 1.
+    ``differential_matrix`` is the handle's former method verbatim, as it
+    sent every basis vector through ``_apply_maps`` and rebuilt every
+    image over the next basis, unit bases included."""
+
+    def differential_matrix(self, degree):
+        if degree in self._matrix:
+            return self._matrix[degree]
+        vec_out = self.supports(degree + 1)
+        if degree == 0:
+            images = [_state(self.flatten(self.differential(b))) for b in self.basis(0)]
+        else:
+            maps, vec_in = self._stencil_maps(degree), self.supports(degree)
+            size = sum(len(c) for cols, _ in maps for c in cols) + sum(map(len, vec_in + vec_out))
+            self._guard_size(degree, size, f"{size} stencil and basis nonzeros for its differential")
+            images = [self._apply_maps(maps, degree, b, f", on basis vector {j}") for j, b in enumerate(vec_in)]
+        free = {s[-1][0]: i for i, s in enumerate(vec_out)}
+        scale = lcm(*{e.denominator for s in vec_out for _, e in s})
+        scaled = [[(r, e.numerator * (scale // e.denominator)) for r, e in s] for s in vec_out]
+        columns = []
+        for image, den in images:
+            coords, rebuilt = {}, {}
+            for f, c in image.items():
+                i = free.get(f)
+                if i is not None:
+                    coords[i] = c
+                    for r, e in scaled[i]:
+                        rebuilt[r] = rebuilt.get(r, 0) + c * e
+            if {r: v for r, v in rebuilt.items() if v} != {r: scale * v for r, v in image.items()}:
+                raise RouteMismatchError("differential image escaped the constrained cochain space")
+            columns.append((coords, den))
+        self._matrix[degree] = Matrix.from_column_states(len(vec_out), len(images), columns, self.max_entries)
+        return self._matrix[degree]
 
     def _stencil_maps(self, degree):
         if degree in self._maps:

@@ -13,6 +13,14 @@ twisted-triangular packings over C2 and the boolean monoid at degrees 0-1,
 one with its generic route moved at one entry.  Raw vectors are random
 rationals, now and then with polynomial entries.
 
+The routes are compared on their term maps: a derandomized property moves
+one entry of one direct term map (through ``twisted_inner_sum``) on those
+handles and on D1/D2, holds both functions to the probed bodies, and
+counts one assembly per RBF degree when the routes agree and two when they
+do not.  On the unit bases of D0-D2 no basis vector goes through
+``_apply_maps``; on the constrained spaces of the C2 transport each one
+does.
+
 ``FROZEN_POLYNOMIAL`` pins what the complexes of D1 give on polynomial data
 (the outputs were frozen from the probing bodies): the twisted family with
 maps over K[t]/(t^2), on integer, rational and polynomial raw vectors, and
@@ -30,7 +38,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rbfam.cohomology import HA, OMEGA, ComplexHandle, cohomology_dims, ha_complex, omega_complex, rbf_complex
+from rbfam import cohomology
+from rbfam.cohomology import HA, OMEGA, RBF, ComplexHandle, cohomology_dims, ha_complex, omega_complex, rbf_complex
 from rbfam.errors import InputError, WorkbenchError
 from rbfam import linalg
 from rbfam.family import OmegaAssocAlgebra, OmegaBimodule
@@ -38,6 +47,7 @@ from rbfam.homalg import HomAlgebra, HomBimodule
 from rbfam.linalg import Matrix
 from rbfam.scalars import TruncatedPoly
 from rbfam.semigroups import builtin
+from rbfam.workspace import desk_instance
 from test_law_composition import ORDER, _nudged, matrix, populated, tensor, transported
 
 
@@ -248,3 +258,119 @@ def test_term_maps_are_built_once_per_handle(monkeypatch):
     assert len(count) == 108
     monkeypatch.undo()
     assert repr(handle.differential_matrix(2)) == repr(rbf_complex(operator).differential_matrix(2))
+
+
+# ---------------------------------------------------------------------------
+# the routes compared on their term maps, unit bases read off the map
+
+
+def _counted(patch, owner, name):
+    """The calls of ``owner.name`` from now on, one list item each."""
+    original, calls = getattr(owner, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    patch.setattr(owner, name, counting)
+    return calls
+
+
+def _route_maps_agree(handle, degree):
+    """Whether the probed bodies assemble equal direct and generic maps."""
+    (direct, _), (generic, _) = oracles.probed_handle(handle)._stencil_maps(degree)
+    return [{r: v for r, v in c.items() if v} for c in direct] == [{r: v for r, v in c.items() if v} for c in generic]
+
+
+@lru_cache(maxsize=None)
+def desk_handle(name):
+    return rbf_complex(desk_instance(name)["operator"])
+
+
+@st.composite
+def perturbed_cases(draw):
+    """A generated, transport or desk (D1, D2 at degrees 0-2: unit bases)
+    case and, on an RBF handle mostly, one entry of ``twisted_inner_sum``
+    to move: (alpha, beta, a, b, entry, delta) for the basis pair
+    (e_a, e_b)."""
+    source = draw(st.sampled_from(("generated", "transport", "transport", "desk")))
+    if source == "generated":
+        handle, degree, vec = draw(generated_cases())
+    elif source == "transport":
+        handle, degree, vec = draw(transport_cases())
+    else:
+        handle, degree = desk_handle(draw(st.sampled_from(("D1", "D2")))), draw(st.integers(0, 2))
+        vec = raw_vector(draw, handle.raw_dim(degree), draw(st.integers(0, 4)) == 0)
+    move = None
+    if handle.tag == RBF and draw(st.integers(0, 2)):
+        size, g = handle.omega.size, handle.source_dim
+        pick = [st.integers(0, size - 1)] * 2 + [st.integers(0, g - 1)] * 3
+        move = (*(draw(s) for s in pick), draw(st.sampled_from((Fraction(1), Fraction(-1, 2)))))
+    return handle, degree, vec, move
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=perturbed_cases())
+def test_routes_are_compared_on_their_term_maps(case):
+    # A direct term map moved at one entry (through ``twisted_inner_sum``,
+    # which only the direct route reads, here and in the probed bodies)
+    # gives the outcome of the probed bodies, which assemble both routes and
+    # compare every image.  An RBF degree is assembled once when its routes
+    # agree and twice when they do not; the other complexes, once.
+    handle, degree, vec, move = case
+    original = cohomology.twisted_inner_sum
+    if move is not None:
+        alpha, beta, a, b, entry, delta = move
+        units = [tuple(Fraction(int(j == i)) for j in range(handle.source_dim)) for i in (a, b)]
+
+    def perturbed(operator, *args):
+        out = original(operator, *args)
+        if move is not None and list(args) == [alpha, beta, *units]:
+            out = out[:entry] + (out[entry] + delta,) + out[entry + 1 :]
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "twisted_inner_sum", perturbed)
+        patch.setattr(oracles, "twisted_inner_sum", perturbed)
+        calls = _counted(patch, cohomology, "_assemble_stencil")
+        assert_matches_probed_bodies(handle, degree, vec)
+        try:
+            expected = 1 if handle.tag != RBF or _route_maps_agree(handle, degree) else 2
+        except WorkbenchError:
+            expected = 0
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("name", ["d0", "d1", "d2"])
+def test_unit_bases_read_their_images_off_the_map(request, name):
+    # p = q = id on the desk instances: every cochain space is its whole
+    # raw space, so no basis vector goes through ``_apply_maps``.
+    operator = request.getfixturevalue(name)["operator"]
+    rbf = rbf_complex(operator, degree_cap=3)
+    handles = (
+        rbf,
+        omega_complex(rbf.omega_algebra, rbf.omega_module, degree_cap=3),
+        ha_complex(operator.algebra, operator.bimodule, degree_cap=3),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counted(patch, ComplexHandle, "_apply_maps")
+        for handle in handles:
+            for degree in (1, 2, 3):
+                assert len(handle.supports(degree)) == handle.raw_dim(degree)
+                probed = oracles.probed_handle(handle).differential_matrix(degree)
+                assert repr(handle.differential_matrix(degree)) == repr(probed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("complex_index, degree", [(0, 1), (1, 1), (2, 1)])
+def test_constrained_bases_apply_the_maps_per_vector(complex_index, degree):
+    # The seeded C2 transport (RBF, OMEGA and HA) has constrained spaces:
+    # each basis vector still goes through ``_apply_maps``, and its image
+    # through the membership rebuild.
+    handle = replace(transport_handles(("cyclic", 2), 0)[complex_index], _maps={}, _basis={}, _matrix={})
+    assert len(handle.supports(degree)) < handle.raw_dim(degree)
+    probed = oracles.probed_handle(handle).differential_matrix(degree)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counted(patch, ComplexHandle, "_apply_maps")
+        assert repr(handle.differential_matrix(degree)) == repr(probed)
+    assert len(calls) == len(handle.supports(degree))
