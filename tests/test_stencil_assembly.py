@@ -362,11 +362,12 @@ def test_unit_bases_read_their_images_off_the_map(request, name):
     assert calls == []
 
 
-@pytest.mark.parametrize("complex_index, degree", [(0, 1), (1, 1), (2, 1)])
-def test_constrained_bases_apply_the_maps_per_vector(complex_index, degree):
+@pytest.mark.parametrize("complex_index", [0, 1, 2])
+def test_constrained_bases_apply_the_maps_per_vector(complex_index):
     # The seeded C2 transport (RBF, OMEGA and HA) has constrained spaces:
     # each basis vector still goes through ``_apply_maps``, and its image
     # through the membership rebuild.
+    degree = 1
     handle = replace(transport_handles(("cyclic", 2), 0)[complex_index], _maps={}, _basis={}, _matrix={})
     assert len(handle.supports(degree)) < handle.raw_dim(degree)
     probed = oracles.probed_handle(handle).differential_matrix(degree)
