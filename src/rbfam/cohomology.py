@@ -570,7 +570,7 @@ def _kept(terms, name):
 def _exponent(smap, degree):
     """k of the power smap^k = smap^max(n-1, 0) that a degree-n end map
     composes, 0 when smap is the identity pattern ``_compose`` skips."""
-    if smap.integer_view is not None and smap.rows_view is None:
+    if smap.rows_view is None:
         return 0
     return max(degree - 1, 0)
 

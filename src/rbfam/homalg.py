@@ -25,8 +25,10 @@ from .linalg import (
     Tensor,
     _from_state,
     _multipliers,
+    _nonzeros,
     _read,
     _rows,
+    _slot,
     block_diag,
     multilinear_apply,
     tensor_column,
@@ -209,9 +211,11 @@ def hochschild_differential(module, degree, f):
     the output satisfies it one degree higher.
 
     The route is its own: every array is read once through ``scaled`` and
-    each term is contracted one slot at a time (``_slot``) over nonzero
-    entries into one sparse state of integer numerators over one
-    denominator, a polynomial riding it at scale 1.  Each term's partial
+    each term is contracted one slot at a time over nonzero entries into
+    one sparse state of integer numerators over one denominator, a
+    polynomial riding it at scale 1.  The terms and their partial
+    contractions are this route's; only the loop that contracts one slot,
+    ``linalg._slot``, is shared with ``linalg._signed_state``.  Each term's partial
     contraction is formed once, not per output tuple: left o (p^(n-1) x I),
     right o (I x p^(n-1)) and, for the i-th merged slot,
     f o (p^(x i-1) x I x p^(x n-i)), which then meets f, f and mu.  The
@@ -237,7 +241,7 @@ def hochschild_differential(module, degree, f):
 
     # chain[s] = f o (p^(x s) x I^(x degree-s)) for s < degree: chain[i - 1]
     # starts the i-th merged-slot term, and one more slot gives f o p^(x degree).
-    chain = [_state(fv)]
+    chain = [_nonzeros(fv)]
     for s in range(degree - 1):
         chain.append(_slot(chain[-1], n, n ** (degree - 1 - s), p_rows, n, {}))
     if not (degree and identities):
@@ -258,9 +262,9 @@ def hochschild_differential(module, degree, f):
 
     out = {}
     # p^(n-1) x_0 .l f(x_1, ..., x_n): left o (p^(n-1) x I), then f in its last slot.
-    _slot(_slot(_state(left, m_left), n, d, ppow_rows, n, {}), d, 1, f_rows, f_inner, out)
+    _slot(_slot(_nonzeros(left, m_left), n, d, ppow_rows, n, {}), d, 1, f_rows, f_inner, out)
     # f(x_0, ..., x_{n-1}) .r p^(n-1) x_n: right o (I x p^(n-1)), then f in its first slot.
-    _slot(_slot(_state(right, m_right), n, 1, ppow_rows, n, {}), d, n, f_rows, f_inner, out)
+    _slot(_slot(_nonzeros(right, m_right), n, 1, ppow_rows, n, {}), d, n, f_rows, f_inner, out)
     # (-1)^i f(p x_0, ..., x_{i-1} x_i, ..., p x_n): p in every slot of f but
     # i - 1, then mu in that slot; mu_rows[i % 2] carries the sign.
     mu_rows = [[[(j, sign * m_f * x) for j, x in row] for row in _rows(mu, n, n * n)[0]] for sign in (1, -1)]
@@ -297,38 +301,13 @@ def hochschild_differential(module, degree, f):
     return result
 
 
-def _state(values, m=1):
-    """The state {flat: m * x} of the nonzero values."""
-    return {k: m * x for k, x in enumerate(values) if x}
-
-
-def _slot(state, extent, rest, rows, size, out):
-    """Add into ``out`` the state of a tensor with one input slot contracted:
-    ``state`` holds its entries by flat index over (head, extent, rest),
-    rows[a] the nonzero (j, x), j < size, that index a of the slot becomes,
-    and the result is keyed over (head, size, rest).  Every key fed by a
-    product of nonzero factors is kept, even one that cancels.  Returns
-    ``out``."""
-    block = extent * rest
-    get = out.get
-    for key, c in state.items():
-        head, tail = divmod(key, block)
-        a, tail = divmod(tail, rest)
-        base = head * size
-        for j, x in rows[a]:
-            k = (base + j) * rest + tail
-            v = get(k)
-            out[k] = c * x if v is None else v + c * x
-    return out
-
-
 def _violates(q, s_qg, image, s_image, g_rows, size):
     """Whether q o g differs from ``image``: g is given by its rows (the
     nonzero (j, x), j < size, of each output coordinate), q o g counts in
     units of 1/s_qg and ``image`` is a state over s_image."""
     d = len(g_rows)
     (m_q, m_image), _ = _multipliers((1, -1), (s_qg, s_image))
-    residual = _slot(_state(q, m_q), d, 1, g_rows, size, {})
+    residual = _slot(_nonzeros(q, m_q), d, 1, g_rows, size, {})
     get = residual.get
     for k, v in image.items():
         w = get(k)

@@ -18,44 +18,47 @@ one contraction, ``_contract``, over the arguments' supports (their
 nonzero coordinates, built by ``_supports``), reading a matrix or tensor
 through its sparse ``columns``, built once per array.  A caller that
 contracts the same vector many times builds its support once and calls
-``_contract_supports``.  Every signed sum of compositions goes
-through one kernel, ``_signed_state``, which composes each term one slot
-at a time over nonzero entries, the sparsest part first, and returns the
-sparse state {flat index: value} over one denominator: ``_compose_sum`` (one-term case
-``_compose``, which is also ``Matrix.mul``) turns it into a tensor, and
-the law primitives of ``reports`` read it as residuals: ``run_law`` counts
-a law's violations on the state itself and reads entries only for the
-first violations it reports.  On integers the
-kernel reads each array through views built once per array:
-``state_view``, its nonzero state, when it is an outer, and ``rows_view``,
-its sparse rows, with ``density``, its nonzeros per row, when it is a
-part.  A part whose integer view is the identity pattern at scale 1 (a
-square identity, or shape (a, *in) with prod(in) = a) has no rows view and
-is skipped, which keeps every key and value; 2 * I is composed.  Cached
-views are shared by every call and never mutated.  A tensor composed on
-integers (``_from_state``) is born integer, so its next reader takes its
-integer view and no ``Fraction`` entry is built unless something reads
-``entries`` (``==``, ``hash``, ``repr``, ``replace``, a report).
+``_contract_supports``.  Every signed sum of compositions goes through one
+kernel, ``_signed_state``, which composes each term one slot at a time
+over nonzero entries, the sparsest part first, and returns the sparse
+state {flat index: value} over one denominator: ``_compose_sum`` (one-term
+case ``_compose``, which is also ``Matrix.mul``) turns it into a tensor,
+and the law primitives of ``reports`` read it as residuals: ``run_law``
+counts a law's violations on the state itself and reads entries only for
+the first violations it reports.  The kernel reads each array through
+views built once per array, off its ``scaled`` values: ``state_view``, its
+nonzero state, when it is an outer, and ``rows_view``, its sparse rows,
+with ``density``, its nonzeros per row, when it is a part.  A part with an
+integer view that is the identity pattern at scale 1 (a square identity,
+or shape (a, *in) with prod(in) = a) has no rows view and is skipped,
+which keeps every key and value; 2 * I and a polynomial identity are
+composed.  Cached views are shared by every call and never mutated.  A
+tensor composed on integers (``_from_state``) is born integer, so its next
+reader takes its integer view and no ``Fraction`` entry is built unless
+something reads ``entries`` (``==``, ``hash``, ``repr``, ``replace``, a
+report).
 
 Every value is read as (scale, values), the entries times an integer
 scale.  Rationals become integers in one place, ``_integer_view``: the lcm
 of the entries' denominators and the entries scaled by it.  An array reads
 its cached ``scaled`` view and a vector ``_scaled``: the integer view, or
-(1, the entries) when an entry is a ``TruncatedPoly``; an entry that is not
-an exact scalar (a float) is refused.  So ``_applied``, the stencil walk of
-``cohomology`` and ``homalg.hochschild_differential`` run one integer loop
-over one denominator, a polynomial riding it at scale 1, and read each
-output value once through ``_read``: ``Fraction(v, den)`` for an integer
-and v / den for a polynomial.  The Hochschild route is a second route to
-the cocycle identity, so it composes with its own loop, one slot at a
-time over nonzero entries with each term's partial contraction formed
-once, and never enters ``_signed_state``.  ``_signed_state`` runs the same loop on the
-entries themselves when one is a polynomial, with no denominator: an
-output entry is a ``TruncatedPoly`` exactly when a product with a
-polynomial factor feeds it, and a ``Fraction`` otherwise.  In the
-package, polynomials come only from ``LinearDeformation.deformed_maps``,
-whose splitting ``deformations.deform_ns_family`` checks; the deformation
-laws read their t and t^2 coefficients off rational evaluations instead.
+(1, the entries) when an entry is a ``TruncatedPoly``; an entry that is
+not an exact scalar (a float) is refused.  So ``_applied``,
+``_signed_state``, the stencil walk of ``cohomology`` and
+``homalg.hochschild_differential`` run one integer loop over one
+denominator, a polynomial riding it at scale 1, and read each output value
+once through ``_read``: ``Fraction(v, den)`` for an integer and v / den
+for a polynomial.  Every contraction of a slot is one loop, ``_slot``.
+The Hochschild route is a second route to the cocycle identity, so it
+keeps its own terms over ``_slot``, one slot at a time with each term's
+partial contraction formed once, and never enters ``_signed_state``.  When
+an input of ``_signed_state`` is a polynomial it returns the entries
+themselves, with no denominator: an output entry is a ``TruncatedPoly``
+exactly when a product with a polynomial factor feeds it, and a
+``Fraction`` otherwise.  In the package, polynomials come only from
+``LinearDeformation.deformed_maps``, whose splitting
+``deformations.deform_ns_family`` checks; the deformation laws read their
+t and t^2 coefficients off rational evaluations instead.
 
 Elimination (``rank``, ``kernel_supports``, ``solve``, ``invert_matrix``)
 reads each line of entries once (a row or column of the matrix, a row with
@@ -183,22 +186,24 @@ class _Array:
 
     @cached_property
     def state_view(self):
-        """``_nonzeros`` of ``integer_view``'s values: what ``_signed_state``
+        """``_nonzeros`` of ``scaled``'s values: what ``_signed_state``
         reads of an outer.  Kept like ``integer_view`` and shared by every
         call, so never mutated."""
-        return _nonzeros(self.integer_view[1])
+        return _nonzeros(self.scaled[1])
 
     @cached_property
     def rows_view(self):
-        """``_rows`` of ``integer_view``'s values, cut after the output axis:
-        what ``_signed_state`` reads of a part.  None when they are the
-        identity pattern at scale 1 (shape (a, *in) with prod(in) = a and
-        row k the one entry 1 at k), a part ``_compose_state`` skips.  Kept
-        like ``integer_view``, so never mutated."""
-        scale, values = self.integer_view
+        """``_rows`` of ``scaled``'s values, cut after the output axis: what
+        ``_signed_state`` reads of a part.  None when the array has an
+        integer view and it is the identity pattern at scale 1 (shape
+        (a, *in) with prod(in) = a and row k the one entry 1 at k), a part
+        ``_compose_state`` skips; a polynomial identity is composed, so the
+        entries it feeds stay polynomials.  Kept like ``integer_view``, so
+        never mutated."""
+        scale, values = self.scaled
         a = self.shape[0]
         rows, size = _rows(values, a, prod(self.shape[1:]))
-        if scale == 1 and size == a and all(row == [(k, 1)] for k, row in enumerate(rows)):
+        if self.integer_view and scale == 1 and size == a and all(row == [(k, 1)] for k, row in enumerate(rows)):
             return None
         return rows, size
 
@@ -571,67 +576,54 @@ def _signed_state(terms):
     (``_compose_state``).  Every entry fed by a
     product of nonzero factors is kept, even one that cancels to 0.
 
-    With an integer view on every input the values are integer numerators
-    over den: a term counts in units of 1/(product of its arrays' scales)
-    and is added times sign * (den // units), den the lcm of the units (a
-    lone term is over its own units).  Each array is read through its
-    cached views: an outer's ``state_view`` and a part's ``rows_view``
-    (None for an identity pattern at scale 1, which ``_compose_state``
-    skips) and ``density``.  Those views are shared and only read: a term
-    whose parts are all skipped starts from a copy of its outer's state,
-    so the sum is scaled and added in place.
+    Every array is read through its cached ``scaled`` view, so the values
+    are integer numerators over den, a polynomial riding them at scale 1:
+    a term counts in units of 1/(product of its arrays' scales) and is
+    added times sign * (den // units), den the lcm of the units
+    (``_multipliers``).  An outer is read through its ``state_view`` and a
+    part through its ``rows_view`` (None for an integer identity pattern
+    at scale 1, which ``_compose_state`` skips) and ``density``.  Those
+    views are shared and only read: a term whose parts are all skipped
+    starts from a copy of its outer's state, so the sum is scaled and
+    added in place.
 
-    Otherwise (a ``TruncatedPoly`` entry) every array's entries are read
-    (``ensure_scalar``) and multiplied one product at a time, the
-    multipliers are the signs and den is None: the values are the entries
-    themselves, a ``TruncatedPoly`` exactly where some product with a
-    polynomial factor feeds it (t * t^2 = 0 mod t^3 included) and a
-    ``Fraction`` elsewhere.  A call that holds two truncation orders is
+    When an array has no integer view (a ``TruncatedPoly`` entry), each
+    value is read once (``_read``) and den is None: the values are the
+    entries themselves, a ``TruncatedPoly`` exactly where some product
+    with a polynomial factor feeds it (t * t^2 = 0 mod t^3 included) and
+    a ``Fraction`` elsewhere.  A call that holds two truncation orders is
     refused, even where they never meet.
     """
     arrays = [t for _, outer, parts in terms for t in (outer, *parts)]
-    views = [t.integer_view for t in arrays]
-    signs = [sign for sign, _, _ in terms]
-    entrywise = None in views
-    if entrywise:
-        values = [[ensure_scalar(e) for e in t.entries] for t in arrays]
-        if len({e.order for v in values for e in v if isinstance(e, TruncatedPoly)}) > 1:
-            raise InputError("mixed truncation orders")
-        multipliers, den = signs, None
-    elif len(terms) == 1:
-        multipliers, den = signs, prod(scale for scale, _ in views)
-    else:
-        scales = [scale for scale, _ in views]
-        dens, start = [], 0
-        for _, _, parts in terms:
-            dens.append(prod(scales[start : start + len(parts) + 1]))
-            start += len(parts) + 1
-        multipliers, den = _multipliers(signs, dens)
+    views = [t.scaled for t in arrays]
+    scales = [scale for scale, _ in views]
+    polynomial = None in [t.integer_view for t in arrays]
+    if polynomial and len({e.order for _, v in views for e in v if isinstance(e, TruncatedPoly)}) > 1:
+        raise InputError("mixed truncation orders")
+    dens, start = [], 0
+    for _, _, parts in terms:
+        dens.append(prod(scales[start : start + len(parts) + 1]))
+        start += len(parts) + 1
+    multipliers, den = _multipliers([sign for sign, _, _ in terms], dens)
     # The first state starts the sum in place, and each state is dropped
     # before the next term is composed.
     shape = acc = None
-    start = 0
     for m, (_, outer, parts) in zip(multipliers, terms):
-        outer_shape, term_shape, rows = outer.shape, outer.shape[:1], []
-        densities = None if entrywise else []
+        outer_shape, term_shape, rows, densities = outer.shape, outer.shape[:1], [], []
         if len(outer_shape) != len(parts) + 1:
             raise _compose_error(outer, parts)
-        for s, (part, a) in enumerate(zip(parts, outer_shape[1:]), start + 1):
+        for part, a in zip(parts, outer_shape[1:]):
             part_shape = part.shape
             if part_shape[0] != a:
                 raise _compose_error(outer, parts)
             term_shape += part_shape[1:]
-            if entrywise:
-                rows.append(_rows(values[s], a, prod(part_shape[1:])))
-            else:
-                rows.append(part.rows_view)
-                densities.append(part.density)
+            rows.append(part.rows_view)
+            densities.append(part.density)
         if shape is None:
             shape = term_shape
         elif term_shape != shape:
             raise InputError(f"cannot add compositions of shapes {shape} and {term_shape}")
-        state = _compose_state(outer_shape, _nonzeros(values[start]) if entrywise else outer.state_view, rows, densities)
-        start += len(parts) + 1
+        state = _compose_state(outer_shape, outer.state_view, rows, densities)
         if acc is None:
             acc, get = state, state.get
             if m != 1:
@@ -642,6 +634,8 @@ def _signed_state(terms):
                 w = get(k)
                 acc[k] = v * m if w is None else w + v * m
         del state
+    if polynomial:
+        return {k: _read(v, den) for k, v in acc.items()}, None, shape
     return acc, den, shape
 
 
@@ -659,7 +653,8 @@ def _compose_state(shape, state, parts, densities=None):
     in_s (what ``_rows`` gives).  The result is keyed by the flat index
     over (d, *in_0, ..., *in_{m-1}) and holds every entry fed by a product
     of nonzero factors, even one that cancels to 0.  Values are whatever
-    the inputs hold, integer numerators or entries; the contraction of
+    the inputs hold: integer numerators, or polynomials at scale 1.  Each
+    slot is one ``_slot`` contraction, the contraction of
     ``_signed_state``.
 
     A part given as None is an identity pattern (``_Array.rows_view``) and
@@ -684,21 +679,31 @@ def _compose_state(shape, state, parts, densities=None):
         slots.sort(key=densities.__getitem__)
     for s in slots:
         rows, size = parts[s]
-        rest = prod(extents[s + 1 :])
-        remaining = extents[s] * rest
-        acc = {}
-        get = acc.get
-        for key, c in state.items():
-            head, tail = divmod(key, remaining)
-            a, tail = divmod(tail, rest)
-            base = head * size
-            for j, x in rows[a]:
-                k = (base + j) * rest + tail
-                v = get(k)
-                acc[k] = c * x if v is None else v + c * x
-        state, extents[s] = acc, size
+        state = _slot(state, extents[s], prod(extents[s + 1 :]), rows, size, {})
+        extents[s] = size
     # A part that was composed made ``state`` a new dict.
     return state if slots else dict(state)
+
+
+def _slot(state, extent, rest, rows, size, out):
+    """Add into ``out`` the state of a tensor with one input slot contracted:
+    ``state`` holds its entries by flat index over (head, extent, rest),
+    rows[a] the nonzero (j, x), j < size, that index a of the slot becomes,
+    and the result is keyed over (head, size, rest).  Every key fed by a
+    product of nonzero factors is kept, even one that cancels.  Returns
+    ``out``; the one contraction loop of ``_compose_state`` and of
+    ``homalg.hochschild_differential``."""
+    block = extent * rest
+    get = out.get
+    for key, c in state.items():
+        head, tail = divmod(key, block)
+        a, tail = divmod(tail, rest)
+        base = head * size
+        for j, x in rows[a]:
+            k = (base + j) * rest + tail
+            v = get(k)
+            out[k] = c * x if v is None else v + c * x
+    return out
 
 
 def _rows(entries, count, size):
@@ -713,9 +718,9 @@ def _density(rows, count):
     return sum(map(len, rows)) / (count or 1)
 
 
-def _nonzeros(entries):
-    """The state {flat: x} of the nonzero entries."""
-    return {f: x for f, x in enumerate(entries) if x}
+def _nonzeros(entries, m=1):
+    """The state {flat: m * x} of the nonzero entries."""
+    return {f: m * x for f, x in enumerate(entries) if x}
 
 
 def _multipliers(signs, dens):

@@ -56,11 +56,12 @@ and the family identity's two terms.  When every input has an integer
 view, the residual is one sparse state {flat index: integer numerator}
 over D, the lcm of the terms' products of scales.  The entry-type rule: a
 residual entry is ``Fraction(v, D)`` where its numerator v is nonzero and
-``ZERO`` elsewhere.  A ``TruncatedPoly`` entry anywhere multiplies the
-entries themselves, with no denominator: an entry fed by a product with a
-polynomial factor is a ``TruncatedPoly`` even when it cancels or
-truncates to 0, one fed by rational products only is a ``Fraction``, and
-every other entry is ``ZERO``.  A nested law's state covers all (i, j, k)
+``ZERO`` elsewhere.  A ``TruncatedPoly`` entry anywhere rides the same
+loop at scale 1, and the residual holds each value read once over D, with
+no denominator left: an entry fed by a product with a polynomial factor is
+a ``TruncatedPoly`` even when it cancels or truncates to 0, one fed by
+rational products only is a ``Fraction``, and every other entry is
+``ZERO``.  A nested law's state covers all (i, j, k)
 at once, d * I * J * K entries at most.
 
 Verdicts read off states.  ``intertwining_cases``, ``nested_cases`` and
@@ -88,7 +89,7 @@ on an early tuple, and composing every law side in full per candidate would
 cost more than the search), and the direct stencil of the family
 differential (``operators.twisted_inner_sum``, cross-checked against the
 generic route on the induced bimodule).  The Hochschild route contracts one
-slot at a time with its own loop (``homalg._slot``): it reads each array
+slot at a time with its own terms over ``linalg._slot``: it reads each array
 once through ``scaled``, forms each term's partial contraction once
 (left o (p^(n-1) x I), right o (I x p^(n-1)) and, per merged slot i,
 f o (p^(x i-1) x I x p^(x n-i))), meets it with f or mu over nonzero

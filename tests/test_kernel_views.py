@@ -15,6 +15,9 @@ b * c = a) beside ones it may not (2 * I), ``TruncatedPoly`` parts, and
 0-extent axes; terms repeat, with either sign, so sums cancel and a term
 whose parts are all skipped is added into.
 
+A polynomial array is read through the same views at scale 1, and a
+polynomial identity is composed, not skipped as an integer one is.
+
 Three deterministic cases pin what the views save: a negated composition
 with identities leaves the outer's cached state alone, one
 ``check_infinitesimal`` on D1 builds the twisted products four times (the
@@ -137,6 +140,20 @@ def test_identity_patterns_at_scale_one_are_the_parts_skipped():
         assert eye.rows_view is None
     for other in (Matrix.identity(2).scale(2), Matrix(2, 2, (0, 1, 1, 0)), Tensor((2, 2, 2), (ONE,) * 8)):
         assert other.rows_view is not None
+
+
+def test_a_polynomial_identity_is_read_at_scale_one_and_composed():
+    one = TruncatedPoly.constant(1, 2)
+    eye = Matrix(2, 2, (one, ZERO, ZERO, one))
+    assert eye.integer_view is None and eye.scaled == (1, eye.entries)
+    assert eye.state_view == {0: one, 3: one}
+    assert eye.rows_view == ([[(0, one)], [(1, one)]], 2)
+    assert eye.density == 1
+    assert Matrix.identity(2).rows_view is None
+    # Composed, not skipped: the rational entries it feeds become polynomials.
+    state, den, shape = _signed_state([(1, Matrix.identity(2), [eye])])
+    assert (den, shape) == (None, (2, 2))
+    assert [(k, type(v)) for k, v in state.items()] == [(0, TruncatedPoly), (3, TruncatedPoly)]
 
 
 def test_negated_identity_composition_leaves_the_cached_state_alone():
