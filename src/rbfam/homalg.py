@@ -215,12 +215,12 @@ def hochschild_differential(module, degree, f):
     one sparse state of integer numerators over one denominator, a
     polynomial riding it at scale 1.  The terms and their partial
     contractions are this route's; only the loop that contracts one slot,
-    ``linalg._slot``, is shared with ``linalg._signed_state``.  Each term's partial
-    contraction is formed once, not per output tuple: left o (p^(n-1) x I),
-    right o (I x p^(n-1)) and, for the i-th merged slot,
-    f o (p^(x i-1) x I x p^(x n-i)), which then meets f, f and mu.  The
-    membership checks read the same states: f o p^(x n) extends the chain
-    f o (p x ... x p x I).
+    ``linalg._slot``, is shared with ``linalg._signed_state``.  Each term's
+    partial contraction is formed once, not per output tuple:
+    left o (p^(n-1) x I), right o (I x p^(n-1)) and, for the i-th merged
+    slot, f o (p^(x i-1) x I x p^(x n-i)), which then meets f, f and mu.
+    The membership checks read the same states: f o p^(x n) extends the
+    chain f o (p x ... x p x I).
     """
     A = module.parent
     n, d = A.dim, module.dim
